@@ -210,13 +210,11 @@ fn bench_perf_model() {
     });
 }
 
-/// The incremental stats cache vs the from-scratch member sweep it
-/// replaced, priced on a real 4-shard, 32-instance PASCAL cluster frozen
-/// mid-run (so rows have resident members, live pacer deadlines and
-/// predictor history). Three costs: the all-hit sweep (pure cache-serve),
-/// the advertised steady state (one dirty row per sweep — what a
-/// single-instance event leaves behind), and the full recompute the hot
-/// path paid before the cache existed.
+/// One instance-monitor sweep on a real 4-shard, 32-instance PASCAL
+/// cluster frozen mid-run (so rows have resident members, live pacer
+/// deadlines and predictor history). Every row is read from the
+/// instance's maintained aggregates, so the cost is per instance, not per
+/// queued request.
 fn bench_monitor_sweep() {
     let count = pascal_bench::smoke_count(4_000);
     let trace = TraceBuilder::new(DatasetMix::single(DatasetProfile::arena_hard()))
@@ -230,23 +228,15 @@ fn bench_monitor_sweep() {
     config.predictor = Some(PredictorKind::Quantile);
     // Freeze a quarter of the way into the event stream: deep enough that
     // every instance carries members, early enough that nothing drained.
-    let mut fixture = MonitorSweepFixture::new(&trace, &config, count.saturating_mul(8));
+    let fixture = MonitorSweepFixture::new(&trace, &config, count.saturating_mul(8));
     println!(
         "monitor sweep fixture: {} resident requests across {} instances",
         fixture.resident_requests(),
         fixture.instances()
     );
     let mut buf: Vec<InstanceStats> = Vec::new();
-    bench_function("monitor_sweep_cached_32inst", 20, 2_000, || {
-        fixture.sweep_incremental(&mut buf);
-        buf.len()
-    });
-    bench_function("monitor_sweep_one_dirty_32inst", 20, 2_000, || {
-        fixture.sweep_one_dirty(&mut buf);
-        buf.len()
-    });
-    bench_function("monitor_sweep_full_32inst", 20, 2_000, || {
-        fixture.sweep_full(&mut buf);
+    bench_function("monitor_sweep_32inst", 20, 2_000, || {
+        fixture.sweep(&mut buf);
         buf.len()
     });
 }

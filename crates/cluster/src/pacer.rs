@@ -117,8 +117,8 @@ impl TokenPacer {
     /// [`is_on_pace`](TokenPacer::is_on_pace)`(now)` is exactly
     /// `now < on_pace_until()` — at any `now`, past or future. An
     /// unstarted stream returns `None`: on pace at every instant. This is
-    /// what lets a cached SLO-health reading carry an exact expiry instead
-    /// of being recomputed per query.
+    /// what lets an instance's SLO health be kept as one earliest deadline
+    /// instead of being recomputed from every stream per query.
     #[must_use]
     pub fn on_pace_until(&self) -> Option<SimTime> {
         self.stream_start.map(|start| {
@@ -209,8 +209,8 @@ mod tests {
         }
 
         /// `on_pace_until` exactly characterizes `is_on_pace` at every
-        /// probe time — the contract the engine's monitor-row cache
-        /// expires against.
+        /// probe time — the contract the engine's per-instance earliest
+        /// pacer deadline rests on.
         #[test]
         fn prop_on_pace_until_matches_is_on_pace(
             gaps in proptest::collection::vec(0.0f64..0.5, 0..50),

@@ -227,9 +227,8 @@ impl Shard<'_> {
     /// projection falls back to what is certain at arrival — the prompt.
     fn predicted_final_kv_bytes(&self, spec: &RequestSpec) -> u64 {
         let predicted_output = self
-            .predictor
-            .as_ref()
-            .and_then(|p| p.estimate(spec).total_tokens())
+            .estimate(spec)
+            .and_then(|est| est.total_tokens())
             .map_or(0, |t| t.max(0.0).round() as u64);
         self.geometry
             .bytes_for_tokens(u64::from(spec.prompt_tokens) + predicted_output)

@@ -1,10 +1,9 @@
 //! Bench-only access to the instance-monitor sweep. Hidden from docs and
 //! not a stable API: the only consumer is the `micro_scheduler_overhead`
-//! bench, which prices the incremental stats cache against the
-//! from-scratch member sweep it replaced.
+//! bench, which prices one sweep over a deep mid-run backlog.
 //!
 //! The fixture drives a real cluster engine a fixed number of events into
-//! a run and freezes it there, so the sweeps are measured over genuine
+//! a run and freezes it there, so the sweep is measured over genuine
 //! mid-run state — resident members, live pacer deadlines, predictor
 //! history — rather than a synthetic pool.
 
@@ -16,15 +15,10 @@ use super::cluster::Engine;
 use super::driver::EventDriver;
 use crate::SimConfig;
 
-/// A cluster engine frozen mid-run, exposing the three monitor-sweep
-/// costs the cache trades between: all-hit (pure serve), steady-state
-/// (one dirty row per sweep), and the full recompute.
+/// A cluster engine frozen mid-run.
 pub struct MonitorSweepFixture<'a> {
     engine: Engine<'a>,
     now: SimTime,
-    /// Rotates which instance [`Self::sweep_one_dirty`] invalidates so
-    /// successive iterations touch different rows.
-    dirty_cursor: usize,
 }
 
 impl<'a> MonitorSweepFixture<'a> {
@@ -40,15 +34,11 @@ impl<'a> MonitorSweepFixture<'a> {
             }
         }
         let now = engine.next_event_time().unwrap_or_default();
-        MonitorSweepFixture {
-            engine,
-            now,
-            dirty_cursor: 0,
-        }
+        MonitorSweepFixture { engine, now }
     }
 
     /// Requests resident anywhere in the fleet (running or queued) — the
-    /// member population each sweep walks. Printed by the bench so the
+    /// backlog the sweep does *not* walk. Printed by the bench so the
     /// measured state is visible next to the numbers.
     #[must_use]
     pub fn resident_requests(&self) -> usize {
@@ -61,31 +51,11 @@ impl<'a> MonitorSweepFixture<'a> {
         self.engine.shards().iter().map(|s| s.instances.len()).sum()
     }
 
-    /// One monitor sweep per shard through the cache. After the first
-    /// call every row is a cache hit: the serve cost with nothing dirty.
-    pub fn sweep_incremental(&self, out: &mut Vec<InstanceStats>) {
+    /// One monitor sweep per shard: one row per healthy instance, each
+    /// built from the instance's maintained aggregates.
+    pub fn sweep(&self, out: &mut Vec<InstanceStats>) {
         for shard in self.engine.shards() {
             shard.collect_stats_into(self.now, out);
-        }
-    }
-
-    /// Marks one instance's row dirty (rotating across the fleet), then
-    /// sweeps — the advertised steady state: a single-instance event
-    /// invalidates one row, the sweep recomputes it and serves the rest.
-    pub fn sweep_one_dirty(&mut self, out: &mut Vec<InstanceStats>) {
-        let shards = self.engine.shards();
-        let shard = &shards[self.dirty_cursor % shards.len()];
-        let local = (self.dirty_cursor / shards.len()) % shard.instances.len();
-        shard.mark_stats_dirty(local as u32);
-        self.dirty_cursor += 1;
-        self.sweep_incremental(out);
-    }
-
-    /// The from-scratch sweep the cache replaced: every healthy row
-    /// recomputed from its members, no cache reads or writes.
-    pub fn sweep_full(&self, out: &mut Vec<InstanceStats>) {
-        for shard in self.engine.shards() {
-            shard.collect_stats_full_into(self.now, out);
         }
     }
 }

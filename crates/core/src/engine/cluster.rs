@@ -40,6 +40,7 @@ use pascal_sched::{cross_shard_escape_target, MigrationCost, RouterPolicy, Sched
 use pascal_sim::SimTime;
 use pascal_telemetry::{
     EscapeTier, ProfiledEvent, SeriesRow, SeriesScope, TelemetryHandle, TraceEventKind,
+    WorkCounters,
 };
 use pascal_workload::Trace;
 
@@ -417,9 +418,7 @@ impl<'a> Cluster<'a> {
             (
                 sh.geometry.blocks_for_tokens(st.tokens_needed_next()),
                 context_kv_bytes(&sh.geometry, st),
-                sh.predictor
-                    .as_ref()
-                    .and_then(|p| p.predicted_remaining_tokens(&st.spec, st.tokens_generated)),
+                sh.predicted_remaining_tokens(handle),
             )
         };
 
@@ -483,8 +482,6 @@ impl<'a> Cluster<'a> {
             .try_alloc(needed)
         {
             self.shards[dest].migration_ctl.reserve(id, needed);
-            // The reservation shrank the destination's free-block count.
-            self.shards[dest].mark_stats_dirty(to_local);
         } else if policy.adaptive_migration() {
             self.shards[from].migration_ctl.outcomes.cross_shard_aborted += 1;
             self.shards[from].emit_trace(
@@ -514,8 +511,8 @@ impl<'a> Cluster<'a> {
         );
         {
             let sh = &mut self.shards[from];
+            sh.set_kv_location(handle, KvLocation::Migrating);
             let st = &mut sh.states[handle];
-            st.kv_location = KvLocation::Migrating;
             st.resident_since = None;
             let from_local = st.instance;
             let from_global = sh.offset + from_local;
@@ -531,7 +528,6 @@ impl<'a> Cluster<'a> {
                 actual_remaining_tokens: st.spec.output_tokens() - st.tokens_generated,
             });
             sh.instances[from_local as usize].dying_blocks += held;
-            sh.instances[from_local as usize].sched_dirty = true;
             sh.migration_ctl.outcomes.launched += 1;
             sh.migration_ctl.outcomes.bytes_moved += bytes;
             sh.migration_ctl.outcomes.cross_shard_launched += 1;
@@ -560,36 +556,11 @@ impl<'a> Cluster<'a> {
         to_local: u32,
         now: SimTime,
     ) {
-        let (mut st, from_local) = {
-            let sh = &mut self.shards[from];
-            let mut st = sh.states.remove(req);
-            assert_eq!(st.kv_location, KvLocation::Migrating);
-            let from_local = st.instance;
-            sh.instances[from_local as usize]
-                .inst
-                .gpu
-                .free(st.held_gpu_blocks);
-            sh.instances[from_local as usize]
-                .inst
-                .members
-                .remove(st.spec.id);
-            sh.instances[from_local as usize].dying_blocks -= st.held_gpu_blocks;
-            sh.instances[from_local as usize].sched_dirty = true;
-            sh.mark_stats_dirty(from_local);
-            st.held_gpu_blocks = 0;
-            (st, from_local)
-        };
-
+        let (mut st, from_local) = self.shards[from].depart_migrated(req);
         let sh = &mut self.shards[to_shard];
-        let to_global = sh.global_instance(to_local);
-        let id = st.spec.id;
-        st.instance = to_local;
-        st.instances_visited.push(to_global);
+        st.instances_visited.push(sh.global_instance(to_local));
         let landed = sh.states.insert(st);
-        sh.instances[to_local as usize]
-            .inst
-            .members
-            .insert(id, landed);
+        sh.add_member(landed, to_local);
         sh.cross_shard_in += 1;
         // The landing tail — reservation consume / allocate / CPU-pool
         // fallback — is the same mechanism as an intra-shard migration,
@@ -712,6 +683,15 @@ pub(super) fn assert_drained(shards: &[Shard<'_>]) {
             sh.id
         );
     }
+}
+
+/// The run's deterministic work counts, summed over every shard.
+pub(super) fn total_work(shards: &[Shard<'_>]) -> WorkCounters {
+    let mut total = WorkCounters::default();
+    for sh in shards {
+        total.absorb(&sh.work.get());
+    }
+    total
 }
 
 /// Collapses the drained shards into a [`SimOutput`] — the shared tail of
@@ -892,6 +872,8 @@ impl<'a> Engine<'a> {
             super::driver::drive(&mut self, interval);
         }
         assert_drained(&self.cluster.shards);
+        self.telemetry
+            .profile_work(&total_work(&self.cluster.shards));
         let config = self.config;
         let mut out = assemble_output(self.cluster.shards);
         out.telemetry = self.telemetry.finish();

@@ -41,7 +41,7 @@ use crate::config::SimConfig;
 
 use super::admission::AdmissionProbe;
 use super::cluster::{
-    assemble_output, assert_drained, validate_trace_fits, Cluster, ClusterSignal,
+    assemble_output, assert_drained, total_work, validate_trace_fits, Cluster, ClusterSignal,
 };
 use super::{context_kv_bytes, EscapeCandidate, Event, Shard, SimOutput};
 
@@ -335,9 +335,7 @@ impl<'a> FederationEngine<'a> {
             (
                 sh.geometry.blocks_for_tokens(st.tokens_needed_next()),
                 context_kv_bytes(&sh.geometry, st),
-                sh.predictor
-                    .as_ref()
-                    .and_then(|p| p.predicted_remaining_tokens(&st.spec, st.tokens_generated)),
+                sh.predicted_remaining_tokens(handle),
             )
         };
 
@@ -424,8 +422,6 @@ impl<'a> FederationEngine<'a> {
             self.regions[dest_r].cluster.shards[dest_s]
                 .migration_ctl
                 .reserve(id, needed);
-            // The reservation shrank the destination's free-block count.
-            self.regions[dest_r].cluster.shards[dest_s].mark_stats_dirty(to_local);
         } else if policy.adaptive_migration() {
             self.source_outcomes(from_r, from_s).cross_region_aborted += 1;
             self.emit_escape_trace(
@@ -459,8 +455,8 @@ impl<'a> FederationEngine<'a> {
             },
         );
         let sh = &mut self.regions[from_r].cluster.shards[from_s];
+        sh.set_kv_location(handle, KvLocation::Migrating);
         let st = &mut sh.states[handle];
-        st.kv_location = KvLocation::Migrating;
         st.resident_since = None;
         let from_local = st.instance;
         let from_global = sh.offset + from_local;
@@ -476,7 +472,6 @@ impl<'a> FederationEngine<'a> {
             actual_remaining_tokens: st.spec.output_tokens() - st.tokens_generated,
         });
         sh.instances[from_local as usize].dying_blocks += held;
-        sh.instances[from_local as usize].sched_dirty = true;
         sh.migration_ctl.outcomes.launched += 1;
         sh.migration_ctl.outcomes.bytes_moved += bytes;
         sh.migration_ctl.outcomes.cross_region_launched += 1;
@@ -535,37 +530,12 @@ impl<'a> FederationEngine<'a> {
         to_local: u32,
         now: SimTime,
     ) {
-        let (mut st, from_local) = {
-            let sh = &mut self.regions[from_r].cluster.shards[from_s];
-            let mut st = sh.states.remove(req);
-            assert_eq!(st.kv_location, KvLocation::Migrating);
-            let from_local = st.instance;
-            sh.instances[from_local as usize]
-                .inst
-                .gpu
-                .free(st.held_gpu_blocks);
-            sh.instances[from_local as usize]
-                .inst
-                .members
-                .remove(st.spec.id);
-            sh.instances[from_local as usize].dying_blocks -= st.held_gpu_blocks;
-            sh.instances[from_local as usize].sched_dirty = true;
-            sh.mark_stats_dirty(from_local);
-            st.held_gpu_blocks = 0;
-            (st, from_local)
-        };
-
+        let (mut st, from_local) = self.regions[from_r].cluster.shards[from_s].depart_migrated(req);
         {
             let sh = &mut self.regions[to_r].cluster.shards[to_s];
-            let to_global = sh.global_instance(to_local);
-            let id = st.spec.id;
-            st.instance = to_local;
-            st.instances_visited.push(to_global);
+            st.instances_visited.push(sh.global_instance(to_local));
             let landed = sh.states.insert(st);
-            sh.instances[to_local as usize]
-                .inst
-                .members
-                .insert(id, landed);
+            sh.add_member(landed, to_local);
             sh.cross_region_in += 1;
             // Same landing tail as every other migration, on the shard
             // whose ledger holds the reservation made at launch.
@@ -636,6 +606,7 @@ impl<'a> FederationEngine<'a> {
             .flat_map(|region| region.cluster.shards)
             .collect();
         assert_drained(&shards);
+        self.telemetry.profile_work(&total_work(&shards));
         let mut out = assemble_output(shards);
         out.region_stats = region_stats;
         out.telemetry = self.telemetry.finish();

@@ -151,9 +151,6 @@ impl<'a> Shard<'a> {
         }
         self.health[i] = to;
         self.fleet.transitions += 1;
-        // Transitions are rare; drop any cached monitor row rather than
-        // reason about its validity across a health boundary.
-        self.mark_stats_dirty(instance);
         let global = Some(self.global_instance(instance));
         match to {
             HealthState::Healthy => {
@@ -265,17 +262,15 @@ impl<'a> Shard<'a> {
     /// the healthy survivors, gated by the same cost/benefit veto a
     /// saturation escape faces.
     fn drain_migrate_intra(&mut self, handle: ReqHandle, now: SimTime) {
-        let (id, from, needed, predicted_remaining) = {
+        let (id, from, needed) = {
             let st = &self.states[handle];
             (
                 st.spec.id,
                 st.instance,
                 self.geometry.blocks_for_tokens(st.tokens_needed_next()),
-                self.predictor
-                    .as_ref()
-                    .and_then(|p| p.predicted_remaining_tokens(&st.spec, st.tokens_generated)),
             )
         };
+        let predicted_remaining = self.predicted_remaining_tokens(handle);
         let global = Some(self.global_instance(from));
         self.migration_ctl.outcomes.considered += 1;
         self.emit_trace(
@@ -355,18 +350,8 @@ impl<'a> Shard<'a> {
             let claim = self.geometry.blocks_for_tokens(u64::from(prompt) + 1);
             targets[best].0 = level.saturating_sub(claim.min(i64::MAX as u64) as i64);
             let to_global = self.global_instance(target);
-            {
-                let st = &mut self.states[handle];
-                st.instance = target;
-                st.instances_visited.push(to_global);
-            }
-            self.instances[from as usize].inst.members.remove(id);
-            self.instances[target as usize]
-                .inst
-                .members
-                .insert(id, handle);
-            self.instances[target as usize].sched_dirty = true;
-            self.mark_stats_dirty(target);
+            self.states[handle].instances_visited.push(to_global);
+            self.move_member(handle, target);
             self.fleet.rebalanced += 1;
             self.emit_trace(
                 now,
@@ -378,8 +363,6 @@ impl<'a> Shard<'a> {
             );
             touched.push(target);
         }
-        self.instances[from as usize].sched_dirty = true;
-        self.mark_stats_dirty(from);
         touched.sort_unstable();
         touched.dedup();
         for target in touched {
@@ -392,12 +375,10 @@ impl<'a> Shard<'a> {
     /// against the outage. No completion record is produced — stranded
     /// requests are lost work, not served work.
     pub(super) fn strand_request(&mut self, handle: ReqHandle, now: SimTime) {
+        self.remove_member(handle);
         let st = self.states.remove(handle);
         let i = st.instance as usize;
         let id = st.spec.id;
-        self.instances[i].inst.members.remove(id);
-        self.instances[i].sched_dirty = true;
-        self.mark_stats_dirty(st.instance);
         if st.held_gpu_blocks > 0 {
             self.instances[i].inst.gpu.free(st.held_gpu_blocks);
         }

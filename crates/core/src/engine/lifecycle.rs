@@ -8,10 +8,12 @@
 //! state is created.
 //!
 //! Everything here is the engine's hot path: request state is reached
-//! through slab handles (one array index per touch), and the scheduling
-//! pass assembles its candidate/desired/batch sets in the shard's
-//! [`ScheduleScratch`](super::ScheduleScratch) buffers, so a steady-state
-//! iteration allocates nothing.
+//! through slab handles (one array index per touch), every state change is
+//! filed through the [member mutators](super::members), and the scheduling
+//! pass reads the instance's ordered candidate index and resident set,
+//! assembling its desired/batch sets in the shard's
+//! [`ScheduleScratch`](super::ScheduleScratch) buffers — so a steady-state
+//! iteration costs O(batch) and allocates nothing.
 
 use pascal_cluster::{KvLocation, ReqHandle};
 use pascal_model::DecodeBatch;
@@ -68,8 +70,7 @@ impl Shard<'_> {
     ) {
         // Log the estimate the scheduler is about to act on (pre-observe:
         // this request's own lengths are still hidden from the predictor).
-        if let Some(pred) = &self.predictor {
-            let est = pred.estimate(&spec);
+        if let Some(est) = self.estimate(&spec) {
             self.prediction_samples
                 .push(pascal_metrics::PredictionSample {
                     id: spec.id,
@@ -85,6 +86,9 @@ impl Shard<'_> {
         // instances to report.
         if stats.is_empty() {
             self.fleet.stranded += 1;
+            // The arrival edge opens the request's timeline, so the
+            // latency anatomy accounts for it like any other stranding.
+            self.emit_trace(now, None, Some(spec.id), TraceEventKind::Arrival);
             self.emit_trace(now, None, Some(spec.id), TraceEventKind::RequestStranded);
             return;
         }
@@ -107,12 +111,7 @@ impl Shard<'_> {
         // offset 0 and this is the identity.
         state.instances_visited[0] = self.global_instance(target);
         let handle = self.states.insert(state);
-        self.instances[target as usize]
-            .inst
-            .members
-            .insert(id, handle);
-        self.instances[target as usize].sched_dirty = true;
-        self.mark_stats_dirty(target);
+        self.add_member(handle, target);
         let at_instance = Some(self.global_instance(target));
         self.emit_trace(now, at_instance, Some(id), TraceEventKind::Arrival);
         if speculatively_demoted {
@@ -156,6 +155,7 @@ impl Shard<'_> {
             self.emit_token(handle, kind, now);
         }
         self.instances[instance as usize].current_batch.clear();
+        self.count_work(|w| w.tokens += batch_len as u64);
     }
 
     pub(super) fn on_offload_done(&mut self, handle: ReqHandle, now: SimTime) {
@@ -167,16 +167,14 @@ impl Shard<'_> {
             // The CPU copy holds the actual context, without growth headroom.
             let cpu_blocks = self.geometry.blocks_for_tokens(st.context_tokens());
             st.held_cpu_blocks = cpu_blocks;
-            st.kv_location = KvLocation::Cpu;
             (st.spec.id, st.instance, blocks, cpu_blocks)
         };
+        // Back among the candidates.
+        self.set_kv_location(handle, KvLocation::Cpu);
         let rt = &mut self.instances[instance as usize];
         rt.dying_blocks -= blocks;
-        rt.sched_dirty = true; // back among the candidates
-        let inst = &mut rt.inst;
-        inst.gpu.free(blocks);
-        inst.cpu.alloc(cpu_blocks);
-        self.mark_stats_dirty(instance);
+        rt.inst.gpu.free(blocks);
+        rt.inst.cpu.alloc(cpu_blocks);
         self.emit_trace(
             now,
             Some(self.global_instance(instance)),
@@ -197,14 +195,13 @@ impl Shard<'_> {
         let (id, instance, cpu_blocks) = {
             let st = &mut self.states[handle];
             assert_eq!(st.kv_location, KvLocation::ReloadingToGpu);
-            st.kv_location = KvLocation::Gpu;
             st.resident_since = Some(now);
             let cpu_blocks = st.held_cpu_blocks;
             st.held_cpu_blocks = 0;
             (st.spec.id, st.instance, cpu_blocks)
         };
+        self.set_kv_location(handle, KvLocation::Gpu);
         self.instances[instance as usize].inst.cpu.free(cpu_blocks);
-        self.mark_stats_dirty(instance);
         self.emit_trace(
             now,
             Some(self.global_instance(instance)),
@@ -222,7 +219,9 @@ impl Shard<'_> {
 
     /// Closes one batch member's iteration and emits its token: running
     /// bookkeeping, quantum accounting, demotions, phase transitions and
-    /// completion — one slab access for all of it.
+    /// completion — one slab access for all of it, then one re-filing of
+    /// the member (pacer deadline, predicted growth, and — at a quantum
+    /// boundary or demotion — its candidate key and `r_i`/`a_i` counts).
     pub(super) fn emit_token(&mut self, handle: ReqHandle, kind: IterationKind, now: SimTime) {
         let mut crossed_threshold = None;
         let mut demoted_now = false;
@@ -283,12 +282,13 @@ impl Shard<'_> {
                 st.instance,
             )
         };
-        // Every token moves the monitor row: the pacer clock, the
-        // predicted remaining growth, and possibly the quantum/demotion
-        // counts the row reports.
-        self.mark_stats_dirty(at_instance);
+        // A demotion or quantum boundary moves the priority key and the
+        // instance's `r_i`/`a_i`; any other token only the pacer and the
+        // predicted growth.
         if key_changed || demoted_now {
-            self.instances[at_instance as usize].sched_dirty = true;
+            self.sync_member(handle);
+        } else {
+            self.file_token(handle);
         }
         if demoted_now {
             let global = self.global_instance(at_instance);
@@ -296,9 +296,8 @@ impl Shard<'_> {
         }
 
         if let (Some(threshold), Some(pred)) = (crossed_threshold, &mut self.predictor) {
-            let spec = self.states[handle].spec.clone();
-            pred.observe_threshold_crossing(&spec, threshold);
-            self.predictor_epoch += 1;
+            pred.observe_threshold_crossing(&self.states[handle].spec, threshold);
+            self.refresh_estimates();
         }
 
         if first_answer {
@@ -322,26 +321,24 @@ impl Shard<'_> {
     }
 
     pub(super) fn complete(&mut self, handle: ReqHandle, now: SimTime) {
+        self.remove_member(handle);
         let st = self.states.remove(handle);
         let id = st.spec.id;
         let instance = st.instance as usize;
         let gpu_blocks = st.held_gpu_blocks;
         let cpu_blocks = st.held_cpu_blocks;
-        self.instances[instance].inst.members.remove(id);
-        self.instances[instance].sched_dirty = true;
         if gpu_blocks > 0 {
             self.instances[instance].inst.gpu.free(gpu_blocks);
         }
         if cpu_blocks > 0 {
             self.instances[instance].inst.cpu.free(cpu_blocks);
         }
-        self.mark_stats_dirty(instance as u32);
         // Completion is the online learning signal: the spec carries the
         // actual lengths, now revealed. Completions arrive in deterministic
         // event order, so predictor state stays replayable.
         if let Some(pred) = &mut self.predictor {
             pred.observe(&st.spec);
-            self.predictor_epoch += 1;
+            self.refresh_estimates();
         }
         self.emit_trace(
             now,
@@ -416,53 +413,25 @@ impl Shard<'_> {
         if self.health[instance as usize] == crate::fleet::HealthState::Down {
             return;
         }
-        // The pass below may admit, evict, reload or grow residents — all
-        // of which move the instance's pool gauges. One blanket
-        // invalidation beats auditing the five allocation sites it spans.
-        self.mark_stats_dirty(instance);
         let mut scratch = std::mem::take(&mut self.scratch);
-        let policy = self.policy;
+        let i = instance as usize;
+        #[cfg(debug_assertions)]
+        self.assert_candidate_order(instance);
 
-        // 1. Candidates sorted by policy priority, cached per instance and
-        //    rebuilt only when membership, a key input, or an excluding
-        //    KV-location changed since the last pass (`sched_dirty`).
-        //    Members iterate in ascending id order and the key's final
-        //    component is the id, so the order is total — sort stability
-        //    is irrelevant, and a clean cache replays the exact order a
-        //    rebuild would produce.
-        std::mem::swap(
-            &mut self.instances[instance as usize].cands,
-            &mut scratch.cands,
-        );
-        if self.instances[instance as usize].sched_dirty {
-            scratch.cands.clear();
-            for (_, handle) in self.instances[instance as usize].inst.members.iter() {
-                let st = &self.states[handle];
-                if !matches!(
-                    st.kv_location,
-                    KvLocation::Migrating | KvLocation::OffloadingToCpu
-                ) {
-                    scratch.cands.push((policy.priority_key(st), handle));
-                }
-            }
-            scratch.cands.sort_unstable_by_key(|&(key, _)| key);
-            self.instances[instance as usize].sched_dirty = false;
-        }
-
-        // 2. Desired prefix under the block budget. Blocks held by dying
-        //    allocations (offloads, outbound migrations) are unavailable;
-        //    their total is maintained incrementally at every transfer
-        //    launch and landing.
-        let dying = self.instances[instance as usize].dying_blocks;
-        let budget = self.instances[instance as usize]
+        // 1. Desired prefix of the candidate index (ordered by priority
+        //    key) under the block budget. Blocks held by dying allocations
+        //    (offloads, outbound migrations) are unavailable; their total
+        //    is maintained incrementally at every transfer launch and
+        //    landing.
+        let budget = self.instances[i]
             .inst
             .gpu
             .capacity_blocks()
-            .map(|c| c.saturating_sub(dying));
-
+            .map(|c| c.saturating_sub(self.instances[i].dying_blocks));
         scratch.desired.clear();
         let mut acc: u64 = 0;
-        for &(_, handle) in &scratch.cands {
+        let mut desired_residents = 0;
+        for &handle in self.instances[i].cands.values() {
             if scratch.desired.len() >= self.config.max_batch as usize {
                 break;
             }
@@ -472,49 +441,48 @@ impl Shard<'_> {
                 .blocks_for_tokens(st.tokens_needed_next())
                 .max(st.held_gpu_blocks);
             match budget {
-                None => {
+                Some(b) if acc + need > b => break,
+                _ => {
                     acc += need;
+                    desired_residents += usize::from(st.kv_location == KvLocation::Gpu);
                     scratch.desired.push((handle, need));
                 }
-                Some(b) if acc + need <= b => {
-                    acc += need;
-                    scratch.desired.push((handle, need));
-                }
-                Some(_) => break,
             }
         }
 
-        // 3. Preempt GPU residents that fell out of the desired set. When
-        //    every candidate is desired there can be no evictee (members
-        //    outside the candidate set are never GPU-resident), so the
-        //    common uncontended iteration skips the whole sweep.
+        // 2. Preempt GPU residents that fell out of the desired set. Every
+        //    resident is a candidate and the desired set is a key-order
+        //    prefix, so a resident is desired exactly when its key does
+        //    not sort after the last desired key. When the desired set
+        //    already holds every resident there is no evictee, so most
+        //    iterations skip the resident scan. Offloads launch in
+        //    ascending request-id order.
         scratch.evictees.clear();
-        if scratch.desired.len() != scratch.cands.len() {
-            if scratch.desired_mark.len() < self.states.slot_capacity() {
-                scratch
-                    .desired_mark
-                    .resize(self.states.slot_capacity(), false);
-            }
-            for &(handle, _) in &scratch.desired {
-                scratch.desired_mark[handle.index()] = true;
-            }
-            for (_, handle) in self.instances[instance as usize].inst.members.iter() {
-                let st = &self.states[handle];
-                if st.kv_location == KvLocation::Gpu && !scratch.desired_mark[handle.index()] {
+        if self.instances[i].residents.len() > desired_residents {
+            let filed_key = |handle: ReqHandle| {
+                self.member_mon[handle.index()]
+                    .key
+                    .expect("desired members and residents are candidates")
+            };
+            let last_desired = scratch.desired.last().map(|&(handle, _)| filed_key(handle));
+            let residents = &self.instances[i].residents;
+            for (_, handle) in residents.iter() {
+                if last_desired.is_none_or(|last| filed_key(handle) > last) {
                     scratch.evictees.push(handle);
                 }
             }
-            for &(handle, _) in &scratch.desired {
-                scratch.desired_mark[handle.index()] = false;
-            }
+            let scanned = residents.len() as u64;
+            self.count_work(|w| w.sched_member_scans += scanned);
+            #[cfg(debug_assertions)]
+            self.assert_evictees(instance, &scratch.desired, &scratch.evictees);
             for &handle in &scratch.evictees {
                 self.start_offload(handle, now);
             }
         }
 
-        // 4. Admit the desired set: grow residents, start reloads,
+        // 3. Admit the desired set: grow residents, start reloads,
         //    materialize warm requests, and collect prefill candidates.
-        //    The desired entries carry their block needs from step 2, and
+        //    The desired entries carry their block needs from step 1, and
         //    batch aggregates (decode context, prefill prompt lengths)
         //    accumulate here so the launch step re-reads nothing.
         scratch.prefill.clear();
@@ -559,9 +527,9 @@ impl Shard<'_> {
                         let bytes = {
                             let st = &mut self.states[handle];
                             st.held_gpu_blocks = target_blocks;
-                            st.kv_location = KvLocation::ReloadingToGpu;
                             context_kv_bytes(&self.geometry, st)
                         };
+                        self.set_kv_location(handle, KvLocation::ReloadingToGpu);
                         let (_, finish) = self.instances[instance as usize]
                             .inst
                             .pcie
@@ -575,9 +543,9 @@ impl Shard<'_> {
                     && self.instances[instance as usize].inst.gpu.try_alloc(target_blocks) => {
                         let st = &mut self.states[handle];
                         st.held_gpu_blocks = target_blocks;
-                        st.kv_location = KvLocation::Gpu;
                         st.resident_since = Some(now);
                         st.prefilled = true;
+                        self.set_kv_location(handle, KvLocation::Gpu);
                         decode_context += context;
                         scratch.decode.push(handle);
                     }
@@ -600,7 +568,7 @@ impl Shard<'_> {
             }
         }
 
-        // 5. Launch: prefill takes priority (vLLM 0.6.1 semantics), else a
+        // 4. Launch: prefill takes priority (vLLM 0.6.1 semantics), else a
         //    decode step over every runnable resident. The launched batch
         //    is swapped into the instance (its drained predecessor's
         //    capacity swaps back into the scratch) — no allocation.
@@ -610,8 +578,8 @@ impl Shard<'_> {
                 let st = &mut self.states[handle];
                 st.begin_running(now);
                 // KV becomes resident as the prefill pass runs.
-                st.kv_location = KvLocation::Gpu;
                 st.resident_since = Some(now);
+                self.set_kv_location(handle, KvLocation::Gpu);
             }
             let global = self.global_instance(instance);
             for &handle in &scratch.prefill {
@@ -652,11 +620,60 @@ impl Shard<'_> {
             self.queue
                 .schedule_flagged(now + duration, Event::IterationDone { instance }, barrier);
         }
-        std::mem::swap(
-            &mut self.instances[instance as usize].cands,
-            &mut scratch.cands,
-        );
         self.scratch = scratch;
+    }
+
+    /// Debug reference for the candidate index: every schedulable member,
+    /// keyed and sorted from scratch.
+    #[cfg(debug_assertions)]
+    fn assert_candidate_order(&self, instance: u32) {
+        let rt = &self.instances[instance as usize];
+        let mut reference: Vec<(pascal_sched::PriorityKey, ReqHandle)> = rt
+            .inst
+            .members
+            .iter()
+            .filter(|&(_, handle)| {
+                !matches!(
+                    self.states[handle].kv_location,
+                    KvLocation::Migrating | KvLocation::OffloadingToCpu
+                )
+            })
+            .map(|(_, handle)| (self.policy.priority_key(&self.states[handle]), handle))
+            .collect();
+        reference.sort_unstable_by_key(|&(key, _)| key);
+        let indexed: Vec<_> = rt
+            .cands
+            .iter()
+            .map(|(&key, &handle)| (key, handle))
+            .collect();
+        assert_eq!(
+            indexed, reference,
+            "candidate index of instance {instance} out of sync: a state change bypassed \
+             the member mutators"
+        );
+    }
+
+    /// Debug reference for the evictee set: every GPU-resident member
+    /// outside the desired set, found by a full member scan.
+    #[cfg(debug_assertions)]
+    fn assert_evictees(&self, instance: u32, desired: &[(ReqHandle, u64)], evictees: &[ReqHandle]) {
+        let mut desired: Vec<usize> = desired.iter().map(|&(h, _)| h.index()).collect();
+        desired.sort_unstable();
+        let reference: Vec<ReqHandle> = self.instances[instance as usize]
+            .inst
+            .members
+            .iter()
+            .map(|(_, handle)| handle)
+            .filter(|&handle| {
+                self.states[handle].kv_location == KvLocation::Gpu
+                    && desired.binary_search(&handle.index()).is_err()
+            })
+            .collect();
+        assert_eq!(
+            evictees, reference,
+            "resident set of instance {instance} out of sync: a state change bypassed the \
+             member mutators"
+        );
     }
 
     /// Whether any member of the batch being launched could fire a phase
@@ -680,7 +697,6 @@ impl Shard<'_> {
         let (id, instance, held, bytes) = {
             let st = &mut self.states[handle];
             debug_assert_eq!(st.kv_location, KvLocation::Gpu);
-            st.kv_location = KvLocation::OffloadingToCpu;
             st.resident_since = None;
             st.num_preemptions += 1;
             (
@@ -690,8 +706,8 @@ impl Shard<'_> {
                 context_kv_bytes(&self.geometry, st),
             )
         };
+        self.set_kv_location(handle, KvLocation::OffloadingToCpu);
         self.instances[instance as usize].dying_blocks += held;
-        self.instances[instance as usize].sched_dirty = true;
         self.emit_trace(
             now,
             Some(self.global_instance(instance)),

@@ -1,0 +1,627 @@
+//! Member bookkeeping: the one place where a request's state changes turn
+//! into its instance's derived state.
+//!
+//! PASCAL's instance monitor feeds Algorithm 1 at every arrival and
+//! Algorithm 2 at every phase transition, and the intra-instance scheduler
+//! orders each instance's requests every iteration (§IV). Rebuilding
+//! either from every member would make each event cost O(backlog).
+//! Instead, every change to a member's phase, demotion, quanta, KV
+//! location, token count or instance goes through the mutators below,
+//! which keep per instance:
+//!
+//! * the counters `r_i` (reasoning members in the high-priority queue)
+//!   and `a_i` (answering members still in their first quantum);
+//! * the earliest answering-pacer deadline — a cached minimum over a
+//!   compact deadline list. When its owner's deadline moves later or the
+//!   owner leaves, the cache keeps the old value as a lower bound, and the
+//!   list is rescanned only if a row is read at an instant the bound no
+//!   longer clears;
+//! * the predicted-future-KV block sum, moved in O(1) per token through
+//!   [`remaining_tokens`] (a token only compares its count against the
+//!   next block boundary) and re-summed for one dataset group only when a
+//!   predictor update changes that group's estimate;
+//! * the candidate index: schedulable members ordered by priority key,
+//!   re-keyed only for the request whose key changed;
+//! * the GPU-resident set, the only place evictees come from.
+//!
+//! Each member's applied contribution is recorded in its [`MemberMon`]
+//! slot, so a mutator diffs the new state against exactly what it applied
+//! before. Debug builds check every monitor row, candidate order and
+//! evictee set against a from-scratch rebuild.
+
+use std::cell::Cell;
+
+use pascal_cluster::{KvLocation, ReqHandle};
+use pascal_predict::{EstimateScope, LengthEstimate, LengthPredictor};
+use pascal_sched::PriorityKey;
+use pascal_sim::SimTime;
+use pascal_workload::{Phase, RequestSpec};
+
+use super::Shard;
+
+/// The aggregates one instance's monitor row is read from.
+#[derive(Default)]
+pub(crate) struct InstanceMonitor {
+    /// `r_i`: reasoning members in the high-priority queue (not demoted).
+    pub(super) reasoning: u32,
+    /// `a_i`: answering members that have not used up their first quantum.
+    pub(super) fresh_answering: u32,
+    /// Predicted future KV blocks of every member.
+    pub(super) predicted_blocks: u64,
+    /// `(on_pace_until, member)` of every started answering stream,
+    /// unordered.
+    pacers: Vec<(SimTime, ReqHandle)>,
+    /// The earliest pacer deadline, in a `Cell` because a row read may
+    /// tighten it.
+    pace: Cell<PaceMin>,
+}
+
+/// The cached earliest entry of an instance's pacer list.
+///
+/// Every answering token moves its stream's deadline later. An ordered
+/// `(deadline, member)` set would pay a removal and an insertion for each
+/// such token; on the backlog deployment (README, Performance) that
+/// measured ≈1.4× the wall time per generated token of this cache.
+/// Deadlines only ever move later, which is what keeps the cache cheap: a
+/// stale minimum is still a valid lower bound.
+#[derive(Clone, Copy, Default)]
+enum PaceMin {
+    /// The list is empty.
+    #[default]
+    Empty,
+    /// `owner`'s deadline `at` is the earliest entry; every other entry is
+    /// at or after `others` (`SimTime::MAX` when there is none).
+    Exact {
+        at: SimTime,
+        owner: ReqHandle,
+        others: SimTime,
+    },
+    /// Every entry is at or after `bound`; which one is earliest is
+    /// unknown until a rescan.
+    Bound(SimTime),
+}
+
+impl InstanceMonitor {
+    /// `t_i` at `now` — every started answering stream is still on pace
+    /// (only answering members start pacers, and an unstarted stream is on
+    /// pace at every instant) — plus the pacer entries a rescan visited.
+    /// A bound that clears `now` answers without looking at the entries.
+    pub(super) fn slo_ok(&self, now: SimTime) -> (bool, u64) {
+        match self.pace.get() {
+            PaceMin::Empty => (true, 0),
+            PaceMin::Exact { at, .. } => (now < at, 0),
+            PaceMin::Bound(bound) if now < bound => (true, 0),
+            PaceMin::Bound(_) => {
+                let pace = self
+                    .pacers
+                    .iter()
+                    .fold(PaceMin::Empty, |pace, &(at, handle)| {
+                        pace.with_entry(at, handle)
+                    });
+                self.pace.set(pace);
+                (self.slo_ok(now).0, self.pacers.len() as u64)
+            }
+        }
+    }
+
+    /// Moves `handle`'s pacer entry to `deadline` (`None` removes it),
+    /// keeping the cached earliest entry exact — or, once its owner moved
+    /// past the rest or left, a valid lower bound.
+    fn move_pacer(
+        &mut self,
+        member_mon: &mut [MemberMon],
+        handle: ReqHandle,
+        deadline: Option<SimTime>,
+    ) {
+        let pace = self.pace.get();
+        let owned_others = match pace {
+            PaceMin::Exact { owner, others, .. } if owner == handle => Some(others),
+            _ => None,
+        };
+        match (member_mon[handle.index()].pacer, deadline) {
+            (None, None) => {}
+            (None, Some(at)) => {
+                member_mon[handle.index()].pacer = Some(self.pacers.len() as u32);
+                self.pacers.push((at, handle));
+                self.pace.set(pace.with_entry(at, handle));
+            }
+            (Some(slot), Some(at)) => {
+                self.pacers[slot as usize].0 = at;
+                self.pace.set(match owned_others {
+                    // The owner stays earliest while it does not pass the
+                    // rest.
+                    Some(others) if at <= others => PaceMin::Exact {
+                        at,
+                        owner: handle,
+                        others,
+                    },
+                    Some(others) => PaceMin::Bound(others),
+                    None => pace.with_entry(at, handle),
+                });
+            }
+            (Some(slot), None) => {
+                self.pacers.swap_remove(slot as usize);
+                if let Some(&(_, moved)) = self.pacers.get(slot as usize) {
+                    member_mon[moved.index()].pacer = Some(slot);
+                }
+                member_mon[handle.index()].pacer = None;
+                if let Some(others) = owned_others {
+                    self.pace.set(if self.pacers.is_empty() {
+                        PaceMin::Empty
+                    } else {
+                        PaceMin::Bound(others)
+                    });
+                }
+            }
+        }
+    }
+}
+
+impl PaceMin {
+    /// The cache after an entry at `at` appears (or moves to `at`) for a
+    /// member that is not the cached owner.
+    fn with_entry(self, at: SimTime, handle: ReqHandle) -> PaceMin {
+        match self {
+            PaceMin::Empty => PaceMin::Exact {
+                at,
+                owner: handle,
+                others: SimTime::MAX,
+            },
+            PaceMin::Exact {
+                at: min,
+                owner,
+                others,
+            } if min <= at => PaceMin::Exact {
+                at: min,
+                owner,
+                others: others.min(at),
+            },
+            PaceMin::Exact { at: min, .. } => PaceMin::Exact {
+                at,
+                owner: handle,
+                others: min,
+            },
+            PaceMin::Bound(bound) if at < bound => PaceMin::Exact {
+                at,
+                owner: handle,
+                others: bound,
+            },
+            PaceMin::Bound(bound) => PaceMin::Bound(bound),
+        }
+    }
+}
+
+/// What one member currently contributes to its instance's derived state,
+/// indexed by the member's slab slot.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct MemberMon {
+    reasoning: bool,
+    fresh_answering: bool,
+    resident: bool,
+    /// The key it is filed under in the candidate index, if schedulable.
+    pub(super) key: Option<PriorityKey>,
+    /// Its entry in the instance's pacer list, once its answering stream
+    /// started.
+    pacer: Option<u32>,
+    /// `round(total)` of its predicted output length; `None` without an
+    /// absolute estimate or when predicted growth is not tracked.
+    predicted_total: Option<u64>,
+    /// Its predicted future KV, counted into the instance.
+    growth: Growth,
+    /// Its dataset group and its index in the group's member list
+    /// (dataset-scope predictors only).
+    group: Option<(u32, u32)>,
+}
+
+/// A member's predicted future KV: `blocks` blocks of predicted remaining
+/// output, one fewer once `tokens_generated` reaches `drop_at`. Carrying
+/// the next boundary lets a token update the sum with a comparison; a
+/// division per token measured ≈1.1× the wall time per generated token
+/// on the backlog deployment (README, Performance).
+#[derive(Clone, Copy)]
+struct Growth {
+    blocks: u64,
+    drop_at: u64,
+}
+
+impl Default for Growth {
+    fn default() -> Self {
+        Growth::NONE
+    }
+}
+
+impl Growth {
+    /// No predicted growth: nothing left to drop.
+    const NONE: Growth = Growth {
+        blocks: 0,
+        drop_at: u64::MAX,
+    };
+
+    /// The growth of a member predicted to generate `total` tokens, at
+    /// `generated` tokens and `block_tokens` tokens per block.
+    fn at(total: Option<u64>, generated: u32, block_tokens: u32) -> Growth {
+        let Some(total) = total else {
+            return Growth::NONE;
+        };
+        let block_tokens = u64::from(block_tokens);
+        let blocks = remaining_tokens(total, generated).div_ceil(block_tokens);
+        // The remainder falls to `blocks - 1` whole blocks once this many
+        // tokens are generated.
+        let drop_at = match blocks {
+            0 => u64::MAX,
+            _ => total - (blocks - 1) * block_tokens,
+        };
+        Growth { blocks, drop_at }
+    }
+}
+
+/// A member's contribution as derived from its current state.
+struct Contribution {
+    reasoning: bool,
+    fresh_answering: bool,
+    resident: bool,
+    key: Option<PriorityKey>,
+    pace_deadline: Option<SimTime>,
+    growth: Growth,
+}
+
+impl Contribution {
+    /// What a request contributes to an instance it is not a member of.
+    const NONE: Contribution = Contribution {
+        reasoning: false,
+        fresh_answering: false,
+        resident: false,
+        key: None,
+        pace_deadline: None,
+        growth: Growth::NONE,
+    };
+}
+
+/// The cached predicted totals behind every instance's predicted-growth
+/// sum.
+#[derive(Default)]
+pub(crate) struct EstimateTable {
+    /// Whether predicted growth is maintained at all: some consumer reads
+    /// it and a predictor is configured.
+    tracking: bool,
+    /// Whether estimates are shared per dataset and move as the predictor
+    /// learns ([`EstimateScope::Dataset`]) rather than fixed per request.
+    per_dataset: bool,
+    /// One group per dataset tag seen on the shard (per-dataset only).
+    groups: Vec<EstimateGroup>,
+}
+
+/// The members of one dataset and their shared rounded total.
+struct EstimateGroup {
+    /// Any member's spec: the estimate depends on its dataset tag only.
+    probe: RequestSpec,
+    total: Option<u64>,
+    members: Vec<ReqHandle>,
+}
+
+impl EstimateTable {
+    pub(super) fn new(wants_growth: bool, predictor: Option<&dyn LengthPredictor>) -> Self {
+        EstimateTable {
+            tracking: wants_growth && predictor.is_some(),
+            per_dataset: predictor.is_some_and(|p| p.estimate_scope() == EstimateScope::Dataset),
+            groups: Vec::new(),
+        }
+    }
+}
+
+/// `round(max(0, total − generated))` — the remaining output the monitor
+/// prices — from the member's cached `round(total)`. Exact for every
+/// `total` in `[0, 2⁵²)`: `total − generated` is then computed without
+/// rounding error, and rounding half away from zero commutes with
+/// subtracting an integer, so `round(max(0, T − g)) == max(0, round(T) − g)`.
+/// That lets each token move the sum in O(1) instead of asking the
+/// predictor again.
+pub(super) fn remaining_tokens(rounded_total: u64, generated: u32) -> u64 {
+    rounded_total.saturating_sub(u64::from(generated))
+}
+
+/// `round(total)` of an estimate, saturating like the float-to-integer
+/// cast the remaining-output formula ends in.
+fn rounded_total(estimate: Option<LengthEstimate>) -> Option<u64> {
+    estimate
+        .and_then(|e| e.total_tokens())
+        .map(|total| total.round() as u64)
+}
+
+impl Shard<'_> {
+    /// Files a request whose state was just inserted into this shard's
+    /// slab — an admitted arrival or a cross-shard/region landing — as a
+    /// member of `instance`.
+    pub(super) fn add_member(&mut self, handle: ReqHandle, instance: u32) {
+        let slot = handle.index();
+        if self.member_mon.len() <= slot {
+            self.member_mon.resize(slot + 1, MemberMon::default());
+        }
+        self.member_mon[slot] = MemberMon::default();
+        if self.estimates.tracking {
+            let total = if self.estimates.per_dataset {
+                let g = self.estimate_group(handle);
+                let group = &mut self.estimates.groups[g];
+                self.member_mon[slot].group = Some((g as u32, group.members.len() as u32));
+                group.members.push(handle);
+                group.total
+            } else {
+                rounded_total(self.estimate(&self.states[handle].spec))
+            };
+            self.member_mon[slot].predicted_total = total;
+        }
+        self.join_instance(handle, instance);
+    }
+
+    /// Unfiles a member whose state is about to leave this shard's slab:
+    /// completion, stranding, or a cross-shard/region departure.
+    pub(super) fn remove_member(&mut self, handle: ReqHandle) {
+        self.leave_instance(handle);
+        if let Some((g, at)) = self.member_mon[handle.index()].group.take() {
+            let members = &mut self.estimates.groups[g as usize].members;
+            members.swap_remove(at as usize);
+            if let Some(&moved) = members.get(at as usize) {
+                self.member_mon[moved.index()].group = Some((g, at));
+            }
+        }
+    }
+
+    /// Moves a member to another instance of this shard (a migration
+    /// landing or a drain rebalance).
+    pub(super) fn move_member(&mut self, handle: ReqHandle, to: u32) {
+        self.leave_instance(handle);
+        self.join_instance(handle, to);
+    }
+
+    /// Sets a member's KV location and re-files it.
+    pub(super) fn set_kv_location(&mut self, handle: ReqHandle, location: KvLocation) {
+        self.states[handle].kv_location = location;
+        self.sync_member(handle);
+    }
+
+    /// Re-files a member after its phase, demotion, quanta, KV location,
+    /// pacer or token count changed.
+    pub(super) fn sync_member(&mut self, handle: ReqHandle) {
+        let to = self.contribution(handle);
+        self.apply(handle, &to);
+    }
+
+    /// Re-files a member after a token that moved nothing but its token
+    /// count and (answering) pacer: the per-token path of
+    /// [`Shard::sync_member`], which skips re-deriving and diffing the
+    /// class, quanta and residency a plain token cannot change. A token
+    /// moves the predicted growth by at most one block, exactly when the
+    /// count reaches the next block boundary. On the backlog deployment
+    /// (README, Performance) a full re-filing per token measured ≈1.3× the
+    /// wall time per generated token of this path. Debug builds check the
+    /// premise on every call.
+    pub(super) fn file_token(&mut self, handle: ReqHandle) {
+        #[cfg(debug_assertions)]
+        self.assert_token_moves_only_growth_and_pace(handle);
+        let st = &self.states[handle];
+        let rt = &mut self.instances[st.instance as usize];
+        let growth = &mut self.member_mon[handle.index()].growth;
+        if u64::from(st.tokens_generated) >= growth.drop_at {
+            growth.blocks -= 1;
+            growth.drop_at = match growth.blocks {
+                0 => u64::MAX,
+                _ => growth.drop_at + u64::from(self.geometry.block_tokens),
+            };
+            rt.monitor.predicted_blocks -= 1;
+        }
+        if st.phase == Phase::Answering {
+            rt.monitor
+                .move_pacer(&mut self.member_mon, handle, st.pacer.on_pace_until());
+        }
+    }
+
+    #[cfg(debug_assertions)]
+    fn assert_token_moves_only_growth_and_pace(&self, handle: ReqHandle) {
+        let to = self.contribution(handle);
+        let m = &self.member_mon[handle.index()];
+        assert!(
+            (m.reasoning, m.fresh_answering, m.resident, m.key)
+                == (to.reasoning, to.fresh_answering, to.resident, to.key),
+            "a token that moved a member's class, quanta or residency took the per-token path"
+        );
+    }
+
+    /// Re-resolves every dataset group's estimate after the predictor
+    /// learned, and re-sums the members of each group whose rounded total
+    /// moved. A no-op when predicted growth is untracked or estimates are
+    /// fixed per request.
+    pub(super) fn refresh_estimates(&mut self) {
+        if !(self.estimates.tracking && self.estimates.per_dataset) {
+            return;
+        }
+        for g in 0..self.estimates.groups.len() {
+            let total = rounded_total(self.estimate(&self.estimates.groups[g].probe));
+            if total == self.estimates.groups[g].total {
+                continue;
+            }
+            let group = &mut self.estimates.groups[g];
+            group.total = total;
+            for &handle in &group.members {
+                let st = &self.states[handle];
+                let growth = Growth::at(total, st.tokens_generated, self.geometry.block_tokens);
+                let m = &mut self.member_mon[handle.index()];
+                let monitor = &mut self.instances[st.instance as usize].monitor;
+                monitor.predicted_blocks =
+                    monitor.predicted_blocks - m.growth.blocks + growth.blocks;
+                m.growth = growth;
+                m.predicted_total = total;
+            }
+            let visited = group.members.len() as u64;
+            self.count_work(|w| w.monitor_member_visits += visited);
+        }
+    }
+
+    /// The dataset group `handle`'s request belongs to, created (and its
+    /// estimate resolved) on first sight.
+    fn estimate_group(&mut self, handle: ReqHandle) -> usize {
+        let spec = &self.states[handle].spec;
+        if let Some(g) = self
+            .estimates
+            .groups
+            .iter()
+            .position(|g| g.probe.dataset_key() == spec.dataset_key())
+        {
+            return g;
+        }
+        let probe = spec.clone();
+        let total = rounded_total(self.estimate(&probe));
+        self.estimates.groups.push(EstimateGroup {
+            probe,
+            total,
+            members: Vec::new(),
+        });
+        self.estimates.groups.len() - 1
+    }
+
+    fn join_instance(&mut self, handle: ReqHandle, instance: u32) {
+        let id = {
+            let st = &mut self.states[handle];
+            st.instance = instance;
+            st.spec.id
+        };
+        self.instances[instance as usize]
+            .inst
+            .members
+            .insert(id, handle);
+        self.sync_member(handle);
+    }
+
+    fn leave_instance(&mut self, handle: ReqHandle) {
+        self.apply(handle, &Contribution::NONE);
+        let st = &self.states[handle];
+        self.instances[st.instance as usize]
+            .inst
+            .members
+            .remove(st.spec.id);
+    }
+
+    fn contribution(&self, handle: ReqHandle) -> Contribution {
+        let st = &self.states[handle];
+        let schedulable = !matches!(
+            st.kv_location,
+            KvLocation::Migrating | KvLocation::OffloadingToCpu
+        );
+        Contribution {
+            reasoning: st.phase == Phase::Reasoning && !st.demoted,
+            fresh_answering: st.phase == Phase::Answering && st.quanta_used == 0,
+            resident: st.kv_location == KvLocation::Gpu,
+            key: schedulable.then(|| self.policy.priority_key(st)),
+            pace_deadline: st.pacer.on_pace_until(),
+            growth: Growth::at(
+                self.member_mon[handle.index()].predicted_total,
+                st.tokens_generated,
+                self.geometry.block_tokens,
+            ),
+        }
+    }
+
+    /// Moves `handle`'s filed contribution to `to`, touching only what
+    /// changed.
+    fn apply(&mut self, handle: ReqHandle, to: &Contribution) {
+        let slot = handle.index();
+        let (id, instance) = {
+            let st = &self.states[handle];
+            (st.spec.id, st.instance as usize)
+        };
+        let rt = &mut self.instances[instance];
+        let m = &mut self.member_mon[slot];
+        if m.reasoning != to.reasoning {
+            if to.reasoning {
+                rt.monitor.reasoning += 1;
+            } else {
+                rt.monitor.reasoning -= 1;
+            }
+            m.reasoning = to.reasoning;
+        }
+        if m.fresh_answering != to.fresh_answering {
+            if to.fresh_answering {
+                rt.monitor.fresh_answering += 1;
+            } else {
+                rt.monitor.fresh_answering -= 1;
+            }
+            m.fresh_answering = to.fresh_answering;
+        }
+        rt.monitor.predicted_blocks =
+            rt.monitor.predicted_blocks - m.growth.blocks + to.growth.blocks;
+        m.growth = to.growth;
+        if m.resident != to.resident {
+            if to.resident {
+                rt.residents.insert(id, handle);
+            } else {
+                rt.residents.remove(id);
+            }
+            m.resident = to.resident;
+        }
+        let rekeyed = m.key != to.key;
+        if rekeyed {
+            if let Some(key) = m.key {
+                rt.cands.remove(&key);
+            }
+            if let Some(key) = to.key {
+                rt.cands.insert(key, handle);
+            }
+            m.key = to.key;
+        }
+        rt.monitor
+            .move_pacer(&mut self.member_mon, handle, to.pace_deadline);
+        if rekeyed {
+            self.count_work(|w| w.sched_member_scans += 1);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::remaining_tokens;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// The identity the O(1) per-token update rests on: rounding the
+        /// clamped float remainder equals clamping the integer remainder of
+        /// the rounded total, for every total the predictors can produce.
+        #[test]
+        fn prop_rounded_remainder_identity(
+            whole in 0u64..(1u64 << 40),
+            frac in 0.0f64..1.0,
+            generated in 0u32..u32::MAX,
+            near in any::<bool>(),
+        ) {
+            let total = whole as f64 + frac;
+            // Half the cases put `generated` right around the total, where
+            // the clamp and the rounding interact.
+            let generated = if near {
+                (whole.min(u64::from(u32::MAX - 2)) as u32).saturating_add(generated % 3)
+            } else {
+                generated
+            };
+            let float = (total - f64::from(generated)).max(0.0).round() as u64;
+            prop_assert_eq!(float, remaining_tokens(total.round() as u64, generated));
+        }
+    }
+
+    #[test]
+    fn rounded_remainder_identity_at_half_way_points() {
+        for (total, generated, expected) in [
+            (2.5, 1, 2),
+            (2.5, 2, 1),
+            (2.5, 3, 0),
+            (0.5, 0, 1),
+            (0.5, 1, 0),
+            (0.49, 0, 0),
+            (1_000.0, 999, 1),
+        ] {
+            let float = (total - f64::from(generated)).max(0.0).round() as u64;
+            assert_eq!(float, expected, "float side at {total} - {generated}");
+            assert_eq!(
+                remaining_tokens(total.round() as u64, generated),
+                expected,
+                "cached side at {total} - {generated}"
+            );
+        }
+    }
+}

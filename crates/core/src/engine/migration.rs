@@ -10,7 +10,7 @@
 //! the predicted-vs-actual remaining service at decision time so the cost
 //! model's calibration is measurable after the run.
 
-use pascal_cluster::{KvLocation, ReqHandle};
+use pascal_cluster::{KvLocation, ReqHandle, RequestState};
 use pascal_metrics::{MigrationOutcomes, MigrationRecord};
 use pascal_sched::{MigrationCost, MigrationDecision};
 use pascal_sim::SimTime;
@@ -105,6 +105,10 @@ impl Shard<'_> {
             }
             st.spec.id
         };
+        // The phase flip (and, for PASCAL, the quanta reset) changed this
+        // request's priority key — and its instance's phase counts, before
+        // the sweep below reads them.
+        self.sync_member(handle);
         let (current, needed_blocks) = {
             let st = &self.states[handle];
             (
@@ -112,20 +116,10 @@ impl Shard<'_> {
                 self.geometry.blocks_for_tokens(st.tokens_needed_next()),
             )
         };
-        // The phase flip (and, for PASCAL, the quanta reset) changed this
-        // request's priority key — and its monitor row's phase counts,
-        // before the sweep below reads them.
-        self.instances[current as usize].sched_dirty = true;
-        self.mark_stats_dirty(current);
         // The remaining-service view at decision time: one predictor query
         // feeds the cost/benefit test and, if the transfer launches, the
         // calibration fields of the migration record.
-        let predicted_remaining = {
-            let st = &self.states[handle];
-            self.predictor
-                .as_ref()
-                .and_then(|p| p.predicted_remaining_tokens(&st.spec, st.tokens_generated))
-        };
+        let predicted_remaining = self.predicted_remaining_tokens(handle);
         let mut stats = std::mem::take(&mut self.scratch.stats);
         self.collect_stats_into(now, &mut stats);
         let cost = self.migration_cost(handle, predicted_remaining);
@@ -233,12 +227,7 @@ impl Shard<'_> {
     /// deferred, so the controller re-derives the predictor's
     /// remaining-service view and launches as usual.
     pub(super) fn launch_deferred_migration(&mut self, handle: ReqHandle, dest: u32, now: SimTime) {
-        let predicted_remaining = {
-            let st = &self.states[handle];
-            self.predictor
-                .as_ref()
-                .and_then(|p| p.predicted_remaining_tokens(&st.spec, st.tokens_generated))
-        };
+        let predicted_remaining = self.predicted_remaining_tokens(handle);
         self.start_migration(handle, dest, predicted_remaining, now);
     }
 
@@ -279,8 +268,6 @@ impl Shard<'_> {
             .blocks_for_tokens(self.states[handle].tokens_needed_next());
         if self.instances[dest as usize].inst.gpu.try_alloc(needed) {
             self.migration_ctl.reserve(id, needed);
-            // The reservation shrank the destination's free-block count.
-            self.mark_stats_dirty(dest);
         } else if self.policy.adaptive_migration() {
             self.migration_ctl.outcomes.aborted_no_reservation += 1;
             let from = self.states[handle].instance;
@@ -297,7 +284,6 @@ impl Shard<'_> {
         let (from, held, bytes) = {
             let st = &mut self.states[handle];
             debug_assert_eq!(st.kv_location, KvLocation::Gpu);
-            st.kv_location = KvLocation::Migrating;
             st.resident_since = None;
             (
                 st.instance,
@@ -305,8 +291,8 @@ impl Shard<'_> {
                 context_kv_bytes(&self.geometry, st),
             )
         };
+        self.set_kv_location(handle, KvLocation::Migrating);
         self.instances[from as usize].dying_blocks += held;
-        self.instances[from as usize].sched_dirty = true;
         let (_, finish) = self
             .fabric
             .migrate(now, from as usize, dest as usize, bytes);
@@ -346,26 +332,18 @@ impl Shard<'_> {
     }
 
     pub(super) fn on_migration_done(&mut self, handle: ReqHandle, to: u32, now: SimTime) {
-        let (id, from, gpu_blocks) = {
+        let (from, gpu_blocks) = {
             let st = &mut self.states[handle];
             assert_eq!(st.kv_location, KvLocation::Migrating);
             let blocks = st.held_gpu_blocks;
             st.held_gpu_blocks = 0;
-            (st.spec.id, st.instance, blocks)
+            (st.instance, blocks)
         };
         self.instances[from as usize].inst.gpu.free(gpu_blocks);
-        self.instances[from as usize].inst.members.remove(id);
         self.instances[from as usize].dying_blocks -= gpu_blocks;
-        self.instances[from as usize].sched_dirty = true;
-        self.mark_stats_dirty(from);
-
-        {
-            let global = self.global_instance(to);
-            let st = &mut self.states[handle];
-            st.instance = to;
-            st.instances_visited.push(global);
-        }
-        self.instances[to as usize].inst.members.insert(id, handle);
+        let global = self.global_instance(to);
+        self.states[handle].instances_visited.push(global);
+        self.move_member(handle, to);
         self.land_migration(handle, to, now);
         // A destination that fail-stopped mid-transfer strands the request
         // after the landing's normal accounting (pool conservation holds);
@@ -385,13 +363,9 @@ impl Shard<'_> {
     /// the request must wait for a reload — the stall the adaptive
     /// migration policy exists to avoid (Fig. 7, Fig. 15). The request
     /// must already be a member of `instance` with its state in this
-    /// shard's slab.
+    /// shard's slab; leaving `Migrating` files it among the destination's
+    /// candidates.
     pub(super) fn land_migration(&mut self, handle: ReqHandle, instance: u32, now: SimTime) {
-        // The request (re)joins `instance`'s candidate set — membership was
-        // inserted by the caller, and the location leaves `Migrating` here.
-        // The new member also changes the destination's monitor row.
-        self.instances[instance as usize].sched_dirty = true;
-        self.mark_stats_dirty(instance);
         let id = self.states[handle].spec.id;
         let needed = self
             .geometry
@@ -402,36 +376,52 @@ impl Shard<'_> {
             debug_assert_eq!(reserved, needed);
             let st = &mut self.states[handle];
             st.held_gpu_blocks = reserved;
-            st.kv_location = KvLocation::Gpu;
+            st.resident_since = Some(now);
+            false
+        } else if self.instances[instance as usize].inst.gpu.try_alloc(needed) {
+            let st = &mut self.states[handle];
+            st.held_gpu_blocks = needed;
             st.resident_since = Some(now);
             false
         } else {
-            let dest = &mut self.instances[instance as usize].inst;
-            if dest.gpu.try_alloc(needed) {
+            self.migration_ctl.outcomes.landed_in_cpu += 1;
+            let cpu_blocks = {
                 let st = &mut self.states[handle];
-                st.held_gpu_blocks = needed;
-                st.kv_location = KvLocation::Gpu;
-                st.resident_since = Some(now);
-                false
-            } else {
-                self.migration_ctl.outcomes.landed_in_cpu += 1;
-                let cpu_blocks = {
-                    let st = &mut self.states[handle];
-                    let b = self.geometry.blocks_for_tokens(st.context_tokens());
-                    st.held_cpu_blocks = b;
-                    st.kv_location = KvLocation::Cpu;
-                    b
-                };
-                dest.cpu.alloc(cpu_blocks);
-                true
-            }
+                let b = self.geometry.blocks_for_tokens(st.context_tokens());
+                st.held_cpu_blocks = b;
+                b
+            };
+            self.instances[instance as usize].inst.cpu.alloc(cpu_blocks);
+            true
         };
+        let landed = if in_cpu {
+            KvLocation::Cpu
+        } else {
+            KvLocation::Gpu
+        };
+        self.set_kv_location(handle, landed);
         self.emit_trace(
             now,
             Some(self.global_instance(instance)),
             Some(id),
             TraceEventKind::MigrationLanded { in_cpu },
         );
+    }
+
+    /// The source side of a cross-shard or cross-region landing: frees the
+    /// migrated request's GPU blocks, unfiles it and takes its state out of
+    /// this shard's slab. Returns the state (holding no blocks) and the
+    /// instance it left.
+    pub(super) fn depart_migrated(&mut self, handle: ReqHandle) -> (RequestState, u32) {
+        self.remove_member(handle);
+        let mut st = self.states.remove(handle);
+        assert_eq!(st.kv_location, KvLocation::Migrating);
+        let rt = &mut self.instances[st.instance as usize];
+        rt.inst.gpu.free(st.held_gpu_blocks);
+        rt.dying_blocks -= st.held_gpu_blocks;
+        st.held_gpu_blocks = 0;
+        let from = st.instance;
+        (st, from)
     }
 
     /// First execution after a migration landed: stamp the stall (landing →

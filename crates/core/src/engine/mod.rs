@@ -52,6 +52,10 @@
 //! * [`admission`](self) — the [`AdmissionController`](admission):
 //!   predictive SLO admission control that rejects arrivals at predicted
 //!   shard KV overload instead of letting the pacers starve;
+//! * [`members`](self) — the member bookkeeping every state change goes
+//!   through: per-instance monitor counters, the priority-ordered
+//!   candidate index and the GPU-resident set, all kept exact
+//!   incrementally so no event pays for the instance's backlog;
 //! * [`stats`](self) — the instance-monitor sweep producing the
 //!   [`InstanceStats`] snapshots Algorithms 1 and 2 consume;
 //! * [`cluster`](self) — the global clock, the router, and the
@@ -60,19 +64,23 @@
 //! Both controllers default to off and `shards` defaults to 1, in which
 //! case a run is byte-identical to the paper's reactive scheduler.
 
-use pascal_cluster::{Instance, InstanceStats, ReqHandle, RequestSlab, RequestState};
+use std::cell::Cell;
+use std::collections::BTreeMap;
+
+use pascal_cluster::{Instance, InstanceStats, Members, ReqHandle, RequestSlab, RequestState};
 use pascal_metrics::{
     AdmissionCounters, AdmissionRecord, CalibrationReport, FleetOutcomes, MigrationOutcomes,
     MigrationRecord, PredictionSample, RegionStats, RequestRecord, ShardStats,
 };
 use pascal_model::{KvGeometry, PerfModel};
-use pascal_predict::{LengthPredictor, PredictorKind};
+use pascal_predict::{LengthEstimate, LengthPredictor, PredictorKind};
 use pascal_sched::{PriorityKey, SchedPolicy};
 use pascal_sim::{EventQueue, SimTime};
 use pascal_telemetry::{
     SloAlertRecord, SloBurnTracker, TelemetryHandle, TelemetryOut, TraceEvent, TraceEventKind,
+    WorkCounters,
 };
-use pascal_workload::{RequestId, Trace};
+use pascal_workload::{RequestId, RequestSpec, Trace};
 
 use crate::config::SimConfig;
 use crate::fleet::HealthState;
@@ -85,6 +93,7 @@ mod driver;
 mod federation;
 mod fleet_rt;
 mod lifecycle;
+mod members;
 mod migration;
 mod parallel;
 mod stats;
@@ -99,6 +108,7 @@ pub(crate) use cluster::Engine;
 #[cfg(test)]
 pub(crate) use federation::FederationEngine;
 use fleet_rt::AutoscalerRt;
+use members::{EstimateTable, InstanceMonitor, MemberMon};
 use migration::MigrationController;
 
 /// Events driving a shard. Arrivals are not queue events: the cluster
@@ -301,12 +311,11 @@ pub(super) struct Shard<'a> {
     /// cluster right after the triggering iteration, before the instance
     /// relaunches.
     pub(super) cross_escape_outbox: Vec<EscapeCandidate>,
-    /// Bumped at every predictor mutation (completion observations,
-    /// threshold crossings). Cached monitor rows embed the epoch their
-    /// predicted-growth fields were computed under, so one predictor
-    /// update invalidates every instance's prediction-dependent row
-    /// without a per-instance sweep.
-    pub(super) predictor_epoch: u64,
+    /// What each member currently contributes to its instance's derived
+    /// state, indexed by slab slot.
+    pub(super) member_mon: Vec<MemberMon>,
+    /// Cached predicted totals behind the monitor's predicted-growth sum.
+    pub(super) estimates: EstimateTable,
     /// Per-instance availability. All-`Healthy` (and never written) without
     /// a fleet spec, so the static-fleet hot path is untouched.
     pub(super) health: Vec<HealthState>,
@@ -324,45 +333,34 @@ pub(super) struct Shard<'a> {
     /// Telemetry emitter (a clone of the run-wide handle; a single no-op
     /// branch per call site when disabled).
     pub(super) telemetry: TelemetryHandle,
+    /// Deterministic work tally, handed to the profiler at the end of the
+    /// run. A `Cell` because the monitor sweep and several estimate sites
+    /// run behind `&self`.
+    pub(super) work: Cell<WorkCounters>,
 }
 
-/// Engine-side per-instance runtime extension.
+/// Engine-side per-instance runtime extension. Everything below
+/// `dying_blocks` is derived member state, kept exact by the
+/// [`members`](self) mutators at every change to a member's phase,
+/// demotion, quanta, KV location, token count or instance.
 pub(super) struct InstanceRt {
     pub(super) inst: Instance,
     pub(super) current_batch: Vec<ReqHandle>,
     pub(super) current_kind: IterationKind,
-    /// Cached candidate list of the last scheduling pass, sorted by
-    /// priority key. Valid while `sched_dirty` is false — the scheduler
-    /// then skips the rebuild *and* the sort, which dominates congested
-    /// iterations. Invalidated by membership changes, priority-key input
-    /// changes (quantum crossings, demotions, phase flips) and KV-location
-    /// changes into or out of the candidate-excluded states.
-    pub(super) cands: Vec<(PriorityKey, ReqHandle)>,
-    /// Whether `cands` must be rebuilt before the next scheduling pass.
-    pub(super) sched_dirty: bool,
     /// GPU blocks held by members whose KV is on the way out (preemption
     /// offloads, outbound migrations) — maintained incrementally so the
     /// scheduler's budget computation skips a full member sweep.
     pub(super) dying_blocks: u64,
-    /// Incrementally maintained monitor row (`None` = stale). Every
-    /// mutation that can change the row clears the cell through
-    /// [`Shard::mark_stats_dirty`]; the monitor sweep refills it lazily. A
-    /// `Cell` because the refill happens inside the `&self` sweep.
-    pub(super) stats_cache: std::cell::Cell<Option<StatsCacheEntry>>,
-}
-
-/// One cached [`InstanceStats`] row plus the conditions it stays fresh
-/// under: the predictor epoch its predicted-growth field was computed at,
-/// and the earliest instant an answering member's pacer falls off pace
-/// (`None` = no time bound). The row itself is pure instance state except
-/// for `slo_ok`, whose only time dependence is exactly that pacer expiry —
-/// so a cached row is byte-equal to a recomputed one until a mutation
-/// clears it, the predictor learns, or the expiry passes.
-#[derive(Clone, Copy)]
-pub(super) struct StatsCacheEntry {
-    pub(super) stats: InstanceStats,
-    pub(super) epoch: u64,
-    pub(super) valid_until: Option<SimTime>,
+    /// Schedulable members (KV neither offloading nor migrating) ordered
+    /// by priority key — the intra-instance scheduler's queue. A request
+    /// is re-keyed only when its own key changes; the key's last component
+    /// is the request id, so the order is total.
+    pub(super) cands: BTreeMap<PriorityKey, ReqHandle>,
+    /// GPU-resident members in ascending id order: the only members a
+    /// scheduling pass can evict.
+    pub(super) residents: Members,
+    /// The aggregates this instance's monitor row is read from.
+    pub(super) monitor: InstanceMonitor,
 }
 
 /// Reusable buffers for the per-iteration scheduling pass and the monitor
@@ -372,14 +370,10 @@ pub(super) struct StatsCacheEntry {
 /// amortizing to zero allocation.
 #[derive(Default)]
 pub(super) struct ScheduleScratch {
-    /// Schedulable candidates with their precomputed priority keys.
-    pub(super) cands: Vec<(PriorityKey, ReqHandle)>,
     /// The desired-set prefix under the block budget, each entry carrying
     /// the GPU block need computed during the prefix scan (reused verbatim
     /// by the admission pass — nothing mutates in between).
     pub(super) desired: Vec<(ReqHandle, u64)>,
-    /// Desired-set membership marks, indexed by slab slot.
-    pub(super) desired_mark: Vec<bool>,
     /// GPU residents that fell out of the desired set.
     pub(super) evictees: Vec<ReqHandle>,
     /// Prefill batch being assembled.
@@ -410,10 +404,10 @@ impl<'a> Shard<'a> {
                 inst: Instance::new(i as u32, geometry, capacity, config.pcie),
                 current_batch: Vec::new(),
                 current_kind: IterationKind::Decode,
-                cands: Vec::new(),
-                sched_dirty: true,
                 dying_blocks: 0,
-                stats_cache: std::cell::Cell::new(None),
+                cands: BTreeMap::new(),
+                residents: Members::default(),
+                monitor: InstanceMonitor::default(),
             })
             .collect();
         let mut shard = Shard {
@@ -443,7 +437,8 @@ impl<'a> Shard<'a> {
             cross_shard_in: 0,
             cross_region_in: 0,
             cross_escape_outbox: Vec::new(),
-            predictor_epoch: 0,
+            member_mon: Vec::new(),
+            estimates: EstimateTable::default(),
             health: vec![HealthState::Healthy; instances],
             drain_started: vec![None; instances],
             fleet: FleetOutcomes::default(),
@@ -451,25 +446,45 @@ impl<'a> Shard<'a> {
             slo_tracker: config.alerts.clone().map(SloBurnTracker::new),
             alerts: Vec::new(),
             telemetry,
+            work: Cell::new(WorkCounters::default()),
         };
         shard.init_fleet();
+        // After the fleet spec armed (or not) the autoscaler — one of the
+        // predicted-growth consumers.
+        shard.estimates =
+            EstimateTable::new(shard.wants_predicted_growth(), shard.predictor.as_deref());
         shard
+    }
+
+    /// Bumps this shard's work tally.
+    #[inline]
+    pub(super) fn count_work(&self, bump: impl FnOnce(&mut WorkCounters)) {
+        let mut work = self.work.get();
+        bump(&mut work);
+        self.work.set(work);
+    }
+
+    /// The predictor's absolute estimate for `spec` (`None` without a
+    /// predictor), counted as one estimate call.
+    pub(super) fn estimate(&self, spec: &RequestSpec) -> Option<LengthEstimate> {
+        let pred = self.predictor.as_ref()?;
+        self.count_work(|w| w.predictor_estimates += 1);
+        Some(pred.estimate(spec))
+    }
+
+    /// The predictor's remaining-service view of `handle` — output tokens
+    /// it still has to generate — or `None` without a predictor or an
+    /// absolute estimate. Counted as one estimate call.
+    pub(super) fn predicted_remaining_tokens(&self, handle: ReqHandle) -> Option<f64> {
+        let pred = self.predictor.as_ref()?;
+        self.count_work(|w| w.predictor_estimates += 1);
+        let st = &self.states[handle];
+        pred.predicted_remaining_tokens(&st.spec, st.tokens_generated)
     }
 
     /// The global id of a local instance index — what records carry.
     pub(super) fn global_instance(&self, local: u32) -> u32 {
         self.offset + local
-    }
-
-    /// Invalidates `instance`'s cached monitor row. Must be called after
-    /// any mutation that can change the row: membership, pool allocations
-    /// and frees, token emission (pacer, quanta, predicted growth), phase
-    /// flips, demotions, health transitions. Debug builds shadow-compare
-    /// every sweep against a full recompute, so a missed call fails loudly
-    /// across the whole test suite.
-    #[inline]
-    pub(super) fn mark_stats_dirty(&self, instance: u32) {
-        self.instances[instance as usize].stats_cache.set(None);
     }
 
     /// The region this shard belongs to (shard ids are region-major).

@@ -6,6 +6,13 @@
 //! growth of the in-flight requests. Placement (Algorithm 1), migration
 //! (Algorithm 2) and the admission controller all read this snapshot.
 //!
+//! Every row is read from the aggregates the
+//! [member mutators](super::members) keep exact, so a sweep costs one row
+//! per instance however deep the instance's backlog is; only a stale
+//! earliest pacer deadline makes a row rescan its instance's answering
+//! streams (counted as monitor member visits). Debug builds compare every
+//! row with [`Shard::reference_row`], the from-scratch member walk.
+//!
 //! Hot-path consumers (arrival placement, phase transitions) sweep into a
 //! reused buffer via [`Shard::collect_stats_into`]; the allocating
 //! [`Shard::collect_stats`] remains for the cluster-level paths that need
@@ -22,17 +29,9 @@ use super::Shard;
 impl Shard<'_> {
     /// Monitor snapshot of every instance, written into `out` (cleared
     /// first) — the allocation-free form the hot path uses.
-    ///
-    /// Incremental: each instance's row is served from its
-    /// [`StatsCacheEntry`](super::StatsCacheEntry) when still fresh —
-    /// cleared by [`Shard::mark_stats_dirty`] at every mutation, expired
-    /// by predictor updates (epoch) and pacer deadlines (`valid_until`) —
-    /// so a sweep after a single-instance event recomputes one row and
-    /// copies the rest. Debug builds shadow-compare every served row
-    /// against a full recompute.
     pub(super) fn collect_stats_into(&self, now: SimTime, out: &mut Vec<InstanceStats>) {
         out.clear();
-        let wants_predicted_growth = self.wants_predicted_growth();
+        let mut pacer_visits = 0;
         // Only healthy instances report: draining and down instances are
         // invisible to placement, migration targeting, admission projection
         // and the router's pool view. A static fleet is all-healthy, so the
@@ -41,28 +40,31 @@ impl Shard<'_> {
             if self.health[i] != crate::fleet::HealthState::Healthy {
                 continue;
             }
-            let cached = rt.stats_cache.get().filter(|e| {
-                e.epoch == self.predictor_epoch && e.valid_until.is_none_or(|v| now < v)
-            });
-            let stats = match cached {
-                Some(entry) => entry.stats,
-                None => {
-                    let entry = self.compute_instance_stats(rt, now, wants_predicted_growth);
-                    rt.stats_cache.set(Some(entry));
-                    entry.stats
-                }
+            let (slo_ok, visited) = rt.monitor.slo_ok(now);
+            pacer_visits += visited;
+            let stats = InstanceStats {
+                instance: rt.inst.id,
+                slo_ok,
+                kv_footprint_bytes: rt.inst.kv_footprint_bytes(),
+                reasoning_count: rt.monitor.reasoning,
+                fresh_answering_count: rt.monitor.fresh_answering,
+                gpu_free_blocks: rt.inst.gpu.free_blocks(),
+                predicted_future_kv_bytes: rt.monitor.predicted_blocks
+                    * self.geometry.block_bytes(),
             };
             #[cfg(debug_assertions)]
-            {
-                let fresh = self.compute_instance_stats(rt, now, wants_predicted_growth);
-                assert_eq!(
-                    stats, fresh.stats,
-                    "stale monitor-row cache on instance {i}: a mutation site \
-                     is missing a mark_stats_dirty call"
-                );
-            }
+            assert_eq!(
+                stats,
+                self.reference_row(rt, now),
+                "monitor row of instance {i} out of sync: a state change bypassed the \
+                 member mutators"
+            );
             out.push(stats);
         }
+        self.count_work(|w| {
+            w.monitor_rows += out.len() as u64;
+            w.monitor_member_visits += pacer_visits;
+        });
     }
 
     /// Whether any consumer reads `predicted_future_kv_bytes` this run:
@@ -73,8 +75,8 @@ impl Shard<'_> {
     /// `PoolSnapshot` even under baseline policies. Rank-only predictors
     /// estimate nothing and contribute zero — consumers then degrade
     /// gracefully to current footprints. When no consumer reads the
-    /// field, the sweep skips the per-member estimates.
-    fn wants_predicted_growth(&self) -> bool {
+    /// field, the engine keeps no per-member estimates at all.
+    pub(super) fn wants_predicted_growth(&self) -> bool {
         matches!(self.policy, SchedPolicy::Pascal(_))
             || self.admission_ctl.enabled()
             || self.autoscaler.is_some()
@@ -82,18 +84,13 @@ impl Shard<'_> {
                 && self.config.router == pascal_sched::RouterPolicy::Predictive)
     }
 
-    /// Computes one instance's monitor row from scratch, together with its
-    /// cache-validity bounds — the full member sweep the cache exists to
-    /// avoid. Also the reference implementation the debug shadow-compare
-    /// and the snapshot microbench measure against.
-    pub(super) fn compute_instance_stats(
-        &self,
-        rt: &super::InstanceRt,
-        now: SimTime,
-        wants_predicted_growth: bool,
-    ) -> super::StatsCacheEntry {
+    /// One instance's monitor row recomputed from scratch by walking every
+    /// member — the debug-build reference every served row is checked
+    /// against. Asks the predictor directly, so it neither counts as work
+    /// nor relies on the cached totals it checks.
+    #[cfg(debug_assertions)]
+    fn reference_row(&self, rt: &super::InstanceRt, now: SimTime) -> InstanceStats {
         let mut slo_ok = true;
-        let mut valid_until: Option<SimTime> = None;
         let mut reasoning = 0u32;
         let mut fresh_answering = 0u32;
         for (_, handle) in rt.inst.members.iter() {
@@ -108,75 +105,37 @@ impl Shard<'_> {
                     if st.quanta_used == 0 {
                         fresh_answering += 1;
                     }
-                    // `on_pace_until` fully characterizes the pacer: on
-                    // pace exactly while `now` is below it (never, for an
-                    // unstarted stream). The earliest member deadline is
-                    // when this row's `slo_ok` would flip with no further
-                    // event — the cache's time bound.
-                    match st.pacer.on_pace_until() {
-                        None => {}
-                        Some(flip) if now < flip => {
-                            valid_until = Some(valid_until.map_or(flip, |v| v.min(flip)));
-                        }
-                        Some(_) => slo_ok = false,
+                    if !st.pacer.is_on_pace(now) {
+                        slo_ok = false;
                     }
                 }
             }
         }
-        // An off-pace row cannot heal with time alone (expected tokens
-        // only grow): it stays valid until a mutation clears the cell.
-        if !slo_ok {
-            valid_until = None;
-        }
-        let predicted_future_kv_bytes = if wants_predicted_growth {
+        let predicted_future_kv_bytes = if self.wants_predicted_growth() {
             self.predictor.as_ref().map_or(0, |pred| {
                 rt.inst
                     .members
                     .iter()
                     .map(|(_, handle)| {
                         let st = &self.states[handle];
-                        let Some(remaining) =
-                            pred.predicted_remaining_tokens(&st.spec, st.tokens_generated)
-                        else {
-                            return 0;
-                        };
-                        self.geometry.bytes_for_tokens(remaining.round() as u64)
+                        pred.predicted_remaining_tokens(&st.spec, st.tokens_generated)
+                            .map_or(0, |remaining| {
+                                self.geometry.bytes_for_tokens(remaining.round() as u64)
+                            })
                     })
                     .sum()
             })
         } else {
             0
         };
-        super::StatsCacheEntry {
-            stats: InstanceStats {
-                instance: rt.inst.id,
-                slo_ok,
-                kv_footprint_bytes: rt.inst.kv_footprint_bytes(),
-                reasoning_count: reasoning,
-                fresh_answering_count: fresh_answering,
-                gpu_free_blocks: rt.inst.gpu.free_blocks(),
-                predicted_future_kv_bytes,
-            },
-            epoch: self.predictor_epoch,
-            valid_until,
-        }
-    }
-
-    /// The from-scratch form of [`Shard::collect_stats_into`]: every
-    /// healthy row recomputed from its members, no cache reads or writes.
-    /// Only the bench support calls it — the baseline the incremental
-    /// sweep is priced against.
-    pub(super) fn collect_stats_full_into(&self, now: SimTime, out: &mut Vec<InstanceStats>) {
-        out.clear();
-        let wants_predicted_growth = self.wants_predicted_growth();
-        for (i, rt) in self.instances.iter().enumerate() {
-            if self.health[i] != crate::fleet::HealthState::Healthy {
-                continue;
-            }
-            out.push(
-                self.compute_instance_stats(rt, now, wants_predicted_growth)
-                    .stats,
-            );
+        InstanceStats {
+            instance: rt.inst.id,
+            slo_ok,
+            kv_footprint_bytes: rt.inst.kv_footprint_bytes(),
+            reasoning_count: reasoning,
+            fresh_answering_count: fresh_answering,
+            gpu_free_blocks: rt.inst.gpu.free_blocks(),
+            predicted_future_kv_bytes,
         }
     }
 

@@ -1054,3 +1054,62 @@ mod windowed {
         }
     }
 }
+
+// ----- incremental member state ---------------------------------------------
+
+/// The member mutators keep every instance's monitor counters, candidate
+/// index and resident set exact, and debug builds compare every served
+/// row, candidate order and evictee set against a from-scratch rebuild.
+/// These cells push memory-tight two-shard deployments through every
+/// predictor, both reordering policies and a whole-shard outage, so a
+/// state change that bypasses the mutators fails a shadow compare here.
+mod member_state {
+    use super::*;
+    use crate::fleet::FleetPreset;
+    use pascal_predict::PredictorKind;
+    use pascal_sched::{PolicyKind, RouterPolicy};
+    use pascal_workload::{ArrivalProcess, DatasetMix, TraceBuilder};
+
+    #[test]
+    fn saturated_cells_keep_member_state_exact_under_every_predictor() {
+        let trace = TraceBuilder::new(DatasetMix::arena_with_reasoning_heavy())
+            .arrivals(ArrivalProcess::poisson(14.0))
+            .count(120)
+            .seed(23)
+            .build();
+        let horizon = trace
+            .requests()
+            .last()
+            .map_or(0.0, |r| r.arrival.as_secs_f64());
+        for predictor in PredictorKind::ALL {
+            for kind in [PolicyKind::Pascal, PolicyKind::RoundRobin] {
+                for outage in [false, true] {
+                    let label = format!("{predictor}/{kind}/outage={outage}");
+                    // The predictive router reads predicted growth, so the
+                    // per-member estimates are maintained under RR too.
+                    let mut config = SimConfig::evaluation_cluster(kind.build())
+                        .with_shards(2, RouterPolicy::Predictive);
+                    config.num_instances = 4;
+                    config.kv_capacity = KvCapacityMode::FractionOfPhysical(0.2);
+                    config.predictor = Some(predictor);
+                    if outage {
+                        config.fleet = Some(FleetPreset::Outage.spec(horizon, 1, 2, 4));
+                    }
+                    let out = run_simulation(&trace, &config);
+                    assert_eq!(
+                        out.records.len() as u64 + out.fleet.stranded,
+                        120,
+                        "{label}: every arrival completes or strands"
+                    );
+                    assert!(
+                        out.records.iter().any(|r| r.num_preemptions > 0),
+                        "{label}: the cell must be memory-tight enough to evict"
+                    );
+                    if outage {
+                        assert!(out.fleet.fails > 0, "{label}: the outage must land");
+                    }
+                }
+            }
+        }
+    }
+}

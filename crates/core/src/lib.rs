@@ -80,5 +80,6 @@ pub use pascal_federation::{FederationPolicy, WanLink};
 pub use pascal_telemetry::{
     aggregate, events_to_chrome, events_to_jsonl, reconstruct, series_to_csv, series_to_json,
     AnatomyReport, BlameProfile, ProfileReport, TelemetryConfig, TelemetryOut, TraceFormat,
+    WorkCounters,
 };
 pub use sweep::{ScenarioSpec, SweepCell, SweepGrid, SweepReport, SweepRunner};

@@ -4,7 +4,7 @@ use std::collections::BTreeMap;
 
 use pascal_workload::RequestSpec;
 
-use crate::predictor::{LengthEstimate, LengthPredictor};
+use crate::predictor::{EstimateScope, LengthEstimate, LengthPredictor};
 
 /// Exponential-moving-average statistics of one dataset bucket.
 #[derive(Clone, Copy, Debug)]
@@ -181,6 +181,11 @@ impl LengthPredictor for ProfileEma {
             },
             None => LengthEstimate::UNKNOWN,
         }
+    }
+
+    /// One bucket per dataset tag, falling back to the global bucket.
+    fn estimate_scope(&self) -> EstimateScope {
+        EstimateScope::Dataset
     }
 
     fn work_score(&self, req: &RequestSpec) -> f64 {

@@ -105,4 +105,42 @@ mod tests {
         let err = PredictorKind::parse("magic").expect_err("unknown kind");
         assert!(err.contains("quantile"), "error lists quantile: {err}");
     }
+
+    /// Every predictor keeps the promise its estimate scope makes: a
+    /// dataset-scope estimate is shared by every request of the dataset,
+    /// and a request-scope estimate never moves as the predictor learns.
+    #[test]
+    fn estimates_honor_their_scope() {
+        use crate::predictor::EstimateScope;
+        use pascal_sim::SimTime;
+        use pascal_workload::{RequestId, RequestSpec};
+
+        let req = |id: u64, dataset: &str, prompt: u32, reasoning: u32| {
+            RequestSpec::new(RequestId(id), SimTime::ZERO, prompt, reasoning, 40)
+                .with_dataset(dataset)
+        };
+        for kind in PredictorKind::ALL {
+            let mut predictor = kind.build();
+            let probe = req(1_000, "a", 64, 300);
+            let sibling = req(1_001, "a", 2_000, 9_000);
+            let before = predictor.estimate(&probe);
+            for i in 0..40 {
+                let dataset = if i % 2 == 0 { "a" } else { "b" };
+                predictor.observe(&req(i, dataset, 32 + i as u32, 100 + 37 * i as u32));
+                predictor.observe_threshold_crossing(&req(500 + i, dataset, 64, 1), 200);
+            }
+            match predictor.estimate_scope() {
+                EstimateScope::Dataset => assert_eq!(
+                    predictor.estimate(&probe),
+                    predictor.estimate(&sibling),
+                    "{kind}: one estimate per dataset"
+                ),
+                EstimateScope::Request => assert_eq!(
+                    predictor.estimate(&probe),
+                    before,
+                    "{kind}: learning must not move a request-scope estimate"
+                ),
+            }
+        }
+    }
 }

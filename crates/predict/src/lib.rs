@@ -56,6 +56,6 @@ mod rank;
 pub use ema::ProfileEma;
 pub use kind::PredictorKind;
 pub use oracle::Oracle;
-pub use predictor::{LengthEstimate, LengthPredictor};
+pub use predictor::{EstimateScope, LengthEstimate, LengthPredictor};
 pub use quantile::{P2Quantile, QuantilePredictor};
 pub use rank::PairwiseRank;

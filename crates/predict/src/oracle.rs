@@ -2,7 +2,7 @@
 
 use pascal_workload::RequestSpec;
 
-use crate::predictor::{LengthEstimate, LengthPredictor};
+use crate::predictor::{EstimateScope, LengthEstimate, LengthPredictor};
 
 /// Perfect-information predictor — it reads the actual reasoning/answering
 /// lengths straight out of the request spec (which the trace knows but a
@@ -21,6 +21,11 @@ impl LengthPredictor for Oracle {
             reasoning_tokens: Some(f64::from(req.reasoning_tokens)),
             answering_tokens: Some(f64::from(req.answering_tokens)),
         }
+    }
+
+    /// The hidden lengths of the request itself; nothing is learned.
+    fn estimate_scope(&self) -> EstimateScope {
+        EstimateScope::Request
     }
 
     fn work_score(&self, req: &RequestSpec) -> f64 {

@@ -56,6 +56,23 @@ impl LengthEstimate {
     }
 }
 
+/// What a predictor's absolute estimate for a request depends on besides
+/// its learned state. A consumer that holds estimates for many in-flight
+/// requests uses it to re-resolve them after a learning update once per
+/// dataset instead of once per request — or not at all.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum EstimateScope {
+    /// `estimate(req)` depends on `req` only through its dataset tag
+    /// ([`RequestSpec::dataset_key`]): every request of one dataset gets the
+    /// same estimate, which may move after
+    /// [`LengthPredictor::observe`] or
+    /// [`LengthPredictor::observe_threshold_crossing`].
+    Dataset,
+    /// `estimate(req)` depends on `req` alone and never on learned state:
+    /// it is fixed for the request's whole lifetime.
+    Request,
+}
+
 /// An online reasoning/answering length predictor.
 ///
 /// Implementations must be deterministic: the same sequence of `observe`
@@ -73,6 +90,10 @@ pub trait LengthPredictor: std::fmt::Debug + Send {
     /// Must not peek at the hidden actual lengths (Oracle excepted — that is
     /// its entire purpose).
     fn estimate(&self, req: &RequestSpec) -> LengthEstimate;
+
+    /// What [`LengthPredictor::estimate`] depends on besides learned state
+    /// (see [`EstimateScope`]).
+    fn estimate_scope(&self) -> EstimateScope;
 
     /// Unitless predicted-work score usable *only* for ordering requests
     /// (larger = more predicted remaining work). Every predictor can rank,

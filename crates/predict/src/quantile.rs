@@ -17,7 +17,7 @@ use std::collections::BTreeMap;
 
 use pascal_workload::RequestSpec;
 
-use crate::predictor::{LengthEstimate, LengthPredictor};
+use crate::predictor::{EstimateScope, LengthEstimate, LengthPredictor};
 
 /// One P² streaming quantile estimator: O(1) state, O(1) update.
 ///
@@ -292,6 +292,11 @@ impl LengthPredictor for QuantilePredictor {
             },
             None => LengthEstimate::UNKNOWN,
         }
+    }
+
+    /// One bucket per dataset tag, falling back to the global bucket.
+    fn estimate_scope(&self) -> EstimateScope {
+        EstimateScope::Dataset
     }
 
     fn work_score(&self, req: &RequestSpec) -> f64 {

@@ -4,7 +4,7 @@ use std::collections::{BTreeMap, VecDeque};
 
 use pascal_workload::RequestSpec;
 
-use crate::predictor::{LengthEstimate, LengthPredictor};
+use crate::predictor::{EstimateScope, LengthEstimate, LengthPredictor};
 
 /// Number of feature slots: bias, log-prompt, and dataset one-hot buckets.
 const NUM_DATASET_SLOTS: usize = 14;
@@ -117,6 +117,11 @@ impl LengthPredictor for PairwiseRank {
     /// Always unknown: a ranker orders, it does not measure.
     fn estimate(&self, _req: &RequestSpec) -> LengthEstimate {
         LengthEstimate::UNKNOWN
+    }
+
+    /// Always unknown, whatever the ranker has learned.
+    fn estimate_scope(&self) -> EstimateScope {
+        EstimateScope::Request
     }
 
     fn work_score(&self, req: &RequestSpec) -> f64 {

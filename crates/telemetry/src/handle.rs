@@ -19,7 +19,7 @@ use std::time::Instant;
 use pascal_sim::SimDuration;
 
 use crate::event::TraceEvent;
-use crate::profiler::{HotPathProfiler, ProfileReport, ProfiledEvent};
+use crate::profiler::{HotPathProfiler, ProfileReport, ProfiledEvent, WorkCounters};
 use crate::series::SeriesRow;
 
 /// Which telemetry streams a run collects. Everything defaults to off.
@@ -206,6 +206,20 @@ impl TelemetryHandle {
         if let Some(inner) = &self.inner {
             if let Some(profiler) = inner.lock().expect("telemetry lock").profiler.as_mut() {
                 profiler.count_barrier_event();
+            }
+        }
+    }
+
+    /// Hands the engine's deterministic work counts to the profiler (a
+    /// no-op unless profiling is on). Call once per run, before
+    /// [`TelemetryHandle::finish`].
+    pub fn profile_work(&self, work: &WorkCounters) {
+        if !self.profile_on {
+            return;
+        }
+        if let Some(inner) = &self.inner {
+            if let Some(profiler) = inner.lock().expect("telemetry lock").profiler.as_mut() {
+                profiler.add_work(work);
             }
         }
     }

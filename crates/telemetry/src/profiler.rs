@@ -81,6 +81,70 @@ impl ProfiledEvent {
     }
 }
 
+/// Deterministic work counts of one run: how many member states the
+/// engine's scheduling and monitor layers touched, how many predictor
+/// estimates they asked for, and how many tokens that work produced.
+/// Unlike every other profile figure these are exact and
+/// host-independent: the same input reports the same counts on any host
+/// and at any `--run-threads`.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct WorkCounters {
+    /// Output tokens generated (completed and stranded requests alike).
+    pub tokens: u64,
+    /// Member states visited to order scheduling candidates and to find
+    /// the GPU residents that fell out of the desired set.
+    pub sched_member_scans: u64,
+    /// Instance-monitor rows built for Algorithm 1/2, admission, routing
+    /// and escape consumers.
+    pub monitor_rows: u64,
+    /// Member states the monitor visited: to build those rows (pacer
+    /// deadlines rescanned), or to re-sum a dataset's predicted growth
+    /// after its estimate moved.
+    pub monitor_member_visits: u64,
+    /// Length-predictor estimate calls (absolute estimates and
+    /// remaining-service queries).
+    pub predictor_estimates: u64,
+}
+
+impl WorkCounters {
+    /// Adds `other`'s counts to these (shards into a run, cells into a
+    /// sweep).
+    pub fn absorb(&mut self, other: &WorkCounters) {
+        self.tokens += other.tokens;
+        self.sched_member_scans += other.sched_member_scans;
+        self.monitor_rows += other.monitor_rows;
+        self.monitor_member_visits += other.monitor_member_visits;
+        self.predictor_estimates += other.predictor_estimates;
+    }
+
+    /// The counts as one stable, space-separated `name value` line body,
+    /// plus the host-dependent wall-clock cost per token when `wall_s` is
+    /// known.
+    #[must_use]
+    pub fn render(&self, wall_s: Option<f64>) -> String {
+        let mut out = format!(
+            "{} tokens, {} sched member scans, {} monitor rows, {} monitor member visits, \
+             {} predictor estimates",
+            self.tokens,
+            self.sched_member_scans,
+            self.monitor_rows,
+            self.monitor_member_visits,
+            self.predictor_estimates
+        );
+        if let Some(ns) = wall_s.and_then(|w| self.ns_per_token(w)) {
+            out.push_str(&format!(", {ns:.1} ns per token"));
+        }
+        out
+    }
+
+    /// Wall-clock nanoseconds per generated token over `wall_s` seconds,
+    /// `None` when no token was generated.
+    #[must_use]
+    pub fn ns_per_token(&self, wall_s: f64) -> Option<f64> {
+        (self.tokens > 0).then(|| wall_s * 1e9 / self.tokens as f64)
+    }
+}
+
 /// Accumulates wall-clock samples while the event loop runs.
 #[derive(Clone, Debug)]
 pub struct HotPathProfiler {
@@ -90,6 +154,7 @@ pub struct HotPathProfiler {
     windows: u64,
     window_events: u64,
     barrier_events: u64,
+    work: WorkCounters,
 }
 
 impl HotPathProfiler {
@@ -103,7 +168,14 @@ impl HotPathProfiler {
             windows: 0,
             window_events: 0,
             barrier_events: 0,
+            work: WorkCounters::default(),
         }
+    }
+
+    /// Adds the engine's deterministic work counts (summed over shards at
+    /// the end of the run).
+    pub fn add_work(&mut self, work: &WorkCounters) {
+        self.work.absorb(work);
     }
 
     /// Records one handled event of class `kind` that took `elapsed_us`
@@ -166,6 +238,7 @@ impl HotPathProfiler {
             windows: self.windows,
             window_events: self.window_events,
             barrier_events: self.barrier_events,
+            work: self.work,
             rows,
         }
     }
@@ -211,6 +284,9 @@ pub struct ProfileReport {
     pub window_events: u64,
     /// Events the coordinator handled sequentially at window barriers.
     pub barrier_events: u64,
+    /// The engine's deterministic work counts — the one part of the
+    /// report that is exact and host-independent.
+    pub work: WorkCounters,
     /// One row per event class, [`ProfiledEvent::ALL`] order.
     pub rows: Vec<ProfileRow>,
 }
@@ -232,6 +308,10 @@ impl ProfileReport {
                 self.window_events as f64 / self.windows as f64,
             ));
         }
+        out.push_str(&format!(
+            "  work (exact): {}\n",
+            self.work.render(Some(self.wall_s))
+        ));
         for row in &self.rows {
             if row.count == 0 {
                 continue;

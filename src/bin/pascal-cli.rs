@@ -27,7 +27,7 @@ use pascal::metrics::{
 use pascal::predict::PredictorKind;
 use pascal::sched::{PolicyKind, RouterPolicy, SchedPolicy};
 use pascal::sim::SimDuration;
-use pascal::telemetry::{reconstruct, SloAlertPreset, SloAlertSpec};
+use pascal::telemetry::{reconstruct, SloAlertPreset, SloAlertSpec, WorkCounters};
 use pascal::workload::{ArrivalProcess, DatasetMix, MixPreset, TraceBuilder};
 
 const USAGE: &str = "\
@@ -123,8 +123,10 @@ OPTIONS (run):
           without the flag.
   --profile                                         print a wall-clock
           hot-path profile of the event loop to stderr (per-event-type
-          counts, timing quantiles, events/sec). Host-dependent by
-          design; never part of any deterministic output.
+          counts, timing quantiles, events/sec, ns per generated token)
+          plus exact work counters (member scans, monitor rows and member
+          visits, predictor estimates). Timings are host-dependent; no
+          profile figure is part of any deterministic output.
   --run-threads <N>                                 intra-run worker
           threads for the event loop; 0 = auto (available parallelism,
           capped at 8 and at the shard count), max 64. Outputs are
@@ -160,7 +162,8 @@ OPTIONS (sweep):
   --tput-tol <REL>      events/sec loss tolerance (gated only when the
           baseline commits a throughput figure)                   [0.20]
   --profile             profile each cell's event loop, print per-cell and
-          aggregate events/sec to stderr, and stamp the aggregate into
+          aggregate events/sec (plus the summed exact work counters and
+          ns per generated token) to stderr, and stamp the aggregate into
           the report's schema-4 throughput block (the only host-dependent
           field sweep.json can carry; cells stay byte-identical)
   --run-threads <N>     intra-run worker threads per cell's event loop;
@@ -338,7 +341,11 @@ fn parse_opts(args: &[String]) -> Result<RunOpts, String> {
             }
             "--seed" => opts.seed = value()?.parse().map_err(|e| format!("--seed: {e}"))?,
             "--instances" => {
-                opts.instances = value()?.parse().map_err(|e| format!("--instances: {e}"))?;
+                let instances: usize = value()?.parse().map_err(|e| format!("--instances: {e}"))?;
+                if instances == 0 {
+                    return Err("--instances must be positive".to_owned());
+                }
+                opts.instances = instances;
             }
             "--shards" => {
                 let shards: usize = value()?.parse().map_err(|e| format!("--shards: {e}"))?;
@@ -932,18 +939,24 @@ fn opt_secs(x: Option<f64>) -> String {
 }
 
 /// The `sweep --profile` aggregate stderr line: the headline events/sec
-/// figure plus the windowed-executor counters (all zero on sequential
-/// runs). Kept as a function so a test can assert the line stays parseable.
+/// figure, the windowed-executor counters (all zero on sequential runs)
+/// and the summed deterministic work counts. Kept as a function so a test
+/// can assert the line stays parseable.
 fn aggregate_profile_line(
     t: &SweepThroughput,
     windows: u64,
     window_events: u64,
     barrier_events: u64,
+    work: &WorkCounters,
 ) -> String {
     format!(
         "aggregate: {} events in {:.3}s single-cell wall = {:.0} events/sec \
-         ({windows} windows, {window_events} window events, {barrier_events} barrier events)",
-        t.events, t.wall_s, t.events_per_sec
+         ({windows} windows, {window_events} window events, {barrier_events} barrier events); \
+         work (exact): {}",
+        t.events,
+        t.wall_s,
+        t.events_per_sec,
+        work.render(Some(t.wall_s))
     )
 }
 
@@ -1032,15 +1045,17 @@ fn cmd_sweep(args: &[String]) -> Result<(), CliError> {
         if let Some(t) = &report.throughput {
             // Summed across cells so the line also reports how much of
             // the sweep the windowed parallel executor actually drained.
-            let (windows, window_events, barrier_events) = profiles
-                .iter()
-                .flatten()
-                .fold((0u64, 0u64, 0u64), |(w, we, be), p| {
-                    (w + p.windows, we + p.window_events, be + p.barrier_events)
-                });
+            let (mut windows, mut window_events, mut barrier_events) = (0u64, 0u64, 0u64);
+            let mut work = WorkCounters::default();
+            for p in profiles.iter().flatten() {
+                windows += p.windows;
+                window_events += p.window_events;
+                barrier_events += p.barrier_events;
+                work.absorb(&p.work);
+            }
             eprintln!(
                 "{}",
-                aggregate_profile_line(t, windows, window_events, barrier_events)
+                aggregate_profile_line(t, windows, window_events, barrier_events, &work)
             );
         }
     }
@@ -1659,7 +1674,14 @@ mod tests {
             wall_s: 1.5,
             events_per_sec: 82_304.0,
         };
-        let line = aggregate_profile_line(&t, 7, 900, 334);
+        let work = WorkCounters {
+            tokens: 3_000,
+            sched_member_scans: 11,
+            monitor_rows: 12,
+            monitor_member_visits: 13,
+            predictor_estimates: 14,
+        };
+        let line = aggregate_profile_line(&t, 7, 900, 334, &work);
         // Every figure must survive a whitespace-and-label round trip —
         // the CI perf job greps this line out of stderr.
         let nums: Vec<f64> = line
@@ -1669,7 +1691,10 @@ mod tests {
             .collect();
         assert_eq!(
             nums,
-            vec![123_456.0, 1.5, 82_304.0, 7.0, 900.0, 334.0],
+            vec![
+                123_456.0, 1.5, 82_304.0, 7.0, 900.0, 334.0, 3_000.0, 11.0, 12.0, 13.0, 14.0,
+                500_000.0
+            ],
             "line: {line}"
         );
     }

@@ -55,6 +55,12 @@ fn dataset_policy_and_rate_errors_exit_two_and_list_values() {
     assert_usage_error(&["run", "--count", "many"], &["--count"]);
     assert_usage_error(&["run", "--seed", "lucky"], &["--seed"]);
     assert_usage_error(&["run", "--instances", "few"], &["--instances"]);
+    // A zero-instance deployment has no capacity to derive a rate from;
+    // it must be refused at parse time, not panic (exit 101) later.
+    assert_usage_error(
+        &["run", "--instances", "0"],
+        &["--instances must be positive"],
+    );
 }
 
 #[test]

@@ -2,9 +2,9 @@
 //! pure function of (seed, config).
 
 use pascal::core::experiments::common::{main_policies, run_cluster};
-use pascal::core::{run_simulation, AdmissionMode, SimConfig};
+use pascal::core::{run_simulation, AdmissionMode, KvCapacityMode, SimConfig, TelemetryConfig};
 use pascal::predict::PredictorKind;
-use pascal::sched::{PascalConfig, SchedPolicy};
+use pascal::sched::{PascalConfig, RouterPolicy, SchedPolicy};
 use pascal::workload::{ArrivalProcess, DatasetMix, DatasetProfile, TraceBuilder};
 
 fn small_trace(seed: u64) -> pascal::workload::Trace {
@@ -118,6 +118,51 @@ fn empty_fleet_schedule_is_byte_identical_to_static_fleet() {
         format!("{:?}", b.records),
         "byte-level divergence"
     );
+}
+
+#[test]
+fn profile_work_counters_repeat_across_runs_and_run_threads() {
+    // The work counters are the one exact, host-independent part of the
+    // profile. A saturated four-shard cell must report the same counts on
+    // a rerun and under the windowed executor, whose workers drive the
+    // shards that bump them.
+    let trace = TraceBuilder::new(DatasetMix::arena_with_reasoning_heavy())
+        .arrivals(ArrivalProcess::poisson(14.0))
+        .count(400)
+        .seed(29)
+        .build();
+    let mut config = SimConfig::evaluation_cluster(SchedPolicy::pascal(PascalConfig::default()))
+        .with_shards(4, RouterPolicy::RoundRobin)
+        .with_predictor(PredictorKind::Quantile);
+    config.kv_capacity = KvCapacityMode::FractionOfPhysical(0.25);
+    config.telemetry = TelemetryConfig {
+        profile: true,
+        ..TelemetryConfig::default()
+    };
+    let work = |threads: usize| {
+        let out = run_simulation(&trace, &config.clone().with_run_threads(threads));
+        assert!(
+            out.records.iter().any(|r| r.num_preemptions > 0),
+            "the cell must be saturated enough to evict"
+        );
+        out.telemetry
+            .and_then(|t| t.profile)
+            .expect("profiling was on")
+            .work
+    };
+    let reference = work(1);
+    assert!(reference.tokens > 0, "{reference:?}");
+    assert!(reference.sched_member_scans > 0, "{reference:?}");
+    assert!(reference.monitor_rows > 0, "{reference:?}");
+    assert!(reference.monitor_member_visits > 0, "{reference:?}");
+    assert!(reference.predictor_estimates > 0, "{reference:?}");
+    for threads in [1, 4, 4] {
+        assert_eq!(
+            work(threads),
+            reference,
+            "work counters moved at --run-threads {threads}"
+        );
+    }
 }
 
 #[test]

@@ -11,9 +11,13 @@ use std::path::PathBuf;
 use std::process::{Command, Output};
 
 use pascal::core::experiments::common::{evaluation_trace, main_policies};
-use pascal::core::{run_simulation, FederationPolicy, FleetPreset, RateLevel, SimConfig};
+use pascal::core::{
+    run_simulation, FederationPolicy, FleetPreset, FleetSpec, RateLevel, SimConfig,
+};
 use pascal::sched::{RouterPolicy, SchedPolicy};
-use pascal::telemetry::{reconstruct, AnatomyOutcome, SloAlertPreset, TelemetryConfig};
+use pascal::telemetry::{
+    reconstruct, AnatomyOutcome, SloAlertPreset, TelemetryConfig, TraceEventKind,
+};
 use pascal::workload::DatasetMix;
 
 fn tmp(name: &str) -> PathBuf {
@@ -148,6 +152,61 @@ fn blame_sums_to_measured_latencies_across_topology_policy_and_chaos() {
             }
         }
     }
+}
+
+/// A whole shard fail-stops while the round-robin router keeps sending it
+/// arrivals. Requests stranded on arrival at the dead shard must open a
+/// timeline like every other request, so the stranded timelines account
+/// for every stranding the run counted.
+#[test]
+fn requests_stranded_on_arrival_open_timelines() {
+    let trace = evaluation_trace(
+        &DatasetMix::arena_with_reasoning_heavy(),
+        RateLevel::High,
+        120,
+        17,
+    );
+    let outage_at = trace.requests()[trace.requests().len() / 2]
+        .arrival
+        .as_secs_f64();
+    let policy = main_policies().pop().expect("main policies non-empty");
+    let mut config = SimConfig::evaluation_cluster(policy).with_shards(2, RouterPolicy::RoundRobin);
+    config.fleet =
+        Some(FleetSpec::parse(&format!("{outage_at} shard-down 1")).expect("valid fleet schedule"));
+    config.telemetry = TelemetryConfig {
+        trace: true,
+        ..TelemetryConfig::default()
+    };
+    let out = run_simulation(&trace, &config);
+    let events = out.telemetry.expect("trace enabled").events;
+    let arrivals = events
+        .iter()
+        .filter(|e| matches!(e.kind, TraceEventKind::Arrival))
+        .count();
+    assert_eq!(
+        arrivals,
+        trace.requests().len(),
+        "every request opens a timeline"
+    );
+    let report = reconstruct(&events);
+    let stranded = report
+        .requests
+        .iter()
+        .filter(|r| r.outcome == AnatomyOutcome::Stranded)
+        .count() as u64;
+    assert!(
+        out.fleet.stranded > 0,
+        "the outage must strand the arrivals routed to the dead shard"
+    );
+    assert_eq!(
+        stranded, out.fleet.stranded,
+        "stranded timelines must equal the run's stranded count"
+    );
+    assert_eq!(
+        report.requests.len() as u64,
+        out.records.len() as u64 + out.fleet.stranded,
+        "every request ends in exactly one completed or stranded timeline"
+    );
 }
 
 #[test]
