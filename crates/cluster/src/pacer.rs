@@ -115,15 +115,17 @@ impl TokenPacer {
     /// The instant this stream falls behind if no further token arrives:
     /// `start + generated × TPOT`. For a started stream,
     /// [`is_on_pace`](TokenPacer::is_on_pace)`(now)` is exactly
-    /// `now < on_pace_until()` — at any `now`, past or future. An
-    /// unstarted stream returns `None`: on pace at every instant. This is
-    /// what lets an instance's SLO health be kept as one earliest deadline
-    /// instead of being recomputed from every stream per query.
+    /// `now < on_pace_until()` — at any `now`, past or future. `None`
+    /// means on pace at every representable instant: the stream has not
+    /// started, or its deadline lies beyond [`SimTime::MAX`] (a stream
+    /// started near the end of time). This is what lets an instance's SLO
+    /// health be kept as one earliest deadline instead of being recomputed
+    /// from every stream per query.
     #[must_use]
     pub fn on_pace_until(&self) -> Option<SimTime> {
-        self.stream_start.map(|start| {
-            start + SimDuration::from_nanos(self.generated * self.target_tpot.as_nanos())
-        })
+        let start = self.stream_start?.as_nanos();
+        let ahead = self.generated.checked_mul(self.target_tpot.as_nanos())?;
+        start.checked_add(ahead).map(SimTime::from_nanos)
     }
 }
 
@@ -179,6 +181,16 @@ mod tests {
             pacer.on_token(t);
             assert!(pacer.is_on_pace(t), "fell behind at token {i}");
         }
+    }
+
+    #[test]
+    fn deadline_past_the_end_of_time_is_never_reached() {
+        // A stream started at the last representable instant stays on pace
+        // there; a saturated deadline of MAX would claim it fell behind.
+        let mut pacer = pacer_100ms();
+        pacer.on_token(SimTime::MAX);
+        assert!(pacer.is_on_pace(SimTime::MAX));
+        assert_eq!(pacer.on_pace_until(), None);
     }
 
     #[test]

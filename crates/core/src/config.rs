@@ -110,14 +110,9 @@ pub struct SimConfig {
     /// records, stats and series gauges other than the alert outputs
     /// themselves.
     pub alerts: Option<pascal_telemetry::SloAlertSpec>,
-    /// Worker threads for the windowed parallel executor: `1` (the
-    /// default) runs the exact sequential engine, `0` auto-sizes from the
-    /// host's available parallelism, `N > 1` requests N threads. Always
-    /// capped at the shard count — a one-shard run is sequential no matter
-    /// what. Outputs are byte-identical at every setting: the executor
-    /// advances shards in lockstep windows bounded by the next
-    /// cross-boundary (barrier) event, so this knob only trades wall-clock
-    /// time, never results.
+    /// Ignored: the engine always runs one sequential event loop. Kept only
+    /// so existing callers that assign it still compile; it will be
+    /// removed together with them.
     pub run_threads: usize,
 }
 
@@ -193,29 +188,6 @@ impl SimConfig {
         self
     }
 
-    /// The same deployment executed with `run_threads` worker threads (see
-    /// [`SimConfig::run_threads`]; `0` = auto). Byte-identical outputs at
-    /// every value.
-    #[must_use]
-    pub fn with_run_threads(mut self, run_threads: usize) -> Self {
-        self.run_threads = run_threads;
-        self
-    }
-
-    /// Whether phase-transition-capable iterations must be barrier events:
-    /// only when a parallel executor may run (`run_threads != 1`) *and* a
-    /// transition can reach beyond its shard (cross-shard escapes enabled
-    /// and PASCAL migration on). The flag itself never changes outputs —
-    /// barriers only bound the parallel executor's windows — so computing
-    /// it from the *configured* thread count (not the host-resolved one)
-    /// keeps window boundaries machine-independent.
-    #[must_use]
-    pub fn transition_barriers(&self) -> bool {
-        self.run_threads != 1
-            && (self.shards > 1 || self.regions > 1)
-            && matches!(self.policy, SchedPolicy::Pascal(c) if c.migration_enabled)
-    }
-
     /// The same deployment federated across `regions` regions behind
     /// `fed_router`. The instance count stays the aggregate; each region
     /// gets `num_instances / regions` of it, partitioned into
@@ -278,7 +250,8 @@ impl SimConfig {
     ///
     /// # Panics
     ///
-    /// Panics on zero-sized fields.
+    /// Panics on zero-sized fields, including a zero series-sampling
+    /// interval (the sampler would never advance).
     pub fn validate(&self) {
         assert!(self.num_instances > 0, "need at least one instance");
         assert!(self.shards > 0, "need at least one shard");
@@ -301,6 +274,10 @@ impl SimConfig {
         assert!(
             self.prefill_token_budget > 0,
             "prefill budget must be non-zero"
+        );
+        assert!(
+            self.telemetry.series_interval != Some(SimDuration::ZERO),
+            "series interval must be non-zero"
         );
         if let Some(fleet) = &self.fleet {
             if let Err(e) = fleet.validate(self.regions, self.shards, self.num_instances) {
@@ -524,31 +501,11 @@ mod tests {
     }
 
     #[test]
-    fn run_threads_defaults_to_sequential() {
-        let c = SimConfig::characterization(SchedPolicy::Fcfs, KvCapacityMode::Unlimited);
-        assert_eq!(c.run_threads, 1);
-        assert!(!c.transition_barriers());
-        assert_eq!(c.with_run_threads(4).run_threads, 4);
-    }
-
-    #[test]
-    fn transition_barriers_require_parallelism_and_cross_shard_migration() {
-        let pascal = SchedPolicy::pascal(pascal_sched::PascalConfig::default());
-        let sharded =
-            SimConfig::evaluation_cluster(pascal).with_shards(4, RouterPolicy::RoundRobin);
-        // Sequential runs never need barriers on iteration completions.
-        assert!(!sharded.transition_barriers());
-        assert!(sharded.clone().with_run_threads(4).transition_barriers());
-        assert!(sharded.clone().with_run_threads(0).transition_barriers());
-        // One shard, one region: a transition cannot leave its shard.
-        assert!(!SimConfig::evaluation_cluster(pascal)
-            .with_run_threads(4)
-            .transition_barriers());
-        // Non-migrating policies never escape either.
-        assert!(!SimConfig::evaluation_cluster(SchedPolicy::Fcfs)
-            .with_shards(4, RouterPolicy::RoundRobin)
-            .with_run_threads(4)
-            .transition_barriers());
+    #[should_panic(expected = "series interval must be non-zero")]
+    fn zero_series_interval_rejected() {
+        let mut c = SimConfig::evaluation_cluster(SchedPolicy::Fcfs);
+        c.telemetry.series_interval = Some(SimDuration::ZERO);
+        c.validate();
     }
 
     #[test]

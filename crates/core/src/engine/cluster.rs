@@ -532,9 +532,7 @@ impl<'a> Cluster<'a> {
             sh.migration_ctl.outcomes.bytes_moved += bytes;
             sh.migration_ctl.outcomes.cross_shard_launched += 1;
             sh.migration_ctl.outcomes.cross_shard_bytes_moved += bytes;
-            // Barrier: landing mutates the *destination* shard, so the
-            // windowed parallel executor must synchronize on it.
-            sh.queue.schedule_barrier(
+            sh.queue.schedule(
                 finish,
                 Event::CrossShardDone {
                     req: handle,
@@ -697,6 +695,13 @@ pub(super) fn total_work(shards: &[Shard<'_>]) -> WorkCounters {
 /// Collapses the drained shards into a [`SimOutput`] — the shared tail of
 /// the single-region and federated engines. `region_stats` starts empty;
 /// the caller fills it.
+///
+/// # Panics
+///
+/// Panics unless the run conserved its escapes (every considered escape
+/// launched, vetoed or aborted, per shard and in total) and its requests
+/// (every arrival completed, stranded or rejected). Both checks are
+/// O(shards) and run in release builds too.
 pub(super) fn assemble_output(shards: Vec<Shard<'_>>) -> SimOutput {
     // Only PASCAL consumes predictions (demotion, placement); under
     // the baselines a predictor is purely observational — calibration
@@ -733,6 +738,16 @@ pub(super) fn assemble_output(shards: Vec<Shard<'_>>) -> SimOutput {
         fleet.absorb(&row.fleet);
     }
     migration_outcomes.assert_escape_conservation();
+    let arrivals = lead.trace.requests().len() as u64;
+    let completed: u64 = shard_stats.iter().map(|row| row.completed).sum();
+    assert_eq!(
+        completed + fleet.stranded + admission.rejected,
+        arrivals,
+        "requests must be conserved: {completed} completed + {} stranded + {} rejected \
+         != {arrivals} arrivals",
+        fleet.stranded,
+        admission.rejected
+    );
 
     let mut records = Vec::new();
     let mut peak_gpu_kv_bytes = Vec::new();
@@ -857,20 +872,7 @@ impl<'a> Engine<'a> {
 
     pub(crate) fn run(mut self) -> SimOutput {
         let interval = self.telemetry.series_interval();
-        let threads =
-            super::parallel::resolve_run_threads(self.config.run_threads, self.config.shards);
-        // Tracing observes the global interleaving of shard-local events,
-        // so traced runs always take the exact sequential path.
-        if threads > 1 && !self.telemetry.trace_enabled() {
-            let lookahead = self
-                .config
-                .transition_barriers()
-                .then(|| super::parallel::min_iteration_duration(&self.cluster.shards[0].perf));
-            let telemetry = self.telemetry.clone();
-            super::parallel::run_windowed(&mut self, threads, interval, lookahead, &telemetry);
-        } else {
-            super::driver::drive(&mut self, interval);
-        }
+        super::driver::drive(&mut self, interval);
         assert_drained(&self.cluster.shards);
         self.telemetry
             .profile_work(&total_work(&self.cluster.shards));
@@ -919,35 +921,5 @@ impl super::driver::EventDriver for Engine<'_> {
 
     fn sample(&mut self, at: SimTime) {
         self.cluster.sample_series(at, None);
-    }
-}
-
-impl super::parallel::WindowedEngine for Engine<'_> {
-    fn next_arrival_time(&self) -> Option<SimTime> {
-        self.arrival_order
-            .get(self.next_arrival)
-            .map(|&idx| self.trace.requests()[idx].arrival)
-    }
-
-    fn earliest_barrier(&mut self) -> Option<SimTime> {
-        let mut best: Option<SimTime> = None;
-        for sh in &mut self.cluster.shards {
-            if let Some(t) = sh.queue.peek_barrier_time() {
-                if best.is_none_or(|b| t < b) {
-                    best = Some(t);
-                }
-            }
-        }
-        best
-    }
-
-    fn push_shard_ptrs(&mut self, out: &mut Vec<super::parallel::ShardPtr>) {
-        out.clear();
-        out.extend(
-            self.cluster
-                .shards
-                .iter_mut()
-                .map(super::parallel::ShardPtr::new),
-        );
     }
 }

@@ -12,8 +12,7 @@
 use pascal_sim::{SimDuration, SimTime};
 
 /// The engine operations the shared loop drives. Implemented by both the
-/// cluster and federation engines; also the seam the windowed parallel
-/// executor plugs into (see [`super::parallel`]).
+/// cluster and federation engines.
 pub(super) trait EventDriver {
     /// Timestamp of the globally next pending event (arrival or shard
     /// event), if any — the horizon the series sampler fills up to.

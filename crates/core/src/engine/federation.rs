@@ -476,9 +476,7 @@ impl<'a> FederationEngine<'a> {
         sh.migration_ctl.outcomes.bytes_moved += bytes;
         sh.migration_ctl.outcomes.cross_region_launched += 1;
         sh.migration_ctl.outcomes.cross_region_bytes_moved += bytes;
-        // Barrier: landing mutates another region's shard, so the windowed
-        // parallel executor must synchronize on it.
-        sh.queue.schedule_barrier(
+        sh.queue.schedule(
             finish,
             Event::CrossRegionDone {
                 req: handle,
@@ -555,19 +553,7 @@ impl<'a> FederationEngine<'a> {
 
     pub(crate) fn run(mut self) -> SimOutput {
         let interval = self.telemetry.series_interval();
-        let total_shards = self.config.regions * self.config.shards;
-        let threads = super::parallel::resolve_run_threads(self.config.run_threads, total_shards);
-        // Tracing observes the global interleaving of shard-local events,
-        // so traced runs always take the exact sequential path.
-        if threads > 1 && !self.telemetry.trace_enabled() {
-            let lookahead = self.config.transition_barriers().then(|| {
-                super::parallel::min_iteration_duration(&self.regions[0].cluster.shards[0].perf)
-            });
-            let telemetry = self.telemetry.clone();
-            super::parallel::run_windowed(&mut self, threads, interval, lookahead, &telemetry);
-        } else {
-            super::driver::drive(&mut self, interval);
-        }
+        super::driver::drive(&mut self, interval);
 
         let per_region_instances = self.config.num_instances / self.config.regions;
         let region_stats: Vec<RegionStats> = self
@@ -649,37 +635,5 @@ impl super::driver::EventDriver for FederationEngine<'_> {
                 .as_secs_f64();
             region.cluster.sample_series(at, Some(wan_backlog));
         }
-    }
-}
-
-impl super::parallel::WindowedEngine for FederationEngine<'_> {
-    fn next_arrival_time(&self) -> Option<SimTime> {
-        self.arrival_order
-            .get(self.next_arrival)
-            .map(|&idx| self.trace.requests()[idx].arrival)
-    }
-
-    fn earliest_barrier(&mut self) -> Option<SimTime> {
-        let mut best: Option<SimTime> = None;
-        for region in self.regions.iter_mut() {
-            for sh in &mut region.cluster.shards {
-                if let Some(t) = sh.queue.peek_barrier_time() {
-                    if best.is_none_or(|b| t < b) {
-                        best = Some(t);
-                    }
-                }
-            }
-        }
-        best
-    }
-
-    fn push_shard_ptrs(&mut self, out: &mut Vec<super::parallel::ShardPtr>) {
-        out.clear();
-        out.extend(
-            self.regions
-                .iter_mut()
-                .flat_map(|region| region.cluster.shards.iter_mut())
-                .map(super::parallel::ShardPtr::new),
-        );
     }
 }

@@ -6,7 +6,7 @@
 //! into per-instance transitions at shard construction and injected
 //! through the shard's calendar event queue — fleet changes are ordinary
 //! simulation events, totally ordered with everything else, so a fleet run
-//! is byte-identical at any thread count. An absent (or empty) spec
+//! replays byte-identically. An absent (or empty) spec
 //! schedules nothing and writes nothing: the static-fleet hot path only
 //! pays an always-false health comparison per event.
 //!
@@ -75,10 +75,7 @@ impl<'a> Shard<'a> {
             self.config.num_instances,
         ) {
             if t.shard == self.id {
-                // Barrier: a transition touches shared placement state
-                // (admission budget, escape outbox), so the windowed
-                // parallel executor must synchronize on it.
-                self.queue.schedule_barrier(
+                self.queue.schedule(
                     t.at,
                     Event::FleetTransition {
                         instance: t.instance,
@@ -109,7 +106,7 @@ impl<'a> Shard<'a> {
                 .max()
                 .unwrap_or(SimTime::ZERO);
             self.queue
-                .schedule_barrier(SimTime::ZERO + policy.interval, Event::AutoscaleTick);
+                .schedule(SimTime::ZERO + policy.interval, Event::AutoscaleTick);
             self.autoscaler = Some(AutoscalerRt {
                 policy,
                 pool: parked.clone(),
@@ -465,7 +462,7 @@ impl<'a> Shard<'a> {
                         TraceEventKind::AutoscaleUp,
                     );
                     // Capacity arrives only after the provisioning lead.
-                    self.queue.schedule_barrier(
+                    self.queue.schedule(
                         now + policy.lead,
                         Event::FleetTransition {
                             instance: inst,
@@ -500,7 +497,7 @@ impl<'a> Shard<'a> {
         // in flight; stop afterwards so the run terminates.
         if now <= last_arrival || !self.states.is_empty() {
             self.queue
-                .schedule_barrier(now + policy.interval, Event::AutoscaleTick);
+                .schedule(now + policy.interval, Event::AutoscaleTick);
         }
         drained
     }

@@ -596,13 +596,12 @@ impl Shard<'_> {
                     TraceEventKind::PrefillStart { queued_ns },
                 );
             }
-            let barrier = self.transition_barriers && self.batch_may_transition(&scratch.prefill);
             let rt = &mut self.instances[instance as usize];
             std::mem::swap(&mut rt.current_batch, &mut scratch.prefill);
             rt.current_kind = IterationKind::Prefill;
             rt.inst.compute_busy = true;
             self.queue
-                .schedule_flagged(now + duration, Event::IterationDone { instance }, barrier);
+                .schedule(now + duration, Event::IterationDone { instance });
         } else if !scratch.decode.is_empty() {
             let duration = self.perf.decode_step_time(DecodeBatch {
                 num_seqs: scratch.decode.len() as u32,
@@ -612,13 +611,12 @@ impl Shard<'_> {
                 self.stamp_migration_resume(handle, now);
                 self.states[handle].begin_running(now);
             }
-            let barrier = self.transition_barriers && self.batch_may_transition(&scratch.decode);
             let rt = &mut self.instances[instance as usize];
             std::mem::swap(&mut rt.current_batch, &mut scratch.decode);
             rt.current_kind = IterationKind::Decode;
             rt.inst.compute_busy = true;
             self.queue
-                .schedule_flagged(now + duration, Event::IterationDone { instance }, barrier);
+                .schedule(now + duration, Event::IterationDone { instance });
         }
         self.scratch = scratch;
     }
@@ -674,23 +672,6 @@ impl Shard<'_> {
             "resident set of instance {instance} out of sync: a state change bypassed the \
              member mutators"
         );
-    }
-
-    /// Whether any member of the batch being launched could fire a phase
-    /// transition when this iteration completes — each member gains exactly
-    /// one token, so the question is decidable at launch time (tokens only
-    /// advance at the member's own iteration completions, and the spec
-    /// lengths are immutable). Only consulted when
-    /// [`Shard::transition_barriers`] is set: a transition may then reach
-    /// beyond the shard, so the completion must be a barrier event the
-    /// windowed parallel executor synchronizes on.
-    fn batch_may_transition(&self, batch: &[ReqHandle]) -> bool {
-        batch.iter().any(|&handle| {
-            let st = &self.states[handle];
-            st.phase == Phase::Reasoning
-                && st.tokens_generated + 1 == st.spec.reasoning_tokens
-                && st.spec.answering_tokens > 0
-        })
     }
 
     pub(super) fn start_offload(&mut self, handle: ReqHandle, now: SimTime) {

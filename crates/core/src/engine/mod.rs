@@ -95,7 +95,6 @@ mod fleet_rt;
 mod lifecycle;
 mod members;
 mod migration;
-mod parallel;
 mod stats;
 #[cfg(test)]
 mod tests;
@@ -275,12 +274,6 @@ pub(super) struct Shard<'a> {
     /// — sibling shards in the cluster, or (in a federation) remote
     /// regions even when the shard is its region's only one.
     pub(super) cross_escape_enabled: bool,
-    /// Whether iterations that may fire a phase transition are scheduled
-    /// as *barrier* events ([`SimConfig::transition_barriers`]): true only
-    /// when a parallel executor may run and a transition can escape the
-    /// shard. Never changes outputs — barriers only bound the windowed
-    /// executor's lookahead.
-    pub(super) transition_barriers: bool,
     pub(super) trace: &'a Trace,
     pub(super) config: &'a SimConfig,
     pub(super) policy: SchedPolicy,
@@ -414,7 +407,6 @@ impl<'a> Shard<'a> {
             id,
             offset: id * instances as u32,
             cross_escape_enabled: config.shards > 1 || config.regions > 1,
-            transition_barriers: config.transition_barriers(),
             trace,
             config,
             policy: config.policy,

@@ -832,9 +832,8 @@ mod federation {
         // Both escape tiers active at once: two regions of two memory-tight
         // shards each. Every per-shard tally and the absorbed run total
         // must satisfy considered == launched + vetoed + aborted at both
-        // tiers — the relation `assemble_output` debug-asserts on every
-        // run and the trace events reconcile against.
-        use pascal_metrics::MigrationOutcomes;
+        // tiers — the relation `assemble_output` asserts on every run and
+        // the trace events reconcile against.
         let trace = geo_trace(150, 14.0, 5, 2);
         let mut config = SimConfig::evaluation_cluster(PolicyKind::Pascal.build())
             .with_shards(2, RouterPolicy::RoundRobin)
@@ -842,25 +841,9 @@ mod federation {
         config.num_instances = 8;
         config.kv_capacity = KvCapacityMode::FractionOfPhysical(0.2);
         let out = run_simulation(&trace, &config);
-        let check = |m: &MigrationOutcomes, what: &str| {
-            // The debug assertion itself (active here; compiled out of
-            // release binaries) plus hard asserts so release-mode test
-            // runs still verify the relation.
-            m.assert_escape_conservation();
-            assert_eq!(
-                m.cross_shard_considered,
-                m.cross_shard_launched + m.cross_shard_vetoed_by_cost + m.cross_shard_aborted,
-                "{what}: cross-shard escapes must resolve: {m:?}"
-            );
-            assert_eq!(
-                m.cross_region_considered,
-                m.cross_region_launched + m.cross_region_vetoed_by_cost + m.cross_region_aborted,
-                "{what}: cross-region escapes must resolve: {m:?}"
-            );
-        };
-        check(&out.migration_outcomes, "run total");
+        out.migration_outcomes.assert_escape_conservation();
         for row in &out.shard_stats {
-            check(&row.migrations, &format!("shard {}", row.shard));
+            row.migrations.assert_escape_conservation();
         }
         assert!(
             out.migration_outcomes.cross_shard_considered > 0
@@ -920,137 +903,6 @@ mod federation {
             assert_eq!(out.records.len(), 100, "{kind}");
             assert_eq!(out.migration_outcomes.cross_region_considered, 0, "{kind}");
             assert_eq!(out.migration_outcomes.cross_region_launched, 0, "{kind}");
-        }
-    }
-}
-
-mod windowed {
-    use super::*;
-    use crate::fleet::FleetPreset;
-    use pascal_federation::FederationPolicy;
-    use pascal_sched::{PolicyKind, RouterPolicy};
-    use pascal_workload::{ArrivalProcess, DatasetMix, DatasetProfile, TraceBuilder};
-
-    fn windowed_trace(count: usize, rate: f64, seed: u64, regions: usize) -> Trace {
-        TraceBuilder::new(DatasetMix::single(DatasetProfile::arena_hard()))
-            .arrivals(ArrivalProcess::poisson(rate))
-            .count(count)
-            .seed(seed)
-            .regions(regions)
-            .build()
-    }
-
-    /// Runs `config` sequentially and at several thread counts (including
-    /// the auto setting, whose resolution is host-dependent) and demands
-    /// the full `SimOutput` — records, counters, stats, everything Debug
-    /// reaches — comes back identical.
-    fn assert_thread_count_invariant(trace: &Trace, config: &SimConfig, label: &str) {
-        let reference = format!(
-            "{:?}",
-            run_simulation(trace, &config.clone().with_run_threads(1))
-        );
-        for threads in [2usize, 3, 4, 0] {
-            let out = format!(
-                "{:?}",
-                run_simulation(trace, &config.clone().with_run_threads(threads))
-            );
-            assert_eq!(out, reference, "{label}: run_threads={threads} diverged");
-        }
-    }
-
-    #[test]
-    fn sharded_cluster_is_thread_count_invariant() {
-        let trace = windowed_trace(100, 10.0, 11, 1);
-        for kind in [PolicyKind::Fcfs, PolicyKind::Pascal] {
-            let config = SimConfig::evaluation_cluster(kind.build())
-                .with_shards(4, RouterPolicy::Predictive);
-            assert_thread_count_invariant(&trace, &config, &format!("{kind}"));
-        }
-    }
-
-    /// Memory-tight shards force cross-shard escapes, so transition
-    /// barriers and the lookahead bound are actually load-bearing here.
-    #[test]
-    fn saturated_cluster_with_escapes_is_thread_count_invariant() {
-        let trace = windowed_trace(150, 14.0, 5, 1);
-        let mut config = SimConfig::evaluation_cluster(PolicyKind::Pascal.build())
-            .with_shards(2, RouterPolicy::RoundRobin);
-        config.num_instances = 4;
-        config.kv_capacity = KvCapacityMode::FractionOfPhysical(0.2);
-        assert!(config.transition_barriers() || config.run_threads == 1);
-        assert_thread_count_invariant(&trace, &config.clone().with_run_threads(2), "saturated");
-    }
-
-    #[test]
-    fn federation_is_thread_count_invariant() {
-        let trace = windowed_trace(120, 12.0, 7, 2);
-        let mut config = SimConfig::evaluation_cluster(PolicyKind::Pascal.build())
-            .with_shards(2, RouterPolicy::Predictive)
-            .with_regions(2, FederationPolicy::Predictive);
-        config.kv_capacity = KvCapacityMode::FractionOfPhysical(0.3);
-        assert_thread_count_invariant(&trace, &config, "federation");
-    }
-
-    /// Fleet chaos on top: outages, drain-and-migrate and the autoscaler
-    /// all schedule barrier events; the windowed run must replay them in
-    /// the exact sequential order.
-    #[test]
-    fn fleet_chaos_is_thread_count_invariant() {
-        let trace = windowed_trace(120, 12.0, 13, 1);
-        let horizon = trace
-            .requests()
-            .last()
-            .map(|r| r.arrival.as_secs_f64())
-            .unwrap_or(0.0);
-        for preset in [FleetPreset::Outage, FleetPreset::FlashCrowd] {
-            let mut config = SimConfig::evaluation_cluster(PolicyKind::Pascal.build())
-                .with_shards(4, RouterPolicy::Predictive);
-            config.fleet = Some(preset.spec(horizon, 1, 4, config.num_instances));
-            assert_thread_count_invariant(&trace, &config, preset.key());
-        }
-    }
-
-    proptest::proptest! {
-        // Each case runs three full simulations, so keep the case count
-        // deliberate rather than the library default.
-        #![proptest_config(proptest::ProptestConfig::with_cases(12))]
-
-        /// Windowed parallel execution is unobservable in the output: over
-        /// random small traces, topologies, memory pressure and policies,
-        /// every thread count reproduces the sequential `SimOutput` —
-        /// records, counters, stats, everything `Debug` reaches.
-        #[test]
-        fn prop_windowed_execution_matches_sequential(
-            count in 20usize..80,
-            rate in 4.0f64..16.0,
-            seed in 0u64..1_000_000,
-            shards_idx in 0usize..3,
-            regions in 1usize..3,
-            pascal in proptest::any::<bool>(),
-            tight in proptest::any::<bool>(),
-        ) {
-            let shards = [1usize, 2, 4][shards_idx];
-            let trace = windowed_trace(count, rate, seed, regions);
-            let kind = if pascal { PolicyKind::Pascal } else { PolicyKind::Fcfs };
-            let mut config = SimConfig::evaluation_cluster(kind.build())
-                .with_shards(shards, RouterPolicy::Predictive);
-            if regions > 1 {
-                config = config.with_regions(regions, FederationPolicy::Predictive);
-            }
-            if tight {
-                config.kv_capacity = KvCapacityMode::FractionOfPhysical(0.25);
-            }
-            let reference = format!(
-                "{:?}",
-                run_simulation(&trace, &config.clone().with_run_threads(1))
-            );
-            for threads in [2usize, 4] {
-                let out = format!(
-                    "{:?}",
-                    run_simulation(&trace, &config.clone().with_run_threads(threads))
-                );
-                proptest::prop_assert_eq!(&out, &reference);
-            }
         }
     }
 }

@@ -164,9 +164,13 @@ impl FleetSpec {
                     let lead = parse_f64(fields[2], n, "lead")?;
                     let up = parse_f64(fields[3], n, "up threshold")?;
                     let down = parse_f64(fields[4], n, "down threshold")?;
-                    if interval <= 0.0 {
+                    // A positive interval that rounds to 0 ns would re-arm
+                    // the tick at the same instant forever.
+                    if interval <= 0.0 || SimDuration::from_secs_f64(interval) == SimDuration::ZERO
+                    {
                         return Err(format!(
-                            "fleet events line {n}: autoscale interval must be positive"
+                            "fleet events line {n}: autoscale interval must be positive \
+                             (at least 1 ns), got {interval}"
                         ));
                     }
                     if lead < 0.0 {
@@ -543,6 +547,10 @@ autoscale 1.0 2.0 0.75 0.35
         assert!(FleetSpec::parse("autoscale 0 1 0.7 0.3")
             .expect_err("interval")
             .contains("interval must be positive"));
+        // Positive, but rounds to 0 ns: the tick could never advance.
+        assert!(FleetSpec::parse("autoscale 1e-10 2.0 0.75 0.35")
+            .expect_err("sub-nanosecond interval")
+            .contains("line 1: autoscale interval must be positive"));
         assert!(FleetSpec::parse("autoscale 1 1 .7 .3\nautoscale 1 1 .7 .3")
             .expect_err("dup")
             .contains("duplicate autoscale"));

@@ -55,11 +55,7 @@
 //! assert!(out.records.iter().all(|r| r.ttft().is_some()));
 //! ```
 
-// `deny` rather than `forbid`: the windowed parallel executor
-// (`engine::parallel`) carries the crate's one audited `allow(unsafe_code)`
-// for handing disjoint `&mut Shard` borrows to its worker pool. Everything
-// else stays unsafe-free.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod analyze;

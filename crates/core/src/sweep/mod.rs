@@ -407,12 +407,6 @@ pub struct SweepRunner {
     /// not on [`ScenarioSpec`] — because profiling is host-dependent and
     /// must never leak into a cell's identity or serialized report.
     profile: bool,
-    /// Intra-run worker threads for every cell's event loop (see
-    /// [`SimConfig::run_threads`]). Lives on the runner — not on
-    /// [`ScenarioSpec`] — because outputs are byte-identical at any
-    /// thread count, so it must never change a cell's identity, label or
-    /// serialized form.
-    run_threads: usize,
     /// Attach a latency-anatomy blame profile to every cell. Lives on the
     /// runner — not on [`ScenarioSpec`] — because blame is derived purely
     /// from the (observer-effect-free) trace stream: a cell's
@@ -433,7 +427,6 @@ impl SweepRunner {
                 threads
             },
             profile: false,
-            run_threads: 1,
             blame: false,
         }
     }
@@ -447,17 +440,6 @@ impl SweepRunner {
     #[must_use]
     pub fn with_profile(mut self, profile: bool) -> Self {
         self.profile = profile;
-        self
-    }
-
-    /// The same runner with `run_threads` intra-run worker threads per
-    /// cell (`0` = auto, `1` = the sequential engine). Cells are
-    /// byte-identical at any value; this only trades cell-level for
-    /// intra-run parallelism — useful when a sweep has fewer cells than
-    /// cores (the stress grid) or a single huge cell dominates.
-    #[must_use]
-    pub fn with_run_threads(mut self, run_threads: usize) -> Self {
-        self.run_threads = run_threads;
         self
     }
 
@@ -480,11 +462,10 @@ impl SweepRunner {
         self.threads
     }
 
-    /// Runs one spec under this runner's intra-run thread setting.
-    fn run_spec(&self, spec: &ScenarioSpec, telemetry: TelemetryConfig) -> SimOutput {
+    /// Runs one spec with the given telemetry streams.
+    fn run_spec(spec: &ScenarioSpec, telemetry: TelemetryConfig) -> SimOutput {
         let mut config = spec.config();
         config.telemetry = telemetry;
-        config.run_threads = self.run_threads;
         run_simulation(&spec.trace(), &config)
     }
 
@@ -499,7 +480,7 @@ impl SweepRunner {
     {
         parallel_map(specs.len(), self.threads, |i| {
             let spec = &specs[i];
-            f(spec, self.run_spec(spec, TelemetryConfig::default()))
+            f(spec, Self::run_spec(spec, TelemetryConfig::default()))
         })
     }
 
@@ -554,7 +535,7 @@ impl SweepRunner {
         let results: Vec<(SweepCell, Option<ProfileReport>)> =
             parallel_map(specs.len(), self.threads, |i| {
                 let spec = &specs[i];
-                let mut out = self.run_spec(spec, telemetry);
+                let mut out = Self::run_spec(spec, telemetry);
                 let tele = out.telemetry.take();
                 let profile = tele.as_ref().and_then(|t| t.profile.clone());
                 let mut cell = SweepCell::from_output(*spec, spec.rate_rps(), &out);
@@ -701,29 +682,5 @@ mod tests {
         let json = blamed.to_json();
         let back = crate::sweep::SweepReport::from_json(&json).expect("parses");
         assert_eq!(back, blamed);
-    }
-
-    #[test]
-    fn intra_run_threads_never_change_sweep_results() {
-        // A sharded cell so the windowed executor actually engages.
-        let mut spec = ScenarioSpec::new(
-            MixPreset::Alpaca,
-            RateLevel::High,
-            PolicyKind::Pascal,
-            60,
-            11,
-        )
-        .with_shards(2, RouterPolicy::Predictive);
-        spec.instances = 4;
-        let specs = [spec];
-        let sequential = SweepRunner::new(1).run_map(&specs, |spec, out| {
-            SweepCell::from_output(*spec, spec.rate_rps(), &out)
-        });
-        let windowed = SweepRunner::new(1)
-            .with_run_threads(2)
-            .run_map(&specs, |spec, out| {
-                SweepCell::from_output(*spec, spec.rate_rps(), &out)
-            });
-        assert_eq!(sequential, windowed);
     }
 }

@@ -89,21 +89,26 @@ impl MigrationOutcomes {
         self.vetoed_by_cost + self.aborted_no_reservation
     }
 
-    /// Debug-asserts the documented escape-resolution invariants: every
+    /// Asserts the documented escape-resolution invariants: every
     /// considered cross-shard / cross-region escape resolves as exactly one
     /// of launched, vetoed-by-cost or aborted. The engine checks this on
     /// every per-shard tally and on the absorbed run total when assembling
-    /// a `SimOutput`; trace events reconcile against the same relation.
+    /// a `SimOutput`, in release builds too; trace events reconcile against
+    /// the same relation.
     ///
     /// (Not part of [`MigrationOutcomes::absorb`]: that must sum arbitrary
     /// tallies, including synthetic ones that need not balance.)
+    ///
+    /// # Panics
+    ///
+    /// Panics if either tier's tally does not balance.
     pub fn assert_escape_conservation(&self) {
-        debug_assert_eq!(
+        assert_eq!(
             self.cross_shard_considered,
             self.cross_shard_launched + self.cross_shard_vetoed_by_cost + self.cross_shard_aborted,
             "cross-shard escapes must resolve: considered == launched + vetoed + aborted"
         );
-        debug_assert_eq!(
+        assert_eq!(
             self.cross_region_considered,
             self.cross_region_launched
                 + self.cross_region_vetoed_by_cost
@@ -361,7 +366,6 @@ mod tests {
         m.assert_escape_conservation();
     }
 
-    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "cross-shard escapes must resolve")]
     fn escape_conservation_rejects_unbalanced_tallies() {

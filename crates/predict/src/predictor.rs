@@ -79,10 +79,7 @@ pub enum EstimateScope {
 /// calls must produce identical internal state (and therefore identical
 /// predictions) on every run — the engine's byte-identical-replay guarantee
 /// extends through the predictor.
-// `Send` so a `Shard` owning a boxed predictor can be driven from the
-// windowed parallel executor's worker threads; every implementation is
-// plain owned data.
-pub trait LengthPredictor: std::fmt::Debug + Send {
+pub trait LengthPredictor: std::fmt::Debug {
     /// Display name, used in policy names ("PASCAL(Predictive-Oracle)").
     fn name(&self) -> &'static str;
 

@@ -21,8 +21,7 @@
 //! cluster's cross-shard tie-break (arrivals first, then lowest shard id)
 //! composes with `(time, sequence)` into a total order over the whole
 //! cluster — which is why a one-shard cluster is byte-identical to the
-//! pre-sharding engine and an N-shard run is reproducible at any thread
-//! count.
+//! pre-sharding engine and an N-shard run is reproducible.
 //!
 //! # Implementation
 //!
@@ -51,23 +50,10 @@
 //! they surface at the back of the ready run, and wholesale whenever
 //! tombstones outnumber live events — so memory tracks the live population,
 //! not the cancellation history.
-
-//! # Barrier events
 //!
-//! A scheduled event may be flagged as a **barrier**
-//! ([`EventQueue::schedule_barrier`]): an event whose handling can reach
-//! beyond its own scheduling domain (in the engine: cross-shard or
-//! cross-region landings, fleet transitions, autoscaler ticks, and batch
-//! completions that may fire a phase transition). Barriers pop exactly
-//! like ordinary events; additionally the queue maintains a secondary
-//! min-heap over them so a windowed parallel executor can ask, in O(1),
-//! for the earliest pending barrier ([`EventQueue::peek_barrier_time`]) —
-//! the lookahead bound below which every pending event is safe to drain
-//! without global coordination. Cancelled barriers are removed lazily
-//! (a dead-set consulted when they surface at the heap top).
-
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+//! Times saturate at [`SimTime::MAX`], so the last day of the `u64` range
+//! has no representable end: it runs through `u64::MAX` inclusive, and an
+//! event scheduled there pops like any other.
 
 use crate::time::SimTime;
 
@@ -101,9 +87,6 @@ struct Entry<E> {
     time: SimTime,
     seq: u64,
     slot: u32,
-    /// Whether this event is a barrier (see the module docs): tracked in
-    /// the secondary barrier heap for `peek_barrier_time`.
-    barrier: bool,
     payload: E,
 }
 
@@ -126,10 +109,6 @@ enum SlotState {
 struct Slot {
     generation: u32,
     state: SlotState,
-    /// The occupant's sequence number and barrier flag — needed at
-    /// cancellation time to mark the barrier-heap entry dead.
-    seq: u64,
-    barrier: bool,
 }
 
 /// Initial day width: `2^20` ns ≈ 1 ms.
@@ -164,8 +143,9 @@ pub struct EventQueue<E> {
     buckets: Vec<Vec<Entry<E>>>,
     /// log2 of the day width in nanoseconds.
     shift: u32,
-    /// Exclusive upper bound of the open day, a multiple of the day width.
-    /// No pending bucket entry is earlier; entries below it live in `ready`.
+    /// Exclusive upper bound of the open day, a multiple of the day width
+    /// (`u64::MAX` once the last day of the range is open). No pending
+    /// bucket entry is earlier; entries below it live in `ready`.
     day_start: u64,
     /// Cancellation slots, indexed by `EventId::slot`.
     slots: Vec<Slot>,
@@ -174,11 +154,6 @@ pub struct EventQueue<E> {
     tombstones: usize,
     /// Pending (scheduled, not fired, not cancelled) events.
     live: usize,
-    /// Secondary min-heap over pending barrier events, by `(time, seq)`.
-    barriers: BinaryHeap<Reverse<(SimTime, u64)>>,
-    /// Sequence numbers of cancelled barriers still in `barriers`,
-    /// skimmed lazily when they surface at the heap top.
-    dead_barriers: HashSet<u64>,
     next_seq: u64,
     now: SimTime,
 }
@@ -211,8 +186,6 @@ impl<E> EventQueue<E> {
             free_slots: Vec::new(),
             tombstones: 0,
             live: 0,
-            barriers: BinaryHeap::new(),
-            dead_barriers: HashSet::new(),
             next_seq: 0,
             now: SimTime::ZERO,
         }
@@ -229,20 +202,16 @@ impl<E> EventQueue<E> {
         1u64 << self.shift
     }
 
-    fn alloc_slot(&mut self, seq: u64, barrier: bool) -> (u32, u32) {
+    fn alloc_slot(&mut self) -> (u32, u32) {
         if let Some(slot) = self.free_slots.pop() {
             let s = &mut self.slots[slot as usize];
             s.state = SlotState::Live;
-            s.seq = seq;
-            s.barrier = barrier;
             (slot, s.generation)
         } else {
             let slot = self.slots.len() as u32;
             self.slots.push(Slot {
                 generation: 0,
                 state: SlotState::Live,
-                seq,
-                barrier,
             });
             (slot, 0)
         }
@@ -270,24 +239,6 @@ impl<E> EventQueue<E> {
     ///
     /// Panics if `time` is earlier than [`Self::now`].
     pub fn schedule(&mut self, time: SimTime, payload: E) -> EventId {
-        self.schedule_impl(time, payload, false)
-    }
-
-    /// Schedules `payload` as a **barrier** event (see the module docs):
-    /// identical pop behaviour, but additionally tracked so
-    /// [`Self::peek_barrier_time`] can report the earliest pending barrier
-    /// in O(1).
-    pub fn schedule_barrier(&mut self, time: SimTime, payload: E) -> EventId {
-        self.schedule_impl(time, payload, true)
-    }
-
-    /// Schedules `payload`, flagged as a barrier when `barrier` is true —
-    /// for call sites that decide the classification dynamically.
-    pub fn schedule_flagged(&mut self, time: SimTime, payload: E, barrier: bool) -> EventId {
-        self.schedule_impl(time, payload, barrier)
-    }
-
-    fn schedule_impl(&mut self, time: SimTime, payload: E, barrier: bool) -> EventId {
         assert!(
             time >= self.now,
             "cannot schedule an event at {time:?} before current time {:?}",
@@ -295,16 +246,12 @@ impl<E> EventQueue<E> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        let (slot, generation) = self.alloc_slot(seq, barrier);
+        let (slot, generation) = self.alloc_slot();
         self.live += 1;
-        if barrier {
-            self.barriers.push(Reverse((time, seq)));
-        }
         let entry = Entry {
             time,
             seq,
             slot,
-            barrier,
             payload,
         };
         let t = time.as_nanos();
@@ -354,9 +301,6 @@ impl<E> EventQueue<E> {
         match self.slots.get_mut(slot) {
             Some(s) if s.generation == id.generation() && s.state == SlotState::Live => {
                 s.state = SlotState::Cancelled;
-                if s.barrier {
-                    self.dead_barriers.insert(s.seq);
-                }
                 self.live -= 1;
                 self.tombstones += 1;
                 if self.tombstones > self.live + COMPACT_SLACK {
@@ -426,7 +370,9 @@ impl<E> EventQueue<E> {
             let year = self.buckets.len();
             while days < year {
                 let idx = ((self.day_start >> self.shift) as usize) & mask;
-                let day_end = self.day_start.saturating_add(self.width());
+                // `None` on the last day of the `u64` range, which runs
+                // through `u64::MAX` inclusive (see the module docs).
+                let day_end = self.day_start.checked_add(self.width());
                 if !self.buckets[idx].is_empty() {
                     // Open the day: extract entries inside it (residents of
                     // later years with the same day index stay behind) and
@@ -437,7 +383,7 @@ impl<E> EventQueue<E> {
                         if self.slots[entry.slot as usize].state == SlotState::Cancelled {
                             self.tombstones -= 1;
                             self.reap_slot(entry.slot);
-                        } else if entry.time.as_nanos() < day_end {
+                        } else if day_end.is_none_or(|end| entry.time.as_nanos() < end) {
                             self.ready.push(entry);
                         } else {
                             kept.push(entry);
@@ -445,7 +391,7 @@ impl<E> EventQueue<E> {
                     }
                     self.buckets[idx] = kept;
                 }
-                self.day_start = day_end;
+                self.day_start = day_end.unwrap_or(u64::MAX);
                 days += 1;
                 if !self.ready.is_empty() {
                     // One sort per day, then the whole batch drains at
@@ -526,14 +472,6 @@ impl<E> EventQueue<E> {
         let entry = self.ready.pop().expect("refill_ready guarantees an entry");
         self.reap_slot(entry.slot);
         self.live -= 1;
-        if entry.barrier {
-            // Pops follow the global (time, seq) order, so a popping
-            // barrier is the minimum pending barrier: it sits at the heap
-            // top once cancelled predecessors are skimmed away.
-            self.skim_dead_barriers();
-            let top = self.barriers.pop();
-            debug_assert_eq!(top, Some(Reverse((entry.time, entry.seq))));
-        }
         debug_assert!(entry.time >= self.now, "event queue went back in time");
         self.now = entry.time;
         Some((entry.time, entry.payload))
@@ -547,34 +485,6 @@ impl<E> EventQueue<E> {
             return None;
         }
         self.ready.last().map(|e| e.time)
-    }
-
-    /// Whether the next pending event (the one [`Self::pop`] would return)
-    /// is a barrier.
-    pub fn peek_is_barrier(&mut self) -> bool {
-        if !self.refill_ready() {
-            return false;
-        }
-        self.ready.last().is_some_and(|e| e.barrier)
-    }
-
-    /// The timestamp of the earliest pending (non-cancelled) barrier
-    /// event, if any. O(1) amortized: reads the barrier heap top after
-    /// lazily discarding cancelled entries.
-    pub fn peek_barrier_time(&mut self) -> Option<SimTime> {
-        self.skim_dead_barriers();
-        self.barriers.peek().map(|&Reverse((t, _))| t)
-    }
-
-    /// Discards cancelled barriers sitting at the barrier-heap top.
-    fn skim_dead_barriers(&mut self) {
-        while let Some(&Reverse((_, seq))) = self.barriers.peek() {
-            if self.dead_barriers.remove(&seq) {
-                self.barriers.pop();
-            } else {
-                return;
-            }
-        }
     }
 
     /// Number of pending events; cancelled entries are not counted.
@@ -753,22 +663,26 @@ mod tests {
     }
 
     #[test]
-    fn barrier_peek_tracks_schedules_pops_and_cancels() {
+    fn event_at_max_time_pops() {
+        // The last day of the u64 range has no representable end; an event
+        // there must still open its day instead of spinning the calendar.
         let mut q = EventQueue::new();
-        assert_eq!(q.peek_barrier_time(), None);
-        q.schedule(SimTime::from_nanos(1), "safe");
-        let b5 = q.schedule_barrier(SimTime::from_nanos(5), "barrier-5");
-        q.schedule_barrier(SimTime::from_nanos(9), "barrier-9");
-        assert_eq!(q.peek_barrier_time(), Some(SimTime::from_nanos(5)));
-        assert!(!q.peek_is_barrier(), "next event is the safe one");
-        // Cancelling the earlier barrier exposes the later one.
-        assert!(q.cancel(b5));
-        assert_eq!(q.peek_barrier_time(), Some(SimTime::from_nanos(9)));
-        assert_eq!(q.pop().map(|(_, e)| e), Some("safe"));
-        assert!(q.peek_is_barrier());
-        assert_eq!(q.pop().map(|(_, e)| e), Some("barrier-9"));
-        assert_eq!(q.peek_barrier_time(), None);
+        q.schedule(SimTime::MAX, "end");
+        assert_eq!(q.peek_time(), Some(SimTime::MAX));
+        assert_eq!(q.pop(), Some((SimTime::MAX, "end")));
         assert!(q.pop().is_none());
+
+        // Saturated arrivals pile up at MAX behind earlier events: they
+        // pop after them, in insertion order, and scheduling more at MAX
+        // once the clock is there still works.
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::MAX, 1u32);
+        q.schedule(SimTime::from_nanos(5), 0);
+        q.schedule(SimTime::MAX, 2);
+        let order: Vec<u32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, vec![0, 1, 2]);
+        q.schedule(SimTime::MAX, 3);
+        assert_eq!(q.pop(), Some((SimTime::MAX, 3)));
     }
 
     #[test]
@@ -841,8 +755,10 @@ mod tests {
         /// Each op is an `(opcode, operand)` pair: opcodes below 50
         /// schedule at `now + operand` (operands span sub-day to
         /// beyond-year deltas so ready-run inserts, calendar inserts and
-        /// re-sizing jumps all get hit), 50..=69 cancel the
-        /// `operand % issued`-th handle, 70..=94 pop, the rest peek.
+        /// re-sizing jumps all get hit; opcode 0 schedules at
+        /// [`SimTime::MAX`] instead, where saturated times land), 50..=69
+        /// cancel the `operand % issued`-th handle, 70..=94 pop, the rest
+        /// peek.
         #[test]
         fn prop_calendar_queue_matches_reference_heap(
             ops in proptest::collection::vec((0u32..100, 0u64..200_000_000), 1..400)
@@ -853,14 +769,12 @@ mod tests {
             for (n, (opcode, operand)) in ops.into_iter().enumerate() {
                 match opcode {
                     0..=49 => {
-                        let t = cal.now() + crate::time::SimDuration::from_nanos(operand);
-                        // Roughly a third of schedules are barriers, so the
-                        // barrier heap sees interleaved pops, cancels and
-                        // lazy skims too.
-                        let barrier = operand % 3 == 0;
-                        let a = cal.schedule_flagged(t, n, barrier);
-                        let b = heap.schedule_flagged(t, n, barrier);
-                        ids.push((a, b));
+                        let t = if opcode == 0 {
+                            SimTime::MAX
+                        } else {
+                            cal.now() + crate::time::SimDuration::from_nanos(operand)
+                        };
+                        ids.push((cal.schedule(t, n), heap.schedule(t, n)));
                     }
                     50..=69 => {
                         if !ids.is_empty() {
@@ -872,12 +786,8 @@ mod tests {
                         prop_assert_eq!(cal.pop(), heap.pop());
                         prop_assert_eq!(cal.now(), heap.now());
                     }
-                    _ => {
-                        prop_assert_eq!(cal.peek_time(), heap.peek_time());
-                        prop_assert_eq!(cal.peek_is_barrier(), heap.peek_is_barrier());
-                    }
+                    _ => prop_assert_eq!(cal.peek_time(), heap.peek_time()),
                 }
-                prop_assert_eq!(cal.peek_barrier_time(), heap.peek_barrier_time());
                 prop_assert_eq!(cal.len(), heap.len());
             }
             // Drain both to the end: full pop orders must coincide.

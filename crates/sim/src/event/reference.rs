@@ -58,8 +58,6 @@ pub struct HeapEventQueue<E> {
     /// Ids scheduled but neither fired nor cancelled yet.
     live: HashSet<HeapEventId>,
     cancelled: HashSet<HeapEventId>,
-    /// Ids scheduled as barrier events.
-    barriers: HashSet<HeapEventId>,
     next_seq: u64,
     now: SimTime,
 }
@@ -87,7 +85,6 @@ impl<E> HeapEventQueue<E> {
             heap: BinaryHeap::new(),
             live: HashSet::new(),
             cancelled: HashSet::new(),
-            barriers: HashSet::new(),
             next_seq: 0,
             now: SimTime::ZERO,
         }
@@ -120,23 +117,6 @@ impl<E> HeapEventQueue<E> {
         self.live.insert(id);
         self.next_seq += 1;
         id
-    }
-
-    /// Schedules `payload` as a barrier event (see
-    /// [`EventQueue::schedule_barrier`](super::EventQueue::schedule_barrier)).
-    pub fn schedule_barrier(&mut self, time: SimTime, payload: E) -> HeapEventId {
-        let id = self.schedule(time, payload);
-        self.barriers.insert(id);
-        id
-    }
-
-    /// Schedules `payload`, flagged as a barrier when `barrier` is true.
-    pub fn schedule_flagged(&mut self, time: SimTime, payload: E, barrier: bool) -> HeapEventId {
-        if barrier {
-            self.schedule_barrier(time, payload)
-        } else {
-            self.schedule(time, payload)
-        }
     }
 
     /// Cancels a previously scheduled event.
@@ -178,28 +158,6 @@ impl<E> HeapEventQueue<E> {
             return Some(entry.time);
         }
         None
-    }
-
-    /// Whether the next pending event (the one [`Self::pop`] would
-    /// return) is a barrier.
-    pub fn peek_is_barrier(&mut self) -> bool {
-        if self.peek_time().is_none() {
-            return false;
-        }
-        self.heap
-            .peek()
-            .is_some_and(|e| self.barriers.contains(&e.payload.0))
-    }
-
-    /// The timestamp of the earliest pending (non-cancelled) barrier
-    /// event, if any. The obviously-correct O(n) scan — this is the spec,
-    /// not the fast path.
-    pub fn peek_barrier_time(&self) -> Option<SimTime> {
-        self.heap
-            .iter()
-            .filter(|e| self.live.contains(&e.payload.0) && self.barriers.contains(&e.payload.0))
-            .map(|e| e.time)
-            .min()
     }
 
     /// Number of pending events; cancelled entries are not counted.

@@ -7,13 +7,12 @@
 //! disabled handle cannot perturb anything, and an enabled one only ever
 //! *appends to side buffers* that deterministic outputs never read.
 //!
-//! The shared buffers sit behind an `Arc<Mutex<..>>` so shards carrying
-//! clones can be driven from the windowed parallel executor's worker
-//! threads; the mutex is uncontended on the sequential path, and every
-//! access is still gated behind the per-stream `bool` first.
+//! The event loop is single-threaded, so the shared buffers sit behind an
+//! `Rc<RefCell<..>>`, and every access is gated behind the per-stream
+//! `bool` first.
 
-use std::cell::Cell;
-use std::sync::{Arc, Mutex};
+use std::cell::{Cell, RefCell};
+use std::rc::Rc;
 use std::time::Instant;
 
 use pascal_sim::SimDuration;
@@ -59,7 +58,7 @@ pub struct TelemetryHandle {
     /// Rolls over every [`PROFILE_SAMPLE_EVERY`] timer calls; per-clone,
     /// so each shard samples its own stream independently.
     profile_tick: Cell<u32>,
-    inner: Option<Arc<Mutex<TelemetryBuf>>>,
+    inner: Option<Rc<RefCell<TelemetryBuf>>>,
 }
 
 /// Wall-clock timing is sampled 1-in-N: event *counts* stay exact (they
@@ -98,7 +97,7 @@ impl TelemetryHandle {
             profile_on: config.profile,
             series_interval: config.series_interval,
             profile_tick: Cell::new(0),
-            inner: Some(Arc::new(Mutex::new(TelemetryBuf {
+            inner: Some(Rc::new(RefCell::new(TelemetryBuf {
                 events: Vec::new(),
                 series: Vec::new(),
                 profiler: config.profile.then(HotPathProfiler::new),
@@ -118,18 +117,9 @@ impl TelemetryHandle {
     pub fn trace(&self, event: impl FnOnce() -> TraceEvent) {
         if self.trace_on {
             if let Some(inner) = &self.inner {
-                inner.lock().expect("telemetry lock").events.push(event());
+                inner.borrow_mut().events.push(event());
             }
         }
-    }
-
-    /// True iff request-lifecycle tracing is on. The windowed parallel
-    /// executor checks this to fall back to the sequential path: trace
-    /// events are appended in processing order, which only matches the
-    /// committed fixtures when events fire in global `(time, seq)` order.
-    #[must_use]
-    pub fn trace_enabled(&self) -> bool {
-        self.trace_on
     }
 
     /// The configured gauge-sampling interval, if series are on.
@@ -141,7 +131,7 @@ impl TelemetryHandle {
     /// Appends one gauge snapshot row.
     pub fn push_series(&self, row: SeriesRow) {
         if let Some(inner) = &self.inner {
-            inner.lock().expect("telemetry lock").series.push(row);
+            inner.borrow_mut().series.push(row);
         }
     }
 
@@ -174,38 +164,11 @@ impl TelemetryHandle {
             return;
         }
         if let Some(inner) = &self.inner {
-            if let Some(profiler) = inner.lock().expect("telemetry lock").profiler.as_mut() {
+            if let Some(profiler) = inner.borrow_mut().profiler.as_mut() {
                 match started {
                     Some(t0) => profiler.record(kind, t0.elapsed().as_secs_f64() * 1e6),
                     None => profiler.count_only(kind),
                 }
-            }
-        }
-    }
-
-    /// Counts one completed lockstep window of the parallel executor.
-    #[inline]
-    pub fn profile_window(&self, drained_events: u64) {
-        if !self.profile_on {
-            return;
-        }
-        if let Some(inner) = &self.inner {
-            if let Some(profiler) = inner.lock().expect("telemetry lock").profiler.as_mut() {
-                profiler.count_window(drained_events);
-            }
-        }
-    }
-
-    /// Counts one event handled at a window barrier (sequentially, by the
-    /// coordinator) in the parallel executor.
-    #[inline]
-    pub fn profile_barrier_event(&self) {
-        if !self.profile_on {
-            return;
-        }
-        if let Some(inner) = &self.inner {
-            if let Some(profiler) = inner.lock().expect("telemetry lock").profiler.as_mut() {
-                profiler.count_barrier_event();
             }
         }
     }
@@ -218,7 +181,7 @@ impl TelemetryHandle {
             return;
         }
         if let Some(inner) = &self.inner {
-            if let Some(profiler) = inner.lock().expect("telemetry lock").profiler.as_mut() {
+            if let Some(profiler) = inner.borrow_mut().profiler.as_mut() {
                 profiler.add_work(work);
             }
         }
@@ -229,7 +192,7 @@ impl TelemetryHandle {
     #[must_use]
     pub fn finish(&self) -> Option<TelemetryOut> {
         let inner = self.inner.as_ref()?;
-        let mut buf = inner.lock().expect("telemetry lock");
+        let mut buf = inner.borrow_mut();
         Some(TelemetryOut {
             events: std::mem::take(&mut buf.events),
             series: std::mem::take(&mut buf.series),

@@ -85,8 +85,8 @@ impl ProfiledEvent {
 /// engine's scheduling and monitor layers touched, how many predictor
 /// estimates they asked for, and how many tokens that work produced.
 /// Unlike every other profile figure these are exact and
-/// host-independent: the same input reports the same counts on any host
-/// and at any `--run-threads`.
+/// host-independent: the same input reports the same counts on every
+/// run, on any host.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WorkCounters {
     /// Output tokens generated (completed and stranded requests alike).
@@ -151,9 +151,6 @@ pub struct HotPathProfiler {
     started: Instant,
     counts: [u64; ProfiledEvent::ALL.len()],
     timings: Vec<Histogram>,
-    windows: u64,
-    window_events: u64,
-    barrier_events: u64,
     work: WorkCounters,
 }
 
@@ -165,9 +162,6 @@ impl HotPathProfiler {
             started: Instant::now(),
             counts: [0; ProfiledEvent::ALL.len()],
             timings: vec![Histogram::from_samples(&[], BIN_WIDTH_US); ProfiledEvent::ALL.len()],
-            windows: 0,
-            window_events: 0,
-            barrier_events: 0,
             work: WorkCounters::default(),
         }
     }
@@ -191,22 +185,6 @@ impl HotPathProfiler {
     /// majority, keeping counts (and events/sec) exact.
     pub fn count_only(&mut self, kind: ProfiledEvent) {
         self.counts[kind.index()] += 1;
-    }
-
-    /// Counts one completed lockstep window of the windowed parallel
-    /// executor, and the events its workers drained inside it. Window
-    /// boundaries are derived from simulation state alone, so these
-    /// counters are identical at any thread count.
-    pub fn count_window(&mut self, drained_events: u64) {
-        self.windows += 1;
-        self.window_events += drained_events;
-    }
-
-    /// Counts one event the parallel executor's coordinator handled
-    /// sequentially at a window barrier (arrivals, cross-shard/region
-    /// landings, fleet transitions, autoscaler ticks).
-    pub fn count_barrier_event(&mut self) {
-        self.barrier_events += 1;
     }
 
     /// Stops the wall clock and condenses the samples into a report.
@@ -235,9 +213,6 @@ impl HotPathProfiler {
             } else {
                 0.0
             },
-            windows: self.windows,
-            window_events: self.window_events,
-            barrier_events: self.barrier_events,
             work: self.work,
             rows,
         }
@@ -276,14 +251,6 @@ pub struct ProfileReport {
     /// Events handled per wall-clock second — the headline throughput
     /// figure the engine-speed work is judged against.
     pub events_per_sec: f64,
-    /// Lockstep windows executed by the parallel executor (0 on the
-    /// sequential path). Deterministic: window boundaries depend only on
-    /// simulation state, never on thread count.
-    pub windows: u64,
-    /// Events drained inside windows by the parallel workers.
-    pub window_events: u64,
-    /// Events the coordinator handled sequentially at window barriers.
-    pub barrier_events: u64,
     /// The engine's deterministic work counts — the one part of the
     /// report that is exact and host-independent.
     pub work: WorkCounters,
@@ -299,15 +266,6 @@ impl ProfileReport {
             "hot-path profile (wall-clock, host-dependent; excluded from determinism)\n  {} events in {:.3}s = {:.0} events/sec\n",
             self.events, self.wall_s, self.events_per_sec
         );
-        if self.windows > 0 {
-            out.push_str(&format!(
-                "  {} windows: {} events drained in parallel, {} at barriers ({:.1} events/window)\n",
-                self.windows,
-                self.window_events,
-                self.barrier_events,
-                self.window_events as f64 / self.windows as f64,
-            ));
-        }
         out.push_str(&format!(
             "  work (exact): {}\n",
             self.work.render(Some(self.wall_s))

@@ -127,12 +127,6 @@ OPTIONS (run):
           plus exact work counters (member scans, monitor rows and member
           visits, predictor estimates). Timings are host-dependent; no
           profile figure is part of any deterministic output.
-  --run-threads <N>                                 intra-run worker
-          threads for the event loop; 0 = auto (available parallelism,
-          capped at 8 and at the shard count), max 64. Outputs are
-          byte-identical at any value; >1 engages the windowed parallel
-          executor over shards (needs --shards or --regions > 1 to
-          help). Tracing (--trace-out) forces the sequential path.  [1]
 
 All telemetry is off by default, and a run with it off is byte-identical
 to one that never had the flags.
@@ -166,10 +160,6 @@ OPTIONS (sweep):
           ns per generated token) to stderr, and stamp the aggregate into
           the report's schema-4 throughput block (the only host-dependent
           field sweep.json can carry; cells stay byte-identical)
-  --run-threads <N>     intra-run worker threads per cell's event loop;
-          0 = auto, max 64. Cells stay byte-identical at any value —
-          this trades cell-level for intra-run parallelism (useful when
-          a grid has fewer cells than cores, e.g. stress)          [1]
   --blame               attach a latency-anatomy blame profile to every
           cell: each cell runs traced, the trace is reconstructed into an
           exact additive decomposition of E2E latency (queue, service,
@@ -242,7 +232,6 @@ struct RunOpts {
     series_out: Option<String>,
     series_interval: Option<f64>,
     profile: bool,
-    run_threads: usize,
 }
 
 impl Default for RunOpts {
@@ -270,25 +259,8 @@ impl Default for RunOpts {
             series_out: None,
             series_interval: None,
             profile: false,
-            run_threads: 1,
         }
     }
-}
-
-/// Parses and range-checks a `--run-threads` value: `0` (auto) or an
-/// explicit worker count up to [`MAX_RUN_THREADS`].
-const MAX_RUN_THREADS: usize = 64;
-
-fn run_threads(raw: &str) -> Result<usize, String> {
-    let n: usize = raw
-        .parse()
-        .map_err(|e| format!("--run-threads: {e} (valid: 0 for auto, or 1-{MAX_RUN_THREADS})"))?;
-    if n > MAX_RUN_THREADS {
-        return Err(format!(
-            "--run-threads must be 0 (auto) or 1-{MAX_RUN_THREADS}, got {n}"
-        ));
-    }
-    Ok(n)
 }
 
 fn predictor(name: &str) -> Result<Option<PredictorKind>, String> {
@@ -385,10 +357,16 @@ fn parse_opts(args: &[String]) -> Result<RunOpts, String> {
                         "--series-interval must be a positive number of sim seconds, got {secs}"
                     ));
                 }
+                // Sim time is kept in whole nanoseconds; a period that
+                // rounds to zero would never advance the sampler.
+                if SimDuration::from_secs_f64(secs) == SimDuration::ZERO {
+                    return Err(format!(
+                        "--series-interval must be at least 1 ns of sim time, got {secs}"
+                    ));
+                }
                 opts.series_interval = Some(secs);
             }
             "--profile" => opts.profile = true,
-            "--run-threads" => opts.run_threads = run_threads(&value()?)?,
             other => return Err(format!("unknown flag '{other}'")),
         }
     }
@@ -397,12 +375,12 @@ fn parse_opts(args: &[String]) -> Result<RunOpts, String> {
 
 fn resolve_rate(rate: &str, config: &SimConfig, mix: &DatasetMix) -> Result<f64, String> {
     // Symbolic levels go through `RateLevel::parse` so the error lists the
-    // valid values; anything else must be a positive numeric req/s.
+    // valid values; anything else must be a positive, finite numeric req/s.
     match RateLevel::parse(rate) {
         Ok(level) => Ok(level.rate_rps(config, mix)),
         Err(level_err) => match rate.parse::<f64>() {
-            Ok(r) if r > 0.0 => Ok(r),
-            Ok(_) => Err("--rate must be positive".to_owned()),
+            Ok(r) if r > 0.0 && r.is_finite() => Ok(r),
+            Ok(_) => Err("--rate must be positive and finite".to_owned()),
             Err(_) => Err(format!("--rate must be a number, or {level_err}")),
         },
     }
@@ -419,7 +397,6 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
     config.regions = opts.regions;
     config.fed_router = FederationPolicy::parse(&opts.fed_router)?;
     config.wan = WanLink::parse(&opts.wan)?;
-    config.run_threads = opts.run_threads;
     if opts.instances % opts.shards != 0 {
         return Err(CliError::Usage(format!(
             "--shards {} does not divide --instances {} evenly",
@@ -861,7 +838,6 @@ struct SweepOpts {
     slo_tol: f64,
     tput_tol: f64,
     profile: bool,
-    run_threads: usize,
     blame: bool,
 }
 
@@ -880,7 +856,6 @@ impl Default for SweepOpts {
             slo_tol: tol.slo_rate_abs,
             tput_tol: tol.throughput_rel,
             profile: false,
-            run_threads: 1,
             blame: false,
         }
     }
@@ -925,7 +900,6 @@ fn parse_sweep_opts(args: &[String]) -> Result<SweepOpts, String> {
             "--slo-tol" => opts.slo_tol = tolerance(value()?, "--slo-tol")?,
             "--tput-tol" => opts.tput_tol = tolerance(value()?, "--tput-tol")?,
             "--profile" => opts.profile = true,
-            "--run-threads" => opts.run_threads = run_threads(&value()?)?,
             "--blame" => opts.blame = true,
             other => return Err(format!("unknown flag '{other}'")),
         }
@@ -939,19 +913,11 @@ fn opt_secs(x: Option<f64>) -> String {
 }
 
 /// The `sweep --profile` aggregate stderr line: the headline events/sec
-/// figure, the windowed-executor counters (all zero on sequential runs)
-/// and the summed deterministic work counts. Kept as a function so a test
-/// can assert the line stays parseable.
-fn aggregate_profile_line(
-    t: &SweepThroughput,
-    windows: u64,
-    window_events: u64,
-    barrier_events: u64,
-    work: &WorkCounters,
-) -> String {
+/// figure and the summed deterministic work counts. Kept as a function so
+/// a test can assert the line stays parseable.
+fn aggregate_profile_line(t: &SweepThroughput, work: &WorkCounters) -> String {
     format!(
-        "aggregate: {} events in {:.3}s single-cell wall = {:.0} events/sec \
-         ({windows} windows, {window_events} window events, {barrier_events} barrier events); \
+        "aggregate: {} events in {:.3}s single-cell wall = {:.0} events/sec; \
          work (exact): {}",
         t.events,
         t.wall_s,
@@ -1006,7 +972,6 @@ fn cmd_sweep(args: &[String]) -> Result<(), CliError> {
     }
     let runner = SweepRunner::new(opts.threads)
         .with_profile(opts.profile)
-        .with_run_threads(opts.run_threads)
         .with_blame(opts.blame);
     let cells: usize = grids.iter().map(|g| g.expand().len()).sum();
     eprintln!(
@@ -1043,20 +1008,11 @@ fn cmd_sweep(args: &[String]) -> Result<(), CliError> {
             }
         }
         if let Some(t) = &report.throughput {
-            // Summed across cells so the line also reports how much of
-            // the sweep the windowed parallel executor actually drained.
-            let (mut windows, mut window_events, mut barrier_events) = (0u64, 0u64, 0u64);
             let mut work = WorkCounters::default();
             for p in profiles.iter().flatten() {
-                windows += p.windows;
-                window_events += p.window_events;
-                barrier_events += p.barrier_events;
                 work.absorb(&p.work);
             }
-            eprintln!(
-                "{}",
-                aggregate_profile_line(t, windows, window_events, barrier_events, &work)
-            );
+            eprintln!("{}", aggregate_profile_line(t, &work));
         }
     }
 
@@ -1542,7 +1498,7 @@ mod tests {
         // errors whatever flavor of bad they are.
         let err = parse_opts(&strs(&["--trace-format", "bogus"])).expect_err("unknown format");
         assert!(err.contains("valid: jsonl, chrome"), "got: {err}");
-        for bad in ["0", "-1", "inf", "nan", "soon"] {
+        for bad in ["0", "-1", "inf", "nan", "soon", "1e-10"] {
             assert!(
                 parse_opts(&strs(&["--series-interval", bad])).is_err(),
                 "interval '{bad}' must be rejected"
@@ -1569,41 +1525,6 @@ mod tests {
     }
 
     #[test]
-    fn run_threads_flag_parses_and_validates() {
-        // Defaults to the sequential engine on both subcommands.
-        assert_eq!(parse_opts(&[]).expect("empty is valid").run_threads, 1);
-        assert_eq!(
-            parse_sweep_opts(&[]).expect("empty is valid").run_threads,
-            1
-        );
-        for (raw, want) in [("0", 0), ("1", 1), ("4", 4), ("64", 64)] {
-            assert_eq!(
-                parse_opts(&strs(&["--run-threads", raw]))
-                    .expect("valid")
-                    .run_threads,
-                want
-            );
-            assert_eq!(
-                parse_sweep_opts(&strs(&["--run-threads", raw]))
-                    .expect("valid")
-                    .run_threads,
-                want
-            );
-        }
-        // Out-of-range and non-numeric values are usage errors that name
-        // the valid range.
-        for bad in ["65", "1000", "-1", "two", "1.5", ""] {
-            let err = parse_opts(&strs(&["--run-threads", bad]))
-                .expect_err("bad thread count must be rejected");
-            assert!(err.contains("64"), "error must state the range: {err}");
-            assert!(
-                parse_sweep_opts(&strs(&["--run-threads", bad])).is_err(),
-                "sweep must reject '{bad}' too"
-            );
-        }
-    }
-
-    #[test]
     fn usage_lists_telemetry_flags() {
         for needle in [
             "--trace-out",
@@ -1611,7 +1532,6 @@ mod tests {
             "--series-out",
             "--series-interval",
             "--profile",
-            "--run-threads",
         ] {
             assert!(USAGE.contains(needle), "usage missing {needle}");
         }
@@ -1681,7 +1601,7 @@ mod tests {
             monitor_member_visits: 13,
             predictor_estimates: 14,
         };
-        let line = aggregate_profile_line(&t, 7, 900, 334, &work);
+        let line = aggregate_profile_line(&t, &work);
         // Every figure must survive a whitespace-and-label round trip —
         // the CI perf job greps this line out of stderr.
         let nums: Vec<f64> = line
@@ -1691,10 +1611,7 @@ mod tests {
             .collect();
         assert_eq!(
             nums,
-            vec![
-                123_456.0, 1.5, 82_304.0, 7.0, 900.0, 334.0, 3_000.0, 11.0, 12.0, 13.0, 14.0,
-                500_000.0
-            ],
+            vec![123_456.0, 1.5, 82_304.0, 3_000.0, 11.0, 12.0, 13.0, 14.0, 500_000.0],
             "line: {line}"
         );
     }

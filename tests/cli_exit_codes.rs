@@ -4,7 +4,8 @@
 //! a typo (2) from a genuine runtime failure (1) from a regression gate
 //! rejection (also 1, with its own FAILED verdict).
 
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
 fn cli(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_pascal-cli"))
@@ -52,6 +53,11 @@ fn dataset_policy_and_rate_errors_exit_two_and_list_values() {
     assert_usage_error(&["run", "--policy", "sjf"], &["sjf"]);
     assert_usage_error(&["run", "--rate", "fast"], &["valid: low, medium, high"]);
     assert_usage_error(&["run", "--rate", "-2"], &["must be positive"]);
+    // An infinite rate would panic in the arrival process (exit 101).
+    assert_usage_error(
+        &["run", "--rate", "inf"],
+        &["--rate must be positive and finite"],
+    );
     assert_usage_error(&["run", "--count", "many"], &["--count"]);
     assert_usage_error(&["run", "--seed", "lucky"], &["--seed"]);
     assert_usage_error(&["run", "--instances", "few"], &["--instances"]);
@@ -132,6 +138,11 @@ fn telemetry_flag_errors_exit_two_and_list_values() {
             &["must be a positive number"],
         );
     }
+    // Positive, but rounds to 0 ns: the sampler would never advance.
+    assert_usage_error(
+        &["run", "--series-interval", "1e-10"],
+        &["--series-interval must be at least 1 ns"],
+    );
     // Half of the series pair alone is a usage error, not silent no-op.
     assert_usage_error(
         &["run", "--series-out", "/tmp/s.csv"],
@@ -170,6 +181,14 @@ fn fleet_events_errors_exit_two_and_name_the_problem() {
             bad_id.to_str().unwrap(),
         ],
         &["instance 99 does not exist"],
+    );
+    // An autoscale interval that rounds to 0 ns would re-arm its tick at
+    // the same instant forever; the error names the line.
+    let zero_tick = dir.join("pascal_cli_zero_tick.fleet");
+    std::fs::write(&zero_tick, "autoscale 1e-10 2.0 0.75 0.35\n").expect("write");
+    assert_usage_error(
+        &["run", "--fleet-events", zero_tick.to_str().unwrap()],
+        &["line 1", "autoscale interval must be positive"],
     );
     let bad_shard = dir.join("pascal_cli_bad_shard.fleet");
     std::fs::write(&bad_shard, "1.0 shard-down 5\n").expect("write");
@@ -248,6 +267,32 @@ fn sweep_flag_errors_exit_two_and_list_values() {
     assert_usage_error(&["sweep", "--threads", "all"], &["--threads"]);
     assert_usage_error(&["sweep", "--ttft-tol", "-1"], &["non-negative"]);
     assert_usage_error(&["sweep", "--grid", "ci,ci"], &["more than once"]);
+}
+
+#[test]
+fn arrivals_saturating_at_the_end_of_time_still_finish() {
+    // At 1e-10 req/s the arrival times saturate at the largest
+    // representable sim time; the run must still drain and exit 0. A
+    // watchdog turns a hung event loop into a failure instead of a stall.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_pascal-cli"))
+        .args(["run", "--rate", "1e-10", "--count", "3"])
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("pascal-cli binary runs");
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("wait on pascal-cli") {
+            break status;
+        }
+        if Instant::now() > deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("a three-request run at 1e-10 req/s did not finish in 60 s");
+        }
+        std::thread::sleep(Duration::from_millis(50));
+    };
+    assert_eq!(status.code(), Some(0));
 }
 
 #[test]

@@ -191,104 +191,6 @@ fn empty_fleet_schedule_matches_static_fixtures_byte_for_byte() {
 }
 
 #[test]
-fn windowed_parallel_runs_match_sequential_fixtures_byte_for_byte() {
-    // The windowed parallel executor's determinism contract at the CLI
-    // level: `--run-threads 4` on the committed sharded and federated
-    // scenarios must reproduce the sequential fixtures byte for byte —
-    // same stdout, same stderr, same per-request CSV. (The fixtures were
-    // generated without the flag; equality here IS the claim that thread
-    // count is unobservable in every output byte.)
-    let dir = scratch_dir("run-threads");
-    for (name, mut args) in run_cases() {
-        if !matches!(name, "run_sharded" | "run_federated") {
-            continue;
-        }
-        args.extend(["--run-threads", "4"]);
-        let out = Command::new(env!("CARGO_BIN_EXE_pascal-cli"))
-            .args(&args)
-            .current_dir(&dir)
-            .output()
-            .expect("pascal-cli binary runs");
-        assert!(
-            out.status.success(),
-            "{name} --run-threads 4 exited {:?}: {}",
-            out.status.code(),
-            String::from_utf8_lossy(&out.stderr)
-        );
-        assert_bytes_match(&format!("{name}.txt"), &out.stdout, name);
-        assert_bytes_match(&format!("{name}.err"), &out.stderr, name);
-        let csv = fs::read(dir.join(format!("{name}.csv"))).expect("per-request CSV written");
-        assert_bytes_match(&format!("{name}.csv"), &csv, name);
-    }
-    let _ = fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn windowed_parallel_chaos_run_matches_sequential_byte_for_byte() {
-    // Same contract under fleet chaos: an outage schedule (drains, a
-    // fail-stop, rebalancing, stranding) on a federated topology, executed
-    // at --run-threads 1 and 4, must produce identical bytes everywhere.
-    // No committed fixture here — the two invocations pin each other.
-    let dir = scratch_dir("chaos-threads");
-    let base = [
-        "run",
-        "--count",
-        "300",
-        "--instances",
-        "8",
-        "--shards",
-        "2",
-        "--regions",
-        "2",
-        "--policy",
-        "pascal",
-        "--predictor",
-        "quantile",
-        "--rate",
-        "high",
-        "--seed",
-        "13",
-        "--fleet-events",
-        "outage",
-    ];
-    // Both invocations write the same CSV name (read back between runs)
-    // so the path echoed on stderr cannot differ for boring reasons.
-    let run = |threads: &str| {
-        let out = Command::new(env!("CARGO_BIN_EXE_pascal-cli"))
-            .args(base)
-            .args(["--csv", "chaos.csv", "--run-threads", threads])
-            .current_dir(&dir)
-            .output()
-            .expect("pascal-cli binary runs");
-        assert!(
-            out.status.success(),
-            "chaos run (--run-threads {threads}) exited {:?}: {}",
-            out.status.code(),
-            String::from_utf8_lossy(&out.stderr)
-        );
-        let csv_bytes = fs::read(dir.join("chaos.csv")).expect("per-request CSV written");
-        (out.stdout, out.stderr, csv_bytes)
-    };
-    let sequential = run("1");
-    let windowed = run("4");
-    assert!(
-        sequential.0 == windowed.0,
-        "chaos stdout diverges between --run-threads 1 and 4:\n--- t1 ---\n{}\n--- t4 ---\n{}",
-        String::from_utf8_lossy(&sequential.0),
-        String::from_utf8_lossy(&windowed.0),
-    );
-    assert!(
-        sequential.1 == windowed.1,
-        "chaos stderr diverges between --run-threads 1 and 4"
-    );
-    assert!(
-        sequential.2 == windowed.2,
-        "chaos per-request CSV diverges between --run-threads 1 and 4"
-    );
-    let _ = fs::remove_dir_all(&dir);
-}
-
-#[test]
 fn sweep_grid_outputs_are_byte_identical_to_fixtures() {
     // Sweep stdout carries wall-clock timings, so only the written report
     // files are pinned. Without --profile the schema-4 throughput field is
