@@ -6,7 +6,7 @@
 //! Fig. 5 report. When the request completes it collapses into a
 //! [`pascal_metrics::RequestRecord`].
 
-use pascal_metrics::{MigrationRecord, RequestRecord};
+use pascal_metrics::{MigrationRecord, RequestRecord, StallCurve};
 use pascal_sim::{SimDuration, SimTime};
 use pascal_workload::{Phase, RequestSpec};
 
@@ -61,8 +61,12 @@ pub struct RequestState {
     pub pacer: TokenPacer,
     /// Owning instance index.
     pub instance: u32,
-    /// Generation timestamps of every output token.
-    pub token_times: Vec<SimTime>,
+    /// Generation time of the first output token.
+    pub first_token: Option<SimTime>,
+    /// Generation time of the phase-boundary (last reasoning) token.
+    pub phase_boundary: Option<SimTime>,
+    /// The answering tokens' generation times as the QoE's stall curve.
+    pub answers: StallCurve,
     /// Accumulated in-iteration time.
     pub executed: SimDuration,
     /// Accumulated wait before first execution.
@@ -108,7 +112,9 @@ impl RequestState {
             demoted: false,
             pacer: TokenPacer::new(target_tpot),
             instance,
-            token_times: Vec::with_capacity(spec.output_tokens() as usize),
+            first_token: None,
+            phase_boundary: None,
+            answers: StallCurve::new(target_tpot),
             executed: SimDuration::ZERO,
             blocked: SimDuration::ZERO,
             preempted: SimDuration::ZERO,
@@ -136,6 +142,23 @@ impl RequestState {
     #[must_use]
     pub fn tokens_needed_next(&self) -> u64 {
         self.context_tokens() + 1
+    }
+
+    /// Counts one output token generated at `now` and records what the
+    /// metrics read of it: the first-token instant, the phase-boundary
+    /// instant, or — for an answering token — its place on the stall curve.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an answering token precedes the previous one.
+    pub fn record_token(&mut self, now: SimTime) {
+        self.tokens_generated += 1;
+        self.first_token.get_or_insert(now);
+        match self.tokens_generated.cmp(&self.spec.reasoning_tokens) {
+            std::cmp::Ordering::Less => {}
+            std::cmp::Ordering::Equal => self.phase_boundary = Some(now),
+            std::cmp::Ordering::Greater => self.answers.push(now),
+        }
     }
 
     /// Whether every output token has been generated.
@@ -203,7 +226,12 @@ impl RequestState {
         assert!(!self.running, "{} still running", self.spec.id);
         let record = RequestRecord {
             spec: self.spec,
-            token_times: self.token_times,
+            tokens_generated: self.tokens_generated,
+            first_token: self
+                .first_token
+                .expect("a finished request generated tokens"),
+            phase_boundary: self.phase_boundary,
+            answers: self.answers,
             completion,
             executed: self.executed,
             blocked: self.blocked,
@@ -276,12 +304,15 @@ mod tests {
         st.begin_running(secs(2.0));
         st.prefilled = true;
         for i in 0..4 {
-            st.tokens_generated += 1;
-            st.token_times.push(secs(2.1 + 0.1 * f64::from(i)));
+            st.record_token(secs(2.1 + 0.1 * f64::from(i)));
         }
         st.end_running(secs(2.5));
         let record = st.into_record(secs(2.5));
-        assert_eq!(record.token_times.len(), 4);
+        assert_eq!(record.tokens_generated, 4);
+        assert_eq!(record.first_token, secs(2.1));
+        assert_eq!(record.phase_boundary, Some(secs(2.2)));
+        assert_eq!(record.answers.first(), Some(secs(2.3)));
+        assert_eq!(record.last_token_time(), secs(2.4));
         assert!((record.e2e_latency().as_secs_f64() - 1.5).abs() < 1e-9);
     }
 

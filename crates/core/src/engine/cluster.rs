@@ -664,7 +664,10 @@ pub(super) fn validate_trace_fits(trace: &Trace, config: &SimConfig) {
     }
 }
 
-/// Panics if any shard drained with live requests or leaked reservations.
+/// Panics if any shard drained with live requests, leaked reservations or
+/// KV blocks still held: with every request gone, every instance's GPU and
+/// CPU pool must be empty and nothing may be on its way out. O(instances),
+/// checked in release builds too.
 pub(super) fn assert_drained(shards: &[Shard<'_>]) {
     for sh in shards {
         assert!(
@@ -680,6 +683,16 @@ pub(super) fn assert_drained(shards: &[Shard<'_>]) {
             "shard {} drained with leaked migration reservations",
             sh.id
         );
+        for (i, rt) in sh.instances.iter().enumerate() {
+            let (gpu, cpu) = (rt.inst.gpu.used_blocks(), rt.inst.cpu.used_blocks());
+            assert!(
+                gpu == 0 && cpu == 0 && rt.dying_blocks == 0,
+                "shard {} instance {i} drained holding KV blocks: {gpu} GPU, {cpu} CPU, \
+                 {} dying",
+                sh.id,
+                rt.dying_blocks
+            );
+        }
     }
 }
 
@@ -749,9 +762,12 @@ pub(super) fn assemble_output(shards: Vec<Shard<'_>>) -> SimOutput {
         admission.rejected
     );
 
-    let mut records = Vec::new();
+    // Request ids are unique per record and per prediction sample, so the
+    // unstable sorts below give the stable order without scratch memory.
+    let mut records = Vec::with_capacity(shards.iter().map(|sh| sh.records.len()).sum());
     let mut peak_gpu_kv_bytes = Vec::new();
-    let mut predictions = Vec::new();
+    let mut predictions =
+        Vec::with_capacity(shards.iter().map(|sh| sh.prediction_samples.len()).sum());
     let mut rejections = Vec::new();
     let mut alerts = Vec::new();
     for sh in shards {
@@ -765,8 +781,10 @@ pub(super) fn assemble_output(shards: Vec<Shard<'_>>) -> SimOutput {
         rejections.extend(sh.admission_ctl.rejections);
         alerts.extend(sh.alerts);
     }
-    records.sort_by_key(|r| r.spec.id);
-    predictions.sort_by_key(|p| p.id);
+    records.sort_unstable_by_key(|r| r.spec.id);
+    predictions.sort_unstable_by_key(|p| p.id);
+    debug_assert!(records.windows(2).all(|w| w[0].spec.id < w[1].spec.id));
+    debug_assert!(predictions.windows(2).all(|w| w[0].id < w[1].id));
     rejections.sort_by_key(|r| (r.at, r.id));
     alerts.sort_by_key(|a| (a.at, a.shard, a.rule));
     let makespan = records

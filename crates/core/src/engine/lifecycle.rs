@@ -232,8 +232,7 @@ impl Shard<'_> {
             if kind == IterationKind::Prefill {
                 st.prefilled = true;
             }
-            st.tokens_generated += 1;
-            st.token_times.push(now);
+            st.record_token(now);
 
             // Round-robin quantum accounting (§II-C).
             st.tokens_in_quantum += 1;

@@ -67,7 +67,9 @@ fn prefill_budget_batches_prompts() {
     let out = run_simulation(&Trace::from_requests(requests), &config);
     assert_eq!(out.records.len(), 3);
     // Request 1's first token comes a full prefill later than request 0's.
-    let gap = out.records[1].token_times[0].saturating_since(out.records[0].token_times[0]);
+    let gap = out.records[1]
+        .first_token
+        .saturating_since(out.records[0].first_token);
     assert!(gap.as_millis_f64() > 50.0, "expected separate prefills");
 }
 
@@ -143,11 +145,18 @@ fn warm_requests_under_pressure_queue_like_cold_ones() {
     let out = run_simulation(&Trace::from_requests(requests), &config);
     let a = &out.records[0];
     let b = &out.records[1];
-    assert!(
-        b.token_times[0] >= a.completion,
-        "B must wait for A's memory"
-    );
+    assert!(b.first_token >= a.completion, "B must wait for A's memory");
     assert!(b.blocked.as_secs_f64() > 1.0);
+}
+
+#[test]
+#[should_panic(expected = "shard 0 instance 1 drained holding KV blocks: 0 GPU, 3 CPU")]
+fn drain_audit_catches_leaked_kv_blocks() {
+    let trace = Trace::from_requests(vec![]);
+    let config = oracle(SchedPolicy::Fcfs);
+    let mut shard = Shard::new(&trace, &config, 0, 2, TelemetryHandle::off());
+    shard.instances[1].inst.cpu.alloc(3);
+    cluster::assert_drained(&[shard]);
 }
 
 #[test]

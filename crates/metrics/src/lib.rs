@@ -8,7 +8,8 @@
 //!   methods on the record (Fig. 1(b), Fig. 13(c));
 //! * [`qoe_of_stream`] / [`answering_qoe`] — the Andes-style
 //!   Quality-of-Experience score (Fig. 3), in both the characterization
-//!   (TTFAT-target) and evaluation (TPOT-only) variants;
+//!   (TTFAT-target) and evaluation (TPOT-only) variants, computed exactly
+//!   on a [`StallCurve`] that keeps only the tokens the reader waited for;
 //! * [`slo_violation_rate`] (QoE < 0.95, Fig. 11),
 //!   [`throughput_tokens_per_s`] (Fig. 12), [`LatencySummary`]
 //!   (Fig. 15(c)) and [`PhaseBreakdown`] (Fig. 4 / Fig. 5);
@@ -58,7 +59,7 @@ pub use counters::{
     AdmissionCounters, AdmissionRecord, FleetOutcomes, MigrationOutcomes, RegionStats, ShardStats,
 };
 pub use histogram::Histogram;
-pub use qoe::{answering_qoe, qoe_of_stream, QoeParams};
+pub use qoe::{answering_qoe, qoe_of_stream, QoeParams, StallCurve};
 pub use record::{MigrationRecord, RequestRecord};
 pub use summary::{
     breakdown_by, cdf_points, goodput_requests_per_s, slo_violation_rate, throughput_tokens_per_s,

@@ -62,6 +62,190 @@ impl QoeParams {
     }
 }
 
+/// The answering stream of one request, kept as exactly what its QoE reads.
+///
+/// The reader consumes one token per `tpot` except where its buffer ran
+/// dry, so the stream is stored as its first token plus one
+/// `(index, generation time)` entry for each token that arrived after the
+/// buffer ran dry: `g_i > d_{i-1} + tpot`, with digest times taken against
+/// the stream's own pace (`d_0 = g_0`). For any expected start `E`, the
+/// digest time of token `i` is then
+/// `d_i = max(E + i·tpot, g_b + (i − b)·tpot)`, where `b` is the last entry
+/// at or before `i` (the first token being entry 0). That is the per-token
+/// recurrence of [`qoe_of_stream`] solved in closed form, exact in integer
+/// nanoseconds (saturating at [`SimTime::MAX`] like the recurrence does).
+///
+/// A stream generated at or ahead of pace holds no entry; one generated
+/// slower than `tpot` throughout holds one entry per token.
+///
+/// # Examples
+///
+/// ```
+/// use pascal_metrics::StallCurve;
+/// use pascal_sim::{SimDuration, SimTime};
+///
+/// let at = |ms| SimTime::ZERO + SimDuration::from_millis(ms);
+/// let mut curve = StallCurve::new(SimDuration::from_millis(100));
+/// for ms in [0, 50, 100, 2_000, 2_050] {
+///     curve.push(at(ms));
+/// }
+/// // Only the token at 2 s found the reader's buffer empty.
+/// assert_eq!(curve.stalls(), &[(3, at(2_000))]);
+/// assert!(curve.qoe(SimTime::ZERO) < 1.0);
+/// ```
+#[derive(Clone, Debug, PartialEq)]
+#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+pub struct StallCurve {
+    tpot: SimDuration,
+    len: u32,
+    first: SimTime,
+    last: SimTime,
+    /// Digest time of the last token against the stream's own pace.
+    digest: SimTime,
+    stalls: Vec<(u32, SimTime)>,
+}
+
+impl StallCurve {
+    /// An empty stream read at one token per `tpot`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tpot` is zero.
+    #[must_use]
+    pub fn new(tpot: SimDuration) -> Self {
+        assert!(tpot > SimDuration::ZERO, "tpot must be positive");
+        StallCurve {
+            tpot,
+            len: 0,
+            first: SimTime::ZERO,
+            last: SimTime::ZERO,
+            digest: SimTime::ZERO,
+            stalls: Vec::new(),
+        }
+    }
+
+    /// The curve of a stream generated at `gen_times`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `gen_times` is not sorted or `tpot` is zero.
+    #[must_use]
+    pub fn from_stream(gen_times: &[SimTime], tpot: SimDuration) -> Self {
+        let mut curve = StallCurve::new(tpot);
+        for &g in gen_times {
+            curve.push(g);
+        }
+        curve
+    }
+
+    /// Appends a token generated at `at`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` precedes the previous token (release builds too).
+    pub fn push(&mut self, at: SimTime) {
+        if self.len == 0 {
+            self.first = at;
+            self.digest = at;
+        } else {
+            assert!(at >= self.last, "token times must be non-decreasing");
+            let ready = self.digest + self.tpot;
+            if at > ready {
+                self.stalls.push((self.len, at));
+                self.digest = at;
+            } else {
+                self.digest = ready;
+            }
+        }
+        self.last = at;
+        self.len += 1;
+    }
+
+    /// Tokens in the stream.
+    #[must_use]
+    pub fn len(&self) -> u32 {
+        self.len
+    }
+
+    /// Whether the stream has no token.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The reading pace the curve was recorded at.
+    #[must_use]
+    pub fn tpot(&self) -> SimDuration {
+        self.tpot
+    }
+
+    /// Generation time of the first token.
+    #[must_use]
+    pub fn first(&self) -> Option<SimTime> {
+        (self.len > 0).then_some(self.first)
+    }
+
+    /// Generation time of the last token.
+    #[must_use]
+    pub fn last(&self) -> Option<SimTime> {
+        (self.len > 0).then_some(self.last)
+    }
+
+    /// The `(index, generation time)` of every token that found the
+    /// reader's buffer empty, in index order. Never includes index 0.
+    #[must_use]
+    pub fn stalls(&self) -> &[(u32, SimTime)] {
+        &self.stalls
+    }
+
+    /// Digest time of every token, in index order, against an expected
+    /// schedule starting at `expected_start`.
+    fn digest_times(&self, expected_start: SimTime) -> impl Iterator<Item = SimTime> + '_ {
+        let mut stalls = self.stalls.iter().peekable();
+        let mut pace = self.first;
+        (0..self.len).map(move |i| {
+            if let Some(&(_, g)) = stalls.next_if(|(b, _)| *b == i) {
+                pace = g;
+            } else if i > 0 {
+                pace += self.tpot;
+            }
+            pace.max(expected_start + self.tpot * u64::from(i))
+        })
+    }
+
+    /// QoE of the stream against an expected schedule starting at
+    /// `expected_start` with one token per [`tpot`](StallCurve::tpot): the
+    /// ratio of the areas under the digested and expected cumulative step
+    /// curves up to the horizon `max(d_n, e_n)` (Fig. 3). 1.0 for an empty
+    /// stream.
+    #[must_use]
+    pub fn qoe(&self, expected_start: SimTime) -> f64 {
+        if self.len == 0 {
+            return 1.0;
+        }
+        let last_expected = expected_start + self.tpot * u64::from(self.len - 1);
+        let horizon = self.digest.max(last_expected);
+        // Area under a cumulative step curve = Σ (horizon − step time). Both
+        // sums run token by token in index order: a closed-form area would
+        // round differently in the last bits.
+        let digested_area: f64 = self
+            .digest_times(expected_start)
+            .map(|d| horizon.saturating_since(d).as_secs_f64())
+            .sum();
+        let expected_area: f64 = (0..self.len)
+            .map(|i| {
+                let e = expected_start + self.tpot * u64::from(i);
+                horizon.saturating_since(e).as_secs_f64()
+            })
+            .sum();
+        if expected_area <= 0.0 {
+            // Degenerate single-token case where digestion was exactly on time.
+            return 1.0;
+        }
+        (digested_area / expected_area).clamp(0.0, 1.0)
+    }
+}
+
 /// QoE of a token stream generated at `gen_times`, against an expected
 /// schedule starting at `expected_start` with one token per `tpot`.
 ///
@@ -70,7 +254,8 @@ impl QoeParams {
 /// Token `i` is digested at `d_i = max(g_i, d_{i-1} + tpot)` with
 /// `d_0 = max(g_0, expected_start)`; it was expected at
 /// `e_i = expected_start + i·tpot`. QoE is the ratio of areas under the two
-/// cumulative step curves up to the horizon `max(d_n, e_n)`.
+/// cumulative step curves up to the horizon `max(d_n, e_n)`, computed on
+/// the stream's [`StallCurve`].
 ///
 /// Returns 1.0 for an empty stream (nothing to starve on).
 ///
@@ -79,67 +264,33 @@ impl QoeParams {
 /// Panics if `gen_times` is not sorted or `tpot` is zero.
 #[must_use]
 pub fn qoe_of_stream(gen_times: &[SimTime], expected_start: SimTime, tpot: SimDuration) -> f64 {
-    assert!(tpot > SimDuration::ZERO, "tpot must be positive");
-    assert!(
-        gen_times.windows(2).all(|w| w[0] <= w[1]),
-        "token times must be sorted"
-    );
-    let n = gen_times.len();
-    if n == 0 {
-        return 1.0;
-    }
-
-    let mut digest_times = Vec::with_capacity(n);
-    let mut prev: Option<SimTime> = None;
-    for (i, &g) in gen_times.iter().enumerate() {
-        let pace_ready = match prev {
-            None => expected_start,
-            Some(p) => p + tpot,
-        };
-        let d = if g > pace_ready { g } else { pace_ready };
-        digest_times.push(d);
-        prev = Some(d);
-        let _ = i;
-    }
-
-    let last_expected = expected_start + tpot * (n as u64 - 1);
-    let last_digested = *digest_times.last().expect("n > 0");
-    let horizon = last_digested.max(last_expected);
-
-    // Area under a cumulative step curve = Σ (horizon - step_time).
-    let digested_area: f64 = digest_times
-        .iter()
-        .map(|d| horizon.saturating_since(*d).as_secs_f64())
-        .sum();
-    let expected_area: f64 = (0..n)
-        .map(|i| {
-            let e = expected_start + tpot * i as u64;
-            horizon.saturating_since(e).as_secs_f64()
-        })
-        .sum();
-
-    if expected_area <= 0.0 {
-        // Degenerate single-token case where digestion was exactly on time.
-        return 1.0;
-    }
-    (digested_area / expected_area).clamp(0.0, 1.0)
+    StallCurve::from_stream(gen_times, tpot).qoe(expected_start)
 }
 
 /// QoE of a request's answering phase under `params`.
 ///
 /// Returns `None` for requests with no answering tokens (e.g. the Fig. 4
 /// characterization workload) — they have no user-visible stream to score.
+///
+/// # Panics
+///
+/// Panics if `params.target_tpot` differs from the TPOT the record's
+/// answer stream was recorded at: its stall entries hold only at that pace.
 #[must_use]
 pub fn answering_qoe(record: &RequestRecord, params: &QoeParams) -> Option<f64> {
-    let answers = record.answer_token_times();
-    if answers.is_empty() {
-        return None;
-    }
+    let answers = &record.answers;
+    let first = answers.first()?;
+    assert_eq!(
+        params.target_tpot,
+        answers.tpot(),
+        "{}: QoE read at a TPOT other than the answer stream's",
+        record.spec.id
+    );
     let expected_start = match params.target_ttfat {
         Some(ttfat) => record.phase_transition_time()? + ttfat,
-        None => answers[0],
+        None => first,
     };
-    Some(qoe_of_stream(answers, expected_start, params.target_tpot))
+    Some(answers.qoe(expected_start))
 }
 
 #[cfg(test)]
@@ -153,6 +304,103 @@ mod tests {
 
     fn stream(start: f64, gap: f64, n: usize) -> Vec<SimTime> {
         (0..n).map(|i| secs(start + gap * i as f64)).collect()
+    }
+
+    /// The per-token definition the stall curve replaced: every digest
+    /// time materialized, then both areas summed in index order. The
+    /// curve must reproduce it to the last bit.
+    fn qoe_per_token(gen_times: &[SimTime], expected_start: SimTime, tpot: SimDuration) -> f64 {
+        assert!(tpot > SimDuration::ZERO, "tpot must be positive");
+        assert!(
+            gen_times.windows(2).all(|w| w[0] <= w[1]),
+            "token times must be sorted"
+        );
+        let n = gen_times.len();
+        if n == 0 {
+            return 1.0;
+        }
+
+        let mut digest_times = Vec::with_capacity(n);
+        let mut prev: Option<SimTime> = None;
+        for &g in gen_times {
+            let pace_ready = match prev {
+                None => expected_start,
+                Some(p) => p + tpot,
+            };
+            let d = if g > pace_ready { g } else { pace_ready };
+            digest_times.push(d);
+            prev = Some(d);
+        }
+
+        let last_expected = expected_start + tpot * (n as u64 - 1);
+        let last_digested = *digest_times.last().expect("n > 0");
+        let horizon = last_digested.max(last_expected);
+
+        let digested_area: f64 = digest_times
+            .iter()
+            .map(|d| horizon.saturating_since(*d).as_secs_f64())
+            .sum();
+        let expected_area: f64 = (0..n)
+            .map(|i| {
+                let e = expected_start + tpot * i as u64;
+                horizon.saturating_since(e).as_secs_f64()
+            })
+            .sum();
+
+        if expected_area <= 0.0 {
+            return 1.0;
+        }
+        (digested_area / expected_area).clamp(0.0, 1.0)
+    }
+
+    #[test]
+    fn curve_holds_one_entry_per_stall() {
+        let tpot = SimDuration::from_millis(100);
+        // On pace, and bursts the pacer buffers: no entry at all.
+        assert!(StallCurve::from_stream(&stream(0.0, 0.1, 50), tpot)
+            .stalls()
+            .is_empty());
+        assert!(StallCurve::from_stream(&stream(0.0, 0.01, 50), tpot)
+            .stalls()
+            .is_empty());
+        // k bursts of 10 tokens, each starting long after the reader
+        // finished the previous one: exactly k entries, at the bursts.
+        for k in 0..6u32 {
+            let mut tokens = stream(0.0, 0.01, 10);
+            for b in 1..=k {
+                tokens.extend(stream(5.0 * f64::from(b), 0.01, 10));
+            }
+            let curve = StallCurve::from_stream(&tokens, tpot);
+            let at: Vec<u32> = curve.stalls().iter().map(|&(i, _)| i).collect();
+            assert_eq!(at, (1..=k).map(|b| 10 * b).collect::<Vec<_>>());
+            assert_eq!(curve.len(), 10 * (k + 1));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "token times must be non-decreasing")]
+    fn curve_rejects_out_of_order_tokens() {
+        let mut curve = StallCurve::new(SimDuration::from_millis(100));
+        curve.push(secs(2.0));
+        curve.push(secs(1.0));
+    }
+
+    #[test]
+    fn curve_saturates_like_the_recurrence() {
+        // A stream that reaches the end of time must still score exactly
+        // as the per-token recurrence does.
+        let tpot = SimDuration::from_millis(100);
+        let tokens = [
+            SimTime::from_nanos(u64::MAX - 150_000_000),
+            SimTime::MAX,
+            SimTime::MAX,
+        ];
+        for start in [tokens[0], SimTime::MAX] {
+            assert_eq!(
+                qoe_of_stream(&tokens, start, tpot).to_bits(),
+                qoe_per_token(&tokens, start, tpot).to_bits()
+            );
+        }
     }
 
     #[test]
@@ -220,19 +468,12 @@ mod tests {
         // Transition at t=1.0; first answer only at t=2.0 (late by 0.75 s
         // against the 0.25 s TTFAT target), then on pace.
         let spec = RequestSpec::new(RequestId(0), secs(0.0), 128, 1, 10);
-        let mut token_times = vec![secs(1.0)];
-        token_times.extend(stream(2.0, 0.1, 10));
-        let record = crate::record::RequestRecord {
-            spec,
-            token_times,
-            completion: secs(2.9),
+        let mut times = vec![secs(1.0)];
+        times.extend(stream(2.0, 0.1, 10));
+        let record = RequestRecord {
             executed: SimDuration::from_secs_f64(2.9),
-            blocked: SimDuration::ZERO,
-            preempted: SimDuration::ZERO,
-            num_preemptions: 0,
             answer_resume_time: Some(secs(2.0)),
-            migration: None,
-            instances_visited: vec![0],
+            ..RequestRecord::fixture(spec, &times)
         };
         let eval = answering_qoe(&record, &QoeParams::paper_eval()).unwrap();
         let charac = answering_qoe(&record, &QoeParams::characterization()).unwrap();
@@ -241,6 +482,44 @@ mod tests {
             "TPOT-only mode ignores TTFAT: {eval}"
         );
         assert!(charac < 0.9, "characterization mode charges it: {charac}");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// The stall curve reproduces the per-token QoE bit for bit: gaps
+        /// of zero, around the pace and multi-second stalls; expected
+        /// starts before, at and after the first token; TPOTs 1 ms–1 s.
+        #[test]
+        fn prop_curve_matches_per_token_reference(
+            steps in proptest::collection::vec((0u32..4, any::<u64>()), 1..300),
+            (tpot_ns, (start_kind, start_off)) in (1_000_000u64..1_000_000_001, (0u32..3, any::<u64>())),
+        ) {
+            let tpot = SimDuration::from_nanos(tpot_ns);
+            let mut t = SimTime::ZERO + SimDuration::from_secs_f64(10.0);
+            let mut tokens = Vec::with_capacity(steps.len());
+            for (i, &(kind, r)) in steps.iter().enumerate() {
+                let gap = match kind {
+                    0 => 0,
+                    1 => r % (2 * tpot_ns),
+                    2 => 1_000_000_000 + r % 9_000_000_000,
+                    _ => tpot_ns,
+                };
+                if i > 0 {
+                    t += SimDuration::from_nanos(gap);
+                }
+                tokens.push(t);
+            }
+            let off = SimDuration::from_nanos(start_off % 5_000_000_000);
+            let start = match start_kind {
+                0 => SimTime::from_nanos(tokens[0].as_nanos() - off.as_nanos()),
+                1 => tokens[0],
+                _ => tokens[0] + off,
+            };
+            let curve = qoe_of_stream(&tokens, start, tpot);
+            let reference = qoe_per_token(&tokens, start, tpot);
+            prop_assert_eq!(curve.to_bits(), reference.to_bits());
+        }
     }
 
     proptest! {

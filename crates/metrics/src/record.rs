@@ -1,13 +1,16 @@
 //! Per-request measurement records.
 //!
 //! The serving engine emits one [`RequestRecord`] per completed request,
-//! holding every timestamp the paper's metrics need: token generation times,
-//! the phase boundary, wait-time decomposition (executed / blocked /
+//! holding every timestamp the paper's metrics need: the first-token and
+//! phase-boundary instants, the answering stream as a [`StallCurve`], the
+//! wait-time decomposition (executed / blocked /
 //! preempted, as in Fig. 4/5), migration details (§V-C) and the
 //! post-transition scheduling gap ("blocking latency", Fig. 13(c)).
 
 use pascal_sim::{SimDuration, SimTime};
 use pascal_workload::RequestSpec;
+
+use crate::qoe::StallCurve;
 
 /// One KV-cache migration performed at a phase boundary (§IV-B).
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -59,9 +62,17 @@ impl MigrationRecord {
 pub struct RequestRecord {
     /// The request as specified in the trace.
     pub spec: RequestSpec,
-    /// Generation time of every output token, reasoning tokens first.
-    /// `token_times[spec.reasoning_tokens - 1]` is the phase-boundary token.
-    pub token_times: Vec<SimTime>,
+    /// Output tokens the engine generated (reasoning + answering).
+    pub tokens_generated: u32,
+    /// Generation time of the first output token.
+    pub first_token: SimTime,
+    /// Generation time of the phase-boundary token, the last reasoning
+    /// token; `None` for requests without reasoning tokens (warm ones
+    /// included).
+    pub phase_boundary: Option<SimTime>,
+    /// Generation times of the answering tokens, kept as the stall curve
+    /// the QoE reads (at the engine's target TPOT).
+    pub answers: StallCurve,
     /// When the request finished (last token generated, KV freed).
     pub completion: SimTime,
     /// Time spent inside running iterations (prefill or decode).
@@ -83,62 +94,77 @@ pub struct RequestRecord {
 }
 
 impl RequestRecord {
-    /// Validates internal consistency (token counts and ordering).
+    /// Validates internal consistency: token counts, and arrival ≤ first
+    /// token ≤ phase boundary ≤ first answer ≤ last token ≤ completion
+    /// (the answer stream orders itself as it is recorded).
     ///
     /// # Panics
     ///
-    /// Panics if the record is malformed; used by the engine's debug
-    /// assertions and the integration tests.
+    /// Panics if the record is malformed; called on every completion, in
+    /// release builds too, and by the integration tests.
     pub fn assert_consistent(&self) {
+        let id = self.spec.id;
         assert_eq!(
-            self.token_times.len(),
-            self.spec.output_tokens() as usize,
-            "{}: token count mismatch",
-            self.spec.id
+            self.tokens_generated,
+            self.spec.output_tokens(),
+            "{id}: token count mismatch"
+        );
+        assert_eq!(
+            self.answers.len(),
+            self.spec.answering_tokens,
+            "{id}: answering token count mismatch"
+        );
+        assert_eq!(
+            self.phase_boundary.is_some(),
+            self.spec.reasoning_tokens > 0,
+            "{id}: phase boundary mismatch"
         );
         assert!(
-            self.token_times.windows(2).all(|w| w[0] <= w[1]),
-            "{}: token times must be non-decreasing",
-            self.spec.id
+            self.first_token >= self.spec.arrival,
+            "{id}: token generated before arrival"
         );
-        if let Some(last) = self.token_times.last() {
-            assert!(
-                *last <= self.completion,
-                "{}: completion precedes last token",
-                self.spec.id
-            );
-        }
         assert!(
-            self.token_times
-                .first()
-                .is_none_or(|t| *t >= self.spec.arrival),
-            "{}: token generated before arrival",
-            self.spec.id
+            [
+                Some(self.first_token),
+                self.phase_boundary,
+                self.answers.first()
+            ]
+            .into_iter()
+            .flatten()
+            .is_sorted(),
+            "{id}: token times must be non-decreasing"
         );
+        assert!(
+            self.last_token_time() <= self.completion,
+            "{id}: completion precedes last token"
+        );
+    }
+
+    /// Generation time of the last output token: the last answering token,
+    /// or the phase-boundary token of a request without answers.
+    #[must_use]
+    pub fn last_token_time(&self) -> SimTime {
+        self.answers
+            .last()
+            .or(self.phase_boundary)
+            .unwrap_or(self.first_token)
     }
 
     /// When the request left the reasoning phase: the generation time of the
     /// boundary token for cold requests, or arrival for warm ones. `None`
-    /// while malformed (no tokens at all).
+    /// while malformed (no boundary token recorded).
     #[must_use]
     pub fn phase_transition_time(&self) -> Option<SimTime> {
         if self.spec.warm_start || self.spec.reasoning_tokens == 0 {
             return Some(self.spec.arrival);
         }
-        self.token_times
-            .get(self.spec.reasoning_tokens as usize - 1)
-            .copied()
+        self.phase_boundary
     }
 
     /// Generation time of the first user-visible (answering) token.
     #[must_use]
     pub fn first_answer_time(&self) -> Option<SimTime> {
-        if self.spec.answering_tokens == 0 {
-            return None;
-        }
-        self.token_times
-            .get(self.spec.reasoning_tokens as usize)
-            .copied()
+        self.answers.first()
     }
 
     /// Time-To-First-Token as the paper defines it for reasoning LLMs
@@ -197,18 +223,41 @@ impl RequestRecord {
         self.completion.saturating_since(self.spec.arrival)
     }
 
-    /// Generation times of the answering tokens only.
-    #[must_use]
-    pub fn answer_token_times(&self) -> &[SimTime] {
-        &self.token_times[self.spec.reasoning_tokens as usize..]
-    }
-
     /// Total time the record accounts for (executed + blocked + preempted);
     /// should equal end-to-end latency up to the engine's bookkeeping
     /// granularity.
     #[must_use]
     pub fn accounted_time(&self) -> SimDuration {
         self.executed + self.blocked + self.preempted
+    }
+}
+
+#[cfg(test)]
+impl RequestRecord {
+    /// A fixture record whose output tokens were generated at
+    /// `times` (reasoning tokens first), read at a 100 ms TPOT and
+    /// completing with its last token; no waits, migration or preemption.
+    pub(crate) fn fixture(spec: RequestSpec, times: &[SimTime]) -> Self {
+        let reasoning = spec.reasoning_tokens as usize;
+        let answers = StallCurve::from_stream(
+            times.get(reasoning..).unwrap_or_default(),
+            SimDuration::from_millis(100),
+        );
+        RequestRecord {
+            tokens_generated: times.len() as u32,
+            first_token: times[0],
+            phase_boundary: reasoning.checked_sub(1).map(|b| times[b]),
+            answers,
+            completion: *times.last().expect("a fixture needs tokens"),
+            executed: SimDuration::ZERO,
+            blocked: SimDuration::ZERO,
+            preempted: SimDuration::ZERO,
+            num_preemptions: 0,
+            answer_resume_time: None,
+            migration: None,
+            instances_visited: vec![0],
+            spec,
+        }
     }
 }
 
@@ -224,17 +273,14 @@ mod tests {
     /// A hand-built record: 128 prompt, 3 reasoning, 2 answering tokens.
     fn sample() -> RequestRecord {
         let spec = RequestSpec::new(RequestId(0), secs(1.0), 128, 3, 2);
+        let times = [secs(2.0), secs(2.1), secs(2.2), secs(3.0), secs(3.1)];
         RequestRecord {
-            spec,
-            token_times: vec![secs(2.0), secs(2.1), secs(2.2), secs(3.0), secs(3.1)],
-            completion: secs(3.1),
             executed: SimDuration::from_secs_f64(1.0),
             blocked: SimDuration::from_secs_f64(0.8),
             preempted: SimDuration::from_secs_f64(0.3),
             num_preemptions: 1,
             answer_resume_time: Some(secs(2.9)),
-            migration: None,
-            instances_visited: vec![0],
+            ..RequestRecord::fixture(spec, &times)
         }
     }
 
@@ -256,16 +302,8 @@ mod tests {
     fn reasoning_only_request_has_no_answer_metrics() {
         let spec = RequestSpec::new(RequestId(1), secs(0.0), 128, 2, 0);
         let r = RequestRecord {
-            spec,
-            token_times: vec![secs(1.0), secs(2.0)],
-            completion: secs(2.0),
             executed: SimDuration::from_secs_f64(2.0),
-            blocked: SimDuration::ZERO,
-            preempted: SimDuration::ZERO,
-            num_preemptions: 0,
-            answer_resume_time: None,
-            migration: None,
-            instances_visited: vec![0],
+            ..RequestRecord::fixture(spec, &[secs(1.0), secs(2.0)])
         };
         r.assert_consistent();
         assert_eq!(r.ttft(), None);
@@ -277,16 +315,11 @@ mod tests {
     fn warm_request_transitions_at_arrival() {
         let spec = RequestSpec::warm(RequestId(2), secs(5.0), 128, 2);
         let r = RequestRecord {
-            spec,
-            token_times: vec![secs(6.0), secs(6.1)],
-            completion: secs(6.1),
             executed: SimDuration::from_secs_f64(0.2),
             blocked: SimDuration::from_secs_f64(0.9),
-            preempted: SimDuration::ZERO,
-            num_preemptions: 0,
             answer_resume_time: Some(secs(5.9)),
-            migration: None,
             instances_visited: vec![3],
+            ..RequestRecord::fixture(spec, &[secs(6.0), secs(6.1)])
         };
         r.assert_consistent();
         assert_eq!(r.phase_transition_time(), Some(secs(5.0)));
@@ -329,7 +362,15 @@ mod tests {
     #[should_panic(expected = "token count mismatch")]
     fn consistency_checks_token_count() {
         let mut r = sample();
-        r.token_times.pop();
+        r.tokens_generated -= 1;
+        r.assert_consistent();
+    }
+
+    #[test]
+    #[should_panic(expected = "token times must be non-decreasing")]
+    fn consistency_checks_boundary_precedes_answers() {
+        let mut r = sample();
+        r.phase_boundary = Some(secs(3.05));
         r.assert_consistent();
     }
 

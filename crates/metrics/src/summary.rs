@@ -188,27 +188,22 @@ mod tests {
     /// A request that streams its answers with a controllable stall.
     fn record_with_stall(id: u64, stall_s: f64) -> RequestRecord {
         let spec = RequestSpec::new(RequestId(id), secs(0.0), 128, 1, 20);
-        let mut token_times = vec![secs(1.0)];
+        let mut times = vec![secs(1.0)];
         let mut t = 1.1;
         for i in 0..20 {
             if i == 10 {
                 t += stall_s;
             }
-            token_times.push(secs(t));
+            times.push(secs(t));
             t += 0.1;
         }
-        let completion = *token_times.last().unwrap();
         RequestRecord {
-            spec,
-            token_times,
-            completion,
             executed: SimDuration::from_secs_f64(1.0),
             blocked: SimDuration::from_secs_f64(0.5),
             preempted: SimDuration::from_secs_f64(stall_s),
             num_preemptions: u32::from(stall_s > 0.0),
             answer_resume_time: Some(secs(1.1)),
-            migration: None,
-            instances_visited: vec![0],
+            ..RequestRecord::fixture(spec, &times)
         }
     }
 
@@ -336,22 +331,14 @@ mod goodput_tests {
 
     fn on_pace_record(id: u64, arrival: f64) -> RequestRecord {
         let spec = RequestSpec::new(RequestId(id), secs(arrival), 64, 1, 10);
-        let mut token_times = vec![secs(arrival + 1.0)];
+        let mut times = vec![secs(arrival + 1.0)];
         for i in 0..10 {
-            token_times.push(secs(arrival + 1.1 + 0.1 * f64::from(i)));
+            times.push(secs(arrival + 1.1 + 0.1 * f64::from(i)));
         }
-        let completion = *token_times.last().unwrap();
         RequestRecord {
-            spec,
-            token_times,
-            completion,
             executed: SimDuration::from_secs_f64(2.0),
-            blocked: SimDuration::ZERO,
-            preempted: SimDuration::ZERO,
-            num_preemptions: 0,
             answer_resume_time: Some(secs(arrival + 1.1)),
-            migration: None,
-            instances_visited: vec![0],
+            ..RequestRecord::fixture(spec, &times)
         }
     }
 

@@ -81,6 +81,8 @@ pub use anatomy::{
 };
 pub use event::{EscapeTier, TraceEvent, TraceEventKind};
 pub use handle::{TelemetryConfig, TelemetryHandle, TelemetryOut};
-pub use profiler::{HotPathProfiler, ProfileReport, ProfileRow, ProfiledEvent, WorkCounters};
+pub use profiler::{
+    peak_rss_bytes, HotPathProfiler, ProfileReport, ProfileRow, ProfiledEvent, WorkCounters,
+};
 pub use series::{series_to_csv, series_to_json, SeriesRow, SeriesScope};
 pub use sink::{events_to_chrome, events_to_jsonl, TraceFormat};

@@ -145,6 +145,21 @@ impl WorkCounters {
     }
 }
 
+/// Peak resident set size of this process in bytes, read from `VmHWM` in
+/// `/proc/self/status`. Host-dependent like wall time; `None` where `/proc`
+/// is missing.
+#[must_use]
+pub fn peak_rss_bytes() -> Option<u64> {
+    parse_vm_hwm(&std::fs::read_to_string("/proc/self/status").ok()?)
+}
+
+/// The `VmHWM` field of a `/proc/<pid>/status` text, in bytes.
+fn parse_vm_hwm(status: &str) -> Option<u64> {
+    let field = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    let kib: u64 = field.trim().strip_suffix("kB")?.trim().parse().ok()?;
+    Some(kib * 1024)
+}
+
 /// Accumulates wall-clock samples while the event loop runs.
 #[derive(Clone, Debug)]
 pub struct HotPathProfiler {
@@ -286,6 +301,14 @@ impl ProfileReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn vm_hwm_parses_from_proc_status_text() {
+        let status = "Name:\tpascal-cli\nVmPeak:\t  40000 kB\nVmHWM:\t   20480 kB\nVmRSS:\t 1 kB\n";
+        assert_eq!(parse_vm_hwm(status), Some(20480 * 1024));
+        assert_eq!(parse_vm_hwm("Name:\tx\n"), None);
+        assert_eq!(parse_vm_hwm("VmHWM:\t12 MB\n"), None);
+    }
 
     #[test]
     fn report_counts_and_rates_are_consistent() {

@@ -63,7 +63,7 @@ fn main() {
         println!("{label}:");
         for record in &out.records {
             let name = ["A", "B", "C"][record.spec.id.0 as usize];
-            let first = record.token_times[0];
+            let first = record.first_token;
             let steps_to_first = (first.saturating_since(record.spec.arrival)).as_secs_f64() / step;
             let steps_to_done =
                 (record.completion.saturating_since(record.spec.arrival)).as_secs_f64() / step;

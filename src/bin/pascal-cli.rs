@@ -27,7 +27,7 @@ use pascal::metrics::{
 use pascal::predict::PredictorKind;
 use pascal::sched::{PolicyKind, RouterPolicy, SchedPolicy};
 use pascal::sim::SimDuration;
-use pascal::telemetry::{reconstruct, SloAlertPreset, SloAlertSpec, WorkCounters};
+use pascal::telemetry::{peak_rss_bytes, reconstruct, SloAlertPreset, SloAlertSpec, WorkCounters};
 use pascal::workload::{ArrivalProcess, DatasetMix, MixPreset, TraceBuilder};
 
 const USAGE: &str = "\
@@ -123,10 +123,12 @@ OPTIONS (run):
           without the flag.
   --profile                                         print a wall-clock
           hot-path profile of the event loop to stderr (per-event-type
-          counts, timing quantiles, events/sec, ns per generated token)
-          plus exact work counters (member scans, monitor rows and member
-          visits, predictor estimates). Timings are host-dependent; no
-          profile figure is part of any deterministic output.
+          counts, timing quantiles, events/sec, ns per generated token,
+          peak RSS and RSS bytes per arrival where /proc exists) plus
+          exact work counters (member scans, monitor rows and member
+          visits, predictor estimates). Timings and RSS are
+          host-dependent; no profile figure is part of any deterministic
+          output.
 
 All telemetry is off by default, and a run with it off is byte-identical
 to one that never had the flags.
@@ -802,6 +804,13 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
             .and_then(|t| t.profile.as_ref())
             .expect("profiling was enabled");
         eprint!("{}", profile.render());
+        if let Some(bytes) = peak_rss_bytes() {
+            eprintln!(
+                "  memory: peak RSS {:.1} MiB, {} bytes per arrival",
+                bytes as f64 / f64::from(1 << 20),
+                bytes / (trace.requests().len() as u64).max(1)
+            );
+        }
     }
     // Deterministic alert summary (sim-time quantities only, ordered by
     // (time, shard, rule)) — byte-identical across hosts and thread counts.

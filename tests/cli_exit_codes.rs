@@ -2,7 +2,8 @@
 //! exit with status 2 (the conventional usage-error code) and, for
 //! enumerated flags, list the valid values on stderr — so scripts can tell
 //! a typo (2) from a genuine runtime failure (1) from a regression gate
-//! rejection (also 1, with its own FAILED verdict).
+//! rejection (also 1, with its own FAILED verdict). It also pins the
+//! `run --profile` memory field that CI's memory guard parses.
 
 use std::process::{Command, Output, Stdio};
 use std::time::{Duration, Instant};
@@ -313,5 +314,32 @@ fn runtime_failures_exit_one_not_two() {
         Some(1),
         "stderr: {}",
         String::from_utf8_lossy(&out.stderr)
+    );
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn run_profile_reports_peak_rss_per_arrival() {
+    let out = cli(&["run", "--count", "50", "--seed", "3", "--profile"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
+    let field = stderr
+        .lines()
+        .find_map(|l| l.trim().strip_prefix("memory: peak RSS "))
+        .unwrap_or_else(|| panic!("--profile must print peak RSS, got:\n{stderr}"));
+    let (mib, per_arrival) = field
+        .strip_suffix(" bytes per arrival")
+        .and_then(|f| f.split_once(" MiB, "))
+        .unwrap_or_else(|| panic!("malformed memory field: {field}"));
+    let mib: f64 = mib.parse().expect("MiB is a number");
+    let per_arrival: f64 = per_arrival
+        .parse()
+        .expect("bytes per arrival is an integer");
+    assert!(mib > 0.0, "peak RSS {mib} MiB");
+    // Both figures come from one peak: MiB (to 0.1) over the 50 arrivals.
+    let from_mib = mib * f64::from(1 << 20) / 50.0;
+    assert!(
+        (from_mib - per_arrival).abs() <= 0.05 * f64::from(1 << 20) / 50.0 + 1.0,
+        "{mib} MiB over 50 arrivals is not {per_arrival} bytes each"
     );
 }

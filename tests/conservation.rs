@@ -26,7 +26,7 @@ fn all_requests_complete_with_exact_token_counts() {
         for (record, spec) in out.records.iter().zip(trace.requests()) {
             assert_eq!(record.spec, *spec, "{}: spec mismatch", policy.name());
             record.assert_consistent();
-            total_tokens += record.token_times.len() as u64;
+            total_tokens += u64::from(record.tokens_generated);
         }
         assert_eq!(
             total_tokens,
@@ -69,9 +69,16 @@ fn token_streams_are_monotone_and_within_lifetime() {
     for policy in main_policies() {
         let out = run_cluster(&trace, policy);
         for r in &out.records {
-            assert!(r.token_times.windows(2).all(|w| w[0] <= w[1]));
-            assert!(r.token_times[0] >= r.spec.arrival);
-            assert!(*r.token_times.last().expect("tokens") <= r.completion);
+            // Every output token was generated, in order, between arrival
+            // and completion: arrival ≤ first token ≤ phase boundary ≤
+            // first answer ≤ last token == completion.
+            assert!(r.first_token >= r.spec.arrival);
+            let boundary = r.phase_boundary.expect("gpqa requests reason");
+            assert!(r.first_token <= boundary);
+            let first_answer = r.first_answer_time().expect("gpqa requests answer");
+            assert!(boundary <= first_answer);
+            assert!(first_answer <= r.last_token_time());
+            assert_eq!(r.last_token_time(), r.completion);
         }
     }
 }

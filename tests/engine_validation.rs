@@ -77,7 +77,8 @@ fn warm_request_skips_prefill_compute() {
     let config = SimConfig::characterization(SchedPolicy::Fcfs, KvCapacityMode::Unlimited);
     let out = run_simulation(&warm, &config);
     let r = &out.records[0];
-    assert_eq!(r.token_times.len(), 50);
+    assert_eq!(r.tokens_generated, 50);
+    assert_eq!(r.answers.len(), 50);
     // All 50 tokens decode; no prefill pass. Per-token ~30-40 ms.
     let per_token = r.e2e_latency().as_secs_f64() / 50.0;
     assert!((0.02..0.06).contains(&per_token), "per-token {per_token}s");
