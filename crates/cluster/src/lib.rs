@@ -9,7 +9,8 @@
 //!   the 100 Gbps inter-node migration fabric with ingress/egress contention
 //!   (§V-C);
 //! * [`TokenPacer`] — the §II-C pacer whose starvation state defines `t_i`
-//!   in Algorithms 1 and 2;
+//!   in Algorithms 1 and 2 (the engine reads the same deadline off each
+//!   request's answer-stream curve);
 //! * [`RequestState`] / [`KvLocation`] — per-request runtime state with the
 //!   executed / blocked / preempted wall-time decomposition of Fig. 4/5;
 //! * [`Instance`] / [`InstanceStats`] — the unit of execution and the

@@ -241,5 +241,33 @@ mod tests {
             };
             prop_assert_eq!(pacer.is_on_pace(at), expected);
         }
+
+        /// The engine keeps no pacer: it reads each answering stream's
+        /// deadline off the stream's stall curve. Both must agree on every
+        /// stream — on pace, stalled, and started so close to the end of
+        /// time that the deadline lies past `SimTime::MAX`.
+        #[test]
+        fn prop_curve_deadline_matches_the_pacer(
+            gaps in proptest::collection::vec(0u64..400_000_000, 0..60),
+            tpot_ms in 1u64..1_000,
+            near_end in any::<bool>(),
+            offset in 0u64..20_000_000_000,
+        ) {
+            let tpot = SimDuration::from_millis(tpot_ms);
+            let mut pacer = TokenPacer::new(tpot);
+            let mut curve = pascal_metrics::StallCurve::new(tpot);
+            prop_assert_eq!(curve.on_pace_until(), pacer.on_pace_until());
+            let mut t = if near_end {
+                SimTime::from_nanos(u64::MAX - offset)
+            } else {
+                SimTime::from_nanos(offset)
+            };
+            for gap in gaps {
+                t += SimDuration::from_nanos(gap);
+                pacer.on_token(t);
+                curve.push(t);
+                prop_assert_eq!(curve.on_pace_until(), pacer.on_pace_until());
+            }
+        }
     }
 }

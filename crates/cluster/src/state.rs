@@ -10,8 +10,6 @@ use pascal_metrics::{MigrationRecord, RequestRecord, StallCurve};
 use pascal_sim::{SimDuration, SimTime};
 use pascal_workload::{Phase, RequestSpec};
 
-use crate::pacer::TokenPacer;
-
 /// Where a request's KV cache currently lives.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum KvLocation {
@@ -34,7 +32,7 @@ pub enum KvLocation {
 /// Fields are public because the engine (in `pascal-core`) drives every
 /// transition; the struct itself only owns the time-accounting invariants,
 /// via [`RequestState::begin_running`] / [`RequestState::end_running`].
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RequestState {
     /// The immutable request description.
     pub spec: RequestSpec,
@@ -57,15 +55,15 @@ pub struct RequestState {
     /// PASCAL's conditional demotion flag (§IV-C): a reasoning request whose
     /// KV exceeded the threshold is treated as low priority.
     pub demoted: bool,
-    /// Token pacer for the answering stream (drives `t_i`).
-    pub pacer: TokenPacer,
     /// Owning instance index.
     pub instance: u32,
     /// Generation time of the first output token.
     pub first_token: Option<SimTime>,
     /// Generation time of the phase-boundary (last reasoning) token.
     pub phase_boundary: Option<SimTime>,
-    /// The answering tokens' generation times as the QoE's stall curve.
+    /// The answering tokens' generation times as the QoE's stall curve,
+    /// which also answers the token pacer's question (drives `t_i`): see
+    /// [`StallCurve::on_pace_until`].
     pub answers: StallCurve,
     /// Accumulated in-iteration time.
     pub executed: SimDuration,
@@ -110,7 +108,6 @@ impl RequestState {
             quanta_used: 0,
             tokens_in_quantum: 0,
             demoted: false,
-            pacer: TokenPacer::new(target_tpot),
             instance,
             first_token: None,
             phase_boundary: None,
@@ -159,6 +156,31 @@ impl RequestState {
             std::cmp::Ordering::Equal => self.phase_boundary = Some(now),
             std::cmp::Ordering::Greater => self.answers.push(now),
         }
+    }
+
+    /// Applies `k` decode iterations the request ran back to back inside
+    /// one batch, the last ending at `last`, none of which reached an edge
+    /// of its lifecycle (first token, phase boundary, first answering
+    /// token, quantum end, completion) or stalled its reader: the closed
+    /// form of `k` rounds of [`end_running`](RequestState::end_running),
+    /// [`record_token`](RequestState::record_token), one quantum token and
+    /// [`begin_running`](RequestState::begin_running). The request stays
+    /// running, its segment restarted at `last`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the request is not running (release builds too).
+    pub fn replay_steady(&mut self, k: u32, last: SimTime) {
+        assert!(self.running, "{} replayed while idle", self.spec.id);
+        // The same test as `record_token`'s: the next token is an
+        // answering one.
+        if self.tokens_generated >= self.spec.reasoning_tokens {
+            self.answers.extend_on_pace(k, last);
+        }
+        self.tokens_generated += k;
+        self.tokens_in_quantum += k;
+        self.executed += last.saturating_since(self.segment_start);
+        self.segment_start = last;
     }
 
     /// Whether every output token has been generated.

@@ -219,13 +219,17 @@ impl<'a> Cluster<'a> {
             .collect()
     }
 
-    /// Routes one event to its handler. Iteration completions are split so
-    /// cross-shard escapes are evaluated after tokens (and phase
+    /// Routes one event to its handler. An iteration end inside a steady
+    /// run replays in closed form ([`Shard::steady_step`]); any other is
+    /// split so cross-shard escapes are evaluated after tokens (and phase
     /// transitions) land but before the instance relaunches — the same
     /// point in the event order where intra-shard migrations launch.
     fn dispatch(&mut self, s: usize, ev: Event, now: SimTime) -> ClusterSignal {
         match ev {
             Event::IterationDone { instance } => {
+                if self.shards[s].steady_step(instance, now) {
+                    return ClusterSignal::Handled;
+                }
                 self.shards[s].finish_iteration(instance, now);
                 let unresolved = self.drain_escapes(s, now);
                 if !unresolved.is_empty() {
@@ -691,6 +695,11 @@ pub(super) fn assert_drained(shards: &[Shard<'_>]) {
                  {} dying",
                 sh.id,
                 rt.dying_blocks
+            );
+            assert!(
+                !rt.steady.is_open(),
+                "shard {} instance {i} drained with a steady run open",
+                sh.id
             );
         }
     }

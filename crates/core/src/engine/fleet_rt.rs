@@ -146,6 +146,9 @@ impl<'a> Shard<'a> {
         if from == to {
             return;
         }
+        // A transition reads the instance's members: it touches any
+        // steady run there.
+        self.catch_up(instance);
         self.health[i] = to;
         self.fleet.transitions += 1;
         let global = Some(self.global_instance(instance));

@@ -12,11 +12,14 @@
 //! filed through the [member mutators](super::members), and the scheduling
 //! pass reads the instance's ordered candidate index and resident set,
 //! assembling its desired/batch sets in the shard's
-//! [`ScheduleScratch`](super::ScheduleScratch) buffers — so a steady-state
-//! iteration costs O(batch) and allocates nothing.
+//! [`ScheduleScratch`](super::ScheduleScratch) buffers — so an iteration
+//! on this full path costs O(batch) and allocates nothing. A decode launch
+//! that may repeat unchanged opens a [steady run](super::steady), whose
+//! next iterations replay in O(1) without coming here.
 
-use pascal_cluster::{KvLocation, ReqHandle};
+use pascal_cluster::{KvLocation, ReqHandle, RequestState};
 use pascal_model::DecodeBatch;
+use pascal_sched::SchedPolicy;
 use pascal_sim::SimTime;
 use pascal_telemetry::TraceEventKind;
 use pascal_workload::Phase;
@@ -132,6 +135,7 @@ impl Shard<'_> {
     /// escapes the transitions queued, so an escaping request cannot be
     /// relaunched underneath its own migration decision.
     pub(super) fn finish_iteration(&mut self, instance: u32, now: SimTime) {
+        self.catch_up(instance);
         let kind = self.instances[instance as usize].current_kind;
         self.instances[instance as usize].inst.compute_busy = false;
 
@@ -219,87 +223,35 @@ impl Shard<'_> {
 
     /// Closes one batch member's iteration and emits its token: running
     /// bookkeeping, quantum accounting, demotions, phase transitions and
-    /// completion — one slab access for all of it, then one re-filing of
-    /// the member (pacer deadline, predicted growth, and — at a quantum
-    /// boundary or demotion — its candidate key and `r_i`/`a_i` counts).
+    /// completion — one slab access for all of it ([`close_token`]), then
+    /// one re-filing of the member (pacer deadline, predicted growth, and —
+    /// at a quantum boundary or demotion — its candidate key and `r_i`/`a_i`
+    /// counts).
     pub(super) fn emit_token(&mut self, handle: ReqHandle, kind: IterationKind, now: SimTime) {
-        let mut crossed_threshold = None;
-        let mut demoted_now = false;
-        let mut key_changed = false;
-        let (id, transitioned, done, first_answer, at_instance) = {
-            let st = &mut self.states[handle];
-            st.end_running(now);
-            if kind == IterationKind::Prefill {
-                st.prefilled = true;
-            }
-            st.record_token(now);
-
-            // Round-robin quantum accounting (§II-C).
-            st.tokens_in_quantum += 1;
-            let quantum = self.policy.quantum();
-            if st.tokens_in_quantum >= quantum {
-                st.quanta_used += 1;
-                st.tokens_in_quantum = 0;
-                key_changed = true; // quanta feed the priority key
-            }
-
-            // PASCAL's conditional demotion (§IV-C).
-            if let Some(threshold) = self.policy.demotion_threshold_tokens() {
-                // `checked_add`: a u32::MAX threshold means "never demote"
-                // (the ablation configs) and must never signal a crossing.
-                if st.phase == Phase::Reasoning
-                    && Some(st.tokens_generated) == threshold.checked_add(1)
-                {
-                    // The request just proved itself oversized mid-flight —
-                    // the early label the predictor cannot get from the
-                    // (survivorship-biased) completion stream.
-                    crossed_threshold = Some(threshold);
-                }
-                if st.phase == Phase::Reasoning && !st.demoted && st.tokens_generated > threshold {
-                    st.demoted = true;
-                    demoted_now = true;
-                }
-            }
-
-            if st.phase == Phase::Answering {
-                st.pacer.on_token(now);
-            }
-
-            let transitioned = st.phase == Phase::Reasoning
-                && st.tokens_generated == st.spec.reasoning_tokens
-                && st.spec.answering_tokens > 0;
-            // The token at index `reasoning_tokens` (this is token number
-            // reasoning_tokens + 1) is the first the user reads — the
-            // instant the paper's TTFT clock stops.
-            let first_answer =
-                st.spec.answering_tokens > 0 && st.tokens_generated == st.spec.reasoning_tokens + 1;
-            (
-                st.spec.id,
-                transitioned,
-                st.is_done(),
-                first_answer,
-                st.instance,
-            )
+        let edges = close_token(&mut self.states[handle], kind, now, &self.policy);
+        let (id, at_instance) = {
+            let st = &self.states[handle];
+            (st.spec.id, st.instance)
         };
         // A demotion or quantum boundary moves the priority key and the
         // instance's `r_i`/`a_i`; any other token only the pacer and the
         // predicted growth.
-        if key_changed || demoted_now {
+        if edges.key_changed || edges.demoted_now {
             self.sync_member(handle);
         } else {
             self.file_token(handle);
         }
-        if demoted_now {
+        if edges.demoted_now {
             let global = self.global_instance(at_instance);
             self.emit_trace(now, Some(global), Some(id), TraceEventKind::Demoted);
         }
 
-        if let (Some(threshold), Some(pred)) = (crossed_threshold, &mut self.predictor) {
+        if let (Some(threshold), Some(pred)) = (edges.crossed_threshold, &mut self.predictor) {
             pred.observe_threshold_crossing(&self.states[handle].spec, threshold);
             self.refresh_estimates();
         }
 
-        if first_answer {
+        if edges.first_answer {
             let global = self.global_instance(at_instance);
             self.emit_trace(
                 now,
@@ -308,11 +260,11 @@ impl Shard<'_> {
                 TraceEventKind::FirstAnswerToken,
             );
         }
-        if done {
+        if edges.done {
             self.complete(handle, now);
             return;
         }
-        if transitioned {
+        if edges.transitioned {
             let global = self.global_instance(at_instance);
             self.emit_trace(now, Some(global), Some(id), TraceEventKind::PhaseTransition);
             self.on_phase_transition(handle, now);
@@ -413,41 +365,15 @@ impl Shard<'_> {
             return;
         }
         let mut scratch = std::mem::take(&mut self.scratch);
-        let i = instance as usize;
         #[cfg(debug_assertions)]
         self.assert_candidate_order(instance);
 
-        // 1. Desired prefix of the candidate index (ordered by priority
-        //    key) under the block budget. Blocks held by dying allocations
-        //    (offloads, outbound migrations) are unavailable; their total
-        //    is maintained incrementally at every transfer launch and
-        //    landing.
-        let budget = self.instances[i]
-            .inst
-            .gpu
-            .capacity_blocks()
-            .map(|c| c.saturating_sub(self.instances[i].dying_blocks));
-        scratch.desired.clear();
-        let mut acc: u64 = 0;
-        let mut desired_residents = 0;
-        for &handle in self.instances[i].cands.values() {
-            if scratch.desired.len() >= self.config.max_batch as usize {
-                break;
-            }
-            let st = &self.states[handle];
-            let need = self
-                .geometry
-                .blocks_for_tokens(st.tokens_needed_next())
-                .max(st.held_gpu_blocks);
-            match budget {
-                Some(b) if acc + need > b => break,
-                _ => {
-                    acc += need;
-                    desired_residents += usize::from(st.kv_location == KvLocation::Gpu);
-                    scratch.desired.push((handle, need));
-                }
-            }
-        }
+        // 1. Desired prefix of the candidate index under the block budget.
+        let (desired_residents, excess) = self.desired_prefix(
+            instance,
+            |st| (st.tokens_needed_next(), st.held_gpu_blocks),
+            &mut scratch.desired,
+        );
 
         // 2. Preempt GPU residents that fell out of the desired set. Every
         //    resident is a candidate and the desired set is a key-order
@@ -457,6 +383,7 @@ impl Shard<'_> {
         //    iterations skip the resident scan. Offloads launch in
         //    ascending request-id order.
         scratch.evictees.clear();
+        let i = instance as usize;
         if self.instances[i].residents.len() > desired_residents {
             let filed_key = |handle: ReqHandle| {
                 self.member_mon[handle.index()]
@@ -610,14 +537,68 @@ impl Shard<'_> {
                 self.stamp_migration_resume(handle, now);
                 self.states[handle].begin_running(now);
             }
+            // The batch is the whole desired set and holds exactly the
+            // blocks it needs: its next iterations may replay in closed
+            // form.
+            let steady = scratch.decode.len() == scratch.desired.len() && !excess;
             let rt = &mut self.instances[instance as usize];
             std::mem::swap(&mut rt.current_batch, &mut scratch.decode);
             rt.current_kind = IterationKind::Decode;
             rt.inst.compute_busy = true;
             self.queue
                 .schedule(now + duration, Event::IterationDone { instance });
+            if steady {
+                self.open_steady_run(instance, now, duration, decode_context);
+            }
         }
         self.scratch = scratch;
+    }
+
+    /// Step 1 of a scheduling pass: the longest prefix of `instance`'s
+    /// candidate index (ordered by priority key) whose block needs fit the
+    /// budget, written into `desired` with each entry's need. Blocks held
+    /// by dying allocations (offloads, outbound migrations) are
+    /// unavailable; their total is maintained incrementally at every
+    /// transfer launch and landing. `view` reads a member's KV tokens
+    /// needed next and blocks held: its stored state in a scheduling pass,
+    /// the tokens a steady run still owes it in the run's debug check.
+    /// Returns how many desired members are GPU-resident and whether any
+    /// holds more blocks than it needs.
+    pub(super) fn desired_prefix(
+        &self,
+        instance: u32,
+        view: impl Fn(&RequestState) -> (u64, u64),
+        desired: &mut Vec<(ReqHandle, u64)>,
+    ) -> (usize, bool) {
+        let rt = &self.instances[instance as usize];
+        let budget = rt
+            .inst
+            .gpu
+            .capacity_blocks()
+            .map(|c| c.saturating_sub(rt.dying_blocks));
+        desired.clear();
+        let mut acc: u64 = 0;
+        let mut residents = 0;
+        let mut excess = false;
+        for &handle in rt.cands.values() {
+            if desired.len() >= self.config.max_batch as usize {
+                break;
+            }
+            let st = &self.states[handle];
+            let (tokens, held) = view(st);
+            let blocks = self.geometry.blocks_for_tokens(tokens);
+            let need = blocks.max(held);
+            match budget {
+                Some(b) if acc + need > b => break,
+                _ => {
+                    acc += need;
+                    residents += usize::from(st.kv_location == KvLocation::Gpu);
+                    excess |= held > blocks;
+                    desired.push((handle, need));
+                }
+            }
+        }
+        (residents, excess)
     }
 
     /// Debug reference for the candidate index: every schedulable member,
@@ -701,4 +682,78 @@ impl Shard<'_> {
         self.queue
             .schedule(finish, Event::OffloadDone { req: handle });
     }
+}
+
+/// What one token did to a batch member besides counting it: the edges of
+/// its lifecycle the full path acts on. A token that reaches none of them
+/// (the default) moves only the member's counts, pacer and predicted
+/// growth — the only kind a steady run replays.
+#[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
+pub(super) struct TokenEdges {
+    /// A quantum ended: the priority key moved.
+    pub(super) key_changed: bool,
+    /// The member was demoted to the low-priority queue (§IV-C).
+    pub(super) demoted_now: bool,
+    /// The member's reasoning just passed the demotion threshold.
+    pub(super) crossed_threshold: Option<u32>,
+    /// The phase-boundary token: the member starts answering.
+    pub(super) transitioned: bool,
+    /// The member generated its last token.
+    pub(super) done: bool,
+    /// The first answering token: the instant the TTFT clock stops.
+    pub(super) first_answer: bool,
+}
+
+/// One batch member's side of an iteration end at `now`: closes its
+/// running segment and counts its token — quantum accounting, the demotion
+/// check and the phase and completion tests. The per-token code both of
+/// the full path and of the debug replay that checks a steady run's
+/// closed form.
+pub(super) fn close_token(
+    st: &mut RequestState,
+    kind: IterationKind,
+    now: SimTime,
+    policy: &SchedPolicy,
+) -> TokenEdges {
+    let mut edges = TokenEdges::default();
+    st.end_running(now);
+    if kind == IterationKind::Prefill {
+        st.prefilled = true;
+    }
+    st.record_token(now);
+
+    // Round-robin quantum accounting (§II-C).
+    st.tokens_in_quantum += 1;
+    if st.tokens_in_quantum >= policy.quantum() {
+        st.quanta_used += 1;
+        st.tokens_in_quantum = 0;
+        edges.key_changed = true; // quanta feed the priority key
+    }
+
+    // PASCAL's conditional demotion (§IV-C).
+    if let Some(threshold) = policy.demotion_threshold_tokens() {
+        // `checked_add`: a u32::MAX threshold means "never demote" (the
+        // ablation configs) and must never signal a crossing.
+        if st.phase == Phase::Reasoning && Some(st.tokens_generated) == threshold.checked_add(1) {
+            // The request just proved itself oversized mid-flight — the
+            // early label the predictor cannot get from the
+            // (survivorship-biased) completion stream.
+            edges.crossed_threshold = Some(threshold);
+        }
+        if st.phase == Phase::Reasoning && !st.demoted && st.tokens_generated > threshold {
+            st.demoted = true;
+            edges.demoted_now = true;
+        }
+    }
+
+    edges.transitioned = st.phase == Phase::Reasoning
+        && st.tokens_generated == st.spec.reasoning_tokens
+        && st.spec.answering_tokens > 0;
+    // The token at index `reasoning_tokens` (this is token number
+    // reasoning_tokens + 1) is the first the user reads — the instant the
+    // paper's TTFT clock stops.
+    edges.first_answer =
+        st.spec.answering_tokens > 0 && st.tokens_generated == st.spec.reasoning_tokens + 1;
+    edges.done = st.is_done();
+    edges
 }

@@ -15,7 +15,9 @@
 //!   compact deadline list. When its owner's deadline moves later or the
 //!   owner leaves, the cache keeps the old value as a lower bound, and the
 //!   list is rescanned only if a row is read at an instant the bound no
-//!   longer clears;
+//!   longer clears. The members of an open [steady run](super::steady)
+//!   leave the list while the run lasts; the run keeps their earliest
+//!   deadline instead;
 //! * the predicted-future-KV block sum, moved in O(1) per token through
 //!   [`remaining_tokens`] (a token only compares its count against the
 //!   next block boundary) and re-summed for one dataset group only when a
@@ -26,8 +28,10 @@
 //!
 //! Each member's applied contribution is recorded in its [`MemberMon`]
 //! slot, so a mutator diffs the new state against exactly what it applied
-//! before. Debug builds check every monitor row, candidate order and
-//! evictee set against a from-scratch rebuild.
+//! before. Every mutator first catches up an open steady run on the
+//! member's instance, so it never diffs against a state the run still
+//! owes tokens to. Debug builds check every monitor row, candidate order
+//! and evictee set against a from-scratch rebuild.
 
 use std::cell::Cell;
 
@@ -54,6 +58,11 @@ pub(crate) struct InstanceMonitor {
     /// The earliest pacer deadline, in a `Cell` because a row read may
     /// tighten it.
     pace: Cell<PaceMin>,
+    /// The earliest pacer deadline among the answering members of the
+    /// instance's open steady run, whose own entries are out of the list
+    /// while the run is open. `None` without such a run, or when every
+    /// such deadline lies past `SimTime::MAX`.
+    pub(super) steady_pace: Option<SimTime>,
 }
 
 /// The cached earliest entry of an instance's pacer list.
@@ -87,6 +96,13 @@ impl InstanceMonitor {
     /// pace at every instant) — plus the pacer entries a rescan visited.
     /// A bound that clears `now` answers without looking at the entries.
     pub(super) fn slo_ok(&self, now: SimTime) -> (bool, u64) {
+        let (listed_ok, visited) = self.listed_ok(now);
+        let steady_ok = self.steady_pace.is_none_or(|at| now < at);
+        (listed_ok && steady_ok, visited)
+    }
+
+    /// `t_i` over the pacer list alone.
+    fn listed_ok(&self, now: SimTime) -> (bool, u64) {
         match self.pace.get() {
             PaceMin::Empty => (true, 0),
             PaceMin::Exact { at, .. } => (now < at, 0),
@@ -99,15 +115,27 @@ impl InstanceMonitor {
                         pace.with_entry(at, handle)
                     });
                 self.pace.set(pace);
-                (self.slo_ok(now).0, self.pacers.len() as u64)
+                (self.listed_ok(now).0, self.pacers.len() as u64)
             }
         }
+    }
+
+    /// `handle`'s entry in the pacer list, if it has one.
+    #[cfg(debug_assertions)]
+    pub(super) fn pacer_entry(
+        &self,
+        member_mon: &[MemberMon],
+        handle: ReqHandle,
+    ) -> Option<SimTime> {
+        member_mon[handle.index()]
+            .pacer
+            .map(|slot| self.pacers[slot as usize].0)
     }
 
     /// Moves `handle`'s pacer entry to `deadline` (`None` removes it),
     /// keeping the cached earliest entry exact — or, once its owner moved
     /// past the rest or left, a valid lower bound.
-    fn move_pacer(
+    pub(super) fn move_pacer(
         &mut self,
         member_mon: &mut [MemberMon],
         handle: ReqHandle,
@@ -205,9 +233,9 @@ pub(crate) struct MemberMon {
     pacer: Option<u32>,
     /// `round(total)` of its predicted output length; `None` without an
     /// absolute estimate or when predicted growth is not tracked.
-    predicted_total: Option<u64>,
+    pub(super) predicted_total: Option<u64>,
     /// Its predicted future KV, counted into the instance.
-    growth: Growth,
+    pub(super) growth: Growth,
     /// Its dataset group and its index in the group's member list
     /// (dataset-scope predictors only).
     group: Option<(u32, u32)>,
@@ -218,10 +246,10 @@ pub(crate) struct MemberMon {
 /// the next boundary lets a token update the sum with a comparison; a
 /// division per token measured ≈1.1× the wall time per generated token
 /// on the backlog deployment (README, Performance).
-#[derive(Clone, Copy)]
-struct Growth {
-    blocks: u64,
-    drop_at: u64,
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(super) struct Growth {
+    pub(super) blocks: u64,
+    pub(super) drop_at: u64,
 }
 
 impl Default for Growth {
@@ -239,7 +267,7 @@ impl Growth {
 
     /// The growth of a member predicted to generate `total` tokens, at
     /// `generated` tokens and `block_tokens` tokens per block.
-    fn at(total: Option<u64>, generated: u32, block_tokens: u32) -> Growth {
+    pub(super) fn at(total: Option<u64>, generated: u32, block_tokens: u32) -> Growth {
         let Some(total) = total else {
             return Growth::NONE;
         };
@@ -252,6 +280,21 @@ impl Growth {
             _ => total - (blocks - 1) * block_tokens,
         };
         Growth { blocks, drop_at }
+    }
+
+    /// Moves the growth past a token that brought the member to
+    /// `generated` tokens: one block fewer exactly when the count reached
+    /// the next boundary. Returns whether a block dropped.
+    pub(super) fn on_token(&mut self, generated: u32, block_tokens: u32) -> bool {
+        if u64::from(generated) < self.drop_at {
+            return false;
+        }
+        self.blocks -= 1;
+        self.drop_at = match self.blocks {
+            0 => u64::MAX,
+            _ => self.drop_at + u64::from(block_tokens),
+        };
+        true
     }
 }
 
@@ -380,8 +423,10 @@ impl Shard<'_> {
     }
 
     /// Re-files a member after its phase, demotion, quanta, KV location,
-    /// pacer or token count changed.
+    /// pacer or token count changed. Like every mutator it is a touch: it
+    /// first closes any steady run on the member's instance.
     pub(super) fn sync_member(&mut self, handle: ReqHandle) {
+        self.catch_up(self.states[handle].instance);
         let to = self.contribution(handle);
         self.apply(handle, &to);
     }
@@ -400,18 +445,15 @@ impl Shard<'_> {
         self.assert_token_moves_only_growth_and_pace(handle);
         let st = &self.states[handle];
         let rt = &mut self.instances[st.instance as usize];
-        let growth = &mut self.member_mon[handle.index()].growth;
-        if u64::from(st.tokens_generated) >= growth.drop_at {
-            growth.blocks -= 1;
-            growth.drop_at = match growth.blocks {
-                0 => u64::MAX,
-                _ => growth.drop_at + u64::from(self.geometry.block_tokens),
-            };
+        if self.member_mon[handle.index()]
+            .growth
+            .on_token(st.tokens_generated, self.geometry.block_tokens)
+        {
             rt.monitor.predicted_blocks -= 1;
         }
         if st.phase == Phase::Answering {
             rt.monitor
-                .move_pacer(&mut self.member_mon, handle, st.pacer.on_pace_until());
+                .move_pacer(&mut self.member_mon, handle, st.answers.on_pace_until());
         }
     }
 
@@ -428,8 +470,9 @@ impl Shard<'_> {
 
     /// Re-resolves every dataset group's estimate after the predictor
     /// learned, and re-sums the members of each group whose rounded total
-    /// moved. A no-op when predicted growth is untracked or estimates are
-    /// fixed per request.
+    /// moved — after catching up the steady runs those members are in, so
+    /// the re-sum reads the tokens they are owed. A no-op when predicted
+    /// growth is untracked or estimates are fixed per request.
     pub(super) fn refresh_estimates(&mut self) {
         if !(self.estimates.tracking && self.estimates.per_dataset) {
             return;
@@ -438,6 +481,10 @@ impl Shard<'_> {
             let total = rounded_total(self.estimate(&self.estimates.groups[g].probe));
             if total == self.estimates.groups[g].total {
                 continue;
+            }
+            for at in 0..self.estimates.groups[g].members.len() {
+                let handle = self.estimates.groups[g].members[at];
+                self.catch_up(self.states[handle].instance);
             }
             let group = &mut self.estimates.groups[g];
             group.total = total;
@@ -492,6 +539,7 @@ impl Shard<'_> {
     }
 
     fn leave_instance(&mut self, handle: ReqHandle) {
+        self.catch_up(self.states[handle].instance);
         self.apply(handle, &Contribution::NONE);
         let st = &self.states[handle];
         self.instances[st.instance as usize]
@@ -511,7 +559,7 @@ impl Shard<'_> {
             fresh_answering: st.phase == Phase::Answering && st.quanta_used == 0,
             resident: st.kv_location == KvLocation::Gpu,
             key: schedulable.then(|| self.policy.priority_key(st)),
-            pace_deadline: st.pacer.on_pace_until(),
+            pace_deadline: st.answers.on_pace_until(),
             growth: Growth::at(
                 self.member_mon[handle.index()].predicted_total,
                 st.tokens_generated,

@@ -56,6 +56,9 @@
 //!   through: per-instance monitor counters, the priority-ordered
 //!   candidate index and the GPU-resident set, all kept exact
 //!   incrementally so no event pays for the instance's backlog;
+//! * [`steady`](self) — steady decode runs: iterations that change
+//!   nothing but token counts replay in closed form, without visiting the
+//!   batch's members;
 //! * [`stats`](self) — the instance-monitor sweep producing the
 //!   [`InstanceStats`] snapshots Algorithms 1 and 2 consume;
 //! * [`cluster`](self) — the global clock, the router, and the
@@ -96,6 +99,7 @@ mod lifecycle;
 mod members;
 mod migration;
 mod stats;
+mod steady;
 #[cfg(test)]
 mod tests;
 
@@ -109,6 +113,7 @@ pub(crate) use federation::FederationEngine;
 use fleet_rt::AutoscalerRt;
 use members::{EstimateTable, InstanceMonitor, MemberMon};
 use migration::MigrationController;
+use steady::SteadyRun;
 
 /// Events driving a shard. Arrivals are not queue events: the cluster
 /// routes them straight off the trace (see [`cluster`]).
@@ -354,6 +359,9 @@ pub(super) struct InstanceRt {
     pub(super) residents: Members,
     /// The aggregates this instance's monitor row is read from.
     pub(super) monitor: InstanceMonitor,
+    /// The in-flight batch's steady run, when its iterations replay in
+    /// closed form (see [`steady`](self)).
+    pub(super) steady: SteadyRun,
 }
 
 /// Reusable buffers for the per-iteration scheduling pass and the monitor
@@ -401,6 +409,7 @@ impl<'a> Shard<'a> {
                 cands: BTreeMap::new(),
                 residents: Members::default(),
                 monitor: InstanceMonitor::default(),
+                steady: SteadyRun::default(),
             })
             .collect();
         let mut shard = Shard {

@@ -87,14 +87,18 @@ impl Shard<'_> {
     /// One instance's monitor row recomputed from scratch by walking every
     /// member — the debug-build reference every served row is checked
     /// against. Asks the predictor directly, so it neither counts as work
-    /// nor relies on the cached totals it checks.
+    /// nor relies on the cached totals it checks. Members of an open
+    /// steady run are read with the tokens the run owes them, without
+    /// catching them up, so debug and release builds take the same path.
     #[cfg(debug_assertions)]
     fn reference_row(&self, rt: &super::InstanceRt, now: SimTime) -> InstanceStats {
+        let tpot = self.config.target_tpot.as_nanos();
         let mut slo_ok = true;
         let mut reasoning = 0u32;
         let mut fresh_answering = 0u32;
         for (_, handle) in rt.inst.members.iter() {
             let st = &self.states[handle];
+            let owed = rt.steady.owed(st.running);
             match st.phase {
                 Phase::Reasoning => {
                     if !st.demoted {
@@ -105,7 +109,14 @@ impl Shard<'_> {
                     if st.quanta_used == 0 {
                         fresh_answering += 1;
                     }
-                    if !st.pacer.is_on_pace(now) {
+                    // `first + len × tpot` over the owed tokens too; past
+                    // the end of time the stream is on pace.
+                    let deadline = st.answers.first().and_then(|first| {
+                        u64::from(st.answers.len() + owed)
+                            .checked_mul(tpot)
+                            .and_then(|ahead| first.as_nanos().checked_add(ahead))
+                    });
+                    if deadline.is_some_and(|at| now.as_nanos() >= at) {
                         slo_ok = false;
                     }
                 }
@@ -118,7 +129,8 @@ impl Shard<'_> {
                     .iter()
                     .map(|(_, handle)| {
                         let st = &self.states[handle];
-                        pred.predicted_remaining_tokens(&st.spec, st.tokens_generated)
+                        let generated = st.tokens_generated + rt.steady.owed(st.running);
+                        pred.predicted_remaining_tokens(&st.spec, generated)
                             .map_or(0, |remaining| {
                                 self.geometry.bytes_for_tokens(remaining.round() as u64)
                             })

@@ -974,3 +974,356 @@ mod member_state {
         }
     }
 }
+
+/// Steady decode runs replayed in closed form, opened and then interrupted
+/// by each kind of touch and edge. Every case runs with the debug checks
+/// on: each catch-up is replayed token by token through the full path's
+/// per-token code and each steady step re-runs the planner read-only, so a
+/// run that finishes has matched the full path all the way.
+mod steady_runs {
+    use super::*;
+    use crate::fleet::FleetSpec;
+    use pascal_cluster::KvLocation;
+    use pascal_model::DecodeBatch;
+    use pascal_predict::PredictorKind;
+    use pascal_sim::SimDuration;
+    use pascal_workload::Phase;
+
+    /// What the engine looked like around the event that interrupted a
+    /// steady run.
+    struct Interruption {
+        /// Whether the watched instance had a steady run open just before.
+        open_before: bool,
+        /// Steady iterations replayed before that event.
+        steady_before: u64,
+        /// Members caught up by that event.
+        caught_up: u64,
+    }
+
+    /// Steps `trace` under `config` (one shard) until `at` names the
+    /// instance an event just interrupted, then runs to the end.
+    fn interrupt(
+        trace: &Trace,
+        config: &SimConfig,
+        at: impl Fn(&Shard<'_>) -> Option<u32>,
+    ) -> (Interruption, SimOutput) {
+        let mut engine = Engine::new(trace, config);
+        loop {
+            let open: Vec<bool> = engine.shards()[0]
+                .instances
+                .iter()
+                .map(|rt| rt.steady.is_open())
+                .collect();
+            let before = cluster::total_work(engine.shards());
+            assert!(engine.step(), "the run ended before the interruption");
+            if let Some(i) = at(&engine.shards()[0]) {
+                let after = cluster::total_work(engine.shards());
+                let seen = Interruption {
+                    open_before: open[i as usize],
+                    steady_before: before.steady_iterations,
+                    caught_up: after.members_caught_up - before.members_caught_up,
+                };
+                return (seen, engine.run());
+            }
+        }
+    }
+
+    /// The instance of the first live request `pick` selects.
+    fn member_where(
+        sh: &Shard<'_>,
+        pick: impl Fn(&pascal_cluster::RequestState) -> bool,
+    ) -> Option<u32> {
+        sh.states
+            .iter()
+            .find(|(_, st)| pick(st))
+            .map(|(_, st)| st.instance)
+    }
+
+    fn assert_touched(seen: &Interruption, what: &str) {
+        assert!(
+            seen.steady_before > 0,
+            "{what}: no steady iteration before it"
+        );
+        assert!(
+            seen.open_before,
+            "{what}: no steady run open when it landed"
+        );
+        assert!(seen.caught_up > 0, "{what}: the run was not caught up");
+    }
+
+    #[test]
+    fn an_arrival_on_the_instance_closes_the_run() {
+        let trace = Trace::from_requests(vec![
+            RequestSpec::new(RequestId(0), SimTime::ZERO, 64, 3000, 0),
+            RequestSpec::new(RequestId(1), secs(10.0), 64, 100, 50),
+        ]);
+        let (seen, out) = interrupt(&trace, &oracle(SchedPolicy::Fcfs), |sh| {
+            (sh.routed_arrivals == 2).then_some(0)
+        });
+        assert_touched(&seen, "arrival");
+        assert_eq!(out.records.len(), 2);
+    }
+
+    #[test]
+    fn a_touch_before_the_first_steady_step_owes_nothing() {
+        // The launch after a second request's prefill opens a run in which
+        // the answering member's last token predates the launch; an
+        // arrival 1 ms later catches the run up having replayed nothing,
+        // which must leave that answer stream exactly as it was.
+        let config = oracle(SchedPolicy::Fcfs);
+        let mut requests = vec![
+            RequestSpec::new(RequestId(0), SimTime::ZERO, 64, 100, 2000),
+            RequestSpec::new(RequestId(1), secs(5.0), 64, 500, 0),
+        ];
+        let pair = run_simulation(&Trace::from_requests(requests.clone()), &config);
+        let launch = pair.records[1].first_token;
+        requests.push(RequestSpec::new(
+            RequestId(2),
+            launch + SimDuration::from_millis(1),
+            64,
+            100,
+            0,
+        ));
+        let (seen, out) = interrupt(&Trace::from_requests(requests), &config, |sh| {
+            (sh.routed_arrivals == 3).then_some(0)
+        });
+        assert_touched(&seen, "arrival");
+        assert_eq!(seen.caught_up, 2);
+        assert_eq!(out.records.len(), 3);
+    }
+
+    /// Two long requests outgrowing the pool under FCFS: the later one is
+    /// evicted at the iteration where its own block growth tips the pool
+    /// over, so the earlier one runs on — steady — while the offload
+    /// crosses PCIe, and the evictee reloads once the other completes.
+    fn eviction_cell() -> (Trace, SimConfig) {
+        let geometry = oracle(SchedPolicy::Fcfs).geometry();
+        let trace = Trace::from_requests(vec![
+            RequestSpec::new(RequestId(0), SimTime::ZERO, 4000, 3000, 0),
+            RequestSpec::new(RequestId(1), secs(1.0), 3000, 3000, 0),
+        ]);
+        let config = SimConfig::characterization(
+            SchedPolicy::Fcfs,
+            KvCapacityMode::Bytes(geometry.bytes_for_tokens(9_016)),
+        );
+        (trace, config)
+    }
+
+    #[test]
+    fn an_offload_landing_closes_the_run_it_made_room_for() {
+        let (trace, config) = eviction_cell();
+        let (seen, out) = interrupt(&trace, &config, |sh| {
+            member_where(sh, |st| st.kv_location == KvLocation::Cpu)
+        });
+        assert_touched(&seen, "offload landing");
+        assert!(out.records[1].num_preemptions > 0);
+    }
+
+    #[test]
+    fn a_reload_lands_with_the_run_already_closed() {
+        // The launch that starts a reload leaves the reloading member
+        // desired but outside the batch, so no run opens until it lands:
+        // a reload never interrupts a run on its own instance.
+        let (trace, config) = eviction_cell();
+        let (seen, out) = interrupt(&trace, &config, |sh| {
+            member_where(sh, |st| {
+                st.kv_location == KvLocation::Gpu && st.num_preemptions > 0
+            })
+        });
+        assert!(
+            seen.steady_before > 0,
+            "no steady iteration before the reload"
+        );
+        assert!(
+            !seen.open_before,
+            "a run was open while a reload was in flight"
+        );
+        assert_eq!(out.records.len(), 2);
+        assert!(out.records[1].num_preemptions > 0);
+    }
+
+    #[test]
+    fn a_reader_resuming_after_an_eviction_stalls_outside_a_run() {
+        // The evictee is answering this time, at a reading pace only a
+        // little slower than the decode step, so its buffer is short: when
+        // it resumes, its first token finds the reader starved, and the
+        // launch that resumes it must not open a run.
+        let geometry = oracle(SchedPolicy::Fcfs).geometry();
+        let trace = Trace::from_requests(vec![
+            RequestSpec::new(RequestId(0), SimTime::ZERO, 4000, 3000, 0),
+            RequestSpec::new(RequestId(1), secs(1.0), 3000, 10, 3000),
+        ]);
+        let mut config = SimConfig::characterization(
+            SchedPolicy::Fcfs,
+            KvCapacityMode::Bytes(geometry.bytes_for_tokens(9_016)),
+        );
+        config.target_tpot = SimDuration::from_millis(30);
+        let out = run_simulation(&trace, &config);
+        let resumed = &out.records[1];
+        assert!(resumed.num_preemptions > 0, "the reader was never evicted");
+        assert!(
+            !resumed.answers.stalls().is_empty(),
+            "no stall at the resume"
+        );
+    }
+
+    #[test]
+    fn a_migration_landing_closes_the_destination_run() {
+        // A short request migrates at its phase boundary onto the instance
+        // where a long reasoning request runs steady.
+        let trace = Trace::from_requests(vec![
+            RequestSpec::new(RequestId(0), SimTime::ZERO, 64, 5000, 0),
+            RequestSpec::new(RequestId(1), secs(1.0), 64, 100, 300),
+            RequestSpec::new(RequestId(2), secs(1.0), 64, 100, 300),
+        ]);
+        let mut config =
+            SimConfig::evaluation_cluster(SchedPolicy::pascal(PascalConfig::default()));
+        config.num_instances = 2;
+        let (seen, out) = interrupt(&trace, &config, |sh| {
+            member_where(sh, |st| {
+                st.instances_visited.len() > 1 && st.kv_location != KvLocation::Migrating
+            })
+        });
+        assert_touched(&seen, "migration landing");
+        assert!(out.migration_outcomes.launched > 0);
+    }
+
+    #[test]
+    fn a_predictor_refresh_closes_runs_with_members_of_the_group() {
+        // A completion on one instance teaches the predictor, which moves
+        // the shared estimate of the dataset whose member runs steady on
+        // the other instance.
+        let trace = Trace::from_requests(vec![
+            RequestSpec::new(RequestId(0), SimTime::ZERO, 64, 4000, 0).with_dataset("gpqa"),
+            RequestSpec::new(RequestId(1), secs(0.5), 64, 300, 0).with_dataset("gpqa"),
+        ]);
+        let mut config =
+            SimConfig::evaluation_cluster(SchedPolicy::pascal(PascalConfig::default()));
+        config.num_instances = 2;
+        config.predictor = Some(PredictorKind::ProfileEma);
+        let (seen, out) = interrupt(&trace, &config, |sh| {
+            (sh.records.len() == 1).then(|| sh.states.iter().next().expect("one left").1.instance)
+        });
+        assert_touched(&seen, "predictor refresh");
+        assert_eq!(out.records.len(), 2);
+    }
+
+    #[test]
+    fn a_fail_stop_mid_run_strands_the_caught_up_batch() {
+        let trace = Trace::from_requests(vec![RequestSpec::new(
+            RequestId(0),
+            SimTime::ZERO,
+            64,
+            3000,
+            0,
+        )]);
+        let mut config = oracle(SchedPolicy::Fcfs);
+        config.fleet = Some(FleetSpec::parse("10.0 fail 0\n").expect("valid spec"));
+        let (seen, out) = interrupt(&trace, &config, |sh| {
+            (sh.health[0] == crate::fleet::HealthState::Down).then_some(0)
+        });
+        assert_touched(&seen, "fail-stop");
+        assert_eq!(out.fleet.stranded, 1);
+        assert!(out.records.is_empty());
+    }
+
+    #[test]
+    fn a_quantum_end_is_an_edge() {
+        let trace = Trace::from_requests(vec![RequestSpec::new(
+            RequestId(0),
+            SimTime::ZERO,
+            64,
+            1000,
+            0,
+        )]);
+        let config = oracle(SchedPolicy::RoundRobin { quantum: 300 });
+        let (seen, out) = interrupt(&trace, &config, |sh| {
+            member_where(sh, |st| st.quanta_used > 0)
+        });
+        assert_touched(&seen, "quantum end");
+        assert_eq!(out.records[0].tokens_generated, 1000);
+    }
+
+    #[test]
+    fn a_demotion_is_an_edge() {
+        let trace = Trace::from_requests(vec![RequestSpec::new(
+            RequestId(0),
+            SimTime::ZERO,
+            64,
+            2000,
+            100,
+        )]);
+        let config = oracle(SchedPolicy::pascal(PascalConfig {
+            demotion_threshold_tokens: 700,
+            ..PascalConfig::default()
+        }));
+        let (seen, out) = interrupt(&trace, &config, |sh| {
+            member_where(sh, |st| st.demoted && st.phase == Phase::Reasoning)
+        });
+        assert_touched(&seen, "demotion");
+        assert_eq!(out.records[0].tokens_generated, 2100);
+    }
+
+    #[test]
+    fn a_step_outgrowing_the_reading_pace_ends_the_run() {
+        // The reading pace matches the decode step at 1,000 answering
+        // tokens; as the context grows the step outgrows it, the reader's
+        // buffer drains and tokens start to stall — which only the full
+        // path may record.
+        let trace = Trace::from_requests(vec![RequestSpec::new(
+            RequestId(0),
+            SimTime::ZERO,
+            64,
+            1000,
+            3000,
+        )]);
+        let mut config = oracle(SchedPolicy::Fcfs);
+        config.target_tpot = config.perf_model().decode_step_time(DecodeBatch {
+            num_seqs: 1,
+            total_context_tokens: 64 + 1000 + 1000,
+        });
+        config.telemetry.profile = true;
+        let out = run_simulation(&trace, &config);
+        assert!(
+            !out.records[0].answers.stalls().is_empty(),
+            "no token stalled"
+        );
+        let work = out
+            .telemetry
+            .and_then(|t| t.profile)
+            .expect("profiling was on")
+            .work;
+        assert!(work.steady_iterations > 1000, "{work:?}");
+    }
+
+    #[test]
+    fn answers_slower_than_the_reading_pace_never_run_steady() {
+        // With a target TPOT below the decode step time every answering
+        // token stalls its reader, so only the reasoning phase replays in
+        // closed form, up to the phase-boundary edge.
+        let trace = Trace::from_requests(vec![RequestSpec::new(
+            RequestId(0),
+            SimTime::ZERO,
+            64,
+            500,
+            200,
+        )]);
+        let mut config = oracle(SchedPolicy::Fcfs);
+        config.target_tpot = SimDuration::from_millis(1);
+        config.telemetry.profile = true;
+        let (seen, out) = interrupt(&trace, &config, |sh| {
+            member_where(sh, |st| st.phase == Phase::Answering)
+        });
+        assert_touched(&seen, "phase boundary");
+        let work = out
+            .telemetry
+            .and_then(|t| t.profile)
+            .expect("profiling was on")
+            .work;
+        assert_eq!(
+            work.steady_iterations, seen.steady_before,
+            "an answering token replayed in closed form"
+        );
+        assert_eq!(out.records[0].answers.stalls().len(), 199);
+    }
+}

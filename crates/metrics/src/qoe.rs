@@ -161,6 +161,48 @@ impl StallCurve {
         self.len += 1;
     }
 
+    /// Appends `k` tokens, the last generated at `last`, none of which
+    /// found the reader's buffer empty: what `k` calls of
+    /// [`push`](StallCurve::push) do when each token arrives within `tpot`
+    /// of its predecessor's digest time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the stream is empty or `last` precedes its last token
+    /// (release builds too).
+    pub fn extend_on_pace(&mut self, k: u32, last: SimTime) {
+        assert!(
+            self.len > 0 && last >= self.last,
+            "on-pace tokens extend a started stream in order"
+        );
+        self.digest += self.tpot * u64::from(k);
+        self.last = last;
+        self.len += k;
+    }
+
+    /// Whether a token generated at `at` would find the reader's buffer
+    /// empty, i.e. become a stall entry. Never for the first token.
+    #[must_use]
+    pub fn would_stall(&self, at: SimTime) -> bool {
+        self.len > 0 && at > self.digest + self.tpot
+    }
+
+    /// The instant the stream falls behind its reader if no further token
+    /// arrives: `first + len × tpot`, the answering stream's token-pacer
+    /// deadline. `None` means on pace at every representable instant: the
+    /// stream has not started, or the deadline lies past [`SimTime::MAX`].
+    #[must_use]
+    pub fn on_pace_until(&self) -> Option<SimTime> {
+        if self.len == 0 {
+            return None;
+        }
+        let ahead = u64::from(self.len).checked_mul(self.tpot.as_nanos())?;
+        self.first
+            .as_nanos()
+            .checked_add(ahead)
+            .map(SimTime::from_nanos)
+    }
+
     /// Tokens in the stream.
     #[must_use]
     pub fn len(&self) -> u32 {
@@ -523,6 +565,42 @@ mod tests {
     }
 
     proptest! {
+        /// `would_stall` predicts exactly which pushes add a stall entry,
+        /// and `extend_on_pace` equals pushing a run of tokens that each
+        /// arrive within `tpot` of their predecessor — also at the end of
+        /// time, where the digest saturates.
+        #[test]
+        fn prop_on_pace_extension_matches_pushes(
+            head in proptest::collection::vec(0u64..3_000_000_000, 1..40),
+            run in proptest::collection::vec(0u64..1_001, 0..40),
+            tpot_ms in 1u64..1_000,
+            near_end in any::<bool>(),
+        ) {
+            let tpot = SimDuration::from_millis(tpot_ms);
+            let mut t = if near_end {
+                SimTime::from_nanos(u64::MAX - 200_000_000_000)
+            } else {
+                SimTime::ZERO
+            };
+            let mut curve = StallCurve::new(tpot);
+            for gap in head {
+                t += SimDuration::from_nanos(gap);
+                let stalls = curve.stalls().len();
+                let predicted = curve.would_stall(t);
+                curve.push(t);
+                prop_assert_eq!(predicted, curve.stalls().len() > stalls);
+            }
+            let mut extended = curve.clone();
+            for &per_mille in &run {
+                // A gap of at most `tpot` after the previous token.
+                t += tpot.mul_f64(per_mille as f64 / 1_000.0);
+                prop_assert!(!curve.would_stall(t));
+                curve.push(t);
+            }
+            extended.extend_on_pace(run.len() as u32, curve.last().expect("started"));
+            prop_assert_eq!(extended, curve);
+        }
+
         /// QoE is always within [0, 1].
         #[test]
         fn prop_qoe_bounded(gaps in proptest::collection::vec(0.0f64..1.0, 1..100)) {

@@ -104,6 +104,12 @@ pub struct WorkCounters {
     /// Length-predictor estimate calls (absolute estimates and
     /// remaining-service queries).
     pub predictor_estimates: u64,
+    /// Decode iterations replayed in closed form: a steady batch's next
+    /// iteration launched without visiting its members.
+    pub steady_iterations: u64,
+    /// Members brought up to date when a steady run closed: one per
+    /// member per run, however many iterations the run replayed.
+    pub members_caught_up: u64,
 }
 
 impl WorkCounters {
@@ -115,6 +121,8 @@ impl WorkCounters {
         self.monitor_rows += other.monitor_rows;
         self.monitor_member_visits += other.monitor_member_visits;
         self.predictor_estimates += other.predictor_estimates;
+        self.steady_iterations += other.steady_iterations;
+        self.members_caught_up += other.members_caught_up;
     }
 
     /// The counts as one stable, space-separated `name value` line body,
@@ -124,12 +132,14 @@ impl WorkCounters {
     pub fn render(&self, wall_s: Option<f64>) -> String {
         let mut out = format!(
             "{} tokens, {} sched member scans, {} monitor rows, {} monitor member visits, \
-             {} predictor estimates",
+             {} predictor estimates, {} steady iterations, {} members caught up",
             self.tokens,
             self.sched_member_scans,
             self.monitor_rows,
             self.monitor_member_visits,
-            self.predictor_estimates
+            self.predictor_estimates,
+            self.steady_iterations,
+            self.members_caught_up
         );
         if let Some(ns) = wall_s.and_then(|w| self.ns_per_token(w)) {
             out.push_str(&format!(", {ns:.1} ns per token"));

@@ -143,13 +143,21 @@ impl ArrivalProcess {
     /// Generates `count` non-decreasing arrival times.
     #[must_use]
     pub fn generate(&self, count: usize, rng: &mut SimRng) -> Vec<SimTime> {
+        let mut times = Vec::with_capacity(count);
+        self.generate_into(&mut times, count, rng);
+        times
+    }
+
+    /// Appends `count` non-decreasing arrival times to `times`, which the
+    /// caller has reserved room for.
+    pub(crate) fn generate_into(&self, times: &mut Vec<SimTime>, count: usize, rng: &mut SimRng) {
         if let ArrivalProcess::Bursty {
             burst_rate,
             mean_burst_s,
             mean_gap_s,
         } = self
         {
-            return generate_bursty(count, *burst_rate, *mean_burst_s, *mean_gap_s, rng);
+            return generate_bursty(times, count, *burst_rate, *mean_burst_s, *mean_gap_s, rng);
         }
         if let ArrivalProcess::Diurnal {
             mean_rate,
@@ -157,9 +165,8 @@ impl ArrivalProcess {
             period_s,
         } = self
         {
-            return generate_diurnal(count, *mean_rate, *amplitude, *period_s, rng);
+            return generate_diurnal(times, count, *mean_rate, *amplitude, *period_s, rng);
         }
-        let mut times = Vec::with_capacity(count);
         let mut now = SimTime::ZERO;
         for _ in 0..count {
             now = match self {
@@ -174,23 +181,23 @@ impl ArrivalProcess {
             };
             times.push(now);
         }
-        times
     }
 }
 
 /// ON/OFF burst generator: walk through alternating exponentially long
 /// phases, emitting Poisson arrivals only during ON phases.
 fn generate_bursty(
+    times: &mut Vec<SimTime>,
     count: usize,
     burst_rate: f64,
     mean_burst_s: f64,
     mean_gap_s: f64,
     rng: &mut SimRng,
-) -> Vec<SimTime> {
-    let mut times = Vec::with_capacity(count);
+) {
+    let end = times.len() + count;
     let mut now = 0.0f64;
     let mut burst_ends = rng.exponential(1.0 / mean_burst_s);
-    while times.len() < count {
+    while times.len() < end {
         let gap = rng.exponential(burst_rate);
         if now + gap <= burst_ends {
             now += gap;
@@ -202,29 +209,28 @@ fn generate_bursty(
             burst_ends = now + rng.exponential(1.0 / mean_burst_s);
         }
     }
-    times
 }
 
 /// Sinusoid-thinning generator: draw a homogeneous Poisson stream at the
 /// peak rate, keep each candidate with probability `rate(t) / peak`.
 fn generate_diurnal(
+    times: &mut Vec<SimTime>,
     count: usize,
     mean_rate: f64,
     amplitude: f64,
     period_s: f64,
     rng: &mut SimRng,
-) -> Vec<SimTime> {
+) {
     let peak = mean_rate * (1.0 + amplitude);
-    let mut times = Vec::with_capacity(count);
+    let end = times.len() + count;
     let mut now = 0.0f64;
-    while times.len() < count {
+    while times.len() < end {
         now += rng.exponential(peak);
         let rate = mean_rate * (1.0 + amplitude * (std::f64::consts::TAU * now / period_s).sin());
         if rng.uniform_f64() * peak <= rate {
             times.push(SimTime::from_secs_f64(now));
         }
     }
-    times
 }
 
 #[cfg(test)]

@@ -45,4 +45,4 @@ pub use dataset::{DatasetMix, DatasetProfile};
 pub use dist::TokenDist;
 pub use presets::MixPreset;
 pub use request::{Phase, RequestId, RequestSpec};
-pub use trace::{fig04_reasoning_trace, fig05_answering_trace, Trace, TraceBuilder};
+pub use trace::{fig04_reasoning_trace, fig05_answering_trace, Trace, TraceBuilder, TraceTooLarge};

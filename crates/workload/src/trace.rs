@@ -71,7 +71,50 @@ impl Trace {
     pub fn last_arrival(&self) -> SimTime {
         self.requests.last().map_or(SimTime::ZERO, |r| r.arrival)
     }
+
+    /// Checks that a trace of `count` requests fits in memory by reserving
+    /// the buffers [`TraceBuilder::try_build`] fills, then releasing them.
+    /// For a caller that builds its traces later, or elsewhere.
+    ///
+    /// # Errors
+    ///
+    /// [`TraceTooLarge`] when either reservation fails.
+    pub fn check_capacity(count: usize) -> Result<(), TraceTooLarge> {
+        reserve_buffers(count).map(drop)
+    }
 }
+
+/// A trace's request and arrival-time buffers for `count` requests,
+/// reserved fallibly: a count whose buffers overflow the address space, or
+/// that the allocator refuses, is an error rather than a panic or an abort.
+fn reserve_buffers(count: usize) -> Result<(Vec<RequestSpec>, Vec<SimTime>), TraceTooLarge> {
+    let mut requests = Vec::new();
+    let mut times = Vec::new();
+    requests
+        .try_reserve_exact(count)
+        .and_then(|()| times.try_reserve_exact(count))
+        .map_err(|_| TraceTooLarge { count })?;
+    Ok((requests, times))
+}
+
+/// A trace too large to hold in memory.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct TraceTooLarge {
+    /// The requested number of requests.
+    pub count: usize,
+}
+
+impl std::fmt::Display for TraceTooLarge {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "a trace of {} requests does not fit in memory",
+            self.count
+        )
+    }
+}
+
+impl std::error::Error for TraceTooLarge {}
 
 impl IntoIterator for Trace {
     type Item = RequestSpec;
@@ -170,24 +213,37 @@ impl TraceBuilder {
     }
 
     /// Materializes the trace.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the trace does not fit in memory (see
+    /// [`TraceBuilder::try_build`]).
     #[must_use]
     pub fn build(&self) -> Trace {
+        self.try_build().unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Materializes the trace, reserving its buffers fallibly first.
+    ///
+    /// # Errors
+    ///
+    /// [`TraceTooLarge`] when the requested count's buffers overflow the
+    /// address space or the allocator refuses them.
+    pub fn try_build(&self) -> Result<Trace, TraceTooLarge> {
+        let (mut requests, mut times) = reserve_buffers(self.count)?;
         let mut root = SimRng::seed_from(self.seed);
         let mut arrival_rng = root.split(0xA11);
         let mut length_rng = root.split(0x1E9);
-        let times = self.arrivals.generate(self.count, &mut arrival_rng);
-        let mut requests: Vec<RequestSpec> = times
-            .into_iter()
-            .enumerate()
-            .map(|(i, arrival)| {
-                let profile = self.mix.sample_profile(&mut length_rng);
-                let prompt = profile.prompt.sample(&mut length_rng).max(1);
-                let reasoning = profile.reasoning.sample(&mut length_rng).max(1);
-                let answering = profile.answering.sample(&mut length_rng);
-                RequestSpec::new(RequestId(i as u64), arrival, prompt, reasoning, answering)
-                    .with_dataset(&profile.name)
-            })
-            .collect();
+        self.arrivals
+            .generate_into(&mut times, self.count, &mut arrival_rng);
+        requests.extend(times.into_iter().enumerate().map(|(i, arrival)| {
+            let profile = self.mix.sample_profile(&mut length_rng);
+            let prompt = profile.prompt.sample(&mut length_rng).max(1);
+            let reasoning = profile.reasoning.sample(&mut length_rng).max(1);
+            let answering = profile.answering.sample(&mut length_rng);
+            RequestSpec::new(RequestId(i as u64), arrival, prompt, reasoning, answering)
+                .with_dataset(&profile.name)
+        }));
         // Origin tagging is a second pass over a third RNG stream: the
         // arrival and length streams above never see it, so the same seed
         // yields the same request bodies at every region count.
@@ -216,7 +272,7 @@ impl TraceBuilder {
                 req.origin_region = origin;
             }
         }
-        Trace::from_requests(requests)
+        Ok(Trace::from_requests(requests))
     }
 }
 
@@ -269,6 +325,19 @@ mod tests {
     use super::*;
     use crate::dataset::DatasetProfile;
     use crate::request::Phase;
+
+    #[test]
+    fn counts_that_cannot_be_held_are_refused_not_allocated() {
+        assert_eq!(Trace::check_capacity(1_000), Ok(()));
+        let too_many = TraceTooLarge { count: usize::MAX };
+        assert_eq!(Trace::check_capacity(usize::MAX), Err(too_many));
+        let builder = TraceBuilder::new(DatasetMix::single(DatasetProfile::gpqa()));
+        assert_eq!(builder.clone().count(usize::MAX).try_build(), Err(too_many));
+        assert_eq!(
+            builder.count(40).try_build().map(|t| t.requests().len()),
+            Ok(40)
+        );
+    }
 
     #[test]
     fn builder_produces_requested_count_sorted() {

@@ -28,7 +28,7 @@ use pascal::predict::PredictorKind;
 use pascal::sched::{PolicyKind, RouterPolicy, SchedPolicy};
 use pascal::sim::SimDuration;
 use pascal::telemetry::{peak_rss_bytes, reconstruct, SloAlertPreset, SloAlertSpec, WorkCounters};
-use pascal::workload::{ArrivalProcess, DatasetMix, MixPreset, TraceBuilder};
+use pascal::workload::{ArrivalProcess, DatasetMix, MixPreset, Trace, TraceBuilder};
 
 const USAGE: &str = "\
 pascal-cli — PASCAL reasoning-LLM serving simulator
@@ -126,7 +126,8 @@ OPTIONS (run):
           counts, timing quantiles, events/sec, ns per generated token,
           peak RSS and RSS bytes per arrival where /proc exists) plus
           exact work counters (member scans, monitor rows and member
-          visits, predictor estimates). Timings and RSS are
+          visits, predictor estimates, steady iterations replayed in
+          closed form, members caught up). Timings and RSS are
           host-dependent; no profile figure is part of any deterministic
           output.
 
@@ -560,7 +561,8 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
         .count(opts.count)
         .seed(opts.seed)
         .regions(opts.regions)
-        .build();
+        .try_build()
+        .map_err(|e| CliError::Usage(format!("--count {}: {e}", opts.count)))?;
     let out = run_simulation(&trace, &config);
 
     let ttft = LatencySummary::from_values(
@@ -897,6 +899,8 @@ fn parse_sweep_opts(args: &[String]) -> Result<SweepOpts, String> {
                 if count == 0 {
                     return Err("--count must be positive".to_owned());
                 }
+                // Sweep cells build their traces later, on worker threads.
+                Trace::check_capacity(count).map_err(|e| format!("--count {count}: {e}"))?;
                 opts.count = Some(count);
             }
             "--seed" => {
@@ -1609,6 +1613,8 @@ mod tests {
             monitor_rows: 12,
             monitor_member_visits: 13,
             predictor_estimates: 14,
+            steady_iterations: 15,
+            members_caught_up: 16,
         };
         let line = aggregate_profile_line(&t, &work);
         // Every figure must survive a whitespace-and-label round trip —
@@ -1620,7 +1626,7 @@ mod tests {
             .collect();
         assert_eq!(
             nums,
-            vec![123_456.0, 1.5, 82_304.0, 3_000.0, 11.0, 12.0, 13.0, 14.0, 500_000.0],
+            vec![123_456.0, 1.5, 82_304.0, 3_000.0, 11.0, 12.0, 13.0, 14.0, 15.0, 16.0, 500_000.0],
             "line: {line}"
         );
     }

@@ -271,6 +271,18 @@ fn sweep_flag_errors_exit_two_and_list_values() {
 }
 
 #[test]
+fn counts_no_trace_can_hold_exit_two_naming_the_flag() {
+    // The trace buffers for 2⁶⁴−1 requests overflow the address space: the
+    // preallocation used to panic with `capacity overflow` (exit 101).
+    let max = u64::MAX.to_string();
+    assert_usage_error(&["run", "--count", &max], &["--count", "does not fit"]);
+    assert_usage_error(
+        &["sweep", "--grid", "ci", "--count", &max],
+        &["--count", "does not fit"],
+    );
+}
+
+#[test]
 fn arrivals_saturating_at_the_end_of_time_still_finish() {
     // At 1e-10 req/s the arrival times saturate at the largest
     // representable sim time; the run must still drain and exit 0. A
