@@ -9,10 +9,8 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use pascal_cluster::InstanceStats;
-use pascal_core::bench_support::MonitorSweepFixture;
 use pascal_core::{reconstruct, run_simulation, FederationPolicy, SimConfig, TelemetryConfig};
 use pascal_model::{DecodeBatch, GpuSpec, LlmSpec, PerfModel};
-use pascal_predict::PredictorKind;
 use pascal_sched::{PascalConfig, RouterPolicy, SchedPolicy};
 use pascal_sim::{EventQueue, HeapEventQueue, SimDuration, SimTime};
 use pascal_workload::{ArrivalProcess, DatasetMix, DatasetProfile, TraceBuilder};
@@ -210,37 +208,6 @@ fn bench_perf_model() {
     });
 }
 
-/// One instance-monitor sweep on a real 4-shard, 32-instance PASCAL
-/// cluster frozen mid-run (so rows have resident members, live pacer
-/// deadlines and predictor history). Every row is read from the
-/// instance's maintained aggregates, so the cost is per instance, not per
-/// queued request.
-fn bench_monitor_sweep() {
-    let count = pascal_bench::smoke_count(4_000);
-    let trace = TraceBuilder::new(DatasetMix::single(DatasetProfile::arena_hard()))
-        .arrivals(ArrivalProcess::poisson(16.0))
-        .count(count)
-        .seed(42)
-        .build();
-    let mut config = SimConfig::evaluation_cluster(SchedPolicy::pascal(PascalConfig::default()))
-        .with_shards(4, RouterPolicy::Predictive);
-    config.num_instances = 32;
-    config.predictor = Some(PredictorKind::Quantile);
-    // Freeze a quarter of the way into the event stream: deep enough that
-    // every instance carries members, early enough that nothing drained.
-    let fixture = MonitorSweepFixture::new(&trace, &config, count.saturating_mul(8));
-    println!(
-        "monitor sweep fixture: {} resident requests across {} instances",
-        fixture.resident_requests(),
-        fixture.instances()
-    );
-    let mut buf: Vec<InstanceStats> = Vec::new();
-    bench_function("monitor_sweep_32inst", 20, 2_000, || {
-        fixture.sweep(&mut buf);
-        buf.len()
-    });
-}
-
 /// Prices the latency-anatomy blame pass: replaying a busy federated
 /// trace into per-request timelines. Reported both per-iteration and as
 /// reconstruction throughput (trace events consumed per second), since
@@ -298,7 +265,6 @@ fn main() {
     println!("=== micro_scheduler_overhead — hot-path microbenchmarks ===");
     bench_event_queue();
     bench_queue_ops();
-    bench_monitor_sweep();
     bench_placement();
     bench_perf_model();
     bench_blame_reconstruction();

@@ -824,9 +824,10 @@ pub(crate) struct Engine<'a> {
     trace: &'a Trace,
     config: &'a SimConfig,
     cluster: Cluster<'a>,
-    /// Trace indices in arrival order — `(arrival, index)`-sorted, the
-    /// same total order the pre-sharding event queue popped arrivals in.
-    arrival_order: Vec<usize>,
+    /// The next trace request to arrive. The trace is in arrival order
+    /// ([`Trace::from_requests`] asserts it), so index order is exactly
+    /// the `(arrival, index)` order the pre-sharding event queue popped
+    /// arrivals in.
     next_arrival: usize,
     telemetry: TelemetryHandle,
 }
@@ -837,8 +838,6 @@ impl<'a> Engine<'a> {
         validate_trace_fits(trace, config);
 
         let per_shard = config.num_instances / config.shards;
-        let mut arrival_order: Vec<usize> = (0..trace.requests().len()).collect();
-        arrival_order.sort_by_key(|&i| (trace.requests()[i].arrival, i));
         let telemetry = TelemetryHandle::new(&config.telemetry);
 
         Engine {
@@ -853,14 +852,14 @@ impl<'a> Engine<'a> {
                 false,
                 telemetry.clone(),
             ),
-            arrival_order,
             next_arrival: 0,
             telemetry,
         }
     }
 
     /// Read-only view of the shards: the engine unit tests audit pool
-    /// accounting through it, and the bench-support fixture sweeps it.
+    /// accounting through it.
+    #[cfg(test)]
     pub(super) fn shards(&self) -> &[Shard<'a>] {
         &self.cluster.shards
     }
@@ -869,15 +868,16 @@ impl<'a> Engine<'a> {
     /// lowest shard id). Returns `false` once the cluster has drained.
     pub(super) fn step(&mut self) -> bool {
         let arrival = self
-            .arrival_order
+            .trace
+            .requests()
             .get(self.next_arrival)
-            .map(|&idx| self.trace.requests()[idx].arrival);
+            .map(|r| r.arrival);
         let shard_ev = self.cluster.peek_earliest();
         match (arrival, shard_ev) {
             (None, None) => false,
             (Some(at), shard) if shard.is_none_or(|(t, _)| at <= t) => {
                 let t0 = self.telemetry.profile_timer();
-                let idx = self.arrival_order[self.next_arrival];
+                let idx = self.next_arrival;
                 self.next_arrival += 1;
                 self.cluster.route_arrival(idx, at);
                 self.telemetry.profile_record(ProfiledEvent::Arrival, t0);
@@ -932,9 +932,10 @@ impl super::driver::EventDriver for Engine<'_> {
     /// event), if any.
     fn next_event_time(&mut self) -> Option<SimTime> {
         let arrival = self
-            .arrival_order
+            .trace
+            .requests()
             .get(self.next_arrival)
-            .map(|&idx| self.trace.requests()[idx].arrival);
+            .map(|r| r.arrival);
         let shard = self.cluster.peek_earliest().map(|(t, _)| t);
         match (arrival, shard) {
             (Some(a), Some(s)) => Some(a.min(s)),

@@ -60,9 +60,8 @@ pub(crate) struct FederationEngine<'a> {
     config: &'a SimConfig,
     regions: Vec<RegionRt<'a>>,
     wan: WanTopology,
-    /// Trace indices in arrival order — the same total order the cluster
-    /// engine delivers arrivals in.
-    arrival_order: Vec<usize>,
+    /// The next trace request to arrive (the trace is in arrival order),
+    /// delivered in the same total order as the cluster engine's.
     next_arrival: usize,
     telemetry: TelemetryHandle,
 }
@@ -101,15 +100,11 @@ impl<'a> FederationEngine<'a> {
             })
             .collect();
 
-        let mut arrival_order: Vec<usize> = (0..trace.requests().len()).collect();
-        arrival_order.sort_by_key(|&i| (trace.requests()[i].arrival, i));
-
         FederationEngine {
             trace,
             config,
             regions,
             wan: WanTopology::new(spec.regions.len(), spec.wan),
-            arrival_order,
             next_arrival: 0,
             telemetry,
         }
@@ -120,9 +115,10 @@ impl<'a> FederationEngine<'a> {
     /// `false` once the federation has drained.
     fn step(&mut self) -> bool {
         let arrival = self
-            .arrival_order
+            .trace
+            .requests()
             .get(self.next_arrival)
-            .map(|&idx| self.trace.requests()[idx].arrival);
+            .map(|r| r.arrival);
         let mut region_ev: Option<(SimTime, usize, usize)> = None;
         for (r, region) in self.regions.iter_mut().enumerate() {
             if let Some((t, s)) = region.cluster.peek_earliest() {
@@ -135,7 +131,7 @@ impl<'a> FederationEngine<'a> {
             (None, None) => false,
             (Some(at), region) if region.is_none_or(|(t, _, _)| at <= t) => {
                 let t0 = self.telemetry.profile_timer();
-                let idx = self.arrival_order[self.next_arrival];
+                let idx = self.next_arrival;
                 self.next_arrival += 1;
                 self.deliver_arrival(idx, at);
                 self.telemetry.profile_record(ProfiledEvent::Arrival, t0);
@@ -605,9 +601,10 @@ impl super::driver::EventDriver for FederationEngine<'_> {
     /// region's shard event), if any.
     fn next_event_time(&mut self) -> Option<SimTime> {
         let arrival = self
-            .arrival_order
+            .trace
+            .requests()
             .get(self.next_arrival)
-            .map(|&idx| self.trace.requests()[idx].arrival);
+            .map(|r| r.arrival);
         let mut earliest: Option<SimTime> = None;
         for region in self.regions.iter_mut() {
             if let Some((t, _)) = region.cluster.peek_earliest() {

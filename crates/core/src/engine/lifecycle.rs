@@ -135,6 +135,7 @@ impl Shard<'_> {
     /// escapes the transitions queued, so an escaping request cannot be
     /// relaunched underneath its own migration decision.
     pub(super) fn finish_iteration(&mut self, instance: u32, now: SimTime) {
+        self.count_work(|w| w.full_path_iterations += 1);
         self.catch_up(instance);
         let kind = self.instances[instance as usize].current_kind;
         self.instances[instance as usize].inst.compute_busy = false;
@@ -353,9 +354,12 @@ impl Shard<'_> {
 
     // ----- the scheduling core --------------------------------------------
 
-    /// Plans residency and, if possible, launches the next iteration.
+    /// Plans residency and, if possible, launches the next iteration. On a
+    /// busy instance it only settles whether an open steady run survives
+    /// the non-member changes the caller just made.
     pub(super) fn try_schedule(&mut self, instance: u32, now: SimTime) {
         if self.instances[instance as usize].inst.compute_busy {
+            self.recheck_run(instance);
             return;
         }
         // A down instance never launches. Draining instances still
@@ -371,7 +375,7 @@ impl Shard<'_> {
         // 1. Desired prefix of the candidate index under the block budget.
         let (desired_residents, excess) = self.desired_prefix(
             instance,
-            |st| (st.tokens_needed_next(), st.held_gpu_blocks),
+            |_, st| (st.tokens_needed_next(), st.held_gpu_blocks),
             &mut scratch.desired,
         );
 
@@ -561,13 +565,13 @@ impl Shard<'_> {
     /// unavailable; their total is maintained incrementally at every
     /// transfer launch and landing. `view` reads a member's KV tokens
     /// needed next and blocks held: its stored state in a scheduling pass,
-    /// the tokens a steady run still owes it in the run's debug check.
+    /// with the tokens a steady run still owes it in the run's debug check.
     /// Returns how many desired members are GPU-resident and whether any
     /// holds more blocks than it needs.
     pub(super) fn desired_prefix(
         &self,
         instance: u32,
-        view: impl Fn(&RequestState) -> (u64, u64),
+        view: impl Fn(ReqHandle, &RequestState) -> (u64, u64),
         desired: &mut Vec<(ReqHandle, u64)>,
     ) -> (usize, bool) {
         let rt = &self.instances[instance as usize];
@@ -585,7 +589,7 @@ impl Shard<'_> {
                 break;
             }
             let st = &self.states[handle];
-            let (tokens, held) = view(st);
+            let (tokens, held) = view(handle, st);
             let blocks = self.geometry.blocks_for_tokens(tokens);
             let need = blocks.max(held);
             match budget {

@@ -28,10 +28,26 @@
 //!
 //! Each member's applied contribution is recorded in its [`MemberMon`]
 //! slot, so a mutator diffs the new state against exactly what it applied
-//! before. Every mutator first catches up an open steady run on the
-//! member's instance, so it never diffs against a state the run still
-//! owes tokens to. Debug builds check every monitor row, candidate order
-//! and evictee set against a from-scratch rebuild.
+//! before. A mutator is also a **touch** of the open [steady
+//! run](super::steady) on the request's instance, if there is one:
+//!
+//! * a member of the run (a request in the in-flight batch) closes it
+//!   first, catching every member up, so the mutator never diffs against a
+//!   state the run still owes tokens to, and the next launch re-plans the
+//!   changed batch on the full path;
+//! * a non-member is re-filed without touching the run's members. If it
+//!   now sorts among the batch's keys or is GPU-resident, the next launch
+//!   would admit or evict it, so the run closes. Otherwise the batch stays
+//!   a key-order prefix of the candidates with no resident outside it, and
+//!   only the first candidate outside the batch could still enter — if the
+//!   change freed budget or brought a new candidate. The run is marked,
+//!   and settled by the `try_schedule` every such caller ends with: it
+//!   stays open while that candidate cannot fit;
+//! * a predictor refresh re-prices a run member's predicted growth in
+//!   place: growth never changes which batch the planner picks.
+//!
+//! Debug builds check every monitor row, candidate order and evictee set
+//! against a from-scratch rebuild.
 
 use std::cell::Cell;
 
@@ -239,6 +255,13 @@ pub(crate) struct MemberMon {
     /// Its dataset group and its index in the group's member list
     /// (dataset-scope predictors only).
     group: Option<(u32, u32)>,
+    /// As a member of an open steady run: the run iteration its state was
+    /// last brought up to.
+    pub(super) sync: u32,
+    /// As a member of an open steady run: the run iteration at which its
+    /// predicted growth reaches zero and its drop residue retires
+    /// (`u32::MAX` when none is scheduled).
+    pub(super) retire: u32,
 }
 
 /// A member's predicted future KV: `blocks` blocks of predicted remaining
@@ -423,12 +446,59 @@ impl Shard<'_> {
     }
 
     /// Re-files a member after its phase, demotion, quanta, KV location,
-    /// pacer or token count changed. Like every mutator it is a touch: it
-    /// first closes any steady run on the member's instance.
+    /// pacer or token count changed. Like every mutator it is a touch of
+    /// any open steady run on the member's instance (see
+    /// [`Shard::touch_run`]).
     pub(super) fn sync_member(&mut self, handle: ReqHandle) {
-        self.catch_up(self.states[handle].instance);
+        self.touch_run(handle);
         let to = self.contribution(handle);
         self.apply(handle, &to);
+        self.check_run(handle);
+    }
+
+    /// Before a mutator changes `handle`: a member of the open steady run
+    /// on its instance closes the run, whose batch it is about to leave or
+    /// change. A non-member leaves the run open for [`Shard::check_run`].
+    fn touch_run(&mut self, handle: ReqHandle) {
+        let st = &self.states[handle];
+        if st.running {
+            self.catch_up(st.instance);
+        }
+    }
+
+    /// After a mutator re-filed `handle`, a non-member of the open steady
+    /// run on its instance (if one is open): a candidate keyed into the
+    /// batch's key range or a GPU resident outside the batch would change
+    /// the next launch — admitted, or evicted — so the run closes;
+    /// anything else may only let the first candidate outside the batch
+    /// fit, which the caller's closing `try_schedule` checks
+    /// ([`Shard::recheck_run`]).
+    fn check_run(&mut self, handle: ReqHandle) {
+        let instance = self.states[handle].instance;
+        let rt = &self.instances[instance as usize];
+        if !rt.steady.is_open() {
+            return;
+        }
+        let m = &self.member_mon[handle.index()];
+        let last = rt
+            .current_batch
+            .last()
+            .and_then(|&h| self.member_mon[h.index()].key);
+        if m.resident || m.key.is_some_and(|key| Some(key) < last) {
+            self.catch_up(instance);
+        } else {
+            self.instances[instance as usize].steady.mark_dirty();
+        }
+    }
+
+    /// Re-files `member` of an open steady run after its token at a kept
+    /// quantum end: its candidate key and `r_i`/`a_i` counts move, its
+    /// growth is already exact, and its pacer entry stays out of the list
+    /// while the run lasts.
+    pub(super) fn refile_run_member(&mut self, member: ReqHandle) {
+        let mut to = self.contribution(member);
+        to.pace_deadline = None;
+        self.apply(member, &to);
     }
 
     /// Re-files a member after a token that moved nothing but its token
@@ -470,9 +540,11 @@ impl Shard<'_> {
 
     /// Re-resolves every dataset group's estimate after the predictor
     /// learned, and re-sums the members of each group whose rounded total
-    /// moved — after catching up the steady runs those members are in, so
-    /// the re-sum reads the tokens they are owed. A no-op when predicted
-    /// growth is untracked or estimates are fixed per request.
+    /// moved. A member of an open steady run is re-priced in place at its
+    /// true token count ([`Shard::reprice_run_member`]): growth never
+    /// changes the batch the planner picks, so the run stays open. A no-op
+    /// when predicted growth is untracked or estimates are fixed per
+    /// request.
     pub(super) fn refresh_estimates(&mut self) {
         if !(self.estimates.tracking && self.estimates.per_dataset) {
             return;
@@ -482,24 +554,30 @@ impl Shard<'_> {
             if total == self.estimates.groups[g].total {
                 continue;
             }
+            self.estimates.groups[g].total = total;
+            let mut repriced = 0;
             for at in 0..self.estimates.groups[g].members.len() {
                 let handle = self.estimates.groups[g].members[at];
-                self.catch_up(self.states[handle].instance);
-            }
-            let group = &mut self.estimates.groups[g];
-            group.total = total;
-            for &handle in &group.members {
                 let st = &self.states[handle];
+                let instance = st.instance as usize;
+                if st.running && self.instances[instance].steady.is_open() {
+                    self.reprice_run_member(handle, total);
+                    repriced += 1;
+                    continue;
+                }
                 let growth = Growth::at(total, st.tokens_generated, self.geometry.block_tokens);
                 let m = &mut self.member_mon[handle.index()];
-                let monitor = &mut self.instances[st.instance as usize].monitor;
+                let monitor = &mut self.instances[instance].monitor;
                 monitor.predicted_blocks =
                     monitor.predicted_blocks - m.growth.blocks + growth.blocks;
                 m.growth = growth;
                 m.predicted_total = total;
             }
-            let visited = group.members.len() as u64;
-            self.count_work(|w| w.monitor_member_visits += visited);
+            let visited = self.estimates.groups[g].members.len() as u64;
+            self.count_work(|w| {
+                w.monitor_member_visits += visited;
+                w.runs_kept += repriced;
+            });
         }
     }
 
@@ -539,8 +617,9 @@ impl Shard<'_> {
     }
 
     fn leave_instance(&mut self, handle: ReqHandle) {
-        self.catch_up(self.states[handle].instance);
+        self.touch_run(handle);
         self.apply(handle, &Contribution::NONE);
+        self.check_run(handle);
         let st = &self.states[handle];
         self.instances[st.instance as usize]
             .inst

@@ -89,8 +89,6 @@ use crate::config::SimConfig;
 use crate::fleet::HealthState;
 
 mod admission;
-#[doc(hidden)]
-pub mod bench_support;
 mod cluster;
 mod driver;
 mod federation;

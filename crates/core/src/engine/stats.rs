@@ -88,17 +88,18 @@ impl Shard<'_> {
     /// member — the debug-build reference every served row is checked
     /// against. Asks the predictor directly, so it neither counts as work
     /// nor relies on the cached totals it checks. Members of an open
-    /// steady run are read with the tokens the run owes them, without
-    /// catching them up, so debug and release builds take the same path.
+    /// steady run are read with the tokens the run owes each of them,
+    /// without catching them up, so debug and release builds take the same
+    /// path.
     #[cfg(debug_assertions)]
-    fn reference_row(&self, rt: &super::InstanceRt, now: SimTime) -> InstanceStats {
+    pub(super) fn reference_row(&self, rt: &super::InstanceRt, now: SimTime) -> InstanceStats {
         let tpot = self.config.target_tpot.as_nanos();
         let mut slo_ok = true;
         let mut reasoning = 0u32;
         let mut fresh_answering = 0u32;
         for (_, handle) in rt.inst.members.iter() {
             let st = &self.states[handle];
-            let owed = rt.steady.owed(st.running);
+            let owed = self.owed(handle);
             match st.phase {
                 Phase::Reasoning => {
                     if !st.demoted {
@@ -129,7 +130,7 @@ impl Shard<'_> {
                     .iter()
                     .map(|(_, handle)| {
                         let st = &self.states[handle];
-                        let generated = st.tokens_generated + rt.steady.owed(st.running);
+                        let generated = st.tokens_generated + self.owed(handle);
                         pred.predicted_remaining_tokens(&st.spec, generated)
                             .map_or(0, |remaining| {
                                 self.geometry.bytes_for_tokens(remaining.round() as u64)

@@ -989,43 +989,71 @@ mod steady_runs {
     use pascal_sim::SimDuration;
     use pascal_workload::Phase;
 
-    /// What the engine looked like around the event that interrupted a
-    /// steady run.
+    /// What the engine looked like around the event that interrupted (or
+    /// tested) a steady run.
     struct Interruption {
         /// Whether the watched instance had a steady run open just before.
         open_before: bool,
+        /// Whether it still has one just after.
+        open_after: bool,
         /// Steady iterations replayed before that event.
         steady_before: u64,
         /// Members caught up by that event.
         caught_up: u64,
+        /// Touches and edges runs survived during that event.
+        kept: u64,
     }
 
-    /// Steps `trace` under `config` (one shard) until `at` names the
-    /// instance an event just interrupted, then runs to the end.
+    /// An instance just before an event.
+    struct Before {
+        open: bool,
+        predicted_blocks: u64,
+        batch: Vec<pascal_cluster::ReqHandle>,
+    }
+
+    /// Steps `trace` under `config` (one shard) until `at`, shown every
+    /// instance as it was before the event and the shard after it, names
+    /// the instance to watch; then runs to the end.
+    fn interrupt_when(
+        trace: &Trace,
+        config: &SimConfig,
+        at: impl Fn(&[Before], &Shard<'_>) -> Option<u32>,
+    ) -> (Interruption, SimOutput) {
+        let mut engine = Engine::new(trace, config);
+        loop {
+            let before: Vec<Before> = engine.shards()[0]
+                .instances
+                .iter()
+                .map(|rt| Before {
+                    open: rt.steady.is_open(),
+                    predicted_blocks: rt.monitor.predicted_blocks,
+                    batch: rt.current_batch.clone(),
+                })
+                .collect();
+            let work = cluster::total_work(engine.shards());
+            assert!(engine.step(), "the run ended before the interruption");
+            let sh = &engine.shards()[0];
+            if let Some(i) = at(&before, sh) {
+                let after = cluster::total_work(engine.shards());
+                let seen = Interruption {
+                    open_before: before[i as usize].open,
+                    open_after: sh.instances[i as usize].steady.is_open(),
+                    steady_before: work.steady_iterations,
+                    caught_up: after.members_caught_up - work.members_caught_up,
+                    kept: after.runs_kept - work.runs_kept,
+                };
+                return (seen, engine.run());
+            }
+        }
+    }
+
+    /// [`interrupt_when`] for a condition on the shard after the event.
     fn interrupt(
         trace: &Trace,
         config: &SimConfig,
         at: impl Fn(&Shard<'_>) -> Option<u32>,
     ) -> (Interruption, SimOutput) {
-        let mut engine = Engine::new(trace, config);
-        loop {
-            let open: Vec<bool> = engine.shards()[0]
-                .instances
-                .iter()
-                .map(|rt| rt.steady.is_open())
-                .collect();
-            let before = cluster::total_work(engine.shards());
-            assert!(engine.step(), "the run ended before the interruption");
-            if let Some(i) = at(&engine.shards()[0]) {
-                let after = cluster::total_work(engine.shards());
-                let seen = Interruption {
-                    open_before: open[i as usize],
-                    steady_before: before.steady_iterations,
-                    caught_up: after.members_caught_up - before.members_caught_up,
-                };
-                return (seen, engine.run());
-            }
-        }
+        interrupt_when(trace, config, |_, sh| at(sh))
     }
 
     /// The instance of the first live request `pick` selects.
@@ -1049,6 +1077,16 @@ mod steady_runs {
             "{what}: no steady run open when it landed"
         );
         assert!(seen.caught_up > 0, "{what}: the run was not caught up");
+    }
+
+    fn assert_kept(seen: &Interruption, what: &str) {
+        assert!(
+            seen.steady_before > 0,
+            "{what}: no steady iteration before it"
+        );
+        assert!(seen.open_before, "{what}: no steady run open before it");
+        assert!(seen.open_after, "{what}: the run closed");
+        assert!(seen.kept > 0, "{what}: no kept touch or edge counted");
     }
 
     #[test]
@@ -1110,20 +1148,79 @@ mod steady_runs {
     }
 
     #[test]
-    fn an_offload_landing_closes_the_run_it_made_room_for() {
+    fn an_offload_landing_that_frees_room_for_nobody_keeps_the_run() {
+        // The evictee lands in CPU memory, but the blocks its offload held
+        // do not make room for it: the run of the request it made way for
+        // goes on.
         let (trace, config) = eviction_cell();
         let (seen, out) = interrupt(&trace, &config, |sh| {
             member_where(sh, |st| st.kv_location == KvLocation::Cpu)
         });
-        assert_touched(&seen, "offload landing");
+        assert_kept(&seen, "offload landing");
+        assert_eq!(seen.caught_up, 0);
         assert!(out.records[1].num_preemptions > 0);
+    }
+
+    #[test]
+    fn an_offload_landing_closes_the_run_it_made_room_for() {
+        // PASCAL over a pool of 9,016 tokens. An answering request (1)
+        // runs until a reasoning one (0), sorting first, outgrows the pool
+        // with it and evicts it. A short reasoning request (2) arrives
+        // while the offload is in flight: it sorts after request 0 and
+        // before the evictee, and fits only once the offload frees its
+        // blocks — so that landing must close request 0's run.
+        let geometry = oracle(SchedPolicy::Fcfs).geometry();
+        let mut config = SimConfig::characterization(
+            SchedPolicy::pascal(PascalConfig {
+                quantum: 100_000,
+                ..PascalConfig::default()
+            }),
+            KvCapacityMode::Bytes(geometry.bytes_for_tokens(9_016)),
+        );
+        let pair = vec![
+            RequestSpec::warm(RequestId(1), SimTime::ZERO, 4000, 3000),
+            RequestSpec::new(RequestId(0), secs(1.0), 4000, 3000, 0),
+        ];
+        config.telemetry.trace = true;
+        let events = run_simulation(&Trace::from_requests(pair.clone()), &config)
+            .telemetry
+            .expect("tracing was on")
+            .events;
+        let at = |kind: TraceEventKind| {
+            events
+                .iter()
+                .find(|e| e.request == Some(1) && e.kind == kind)
+                .expect("request 1 is evicted")
+                .at
+        };
+        let (evicted, landed) = (
+            at(TraceEventKind::Preempted),
+            at(TraceEventKind::OffloadDone),
+        );
+        let mid = SimTime::from_nanos((evicted.as_nanos() + landed.as_nanos()) / 2);
+        let mut requests = pair;
+        requests.push(RequestSpec::new(RequestId(2), mid, 500, 100, 0));
+        config.telemetry.trace = false;
+        let trace = Trace::from_requests(requests);
+        let (seen, out) = interrupt(&trace, &config, |sh| {
+            member_where(sh, |st| st.kv_location == KvLocation::Cpu)
+        });
+        assert_touched(&seen, "offload landing");
+        assert_eq!(out.records.len(), 3);
+        assert!(out.records[1].num_preemptions > 0);
+        // Request 2 could not start before the offload freed the room.
+        assert!(out.records[2].first_token > landed);
+        // The same arrival keeps the run while the offload holds the room.
+        let (seen, _) = interrupt(&trace, &config, |sh| (sh.routed_arrivals == 3).then_some(0));
+        assert_kept(&seen, "arrival during the offload");
     }
 
     #[test]
     fn a_reload_lands_with_the_run_already_closed() {
         // The launch that starts a reload leaves the reloading member
-        // desired but outside the batch, so no run opens until it lands:
-        // a reload never interrupts a run on its own instance.
+        // desired but outside the batch, so no run opens until it lands —
+        // unless a newcomer pushes it out of the desired set meanwhile (the
+        // next test).
         let (trace, config) = eviction_cell();
         let (seen, out) = interrupt(&trace, &config, |sh| {
             member_where(sh, |st| {
@@ -1140,6 +1237,60 @@ mod steady_runs {
         );
         assert_eq!(out.records.len(), 2);
         assert!(out.records[1].num_preemptions > 0);
+    }
+
+    #[test]
+    fn a_reload_landing_outside_a_full_batch_closes_the_run() {
+        // Round robin with room for one request. Request 0's quantum ends,
+        // request 1 takes its place, and when request 1's quantum ends in
+        // turn request 0 starts reloading its 8,000-token context. Request
+        // 2 arrives during that reload and sorts first, so it runs alone,
+        // steady, while request 0's KV crosses PCIe. The reload lands a
+        // GPU resident outside the full batch — one the next launch evicts
+        // — so the landing must close the run even though nothing can
+        // enter it.
+        let mut config = oracle(SchedPolicy::RoundRobin { quantum: 100 });
+        config.max_batch = 1;
+        let pair = vec![
+            RequestSpec::new(RequestId(0), SimTime::ZERO, 8000, 1000, 0),
+            RequestSpec::new(RequestId(1), secs(0.01), 64, 1000, 0),
+        ];
+        config.telemetry.trace = true;
+        let events = run_simulation(&Trace::from_requests(pair.clone()), &config)
+            .telemetry
+            .expect("tracing was on")
+            .events;
+        let first = |id: u64, kind: TraceEventKind| {
+            events
+                .iter()
+                .find(|e| e.request == Some(id) && e.kind == kind)
+                .expect("both requests are evicted once")
+                .at
+        };
+        // Request 1's eviction is the launch that starts request 0's reload.
+        let (reloading, landed) = (
+            first(1, TraceEventKind::Preempted),
+            first(0, TraceEventKind::ReloadDone),
+        );
+        let mut requests = pair;
+        requests.push(RequestSpec::new(
+            RequestId(2),
+            SimTime::from_nanos((reloading.as_nanos() + landed.as_nanos()) / 2),
+            64,
+            1000,
+            0,
+        ));
+        config.telemetry.trace = false;
+        let (seen, out) = interrupt(&Trace::from_requests(requests), &config, |sh| {
+            member_where(sh, |st| {
+                st.spec.id == RequestId(0)
+                    && st.kv_location == KvLocation::Gpu
+                    && !st.running
+                    && st.num_preemptions > 0
+            })
+        });
+        assert_touched(&seen, "reload landing outside a full batch");
+        assert_eq!(out.records.len(), 3);
     }
 
     #[test]
@@ -1188,24 +1339,90 @@ mod steady_runs {
         assert!(out.migration_outcomes.launched > 0);
     }
 
-    #[test]
-    fn a_predictor_refresh_closes_runs_with_members_of_the_group() {
-        // A completion on one instance teaches the predictor, which moves
-        // the shared estimate of the dataset whose member runs steady on
-        // the other instance.
-        let trace = Trace::from_requests(vec![
-            RequestSpec::new(RequestId(0), SimTime::ZERO, 64, 4000, 0).with_dataset("gpqa"),
-            RequestSpec::new(RequestId(1), secs(0.5), 64, 300, 0).with_dataset("gpqa"),
-        ]);
+    /// PASCAL with a dataset-scope predictor over two instances. A large
+    /// prompt of another dataset (0) keeps five short requests (1–5) off
+    /// instance 0 until it completes; a long request of their dataset (6)
+    /// then runs steady there, having started later. The fifth short
+    /// completion warms the predictor up to a total above request 6's
+    /// token count, so its predicted growth jumps from nothing to some
+    /// blocks, and later reaches zero mid-run.
+    fn refresh_cell() -> (Trace, SimConfig) {
+        let mut requests =
+            vec![RequestSpec::new(RequestId(0), SimTime::ZERO, 6000, 10, 0).with_dataset("aime")];
+        for id in 1..=5 {
+            requests.push(
+                RequestSpec::new(RequestId(id), SimTime::ZERO, 64, 3010, 0).with_dataset("gpqa"),
+            );
+        }
+        requests.push(RequestSpec::new(RequestId(6), secs(5.0), 64, 6000, 0).with_dataset("gpqa"));
+        let trace = Trace::from_requests(requests);
         let mut config =
             SimConfig::evaluation_cluster(SchedPolicy::pascal(PascalConfig::default()));
         config.num_instances = 2;
         config.predictor = Some(PredictorKind::ProfileEma);
-        let (seen, out) = interrupt(&trace, &config, |sh| {
-            (sh.records.len() == 1).then(|| sh.states.iter().next().expect("one left").1.instance)
+        (trace, config)
+    }
+
+    #[test]
+    fn a_predictor_refresh_keeps_runs_with_members_of_the_group() {
+        let (trace, config) = refresh_cell();
+        let mut engine = Engine::new(&trace, &config);
+        let (long, open_before) = loop {
+            let sh = &engine.shards()[0];
+            let long = member_where(sh, |st| st.spec.id == RequestId(6));
+            let open = long.is_some_and(|i| sh.instances[i as usize].steady.is_open());
+            assert!(engine.step(), "the run ended before the refresh");
+            if engine.shards()[0].records.len() == 6 {
+                break (long.expect("request 6 arrived first"), open);
+            }
+        };
+        let sh = &engine.shards()[0];
+        let rt = &sh.instances[long as usize];
+        assert!(open_before, "request 6 was not running steady");
+        assert!(rt.steady.is_open(), "the refresh closed request 6's run");
+        assert!(
+            rt.monitor.predicted_blocks > 0,
+            "the refresh did not re-price request 6"
+        );
+        let now = sh.records[5].completion;
+        let row = sh.collect_stats(now)[long as usize];
+        #[cfg(debug_assertions)]
+        assert_eq!(row, sh.reference_row(rt, now), "re-priced row");
+        assert_eq!(
+            row.predicted_future_kv_bytes,
+            rt.monitor.predicted_blocks * sh.geometry.block_bytes()
+        );
+        let work = cluster::total_work(engine.shards());
+        assert!(work.runs_kept > 0, "{work:?}");
+        let out = engine.run();
+        assert_eq!(out.records.len(), 7);
+    }
+
+    #[test]
+    fn a_completion_that_teaches_the_predictor_closes_its_own_run() {
+        // The pair of the test above: the completing request's own run
+        // ends at its completion edge, on the full path.
+        let (trace, config) = refresh_cell();
+        let (seen, _) = interrupt(&trace, &config, |sh| {
+            (sh.records.len() == 6).then(|| sh.records[5].instances_visited[0])
         });
-        assert_touched(&seen, "predictor refresh");
-        assert_eq!(out.records.len(), 2);
+        assert_touched(&seen, "completion");
+    }
+
+    #[test]
+    fn growth_reaching_zero_mid_run_keeps_the_run() {
+        let (trace, config) = refresh_cell();
+        let (seen, out) = interrupt_when(&trace, &config, |before, sh| {
+            let i = member_where(sh, |st| st.spec.id == RequestId(6))?;
+            let rt = &sh.instances[i as usize];
+            (sh.records.len() == 6
+                && before[i as usize].predicted_blocks > 0
+                && rt.monitor.predicted_blocks == 0)
+                .then_some(i)
+        });
+        assert_kept(&seen, "growth reaching zero");
+        assert_eq!(seen.caught_up, 0);
+        assert_eq!(out.records[6].tokens_generated, 6000);
     }
 
     #[test]
@@ -1229,6 +1446,10 @@ mod steady_runs {
 
     #[test]
     fn a_quantum_end_is_an_edge() {
+        // An edge of its member alone: the member is caught up, closes its
+        // token on the full path's per-token code and is re-keyed, and the
+        // run goes on — with nothing waiting, the batch stays the desired
+        // prefix.
         let trace = Trace::from_requests(vec![RequestSpec::new(
             RequestId(0),
             SimTime::ZERO,
@@ -1240,8 +1461,84 @@ mod steady_runs {
         let (seen, out) = interrupt(&trace, &config, |sh| {
             member_where(sh, |st| st.quanta_used > 0)
         });
-        assert_touched(&seen, "quantum end");
+        assert_kept(&seen, "quantum end");
+        assert_eq!(
+            seen.caught_up, 1,
+            "only the member at its edge is caught up"
+        );
         assert_eq!(out.records[0].tokens_generated, 1000);
+    }
+
+    /// Round robin with a 300-token quantum and room for `max_batch`
+    /// requests: three long requests arriving 100 ms apart.
+    fn quantum_cell(max_batch: u32) -> (Trace, SimConfig) {
+        let trace = Trace::from_requests(
+            (0..3)
+                .map(|i| RequestSpec::new(RequestId(i), secs(0.1 * i as f64), 64, 1000, 0))
+                .collect(),
+        );
+        let mut config = oracle(SchedPolicy::RoundRobin { quantum: 300 });
+        config.max_batch = max_batch;
+        (trace, config)
+    }
+
+    #[test]
+    fn a_set_preserving_quantum_end_keeps_the_run_reordered() {
+        // Request 0's quantum ends first; its key moves behind the other
+        // two, and with nothing waiting outside the batch the run goes on,
+        // the batch re-ordered as the planner would launch it.
+        let (trace, config) = quantum_cell(8);
+        let (seen, _) = interrupt_when(&trace, &config, |before, sh| {
+            let i = member_where(sh, |st| st.spec.id == RequestId(0) && st.quanta_used > 0)?;
+            let rt = &sh.instances[i as usize];
+            let ids = |batch: &[pascal_cluster::ReqHandle]| -> Vec<u64> {
+                batch.iter().map(|&h| sh.states[h].spec.id.0).collect()
+            };
+            assert_eq!(ids(&before[i as usize].batch), [0, 1, 2]);
+            assert_eq!(ids(&rt.current_batch), [1, 2, 0]);
+            Some(i)
+        });
+        assert_kept(&seen, "set-preserving quantum end");
+        assert_eq!(seen.caught_up, 1);
+    }
+
+    #[test]
+    fn a_quantum_end_a_waiting_candidate_overtakes_closes_the_run() {
+        // Only two requests fit the batch; when request 0's quantum ends,
+        // its new key sorts after waiting request 2, which takes its place.
+        let (trace, config) = quantum_cell(2);
+        let (seen, out) = interrupt(&trace, &config, |sh| {
+            member_where(sh, |st| st.spec.id == RequestId(0) && st.quanta_used > 0)
+        });
+        assert_touched(&seen, "overtaking quantum end");
+        assert_eq!(out.records.len(), 3);
+    }
+
+    #[test]
+    fn a_source_side_migration_landing_that_frees_room_for_nobody_keeps_the_run() {
+        // Request 1 shares request 0's instance, reaches its phase
+        // boundary there and migrates away. Its landing frees its source
+        // blocks, but nothing waits on the source: request 0's run there
+        // goes on.
+        let trace = Trace::from_requests(vec![
+            RequestSpec::new(RequestId(0), SimTime::ZERO, 64, 4000, 0),
+            RequestSpec::new(RequestId(2), SimTime::ZERO, 2000, 4000, 0),
+            RequestSpec::new(RequestId(1), secs(1.0), 64, 100, 300),
+        ]);
+        let mut config =
+            SimConfig::evaluation_cluster(SchedPolicy::pascal(PascalConfig::default()));
+        config.num_instances = 2;
+        let (seen, out) = interrupt(&trace, &config, |sh| {
+            let st = sh
+                .states
+                .iter()
+                .map(|(_, st)| st)
+                .find(|st| st.spec.id == RequestId(1))?;
+            let from = st.migration.as_ref()?.from_instance;
+            (st.kv_location != KvLocation::Migrating).then_some(from)
+        });
+        assert_kept(&seen, "source-side migration landing");
+        assert!(out.migration_outcomes.launched > 0);
     }
 
     #[test]

@@ -68,8 +68,6 @@ pub mod sweep;
 
 pub use analyze::{anatomy_to_csv, anatomy_to_json, anatomy_waterfall, parse_trace_jsonl};
 pub use config::{estimate_capacity_rps, KvCapacityMode, RateLevel, SimConfig};
-#[doc(hidden)]
-pub use engine::bench_support;
 pub use engine::{run_simulation, AdmissionMode, PredictiveMigration, SimOutput};
 pub use fleet::{FleetPreset, FleetSpec};
 pub use pascal_federation::{FederationPolicy, WanLink};

@@ -224,6 +224,17 @@ impl SchedPolicy {
     /// Intra-instance priority key of `req` (lower sorts first).
     #[must_use]
     pub fn priority_key(&self, req: &RequestState) -> PriorityKey {
+        self.key_with_quanta(req, req.quanta_used)
+    }
+
+    /// The key `req` is filed under once its current quantum ends: one
+    /// more consumed quantum, everything else unchanged.
+    #[must_use]
+    pub fn key_after_quantum(&self, req: &RequestState) -> PriorityKey {
+        self.key_with_quanta(req, req.quanta_used + 1)
+    }
+
+    fn key_with_quanta(&self, req: &RequestState, quanta_used: u32) -> PriorityKey {
         let class = match self {
             SchedPolicy::Pascal(_) => {
                 if req.phase == Phase::Reasoning && !req.demoted {
@@ -236,7 +247,7 @@ impl SchedPolicy {
         };
         let quanta = match self {
             SchedPolicy::Fcfs => 0,
-            _ => req.quanta_used,
+            _ => quanta_used,
         };
         PriorityKey {
             class,
@@ -489,6 +500,24 @@ mod tests {
         assert!(p.priority_key(&newcomer) < p.priority_key(&veteran));
         let same_quanta = request(2, 0.5);
         assert!(p.priority_key(&same_quanta) < p.priority_key(&newcomer));
+    }
+
+    #[test]
+    fn key_after_quantum_is_the_key_once_the_quantum_ends() {
+        for p in [
+            SchedPolicy::Fcfs,
+            SchedPolicy::round_robin_default(),
+            SchedPolicy::pascal(PascalConfig::default()),
+        ] {
+            let mut req = request(0, 1.0);
+            req.phase = Phase::Answering;
+            req.quanta_used = 3;
+            req.tokens_in_quantum = 7;
+            let predicted = p.key_after_quantum(&req);
+            req.quanta_used += 1;
+            req.tokens_in_quantum = 0;
+            assert_eq!(predicted, p.priority_key(&req), "{}", p.name());
+        }
     }
 
     #[test]

@@ -107,9 +107,17 @@ pub struct WorkCounters {
     /// Decode iterations replayed in closed form: a steady batch's next
     /// iteration launched without visiting its members.
     pub steady_iterations: u64,
-    /// Members brought up to date when a steady run closed: one per
-    /// member per run, however many iterations the run replayed.
+    /// Members brought up to date in closed form: one per member when a
+    /// steady run closes, however many iterations it replayed, plus one
+    /// per member caught up alone at a quantum end its run survives.
     pub members_caught_up: u64,
+    /// Iterations that took the full path: every batch member visited,
+    /// the planner run, the next batch launched.
+    pub full_path_iterations: u64,
+    /// Touches and edges a steady run survived: a member's quantum end or
+    /// growth reaching zero, a run member re-priced by a predictor
+    /// refresh, and a non-member change that left the batch in place.
+    pub runs_kept: u64,
 }
 
 impl WorkCounters {
@@ -123,6 +131,8 @@ impl WorkCounters {
         self.predictor_estimates += other.predictor_estimates;
         self.steady_iterations += other.steady_iterations;
         self.members_caught_up += other.members_caught_up;
+        self.full_path_iterations += other.full_path_iterations;
+        self.runs_kept += other.runs_kept;
     }
 
     /// The counts as one stable, space-separated `name value` line body,
@@ -132,14 +142,17 @@ impl WorkCounters {
     pub fn render(&self, wall_s: Option<f64>) -> String {
         let mut out = format!(
             "{} tokens, {} sched member scans, {} monitor rows, {} monitor member visits, \
-             {} predictor estimates, {} steady iterations, {} members caught up",
+             {} predictor estimates, {} steady iterations, {} members caught up, \
+             {} full-path iterations, {} runs kept",
             self.tokens,
             self.sched_member_scans,
             self.monitor_rows,
             self.monitor_member_visits,
             self.predictor_estimates,
             self.steady_iterations,
-            self.members_caught_up
+            self.members_caught_up,
+            self.full_path_iterations,
+            self.runs_kept
         );
         if let Some(ns) = wall_s.and_then(|w| self.ns_per_token(w)) {
             out.push_str(&format!(", {ns:.1} ns per token"));
@@ -217,7 +230,7 @@ impl HotPathProfiler {
     pub fn report(self) -> ProfileReport {
         let wall_s = self.started.elapsed().as_secs_f64();
         let events: u64 = self.counts.iter().sum();
-        let rows = ProfiledEvent::ALL
+        let rows: Vec<ProfileRow> = ProfiledEvent::ALL
             .iter()
             .map(|&kind| {
                 let h = &self.timings[kind.index()];
@@ -230,8 +243,14 @@ impl HotPathProfiler {
                 }
             })
             .collect();
+        let handlers_s = rows
+            .iter()
+            .map(|r: &ProfileRow| r.mean_us * r.count as f64)
+            .sum::<f64>()
+            / 1e6;
         ProfileReport {
             wall_s,
+            handlers_s,
             events,
             events_per_sec: if wall_s > 0.0 {
                 events as f64 / wall_s
@@ -271,6 +290,9 @@ pub struct ProfileRow {
 pub struct ProfileReport {
     /// Wall-clock seconds from engine construction to report time.
     pub wall_s: f64,
+    /// Wall-clock seconds inside the event handlers, estimated as each
+    /// class's sampled mean times its exact count.
+    pub handlers_s: f64,
     /// Total events handled.
     pub events: u64,
     /// Events handled per wall-clock second — the headline throughput
@@ -304,7 +326,28 @@ impl ProfileReport {
                 row.name, row.count, row.mean_us, row.p50_us, row.p99_us
             ));
         }
+        let loop_s = self.event_loop_s();
+        out.push_str(&format!(
+            "  {:<18} {:.3}s outside every handler ({:.1}% of wall; handlers {:.3}s)\n",
+            "event loop",
+            loop_s,
+            if self.wall_s > 0.0 {
+                100.0 * loop_s / self.wall_s
+            } else {
+                0.0
+            },
+            self.handlers_s
+        ));
         out
+    }
+
+    /// Wall-clock seconds outside every event handler — finding the next
+    /// event, the driver loop, engine setup and teardown — so that the
+    /// handlers plus this sum to the wall time. Zero when the sampled
+    /// handler estimate exceeds the wall time.
+    #[must_use]
+    pub fn event_loop_s(&self) -> f64 {
+        (self.wall_s - self.handlers_s).max(0.0)
     }
 }
 
@@ -338,6 +381,28 @@ mod tests {
         assert_eq!(iter_row.count, 10);
         assert!((iter_row.mean_us - 2.0).abs() < BIN_WIDTH_US);
         assert!(iter_row.p50_us > 0.0);
+        // 10 × 2 µs + 1 µs of handlers; the rest of the wall is the loop.
+        assert!((report.handlers_s - 21e-6).abs() < 1e-12);
+        assert_eq!(
+            report.event_loop_s(),
+            (report.wall_s - report.handlers_s).max(0.0)
+        );
+    }
+
+    #[test]
+    fn event_loop_line_completes_the_wall_time() {
+        let report = ProfileReport {
+            wall_s: 2.0,
+            handlers_s: 1.5,
+            events: 3,
+            events_per_sec: 1.5,
+            work: WorkCounters::default(),
+            rows: Vec::new(),
+        };
+        assert_eq!(report.event_loop_s(), 0.5);
+        assert!(report.render().contains(
+            "event loop         0.500s outside every handler (25.0% of wall; handlers 1.500s)"
+        ));
     }
 
     #[test]

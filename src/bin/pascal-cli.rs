@@ -1615,6 +1615,8 @@ mod tests {
             predictor_estimates: 14,
             steady_iterations: 15,
             members_caught_up: 16,
+            full_path_iterations: 17,
+            runs_kept: 18,
         };
         let line = aggregate_profile_line(&t, &work);
         // Every figure must survive a whitespace-and-label round trip —
@@ -1626,7 +1628,10 @@ mod tests {
             .collect();
         assert_eq!(
             nums,
-            vec![123_456.0, 1.5, 82_304.0, 3_000.0, 11.0, 12.0, 13.0, 14.0, 15.0, 16.0, 500_000.0],
+            vec![
+                123_456.0, 1.5, 82_304.0, 3_000.0, 11.0, 12.0, 13.0, 14.0, 15.0, 16.0, 17.0, 18.0,
+                500_000.0
+            ],
             "line: {line}"
         );
     }

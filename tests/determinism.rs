@@ -157,6 +157,8 @@ fn profile_work_counters_repeat_across_runs() {
     assert!(reference.predictor_estimates > 0, "{reference:?}");
     assert!(reference.steady_iterations > 0, "{reference:?}");
     assert!(reference.members_caught_up > 0, "{reference:?}");
+    assert!(reference.full_path_iterations > 0, "{reference:?}");
+    assert!(reference.runs_kept > 0, "{reference:?}");
     for rerun in 1..=2 {
         assert_eq!(work(), reference, "work counters moved on rerun {rerun}");
     }
