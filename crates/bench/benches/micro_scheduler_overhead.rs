@@ -12,7 +12,7 @@ use pascal_cluster::InstanceStats;
 use pascal_core::{reconstruct, run_simulation, FederationPolicy, SimConfig, TelemetryConfig};
 use pascal_model::{DecodeBatch, GpuSpec, LlmSpec, PerfModel};
 use pascal_sched::{PascalConfig, RouterPolicy, SchedPolicy};
-use pascal_sim::{EventQueue, HeapEventQueue, SimDuration, SimTime};
+use pascal_sim::{EventQueue, SimDuration};
 use pascal_workload::{ArrivalProcess, DatasetMix, DatasetProfile, TraceBuilder};
 
 /// Times `iters` calls of `f` per batch over `batches` batches and prints
@@ -43,66 +43,8 @@ fn bench_function<R>(name: &str, batches: usize, iters: usize, mut f: impl FnMut
     println!("{name:<40} {value:>10.3} {unit}/iter  (median of {batches}x{iters})");
 }
 
-fn bench_event_queue() {
-    let times: Vec<u64> = (0..10_000u64).map(|i| (i * 37) % 10_000).collect();
-    bench_function("event_queue_push_pop_10k", 20, 5, || {
-        let mut q = EventQueue::new();
-        for (i, t) in times.iter().enumerate() {
-            q.schedule(SimTime::from_nanos(*t + 10_000), i);
-        }
-        let mut n = 0usize;
-        while q.pop().is_some() {
-            n += 1;
-        }
-        n
-    });
-}
-
-/// The schedule/pop/cancel surface both queue implementations share, so
-/// one steady-state harness can drive the calendar queue and the
-/// reference binary heap side by side.
-trait QueueOps: Default {
-    type Id;
-    fn now(&self) -> SimTime;
-    fn schedule(&mut self, time: SimTime, payload: u64) -> Self::Id;
-    fn pop(&mut self) -> Option<(SimTime, u64)>;
-    fn cancel(&mut self, id: Self::Id) -> bool;
-}
-
-impl QueueOps for EventQueue<u64> {
-    type Id = pascal_sim::EventId;
-    fn now(&self) -> SimTime {
-        EventQueue::now(self)
-    }
-    fn schedule(&mut self, time: SimTime, payload: u64) -> Self::Id {
-        EventQueue::schedule(self, time, payload)
-    }
-    fn pop(&mut self) -> Option<(SimTime, u64)> {
-        EventQueue::pop(self)
-    }
-    fn cancel(&mut self, id: Self::Id) -> bool {
-        EventQueue::cancel(self, id)
-    }
-}
-
-impl QueueOps for HeapEventQueue<u64> {
-    type Id = pascal_sim::HeapEventId;
-    fn now(&self) -> SimTime {
-        HeapEventQueue::now(self)
-    }
-    fn schedule(&mut self, time: SimTime, payload: u64) -> Self::Id {
-        HeapEventQueue::schedule(self, time, payload)
-    }
-    fn pop(&mut self) -> Option<(SimTime, u64)> {
-        HeapEventQueue::pop(self)
-    }
-    fn cancel(&mut self, id: Self::Id) -> bool {
-        HeapEventQueue::cancel(self, id)
-    }
-}
-
 /// Deterministic 64-bit LCG: enough entropy to spread event times, no
-/// external crate, identical streams across queue implementations.
+/// external crate, the same stream on every run.
 struct Lcg(u64);
 
 impl Lcg {
@@ -115,58 +57,40 @@ impl Lcg {
     }
 }
 
-/// Steady-state queue-op costs at a fixed pending population: each
-/// measured iteration pops the earliest event and schedules a
-/// replacement (`pop+schedule`), or schedules an event and immediately
-/// cancels it (`schedule+cancel`), so the queue holds `pending` events
-/// throughout and the numbers reflect the op cost *at that depth* rather
+/// Steady-state queue cost at a fixed pending population: each measured
+/// iteration pops the earliest event and schedules a replacement on the
+/// same shard, so the queue holds `pending` events (spread over four
+/// shards) throughout and the figure is the cost *at that depth* rather
 /// than the cost of filling or draining.
-fn bench_queue_ops_at<Q: QueueOps>(label: &str, pending: usize, iters: usize) {
+fn bench_queue_ops_at(pending: usize) {
     let mut rng = Lcg(0x9E37_79B9_7F4A_7C15);
-    let mut q = Q::default();
+    let mut q = EventQueue::new();
     for i in 0..pending {
         let t = q.now() + SimDuration::from_nanos(rng.next_offset_ns());
-        q.schedule(t, i as u64);
+        q.schedule(t, i as u32 % 4, i as u64);
     }
     bench_function(
-        &format!("{label}_pop+schedule_{pending}"),
+        &format!("event_queue_pop+schedule_{pending}"),
         10,
-        iters,
+        100_000,
         || {
-            let (_, payload) = q.pop().expect("steady-state queue never drains");
+            let (_, shard, payload) = q.pop().expect("steady-state queue never drains");
             let t = q.now() + SimDuration::from_nanos(rng.next_offset_ns());
-            q.schedule(t, payload)
-        },
-    );
-    bench_function(
-        &format!("{label}_schedule+cancel_{pending}"),
-        10,
-        iters,
-        || {
-            let t = q.now() + SimDuration::from_nanos(rng.next_offset_ns());
-            let id = q.schedule(t, u64::MAX);
-            q.cancel(id)
+            q.schedule(t, shard, payload);
         },
     );
 }
 
-/// Old queue vs new queue across pending depths 10^3..10^6. The depth
-/// ladder is capped by `PASCAL_BENCH_COUNT` so the CI smoke run touches
-/// one tiny depth instead of holding a million events.
+/// The queue at the populations the engine holds: ~8 pending events per
+/// shard on the benchmark deployments, up to a few hundred on the
+/// 64-shard cell. The ladder is capped by `PASCAL_BENCH_COUNT` so the CI
+/// smoke run touches only the shallow depths.
 fn bench_queue_ops() {
-    let cap = pascal_bench::smoke_count(1_000_000);
-    let ladder = [1_000usize, 10_000, 100_000, 1_000_000];
-    let depths: Vec<usize> = if ladder.iter().any(|&n| n <= cap) {
-        ladder.iter().copied().filter(|&n| n <= cap).collect()
-    } else {
-        vec![cap]
-    };
-    for &pending in &depths {
-        // Enough iterations to cycle a meaningful fraction of the queue,
-        // bounded so the 10^6 depth still finishes promptly.
-        let iters = (pending * 4).clamp(1_000, 200_000);
-        bench_queue_ops_at::<EventQueue<u64>>("calendar", pending, iters);
-        bench_queue_ops_at::<HeapEventQueue<u64>>("binary_heap", pending, iters);
+    let cap = pascal_bench::smoke_count(1_024);
+    for pending in [8usize, 32, 128, 1_024] {
+        if pending <= cap.max(8) {
+            bench_queue_ops_at(pending);
+        }
     }
 }
 
@@ -263,7 +187,6 @@ fn bench_small_simulation() {
 
 fn main() {
     println!("=== micro_scheduler_overhead — hot-path microbenchmarks ===");
-    bench_event_queue();
     bench_queue_ops();
     bench_placement();
     bench_perf_model();

@@ -254,6 +254,11 @@ impl SimConfig {
     /// interval (the sampler would never advance).
     pub fn validate(&self) {
         assert!(self.num_instances > 0, "need at least one instance");
+        assert!(
+            u32::try_from(self.num_instances).is_ok(),
+            "{} instances exceed the 32-bit instance id space",
+            self.num_instances
+        );
         assert!(self.shards > 0, "need at least one shard");
         assert!(self.regions > 0, "need at least one region");
         assert!(

@@ -1,15 +1,16 @@
 //! The cluster engine: N shards under one global clock, a cross-shard
 //! router at the arrival boundary, and the inter-shard migration path.
 //!
-//! Every shard owns its event queue; the cluster repeatedly fires the
-//! globally earliest event. The interleaving is fully deterministic:
+//! Every shard schedules on the run's one future-event list
+//! ([`super::driver`]), and the run repeatedly fires the globally earliest
+//! event. The interleaving is fully deterministic:
 //!
 //! * at equal timestamps, **arrivals fire before shard events** — exactly
 //!   the order the pre-sharding engine produced, where arrival events were
 //!   enqueued first and therefore carried the lowest sequence numbers;
-//! * ties between shards break by **lowest shard id**;
-//! * within a shard, the [`EventQueue`](pascal_sim::EventQueue)'s
-//!   `(time, sequence)` contract applies.
+//! * ties between shards break by **lowest shard id**, and one shard's
+//!   ties by schedule order: the [`EventQueue`](pascal_sim::EventQueue)'s
+//!   `(time, shard, sequence)` contract.
 //!
 //! With `shards == 1` the router degenerates to "shard 0" and the event
 //! sequence — hence every output byte — matches the pre-sharding engine.
@@ -39,13 +40,13 @@ use pascal_metrics::{MigrationRecord, RegionStats};
 use pascal_sched::{cross_shard_escape_target, MigrationCost, RouterPolicy, SchedPolicy};
 use pascal_sim::SimTime;
 use pascal_telemetry::{
-    EscapeTier, ProfiledEvent, SeriesRow, SeriesScope, TelemetryHandle, TraceEventKind,
-    WorkCounters,
+    EscapeTier, SeriesRow, SeriesScope, TelemetryHandle, TraceEventKind, WorkCounters,
 };
 use pascal_workload::Trace;
 
 use crate::config::SimConfig;
 
+use super::driver::{Clock, EventDriver};
 use super::{context_kv_bytes, EscapeCandidate, Event, Shard, SimOutput};
 
 /// What firing one cluster event left for the caller to resolve. A
@@ -54,27 +55,23 @@ use super::{context_kv_bytes, EscapeCandidate, Event, Shard, SimOutput};
 pub(super) enum ClusterSignal {
     /// The event was fully handled inside the cluster.
     Handled,
-    /// An iteration finished on `(shard, instance)` and these escape
-    /// candidates found no in-region target: the federation must resolve
-    /// them (cross-region escape or intra-shard fallback) and then
+    /// An iteration finished on `instance` of the event's shard and these
+    /// escape candidates found no in-region target: the federation must
+    /// resolve them (cross-region escape or intra-shard fallback) and then
     /// relaunch the instance — the same "before the relaunch" point where
     /// in-region escapes are evaluated.
     Escalate {
-        shard: usize,
         instance: u32,
         candidates: Vec<EscapeCandidate>,
-        now: SimTime,
     },
-    /// A cross-region transfer out of `shard` cleared the WAN; the
-    /// federation must free the source side and land the request in the
-    /// destination region.
+    /// A cross-region transfer out of the event's shard cleared the WAN;
+    /// the federation must free the source side and land the request in
+    /// the destination region.
     CrossRegionArrived {
-        shard: usize,
         req: ReqHandle,
         to_region: u32,
         to_shard: u32,
         to_instance: u32,
-        now: SimTime,
     },
 }
 
@@ -95,74 +92,27 @@ pub(crate) struct Cluster<'a> {
 }
 
 impl<'a> Cluster<'a> {
-    /// Builds a cluster of `shards` shards of `per_shard` instances each,
-    /// with global shard ids starting at `first_shard` (0 for a
-    /// single-region run, region-major in a federation).
+    /// Builds a cluster of `shards` shards of `per_shard` instances each on
+    /// the run's `clock`, with global shard ids starting at `first_shard`
+    /// (0 for a single-region run, region-major in a federation).
     pub(super) fn new(
-        trace: &'a Trace,
         config: &'a SimConfig,
+        clock: &Clock<'a>,
         first_shard: u32,
         shards: usize,
         per_shard: usize,
         federated: bool,
-        telemetry: TelemetryHandle,
     ) -> Self {
         Cluster {
             config,
             shards: (0..shards)
-                .map(|s| {
-                    Shard::new(
-                        trace,
-                        config,
-                        first_shard + s as u32,
-                        per_shard,
-                        telemetry.clone(),
-                    )
-                })
+                .map(|s| Shard::new(clock, config, first_shard + s as u32, per_shard))
                 .collect(),
             topology: Topology::two_tier(shards, config.fabric, config.interconnect),
             router_cursor: 0,
             federated,
-            telemetry,
+            telemetry: clock.telemetry().clone(),
         }
-    }
-
-    /// The earliest pending shard event as `(time, shard)`, if any — one
-    /// scan serves both the peek (for the arrival-vs-event race) and the
-    /// subsequent [`Cluster::fire_shard`]. Iterating in shard order with a
-    /// strict minimum makes ties resolve to the lowest shard id.
-    pub(super) fn peek_earliest(&mut self) -> Option<(SimTime, usize)> {
-        let mut best: Option<(SimTime, usize)> = None;
-        for (s, shard) in self.shards.iter_mut().enumerate() {
-            if let Some(t) = shard.queue.peek_time() {
-                if best.is_none_or(|(bt, _)| t < bt) {
-                    best = Some((t, s));
-                }
-            }
-        }
-        best
-    }
-
-    /// Pops and dispatches shard `s`'s earliest event — the one
-    /// [`Cluster::peek_earliest`] just reported. The returned
-    /// [`ProfiledEvent`] tags what class of event fired, so the caller can
-    /// attribute wall-clock time to it when the hot-path profiler is on.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shard `s` has no pending event.
-    pub(super) fn fire_shard(&mut self, s: usize) -> (ClusterSignal, ProfiledEvent) {
-        let (now, ev) = self.shards[s].queue.pop().expect("peeked event exists");
-        let kind = match &ev {
-            Event::IterationDone { .. } => ProfiledEvent::IterationDone,
-            Event::OffloadDone { .. } => ProfiledEvent::OffloadDone,
-            Event::ReloadDone { .. } => ProfiledEvent::ReloadDone,
-            Event::MigrationDone { .. } => ProfiledEvent::MigrationDone,
-            Event::CrossShardDone { .. } => ProfiledEvent::CrossShardDone,
-            Event::CrossRegionDone { .. } => ProfiledEvent::CrossRegionDone,
-            Event::FleetTransition { .. } | Event::AutoscaleTick => ProfiledEvent::Fleet,
-        };
-        (self.dispatch(s, ev, now), kind)
     }
 
     /// Routes a trace arrival to a shard and delivers it — the
@@ -219,12 +169,13 @@ impl<'a> Cluster<'a> {
             .collect()
     }
 
-    /// Routes one event to its handler. An iteration end inside a steady
-    /// run replays in closed form ([`Shard::steady_step`]); any other is
-    /// split so cross-shard escapes are evaluated after tokens (and phase
-    /// transitions) land but before the instance relaunches — the same
-    /// point in the event order where intra-shard migrations launch.
-    fn dispatch(&mut self, s: usize, ev: Event, now: SimTime) -> ClusterSignal {
+    /// Routes an event shard `s` scheduled to its handler. An iteration
+    /// end inside a steady run replays in closed form
+    /// ([`Shard::steady_step`]); any other is split so cross-shard escapes
+    /// are evaluated after tokens (and phase transitions) land but before
+    /// the instance relaunches — the same point in the event order where
+    /// intra-shard migrations launch.
+    pub(super) fn dispatch(&mut self, s: usize, ev: Event, now: SimTime) -> ClusterSignal {
         match ev {
             Event::IterationDone { instance } => {
                 if self.shards[s].steady_step(instance, now) {
@@ -235,10 +186,8 @@ impl<'a> Cluster<'a> {
                 if !unresolved.is_empty() {
                     debug_assert!(self.federated, "non-federated escapes resolve in-cluster");
                     return ClusterSignal::Escalate {
-                        shard: s,
                         instance,
                         candidates: unresolved,
-                        now,
                     };
                 }
                 self.shards[s].try_schedule(instance, now);
@@ -270,12 +219,10 @@ impl<'a> Cluster<'a> {
                 to_shard,
                 to_instance,
             } => ClusterSignal::CrossRegionArrived {
-                shard: s,
                 req,
                 to_region,
                 to_shard,
                 to_instance,
-                now,
             },
             // Fleet transitions mirror IterationDone's escape handling: a
             // drain queues its residents as cross-shard escape candidates,
@@ -287,10 +234,8 @@ impl<'a> Cluster<'a> {
                 if !unresolved.is_empty() {
                     debug_assert!(self.federated, "non-federated escapes resolve in-cluster");
                     return ClusterSignal::Escalate {
-                        shard: s,
                         instance,
                         candidates: unresolved,
-                        now,
                     };
                 }
                 self.shards[s].try_schedule(instance, now);
@@ -302,10 +247,8 @@ impl<'a> Cluster<'a> {
                 if !unresolved.is_empty() {
                     debug_assert!(self.federated, "non-federated escapes resolve in-cluster");
                     return ClusterSignal::Escalate {
-                        shard: s,
                         instance: touched.unwrap_or(0),
                         candidates: unresolved,
-                        now,
                     };
                 }
                 ClusterSignal::Handled
@@ -705,7 +648,7 @@ pub(super) fn assert_drained(shards: &[Shard<'_>]) {
     }
 }
 
-/// The run's deterministic work counts, summed over every shard.
+/// The deterministic work counts of `shards`, summed.
 pub(super) fn total_work(shards: &[Shard<'_>]) -> WorkCounters {
     let mut total = WorkCounters::default();
     for sh in shards {
@@ -821,15 +764,9 @@ pub(super) fn assemble_output(shards: Vec<Shard<'_>>) -> SimOutput {
 
 /// The single-region engine: the cluster driven straight off the trace.
 pub(crate) struct Engine<'a> {
-    trace: &'a Trace,
     config: &'a SimConfig,
+    clock: Clock<'a>,
     cluster: Cluster<'a>,
-    /// The next trace request to arrive. The trace is in arrival order
-    /// ([`Trace::from_requests`] asserts it), so index order is exactly
-    /// the `(arrival, index)` order the pre-sharding event queue popped
-    /// arrivals in.
-    next_arrival: usize,
-    telemetry: TelemetryHandle,
 }
 
 impl<'a> Engine<'a> {
@@ -837,23 +774,13 @@ impl<'a> Engine<'a> {
         config.validate();
         validate_trace_fits(trace, config);
 
+        let clock = Clock::new(trace, TelemetryHandle::new(&config.telemetry));
         let per_shard = config.num_instances / config.shards;
-        let telemetry = TelemetryHandle::new(&config.telemetry);
-
+        let cluster = Cluster::new(config, &clock, 0, config.shards, per_shard, false);
         Engine {
-            trace,
             config,
-            cluster: Cluster::new(
-                trace,
-                config,
-                0,
-                config.shards,
-                per_shard,
-                false,
-                telemetry.clone(),
-            ),
-            next_arrival: 0,
-            telemetry,
+            clock,
+            cluster,
         }
     }
 
@@ -864,48 +791,13 @@ impl<'a> Engine<'a> {
         &self.cluster.shards
     }
 
-    /// Fires the globally earliest pending event (arrivals win ties, then
-    /// lowest shard id). Returns `false` once the cluster has drained.
-    pub(super) fn step(&mut self) -> bool {
-        let arrival = self
-            .trace
-            .requests()
-            .get(self.next_arrival)
-            .map(|r| r.arrival);
-        let shard_ev = self.cluster.peek_earliest();
-        match (arrival, shard_ev) {
-            (None, None) => false,
-            (Some(at), shard) if shard.is_none_or(|(t, _)| at <= t) => {
-                let t0 = self.telemetry.profile_timer();
-                let idx = self.next_arrival;
-                self.next_arrival += 1;
-                self.cluster.route_arrival(idx, at);
-                self.telemetry.profile_record(ProfiledEvent::Arrival, t0);
-                true
-            }
-            (_, Some((_, s))) => {
-                let t0 = self.telemetry.profile_timer();
-                let (signal, kind) = self.cluster.fire_shard(s);
-                self.telemetry.profile_record(kind, t0);
-                debug_assert!(
-                    matches!(signal, ClusterSignal::Handled),
-                    "single-region clusters resolve every event internally"
-                );
-                true
-            }
-            (Some(_), None) => unreachable!("arrival case handled by the guard above"),
-        }
-    }
-
     pub(crate) fn run(mut self) -> SimOutput {
-        let interval = self.telemetry.series_interval();
-        super::driver::drive(&mut self, interval);
+        while self.step() {}
         assert_drained(&self.cluster.shards);
-        self.telemetry
-            .profile_work(&total_work(&self.cluster.shards));
+        self.clock.profile_work(&self.cluster.shards);
         let config = self.config;
         let mut out = assemble_output(self.cluster.shards);
-        out.telemetry = self.telemetry.finish();
+        out.telemetry = self.clock.telemetry().finish();
         // The whole cluster is one region at the federation's level of
         // description: all arrivals originate and are served here.
         let routed: u64 = out.shard_stats.iter().map(|s| s.routed_arrivals).sum();
@@ -927,24 +819,21 @@ impl<'a> Engine<'a> {
     }
 }
 
-impl super::driver::EventDriver for Engine<'_> {
-    /// Timestamp of the globally next pending event (arrival or shard
-    /// event), if any.
-    fn next_event_time(&mut self) -> Option<SimTime> {
-        let arrival = self
-            .trace
-            .requests()
-            .get(self.next_arrival)
-            .map(|r| r.arrival);
-        let shard = self.cluster.peek_earliest().map(|(t, _)| t);
-        match (arrival, shard) {
-            (Some(a), Some(s)) => Some(a.min(s)),
-            (a, s) => a.or(s),
-        }
+impl<'a> EventDriver<'a> for Engine<'a> {
+    fn clock(&mut self) -> &mut Clock<'a> {
+        &mut self.clock
     }
 
-    fn step(&mut self) -> bool {
-        Engine::step(self)
+    fn arrive(&mut self, idx: usize, at: SimTime) {
+        self.cluster.route_arrival(idx, at);
+    }
+
+    fn fire(&mut self, shard: u32, ev: Event, now: SimTime) {
+        let signal = self.cluster.dispatch(shard as usize, ev, now);
+        debug_assert!(
+            matches!(signal, ClusterSignal::Handled),
+            "single-region clusters resolve every event internally"
+        );
     }
 
     fn sample(&mut self, at: SimTime) {

@@ -2,13 +2,15 @@
 //! router at the federation boundary, and the cross-region (WAN) paths.
 //!
 //! A *region* wraps one cluster-of-shards — the full PR 4 engine with its
-//! own two-tier topology, instance pool sizing and shard router — and the
-//! federation folds every region's event clock under one global clock:
-//! the earliest event anywhere fires next, arrivals win timestamp ties
-//! (exactly as in the cluster engine), and region ties break by lowest
-//! region id. With `regions == 1` the event sequence — hence every output
-//! byte — matches the cluster engine, which is why `run_simulation` only
-//! takes this path above one region.
+//! own two-tier topology, instance pool sizing and shard router — and
+//! every region's shards schedule on the run's one future-event list
+//! ([`super::driver`]) under their global, region-major shard ids: the
+//! earliest event anywhere fires next, arrivals win timestamp ties
+//! (exactly as in the cluster engine), and event ties break by lowest
+//! region id, then lowest shard id within the region. With `regions == 1`
+//! the event sequence — hence every output byte — matches the cluster
+//! engine, which is why `run_simulation` only takes this path above one
+//! region.
 //!
 //! Three mechanisms live at the federation boundary:
 //!
@@ -34,15 +36,16 @@ use pascal_federation::{spill_order, FederationPolicy, FederationSpec, WanTopolo
 use pascal_metrics::{AdmissionCounters, MigrationRecord, RegionStats};
 use pascal_sched::{best_escape_shard, cross_region_escape_target, MigrationCost};
 use pascal_sim::SimTime;
-use pascal_telemetry::{EscapeTier, ProfiledEvent, TelemetryHandle, TraceEventKind};
+use pascal_telemetry::{EscapeTier, TelemetryHandle, TraceEventKind};
 use pascal_workload::{RequestId, Trace};
 
 use crate::config::SimConfig;
 
 use super::admission::AdmissionProbe;
 use super::cluster::{
-    assemble_output, assert_drained, total_work, validate_trace_fits, Cluster, ClusterSignal,
+    assemble_output, assert_drained, validate_trace_fits, Cluster, ClusterSignal,
 };
+use super::driver::{Clock, EventDriver};
 use super::{context_kv_bytes, EscapeCandidate, Event, Shard, SimOutput};
 
 /// One region at runtime: its cluster plus the federation-boundary tallies.
@@ -56,14 +59,10 @@ struct RegionRt<'a> {
 
 /// The federation of regions and its global clock.
 pub(crate) struct FederationEngine<'a> {
-    trace: &'a Trace,
     config: &'a SimConfig,
+    clock: Clock<'a>,
     regions: Vec<RegionRt<'a>>,
     wan: WanTopology,
-    /// The next trace request to arrive (the trace is in arrival order),
-    /// delivered in the same total order as the cluster engine's.
-    next_arrival: usize,
-    telemetry: TelemetryHandle,
 }
 
 impl<'a> FederationEngine<'a> {
@@ -79,19 +78,18 @@ impl<'a> FederationEngine<'a> {
             config.num_instances,
             config.wan,
         );
-        let telemetry = TelemetryHandle::new(&config.telemetry);
+        let clock = Clock::new(trace, TelemetryHandle::new(&config.telemetry));
         let regions = spec
             .regions
             .iter()
             .map(|region| RegionRt {
                 cluster: Cluster::new(
-                    trace,
                     config,
+                    &clock,
                     region.id * config.shards as u32,
                     region.shards,
                     region.instances_per_shard,
                     true,
-                    telemetry.clone(),
                 ),
                 origin_arrivals: 0,
                 nonlocal_arrivals: 0,
@@ -101,81 +99,10 @@ impl<'a> FederationEngine<'a> {
             .collect();
 
         FederationEngine {
-            trace,
             config,
+            clock,
             regions,
             wan: WanTopology::new(spec.regions.len(), spec.wan),
-            next_arrival: 0,
-            telemetry,
-        }
-    }
-
-    /// Fires the globally earliest pending event (arrivals win ties, then
-    /// lowest region id, then lowest shard id within the region). Returns
-    /// `false` once the federation has drained.
-    fn step(&mut self) -> bool {
-        let arrival = self
-            .trace
-            .requests()
-            .get(self.next_arrival)
-            .map(|r| r.arrival);
-        let mut region_ev: Option<(SimTime, usize, usize)> = None;
-        for (r, region) in self.regions.iter_mut().enumerate() {
-            if let Some((t, s)) = region.cluster.peek_earliest() {
-                if region_ev.is_none_or(|(best, _, _)| t < best) {
-                    region_ev = Some((t, r, s));
-                }
-            }
-        }
-        match (arrival, region_ev) {
-            (None, None) => false,
-            (Some(at), region) if region.is_none_or(|(t, _, _)| at <= t) => {
-                let t0 = self.telemetry.profile_timer();
-                let idx = self.next_arrival;
-                self.next_arrival += 1;
-                self.deliver_arrival(idx, at);
-                self.telemetry.profile_record(ProfiledEvent::Arrival, t0);
-                true
-            }
-            (_, Some((_, r, s))) => {
-                let t0 = self.telemetry.profile_timer();
-                let (signal, kind) = self.regions[r].cluster.fire_shard(s);
-                match signal {
-                    ClusterSignal::Handled => {}
-                    ClusterSignal::Escalate {
-                        shard,
-                        instance,
-                        candidates,
-                        now,
-                    } => {
-                        for candidate in candidates {
-                            self.consider_cross_region_escape(r, shard, candidate, now);
-                        }
-                        self.regions[r].cluster.shards[shard].try_schedule(instance, now);
-                    }
-                    ClusterSignal::CrossRegionArrived {
-                        shard,
-                        req,
-                        to_region,
-                        to_shard,
-                        to_instance,
-                        now,
-                    } => {
-                        self.on_cross_region_done(
-                            r,
-                            shard,
-                            req,
-                            to_region as usize,
-                            to_shard as usize,
-                            to_instance,
-                            now,
-                        );
-                    }
-                }
-                self.telemetry.profile_record(kind, t0);
-                true
-            }
-            (Some(_), None) => unreachable!("arrival case handled by the guard above"),
         }
     }
 
@@ -193,7 +120,7 @@ impl<'a> FederationEngine<'a> {
     /// controller is probed — and a would-be rejection tries the remote
     /// regions in spill order before it is committed.
     fn deliver_arrival(&mut self, idx: usize, now: SimTime) {
-        let spec = self.trace.requests()[idx].clone();
+        let spec = self.clock.trace().requests()[idx].clone();
         // Traces built without region tags (or with more regions than the
         // deployment has) clamp into range rather than crash — origin is
         // advisory metadata, not an engine invariant.
@@ -548,8 +475,7 @@ impl<'a> FederationEngine<'a> {
     }
 
     pub(crate) fn run(mut self) -> SimOutput {
-        let interval = self.telemetry.series_interval();
-        super::driver::drive(&mut self, interval);
+        while self.step() {}
 
         let per_region_instances = self.config.num_instances / self.config.regions;
         let region_stats: Vec<RegionStats> = self
@@ -588,39 +514,57 @@ impl<'a> FederationEngine<'a> {
             .flat_map(|region| region.cluster.shards)
             .collect();
         assert_drained(&shards);
-        self.telemetry.profile_work(&total_work(&shards));
+        self.clock.profile_work(&shards);
         let mut out = assemble_output(shards);
         out.region_stats = region_stats;
-        out.telemetry = self.telemetry.finish();
+        out.telemetry = self.clock.telemetry().finish();
         out
     }
 }
 
-impl super::driver::EventDriver for FederationEngine<'_> {
-    /// Timestamp of the globally next pending event (arrival or any
-    /// region's shard event), if any.
-    fn next_event_time(&mut self) -> Option<SimTime> {
-        let arrival = self
-            .trace
-            .requests()
-            .get(self.next_arrival)
-            .map(|r| r.arrival);
-        let mut earliest: Option<SimTime> = None;
-        for region in self.regions.iter_mut() {
-            if let Some((t, _)) = region.cluster.peek_earliest() {
-                if earliest.is_none_or(|best| t < best) {
-                    earliest = Some(t);
-                }
-            }
-        }
-        match (arrival, earliest) {
-            (Some(a), Some(e)) => Some(a.min(e)),
-            (a, e) => a.or(e),
-        }
+impl<'a> EventDriver<'a> for FederationEngine<'a> {
+    fn clock(&mut self) -> &mut Clock<'a> {
+        &mut self.clock
     }
 
-    fn step(&mut self) -> bool {
-        FederationEngine::step(self)
+    fn arrive(&mut self, idx: usize, at: SimTime) {
+        self.deliver_arrival(idx, at);
+    }
+
+    /// Global shard ids are region-major: `shard = region · shards + s`.
+    fn fire(&mut self, shard: u32, ev: Event, now: SimTime) {
+        let (r, s) = (
+            shard as usize / self.config.shards,
+            shard as usize % self.config.shards,
+        );
+        match self.regions[r].cluster.dispatch(s, ev, now) {
+            ClusterSignal::Handled => {}
+            ClusterSignal::Escalate {
+                instance,
+                candidates,
+            } => {
+                for candidate in candidates {
+                    self.consider_cross_region_escape(r, s, candidate, now);
+                }
+                self.regions[r].cluster.shards[s].try_schedule(instance, now);
+            }
+            ClusterSignal::CrossRegionArrived {
+                req,
+                to_region,
+                to_shard,
+                to_instance,
+            } => {
+                self.on_cross_region_done(
+                    r,
+                    s,
+                    req,
+                    to_region as usize,
+                    to_shard as usize,
+                    to_instance,
+                    now,
+                );
+            }
+        }
     }
 
     fn sample(&mut self, at: SimTime) {

@@ -4,9 +4,9 @@
 //!
 //! The [`FleetSpec`](crate::fleet::FleetSpec) on the config is resolved
 //! into per-instance transitions at shard construction and injected
-//! through the shard's calendar event queue — fleet changes are ordinary
-//! simulation events, totally ordered with everything else, so a fleet run
-//! replays byte-identically. An absent (or empty) spec
+//! through the run's event queue under the shard's id — fleet changes are
+//! ordinary simulation events, totally ordered with everything else, so a
+//! fleet run replays byte-identically. An absent (or empty) spec
 //! schedules nothing and writes nothing: the static-fleet hot path only
 //! pays an always-false health comparison per event.
 //!

@@ -2,9 +2,9 @@
 //!
 //! An iteration-level discrete-event simulation of vLLM-style continuous
 //! batching (§II-B), organized as a **cluster of shards**. A [`Shard`] is
-//! one scheduling domain — an instance pool plus its own event queue,
-//! controllers and predictor state — running the single mechanism all
-//! three schedulers share:
+//! one scheduling domain — an instance pool plus its own controllers and
+//! predictor state — running the single mechanism all three schedulers
+//! share:
 //!
 //! 1. every time an instance is idle, sort its requests by the policy's
 //!    priority key and grant GPU KV residency to the longest prefix that
@@ -23,10 +23,13 @@
 //! ingress/egress contention (§V-C).
 //!
 //! The cluster-level [`Engine`](cluster) drives N shards under one global
-//! clock: each event carries its shard, the earliest event fires next, and
-//! ties are broken by shard id — so a one-shard cluster replays the exact
-//! event sequence of the pre-sharding engine, byte for byte. Above the
-//! shards sit the cluster-boundary mechanisms:
+//! clock ([`driver`](self)): a single future-event list per run, on which
+//! every shard schedules through a handle that stamps its global shard
+//! id. The earliest event fires next, arrivals (read straight off the
+//! trace) win timestamp ties, and remaining ties break by shard id, then
+//! schedule order — so a one-shard cluster replays the exact event
+//! sequence of the pre-sharding engine, byte for byte. Above the shards
+//! sit the cluster-boundary mechanisms:
 //!
 //! * the **router** (`pascal_sched::RouterPolicy`) pins every arrival to a
 //!   shard from per-shard [`PoolSnapshot`](pascal_cluster::PoolSnapshot)s
@@ -61,8 +64,10 @@
 //!   batch's members;
 //! * [`stats`](self) — the instance-monitor sweep producing the
 //!   [`InstanceStats`] snapshots Algorithms 1 and 2 consume;
-//! * [`cluster`](self) — the global clock, the router, and the
-//!   cross-shard migration path.
+//! * [`cluster`](self) — the arrival router and the cross-shard migration
+//!   path;
+//! * [`driver`](self) — the run's clock: the future-event list, the
+//!   arrival cursor, and the event loop both engines share.
 //!
 //! Both controllers default to off and `shards` defaults to 1, in which
 //! case a run is byte-identical to the paper's reactive scheduler.
@@ -78,10 +83,10 @@ use pascal_metrics::{
 use pascal_model::{KvGeometry, PerfModel};
 use pascal_predict::{LengthEstimate, LengthPredictor, PredictorKind};
 use pascal_sched::{PriorityKey, SchedPolicy};
-use pascal_sim::{EventQueue, SimTime};
+use pascal_sim::SimTime;
 use pascal_telemetry::{
-    SloAlertRecord, SloBurnTracker, TelemetryHandle, TelemetryOut, TraceEvent, TraceEventKind,
-    WorkCounters,
+    ProfiledEvent, SloAlertRecord, SloBurnTracker, TelemetryHandle, TelemetryOut, TraceEvent,
+    TraceEventKind, WorkCounters,
 };
 use pascal_workload::{RequestId, RequestSpec, Trace};
 
@@ -106,6 +111,7 @@ pub use migration::PredictiveMigration;
 
 use admission::AdmissionController;
 pub(crate) use cluster::Engine;
+use driver::{Clock, ShardQueue};
 #[cfg(test)]
 pub(crate) use federation::FederationEngine;
 use fleet_rt::AutoscalerRt;
@@ -113,13 +119,13 @@ use members::{EstimateTable, InstanceMonitor, MemberMon};
 use migration::MigrationController;
 use steady::SteadyRun;
 
-/// Events driving a shard. Arrivals are not queue events: the cluster
-/// routes them straight off the trace (see [`cluster`]).
+/// Events driving a shard. Arrivals are not queue events: the clock reads
+/// them straight off the trace (see [`driver`]).
 ///
 /// Request-scoped events carry the request's slab handle: every such event
 /// fires while the request still lives on the scheduling shard (transfers
-/// schedule on the *source* queue and the state moves at handling time),
-/// so the handle is valid for the event's whole queue residency.
+/// are scheduled by the *source* shard and the state moves at handling
+/// time), so the handle is valid for the event's whole queue residency.
 // Most queued events mark a completion, so the shared postfix is the
 // honest name, not noise (fleet events are the exception).
 #[allow(clippy::enum_variant_names)]
@@ -134,8 +140,8 @@ pub(super) enum Event {
     /// An intra-shard phase-boundary migration landed on its destination.
     MigrationDone { req: ReqHandle, to: u32 },
     /// A cross-shard migration cleared the interconnect; the cluster hands
-    /// the request from this shard to `to_shard`. (Scheduled on the source
-    /// shard's queue so the source frees its KV exactly at landing time.)
+    /// the request from this shard to `to_shard`. (Scheduled by the source
+    /// shard so the source frees its KV exactly at landing time.)
     CrossShardDone {
         req: ReqHandle,
         to_shard: u32,
@@ -143,8 +149,8 @@ pub(super) enum Event {
     },
     /// A cross-region migration cleared the WAN; the *federation* hands
     /// the request from this shard to another region's shard. (Scheduled
-    /// on the source shard's queue, like [`Event::CrossShardDone`]; the
-    /// cluster cannot resolve it and returns it to the federation driver.)
+    /// by the source shard, like [`Event::CrossShardDone`]; the cluster
+    /// cannot resolve it and returns it to the federation driver.)
     CrossRegionDone {
         req: ReqHandle,
         to_region: u32,
@@ -158,6 +164,21 @@ pub(super) enum Event {
     FleetTransition { instance: u32, to: HealthState },
     /// The reactive autoscaler re-evaluates predicted utilization.
     AutoscaleTick,
+}
+
+impl Event {
+    /// The hot-path profiler's class for this event.
+    pub(super) fn profiled(&self) -> ProfiledEvent {
+        match self {
+            Event::IterationDone { .. } => ProfiledEvent::IterationDone,
+            Event::OffloadDone { .. } => ProfiledEvent::OffloadDone,
+            Event::ReloadDone { .. } => ProfiledEvent::ReloadDone,
+            Event::MigrationDone { .. } => ProfiledEvent::MigrationDone,
+            Event::CrossShardDone { .. } => ProfiledEvent::CrossShardDone,
+            Event::CrossRegionDone { .. } => ProfiledEvent::CrossRegionDone,
+            Event::FleetTransition { .. } | Event::AutoscaleTick => ProfiledEvent::Fleet,
+        }
+    }
 }
 
 /// What kind of iteration an instance is running.
@@ -264,8 +285,52 @@ pub fn run_simulation(trace: &Trace, config: &SimConfig) -> SimOutput {
     }
 }
 
-/// One scheduling domain: an instance pool with its own event queue,
-/// controllers, and (fresh) predictor state.
+/// A deployment whose per-instance or per-shard tables do not fit in
+/// memory.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct DeploymentTooLarge {
+    /// The requested number of instances.
+    pub instances: usize,
+    /// The requested number of shards, over all regions.
+    pub shards: usize,
+}
+
+impl std::fmt::Display for DeploymentTooLarge {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "a deployment of {} instances in {} shard(s) does not fit in memory",
+            self.instances, self.shards
+        )
+    }
+}
+
+impl std::error::Error for DeploymentTooLarge {}
+
+/// Checks that `config`'s deployment fits in memory by reserving the
+/// engine's per-instance and per-shard tables, then releasing them — the
+/// engine's counterpart of [`Trace::check_capacity`]. A size whose table
+/// overflows the address space, or that the allocator refuses, is an
+/// error rather than a panic or an abort.
+///
+/// # Errors
+///
+/// [`DeploymentTooLarge`] when either reservation fails.
+pub fn check_deployment_capacity(config: &SimConfig) -> Result<(), DeploymentTooLarge> {
+    let shards = config.regions.saturating_mul(config.shards);
+    let mut instances: Vec<InstanceRt> = Vec::new();
+    let mut domains: Vec<Shard<'_>> = Vec::new();
+    instances
+        .try_reserve_exact(config.num_instances)
+        .and_then(|()| domains.try_reserve_exact(shards))
+        .map_err(|_| DeploymentTooLarge {
+            instances: config.num_instances,
+            shards,
+        })
+}
+
+/// One scheduling domain: an instance pool with its own controllers and
+/// (fresh) predictor state, scheduling its events on the run's queue.
 pub(super) struct Shard<'a> {
     /// Shard index — global across the federation (region-major), so a
     /// one-region cluster's shard ids are exactly the PR 4 ids.
@@ -282,7 +347,8 @@ pub(super) struct Shard<'a> {
     pub(super) policy: SchedPolicy,
     pub(super) perf: PerfModel,
     pub(super) geometry: KvGeometry,
-    pub(super) queue: EventQueue<Event>,
+    /// This shard's handle on the run's future-event list.
+    pub(super) queue: ShardQueue,
     pub(super) instances: Vec<InstanceRt>,
     pub(super) fabric: pascal_cluster::Fabric,
     /// Slab storage of every in-flight request on this shard, indexed by
@@ -387,14 +453,8 @@ pub(super) struct ScheduleScratch {
 
 impl<'a> Shard<'a> {
     /// Builds shard `id` with `instances` instances (local ids `0..n`,
-    /// global ids `offset..offset + n`).
-    pub(super) fn new(
-        trace: &'a Trace,
-        config: &'a SimConfig,
-        id: u32,
-        instances: usize,
-        telemetry: TelemetryHandle,
-    ) -> Self {
+    /// global ids `offset..offset + n`) on the run's `clock`.
+    pub(super) fn new(clock: &Clock<'a>, config: &'a SimConfig, id: u32, instances: usize) -> Self {
         let perf = config.perf_model();
         let geometry = config.geometry();
         let capacity = config.kv_capacity_bytes();
@@ -414,12 +474,12 @@ impl<'a> Shard<'a> {
             id,
             offset: id * instances as u32,
             cross_escape_enabled: config.shards > 1 || config.regions > 1,
-            trace,
+            trace: clock.trace(),
             config,
             policy: config.policy,
             perf,
             geometry,
-            queue: EventQueue::new(),
+            queue: clock.shard_queue(id),
             instances: rt,
             fabric: pascal_cluster::Fabric::new(instances, config.fabric),
             states: RequestSlab::new(),
@@ -444,7 +504,7 @@ impl<'a> Shard<'a> {
             autoscaler: None,
             slo_tracker: config.alerts.clone().map(SloBurnTracker::new),
             alerts: Vec::new(),
-            telemetry,
+            telemetry: clock.telemetry().clone(),
             work: Cell::new(WorkCounters::default()),
         };
         shard.init_fleet();

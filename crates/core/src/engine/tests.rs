@@ -1,3 +1,4 @@
+use super::driver::EventDriver;
 use super::*;
 use crate::config::KvCapacityMode;
 use pascal_sched::PascalConfig;
@@ -154,9 +155,25 @@ fn warm_requests_under_pressure_queue_like_cold_ones() {
 fn drain_audit_catches_leaked_kv_blocks() {
     let trace = Trace::from_requests(vec![]);
     let config = oracle(SchedPolicy::Fcfs);
-    let mut shard = Shard::new(&trace, &config, 0, 2, TelemetryHandle::off());
+    let clock = Clock::new(&trace, TelemetryHandle::off());
+    let mut shard = Shard::new(&clock, &config, 0, 2);
     shard.instances[1].inst.cpu.alloc(3);
     cluster::assert_drained(&[shard]);
+}
+
+#[test]
+fn deployment_capacity_refuses_tables_no_host_can_hold() {
+    let mut config = oracle(SchedPolicy::Fcfs);
+    assert_eq!(check_deployment_capacity(&config), Ok(()));
+    // usize::MAX instance rows overflow the address space on any host.
+    config.num_instances = usize::MAX;
+    assert_eq!(
+        check_deployment_capacity(&config),
+        Err(DeploymentTooLarge {
+            instances: usize::MAX,
+            shards: 1
+        })
+    );
 }
 
 #[test]
@@ -326,7 +343,55 @@ fn admission_rejects_at_predicted_overload_and_still_drains() {
 mod sharding {
     use super::*;
     use pascal_sched::{PolicyKind, RouterPolicy};
+    use pascal_telemetry::TelemetryConfig;
     use pascal_workload::{ArrivalProcess, DatasetMix, DatasetProfile, TraceBuilder};
+
+    #[test]
+    fn one_instant_fires_the_arrival_then_shards_in_id_order() {
+        // A fleet schedule takes shards 1 and 0 down, listed in that
+        // order, at the very instant a request arrives. The run's one
+        // queue fires the arrival first (arrivals win ties), then shard
+        // 0's transitions, then shard 1's (lowest shard id first).
+        let at = secs(8.0);
+        let trace = Trace::from_requests(vec![
+            RequestSpec::new(RequestId(0), SimTime::ZERO, 64, 200, 50),
+            RequestSpec::new(RequestId(1), at, 64, 200, 50),
+        ]);
+        let mut config = oracle(SchedPolicy::Fcfs).with_shards(2, RouterPolicy::RoundRobin);
+        config.num_instances = 4;
+        config.fleet = Some(
+            crate::fleet::FleetSpec::parse("8.0 shard-down 1\n8.0 shard-down 0\n")
+                .expect("valid spec"),
+        );
+        config.telemetry = TelemetryConfig {
+            trace: true,
+            ..TelemetryConfig::default()
+        };
+        let out = run_simulation(&trace, &config);
+        let events = out.telemetry.expect("tracing is on").events;
+        let at_instant: Vec<(&str, u32, Option<u32>)> = events
+            .iter()
+            .filter(|e| e.at == at)
+            .filter_map(|e| match e.kind {
+                TraceEventKind::Arrival => Some(("arrival", e.shard, e.instance)),
+                TraceEventKind::InstanceDown => Some(("down", e.shard, e.instance)),
+                _ => None,
+            })
+            .collect();
+        // Round robin sends the second arrival to shard 1, where it is
+        // placed on instance 2.
+        assert_eq!(
+            at_instant,
+            vec![
+                ("arrival", 1, Some(2)),
+                ("down", 0, Some(0)),
+                ("down", 0, Some(1)),
+                ("down", 1, Some(2)),
+                ("down", 1, Some(3)),
+            ]
+        );
+        assert_eq!(out.fleet.stranded + out.records.len() as u64, 2);
+    }
 
     fn cluster_trace(count: usize, rate: f64, seed: u64) -> Trace {
         TraceBuilder::new(DatasetMix::single(DatasetProfile::arena_hard()))

@@ -4,10 +4,10 @@
 //! instances joining and leaving, planned drains, whole-shard and
 //! whole-region outages, standby capacity and a reactive autoscaler. The
 //! schedule is resolved into per-instance [`InstanceTransition`]s at
-//! engine construction and injected through the per-shard calendar event
-//! queues, so a fleet run is exactly as deterministic as a static one —
-//! byte-identical at any thread count. An empty spec (the default) leaves
-//! the engine untouched.
+//! engine construction and injected through the run's event queue, each
+//! stamped with its shard like every other event, so a fleet run is
+//! exactly as deterministic as a static one — byte-identical at any
+//! thread count. An empty spec (the default) leaves the engine untouched.
 //!
 //! The on-disk format is line-oriented (`#` comments allowed):
 //!

@@ -68,7 +68,10 @@ pub mod sweep;
 
 pub use analyze::{anatomy_to_csv, anatomy_to_json, anatomy_waterfall, parse_trace_jsonl};
 pub use config::{estimate_capacity_rps, KvCapacityMode, RateLevel, SimConfig};
-pub use engine::{run_simulation, AdmissionMode, PredictiveMigration, SimOutput};
+pub use engine::{
+    check_deployment_capacity, run_simulation, AdmissionMode, DeploymentTooLarge,
+    PredictiveMigration, SimOutput,
+};
 pub use fleet::{FleetPreset, FleetSpec};
 pub use pascal_federation::{FederationPolicy, WanLink};
 pub use pascal_telemetry::{

@@ -2,9 +2,9 @@
 //!
 //! The foundation of the PASCAL reproduction: an exact-integer virtual clock
 //! ([`SimTime`], [`SimDuration`]), a deterministic future-event list
-//! ([`EventQueue`]) with FIFO tie-breaking and cancellation, and a seeded
-//! random source ([`SimRng`]) with the samplers the paper's workloads need
-//! (uniform, normal, log-normal, exponential).
+//! ([`EventQueue`], a binary heap ordered by `(time, shard, sequence)`), and
+//! a seeded random source ([`SimRng`]) with the samplers the paper's
+//! workloads need (uniform, normal, log-normal, exponential).
 //!
 //! Everything above this crate — the GPU performance model, the serving
 //! instances, the schedulers and the experiment harness — is deterministic
@@ -13,7 +13,7 @@
 //!
 //! # Examples
 //!
-//! A minimal simulation loop:
+//! A minimal simulation loop with one scheduling domain (shard 0):
 //!
 //! ```
 //! use pascal_sim::{EventQueue, SimDuration, SimTime};
@@ -24,13 +24,13 @@
 //! }
 //!
 //! let mut q = EventQueue::new();
-//! q.schedule(SimTime::ZERO + SimDuration::from_millis(5), Ev::Tick(0));
+//! q.schedule(SimTime::ZERO + SimDuration::from_millis(5), 0, Ev::Tick(0));
 //! let mut fired = Vec::new();
-//! while let Some((t, ev)) = q.pop() {
+//! while let Some((t, _, ev)) = q.pop() {
 //!     match ev {
 //!         Ev::Tick(n) if n < 3 => {
 //!             fired.push(n);
-//!             q.schedule(t + SimDuration::from_millis(5), Ev::Tick(n + 1));
+//!             q.schedule(t + SimDuration::from_millis(5), 0, Ev::Tick(n + 1));
 //!         }
 //!         Ev::Tick(n) => fired.push(n),
 //!     }
@@ -46,7 +46,6 @@ mod event;
 mod rng;
 mod time;
 
-pub use event::reference::{HeapEventId, HeapEventQueue};
-pub use event::{EventId, EventQueue};
+pub use event::EventQueue;
 pub use rng::{log_normal_mu_for_mean, SimRng};
 pub use time::{SimDuration, SimTime};

@@ -83,7 +83,8 @@ impl ProfiledEvent {
 
 /// Deterministic work counts of one run: how many member states the
 /// engine's scheduling and monitor layers touched, how many predictor
-/// estimates they asked for, and how many tokens that work produced.
+/// estimates they asked for, how many tokens that work produced, and how
+/// deep the future-event list grew.
 /// Unlike every other profile figure these are exact and
 /// host-independent: the same input reports the same counts on every
 /// run, on any host.
@@ -118,11 +119,15 @@ pub struct WorkCounters {
     /// growth reaching zero, a run member re-priced by a predictor
     /// refresh, and a non-member change that left the batch in place.
     pub runs_kept: u64,
+    /// The most events the run's future-event list held pending at once —
+    /// the population every queue operation pays for.
+    pub peak_pending_events: u64,
 }
 
 impl WorkCounters {
     /// Adds `other`'s counts to these (shards into a run, cells into a
-    /// sweep).
+    /// sweep). The peak pending population is a high-water mark, not a
+    /// count: it takes the larger of the two.
     pub fn absorb(&mut self, other: &WorkCounters) {
         self.tokens += other.tokens;
         self.sched_member_scans += other.sched_member_scans;
@@ -133,6 +138,7 @@ impl WorkCounters {
         self.members_caught_up += other.members_caught_up;
         self.full_path_iterations += other.full_path_iterations;
         self.runs_kept += other.runs_kept;
+        self.peak_pending_events = self.peak_pending_events.max(other.peak_pending_events);
     }
 
     /// The counts as one stable, space-separated `name value` line body,
@@ -143,7 +149,7 @@ impl WorkCounters {
         let mut out = format!(
             "{} tokens, {} sched member scans, {} monitor rows, {} monitor member visits, \
              {} predictor estimates, {} steady iterations, {} members caught up, \
-             {} full-path iterations, {} runs kept",
+             {} full-path iterations, {} runs kept, {} peak pending events",
             self.tokens,
             self.sched_member_scans,
             self.monitor_rows,
@@ -152,7 +158,8 @@ impl WorkCounters {
             self.steady_iterations,
             self.members_caught_up,
             self.full_path_iterations,
-            self.runs_kept
+            self.runs_kept,
+            self.peak_pending_events
         );
         if let Some(ns) = wall_s.and_then(|w| self.ns_per_token(w)) {
             out.push_str(&format!(", {ns:.1} ns per token"));

@@ -14,10 +14,10 @@ use pascal::core::report::{records_csv, render_table};
 use pascal::core::sweep::gate::{compare, GateTolerances};
 use pascal::core::sweep::SweepThroughput;
 use pascal::core::{
-    anatomy_to_csv, anatomy_to_json, anatomy_waterfall, estimate_capacity_rps, events_to_chrome,
-    events_to_jsonl, parse_trace_jsonl, run_simulation, series_to_csv, series_to_json,
-    AdmissionMode, FleetPreset, FleetSpec, RateLevel, SimConfig, SweepGrid, SweepReport,
-    SweepRunner, TelemetryConfig, TraceFormat,
+    anatomy_to_csv, anatomy_to_json, anatomy_waterfall, check_deployment_capacity,
+    estimate_capacity_rps, events_to_chrome, events_to_jsonl, parse_trace_jsonl, run_simulation,
+    series_to_csv, series_to_json, AdmissionMode, FleetPreset, FleetSpec, RateLevel, SimConfig,
+    SweepGrid, SweepReport, SweepRunner, TelemetryConfig, TraceFormat,
 };
 use pascal::federation::{FederationPolicy, WanLink};
 use pascal::metrics::{
@@ -127,7 +127,8 @@ OPTIONS (run):
           peak RSS and RSS bytes per arrival where /proc exists) plus
           exact work counters (member scans, monitor rows and member
           visits, predictor estimates, steady iterations replayed in
-          closed form, members caught up). Timings and RSS are
+          closed form, members caught up, the event queue's peak
+          population). Timings and RSS are
           host-dependent; no profile figure is part of any deterministic
           output.
 
@@ -320,6 +321,14 @@ fn parse_opts(args: &[String]) -> Result<RunOpts, String> {
                 if instances == 0 {
                     return Err("--instances must be positive".to_owned());
                 }
+                // Instance ids are 32-bit: a larger fleet would give two
+                // instances the same id.
+                if u32::try_from(instances).is_err() {
+                    return Err(format!(
+                        "--instances {instances}: at most {} instances (ids are 32-bit)",
+                        u32::MAX
+                    ));
+                }
                 opts.instances = instances;
             }
             "--shards" => {
@@ -406,12 +415,16 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
             opts.shards, opts.instances
         )));
     }
-    if opts.instances % (opts.regions * opts.shards) != 0 {
+    // A product past `usize::MAX` cannot divide the instance count either.
+    let domains = opts.regions.checked_mul(opts.shards);
+    if domains.is_none_or(|d| opts.instances % d != 0) {
         return Err(CliError::Usage(format!(
             "--regions {} x --shards {} does not divide --instances {} evenly",
             opts.regions, opts.shards, opts.instances
         )));
     }
+    check_deployment_capacity(&config)
+        .map_err(|e| CliError::Usage(format!("--instances {}: {e}", opts.instances)))?;
     config.predictor = predictor(&opts.predictor)?;
     config.admission = admission(&opts.admission)?;
     if let Some(ratio) = opts.migration_benefit {
@@ -1617,6 +1630,7 @@ mod tests {
             members_caught_up: 16,
             full_path_iterations: 17,
             runs_kept: 18,
+            peak_pending_events: 19,
         };
         let line = aggregate_profile_line(&t, &work);
         // Every figure must survive a whitespace-and-label round trip —
@@ -1630,7 +1644,7 @@ mod tests {
             nums,
             vec![
                 123_456.0, 1.5, 82_304.0, 3_000.0, 11.0, 12.0, 13.0, 14.0, 15.0, 16.0, 17.0, 18.0,
-                500_000.0
+                19.0, 500_000.0
             ],
             "line: {line}"
         );

@@ -71,6 +71,20 @@ fn dataset_policy_and_rate_errors_exit_two_and_list_values() {
 }
 
 #[test]
+fn instance_counts_past_the_id_space_exit_two_naming_the_flag() {
+    // Global instance ids are 32-bit: a larger fleet would give two
+    // instances one id. Refused at parse time instead of panicking on a
+    // capacity overflow (exit 101) or aborting on a terabyte-sized
+    // allocation (exit 134).
+    for count in [usize::MAX.to_string(), (1u64 << 32).to_string()] {
+        assert_usage_error(
+            &["run", "--count", "10", "--instances", &count],
+            &["--instances", "ids are 32-bit"],
+        );
+    }
+}
+
+#[test]
 fn predictor_and_admission_errors_exit_two_and_list_values() {
     assert_usage_error(
         &["run", "--predictor", "psychic"],
@@ -119,6 +133,12 @@ fn federation_flag_errors_exit_two_and_list_values() {
     );
     assert_usage_error(
         &["run", "--regions", "3", "--instances", "8"],
+        &["does not divide"],
+    );
+    // A regions x shards product past usize::MAX would wrap to a zero
+    // divisor (exit 101).
+    assert_usage_error(
+        &["run", "--regions", "9223372036854775808", "--shards", "2"],
         &["does not divide"],
     );
 }

@@ -77,7 +77,7 @@ fn predictive_controllers_are_deterministic() {
 
 #[test]
 fn chaos_sweep_is_thread_count_invariant() {
-    // Fleet events ride the same calendar queue as everything else, so a
+    // Fleet events ride the run's one event queue like everything else, so a
     // sweep over the chaos grid (outage, flash-crowd and diurnal cells,
     // with drains, failures, rebalancing and the autoscaler all firing)
     // must produce the identical report at any worker-pool width.
@@ -159,6 +159,8 @@ fn profile_work_counters_repeat_across_runs() {
     assert!(reference.members_caught_up > 0, "{reference:?}");
     assert!(reference.full_path_iterations > 0, "{reference:?}");
     assert!(reference.runs_kept > 0, "{reference:?}");
+    // Every busy instance keeps its iteration end pending on the queue.
+    assert!(reference.peak_pending_events > 0, "{reference:?}");
     for rerun in 1..=2 {
         assert_eq!(work(), reference, "work counters moved on rerun {rerun}");
     }

@@ -1,7 +1,7 @@
 //! Golden byte-identity: the outputs the perf work promised not to change.
 //!
-//! PR-over-PR engine rewrites (slab request storage, the calendar event
-//! queue, scratch-buffer scheduling) are only safe because every output
+//! PR-over-PR engine rewrites (slab request storage, the event queue,
+//! scratch-buffer scheduling) are only safe because every output
 //! byte is pinned. These tests run the CLI end-to-end at committed seeds —
 //! a single-instance run, a sharded run, a federated run, an FCFS run,
 //! and the full ci+sharded+federated sweep grid — and require stdout,
