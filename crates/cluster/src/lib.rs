@@ -8,9 +8,11 @@
 //! * [`BandwidthChannel`] / [`Fabric`] — FIFO-serialized PCIe host links and
 //!   the 100 Gbps inter-node migration fabric with ingress/egress contention
 //!   (§V-C);
-//! * [`TokenPacer`] — the §II-C pacer whose starvation state defines `t_i`
-//!   in Algorithms 1 and 2 (the engine reads the same deadline off each
-//!   request's answer-stream curve);
+//! * the §II-C token pacer, whose starvation state defines `t_i` in
+//!   Algorithms 1 and 2, is read off each request's answer-stream curve
+//!   ([`pascal_metrics::StallCurve::on_pace_until`]); the counting pacer it
+//!   replaced survives as the test reference that curve is checked
+//!   against;
 //! * [`RequestState`] / [`KvLocation`] — per-request runtime state with the
 //!   executed / blocked / preempted wall-time decomposition of Fig. 4/5;
 //! * [`Instance`] / [`InstanceStats`] — the unit of execution and the
@@ -37,6 +39,7 @@
 mod channel;
 mod instance;
 mod kv;
+#[cfg(test)]
 mod pacer;
 mod slab;
 mod state;
@@ -45,7 +48,6 @@ mod topology;
 pub use channel::{BandwidthChannel, Fabric};
 pub use instance::{Instance, InstanceStats, PoolSnapshot};
 pub use kv::KvPool;
-pub use pacer::TokenPacer;
 pub use slab::{Members, ReqHandle, RequestSlab};
 pub use state::{KvLocation, RequestState};
 pub use topology::Topology;

@@ -1,29 +1,17 @@
-//! The token pacer (§II-C, Fig. 3).
+//! The token pacer (§II-C, Fig. 3), as a test reference.
 //!
 //! The pacer sits between generation and the user: bursts are buffered and
 //! released at the target TPOT so preemption gaps are invisible as long as
 //! the buffer holds out. Its online state answers the question PASCAL's
 //! instance-level scheduler asks (Algorithm 1/2, `t_i`): *is every answering
 //! request on this instance still generating fast enough to keep the user's
-//! reading pace fed?*
+//! reading pace fed?* The engine answers it from each request's stall curve
+//! ([`pascal_metrics::StallCurve::on_pace_until`]); this counting pacer is
+//! the straightforward model that curve is checked against.
 
 use pascal_sim::{SimDuration, SimTime};
 
 /// Online pacing state of one request's answering stream.
-///
-/// # Examples
-///
-/// ```
-/// use pascal_cluster::TokenPacer;
-/// use pascal_sim::{SimDuration, SimTime};
-///
-/// let mut pacer = TokenPacer::new(SimDuration::from_millis(100));
-/// pacer.on_token(SimTime::ZERO);
-/// pacer.on_token(SimTime::from_secs_f64(0.03)); // burst, gets buffered
-/// assert!(pacer.is_on_pace(SimTime::from_secs_f64(0.1)));
-/// // After 1 s the user expects 11 tokens but only 2 were generated.
-/// assert!(!pacer.is_on_pace(SimTime::from_secs_f64(1.0)));
-/// ```
 #[derive(Clone, Debug)]
 pub struct TokenPacer {
     target_tpot: SimDuration,
@@ -50,12 +38,6 @@ impl TokenPacer {
         }
     }
 
-    /// The pacing target.
-    #[must_use]
-    pub fn target_tpot(&self) -> SimDuration {
-        self.target_tpot
-    }
-
     /// Records a generated answering token. The first token starts the
     /// release schedule.
     ///
@@ -68,12 +50,6 @@ impl TokenPacer {
             Some(start) => assert!(now >= start, "pacer saw time move backwards"),
         }
         self.generated += 1;
-    }
-
-    /// Tokens generated so far.
-    #[must_use]
-    pub fn generated(&self) -> u64 {
-        self.generated
     }
 
     /// Tokens the user expects to have consumed by `now` (one immediately at

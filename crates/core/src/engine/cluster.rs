@@ -47,6 +47,7 @@ use pascal_workload::Trace;
 use crate::config::SimConfig;
 
 use super::driver::{Clock, EventDriver};
+use super::steady::Step;
 use super::{context_kv_bytes, EscapeCandidate, Event, Shard, SimOutput};
 
 /// What firing one cluster event left for the caller to resolve. A
@@ -171,17 +172,19 @@ impl<'a> Cluster<'a> {
 
     /// Routes an event shard `s` scheduled to its handler. An iteration
     /// end inside a steady run replays in closed form
-    /// ([`Shard::steady_step`]); any other is split so cross-shard escapes
-    /// are evaluated after tokens (and phase transitions) land but before
-    /// the instance relaunches — the same point in the event order where
-    /// intra-shard migrations launch.
+    /// ([`Shard::steady_step`]), or handles its members' edges inside the
+    /// run; any other takes the full path. Both of the latter are split so
+    /// cross-shard escapes are evaluated after tokens (and phase
+    /// transitions) land but before the instance relaunches — the same
+    /// point in the event order where intra-shard migrations launch.
     pub(super) fn dispatch(&mut self, s: usize, ev: Event, now: SimTime) -> ClusterSignal {
         match ev {
             Event::IterationDone { instance } => {
-                if self.shards[s].steady_step(instance, now) {
-                    return ClusterSignal::Handled;
+                match self.shards[s].steady_step(instance, now) {
+                    Step::Replayed => return ClusterSignal::Handled,
+                    Step::Resuming => {}
+                    Step::Full => self.shards[s].finish_iteration(instance, now),
                 }
-                self.shards[s].finish_iteration(instance, now);
                 let unresolved = self.drain_escapes(s, now);
                 if !unresolved.is_empty() {
                     debug_assert!(self.federated, "non-federated escapes resolve in-cluster");
@@ -770,11 +773,23 @@ pub(crate) struct Engine<'a> {
 }
 
 impl<'a> Engine<'a> {
+    /// An engine reporting to a handle built for `config.telemetry`.
+    #[cfg(test)]
     pub(crate) fn new(trace: &'a Trace, config: &'a SimConfig) -> Self {
+        Engine::with_telemetry(trace, config, TelemetryHandle::new(&config.telemetry))
+    }
+
+    /// An engine reporting to `telemetry`, a handle built for
+    /// `config.telemetry`.
+    pub(crate) fn with_telemetry(
+        trace: &'a Trace,
+        config: &'a SimConfig,
+        telemetry: TelemetryHandle,
+    ) -> Self {
         config.validate();
         validate_trace_fits(trace, config);
 
-        let clock = Clock::new(trace, TelemetryHandle::new(&config.telemetry));
+        let clock = Clock::new(trace, telemetry);
         let per_shard = config.num_instances / config.shards;
         let cluster = Cluster::new(config, &clock, 0, config.shards, per_shard, false);
         Engine {

@@ -66,7 +66,19 @@ pub(crate) struct FederationEngine<'a> {
 }
 
 impl<'a> FederationEngine<'a> {
+    /// An engine reporting to a handle built for `config.telemetry`.
+    #[cfg(test)]
     pub(crate) fn new(trace: &'a Trace, config: &'a SimConfig) -> Self {
+        FederationEngine::with_telemetry(trace, config, TelemetryHandle::new(&config.telemetry))
+    }
+
+    /// An engine reporting to `telemetry`, a handle built for
+    /// `config.telemetry`.
+    pub(crate) fn with_telemetry(
+        trace: &'a Trace,
+        config: &'a SimConfig,
+        telemetry: TelemetryHandle,
+    ) -> Self {
         config.validate();
         validate_trace_fits(trace, config);
 
@@ -78,7 +90,7 @@ impl<'a> FederationEngine<'a> {
             config.num_instances,
             config.wan,
         );
-        let clock = Clock::new(trace, TelemetryHandle::new(&config.telemetry));
+        let clock = Clock::new(trace, telemetry);
         let regions = spec
             .regions
             .iter()

@@ -15,7 +15,12 @@
 //! [`ScheduleScratch`](super::ScheduleScratch) buffers — so an iteration
 //! on this full path costs O(batch) and allocates nothing. A decode launch
 //! that may repeat unchanged opens a [steady run](super::steady), whose
-//! next iterations replay in O(1) without coming here.
+//! next iterations replay in O(1) without coming here. At a member's edge
+//! the run sends only that member's token through [`Shard::emit_token`]
+//! (completion, the phase transition, the first answering token, the
+//! demotion), and [`Shard::try_schedule`] first lets the run relaunch
+//! itself ([`Shard::resume_run`]); only when the full path's launch would
+//! differ does the run close and the planner below run.
 
 use pascal_cluster::{KvLocation, ReqHandle, RequestState};
 use pascal_model::DecodeBatch;
@@ -356,10 +361,16 @@ impl Shard<'_> {
 
     /// Plans residency and, if possible, launches the next iteration. On a
     /// busy instance it only settles whether an open steady run survives
-    /// the non-member changes the caller just made.
+    /// the non-member changes the caller just made; after a steady run's
+    /// edge step it first lets the run relaunch itself
+    /// ([`Shard::resume_run`]).
     pub(super) fn try_schedule(&mut self, instance: u32, now: SimTime) {
-        if self.instances[instance as usize].inst.compute_busy {
+        let rt = &self.instances[instance as usize];
+        if rt.inst.compute_busy {
             self.recheck_run(instance);
+            return;
+        }
+        if rt.steady.is_resuming() && self.resume_run(instance, now) {
             return;
         }
         // A down instance never launches. Draining instances still
@@ -608,7 +619,7 @@ impl Shard<'_> {
     /// Debug reference for the candidate index: every schedulable member,
     /// keyed and sorted from scratch.
     #[cfg(debug_assertions)]
-    fn assert_candidate_order(&self, instance: u32) {
+    pub(super) fn assert_candidate_order(&self, instance: u32) {
         let rt = &self.instances[instance as usize];
         let mut reference: Vec<(pascal_sched::PriorityKey, ReqHandle)> = rt
             .inst

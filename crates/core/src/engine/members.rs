@@ -31,18 +31,26 @@
 //! before. A mutator is also a **touch** of the open [steady
 //! run](super::steady) on the request's instance, if there is one:
 //!
-//! * a member of the run (a request in the in-flight batch) closes it
-//!   first, catching every member up, so the mutator never diffs against a
-//!   state the run still owes tokens to, and the next launch re-plans the
-//!   changed batch on the full path;
-//! * a non-member is re-filed without touching the run's members. If it
-//!   now sorts among the batch's keys or is GPU-resident, the next launch
-//!   would admit or evict it, so the run closes. Otherwise the batch stays
-//!   a key-order prefix of the candidates with no resident outside it, and
-//!   only the first candidate outside the batch could still enter — if the
-//!   change freed budget or brought a new candidate. The run is marked,
-//!   and settled by the `try_schedule` every such caller ends with: it
-//!   stays open while that candidate cannot fit;
+//! * a member of the run changed mid-iteration (a running request in the
+//!   in-flight batch) closes it first, catching every member up, so the
+//!   mutator never diffs against a state the run still owes tokens to. At
+//!   an iteration end the run itself takes each member whose edge is due —
+//!   completion, phase boundary, first answering token, demotion — out of
+//!   the batch, caught up alone, before its token runs the mutators: they
+//!   find it idle, like any non-member;
+//! * a GPU-resident non-member — a landing (migration, cross-shard or
+//!   cross-region transfer, reload) or a member taken out at an edge — is a
+//!   **joiner**: the run's next launch admits it when the full path would,
+//!   which the closing `try_schedule` decides. A joiner that stops being
+//!   resident (it completed, or migrated away) is dropped;
+//! * any other non-member is re-filed without touching the run's members.
+//!   If it now sorts among the batch's keys, the next launch would admit
+//!   it, so the run closes. Otherwise the batch stays a key-order prefix of
+//!   the candidates and only the first candidate outside the batch could
+//!   still enter — if the change freed budget or brought a new candidate.
+//!   The run forgets its cached first outside candidate, is marked, and is
+//!   settled by the `try_schedule` every such caller ends with: it stays
+//!   open while that candidate cannot fit;
 //! * a predictor refresh re-prices a run member's predicted growth in
 //!   place: growth never changes which batch the planner picks.
 //!
@@ -262,6 +270,15 @@ pub(crate) struct MemberMon {
     /// predicted growth reaches zero and its drop residue retires
     /// (`u32::MAX` when none is scheduled).
     pub(super) retire: u32,
+    /// As a member of an open steady run: the run iteration whose token
+    /// reaches its next lifecycle edge.
+    pub(super) edge: u32,
+    /// As a member of an open steady run: the run iteration whose token
+    /// ends its quantum (`u32::MAX` when its edge comes first).
+    pub(super) quantum_end: u32,
+    /// As an answering member of an open steady run: the run's number for
+    /// its pacer key's filing (0 when none is filed).
+    pub(super) pace_filing: u32,
 }
 
 /// A member's predicted future KV: `blocks` blocks of predicted remaining
@@ -457,8 +474,12 @@ impl Shard<'_> {
     }
 
     /// Before a mutator changes `handle`: a member of the open steady run
-    /// on its instance closes the run, whose batch it is about to leave or
-    /// change. A non-member leaves the run open for [`Shard::check_run`].
+    /// on its instance closes the run, whose batch it is about to change
+    /// mid-iteration. (At an iteration end the run takes a member whose
+    /// edge is due out of the batch itself before its token is closed —
+    /// see [`steady`](super::steady) — so the mutators that token runs
+    /// find it idle.) A non-member leaves the run open for
+    /// [`Shard::check_run`].
     fn touch_run(&mut self, handle: ReqHandle) {
         let st = &self.states[handle];
         if st.running {
@@ -467,27 +488,48 @@ impl Shard<'_> {
     }
 
     /// After a mutator re-filed `handle`, a non-member of the open steady
-    /// run on its instance (if one is open): a candidate keyed into the
-    /// batch's key range or a GPU resident outside the batch would change
-    /// the next launch — admitted, or evicted — so the run closes;
-    /// anything else may only let the first candidate outside the batch
-    /// fit, which the caller's closing `try_schedule` checks
-    /// ([`Shard::recheck_run`]).
+    /// run on its instance (if one is open):
+    ///
+    /// * a GPU resident — a landing, or a member an edge step took out of
+    ///   the batch — becomes (or stays) a **joiner** the next launch is to
+    ///   admit; a joiner that is no longer resident (it completed or
+    ///   migrated away) is dropped;
+    /// * a candidate keyed into the batch's key range would be admitted by
+    ///   the next launch, so the run closes;
+    /// * anything else may only let the first candidate outside the batch
+    ///   fit.
+    ///
+    /// Joiners and the first candidate outside are settled by the caller's
+    /// closing `try_schedule` ([`Shard::recheck_run`], or
+    /// [`Shard::resume_run`] after an edge step).
     fn check_run(&mut self, handle: ReqHandle) {
         let instance = self.states[handle].instance;
-        let rt = &self.instances[instance as usize];
+        let rt = &mut self.instances[instance as usize];
         if !rt.steady.is_open() {
             return;
         }
         let m = &self.member_mon[handle.index()];
+        if rt.steady.is_joiner(handle) {
+            if !m.resident {
+                rt.steady.remove_joiner(handle);
+            }
+            rt.steady.mark_dirty();
+            return;
+        }
+        if m.resident {
+            rt.steady.add_joiner(handle);
+            rt.steady.mark_dirty();
+            return;
+        }
         let last = rt
             .current_batch
             .last()
             .and_then(|&h| self.member_mon[h.index()].key);
-        if m.resident || m.key.is_some_and(|key| Some(key) < last) {
+        if m.key.is_some_and(|key| Some(key) < last) {
             self.catch_up(instance);
         } else {
-            self.instances[instance as usize].steady.mark_dirty();
+            rt.steady.forget_outside();
+            rt.steady.mark_dirty();
         }
     }
 

@@ -85,8 +85,8 @@ use pascal_predict::{LengthEstimate, LengthPredictor, PredictorKind};
 use pascal_sched::{PriorityKey, SchedPolicy};
 use pascal_sim::SimTime;
 use pascal_telemetry::{
-    ProfiledEvent, SloAlertRecord, SloBurnTracker, TelemetryHandle, TelemetryOut, TraceEvent,
-    TraceEventKind, WorkCounters,
+    ProfiledEvent, SeriesSink, SloAlertRecord, SloBurnTracker, TelemetryHandle, TelemetryOut,
+    TraceEvent, TraceEventKind, WorkCounters,
 };
 use pascal_workload::{RequestId, RequestSpec, Trace};
 
@@ -278,11 +278,43 @@ pub(super) fn context_kv_bytes(geometry: &KvGeometry, st: &RequestState) -> u64 
 /// never be scheduled).
 #[must_use]
 pub fn run_simulation(trace: &Trace, config: &SimConfig) -> SimOutput {
+    run_reporting_to(trace, config, TelemetryHandle::new(&config.telemetry))
+}
+
+/// Runs `trace` through `config`'s deployment, reporting to `telemetry`
+/// (a handle built for `config.telemetry`).
+fn run_reporting_to(trace: &Trace, config: &SimConfig, telemetry: TelemetryHandle) -> SimOutput {
     if config.regions > 1 {
-        federation::FederationEngine::new(trace, config).run()
+        federation::FederationEngine::with_telemetry(trace, config, telemetry).run()
     } else {
-        Engine::new(trace, config).run()
+        Engine::with_telemetry(trace, config, telemetry).run()
     }
+}
+
+/// [`run_simulation`] with the time-series gauge rows written to `sink` as
+/// they are sampled, instead of collected into the output's telemetry:
+/// memory stays flat however fine `config.telemetry.series_interval` is.
+/// Returns the sink for the caller to finish (without series sampling
+/// configured it is returned untouched).
+///
+/// # Panics
+///
+/// As [`run_simulation`].
+#[must_use]
+pub fn run_simulation_with_series(
+    trace: &Trace,
+    config: &SimConfig,
+    sink: SeriesSink,
+) -> (SimOutput, SeriesSink) {
+    if config.telemetry.series_interval.is_none() {
+        return (run_simulation(trace, config), sink);
+    }
+    let telemetry = TelemetryHandle::new(&config.telemetry).with_series_sink(sink);
+    let out = run_reporting_to(trace, config, telemetry.clone());
+    let sink = telemetry
+        .take_series_sink()
+        .expect("a series-sampling handle keeps its sink");
+    (out, sink)
 }
 
 /// A deployment whose per-instance or per-shard tables do not fit in

@@ -99,7 +99,7 @@ impl Shard<'_> {
         let mut fresh_answering = 0u32;
         for (_, handle) in rt.inst.members.iter() {
             let st = &self.states[handle];
-            let owed = self.owed(handle);
+            let owed = self.reference_owed(handle);
             match st.phase {
                 Phase::Reasoning => {
                     if !st.demoted {
@@ -130,7 +130,7 @@ impl Shard<'_> {
                     .iter()
                     .map(|(_, handle)| {
                         let st = &self.states[handle];
-                        let generated = st.tokens_generated + self.owed(handle);
+                        let generated = st.tokens_generated + self.reference_owed(handle);
                         pred.predicted_remaining_tokens(&st.spec, generated)
                             .map_or(0, |remaining| {
                                 self.geometry.bytes_for_tokens(remaining.round() as u64)

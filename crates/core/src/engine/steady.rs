@@ -9,75 +9,104 @@
 //!
 //! When the full path launches a decode batch that is the instance's whole
 //! desired set, with no member holding more blocks than it needs, it opens
-//! a run and records:
+//! a run. Each member is **filed** into the run at a run iteration, its
+//! **sync step** (0 at the opening launch), which keys everything the run
+//! keeps about it by quantities that stay fixed while it runs:
 //!
-//! * the iteration at which the first member reaches a **hard edge**:
-//!   completion, its phase boundary, its first answering token, the
-//!   demotion threshold plus one, or a token that could stall its reader
-//!   (the first one when it would, or any after a step longer than
-//!   `target_tpot` while a member answers);
 //! * per residue of the iteration count mod `block_tokens`, the members
-//!   whose next-iteration KV need crosses into a new block, and the
-//!   members whose predicted growth drops a block at that step;
+//!   whose next-iteration KV need crosses into a new block, and the members
+//!   whose predicted growth drops a block at that step;
 //! * a min-heap of **marks** keyed by iteration: each member's next
-//!   quantum end (when it comes before the member's hard edges) and the
-//!   iteration at which its predicted growth reaches zero, where its drop
-//!   residue **retires**;
-//! * the batch's context sum and the blocks it holds;
-//! * the earliest pacer deadline among the answering members, whose own
-//!   entries leave the instance's pacer list while the run is open.
+//!   quantum end, its next **member edge** — completion, its phase
+//!   boundary, its first answering token, the demotion threshold plus one
+//!   (and a pending demotion), or its first token — and the iteration at
+//!   which its predicted growth reaches zero, where its drop residue
+//!   **retires**;
+//! * its pacer deadline minus `sync · target_tpot` (answering members,
+//!   whose own entries leave the instance's pacer list while they run), so
+//!   the run's earliest deadline is the least key plus `steps · tpot`;
+//! * the batch's context sum and the blocks it holds.
 //!
-//! Every later `IterationDone` of the run before its hard edge is a
-//! **steady step**: one pool allocation for that residue's crossings, the
-//! residue's growth drops off the monitor's predicted sum, the run's pacer
-//! deadline one `target_tpot` later, and the next `IterationDone`
-//! scheduled at the time the full path would pick, `now +
-//! decode_step_time(n, context + n)`. Nothing else happens in a steady
-//! iteration — no trace event, no other queued event — so the event
-//! sequence, and every output byte, is the full path's.
+//! The run itself ends only at its **stall edge**: a token that could stall
+//! a reader (the first one when it would, or any after a step longer than
+//! `target_tpot` while a member answers). The full path handles it.
 //!
-//! Members lag the run: each carries a **sync step**, the run iteration
-//! its state was last brought up to, and owes the run `steps − sync`
-//! tokens. **Catching up** a member applies those tokens in closed form —
-//! token and quantum counts, executed time, the answer stream's stall
-//! curve, predicted growth and held blocks — so one member can be read
-//! without touching the others.
+//! Every later `IterationDone` of the run with no mark due is a **steady
+//! step**: one pool allocation for that residue's crossings, the residue's
+//! growth drops off the monitor's predicted sum, the run's pacer deadline
+//! one `target_tpot` later, and the next `IterationDone` scheduled at the
+//! time the full path would pick, `now + decode_step_time(n, context +
+//! n)`. Nothing else happens in a steady iteration — no trace event, no
+//! other queued event — so the event sequence, and every output byte, is
+//! the full path's.
 //!
-//! A run **survives** every change that leaves its batch the instance's
-//! desired prefix, because the full path would relaunch the same batch,
-//! in the same order, at the same instant:
+//! Members lag the run: each owes it `steps − sync` tokens. **Catching
+//! up** a member applies those tokens in closed form — token and quantum
+//! counts, executed time, the answer stream's stall curve, predicted
+//! growth and held blocks — so one member can be read without touching the
+//! others.
 //!
-//! * a **quantum end** (the commonest mark) whose new priority key still
-//!   sorts before the first candidate outside the batch: the member alone
-//!   is caught up, closes its token through the full path's per-token
-//!   code, is re-keyed and moves to its new place in the batch;
+//! The run **survives** every change after which the full path would
+//! relaunch its batch, or that batch with members gone or joined, in key
+//! order at the same instant:
+//!
+//! * a **quantum end** whose new priority key still sorts before the first
+//!   candidate outside the batch: the member alone is caught up, closes its
+//!   token through the full path's per-token code, is re-keyed and moves to
+//!   its new place in the batch;
 //! * predicted growth **reaching zero**: its residue retires;
 //! * a **predictor refresh** that moves the estimate of a run member's
-//!   dataset: the member is caught up and re-priced in place — its growth,
-//!   drop residue and retirement mark;
-//! * a change to a **non-member** (an arrival, an offload, reload,
-//!   migration or cross-shard landing, a departure) that leaves it outside
-//!   the batch's key range and not GPU-resident, when at the run's next
+//!   dataset: the member is caught up and re-priced in place;
+//! * a **member edge**: at that step the due members, in batch order,
+//!   leave the run — each caught up alone and unfiled — and send their
+//!   token through the full path's per-token code ([`Shard::emit_token`]):
+//!   trace events, completion, the phase transition with Algorithm 2 and
+//!   its migration or escape, the demotion and its predictor refresh. The
+//!   other members keep lagging. Where the full path would call
+//!   `try_schedule` (after escapes drain and, in a federation, escalate),
+//!   every due member still GPU-resident **rejoins** and the run survives
+//!   when the next launch would be the remaining batch plus the rejoiners,
+//!   in key order ([`Shard::resume_run`]);
+//! * a **landing** (an intra-shard migration, a cross-shard or cross-region
+//!   landing, a reload) whose request the next launch would admit at its
+//!   key position with nobody evicted and no other candidate entering: it
+//!   **joins** the run at the next step — `begin_running`, the migration
+//!   resume stamp, and its residues and marks filed at the run's step;
+//! * a change to a **non-member** (an arrival, an offload, a departure)
+//!   that leaves it outside the batch's key range, when at the run's next
 //!   iteration the first candidate outside the batch still cannot enter:
 //!   the batch is at `max_batch`, or its blocks plus the candidate's need
 //!   exceed `capacity − dying_blocks`.
 //!
 //! Anything else **closes** the run and catches up every member: a
-//! mutation of a member, a non-member that sorts into the batch's key
-//! range or becomes resident (the full path would admit or evict it), a
-//! quantum end that lets an outside candidate overtake, a hard edge, a
-//! failed crossing allocation and a fleet transition. The closing
-//! iteration, and the next one, take the full path.
+//! non-member that sorts into the batch's key range, a quantum end or edge
+//! that lets an outside candidate overtake or enter, a failed crossing
+//! allocation, the stall edge, a member edge on a draining instance or one
+//! whose Algorithm 2 sweep would read a pacer deadline already due, and a
+//! fleet transition. The closing iteration, and the next one, take the
+//! full path.
+//!
+//! At an edge step the full path emits tokens in batch order, so a due
+//! member sees the members before it with this step's token and those
+//! after it without. The run reproduces that view: the members sorting
+//! before the one being handled count one more owed token, their growth
+//! drops at this step are taken off the predicted sum first (each residue
+//! keeps its drop members, not just their count), and the step's crossings
+//! are allocated only after every edge, where `try_schedule` would
+//! allocate them.
 //!
 //! Debug builds check the closed form against the full path: every
 //! catch-up replays the member's owed iterations token by token through
 //! the per-token code on a clone ([`close_token`], the growth update of
 //! `file_token`, the admission's block grant and `begin_running`) and
-//! asserts the results equal, and every steady step and every kept touch
+//! asserts the results equal, every mid-step monitor row is checked against
+//! the from-scratch reference (which reads each member's owed tokens at its
+//! batch position), and every steady step, kept touch, kept edge and join
 //! runs the planner's desired-prefix walk read-only, over the tokens the
 //! run owes each member, and asserts it yields the run's batch in order
 //! (and, at a step, its crossing count).
 
+use std::cell::Cell;
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 use std::ops::Bound;
@@ -89,11 +118,11 @@ use pascal_sim::{SimDuration, SimTime};
 use pascal_workload::Phase;
 
 use super::lifecycle::{close_token, TokenEdges};
-use super::members::Growth;
+use super::members::{Growth, MemberMon};
 use super::{Event, IterationKind, Shard};
 
 /// An instance's steady run. Kept (closed) between runs so its residue
-/// table's and mark heap's allocations are reused: the run state is
+/// table's, heaps' and lists' allocations are reused: the run state is
 /// O(`block_tokens` + batch) per instance.
 #[derive(Default)]
 pub(crate) struct SteadyRun {
@@ -102,11 +131,11 @@ pub(crate) struct SteadyRun {
     open: bool,
     /// Iterations replayed since the launch that opened the run.
     steps: u32,
-    /// The iteration, counting from the opening launch, whose token
-    /// reaches the first hard edge; the full path handles it.
+    /// The iteration, counting from the opening launch, whose token could
+    /// stall a reader; the full path handles it.
     edge: u32,
-    /// Whether any member is answering.
-    answering: bool,
+    /// Members in their answering phase.
+    answering: u32,
     /// Context tokens of the batch at the latest launch.
     context: u64,
     /// GPU blocks the batch holds after the latest launch.
@@ -118,20 +147,82 @@ pub(crate) struct SteadyRun {
     /// The latest iteration end replayed: a member's segment start, once
     /// caught up.
     last: SimTime,
-    /// Indexed by iteration mod `block_tokens`: the members whose block
-    /// need grows by one at that iteration's launch, and the members whose
-    /// predicted growth drops a block at its token.
-    residues: Vec<(u64, u64)>,
-    /// Quantum ends and growth retirements, earliest first.
+    /// The iteration end before `last`.
+    prev_last: SimTime,
+    /// Indexed by iteration mod `block_tokens`.
+    residues: Vec<Residue>,
+    /// Each member's earliest pending event — quantum end, member edge or
+    /// growth retirement — earliest first. An entry whose member's earliest
+    /// event moved, or that left the run, is skipped when it comes due.
     marks: BinaryHeap<Reverse<Mark>>,
     /// The earliest mark's iteration (`u32::MAX` without one), so a step
     /// with no mark due reads no heap memory.
     next_mark: u32,
-    /// The marks due at the step being replayed (reused buffer).
-    due: Vec<Mark>,
+    /// What is due at the step being replayed (reused buffer).
+    due: Vec<Due>,
+    /// `deadline − sync · tpot` of every answering member with a pacer
+    /// deadline; entries of members that left are dropped when they reach
+    /// the top.
+    pace: BinaryHeap<Reverse<PaceEntry>>,
+    /// The last pacer filing's number: a member's filed number tells its
+    /// current heap entry from ones it left behind.
+    pace_filings: u32,
+    /// Resident non-members the run's next launch is to admit: landings,
+    /// and the members an edge step took out to handle their token.
+    joiners: Vec<Joiner>,
+    /// While an edge step handles a member whose phase boundary reads the
+    /// instance monitor: its key. Members sorting before it already count
+    /// this step's token.
+    split: Option<PriorityKey>,
+    /// While an edge step handles a due member: its key, whether or not
+    /// the member reads the monitor. The debug reference rows read the
+    /// full path's batch-order view from it, independently of `split`.
+    handling: Option<PriorityKey>,
+    /// The first candidate outside the batch and its joiners, with its
+    /// block need (`Some(None)` when there is none, `None` when unknown):
+    /// every other non-member sorts after it, and it only changes through
+    /// a non-member's mutator, which forgets it.
+    outside: Cell<Option<Option<(PriorityKey, u64)>>>,
+    /// Whether an edge step ended the iteration and the next launch is
+    /// still to be decided ([`Shard::resume_run`]).
+    resuming: bool,
+    /// The due members of an edge step: key, handle, whether it is at an
+    /// edge rather than only a quantum end (reused buffer).
+    due_members: Vec<(PriorityKey, ReqHandle, bool)>,
+    /// Member edges and quantum ends the step being resumed handled.
+    step_edges: u64,
+    step_quanta: u64,
     /// The end of every replayed iteration, for the debug replay.
     #[cfg(debug_assertions)]
     step_times: Vec<SimTime>,
+}
+
+/// One residue of the iteration count mod `block_tokens`: the members
+/// whose block need grows by one at that iteration's launch, and the
+/// members whose predicted growth drops a block at its token.
+#[derive(Default)]
+struct Residue {
+    crossings: u64,
+    drops: Vec<ReqHandle>,
+}
+
+/// A resident non-member the run's next launch admits.
+#[derive(Clone, Copy)]
+struct Joiner {
+    member: ReqHandle,
+    /// For a member an edge step took out: its batch place and key then.
+    left: Option<(usize, Option<PriorityKey>)>,
+}
+
+/// What [`Shard::steady_step`] made of an iteration end.
+pub(super) enum Step {
+    /// Replayed in closed form; the next iteration is scheduled.
+    Replayed,
+    /// Member edges or joins handled inside the run: the caller drains
+    /// escapes and then calls `try_schedule`, which decides the next launch.
+    Resuming,
+    /// The full path must handle it.
+    Full,
 }
 
 impl SteadyRun {
@@ -140,60 +231,63 @@ impl SteadyRun {
         self.open
     }
 
+    /// Whether an edge step ended the iteration and the run's next launch
+    /// is still to be decided.
+    pub(super) fn is_resuming(&self) -> bool {
+        self.open && self.resuming
+    }
+
     /// Records that a non-member changed: [`Shard::recheck_run`] checks
     /// again whether the first candidate outside the batch can enter.
     pub(super) fn mark_dirty(&mut self) {
         self.dirty = true;
     }
 
-    /// Files `mark` unless it falls at or past the hard edge, where it
-    /// would never come due: the full path handles that iteration and
-    /// closes the run.
-    fn push_mark(&mut self, mark: Mark) {
-        if mark.step < self.edge {
-            self.next_mark = self.next_mark.min(mark.step);
-            self.marks.push(Reverse(mark));
-        }
+    /// Whether `handle` is a pending joiner.
+    pub(super) fn is_joiner(&self, handle: ReqHandle) -> bool {
+        self.joiners.iter().any(|j| j.member == handle)
     }
 
-    /// Takes the marks due at `step` into `due`.
-    fn take_due(&mut self, step: u32, due: &mut Vec<Mark>) {
-        while let Some(&Reverse(mark)) = self.marks.peek() {
-            if mark.step != step {
-                self.next_mark = mark.step;
-                return;
-            }
-            self.marks.pop();
-            due.push(mark);
+    /// Files a resident non-member for the next launch.
+    pub(super) fn add_joiner(&mut self, handle: ReqHandle) {
+        self.joiners.push(Joiner {
+            member: handle,
+            left: None,
+        });
+        self.forget_outside();
+    }
+
+    /// Forgets the first candidate outside the batch: a non-member changed.
+    pub(super) fn forget_outside(&mut self) {
+        self.outside.set(None);
+    }
+
+    /// Drops a pending joiner that is no longer GPU-resident.
+    pub(super) fn remove_joiner(&mut self, handle: ReqHandle) {
+        self.joiners.retain(|j| j.member != handle);
+    }
+
+    /// Files `member`'s earliest event at `step` unless it falls at or past
+    /// the stall edge, where it would never come due: the full path handles
+    /// that iteration and closes the run.
+    fn push_mark(&mut self, step: u32, member: ReqHandle) {
+        if step < self.edge {
+            self.next_mark = self.next_mark.min(step);
+            self.marks.push(Reverse(Mark { step, member }));
         }
-        self.next_mark = u32::MAX;
     }
 }
 
-/// Something due to one run member at a run iteration.
-#[derive(Clone, Copy, PartialEq, Eq)]
+/// A run member's earliest pending event, at a run iteration.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 struct Mark {
     step: u32,
-    kind: MarkKind,
     member: ReqHandle,
-}
-
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum MarkKind {
-    /// The member's token at `step` ends its quantum.
-    QuantumEnd,
-    /// The member's predicted growth reaches zero at `step`: its drop
-    /// residue retires (if the member's retirement is still `step`).
-    Retire,
 }
 
 impl Ord for Mark {
     fn cmp(&self, other: &Self) -> Ordering {
-        (self.step, self.kind, self.member.index()).cmp(&(
-            other.step,
-            other.kind,
-            other.member.index(),
-        ))
+        (self.step, self.member.index()).cmp(&(other.step, other.member.index()))
     }
 }
 
@@ -203,12 +297,62 @@ impl PartialOrd for Mark {
     }
 }
 
+/// What is due to one run member at the step being replayed.
+#[derive(Clone, Copy, Debug)]
+struct Due {
+    member: ReqHandle,
+    /// Its token reaches an edge of its lifecycle.
+    edge: bool,
+    /// Its token ends its quantum.
+    quantum_end: bool,
+    /// Its predicted growth reaches zero: its drop residue retires.
+    retire: bool,
+}
+
+/// The run iteration of `m`'s earliest pending event.
+fn next_event(m: &MemberMon) -> u32 {
+    m.edge.min(m.quantum_end).min(m.retire)
+}
+
+/// A member's pacer deadline minus `sync · tpot`: fixed while it runs.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct PaceEntry {
+    key: i128,
+    member: ReqHandle,
+    /// The run's filing number when it was filed.
+    filing: u32,
+}
+
+impl Ord for PaceEntry {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (self.key, self.member.index(), self.filing).cmp(&(
+            other.key,
+            other.member.index(),
+            other.filing,
+        ))
+    }
+}
+
+impl PartialOrd for PaceEntry {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// Removes `member` from a residue's drop list.
+fn remove_drop(drops: &mut Vec<ReqHandle>, member: ReqHandle) {
+    let at = drops
+        .iter()
+        .position(|&h| h == member)
+        .expect("a member with predicted growth is in its drop residue");
+    drops.swap_remove(at);
+}
+
 impl Shard<'_> {
     /// Opens a steady run on `instance`, whose decode batch (the whole
     /// desired set, holding exactly the blocks it needs) the full path just
-    /// launched at `now` for `duration` over `context` tokens — unless a
-    /// member reaches a hard edge at the very next iteration, which leaves
-    /// no iteration to replay.
+    /// launched at `now` for `duration` over `context` tokens — unless its
+    /// first token could stall a reader.
     pub(super) fn open_steady_run(
         &mut self,
         instance: u32,
@@ -217,127 +361,256 @@ impl Shard<'_> {
         context: u64,
     ) {
         let i = instance as usize;
-        let bt = u64::from(self.geometry.block_tokens);
-        let quantum = self.policy.quantum();
-        let threshold = self.policy.demotion_threshold_tokens();
+        let bt = self.geometry.block_tokens as usize;
         let next = now + duration;
-        let mut run = std::mem::take(&mut self.instances[i].steady);
-        run.residues.clear();
-        run.residues.resize(bt as usize, (0, 0));
+        let run = &mut self.instances[i].steady;
+        for residue in &mut run.residues {
+            residue.crossings = 0;
+            residue.drops.clear();
+        }
+        run.residues.resize_with(bt, Residue::default);
+        // Filed in bulk: both heaps are built once the batch is filed.
         let mut marks = std::mem::take(&mut run.marks).into_vec();
+        let mut pace = std::mem::take(&mut run.pace).into_vec();
         marks.clear();
-        run.answering = false;
+        pace.clear();
+        run.pace_filings = 0;
+        run.joiners.clear();
+        run.outside.set(None);
+        run.handling = None;
+        run.next_mark = u32::MAX;
+        run.answering = 0;
         run.edge = u32::MAX;
         run.held = 0;
-        for &member in &self.instances[i].current_batch {
+        run.context = 0;
+        run.steps = 0;
+        let mut filed = 0;
+        while filed < self.instances[i].current_batch.len() {
+            let member = self.instances[i].current_batch[filed];
+            filed += 1;
+            let (mark, pacer) = self.file_run_member(instance, member, 0);
+            marks.push(Reverse(mark));
+            pace.extend(pacer.map(Reverse));
             let st = &self.states[member];
-            let hard = hard_edge(st, threshold);
-            run.edge = run.edge.min(hard);
-            let quantum_end = quantum.saturating_sub(st.tokens_in_quantum).max(1);
-            if quantum_end < hard.min(run.edge) {
-                marks.push(Reverse(Mark {
-                    step: quantum_end,
-                    kind: MarkKind::QuantumEnd,
-                    member,
-                }));
-            }
-            if st.phase == Phase::Answering {
-                run.answering = true;
-                if st.answers.would_stall(next) {
-                    run.edge = 1;
-                }
-            }
-            run.held += st.held_gpu_blocks;
-            // The need `blocks_for_tokens(context + 1)` grows at the
-            // iteration whose token brings the context to a multiple of
-            // `block_tokens`.
-            let cross = (bt - st.context_tokens() % bt) % bt;
-            run.residues[cross as usize].0 += 1;
-            let m = &mut self.member_mon[member.index()];
-            m.sync = 0;
-            m.retire = u32::MAX;
-            if m.growth.blocks > 0 {
-                let first_drop = m.growth.drop_at - u64::from(st.tokens_generated);
-                run.residues[(first_drop % bt) as usize].1 += 1;
-                // The last block drops when the count reaches the
-                // predicted total.
-                let zero = first_drop + (m.growth.blocks - 1) * bt;
-                if zero < u64::from(run.edge) {
-                    m.retire = zero as u32;
-                    marks.push(Reverse(Mark {
-                        step: m.retire,
-                        kind: MarkKind::Retire,
-                        member,
-                    }));
-                }
-            }
-            if run.edge <= 1 {
+            if st.phase == Phase::Answering && st.answers.would_stall(next) {
+                self.instances[i].steady.edge = 1;
                 break;
             }
         }
-        if run.answering && duration > self.config.target_tpot {
+        let rt = &mut self.instances[i];
+        let run = &mut rt.steady;
+        run.next_mark = marks.iter().map(|m| m.0.step).min().unwrap_or(u32::MAX);
+        run.marks = BinaryHeap::from(marks);
+        run.pace = BinaryHeap::from(pace);
+        if run.answering > 0 && duration > self.config.target_tpot {
             run.edge = 1;
         }
-        // A mark at or past the run's hard edge never comes due: the full
-        // path handles that iteration and closes the run.
-        marks.retain(|&Reverse(mark)| mark.step < run.edge);
-        run.next_mark = marks
-            .iter()
-            .map(|&Reverse(m)| m.step)
-            .min()
-            .unwrap_or(u32::MAX);
-        run.marks = BinaryHeap::from(marks);
-        if run.edge > 1 {
-            let rt = &mut self.instances[i];
-            let mut pace: Option<SimTime> = None;
-            for &handle in &rt.current_batch {
+        if rt.steady.edge <= 1 {
+            // No run: the filed members' pacer entries go back.
+            for &handle in &rt.current_batch[..filed] {
                 let st = &self.states[handle];
                 if st.phase == Phase::Answering {
-                    if let Some(at) = st.answers.on_pace_until() {
-                        pace = Some(pace.map_or(at, |p| p.min(at)));
-                    }
-                    rt.monitor.move_pacer(&mut self.member_mon, handle, None);
+                    rt.monitor
+                        .move_pacer(&mut self.member_mon, handle, st.answers.on_pace_until());
                 }
             }
-            rt.monitor.steady_pace = pace;
-            run.open = true;
-            run.steps = 0;
-            run.dirty = false;
-            run.context = context;
-            run.last = now;
-            #[cfg(debug_assertions)]
-            run.step_times.clear();
+            return;
         }
-        self.instances[i].steady = run;
+        debug_assert_eq!(rt.steady.context, context, "the run's context sum");
+        let run = &mut rt.steady;
+        run.open = true;
+        run.dirty = false;
+        run.split = None;
+        run.resuming = false;
+        run.last = now;
+        run.prev_last = now;
+        #[cfg(debug_assertions)]
+        run.step_times.clear();
+        self.refresh_pace(instance);
+    }
+
+    /// Files `member`, whose state is exact, into `instance`'s run at
+    /// iteration `sync`: its context and held blocks, its crossing and
+    /// drop residues and its event steps, its entry leaving the instance's
+    /// pacer list. Returns its earliest event — edge, quantum end or
+    /// retirement — and its pacer key, for the caller to push (the run's
+    /// heaps are built in bulk at open); its batch place is the caller's
+    /// too.
+    fn file_run_member(
+        &mut self,
+        instance: u32,
+        member: ReqHandle,
+        sync: u32,
+    ) -> (Mark, Option<PaceEntry>) {
+        let bt = u64::from(self.geometry.block_tokens);
+        let st = &self.states[member];
+        let rt = &mut self.instances[instance as usize];
+        let run = &mut rt.steady;
+        let m = &mut self.member_mon[member.index()];
+        let s = u64::from(sync);
+        let context = st.context_tokens();
+        run.context += context;
+        run.held += st.held_gpu_blocks;
+        // The need `blocks_for_tokens(context + 1)` grows at the iteration
+        // whose token brings the context to a multiple of `block_tokens`.
+        run.residues[((s + bt - context % bt) % bt) as usize].crossings += 1;
+        m.sync = sync;
+        m.edge = sync.saturating_add(hard_edge(st, self.policy.demotion_threshold_tokens()));
+        let quantum_end = sync.saturating_add(
+            self.policy
+                .quantum()
+                .saturating_sub(st.tokens_in_quantum)
+                .max(1),
+        );
+        m.quantum_end = if quantum_end < m.edge {
+            quantum_end
+        } else {
+            u32::MAX
+        };
+        m.retire = u32::MAX;
+        if m.growth.blocks > 0 {
+            let first_drop = m.growth.drop_at - u64::from(st.tokens_generated);
+            run.residues[((s + first_drop) % bt) as usize]
+                .drops
+                .push(member);
+            // The last block drops when the count reaches the predicted
+            // total.
+            let zero = s + first_drop + (m.growth.blocks - 1) * bt;
+            m.retire = u32::try_from(zero).unwrap_or(u32::MAX);
+        }
+        let mark = Mark {
+            step: next_event(m),
+            member,
+        };
+        m.pace_filing = 0;
+        let mut pacer = None;
+        if st.phase == Phase::Answering {
+            run.answering += 1;
+            if let Some(at) = st.answers.on_pace_until() {
+                let tpot = i128::from(self.config.target_tpot.as_nanos());
+                run.pace_filings += 1;
+                m.pace_filing = run.pace_filings;
+                pacer = Some(PaceEntry {
+                    key: i128::from(at.as_nanos()) - i128::from(sync) * tpot,
+                    member,
+                    filing: run.pace_filings,
+                });
+            }
+            rt.monitor.move_pacer(&mut self.member_mon, member, None);
+        }
+        (mark, pacer)
+    }
+
+    /// Takes `member`, caught up alone to the run's latest iteration, out
+    /// of `instance`'s run: its context, held blocks, crossing and drop
+    /// residues, marks, pacer key and batch place, which it returns. Its
+    /// pacer entry goes back into the instance's list; it stays running for
+    /// the caller to close its token.
+    fn detach_run_member(&mut self, instance: u32, member: ReqHandle) -> usize {
+        self.sync_run_member(instance, member);
+        self.count_work(|w| w.members_caught_up += 1);
+        let bt = u64::from(self.geometry.block_tokens);
+        let st = &self.states[member];
+        let rt = &mut self.instances[instance as usize];
+        let run = &mut rt.steady;
+        let m = &mut self.member_mon[member.index()];
+        let s = u64::from(m.sync);
+        run.context -= st.context_tokens();
+        run.held -= st.held_gpu_blocks;
+        run.residues[((s + bt - st.context_tokens() % bt) % bt) as usize].crossings -= 1;
+        if m.growth.blocks > 0 {
+            let first_drop = m.growth.drop_at - u64::from(st.tokens_generated);
+            remove_drop(
+                &mut run.residues[((s + first_drop) % bt) as usize].drops,
+                member,
+            );
+        }
+        m.edge = u32::MAX;
+        m.quantum_end = u32::MAX;
+        m.retire = u32::MAX;
+        let paced = std::mem::take(&mut m.pace_filing) != 0;
+        let at = rt
+            .current_batch
+            .iter()
+            .position(|&h| h == member)
+            .expect("a run member is in the batch");
+        rt.current_batch.remove(at);
+        if st.phase == Phase::Answering {
+            run.answering -= 1;
+            rt.monitor
+                .move_pacer(&mut self.member_mon, member, st.answers.on_pace_until());
+        }
+        if paced {
+            self.refresh_pace(instance);
+        }
+        at
+    }
+
+    /// Sets the monitor's view of the run's earliest pacer deadline from
+    /// its pacer keys, dropping the entries of members that left.
+    fn refresh_pace(&mut self, instance: u32) {
+        let tpot = i128::from(self.config.target_tpot.as_nanos());
+        let rt = &mut self.instances[instance as usize];
+        let run = &mut rt.steady;
+        while let Some(&Reverse(entry)) = run.pace.peek() {
+            let filed = self.member_mon[entry.member.index()].pace_filing == entry.filing
+                && self
+                    .states
+                    .get(entry.member)
+                    .is_some_and(|st| st.instance == instance && st.running);
+            if filed {
+                break;
+            }
+            run.pace.pop();
+        }
+        rt.monitor.steady_pace = run.pace.peek().and_then(|&Reverse(entry)| {
+            u64::try_from(entry.key + i128::from(run.steps) * tpot)
+                .ok()
+                .map(SimTime::from_nanos)
+        });
     }
 
     /// Replays the iteration that just ended on `instance` in closed form,
-    /// when it belongs to an open steady run before the run's hard edge,
+    /// when it belongs to an open steady run before the run's stall edge,
     /// no member whose quantum ends there is overtaken by the first
     /// candidate outside the batch, and the pool can grant the blocks its
-    /// members cross into. Returns `false` when the full path must handle
-    /// it; the run then closes before anything reads it, so the marks
-    /// taken off its heap are not put back.
-    pub(super) fn steady_step(&mut self, instance: u32, now: SimTime) -> bool {
+    /// members cross into; or handles the member edges and joins due there
+    /// inside the run. A step it refuses closes the run before anything
+    /// reads it, so the marks taken off its heap are not put back.
+    pub(super) fn steady_step(&mut self, instance: u32, now: SimTime) -> Step {
         let i = instance as usize;
-        let bt = u64::from(self.geometry.block_tokens);
         let run = &self.instances[i].steady;
         if !run.open || run.steps + 1 >= run.edge {
-            return false;
+            return Step::Full;
         }
         debug_assert!(
             !run.dirty,
             "instance {instance}: a non-member change was never rechecked"
         );
         let step = run.steps + 1;
-        let (crossing, drops) = run.residues[(u64::from(step) % bt) as usize];
-        let kept = if run.next_mark == step {
-            self.settle_due(instance, step, crossing, now)
-        } else {
-            self.instances[i].inst.gpu.try_alloc(crossing)
-        };
-        if !kept {
-            return false;
+        let bt = u64::from(self.geometry.block_tokens);
+        let residue = &run.residues[(u64::from(step) % bt) as usize];
+        let (crossing, drops) = (residue.crossings, residue.drops.len() as u64);
+        if run.next_mark == step || !run.joiners.is_empty() {
+            let mut due = std::mem::take(&mut self.instances[i].steady.due);
+            due.clear();
+            if self.instances[i].steady.next_mark == step {
+                self.take_due(instance, step, &mut due);
+            }
+            let edges = !self.instances[i].steady.joiners.is_empty() || due.iter().any(|d| d.edge);
+            let outcome = if edges {
+                self.member_edges(instance, step, now, &due)
+            } else if self.settle_quanta(instance, step, crossing, now, &due) {
+                Step::Replayed
+            } else {
+                Step::Full
+            };
+            self.instances[i].steady.due = due;
+            if !matches!(outcome, Step::Replayed) {
+                return outcome;
+            }
+        } else if !self.instances[i].inst.gpu.try_alloc(crossing) {
+            return Step::Full;
         }
         let tpot = self.config.target_tpot;
         let rt = &mut self.instances[i];
@@ -350,6 +623,7 @@ impl Shard<'_> {
             .map(SimTime::from_nanos);
         let run = &mut rt.steady;
         run.steps = step;
+        run.prev_last = run.last;
         run.last = now;
         run.context += n;
         run.held += crossing;
@@ -360,7 +634,7 @@ impl Shard<'_> {
             total_context_tokens: run.context,
         });
         // Only a step longer than the reading pace can stall a reader.
-        if run.answering && duration > tpot {
+        if run.answering > 0 && duration > tpot {
             run.edge = run.edge.min(step + 1);
         }
         #[cfg(debug_assertions)]
@@ -371,39 +645,62 @@ impl Shard<'_> {
         });
         self.queue
             .schedule(now + duration, Event::IterationDone { instance });
-        true
+        Step::Replayed
+    }
+
+    /// Takes what is due at `step` into `due`, one entry per member,
+    /// skipping entries a member left behind (its earliest event moved, or
+    /// it is no longer in the run).
+    fn take_due(&mut self, instance: u32, step: u32, due: &mut Vec<Due>) {
+        let run = &mut self.instances[instance as usize].steady;
+        while let Some(&Reverse(mark)) = run.marks.peek() {
+            if mark.step != step {
+                run.next_mark = mark.step;
+                return;
+            }
+            run.marks.pop();
+            let m = &self.member_mon[mark.member.index()];
+            let live = next_event(m) == step
+                && self
+                    .states
+                    .get(mark.member)
+                    .is_some_and(|st| st.instance == instance && st.running);
+            if live && due.last().is_none_or(|d| d.member != mark.member) {
+                due.push(Due {
+                    member: mark.member,
+                    edge: m.edge == step,
+                    quantum_end: m.quantum_end == step,
+                    retire: m.retire == step,
+                });
+            }
+        }
+        run.next_mark = u32::MAX;
+    }
+
+    /// Files `member`'s next earliest event after what was due to it was
+    /// settled.
+    fn push_next_event(&mut self, instance: u32, member: ReqHandle) {
+        let step = next_event(&self.member_mon[member.index()]);
+        if step != u32::MAX {
+            self.instances[instance as usize]
+                .steady
+                .push_mark(step, member);
+        }
     }
 
     /// Settles a run a non-member change left to be checked — every
     /// caller that changes a non-member ends with `try_schedule` on its
     /// instance, which lands here while the run's iteration is in flight.
-    /// The run stays open when the first candidate outside the batch still
-    /// cannot enter the run's next launch, whose crossings are already
-    /// known: the batch is full, or its blocks there plus the candidate's
-    /// need exceed `capacity − dying_blocks`. It only grows from then on,
-    /// so the candidate stays out. Otherwise the run closes.
+    /// The run stays open when its next launch would be its batch plus its
+    /// joiners in key order ([`Shard::launch_admits`]): the first candidate
+    /// outside still cannot enter, and it only grows from then on, so the
+    /// candidate stays out. Otherwise the run closes.
     pub(super) fn recheck_run(&mut self, instance: u32) {
         let rt = &self.instances[instance as usize];
         if !(rt.steady.open && rt.steady.dirty) {
             return;
         }
-        let stays = match (self.first_outside(instance), rt.inst.gpu.capacity_blocks()) {
-            (None, _) => true,
-            _ if rt.current_batch.len() >= self.config.max_batch as usize => true,
-            (Some(_), None) => false,
-            (Some((_, candidate)), Some(capacity)) => {
-                let bt = u64::from(self.geometry.block_tokens);
-                let run = &rt.steady;
-                let crossing = run.residues[(u64::from(run.steps + 1) % bt) as usize].0;
-                let st = &self.states[candidate];
-                let need = self
-                    .geometry
-                    .blocks_for_tokens(st.tokens_needed_next())
-                    .max(st.held_gpu_blocks);
-                run.held + crossing + need > capacity.saturating_sub(rt.dying_blocks)
-            }
-        };
-        if stays {
+        if self.launch_admits(instance, rt.steady.steps + 1).is_some() {
             self.instances[instance as usize].steady.dirty = false;
             self.count_work(|w| w.runs_kept += 1);
             #[cfg(debug_assertions)]
@@ -413,109 +710,491 @@ impl Shard<'_> {
         }
     }
 
-    /// The first candidate outside `instance`'s run batch, with its key:
-    /// the batch is a key-order prefix of the candidates.
-    fn first_outside(&self, instance: u32) -> Option<(PriorityKey, ReqHandle)> {
+    /// The blocks the launch after iteration `step` must grant when it
+    /// relaunches `instance`'s run batch plus its joiners, if that launch is
+    /// exactly what the full path's planner would pick: at most `max_batch`
+    /// members, no GPU resident left out (it would be evicted), no joiner
+    /// holding excess blocks, every joiner sorting before the first
+    /// candidate outside (so the launch is a key-order prefix of the
+    /// candidates), within `capacity − dying_blocks`, and that candidate
+    /// unable to enter — the batch is full or its blocks plus the
+    /// candidate's need exceed the budget.
+    fn launch_admits(&self, instance: u32, step: u32) -> Option<u64> {
         let rt = &self.instances[instance as usize];
+        let run = &rt.steady;
+        let max_batch = self.config.max_batch as usize;
+        let n = rt.current_batch.len() + run.joiners.len();
+        if n == 0 || n > max_batch || rt.residents.len() != n {
+            return None;
+        }
+        let outside = self.first_outside(instance);
+        let bt = u64::from(self.geometry.block_tokens);
+        let mut crossing = run.residues[(u64::from(step) % bt) as usize].crossings;
+        let mut held = run.held;
+        for joiner in &run.joiners {
+            let st = &self.states[joiner.member];
+            let need = self.geometry.blocks_for_tokens(st.tokens_needed_next());
+            let key = self.member_mon[joiner.member.index()].key?;
+            if st.held_gpu_blocks > need || outside.is_some_and(|(first, _)| key > first) {
+                return None;
+            }
+            crossing += need - st.held_gpu_blocks;
+            held += st.held_gpu_blocks;
+        }
+        let budget = rt
+            .inst
+            .gpu
+            .capacity_blocks()
+            .map(|c| c.saturating_sub(rt.dying_blocks));
+        if budget.is_some_and(|b| held + crossing > b) {
+            return None;
+        }
+        match (outside, budget) {
+            (Some(_), _) if n >= max_batch => {}
+            (Some(_), None) => return None,
+            (Some((_, need)), Some(b)) if held + crossing + need <= b => return None,
+            _ => {}
+        }
+        Some(crossing)
+    }
+
+    /// The first candidate outside `instance`'s run batch and its joiners,
+    /// with its key and block need: every other non-member sorts after it.
+    /// Cached until a non-member changes.
+    fn first_outside(&self, instance: u32) -> Option<(PriorityKey, u64)> {
+        let rt = &self.instances[instance as usize];
+        if let Some(outside) = rt.steady.outside.get() {
+            return outside;
+        }
+        // Every non-member but the joiners sorts after the batch.
         let last = rt
             .current_batch
             .last()
-            .and_then(|&h| self.member_mon[h.index()].key)
-            .expect("a run's batch is filed");
-        rt.cands
-            .range((Bound::Excluded(last), Bound::Unbounded))
-            .next()
-            .map(|(&key, &handle)| (key, handle))
+            .and_then(|&h| self.member_mon[h.index()].key);
+        let from = last.map_or(Bound::Unbounded, Bound::Excluded);
+        let outside = rt
+            .cands
+            .range((from, Bound::Unbounded))
+            .find(|&(_, &h)| !rt.steady.is_joiner(h))
+            .map(|(&key, &handle)| {
+                let st = &self.states[handle];
+                let need = self
+                    .geometry
+                    .blocks_for_tokens(st.tokens_needed_next())
+                    .max(st.held_gpu_blocks);
+                (key, need)
+            });
+        rt.steady.outside.set(Some(outside));
+        outside
     }
 
     /// Whether a member whose quantum ends at this step (`due`) would sort
     /// after the first candidate outside the batch once re-keyed: the full
     /// path would then launch that candidate ahead of it.
-    fn overtaken(&self, instance: u32, due: &[Mark]) -> bool {
-        let mut ends = due
-            .iter()
-            .filter(|m| m.kind == MarkKind::QuantumEnd)
-            .peekable();
+    fn overtaken(&self, instance: u32, due: &[Due]) -> bool {
+        let mut ends = due.iter().filter(|d| d.quantum_end).peekable();
         if ends.peek().is_none() {
             return false;
         }
         let Some((first_out, _)) = self.first_outside(instance) else {
             return false;
         };
-        ends.any(|m| self.policy.key_after_quantum(&self.states[m.member]) > first_out)
+        ends.any(|d| self.policy.key_after_quantum(&self.states[d.member]) > first_out)
     }
 
-    /// The marked form of a steady step's decision: takes the marks due at
-    /// `step` and keeps the step when no member whose quantum ends there
-    /// is overtaken and the pool grants the `crossing` blocks, settling
-    /// every due mark. A step it refuses closes the run before anything
-    /// reads it, so the marks taken are not put back.
-    fn settle_due(&mut self, instance: u32, step: u32, crossing: u64, now: SimTime) -> bool {
-        let i = instance as usize;
-        let mut due = std::mem::take(&mut self.instances[i].steady.due);
-        due.clear();
-        self.instances[i].steady.take_due(step, &mut due);
-        let kept =
-            !self.overtaken(instance, &due) && self.instances[i].inst.gpu.try_alloc(crossing);
+    /// The marked form of a steady step with only quantum ends and
+    /// retirements due: keeps the step when no member whose quantum ends
+    /// there is overtaken and the pool grants the `crossing` blocks,
+    /// settling everything due.
+    fn settle_quanta(
+        &mut self,
+        instance: u32,
+        step: u32,
+        crossing: u64,
+        now: SimTime,
+        due: &[Due],
+    ) -> bool {
+        let kept = !self.overtaken(instance, due)
+            && self.instances[instance as usize]
+                .inst
+                .gpu
+                .try_alloc(crossing);
         if kept {
-            for &mark in &due {
-                self.settle(instance, mark, now);
+            for d in due {
+                debug_assert!(!d.edge, "member edges take the edge step");
+                if d.retire {
+                    self.settle_retire(instance, d.member, step);
+                }
+                if d.quantum_end {
+                    self.settle_quantum_end(instance, d.member, step, now);
+                }
+                self.push_next_event(instance, d.member);
+                self.count_work(|w| w.runs_kept += 1);
             }
         }
-        self.instances[i].steady.due = due;
         kept
     }
 
-    /// Applies one mark due at the step ending `now`, which the run keeps.
-    fn settle(&mut self, instance: u32, mark: Mark, now: SimTime) {
+    /// `member`'s predicted growth reached zero at `step`: its drop residue
+    /// retires (unless it was re-priced since).
+    fn settle_retire(&mut self, instance: u32, member: ReqHandle, step: u32) {
+        let m = &mut self.member_mon[member.index()];
+        if m.retire != step {
+            return; // re-priced since
+        }
+        m.retire = u32::MAX;
+        remove_drop(
+            &mut self.instances[instance as usize].steady.residues
+                [(u64::from(step) % u64::from(self.geometry.block_tokens)) as usize]
+                .drops,
+            member,
+        );
+    }
+
+    /// A kept quantum end: the member alone is caught up, closes its token
+    /// on the full path's per-token code, is re-keyed and moves to its new
+    /// place in the batch.
+    fn settle_quantum_end(&mut self, instance: u32, member: ReqHandle, step: u32, now: SimTime) {
+        self.sync_run_member(instance, member);
+        self.count_work(|w| w.members_caught_up += 1);
+        let st = &mut self.states[member];
+        let edges = close_token(st, IterationKind::Decode, now, &self.policy);
+        debug_assert_eq!(
+            edges,
+            TokenEdges {
+                key_changed: true,
+                ..TokenEdges::default()
+            },
+            "{}: a kept quantum end reached another edge",
+            st.spec.id
+        );
+        st.held_gpu_blocks = self.geometry.blocks_for_tokens(st.tokens_needed_next());
+        st.begin_running(now);
+        let generated = st.tokens_generated;
+        let m = &mut self.member_mon[member.index()];
+        m.sync = step;
+        m.growth = Growth::at(m.predicted_total, generated, self.geometry.block_tokens);
+        let next = step.saturating_add(self.policy.quantum());
+        m.quantum_end = if next < m.edge { next } else { u32::MAX };
+        self.refile_run_member(member);
+        let rt = &mut self.instances[instance as usize];
+        let key = self.member_mon[member.index()].key;
+        let batch = &mut rt.current_batch;
+        let from = batch
+            .iter()
+            .position(|&h| h == member)
+            .expect("a run member is in the batch");
+        batch.remove(from);
+        let to = batch.partition_point(|&h| self.member_mon[h.index()].key < key);
+        batch.insert(to, member);
+    }
+
+    /// The edge form of a steady step: the members with an edge or quantum
+    /// end due leave the run one at a time, in batch order, and send their
+    /// token through the full path's per-token code while the others keep
+    /// lagging; then the step closes for everyone and the instance waits,
+    /// idle like after the full path's `finish_iteration`, for
+    /// [`Shard::resume_run`]. Declines (the full path takes the step) on a
+    /// draining or down instance, and when a phase boundary's Algorithm 2
+    /// sweep would read a pacer deadline of the run already due at `now`,
+    /// whose `t_i` would then depend on batch order.
+    fn member_edges(&mut self, instance: u32, step: u32, now: SimTime, due: &[Due]) -> Step {
         let i = instance as usize;
-        let member = mark.member;
-        let bt = u64::from(self.geometry.block_tokens);
-        match mark.kind {
-            MarkKind::Retire => {
-                let m = &mut self.member_mon[member.index()];
-                if m.retire != mark.step {
-                    return; // re-priced since
-                }
-                m.retire = u32::MAX;
-                self.instances[i].steady.residues[(u64::from(mark.step) % bt) as usize].1 -= 1;
-            }
-            MarkKind::QuantumEnd => {
-                self.sync_run_member(instance, member);
-                self.count_work(|w| w.members_caught_up += 1);
-                let st = &mut self.states[member];
-                let edges = close_token(st, IterationKind::Decode, now, &self.policy);
-                debug_assert_eq!(
-                    edges,
-                    TokenEdges {
-                        key_changed: true,
-                        ..TokenEdges::default()
-                    },
-                    "{}: a kept quantum end reached another edge",
-                    st.spec.id
-                );
-                st.held_gpu_blocks = self.geometry.blocks_for_tokens(st.tokens_needed_next());
-                st.begin_running(now);
-                let generated = st.tokens_generated;
-                let m = &mut self.member_mon[member.index()];
-                m.sync = mark.step;
-                m.growth = Growth::at(m.predicted_total, generated, self.geometry.block_tokens);
-                self.refile_run_member(member);
+        if self.health[i] != crate::fleet::HealthState::Healthy {
+            return Step::Full;
+        }
+        let mut members = std::mem::take(&mut self.instances[i].steady.due_members);
+        members.clear();
+        for d in due.iter().filter(|d| d.edge || d.quantum_end) {
+            let key = self.member_mon[d.member.index()].key;
+            members.push((key.expect("a run member is filed"), d.member, d.edge));
+        }
+        members.sort_unstable_by_key(|e| e.0);
+        let reads_pace = members
+            .iter()
+            .any(|&(_, member, edge)| edge && self.at_phase_boundary(member));
+        if reads_pace
+            && self.instances[i]
+                .monitor
+                .steady_pace
+                .is_some_and(|at| at <= now)
+        {
+            self.instances[i].steady.due_members = members;
+            return Step::Full;
+        }
+        let residue = (u64::from(step) % u64::from(self.geometry.block_tokens)) as usize;
+        let run = &mut self.instances[i].steady;
+        run.step_edges = 0;
+        run.step_quanta = 0;
+        let mut from = None;
+        for &(key, member, edge) in &members {
+            // Only a phase boundary's sweep reads the predicted sum while
+            // members are handled: there, the drops of the members sorting
+            // before it are due first.
+            if reads_pace {
+                let drops = self.drops_between(instance, residue, from, Some(key));
                 let rt = &mut self.instances[i];
-                let key = self.member_mon[member.index()].key;
-                let batch = &mut rt.current_batch;
-                let from = batch
-                    .iter()
-                    .position(|&h| h == member)
-                    .expect("a run member is in the batch");
-                batch.remove(from);
-                let to = batch.partition_point(|&h| self.member_mon[h.index()].key < key);
-                batch.insert(to, member);
-                let step = mark.step.saturating_add(self.policy.quantum());
-                rt.steady.push_mark(Mark { step, ..mark });
+                rt.monitor.predicted_blocks -= drops;
+                rt.steady.split = Some(key);
+                from = Some(key);
+            }
+            let run = &mut self.instances[i].steady;
+            run.handling = Some(key);
+            if edge {
+                run.step_edges += 1;
+            } else {
+                run.step_quanta += 1;
+            }
+            let at = self.detach_run_member(instance, member);
+            self.instances[i].steady.joiners.push(Joiner {
+                member,
+                left: Some((at, Some(key))),
+            });
+            self.emit_token(member, IterationKind::Decode, now);
+        }
+        let drops = if reads_pace {
+            self.drops_between(instance, residue, from, None)
+        } else {
+            self.instances[i].steady.residues[residue].drops.len() as u64
+        };
+        let rt = &mut self.instances[i];
+        rt.monitor.predicted_blocks -= drops;
+        rt.steady.split = None;
+        rt.steady.handling = None;
+        // A predictor refresh above may have re-priced a member behind the
+        // edges to retire at this very step.
+        let mut late = Vec::new();
+        if self.instances[i].steady.next_mark == step {
+            self.take_due(instance, step, &mut late);
+        }
+        for d in due.iter().chain(&late) {
+            if d.retire && !(d.edge || d.quantum_end) {
+                self.settle_retire(instance, d.member, step);
+                self.push_next_event(instance, d.member);
+                self.count_work(|w| w.runs_kept += 1);
             }
         }
-        self.count_work(|w| w.runs_kept += 1);
+        let tpot = self.config.target_tpot;
+        let rt = &mut self.instances[i];
+        let n = rt.current_batch.len() as u64;
+        rt.monitor.steady_pace = rt
+            .monitor
+            .steady_pace
+            .and_then(|at| at.as_nanos().checked_add(tpot.as_nanos()))
+            .map(SimTime::from_nanos);
+        let run = &mut rt.steady;
+        run.steps = step;
+        run.prev_last = run.last;
+        run.last = now;
+        run.context += n;
+        run.resuming = true;
+        #[cfg(debug_assertions)]
+        run.step_times.push(now);
+        rt.inst.compute_busy = false;
+        let tokens = n + members.len() as u64;
+        self.instances[i].steady.due_members = members;
+        self.count_work(|w| w.tokens += tokens);
+        Step::Resuming
+    }
+
+    /// Whether `member`'s token at the step being replayed is its phase
+    /// boundary.
+    fn at_phase_boundary(&self, member: ReqHandle) -> bool {
+        let st = &self.states[member];
+        let g = st.tokens_generated + self.run_owed(member);
+        st.phase == Phase::Reasoning
+            && st.spec.answering_tokens > 0
+            && g + 1 == st.spec.reasoning_tokens
+    }
+
+    /// The growth drops due at the step with `residue` from run members
+    /// whose key lies strictly between `from` and `to` (unbounded where
+    /// `None`).
+    fn drops_between(
+        &self,
+        instance: u32,
+        residue: usize,
+        from: Option<PriorityKey>,
+        to: Option<PriorityKey>,
+    ) -> u64 {
+        self.instances[instance as usize].steady.residues[residue]
+            .drops
+            .iter()
+            .filter(|&&h| {
+                let key = self.member_mon[h.index()].key;
+                from.is_none_or(|from| key > Some(from)) && to.is_none_or(|to| key < Some(to))
+            })
+            .count() as u64
+    }
+
+    /// Decides the next launch after an edge step, where the full path
+    /// calls `try_schedule`: the run survives when that launch would be its
+    /// remaining batch plus its joiners, in key order, and the pool grants
+    /// the step's crossings. The joiners then join: `begin_running`, the
+    /// migration resume stamp, and their residues, marks and pacer keys
+    /// filed at this step. Otherwise every member is caught up through the
+    /// step and the run closes. Returns whether it launched.
+    pub(super) fn resume_run(&mut self, instance: u32, now: SimTime) -> bool {
+        let i = instance as usize;
+        #[cfg(debug_assertions)]
+        self.assert_candidate_order(instance);
+        let run = &mut self.instances[i].steady;
+        run.resuming = false;
+        let step = run.steps;
+        let mut joiners = std::mem::take(&mut run.joiners);
+        joiners.sort_unstable_by_key(|j| self.member_mon[j.member.index()].key);
+        self.instances[i].steady.joiners = joiners;
+        let granted = self
+            .launch_admits(instance, step)
+            .filter(|&crossing| self.instances[i].inst.gpu.try_alloc(crossing));
+        let Some(_crossing) = granted else {
+            self.close_through(instance, now);
+            return false;
+        };
+        let run = &mut self.instances[i].steady;
+        let bt = u64::from(self.geometry.block_tokens);
+        run.held += run.residues[(u64::from(step) % bt) as usize].crossings;
+        #[cfg(debug_assertions)]
+        self.assert_steady_plan(instance, Some(_crossing));
+        let joiners = std::mem::take(&mut self.instances[i].steady.joiners);
+        // Members that left at this step and rejoin under their old keys,
+        // with nobody else joining or gone, retake their old places.
+        let run = &self.instances[i].steady;
+        let in_place = joiners.len() as u64 == run.step_edges + run.step_quanta
+            && joiners.iter().all(|j| {
+                j.left
+                    .is_some_and(|(_, key)| key == self.member_mon[j.member.index()].key)
+            });
+        let tpot = self.config.target_tpot;
+        // Latest first: in place, that undoes the step's removals in turn.
+        for joiner in joiners.iter().rev() {
+            let member = joiner.member;
+            self.stamp_migration_resume(member, now);
+            let st = &mut self.states[member];
+            st.held_gpu_blocks = self.geometry.blocks_for_tokens(st.tokens_needed_next());
+            st.begin_running(now);
+            let (mark, pacer) = self.file_run_member(instance, member, step);
+            let rt = &mut self.instances[i];
+            rt.steady.push_mark(mark.step, member);
+            if let Some(entry) = pacer {
+                rt.steady.pace.push(Reverse(entry));
+                let at = u64::try_from(entry.key + i128::from(step) * i128::from(tpot.as_nanos()))
+                    .ok()
+                    .map(SimTime::from_nanos);
+                let pace = &mut rt.monitor.steady_pace;
+                *pace = match (*pace, at) {
+                    (Some(a), Some(b)) => Some(a.min(b)),
+                    (a, b) => a.or(b),
+                };
+            }
+            let key = self.member_mon[member.index()].key;
+            let batch = &mut rt.current_batch;
+            let at = match joiner.left {
+                Some((at, _)) if in_place => at,
+                _ => batch.partition_point(|&h| self.member_mon[h.index()].key < key),
+            };
+            batch.insert(at, member);
+        }
+        let rt = &mut self.instances[i];
+        let duration = self.perf.decode_step_time(DecodeBatch {
+            num_seqs: rt.current_batch.len() as u32,
+            total_context_tokens: rt.steady.context,
+        });
+        let next = now + duration;
+        let run = &mut rt.steady;
+        let stalls = joiners.iter().any(|j| {
+            let st = &self.states[j.member];
+            st.phase == Phase::Answering && st.answers.would_stall(next)
+        });
+        if stalls || (run.answering > 0 && duration > tpot) {
+            run.edge = run.edge.min(step + 1);
+        }
+        run.dirty = false;
+        let landed = joiners.iter().filter(|j| j.left.is_none()).count() as u64;
+        let (edges, quanta) = (run.step_edges, run.step_quanta);
+        run.joiners = joiners;
+        run.joiners.clear();
+        rt.inst.compute_busy = true;
+        rt.current_kind = IterationKind::Decode;
+        #[cfg(debug_assertions)]
+        {
+            let batch = &rt.current_batch;
+            assert!(
+                batch
+                    .windows(2)
+                    .all(|w| self.member_mon[w[0].index()].key < self.member_mon[w[1].index()].key),
+                "instance {instance}: a relaunched run batch is out of key order"
+            );
+        }
+        self.count_work(|w| {
+            w.steady_iterations += 1;
+            w.edges_kept += edges;
+            w.joins += landed;
+            w.runs_kept += quanta;
+        });
+        self.queue.schedule(next, Event::IterationDone { instance });
+        true
+    }
+
+    /// Closes `instance`'s run after an edge step it does not survive:
+    /// every member still in the batch is brought to where the full path's
+    /// `finish_iteration` would have left it — caught up to the previous
+    /// iteration in closed form, then its token at `now` closed through the
+    /// per-token code, holding the blocks of its latest launch — and its
+    /// pacer entry is filed back. The batch empties, as after the full
+    /// path; the joiners stay resident non-members for it to plan.
+    fn close_through(&mut self, instance: u32, now: SimTime) {
+        let i = instance as usize;
+        let batch = std::mem::take(&mut self.instances[i].current_batch);
+        let (steps, prev_last) = {
+            let run = &self.instances[i].steady;
+            (run.steps, run.prev_last)
+        };
+        for &handle in &batch {
+            let owed = steps - self.member_mon[handle.index()].sync;
+            #[cfg(debug_assertions)]
+            let expected = self.replay_through(handle, now);
+            let st = &mut self.states[handle];
+            if owed > 1 {
+                st.replay_steady(owed - 1, prev_last);
+            }
+            let edges = close_token(st, IterationKind::Decode, now, &self.policy);
+            debug_assert_eq!(
+                edges,
+                TokenEdges::default(),
+                "{}: a plain run member reached an edge",
+                st.spec.id
+            );
+            st.held_gpu_blocks = self.geometry.blocks_for_tokens(st.context_tokens());
+            let m = &mut self.member_mon[handle.index()];
+            m.growth = Growth::at(
+                m.predicted_total,
+                st.tokens_generated,
+                self.geometry.block_tokens,
+            );
+            m.sync = steps;
+            if st.phase == Phase::Answering {
+                let deadline = st.answers.on_pace_until();
+                self.instances[i]
+                    .monitor
+                    .move_pacer(&mut self.member_mon, handle, deadline);
+            }
+            #[cfg(debug_assertions)]
+            self.assert_caught_up(handle, &expected);
+        }
+        let closed = batch.len() as u64;
+        self.count_work(|w| {
+            w.members_caught_up += closed;
+            w.full_path_iterations += 1;
+        });
+        let rt = &mut self.instances[i];
+        rt.current_batch = batch;
+        rt.current_batch.clear();
+        rt.monitor.steady_pace = None;
+        let run = &mut rt.steady;
+        run.open = false;
+        run.resuming = false;
+        run.joiners.clear();
     }
 
     /// Re-prices `member`, a member of an open run, at a new predicted
@@ -526,42 +1205,57 @@ impl Shard<'_> {
     /// which a later catch-up advances.
     pub(super) fn reprice_run_member(&mut self, member: ReqHandle, total: Option<u64>) {
         let instance = self.states[member].instance;
-        let bt = self.geometry.block_tokens;
         let generated = self.states[member].tokens_generated;
+        let owed = self.run_owed(member);
         let rt = &mut self.instances[instance as usize];
         let run = &mut rt.steady;
         let m = &mut self.member_mon[member.index()];
-        let owed = run.steps - m.sync;
+        // The run iteration its true token count belongs to.
+        let at = u64::from(m.sync + owed);
         let g = u64::from(generated + owed);
         let done = |total: Option<u64>| total.is_none_or(|t| t <= g);
+        let before = next_event(m);
         // Past both totals the member predicts no growth either way.
         if !(done(m.predicted_total) && done(total)) {
-            let old = Growth::at(m.predicted_total, generated + owed, bt);
-            let new = Growth::at(total, generated + owed, bt);
+            let old = Growth::at(
+                m.predicted_total,
+                generated + owed,
+                self.geometry.block_tokens,
+            );
+            let new = Growth::at(total, generated + owed, self.geometry.block_tokens);
             rt.monitor.predicted_blocks = rt.monitor.predicted_blocks - old.blocks + new.blocks;
-            let steps = u64::from(run.steps);
-            let residue = |growth: Growth| ((steps + growth.drop_at - g) % u64::from(bt)) as usize;
-            if old.blocks > 0 {
-                run.residues[residue(old)].1 -= 1;
+            let bt = u64::from(self.geometry.block_tokens);
+            let residue = |growth: Growth| ((at + growth.drop_at - g) % bt) as usize;
+            // Ahead of an edge member, its last block may have dropped at
+            // this very step, before the retirement settles.
+            let listed = if old.blocks > 0 {
+                Some(residue(old))
+            } else {
+                (u64::from(m.retire) == at).then_some((at % bt) as usize)
+            };
+            if let Some(r) = listed {
+                remove_drop(&mut run.residues[r].drops, member);
             }
             m.retire = u32::MAX;
             if let (true, Some(total)) = (new.blocks > 0, total) {
-                run.residues[residue(new)].1 += 1;
-                if let Ok(step) = u32::try_from(steps + total - g) {
+                run.residues[residue(new)].drops.push(member);
+                if let Ok(step) = u32::try_from(at + total - g) {
                     m.retire = step;
-                    run.push_mark(Mark {
-                        step,
-                        kind: MarkKind::Retire,
-                        member,
-                    });
                 }
             }
+            let after = next_event(m);
+            if after != before && after != u32::MAX {
+                run.push_mark(after, member);
+            }
         }
-        m.growth = Growth::at(total, generated, bt);
+        m.growth = Growth::at(total, generated, self.geometry.block_tokens);
         m.predicted_total = total;
         #[cfg(debug_assertions)]
-        if !self.instances[instance as usize].steady.dirty {
-            self.assert_steady_plan(instance, None);
+        {
+            let run = &self.instances[instance as usize].steady;
+            if !(run.dirty || run.resuming || run.handling.is_some()) {
+                self.assert_steady_plan(instance, None);
+            }
         }
     }
 
@@ -569,10 +1263,15 @@ impl Shard<'_> {
     /// latest iteration alone: its state by
     /// [`RequestState::replay_steady`](pascal_cluster::RequestState::replay_steady),
     /// its held blocks and predicted growth recomputed from its token
-    /// count. Its pacer entry stays out of the list while the run is open.
+    /// count. Its pacer entry stays out of the list while it runs.
     fn sync_run_member(&mut self, instance: u32, member: ReqHandle) {
         let run = &self.instances[instance as usize].steady;
         let (steps, last) = (run.steps, run.last);
+        debug_assert!(
+            run.split
+                .is_none_or(|split| self.member_mon[member.index()].key >= Some(split)),
+            "a member ahead of an edge caught up without this step's token"
+        );
         let m = &mut self.member_mon[member.index()];
         let owed = steps - m.sync;
         if owed == 0 {
@@ -603,9 +1302,21 @@ impl Shard<'_> {
     /// Runs before anything reads the batch as a whole or changes a run
     /// member: the run's next full iteration, every mutator of a member,
     /// a non-member change the run cannot absorb, and a fleet transition.
+    /// A run waiting for its next launch after an edge step is caught up
+    /// through that step instead ([`Shard::close_through`]).
     pub(super) fn catch_up(&mut self, instance: u32) {
         let i = instance as usize;
-        if !self.instances[i].steady.open {
+        let run = &self.instances[i].steady;
+        if !run.open {
+            return;
+        }
+        debug_assert!(
+            run.handling.is_none(),
+            "instance {instance}: a run closed while an edge member was handled"
+        );
+        if run.resuming {
+            let now = run.last;
+            self.close_through(instance, now);
             return;
         }
         let batch = std::mem::take(&mut self.instances[i].current_batch);
@@ -631,19 +1342,39 @@ impl Shard<'_> {
         let rt = &mut self.instances[i];
         rt.current_batch = batch;
         rt.steady.open = false;
+        rt.steady.joiners.clear();
     }
 
     /// Tokens the open run on `handle`'s instance owes it: `steps − sync`
-    /// for a member, 0 otherwise.
-    #[cfg(debug_assertions)]
-    pub(super) fn owed(&self, handle: ReqHandle) -> u32 {
+    /// for a running member — one more while an edge step handles a member
+    /// sorting after it, whose token the full path would emit after its
+    /// own — and 0 otherwise.
+    pub(super) fn run_owed(&self, handle: ReqHandle) -> u32 {
         let st = &self.states[handle];
         let run = &self.instances[st.instance as usize].steady;
-        if run.open && st.running {
-            run.steps - self.member_mon[handle.index()].sync
-        } else {
-            0
+        if !(run.open && st.running) {
+            return 0;
         }
+        let m = &self.member_mon[handle.index()];
+        let ahead = run.split.is_some_and(|split| m.key < Some(split));
+        run.steps - m.sync + u32::from(ahead)
+    }
+
+    /// The tokens the full path would have given `handle` at this moment:
+    /// [`Shard::run_owed`], except that while an edge step handles a
+    /// member, every member sorting before it counts this step's token
+    /// whether or not the run split its view there. The debug reference
+    /// rows read this.
+    #[cfg(debug_assertions)]
+    pub(super) fn reference_owed(&self, handle: ReqHandle) -> u32 {
+        let st = &self.states[handle];
+        let run = &self.instances[st.instance as usize].steady;
+        if !(run.open && st.running) {
+            return 0;
+        }
+        let m = &self.member_mon[handle.index()];
+        let ahead = run.handling.is_some_and(|at| m.key < Some(at));
+        run.steps - m.sync + u32::from(ahead)
     }
 
     /// The debug reference for one member's catch-up: its state, held
@@ -673,6 +1404,25 @@ impl Shard<'_> {
         (st, growth)
     }
 
+    /// The debug reference for [`Shard::close_through`]: the per-token
+    /// replay up to the previous iteration, then the full path's token at
+    /// `now`, which leaves the member idle.
+    #[cfg(debug_assertions)]
+    fn replay_through(
+        &self,
+        handle: ReqHandle,
+        now: SimTime,
+    ) -> (pascal_cluster::RequestState, Growth) {
+        let run = &self.instances[self.states[handle].instance as usize].steady;
+        let sync = self.member_mon[handle.index()].sync as usize;
+        let (mut st, mut growth) =
+            self.replay_per_token(handle, &run.step_times[sync..run.steps as usize - 1]);
+        let edges = close_token(&mut st, IterationKind::Decode, now, &self.policy);
+        assert_eq!(edges, TokenEdges::default());
+        growth.on_token(st.tokens_generated, self.geometry.block_tokens);
+        (st, growth)
+    }
+
     /// Asserts a caught-up member equals its per-token replay: the whole
     /// request state (token and quantum counts, executed time and segment
     /// start, the stall curve, held blocks) and its predicted growth.
@@ -696,18 +1446,19 @@ impl Shard<'_> {
     }
 
     /// Asserts that the planner, run read-only over the tokens the run
-    /// owes each member, agrees with the run. At a step (`crossing` known)
-    /// it picks the run's batch again, in order, and grants it `crossing`
-    /// more blocks. At a kept touch no candidate outside the batch enters
-    /// the run's next launch: the plan is the batch or, when the batch
-    /// itself outgrows the budget there (that step then fails its
-    /// allocation and takes the full path), a prefix of it.
+    /// owes each member, agrees with the run's next launch — its batch plus
+    /// its joiners, in key order. At a step (`crossing` known) it picks that
+    /// launch exactly and grants it `crossing` more blocks. At a kept touch
+    /// no candidate outside enters the run's next launch: the plan is that
+    /// launch or, when the batch itself outgrows the budget there (that
+    /// step then fails its allocation and takes the full path), a prefix of
+    /// it.
     #[cfg(debug_assertions)]
     fn assert_steady_plan(&self, instance: u32, crossing: Option<u64>) {
         let ahead = u64::from(crossing.is_none());
         let view = |handle: ReqHandle, st: &pascal_cluster::RequestState| {
             if st.running {
-                let next = st.tokens_needed_next() + u64::from(self.owed(handle)) + ahead;
+                let next = st.tokens_needed_next() + u64::from(self.run_owed(handle)) + ahead;
                 (next, self.geometry.blocks_for_tokens(next - 1))
             } else {
                 (st.tokens_needed_next(), st.held_gpu_blocks)
@@ -716,6 +1467,13 @@ impl Shard<'_> {
         let mut desired = Vec::new();
         let (_, excess) = self.desired_prefix(instance, view, &mut desired);
         let rt = &self.instances[instance as usize];
+        let mut launch: Vec<ReqHandle> = rt
+            .current_batch
+            .iter()
+            .copied()
+            .chain(rt.steady.joiners.iter().map(|j| j.member))
+            .collect();
+        launch.sort_by_key(|&h| self.member_mon[h.index()].key);
         let planned: Vec<ReqHandle> = desired.iter().map(|&(handle, _)| handle).collect();
         assert!(
             !excess,
@@ -723,15 +1481,14 @@ impl Shard<'_> {
         );
         let Some(crossing) = crossing else {
             assert!(
-                rt.current_batch.starts_with(&planned),
+                launch.starts_with(&planned),
                 "instance {instance}: a candidate outside the steady batch would enter its \
-                 next launch: {planned:?} vs {:?}",
-                rt.current_batch
+                 next launch: {planned:?} vs {launch:?}"
             );
             return;
         };
         assert_eq!(
-            planned, rt.current_batch,
+            planned, launch,
             "instance {instance}: the planner would not relaunch the steady batch"
         );
         let grown: u64 = desired
@@ -743,8 +1500,16 @@ impl Shard<'_> {
             "instance {instance}: steady crossings diverged from the planner's"
         );
         let held: u64 = desired.iter().map(|&(_, need)| need).sum();
+        let joining: u64 = rt
+            .steady
+            .joiners
+            .iter()
+            .map(|j| view(j.member, &self.states[j.member]).0)
+            .map(|tokens| self.geometry.blocks_for_tokens(tokens))
+            .sum();
         assert_eq!(
-            held, rt.steady.held,
+            held,
+            rt.steady.held + joining,
             "instance {instance}: the run's held-block total diverged from the planner's"
         );
     }
@@ -753,7 +1518,7 @@ impl Shard<'_> {
 /// The first iteration, counting the next one as 1, whose token reaches a
 /// hard edge of `st`'s lifecycle: its first token, phase boundary or first
 /// answering token, the demotion threshold plus one (and a pending
-/// demotion), or completion. Quantum ends are marks, not hard edges.
+/// demotion), or completion. Quantum ends are marks of their own.
 fn hard_edge(st: &pascal_cluster::RequestState, threshold: Option<u32>) -> u32 {
     let g = st.tokens_generated;
     let spec = &st.spec;

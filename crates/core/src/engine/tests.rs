@@ -673,6 +673,70 @@ mod sharding {
     }
 }
 
+/// A `Write` whose bytes stay readable after a series sink took it.
+#[derive(Clone, Default)]
+struct SharedBytes(std::rc::Rc<std::cell::RefCell<Vec<u8>>>);
+
+impl std::io::Write for SharedBytes {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.borrow_mut().extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+#[test]
+fn streamed_series_equal_the_collected_rows() {
+    // The same run, once collecting its gauge rows and once streaming them
+    // to a sink, in both formats, on one region and on a federation.
+    use pascal_telemetry::{series_to_csv, series_to_json, SeriesWriter};
+    let trace = pascal_workload::TraceBuilder::new(pascal_workload::DatasetMix::single(
+        pascal_workload::DatasetProfile::arena_hard(),
+    ))
+    .arrivals(pascal_workload::ArrivalProcess::poisson(8.0))
+    .count(60)
+    .seed(11)
+    .build();
+    for regions in [1, 2] {
+        let mut config =
+            SimConfig::evaluation_cluster(SchedPolicy::pascal(PascalConfig::default()));
+        config.num_instances = 4;
+        config.regions = regions;
+        config.telemetry.series_interval = Some(pascal_sim::SimDuration::from_millis(250));
+        let collected = run_simulation(&trace, &config)
+            .telemetry
+            .expect("series on")
+            .series;
+        assert!(!collected.is_empty());
+        for json in [false, true] {
+            let bytes = SharedBytes::default();
+            let out: Box<dyn std::io::Write> = Box::new(bytes.clone());
+            let sink = if json {
+                SeriesWriter::json(out)
+            } else {
+                SeriesWriter::csv(out)
+            };
+            let (run, sink) = run_simulation_with_series(&trace, &config, sink);
+            assert_eq!(sink.rows(), collected.len() as u64);
+            sink.finish().expect("writing to memory");
+            assert!(run.telemetry.expect("series on").series.is_empty());
+            let expected = if json {
+                series_to_json(&collected)
+            } else {
+                series_to_csv(&collected)
+            };
+            assert_eq!(
+                String::from_utf8(bytes.0.borrow().clone()).expect("UTF-8"),
+                expected,
+                "regions {regions}, json {json}"
+            );
+        }
+    }
+}
+
 #[test]
 fn admission_disabled_and_unbounded_memory_never_reject() {
     let requests: Vec<RequestSpec> = (0..10)
@@ -1067,6 +1131,12 @@ mod steady_runs {
         caught_up: u64,
         /// Touches and edges runs survived during that event.
         kept: u64,
+        /// Member edges handled inside runs that survived them.
+        edges_kept: u64,
+        /// Landings that joined runs.
+        joins: u64,
+        /// Iterations that took the full path.
+        full_path: u64,
     }
 
     /// An instance just before an event.
@@ -1074,10 +1144,12 @@ mod steady_runs {
         open: bool,
         predicted_blocks: u64,
         batch: Vec<pascal_cluster::ReqHandle>,
+        /// The earliest pacer deadline of its run's members.
+        steady_pace: Option<SimTime>,
     }
 
-    /// Steps `trace` under `config` (one shard) until `at`, shown every
-    /// instance as it was before the event and the shard after it, names
+    /// Steps `trace` under `config` until `at`, shown every instance of
+    /// shard 0 as it was before the event and the shard after it, names
     /// the instance to watch; then runs to the end.
     fn interrupt_when(
         trace: &Trace,
@@ -1093,6 +1165,7 @@ mod steady_runs {
                     open: rt.steady.is_open(),
                     predicted_blocks: rt.monitor.predicted_blocks,
                     batch: rt.current_batch.clone(),
+                    steady_pace: rt.monitor.steady_pace,
                 })
                 .collect();
             let work = cluster::total_work(engine.shards());
@@ -1106,6 +1179,9 @@ mod steady_runs {
                     steady_before: work.steady_iterations,
                     caught_up: after.members_caught_up - work.members_caught_up,
                     kept: after.runs_kept - work.runs_kept,
+                    edges_kept: after.edges_kept - work.edges_kept,
+                    joins: after.joins - work.joins,
+                    full_path: after.full_path_iterations - work.full_path_iterations,
                 };
                 return (seen, engine.run());
             }
@@ -1142,6 +1218,17 @@ mod steady_runs {
             "{what}: no steady run open when it landed"
         );
         assert!(seen.caught_up > 0, "{what}: the run was not caught up");
+    }
+
+    /// The event handled a member edge inside the run, which survived it.
+    fn assert_edge_kept(seen: &Interruption, what: &str) {
+        assert!(
+            seen.steady_before > 0,
+            "{what}: no steady iteration before it"
+        );
+        assert!(seen.open_before, "{what}: no steady run open before it");
+        assert!(seen.open_after, "{what}: the run closed");
+        assert!(seen.edges_kept > 0, "{what}: no kept edge counted");
     }
 
     fn assert_kept(seen: &Interruption, what: &str) {
@@ -1385,22 +1472,15 @@ mod steady_runs {
 
     #[test]
     fn a_migration_landing_closes_the_destination_run() {
-        // A short request migrates at its phase boundary onto the instance
-        // where a long reasoning request runs steady.
-        let trace = Trace::from_requests(vec![
-            RequestSpec::new(RequestId(0), SimTime::ZERO, 64, 5000, 0),
-            RequestSpec::new(RequestId(1), secs(1.0), 64, 100, 300),
-            RequestSpec::new(RequestId(2), secs(1.0), 64, 100, 300),
-        ]);
-        let mut config =
-            SimConfig::evaluation_cluster(SchedPolicy::pascal(PascalConfig::default()));
-        config.num_instances = 2;
-        let (seen, out) = interrupt(&trace, &config, |sh| {
-            member_where(sh, |st| {
-                st.instances_visited.len() > 1 && st.kv_location != KvLocation::Migrating
-            })
-        });
+        // The landing of `a_migration_landing_joins_the_destination_run`
+        // on an instance whose batch is full: the next launch would evict
+        // the landed request, so it cannot join and the run closes.
+        let (trace, mut config) = landing_cell();
+        config.max_batch = 1;
+        let (seen, out) = interrupt(&trace, &config, landed);
         assert_touched(&seen, "migration landing");
+        assert!(!seen.open_after, "the run kept a resident it would evict");
+        assert_eq!(seen.joins, 0);
         assert!(out.migration_outcomes.launched > 0);
     }
 
@@ -1677,15 +1757,353 @@ mod steady_runs {
             member_where(sh, |st| st.phase == Phase::Answering)
         });
         assert_touched(&seen, "phase boundary");
+        // The boundary itself is an edge the run handles and survives; the
+        // first answering token after it is the stall edge.
+        assert_eq!(seen.edges_kept, 1);
         let work = out
             .telemetry
             .and_then(|t| t.profile)
             .expect("profiling was on")
             .work;
         assert_eq!(
-            work.steady_iterations, seen.steady_before,
+            work.steady_iterations,
+            seen.steady_before + seen.edges_kept,
             "an answering token replayed in closed form"
         );
         assert_eq!(out.records[0].answers.stalls().len(), 199);
+    }
+
+    /// The id order of `instance`'s batch on `sh`.
+    fn batch_ids(sh: &Shard<'_>, batch: &[pascal_cluster::ReqHandle]) -> Vec<u64> {
+        batch.iter().map(|&h| sh.states[h].spec.id.0).collect()
+    }
+
+    #[test]
+    fn a_completion_leaves_and_the_run_is_kept() {
+        // Three requests decode together; the short one completes, the
+        // other two run on without being caught up.
+        let trace = Trace::from_requests(vec![
+            RequestSpec::new(RequestId(0), SimTime::ZERO, 64, 3000, 0),
+            RequestSpec::new(RequestId(1), SimTime::ZERO, 64, 500, 0),
+            RequestSpec::new(RequestId(2), SimTime::ZERO, 64, 3000, 0),
+        ]);
+        let (seen, out) = interrupt_when(&trace, &oracle(SchedPolicy::Fcfs), |before, sh| {
+            let done = sh.records.first()?;
+            let i = done.instances_visited[0];
+            assert_eq!(
+                batch_ids(sh, &sh.instances[i as usize].current_batch),
+                [0, 2]
+            );
+            assert_eq!(before[i as usize].batch.len(), 3);
+            Some(i)
+        });
+        assert_edge_kept(&seen, "completion");
+        assert_eq!(seen.caught_up, 1, "only the completing member is caught up");
+        assert_eq!(out.records.len(), 3);
+    }
+
+    /// PASCAL on one instance: request 1's phase boundary comes first, and
+    /// with no instance to migrate to it stays.
+    fn boundary_cell() -> (Trace, SimConfig) {
+        let trace = Trace::from_requests(vec![
+            RequestSpec::new(RequestId(0), SimTime::ZERO, 64, 3000, 0),
+            RequestSpec::new(RequestId(1), SimTime::ZERO, 64, 100, 300),
+        ]);
+        (trace, oracle(SchedPolicy::pascal(PascalConfig::default())))
+    }
+
+    #[test]
+    fn a_phase_boundary_that_stays_keeps_the_run_rekeyed() {
+        // Request 1 sorts first while both reason (same arrival, lower id
+        // last: 0 then 1); answering, it joins the low-priority queue and
+        // rejoins the batch behind request 0, keyed anew.
+        let (trace, config) = boundary_cell();
+        let (seen, out) = interrupt_when(&trace, &config, |before, sh| {
+            let i = member_where(sh, |st| st.phase == Phase::Answering)?;
+            let rt = &sh.instances[i as usize];
+            assert_eq!(batch_ids(sh, &before[i as usize].batch), [0, 1]);
+            assert_eq!(batch_ids(sh, &rt.current_batch), [0, 1]);
+            let answering = rt.current_batch[1];
+            assert_eq!(
+                sh.member_mon[answering.index()].key.map(|k| k.class),
+                Some(1)
+            );
+            Some(i)
+        });
+        assert_edge_kept(&seen, "phase boundary");
+        assert_eq!(seen.caught_up, 1);
+        assert_eq!(out.migration_outcomes.considered, 1);
+    }
+
+    #[test]
+    fn the_first_answering_token_is_a_mark() {
+        // The token after the phase boundary starts the answer stream (and
+        // the TTFT clock): an edge handled inside the run, whose launch the
+        // boundary kept open.
+        let (trace, config) = boundary_cell();
+        let (seen, out) = interrupt(&trace, &config, |sh| {
+            member_where(sh, |st| st.answers.len() == 1)
+        });
+        assert_edge_kept(&seen, "first answering token");
+        assert_eq!(seen.caught_up, 1);
+        let answered = out.records.iter().find(|r| r.spec.id == RequestId(1));
+        assert!(answered.is_some_and(|r| r.answers.len() == 300));
+    }
+
+    #[test]
+    fn a_phase_boundary_overtaken_closes_the_run() {
+        // Only two requests fit the batch. Request 2 arrives while 0 and 1
+        // run and waits, still reasoning; when request 1 starts answering it
+        // sorts behind request 2, which takes its place.
+        let (trace, mut config) = boundary_cell();
+        let mut requests = trace.requests().to_vec();
+        requests.push(RequestSpec::new(RequestId(2), secs(0.5), 64, 3000, 0));
+        config.max_batch = 2;
+        let (seen, out) = interrupt(&Trace::from_requests(requests), &config, |sh| {
+            member_where(sh, |st| st.phase == Phase::Answering)
+        });
+        assert_touched(&seen, "overtaken phase boundary");
+        assert!(!seen.open_after, "the run survived an overtaking candidate");
+        assert_eq!(seen.edges_kept, 0);
+        assert_eq!(out.records.len(), 3);
+    }
+
+    #[test]
+    fn a_phase_boundary_that_migrates_out_keeps_the_run() {
+        // Request 1 migrates away from request 0's instance at its phase
+        // boundary; the run on the source goes on without it.
+        let trace = Trace::from_requests(vec![
+            RequestSpec::new(RequestId(0), SimTime::ZERO, 64, 4000, 0),
+            RequestSpec::new(RequestId(2), SimTime::ZERO, 2000, 4000, 0),
+            RequestSpec::new(RequestId(1), secs(1.0), 64, 100, 300),
+        ]);
+        let mut config =
+            SimConfig::evaluation_cluster(SchedPolicy::pascal(PascalConfig::default()));
+        config.num_instances = 2;
+        let (seen, out) = interrupt_when(&trace, &config, |before, sh| {
+            let (handle, st) = sh
+                .states
+                .iter()
+                .find(|(_, st)| st.kv_location == KvLocation::Migrating)?;
+            let i = st.instance;
+            assert!(before[i as usize].batch.contains(&handle));
+            assert!(!sh.instances[i as usize].current_batch.contains(&handle));
+            Some(i)
+        });
+        assert_edge_kept(&seen, "phase boundary migrating out");
+        assert!(out.migration_outcomes.launched > 0);
+    }
+
+    #[test]
+    fn a_demotion_rekeys_the_member() {
+        // Request 0 answers early and sorts behind reasoning request 1,
+        // until request 1 passes the demotion threshold and drops to the
+        // low-priority queue: it rejoins the batch behind request 0.
+        let trace = Trace::from_requests(vec![
+            RequestSpec::new(RequestId(0), SimTime::ZERO, 64, 50, 3000),
+            RequestSpec::new(RequestId(1), SimTime::ZERO, 64, 2000, 100),
+        ]);
+        let config = oracle(SchedPolicy::pascal(PascalConfig {
+            demotion_threshold_tokens: 700,
+            ..PascalConfig::default()
+        }));
+        let (seen, _) = interrupt_when(&trace, &config, |before, sh| {
+            let i = member_where(sh, |st| st.demoted)?;
+            assert_eq!(batch_ids(sh, &before[i as usize].batch), [1, 0]);
+            assert_eq!(
+                batch_ids(sh, &sh.instances[i as usize].current_batch),
+                [0, 1]
+            );
+            Some(i)
+        });
+        assert_edge_kept(&seen, "demotion");
+    }
+
+    #[test]
+    fn a_completion_that_frees_room_for_a_waiting_candidate_closes_the_run() {
+        // Two requests fill the batch; request 2 waits. When request 1
+        // completes, request 2 fits, so the full path plans the launch.
+        let trace = Trace::from_requests(vec![
+            RequestSpec::new(RequestId(0), SimTime::ZERO, 64, 3000, 0),
+            RequestSpec::new(RequestId(1), SimTime::ZERO, 64, 500, 0),
+            RequestSpec::new(RequestId(2), secs(0.5), 64, 3000, 0),
+        ]);
+        let mut config = oracle(SchedPolicy::Fcfs);
+        config.max_batch = 2;
+        let (seen, out) = interrupt(&trace, &config, |sh| {
+            sh.records.first().map(|r| r.instances_visited[0])
+        });
+        assert_touched(&seen, "completion freeing room");
+        assert!(!seen.open_after, "the run survived a candidate that fits");
+        assert_eq!(seen.caught_up, 2, "the leaver, then the rest of the batch");
+        assert_eq!(out.records.len(), 3);
+    }
+
+    /// A short request migrates at its phase boundary onto the instance
+    /// where a long reasoning request runs steady.
+    fn landing_cell() -> (Trace, SimConfig) {
+        let trace = Trace::from_requests(vec![
+            RequestSpec::new(RequestId(0), SimTime::ZERO, 64, 5000, 0),
+            RequestSpec::new(RequestId(1), secs(1.0), 64, 100, 300),
+            RequestSpec::new(RequestId(2), secs(1.0), 64, 100, 300),
+        ]);
+        let mut config =
+            SimConfig::evaluation_cluster(SchedPolicy::pascal(PascalConfig::default()));
+        config.num_instances = 2;
+        (trace, config)
+    }
+
+    /// The instance a migrated request just landed on, GPU-resident.
+    fn landed(sh: &Shard<'_>) -> Option<u32> {
+        member_where(sh, |st| {
+            st.instances_visited.len() > 1 && st.kv_location == KvLocation::Gpu && !st.running
+        })
+    }
+
+    #[test]
+    fn a_migration_landing_joins_the_destination_run() {
+        let (trace, config) = landing_cell();
+        let (seen, out) = interrupt(&trace, &config, landed);
+        assert_kept(&seen, "migration landing");
+        assert_eq!(seen.caught_up, 0);
+        assert!(out.migration_outcomes.launched > 0);
+        // It joins at the run's next step: begun, stamped, filed.
+        let (joined, _) = interrupt(&trace, &config, |sh| {
+            member_where(sh, |st| {
+                st.instances_visited.len() > 1 && st.running && st.migration.is_some()
+            })
+        });
+        assert!(
+            joined.open_after && joined.joins > 0,
+            "the landing never joined"
+        );
+        let stalls: Vec<_> = out
+            .records
+            .iter()
+            .filter_map(|r| r.migration.as_ref()?.stall)
+            .collect();
+        assert_eq!(stalls.len() as u64, out.migration_outcomes.launched);
+    }
+
+    #[test]
+    fn two_edges_in_one_step() {
+        // Requests 1 and 2 reach their phase boundaries at the same
+        // iteration; both are handled inside the run, in batch order.
+        let trace = Trace::from_requests(vec![
+            RequestSpec::new(RequestId(0), SimTime::ZERO, 64, 3000, 0),
+            RequestSpec::new(RequestId(1), SimTime::ZERO, 64, 100, 300),
+            RequestSpec::new(RequestId(2), SimTime::ZERO, 64, 100, 200),
+        ]);
+        let config = oracle(SchedPolicy::pascal(PascalConfig::default()));
+        let (seen, out) = interrupt(&trace, &config, |sh| {
+            member_where(sh, |st| st.phase == Phase::Answering)
+        });
+        assert_edge_kept(&seen, "two phase boundaries");
+        assert_eq!(seen.edges_kept, 2);
+        assert_eq!(seen.caught_up, 2);
+        assert_eq!(out.migration_outcomes.considered, 2);
+    }
+
+    #[test]
+    fn a_phase_boundary_sweep_reads_drops_before_and_after_the_edge_member() {
+        // Requests 0, 1 and 2 decode in lockstep under PASCAL with an
+        // oracle predictor, so predicted growth is tracked. Request 1 (in
+        // the middle of the batch) reaches its phase boundary at 100
+        // tokens; requests 0 and 2 predict 1,204 and 1,220 tokens, so both
+        // drop a block of predicted growth at that same token. The
+        // boundary's Algorithm 2 sweep must read request 0's drop (its
+        // token comes first on the full path) and not request 2's: debug
+        // builds compare that row with the full path's from-scratch one.
+        let trace = Trace::from_requests(vec![
+            RequestSpec::new(RequestId(0), SimTime::ZERO, 64, 1204, 0),
+            RequestSpec::new(RequestId(1), SimTime::ZERO, 64, 100, 300),
+            RequestSpec::new(RequestId(2), SimTime::ZERO, 64, 1220, 0),
+        ]);
+        let mut config = oracle(SchedPolicy::pascal(PascalConfig::default()));
+        config.predictor = Some(PredictorKind::Oracle);
+        let (seen, out) = interrupt_when(&trace, &config, |before, sh| {
+            let i = member_where(sh, |st| st.phase == Phase::Answering)?;
+            assert_eq!(batch_ids(sh, &before[i as usize].batch), [0, 1, 2]);
+            let rt = &sh.instances[i as usize];
+            assert_eq!(
+                before[i as usize].predicted_blocks - rt.monitor.predicted_blocks,
+                2,
+                "requests 0 and 2 each drop a block at the step"
+            );
+            Some(i)
+        });
+        assert_edge_kept(&seen, "phase boundary amid drops");
+        assert_eq!(out.migration_outcomes.considered, 1);
+        assert_eq!(out.records.len(), 3);
+    }
+
+    #[test]
+    fn a_cross_shard_escape_at_an_edge() {
+        // Two saturated shards: a phase boundary finds its shard full and
+        // escapes over the interconnect. The boundary is handled inside the
+        // run, the escape drained after it, and the run's next launch
+        // decided last — the order of the full path.
+        use pascal_sched::RouterPolicy;
+        use pascal_workload::{ArrivalProcess, DatasetMix, DatasetProfile, TraceBuilder};
+        let trace = TraceBuilder::new(DatasetMix::single(DatasetProfile::arena_hard()))
+            .arrivals(ArrivalProcess::poisson(14.0))
+            .count(150)
+            .seed(5)
+            .build();
+        let mut config =
+            SimConfig::evaluation_cluster(SchedPolicy::pascal(PascalConfig::default()))
+                .with_shards(2, RouterPolicy::RoundRobin);
+        config.num_instances = 4;
+        config.kv_capacity = KvCapacityMode::FractionOfPhysical(0.2);
+        let (seen, out) = interrupt_when(&trace, &config, |before, sh| {
+            let (handle, st) = sh.states.iter().find(|(_, st)| {
+                st.kv_location == KvLocation::Migrating
+                    && st
+                        .migration
+                        .as_ref()
+                        .is_some_and(|m| m.from_instance / 2 != m.to_instance / 2)
+            })?;
+            let i = st.instance as usize;
+            (before[i].open && before[i].batch.contains(&handle)).then_some(st.instance)
+        });
+        assert_touched(&seen, "cross-shard escape");
+        assert!(out.migration_outcomes.cross_shard_launched > 0);
+        assert_eq!(out.records.len(), 150);
+    }
+
+    #[test]
+    fn a_phase_boundary_behind_a_lagging_reader_takes_the_full_path() {
+        // Request 0 answers; request 1's prefill holds its next token back
+        // past the reader's pace, so request 0's pacer deadline falls
+        // behind, and at the reading pace it gains on it only slowly. At
+        // request 1's phase boundary the run's earliest deadline is due:
+        // whether the Algorithm 2 sweep sees request 0 on pace depends on
+        // whose token comes first, so the step takes the full path.
+        let mut config = oracle(SchedPolicy::Fcfs);
+        config.target_tpot = config.perf_model().decode_step_time(DecodeBatch {
+            num_seqs: 2,
+            total_context_tokens: 2 * (64 + 400),
+        });
+        let trace = Trace::from_requests(vec![
+            RequestSpec::new(RequestId(0), SimTime::ZERO, 64, 10, 3000),
+            RequestSpec::new(RequestId(1), secs(0.5), 64, 50, 50),
+        ]);
+        let (seen, out) = interrupt_when(&trace, &config, |before, sh| {
+            let (_, st) = sh
+                .states
+                .iter()
+                .find(|(_, st)| st.spec.id == RequestId(1) && st.phase == Phase::Answering)?;
+            let i = st.instance as usize;
+            let boundary = st.phase_boundary.expect("the boundary token was recorded");
+            assert!(
+                before[i].steady_pace.is_some_and(|due| due <= boundary),
+                "request 0 caught up with its reader before the boundary"
+            );
+            Some(st.instance)
+        });
+        assert!(seen.open_before, "no steady run open at the boundary");
+        assert_eq!(seen.full_path, 1, "the boundary was handled inside the run");
+        assert_eq!(seen.edges_kept, 0);
+        assert_eq!(out.records.len(), 2);
     }
 }

@@ -69,14 +69,14 @@ pub mod sweep;
 pub use analyze::{anatomy_to_csv, anatomy_to_json, anatomy_waterfall, parse_trace_jsonl};
 pub use config::{estimate_capacity_rps, KvCapacityMode, RateLevel, SimConfig};
 pub use engine::{
-    check_deployment_capacity, run_simulation, AdmissionMode, DeploymentTooLarge,
-    PredictiveMigration, SimOutput,
+    check_deployment_capacity, run_simulation, run_simulation_with_series, AdmissionMode,
+    DeploymentTooLarge, PredictiveMigration, SimOutput,
 };
 pub use fleet::{FleetPreset, FleetSpec};
 pub use pascal_federation::{FederationPolicy, WanLink};
 pub use pascal_telemetry::{
     aggregate, events_to_chrome, events_to_jsonl, reconstruct, series_to_csv, series_to_json,
-    AnatomyReport, BlameProfile, ProfileReport, TelemetryConfig, TelemetryOut, TraceFormat,
-    WorkCounters,
+    AnatomyReport, BlameProfile, ProfileReport, SeriesSink, SeriesWriter, TelemetryConfig,
+    TelemetryOut, TraceFormat, WorkCounters,
 };
 pub use sweep::{ScenarioSpec, SweepCell, SweepGrid, SweepReport, SweepRunner};

@@ -19,7 +19,7 @@ use pascal_sim::SimDuration;
 
 use crate::event::TraceEvent;
 use crate::profiler::{HotPathProfiler, ProfileReport, ProfiledEvent, WorkCounters};
-use crate::series::SeriesRow;
+use crate::series::{SeriesRow, SeriesWriter};
 
 /// Which telemetry streams a run collects. Everything defaults to off.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -40,10 +40,15 @@ impl TelemetryConfig {
     }
 }
 
+/// Where sampled gauge rows go: written out as they are sampled, instead
+/// of collected until the run ends.
+pub type SeriesSink = SeriesWriter<Box<dyn std::io::Write>>;
+
 /// The shared buffers behind an enabled handle.
 struct TelemetryBuf {
     events: Vec<TraceEvent>,
     series: Vec<SeriesRow>,
+    series_sink: Option<SeriesSink>,
     profiler: Option<HotPathProfiler>,
 }
 
@@ -100,9 +105,31 @@ impl TelemetryHandle {
             inner: Some(Rc::new(RefCell::new(TelemetryBuf {
                 events: Vec::new(),
                 series: Vec::new(),
+                series_sink: None,
                 profiler: config.profile.then(HotPathProfiler::new),
             }))),
         }
+    }
+
+    /// Streams the gauge rows to `sink` as they are sampled: the run's
+    /// [`TelemetryOut::series`] stays empty, and memory no longer grows
+    /// with the number of samples. Take the sink back with
+    /// [`TelemetryHandle::take_series_sink`]. A no-op on a handle without
+    /// series sampling.
+    #[must_use]
+    pub fn with_series_sink(self, sink: SeriesSink) -> Self {
+        if self.series_interval.is_some() {
+            if let Some(inner) = &self.inner {
+                inner.borrow_mut().series_sink = Some(sink);
+            }
+        }
+        self
+    }
+
+    /// The series sink given to [`TelemetryHandle::with_series_sink`].
+    #[must_use]
+    pub fn take_series_sink(&self) -> Option<SeriesSink> {
+        self.inner.as_ref()?.borrow_mut().series_sink.take()
     }
 
     /// True iff any stream is live.
@@ -128,10 +155,14 @@ impl TelemetryHandle {
         self.series_interval
     }
 
-    /// Appends one gauge snapshot row.
+    /// Appends one gauge snapshot row, or writes it to the series sink.
     pub fn push_series(&self, row: SeriesRow) {
         if let Some(inner) = &self.inner {
-            inner.borrow_mut().series.push(row);
+            let mut buf = inner.borrow_mut();
+            match &mut buf.series_sink {
+                Some(sink) => sink.write(&row),
+                None => buf.series.push(row),
+            }
         }
     }
 
@@ -207,7 +238,8 @@ impl TelemetryHandle {
 pub struct TelemetryOut {
     /// The trace-event buffer, in emission (= sim time) order.
     pub events: Vec<TraceEvent>,
-    /// The gauge snapshots, in sample-time order.
+    /// The gauge snapshots, in sample-time order (empty when they were
+    /// streamed to a series sink).
     pub series: Vec<SeriesRow>,
     /// The profiler summary, when profiling was on.
     pub profile: Option<ProfileReport>,

@@ -80,9 +80,9 @@ pub use anatomy::{
     ComponentProfile, RequestAnatomy, BLAME_COMPONENTS, BLAME_COMPONENT_NAMES,
 };
 pub use event::{EscapeTier, TraceEvent, TraceEventKind};
-pub use handle::{TelemetryConfig, TelemetryHandle, TelemetryOut};
+pub use handle::{SeriesSink, TelemetryConfig, TelemetryHandle, TelemetryOut};
 pub use profiler::{
     peak_rss_bytes, HotPathProfiler, ProfileReport, ProfileRow, ProfiledEvent, WorkCounters,
 };
-pub use series::{series_to_csv, series_to_json, SeriesRow, SeriesScope};
+pub use series::{series_to_csv, series_to_json, SeriesRow, SeriesScope, SeriesWriter};
 pub use sink::{events_to_chrome, events_to_jsonl, TraceFormat};

@@ -119,6 +119,11 @@ pub struct WorkCounters {
     /// growth reaching zero, a run member re-priced by a predictor
     /// refresh, and a non-member change that left the batch in place.
     pub runs_kept: u64,
+    /// Member edges (completion, phase boundary, first answering token,
+    /// demotion crossing) handled inside a steady run that survived them.
+    pub edges_kept: u64,
+    /// Landings (migrations, reloads) that joined an open steady run.
+    pub joins: u64,
     /// The most events the run's future-event list held pending at once —
     /// the population every queue operation pays for.
     pub peak_pending_events: u64,
@@ -138,6 +143,8 @@ impl WorkCounters {
         self.members_caught_up += other.members_caught_up;
         self.full_path_iterations += other.full_path_iterations;
         self.runs_kept += other.runs_kept;
+        self.edges_kept += other.edges_kept;
+        self.joins += other.joins;
         self.peak_pending_events = self.peak_pending_events.max(other.peak_pending_events);
     }
 
@@ -149,7 +156,8 @@ impl WorkCounters {
         let mut out = format!(
             "{} tokens, {} sched member scans, {} monitor rows, {} monitor member visits, \
              {} predictor estimates, {} steady iterations, {} members caught up, \
-             {} full-path iterations, {} runs kept, {} peak pending events",
+             {} full-path iterations, {} runs kept, {} edges kept, {} joins, \
+             {} peak pending events",
             self.tokens,
             self.sched_member_scans,
             self.monitor_rows,
@@ -159,6 +167,8 @@ impl WorkCounters {
             self.members_caught_up,
             self.full_path_iterations,
             self.runs_kept,
+            self.edges_kept,
+            self.joins,
             self.peak_pending_events
         );
         if let Some(ns) = wall_s.and_then(|w| self.ns_per_token(w)) {

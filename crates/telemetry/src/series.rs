@@ -6,6 +6,8 @@
 //! per shard plus one aggregated row per region; single-region runs still
 //! tag rows with region 0 so the column schema never changes shape.
 
+use std::io::{self, Write};
+
 use pascal_sim::SimTime;
 
 /// Whether a row covers one shard or aggregates a whole region.
@@ -80,72 +82,146 @@ fn fmt_f64(v: f64) -> String {
 /// Serializes rows as columnar CSV (empty cells for `None`).
 #[must_use]
 pub fn series_to_csv(rows: &[SeriesRow]) -> String {
-    let mut out = String::from(CSV_HEADER);
-    out.push('\n');
-    for r in rows {
-        out.push_str(&format!(
-            "{},{},{},{},{},{},{},{},{},{},{},{},{},{}\n",
-            fmt_f64(r.t.as_secs_f64()),
-            r.scope.key(),
-            r.region,
-            r.shard.map(|s| s.to_string()).unwrap_or_default(),
-            r.queue_depth,
-            r.active,
-            r.reasoning,
-            r.answering,
-            r.kv_used_bytes,
-            r.kv_capacity_bytes,
-            r.admission_headroom_bytes
-                .map(|v| v.to_string())
-                .unwrap_or_default(),
-            r.predictor_mean_abs_error.map(fmt_f64).unwrap_or_default(),
-            r.wan_busy_s.map(fmt_f64).unwrap_or_default(),
-            r.slo_burn.map(fmt_f64).unwrap_or_default(),
-        ));
-    }
-    out
+    render(SeriesWriter::csv(Vec::new()), rows)
 }
 
 /// Serializes rows as a JSON array of objects (`null` for `None`), with
 /// the same fields and order as the CSV columns.
 #[must_use]
 pub fn series_to_json(rows: &[SeriesRow]) -> String {
-    let mut out = String::from("[\n");
-    for (i, r) in rows.iter().enumerate() {
-        if i > 0 {
-            out.push_str(",\n");
-        }
-        out.push_str(&format!(
-            "{{\"t_s\":{},\"scope\":\"{}\",\"region\":{},\"shard\":{},\"queue_depth\":{},\
-\"active\":{},\"reasoning\":{},\"answering\":{},\"kv_used_bytes\":{},\"kv_capacity_bytes\":{},\
-\"admission_headroom_bytes\":{},\"predictor_mean_abs_error\":{},\"wan_busy_s\":{},\
-\"slo_burn\":{}}}",
-            fmt_f64(r.t.as_secs_f64()),
-            r.scope.key(),
-            r.region,
-            r.shard
-                .map(|s| s.to_string())
-                .unwrap_or_else(|| "null".to_owned()),
-            r.queue_depth,
-            r.active,
-            r.reasoning,
-            r.answering,
-            r.kv_used_bytes,
-            r.kv_capacity_bytes,
-            r.admission_headroom_bytes
-                .map(|v| v.to_string())
-                .unwrap_or_else(|| "null".to_owned()),
-            r.predictor_mean_abs_error
-                .map(fmt_f64)
-                .unwrap_or_else(|| "null".to_owned()),
-            r.wan_busy_s
-                .map(fmt_f64)
-                .unwrap_or_else(|| "null".to_owned()),
-            r.slo_burn.map(fmt_f64).unwrap_or_else(|| "null".to_owned()),
-        ));
+    render(SeriesWriter::json(Vec::new()), rows)
+}
+
+fn render(mut writer: SeriesWriter<Vec<u8>>, rows: &[SeriesRow]) -> String {
+    for row in rows {
+        writer.write(row);
     }
-    out.push_str("\n]\n");
-    out
+    let bytes = writer.finish().expect("writing to memory cannot fail");
+    String::from_utf8(bytes).expect("rows render as UTF-8")
+}
+
+/// Writes gauge rows to `W` as they are sampled, in the CSV or JSON form
+/// of [`series_to_csv`] / [`series_to_json`] — the same bytes, without
+/// holding the rows: a run's memory no longer grows with its samples.
+///
+/// The first write error is kept and every later write skipped;
+/// [`SeriesWriter::finish`] reports it.
+#[derive(Debug)]
+pub struct SeriesWriter<W: Write> {
+    out: W,
+    json: bool,
+    rows: u64,
+    error: Option<io::Error>,
+}
+
+impl<W: Write> SeriesWriter<W> {
+    /// A CSV writer; the header goes out first.
+    pub fn csv(out: W) -> Self {
+        let mut writer = SeriesWriter {
+            out,
+            json: false,
+            rows: 0,
+            error: None,
+        };
+        writer.put(format_args!("{CSV_HEADER}\n"));
+        writer
+    }
+
+    /// A JSON-array writer; the opening bracket goes out first.
+    pub fn json(out: W) -> Self {
+        let mut writer = SeriesWriter {
+            out,
+            json: true,
+            rows: 0,
+            error: None,
+        };
+        writer.put(format_args!("[\n"));
+        writer
+    }
+
+    /// Rows written so far.
+    #[must_use]
+    pub fn rows(&self) -> u64 {
+        self.rows
+    }
+
+    /// Appends one row.
+    pub fn write(&mut self, r: &SeriesRow) {
+        if self.json {
+            let null = || "null".to_owned();
+            let separator = if self.rows > 0 { ",\n" } else { "" };
+            self.put(format_args!(
+                "{separator}{{\"t_s\":{},\"scope\":\"{}\",\"region\":{},\"shard\":{},\
+\"queue_depth\":{},\"active\":{},\"reasoning\":{},\"answering\":{},\"kv_used_bytes\":{},\
+\"kv_capacity_bytes\":{},\"admission_headroom_bytes\":{},\"predictor_mean_abs_error\":{},\
+\"wan_busy_s\":{},\"slo_burn\":{}}}",
+                fmt_f64(r.t.as_secs_f64()),
+                r.scope.key(),
+                r.region,
+                r.shard.map_or_else(null, |s| s.to_string()),
+                r.queue_depth,
+                r.active,
+                r.reasoning,
+                r.answering,
+                r.kv_used_bytes,
+                r.kv_capacity_bytes,
+                r.admission_headroom_bytes
+                    .map_or_else(null, |v| v.to_string()),
+                r.predictor_mean_abs_error.map_or_else(null, fmt_f64),
+                r.wan_busy_s.map_or_else(null, fmt_f64),
+                r.slo_burn.map_or_else(null, fmt_f64),
+            ));
+        } else {
+            self.put(format_args!(
+                "{},{},{},{},{},{},{},{},{},{},{},{},{},{}\n",
+                fmt_f64(r.t.as_secs_f64()),
+                r.scope.key(),
+                r.region,
+                r.shard.map(|s| s.to_string()).unwrap_or_default(),
+                r.queue_depth,
+                r.active,
+                r.reasoning,
+                r.answering,
+                r.kv_used_bytes,
+                r.kv_capacity_bytes,
+                r.admission_headroom_bytes
+                    .map(|v| v.to_string())
+                    .unwrap_or_default(),
+                r.predictor_mean_abs_error.map(fmt_f64).unwrap_or_default(),
+                r.wan_busy_s.map(fmt_f64).unwrap_or_default(),
+                r.slo_burn.map(fmt_f64).unwrap_or_default(),
+            ));
+        }
+        self.rows += 1;
+    }
+
+    /// Closes the JSON array, flushes, and hands back the writer.
+    ///
+    /// # Errors
+    ///
+    /// The first error any write or the flush met.
+    pub fn finish(mut self) -> io::Result<W> {
+        if self.json {
+            self.put(format_args!("\n]\n"));
+        }
+        if self.error.is_none() {
+            if let Err(e) = self.out.flush() {
+                self.error = Some(e);
+            }
+        }
+        match self.error {
+            Some(e) => Err(e),
+            None => Ok(self.out),
+        }
+    }
+
+    fn put(&mut self, text: std::fmt::Arguments<'_>) {
+        if self.error.is_none() {
+            if let Err(e) = self.out.write_fmt(text) {
+                self.error = Some(e);
+            }
+        }
+    }
 }
 
 #[cfg(test)]

@@ -2,12 +2,13 @@
 //!
 //! A scripted answering stream generates tokens faster than the user reads,
 //! pauses (preemption), and resumes. The pacer buffers the burst; QoE drops
-//! only once the buffer runs dry and the user starves.
+//! only once the buffer runs dry and the user starves. The stream is kept
+//! as the engine keeps it, a [`StallCurve`]: its pacer deadline is
+//! `first + len × TPOT`, and the reader starves from that instant on.
 //!
 //! Run with: `cargo run --release --example qoe_pacer_demo`
 
-use pascal::cluster::TokenPacer;
-use pascal::metrics::qoe_of_stream;
+use pascal::metrics::{qoe_of_stream, StallCurve};
 use pascal::sim::{SimDuration, SimTime};
 
 fn main() {
@@ -26,26 +27,33 @@ fn main() {
         times.push(secs(pause_end + 0.1 * f64::from(i)));
     }
 
-    let mut pacer = TokenPacer::new(tpot);
+    let mut curve = StallCurve::new(tpot);
     println!("t(s)    generated  expected  buffer   state");
     let mut next = 0usize;
     let mut probe = 0.0f64;
     while probe <= pause_end + 1.0 {
         while next < times.len() && times[next].as_secs_f64() <= probe {
-            pacer.on_token(times[next]);
+            curve.push(times[next]);
             next += 1;
         }
         let at = secs(probe);
-        let balance = pacer.buffer_balance(at);
-        let state = if balance >= 0 {
+        // The reader takes the first token at once, then one per TPOT.
+        let expected = curve
+            .first()
+            .filter(|&first| at >= first)
+            .map_or(0, |first| {
+                1 + at.saturating_since(first).as_nanos() / tpot.as_nanos()
+            });
+        let balance = i64::from(curve.len()) - expected as i64;
+        let state = if curve.on_pace_until().is_none_or(|due| at < due) {
             "smooth"
         } else {
             "STARVED (Fig. 3(iii))"
         };
         println!(
             "{probe:>5.2}   {:>9}  {:>8}  {:>6}   {state}",
-            pacer.generated(),
-            pacer.expected_by(at),
+            curve.len(),
+            expected,
             balance,
         );
         probe += 0.4;

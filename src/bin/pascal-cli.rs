@@ -16,8 +16,8 @@ use pascal::core::sweep::SweepThroughput;
 use pascal::core::{
     anatomy_to_csv, anatomy_to_json, anatomy_waterfall, check_deployment_capacity,
     estimate_capacity_rps, events_to_chrome, events_to_jsonl, parse_trace_jsonl, run_simulation,
-    series_to_csv, series_to_json, AdmissionMode, FleetPreset, FleetSpec, RateLevel, SimConfig,
-    SweepGrid, SweepReport, SweepRunner, TelemetryConfig, TraceFormat,
+    run_simulation_with_series, AdmissionMode, FleetPreset, FleetSpec, RateLevel, SeriesSink,
+    SeriesWriter, SimConfig, SweepGrid, SweepReport, SweepRunner, TelemetryConfig, TraceFormat,
 };
 use pascal::federation::{FederationPolicy, WanLink};
 use pascal::metrics::{
@@ -576,7 +576,23 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
         .regions(opts.regions)
         .try_build()
         .map_err(|e| CliError::Usage(format!("--count {}: {e}", opts.count)))?;
-    let out = run_simulation(&trace, &config);
+    // Gauge rows stream to --series-out as they are sampled: a fine
+    // interval over a long horizon would not fit in memory.
+    let (out, series) = match &opts.series_out {
+        Some(path) => {
+            let file = std::fs::File::create(path)
+                .map_err(|e| CliError::Runtime(format!("writing {path}: {e}")))?;
+            let file: Box<dyn std::io::Write> = Box::new(std::io::BufWriter::new(file));
+            let sink: SeriesSink = if path.ends_with(".json") {
+                SeriesWriter::json(file)
+            } else {
+                SeriesWriter::csv(file)
+            };
+            let (out, sink) = run_simulation_with_series(&trace, &config, sink);
+            (out, Some((path, sink)))
+        }
+        None => (run_simulation(&trace, &config), None),
+    };
 
     let ttft = LatencySummary::from_values(
         out.records
@@ -801,16 +817,11 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
             opts.trace_format.key()
         );
     }
-    if let Some(path) = &opts.series_out {
-        let telemetry = out.telemetry.as_ref().expect("series sampling was enabled");
-        let text = if path.ends_with(".json") {
-            series_to_json(&telemetry.series)
-        } else {
-            series_to_csv(&telemetry.series)
-        };
-        std::fs::write(path, text)
+    if let Some((path, sink)) = series {
+        let rows = sink.rows();
+        sink.finish()
             .map_err(|e| CliError::Runtime(format!("writing {path}: {e}")))?;
-        eprintln!("wrote {} gauge samples to {path}", telemetry.series.len());
+        eprintln!("wrote {rows} gauge samples to {path}");
     }
     if opts.profile {
         let profile = out
@@ -1630,7 +1641,9 @@ mod tests {
             members_caught_up: 16,
             full_path_iterations: 17,
             runs_kept: 18,
-            peak_pending_events: 19,
+            edges_kept: 19,
+            joins: 20,
+            peak_pending_events: 21,
         };
         let line = aggregate_profile_line(&t, &work);
         // Every figure must survive a whitespace-and-label round trip —
@@ -1644,7 +1657,7 @@ mod tests {
             nums,
             vec![
                 123_456.0, 1.5, 82_304.0, 3_000.0, 11.0, 12.0, 13.0, 14.0, 15.0, 16.0, 17.0, 18.0,
-                19.0, 500_000.0
+                19.0, 20.0, 21.0, 500_000.0
             ],
             "line: {line}"
         );

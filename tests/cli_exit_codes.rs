@@ -375,3 +375,61 @@ fn run_profile_reports_peak_rss_per_arrival() {
         "{mib} MiB over 50 arrivals is not {per_arrival} bytes each"
     );
 }
+
+#[test]
+fn a_fine_series_interval_streams_every_sample() {
+    // `--series-out` writes each gauge row as it is sampled: at 1 ms over
+    // the run's minute-long horizon that is over 10^5 rows, none of them
+    // held in memory. Each sample instant gives one shard row and one
+    // region row, on the 1 ms grid, and stderr counts every row written.
+    let dir = std::env::temp_dir().join(format!("pascal-series-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("series.csv");
+    let path_str = path.to_str().expect("UTF-8 temp path");
+    let out = cli(&[
+        "run",
+        "--count",
+        "10",
+        "--series-out",
+        path_str,
+        "--series-interval",
+        "1e-3",
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
+    let text = std::fs::read_to_string(&path).expect("series file written");
+    std::fs::remove_dir_all(&dir).ok();
+    let rows: Vec<&str> = text.lines().skip(1).collect();
+    assert!(
+        stderr.contains(&format!("wrote {} gauge samples to {path_str}", rows.len())),
+        "stderr: {stderr}"
+    );
+    assert!(rows.len() > 100_000, "{} rows", rows.len());
+    assert_eq!(rows.len() % 2, 0);
+    for (k, pair) in rows.chunks(2).enumerate() {
+        let ms = |row: &str| {
+            let t: f64 = row.split(',').next()?.parse().ok()?;
+            Some((t * 1e3).round() as usize)
+        };
+        assert!(
+            ms(pair[0]) == Some(k + 1) && ms(pair[1]) == Some(k + 1),
+            "sample {k}: {pair:?}"
+        );
+    }
+}
+
+#[test]
+fn an_unwritable_series_path_exits_one_naming_it() {
+    let out = cli(&[
+        "run",
+        "--count",
+        "5",
+        "--series-out",
+        "/nonexistent-dir/series.csv",
+        "--series-interval",
+        "1",
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(stderr.contains("/nonexistent-dir/series.csv"), "{stderr}");
+}

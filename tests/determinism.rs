@@ -159,6 +159,9 @@ fn profile_work_counters_repeat_across_runs() {
     assert!(reference.members_caught_up > 0, "{reference:?}");
     assert!(reference.full_path_iterations > 0, "{reference:?}");
     assert!(reference.runs_kept > 0, "{reference:?}");
+    // Completions, phase boundaries and landings happen inside runs too.
+    assert!(reference.edges_kept > 0, "{reference:?}");
+    assert!(reference.joins > 0, "{reference:?}");
     // Every busy instance keeps its iteration end pending on the queue.
     assert!(reference.peak_pending_events > 0, "{reference:?}");
     for rerun in 1..=2 {
