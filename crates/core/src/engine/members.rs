@@ -48,9 +48,8 @@
 //!   it, so the run closes. Otherwise the batch stays a key-order prefix of
 //!   the candidates and only the first candidate outside the batch could
 //!   still enter — if the change freed budget or brought a new candidate.
-//!   The run forgets its cached first outside candidate, is marked, and is
-//!   settled by the `try_schedule` every such caller ends with: it stays
-//!   open while that candidate cannot fit;
+//!   The run is marked and settled by the `try_schedule` every such caller
+//!   ends with: it stays open while that candidate cannot fit;
 //! * a predictor refresh re-prices a run member's predicted growth in
 //!   place: growth never changes which batch the planner picks.
 //!
@@ -528,7 +527,6 @@ impl Shard<'_> {
         if m.key.is_some_and(|key| Some(key) < last) {
             self.catch_up(instance);
         } else {
-            rt.steady.forget_outside();
             rt.steady.mark_dirty();
         }
     }

@@ -106,7 +106,6 @@
 //! run owes each member, and asserts it yields the run's batch in order
 //! (and, at a step, its crossing count).
 
-use std::cell::Cell;
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 use std::ops::Bound;
@@ -177,12 +176,8 @@ pub(crate) struct SteadyRun {
     /// While an edge step handles a due member: its key, whether or not
     /// the member reads the monitor. The debug reference rows read the
     /// full path's batch-order view from it, independently of `split`.
+    #[cfg(debug_assertions)]
     handling: Option<PriorityKey>,
-    /// The first candidate outside the batch and its joiners, with its
-    /// block need (`Some(None)` when there is none, `None` when unknown):
-    /// every other non-member sorts after it, and it only changes through
-    /// a non-member's mutator, which forgets it.
-    outside: Cell<Option<Option<(PriorityKey, u64)>>>,
     /// Whether an edge step ended the iteration and the next launch is
     /// still to be decided ([`Shard::resume_run`]).
     resuming: bool,
@@ -210,8 +205,8 @@ struct Residue {
 #[derive(Clone, Copy)]
 struct Joiner {
     member: ReqHandle,
-    /// For a member an edge step took out: its batch place and key then.
-    left: Option<(usize, Option<PriorityKey>)>,
+    /// Whether an edge step took it out of the batch (else it landed).
+    left: bool,
 }
 
 /// What [`Shard::steady_step`] made of an iteration end.
@@ -252,14 +247,8 @@ impl SteadyRun {
     pub(super) fn add_joiner(&mut self, handle: ReqHandle) {
         self.joiners.push(Joiner {
             member: handle,
-            left: None,
+            left: false,
         });
-        self.forget_outside();
-    }
-
-    /// Forgets the first candidate outside the batch: a non-member changed.
-    pub(super) fn forget_outside(&mut self) {
-        self.outside.set(None);
     }
 
     /// Drops a pending joiner that is no longer GPU-resident.
@@ -376,8 +365,6 @@ impl Shard<'_> {
         pace.clear();
         run.pace_filings = 0;
         run.joiners.clear();
-        run.outside.set(None);
-        run.handling = None;
         run.next_mark = u32::MAX;
         run.answering = 0;
         run.edge = u32::MAX;
@@ -503,10 +490,10 @@ impl Shard<'_> {
 
     /// Takes `member`, caught up alone to the run's latest iteration, out
     /// of `instance`'s run: its context, held blocks, crossing and drop
-    /// residues, marks, pacer key and batch place, which it returns. Its
-    /// pacer entry goes back into the instance's list; it stays running for
-    /// the caller to close its token.
-    fn detach_run_member(&mut self, instance: u32, member: ReqHandle) -> usize {
+    /// residues, marks, pacer key and batch place. Its pacer entry goes
+    /// back into the instance's list; it stays running for the caller to
+    /// close its token.
+    fn detach_run_member(&mut self, instance: u32, member: ReqHandle) {
         self.sync_run_member(instance, member);
         self.count_work(|w| w.members_caught_up += 1);
         let bt = u64::from(self.geometry.block_tokens);
@@ -543,7 +530,6 @@ impl Shard<'_> {
         if paced {
             self.refresh_pace(instance);
         }
-        at
     }
 
     /// Sets the monitor's view of the run's earliest pacer deadline from
@@ -760,20 +746,15 @@ impl Shard<'_> {
 
     /// The first candidate outside `instance`'s run batch and its joiners,
     /// with its key and block need: every other non-member sorts after it.
-    /// Cached until a non-member changes.
     fn first_outside(&self, instance: u32) -> Option<(PriorityKey, u64)> {
         let rt = &self.instances[instance as usize];
-        if let Some(outside) = rt.steady.outside.get() {
-            return outside;
-        }
         // Every non-member but the joiners sorts after the batch.
         let last = rt
             .current_batch
             .last()
             .and_then(|&h| self.member_mon[h.index()].key);
         let from = last.map_or(Bound::Unbounded, Bound::Excluded);
-        let outside = rt
-            .cands
+        rt.cands
             .range((from, Bound::Unbounded))
             .find(|&(_, &h)| !rt.steady.is_joiner(h))
             .map(|(&key, &handle)| {
@@ -783,9 +764,7 @@ impl Shard<'_> {
                     .blocks_for_tokens(st.tokens_needed_next())
                     .max(st.held_gpu_blocks);
                 (key, need)
-            });
-        rt.steady.outside.set(Some(outside));
-        outside
+            })
     }
 
     /// Whether a member whose quantum ends at this step (`due`) would sort
@@ -939,17 +918,20 @@ impl Shard<'_> {
                 from = Some(key);
             }
             let run = &mut self.instances[i].steady;
-            run.handling = Some(key);
+            #[cfg(debug_assertions)]
+            {
+                run.handling = Some(key);
+            }
             if edge {
                 run.step_edges += 1;
             } else {
                 run.step_quanta += 1;
             }
-            let at = self.detach_run_member(instance, member);
-            self.instances[i].steady.joiners.push(Joiner {
-                member,
-                left: Some((at, Some(key))),
-            });
+            self.detach_run_member(instance, member);
+            self.instances[i]
+                .steady
+                .joiners
+                .push(Joiner { member, left: true });
             self.emit_token(member, IterationKind::Decode, now);
         }
         let drops = if reads_pace {
@@ -960,7 +942,10 @@ impl Shard<'_> {
         let rt = &mut self.instances[i];
         rt.monitor.predicted_blocks -= drops;
         rt.steady.split = None;
-        rt.steady.handling = None;
+        #[cfg(debug_assertions)]
+        {
+            rt.steady.handling = None;
+        }
         // A predictor refresh above may have re-priced a member behind the
         // edges to retire at this very step.
         let mut late = Vec::new();
@@ -1041,9 +1026,6 @@ impl Shard<'_> {
         let run = &mut self.instances[i].steady;
         run.resuming = false;
         let step = run.steps;
-        let mut joiners = std::mem::take(&mut run.joiners);
-        joiners.sort_unstable_by_key(|j| self.member_mon[j.member.index()].key);
-        self.instances[i].steady.joiners = joiners;
         let granted = self
             .launch_admits(instance, step)
             .filter(|&crossing| self.instances[i].inst.gpu.try_alloc(crossing));
@@ -1057,17 +1039,8 @@ impl Shard<'_> {
         #[cfg(debug_assertions)]
         self.assert_steady_plan(instance, Some(_crossing));
         let joiners = std::mem::take(&mut self.instances[i].steady.joiners);
-        // Members that left at this step and rejoin under their old keys,
-        // with nobody else joining or gone, retake their old places.
-        let run = &self.instances[i].steady;
-        let in_place = joiners.len() as u64 == run.step_edges + run.step_quanta
-            && joiners.iter().all(|j| {
-                j.left
-                    .is_some_and(|(_, key)| key == self.member_mon[j.member.index()].key)
-            });
         let tpot = self.config.target_tpot;
-        // Latest first: in place, that undoes the step's removals in turn.
-        for joiner in joiners.iter().rev() {
+        for joiner in &joiners {
             let member = joiner.member;
             self.stamp_migration_resume(member, now);
             let st = &mut self.states[member];
@@ -1089,10 +1062,7 @@ impl Shard<'_> {
             }
             let key = self.member_mon[member.index()].key;
             let batch = &mut rt.current_batch;
-            let at = match joiner.left {
-                Some((at, _)) if in_place => at,
-                _ => batch.partition_point(|&h| self.member_mon[h.index()].key < key),
-            };
+            let at = batch.partition_point(|&h| self.member_mon[h.index()].key < key);
             batch.insert(at, member);
         }
         let rt = &mut self.instances[i];
@@ -1110,7 +1080,7 @@ impl Shard<'_> {
             run.edge = run.edge.min(step + 1);
         }
         run.dirty = false;
-        let landed = joiners.iter().filter(|j| j.left.is_none()).count() as u64;
+        let landed = joiners.iter().filter(|j| !j.left).count() as u64;
         let (edges, quanta) = (run.step_edges, run.step_quanta);
         run.joiners = joiners;
         run.joiners.clear();
@@ -1310,7 +1280,8 @@ impl Shard<'_> {
         if !run.open {
             return;
         }
-        debug_assert!(
+        #[cfg(debug_assertions)]
+        assert!(
             run.handling.is_none(),
             "instance {instance}: a run closed while an edge member was handled"
         );
