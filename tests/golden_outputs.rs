@@ -4,13 +4,16 @@
 //! scratch-buffer scheduling) are only safe because every output
 //! byte is pinned. These tests run the CLI end-to-end at committed seeds —
 //! a single-instance run, a sharded run, a federated run, an FCFS run,
-//! and the full ci+sharded+federated sweep grid — and require stdout,
-//! stderr, per-request CSVs, `sweep.json` and `sweep.csv` to match the
-//! fixtures under `tests/golden/` byte for byte.
+//! two runs that escape across shards and regions, and the full
+//! ci+sharded+federated sweep grid — and require stdout, stderr,
+//! per-request CSVs, `sweep.json` and `sweep.csv` to match the fixtures
+//! under `tests/golden/` byte for byte (the escape runs' CSVs and traces
+//! by digest).
 //!
 //! If a change legitimately alters scheduling behaviour, regenerate the
-//! fixtures (the commands are the `run_cases()` table below, executed from
-//! an empty directory) in the same PR and say so in the PR description.
+//! fixtures (the commands are the `run_cases()` and `escape_cases()`
+//! tables below, executed from an empty directory) in the same PR and say
+//! so in the PR description.
 //! A diff here that you did *not* expect means the change broke the
 //! determinism contract, not the fixture.
 
@@ -154,6 +157,117 @@ fn run_outputs_are_byte_identical_to_fixtures() {
         assert_bytes_match(&format!("{name}.err"), &out.stderr, name);
         let csv = fs::read(dir.join(format!("{name}.csv"))).expect("per-request CSV written");
         assert_bytes_match(&format!("{name}.csv"), &csv, name);
+    }
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// FNV-1a-64 over `bytes`: pins outputs too large to commit.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Runs that migrate across shards and regions: (name, CLI arguments,
+/// FNV-1a-64 digests of the per-request CSV and of the JSONL trace). The
+/// CSV (~250 KB) and the trace (~2 MB) are pinned by digest; stdout and
+/// stderr by fixture. `run_escape_sharded` considers 133 cross-shard
+/// escapes (27 launched, 39 vetoed, 67 aborted, 131 fallbacks);
+/// `run_escape_federated` 54 cross-shard and 77 cross-region escapes
+/// through a region outage.
+fn escape_cases() -> Vec<(&'static str, Vec<&'static str>, u64, u64)> {
+    vec![
+        (
+            "run_escape_sharded",
+            vec![
+                "run",
+                "--dataset",
+                "mixed",
+                "--instances",
+                "8",
+                "--shards",
+                "2",
+                "--predictor",
+                "quantile",
+                "--migration-benefit",
+                "4",
+                "--rate",
+                "high",
+                "--count",
+                "2000",
+                "--seed",
+                "7",
+                "--csv",
+                "run_escape_sharded.csv",
+                "--trace-out",
+                "run_escape_sharded.jsonl",
+            ],
+            0xd6bb_2168_4f18_2355,
+            0xd530_f637_7462_c574,
+        ),
+        (
+            "run_escape_federated",
+            vec![
+                "run",
+                "--dataset",
+                "mixed",
+                "--instances",
+                "16",
+                "--shards",
+                "2",
+                "--regions",
+                "2",
+                "--predictor",
+                "quantile",
+                "--migration-benefit",
+                "4",
+                "--fed-router",
+                "predictive",
+                "--fleet-events",
+                "outage",
+                "--rate",
+                "high",
+                "--count",
+                "2000",
+                "--seed",
+                "7",
+                "--csv",
+                "run_escape_federated.csv",
+                "--trace-out",
+                "run_escape_federated.jsonl",
+            ],
+            0x492d_078b_be9c_68df,
+            0x1adf_3777_6885_fd9b,
+        ),
+    ]
+}
+
+#[test]
+fn escape_runs_are_byte_identical_to_fixtures() {
+    let dir = scratch_dir("escapes");
+    for (name, args, csv_digest, trace_digest) in escape_cases() {
+        let out = Command::new(env!("CARGO_BIN_EXE_pascal-cli"))
+            .args(&args)
+            .current_dir(&dir)
+            .output()
+            .expect("pascal-cli binary runs");
+        assert!(
+            out.status.success(),
+            "{name} exited {:?}: {}",
+            out.status.code(),
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert_bytes_match(&format!("{name}.txt"), &out.stdout, name);
+        assert_bytes_match(&format!("{name}.err"), &out.stderr, name);
+        for (file, expected) in [("csv", csv_digest), ("jsonl", trace_digest)] {
+            let bytes = fs::read(dir.join(format!("{name}.{file}"))).expect("output written");
+            assert_eq!(
+                fnv1a64(&bytes),
+                expected,
+                "{name}.{file}: digest moved — the engine's determinism contract is broken \
+                 (or the digest needs regenerating in this PR)"
+            );
+        }
     }
     let _ = fs::remove_dir_all(&dir);
 }
