@@ -7,7 +7,9 @@
 //!   characterization configuration needs (§III-A);
 //! * [`BandwidthChannel`] / [`Fabric`] — FIFO-serialized PCIe host links and
 //!   the 100 Gbps inter-node migration fabric with ingress/egress contention
-//!   (§V-C);
+//!   (§V-C); the same port model, one port per shard or per region, carries
+//!   the slower tiers above a shard (the inter-shard interconnect, the
+//!   WAN);
 //! * the §II-C token pacer, whose starvation state defines `t_i` in
 //!   Algorithms 1 and 2, is read off each request's answer-stream curve
 //!   ([`pascal_metrics::StallCurve::on_pace_until`]); the counting pacer it
@@ -16,10 +18,7 @@
 //! * [`RequestState`] / [`KvLocation`] — per-request runtime state with the
 //!   executed / blocked / preempted wall-time decomposition of Fig. 4/5;
 //! * [`Instance`] / [`InstanceStats`] — the unit of execution and the
-//!   monitor snapshot consumed by the instance-level scheduler (Fig. 6);
-//! * [`Topology`] — the two-tier cluster interconnect: full-bandwidth
-//!   migration fabric within a shard (scheduling domain), a slower
-//!   contended interconnect between shards.
+//!   monitor snapshot consumed by the instance-level scheduler (Fig. 6).
 //!
 //! # Examples
 //!
@@ -43,11 +42,9 @@ mod kv;
 mod pacer;
 mod slab;
 mod state;
-mod topology;
 
 pub use channel::{BandwidthChannel, Fabric};
 pub use instance::{Instance, InstanceStats, PoolSnapshot};
 pub use kv::KvPool;
 pub use slab::{Members, ReqHandle, RequestSlab};
 pub use state::{KvLocation, RequestState};
-pub use topology::Topology;

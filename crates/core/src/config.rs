@@ -76,9 +76,9 @@ pub struct SimConfig {
     pub prefill_token_budget: u32,
     /// Intra-shard inter-node migration fabric.
     pub fabric: LinkSpec,
-    /// Inter-shard interconnect — the slower second tier of the cluster
-    /// [`Topology`](pascal_cluster::Topology) that cross-shard migrations
-    /// ride (and are cost-priced at).
+    /// Inter-shard interconnect — the slower tier between a region's
+    /// shards that cross-shard migrations ride (and are cost-priced at),
+    /// one contended port per shard.
     pub interconnect: LinkSpec,
     /// Host offload link.
     pub pcie: LinkSpec,

@@ -98,9 +98,8 @@ impl AdmissionController {
         self.budget_bytes = budget_bytes;
     }
 
-    /// The pure admission decision — no counters, no log. Both the
-    /// single-region check and the federation's probe-then-spill path are
-    /// built from this, so they cannot disagree.
+    /// The pure admission decision — no counters, no log: the arrival
+    /// router probes the home shard, may spill, and only then commits.
     fn probe(&self, pool: &PoolSnapshot, incoming_bytes: u64) -> AdmissionProbe {
         let AdmissionMode::Predictive { max_utilization } = self.mode else {
             return AdmissionProbe::Admit;
@@ -198,28 +197,6 @@ impl Shard<'_> {
                 budget_bytes,
             },
         );
-    }
-
-    /// Arrival-time admission check against the monitor snapshot the
-    /// arrival handler already collected. `true` admits; `false` drops the
-    /// arrival before any engine state is created (the request never
-    /// occupies a queue, so it cannot deadlock the drain assertion).
-    pub(super) fn admission_check(
-        &mut self,
-        spec: &RequestSpec,
-        stats: &[pascal_cluster::InstanceStats],
-        now: SimTime,
-    ) -> bool {
-        match self.admission_probe(spec, stats) {
-            AdmissionProbe::Admit => {
-                self.admission_commit_admit();
-                true
-            }
-            probe => {
-                self.admission_commit_reject(spec, probe, now);
-                false
-            }
-        }
     }
 
     /// The incoming request's predicted final KV footprint: prompt plus the

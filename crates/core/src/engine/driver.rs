@@ -1,4 +1,4 @@
-//! The run's single clock and the event loop both engines share.
+//! The run's single clock.
 //!
 //! A run keeps **one future-event list** for all of its shards. Each
 //! shard schedules through a [`ShardQueue`] handle that stamps the
@@ -6,26 +6,18 @@
 //! `(time, shard, sequence)` order — exactly the engine's tie-break:
 //! lowest shard id first, then schedule order within the shard. Trace
 //! arrivals stay off the queue: the [`Clock`] reads them straight from the
-//! trace, in index order, and lets them win every timestamp tie.
-//!
-//! The single-region [`Engine`](super::cluster::Engine) and the
-//! [`FederationEngine`](super::federation::FederationEngine) run the same
-//! loop ([`EventDriver::step`]): take the next arrival or event, emit the
-//! series gauge samples due strictly before it (the engine state is
-//! piecewise-constant between events, so a row at time `s` reflects every
-//! event with timestamp `<= s`), then hand it to the engine, timed by the
-//! hot-path profiler. The engines supply only what differs: how an
-//! arrival is routed, how an event reaches its shard, and how a sample is
-//! taken.
+//! trace, in index order, and lets them win every timestamp tie. The
+//! [`Engine`](super::hierarchy::Engine) takes the next arrival or event
+//! from it, after the series samples due strictly before it.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
 use pascal_sim::{EventQueue, SimDuration, SimTime};
-use pascal_telemetry::{ProfiledEvent, TelemetryHandle, WorkCounters};
+use pascal_telemetry::{TelemetryHandle, WorkCounters};
 use pascal_workload::Trace;
 
-use super::cluster::total_work;
+use super::hierarchy::total_work;
 use super::{Event, Shard};
 
 /// A shard's handle on the run's future-event list: every event it
@@ -58,7 +50,7 @@ pub(super) enum Next {
 }
 
 impl Next {
-    fn time(&self) -> SimTime {
+    pub(super) fn time(&self) -> SimTime {
         match self {
             Next::Arrival { at, .. } => *at,
             Next::Event { now, .. } => *now,
@@ -130,7 +122,7 @@ impl<'a> Clock<'a> {
     /// Takes the globally next arrival or event: arrivals win ties, then
     /// the queue's `(time, shard, sequence)` order applies. `None` once
     /// the trace and the queue are both exhausted.
-    fn next(&mut self) -> Option<Next> {
+    pub(super) fn next(&mut self) -> Option<Next> {
         let arrival = self
             .trace
             .requests()
@@ -151,55 +143,13 @@ impl<'a> Clock<'a> {
 
     /// The next series sample due strictly before `horizon`, advancing
     /// the sampler past it.
-    fn sample_due(&mut self, horizon: SimTime) -> Option<SimTime> {
+    pub(super) fn sample_due(&mut self, horizon: SimTime) -> Option<SimTime> {
         let (next, interval) = self.sampler.as_mut()?;
         (*next < horizon).then(|| {
             let at = *next;
             *next += *interval;
             at
         })
-    }
-}
-
-/// The engine operations the shared loop drives. Implemented by both the
-/// cluster and federation engines.
-pub(super) trait EventDriver<'a> {
-    /// The run's clock.
-    fn clock(&mut self) -> &mut Clock<'a>;
-
-    /// Delivers trace request `idx`, arriving at `at`.
-    fn arrive(&mut self, idx: usize, at: SimTime);
-
-    /// Hands `ev`, scheduled by global shard `shard`, to its shard.
-    fn fire(&mut self, shard: u32, ev: Event, now: SimTime);
-
-    /// Emits one series gauge sample at `at`. Read-only with respect to
-    /// simulation state: sampling must not perturb the run.
-    fn sample(&mut self, at: SimTime);
-
-    /// Fires the globally next arrival or event, after the series samples
-    /// due before it. Returns `false` once everything has drained.
-    fn step(&mut self) -> bool {
-        let Some(next) = self.clock().next() else {
-            return false;
-        };
-        while let Some(at) = self.clock().sample_due(next.time()) {
-            self.sample(at);
-        }
-        let t0 = self.clock().telemetry.profile_timer();
-        let kind = match next {
-            Next::Arrival { idx, at } => {
-                self.arrive(idx, at);
-                ProfiledEvent::Arrival
-            }
-            Next::Event { now, shard, ev } => {
-                let kind = ev.profiled();
-                self.fire(shard, ev, now);
-                kind
-            }
-        };
-        self.clock().telemetry.profile_record(kind, t0);
-        true
     }
 }
 

@@ -34,42 +34,11 @@ use super::{context_kv_bytes, Event, IterationKind, Shard};
 impl Shard<'_> {
     // ----- arrival + token/phase machinery --------------------------------
 
-    /// Handles a routed arrival. `stats` is this shard's monitor snapshot
-    /// when the caller (the cluster router) already swept it at `now`;
-    /// `None` collects it here. Either way one sweep serves both the
-    /// admission projection and placement (nothing mutates between them).
-    pub(super) fn on_arrival(
-        &mut self,
-        idx: usize,
-        now: SimTime,
-        stats: Option<Vec<pascal_cluster::InstanceStats>>,
-    ) {
-        let spec = self.trace.requests()[idx].clone();
-        self.routed_arrivals += 1;
-        match stats {
-            Some(stats) => {
-                if self.admission_check(&spec, &stats, now) {
-                    self.place_arrival(spec, &stats, now);
-                }
-            }
-            None => {
-                // Single-shard fast path: sweep into the scratch buffer
-                // instead of allocating a snapshot per arrival.
-                let mut stats = std::mem::take(&mut self.scratch.stats);
-                self.collect_stats_into(now, &mut stats);
-                if self.admission_check(&spec, &stats, now) {
-                    self.place_arrival(spec, &stats, now);
-                }
-                self.scratch.stats = stats;
-            }
-        }
-    }
-
-    /// Places an *already admitted* arrival: prediction-sample logging,
-    /// Algorithm 1 placement, state creation and the first scheduling
-    /// attempt. The federated path calls this directly after its
-    /// probe-then-spill admission resolved which shard receives the
-    /// request.
+    /// Places an *already admitted* arrival on the monitor sweep it was
+    /// admitted on: prediction-sample logging, Algorithm 1 placement,
+    /// state creation and the first scheduling attempt. The engine's
+    /// arrival router calls this once admission (and any spill) resolved
+    /// which shard receives the request.
     pub(super) fn place_arrival(
         &mut self,
         spec: pascal_workload::RequestSpec,

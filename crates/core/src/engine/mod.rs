@@ -22,25 +22,32 @@
 //! arrival events; KV migrations ride the intra-shard fabric with
 //! ingress/egress contention (§V-C).
 //!
-//! The cluster-level [`Engine`](cluster) drives N shards under one global
-//! clock ([`driver`](self)): a single future-event list per run, on which
-//! every shard schedules through a handle that stamps its global shard
-//! id. The earliest event fires next, arrivals (read straight off the
-//! trace) win timestamp ties, and remaining ties break by shard id, then
-//! schedule order — so a one-shard cluster replays the exact event
-//! sequence of the pre-sharding engine, byte for byte. Above the shards
-//! sit the cluster-boundary mechanisms:
+//! The [`Engine`](hierarchy) drives every shard of every region under
+//! one clock ([`driver`](self)): a single future-event list per run, on
+//! which every shard schedules through a handle that stamps its global
+//! shard id. The earliest event fires next, arrivals (read straight off
+//! the trace) win timestamp ties, and remaining ties break by shard id,
+//! then schedule order — so a one-shard run replays the exact event
+//! sequence of the pre-sharding engine, byte for byte, and a one-region
+//! run is the same code with nothing between regions to do. Above the
+//! shards sit the mechanisms of the two upper tiers, each written once
+//! and parameterised by the tier
+//! ([`EscapeTier`](pascal_telemetry::EscapeTier)):
 //!
-//! * the **router** (`pascal_sched::RouterPolicy`) pins every arrival to a
-//!   shard from per-shard [`PoolSnapshot`](pascal_cluster::PoolSnapshot)s
-//!   before the shard's Algorithm 1 picks an instance;
-//! * the **cross-shard escape**: when a phase transition finds its home
-//!   shard saturated (no SLO-healthy instance, or no instance that can
-//!   hold the KV), Algorithm 2 is lifted to shard granularity and the KV
-//!   may migrate over the two-tier
-//!   [`Topology`](pascal_cluster::Topology)'s slower interconnect — which
-//!   the predictive cost/benefit veto prices accordingly, falling back to
-//!   the deferred intra-shard move when no sibling can take the request.
+//! * the **arrival router**: the federation policy
+//!   (`pascal_federation::FederationPolicy`) picks the region, the shard
+//!   router (`pascal_sched::RouterPolicy`) pins the arrival to a shard
+//!   from per-shard [`PoolSnapshot`](pascal_cluster::PoolSnapshot)s, and
+//!   the shard's admission controller is probed — a would-be rejection
+//!   spills to a remote region first — before the shard's Algorithm 1
+//!   picks an instance;
+//! * the **escape**: when a phase transition finds its home shard
+//!   saturated (no SLO-healthy instance, or no instance that can hold the
+//!   KV), Algorithm 2 is lifted to shard granularity, and when no sibling
+//!   shard is healthy, to region granularity. The KV migrates over the
+//!   region's inter-shard interconnect or over the WAN, and the
+//!   predictive cost/benefit veto prices the move on that tier's link;
+//!   every failure falls back to the deferred intra-shard move.
 //!
 //! The per-shard components live one per submodule:
 //!
@@ -64,10 +71,11 @@
 //!   batch's members;
 //! * [`stats`](self) — the instance-monitor sweep producing the
 //!   [`InstanceStats`] snapshots Algorithms 1 and 2 consume;
-//! * [`cluster`](self) — the arrival router and the cross-shard migration
-//!   path;
-//! * [`driver`](self) — the run's clock: the future-event list, the
-//!   arrival cursor, and the event loop both engines share.
+//! * [`hierarchy`](self) — the engine: the event loop over every shard,
+//!   the arrival router, and the escape path and its landing at both
+//!   tiers;
+//! * [`driver`](self) — the run's clock: the future-event list and the
+//!   arrival cursor.
 //!
 //! Both controllers default to off and `shards` defaults to 1, in which
 //! case a run is byte-identical to the paper's reactive scheduler.
@@ -94,10 +102,9 @@ use crate::config::SimConfig;
 use crate::fleet::HealthState;
 
 mod admission;
-mod cluster;
 mod driver;
-mod federation;
 mod fleet_rt;
+mod hierarchy;
 mod lifecycle;
 mod members;
 mod migration;
@@ -110,11 +117,9 @@ pub use admission::AdmissionMode;
 pub use migration::PredictiveMigration;
 
 use admission::AdmissionController;
-pub(crate) use cluster::Engine;
 use driver::{Clock, ShardQueue};
-#[cfg(test)]
-pub(crate) use federation::FederationEngine;
 use fleet_rt::AutoscalerRt;
+pub(crate) use hierarchy::Engine;
 use members::{EstimateTable, InstanceMonitor, MemberMon};
 use migration::MigrationController;
 use steady::SteadyRun;
@@ -139,21 +144,12 @@ pub(super) enum Event {
     ReloadDone { req: ReqHandle },
     /// An intra-shard phase-boundary migration landed on its destination.
     MigrationDone { req: ReqHandle, to: u32 },
-    /// A cross-shard migration cleared the interconnect; the cluster hands
-    /// the request from this shard to `to_shard`. (Scheduled by the source
-    /// shard so the source frees its KV exactly at landing time.)
-    CrossShardDone {
+    /// An escape cleared its link (the region's interconnect, or the WAN
+    /// when `to_shard` is in another region); the engine hands the request
+    /// from this shard to global shard `to_shard`. Scheduled by the source
+    /// shard so the source frees its KV exactly at landing time.
+    EscapeDone {
         req: ReqHandle,
-        to_shard: u32,
-        to_instance: u32,
-    },
-    /// A cross-region migration cleared the WAN; the *federation* hands
-    /// the request from this shard to another region's shard. (Scheduled
-    /// by the source shard, like [`Event::CrossShardDone`]; the cluster
-    /// cannot resolve it and returns it to the federation driver.)
-    CrossRegionDone {
-        req: ReqHandle,
-        to_region: u32,
         to_shard: u32,
         to_instance: u32,
     },
@@ -167,15 +163,22 @@ pub(super) enum Event {
 }
 
 impl Event {
-    /// The hot-path profiler's class for this event.
-    pub(super) fn profiled(&self) -> ProfiledEvent {
+    /// The hot-path profiler's class for this event, scheduled by global
+    /// shard `shard` in a run of `shards_per_region` shards per region: an
+    /// escape landing is classed by its tier.
+    pub(super) fn profiled(&self, shard: u32, shards_per_region: u32) -> ProfiledEvent {
         match self {
             Event::IterationDone { .. } => ProfiledEvent::IterationDone,
             Event::OffloadDone { .. } => ProfiledEvent::OffloadDone,
             Event::ReloadDone { .. } => ProfiledEvent::ReloadDone,
             Event::MigrationDone { .. } => ProfiledEvent::MigrationDone,
-            Event::CrossShardDone { .. } => ProfiledEvent::CrossShardDone,
-            Event::CrossRegionDone { .. } => ProfiledEvent::CrossRegionDone,
+            Event::EscapeDone { to_shard, .. } => {
+                if to_shard / shards_per_region == shard / shards_per_region {
+                    ProfiledEvent::CrossShardDone
+                } else {
+                    ProfiledEvent::CrossRegionDone
+                }
+            }
             Event::FleetTransition { .. } | Event::AutoscaleTick => ProfiledEvent::Fleet,
         }
     }
@@ -188,10 +191,10 @@ pub(super) enum IterationKind {
     Decode,
 }
 
-/// A phase transition that escalated to the cluster: its shard was
-/// saturated, so the migration decision defers to the cross-shard path.
+/// A phase transition (or drain) that found its shard saturated: the
+/// migration decision defers to the engine's escape path.
 /// `intra_fallback` carries the intra-shard destination Algorithm 2 had
-/// picked (if any) — executed when no sibling shard can take the request.
+/// picked (if any) — executed when no other shard can take the request.
 ///
 /// Carries both the slab handle (for state access) and the request id: the
 /// escape is evaluated after the triggering iteration, so the defensive
@@ -284,11 +287,7 @@ pub fn run_simulation(trace: &Trace, config: &SimConfig) -> SimOutput {
 /// Runs `trace` through `config`'s deployment, reporting to `telemetry`
 /// (a handle built for `config.telemetry`).
 fn run_reporting_to(trace: &Trace, config: &SimConfig, telemetry: TelemetryHandle) -> SimOutput {
-    if config.regions > 1 {
-        federation::FederationEngine::with_telemetry(trace, config, telemetry).run()
-    } else {
-        Engine::with_telemetry(trace, config, telemetry).run()
-    }
+    Engine::with_telemetry(trace, config, telemetry).run()
 }
 
 /// [`run_simulation`] with the time-series gauge rows written to `sink` as
@@ -370,9 +369,9 @@ pub(super) struct Shard<'a> {
     /// Global id of this shard's first instance; instance indices inside
     /// the shard are local, records carry `offset + local`.
     pub(super) offset: u32,
-    /// Whether saturated phase transitions may escalate beyond this shard
-    /// — sibling shards in the cluster, or (in a federation) remote
-    /// regions even when the shard is its region's only one.
+    /// Whether saturated phase transitions may escape this shard — to
+    /// sibling shards, or to remote regions even when the shard is its
+    /// region's only one.
     pub(super) cross_escape_enabled: bool,
     pub(super) trace: &'a Trace,
     pub(super) config: &'a SimConfig,
@@ -401,8 +400,8 @@ pub(super) struct Shard<'a> {
     pub(super) cross_shard_in: u64,
     /// Requests that migrated in over the WAN (federated runs only).
     pub(super) cross_region_in: u64,
-    /// Phase transitions that found the shard saturated — drained by the
-    /// cluster right after the triggering iteration, before the instance
+    /// Phase transitions that found the shard saturated — resolved by the
+    /// engine right after the triggering event, before the instance
     /// relaunches.
     pub(super) cross_escape_outbox: Vec<EscapeCandidate>,
     /// What each member currently contributes to its instance's derived

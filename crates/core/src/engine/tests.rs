@@ -1,4 +1,3 @@
-use super::driver::EventDriver;
 use super::*;
 use crate::config::KvCapacityMode;
 use pascal_sched::PascalConfig;
@@ -158,7 +157,7 @@ fn drain_audit_catches_leaked_kv_blocks() {
     let clock = Clock::new(&trace, TelemetryHandle::off());
     let mut shard = Shard::new(&clock, &config, 0, 2);
     shard.instances[1].inst.cpu.alloc(3);
-    cluster::assert_drained(&[shard]);
+    hierarchy::assert_drained(&[shard]);
 }
 
 #[test]
@@ -754,7 +753,7 @@ fn admission_disabled_and_unbounded_memory_never_reject() {
 
 mod federation {
     use super::*;
-    use pascal_federation::FederationPolicy;
+    use pascal_federation::{FederationPolicy, WanLink};
     use pascal_metrics::RequestRecord;
     use pascal_sched::{PolicyKind, RouterPolicy};
     use pascal_workload::{ArrivalProcess, DatasetMix, DatasetProfile, TraceBuilder};
@@ -778,13 +777,12 @@ mod federation {
         )
     }
 
-    /// The `--regions 1` determinism contract, driver edition: the
-    /// federated engine at one region must replay the cluster engine's
-    /// exact event sequence — records, peaks, policy name, counters AND
-    /// the region summary — for every policy, shard count and federation
-    /// router. (`run_simulation` additionally short-circuits one-region
-    /// configs to the cluster engine, so the public path is covered by
-    /// transitivity; this test pins the driver itself.)
+    /// The `--regions 1` determinism contract: asking for one region — under
+    /// any federation router and WAN class — must replay the unfederated
+    /// run's exact event sequence: records, peaks, policy name, counters,
+    /// the region summary AND the deterministic work counters, which move
+    /// if the arrival path sweeps the region pools at one region. For every
+    /// policy and shard count, with profiling on.
     #[test]
     fn one_region_is_byte_identical_to_the_cluster_engine() {
         let trace = geo_trace(60, 6.0, 9, 1);
@@ -793,32 +791,43 @@ mod federation {
                 let mut base = SimConfig::evaluation_cluster(kind.build())
                     .with_shards(shards, RouterPolicy::Predictive);
                 base.num_instances = 4;
-                let reference = Engine::new(&trace, &base).run();
+                base.telemetry.profile = true;
+                let reference = run_simulation(&trace, &base);
                 for fed in FederationPolicy::ALL {
-                    let config = base.clone().with_regions(1, fed);
-                    let out = FederationEngine::new(&trace, &config).run();
-                    assert_eq!(
-                        digest(&out),
-                        digest(&reference),
-                        "{kind}/s{shards} via {fed}"
-                    );
-                    assert_eq!(out.migration_outcomes, reference.migration_outcomes);
-                    assert_eq!(out.admission, reference.admission);
-                    assert_eq!(out.shard_stats, reference.shard_stats);
-                    assert_eq!(out.region_stats, reference.region_stats);
-                    assert_eq!(
-                        format!("{:?}", out.records),
-                        format!("{:?}", reference.records),
-                        "byte-level divergence"
-                    );
+                    for wan in WanLink::ALL {
+                        let mut config = base.clone().with_regions(1, fed);
+                        config.wan = wan;
+                        let out = run_simulation(&trace, &config);
+                        let case = format!("{kind}/s{shards} via {fed} over {wan}");
+                        assert_eq!(digest(&out), digest(&reference), "{case}");
+                        assert_eq!(out.migration_outcomes, reference.migration_outcomes);
+                        assert_eq!(out.admission, reference.admission);
+                        assert_eq!(out.shard_stats, reference.shard_stats);
+                        assert_eq!(out.region_stats, reference.region_stats);
+                        assert_eq!(work(&out), work(&reference), "{case}");
+                        assert_eq!(
+                            format!("{:?}", out.records),
+                            format!("{:?}", reference.records),
+                            "byte-level divergence"
+                        );
+                    }
                 }
             }
         }
     }
 
+    /// The run's event count and exact work counters (`None` unless
+    /// profiling was on).
+    fn work(out: &SimOutput) -> Option<(u64, pascal_telemetry::WorkCounters)> {
+        out.telemetry
+            .as_ref()
+            .and_then(|t| t.profile.as_ref())
+            .map(|p| (p.events, p.work))
+    }
+
     /// The same contract under active controllers: predictive admission
-    /// (whose probe/commit refactor must tally identically) and the
-    /// cost/benefit migration veto.
+    /// (whose probe/commit path must tally identically, and which must not
+    /// try to spill at one region) and the cost/benefit migration veto.
     #[test]
     fn one_region_matches_the_cluster_engine_under_controllers() {
         let trace = geo_trace(120, 10.0, 31, 1);
@@ -831,18 +840,23 @@ mod federation {
             min_benefit_ratio: 500.0,
         });
         config.admission = AdmissionMode::predictive();
-        let reference = Engine::new(&trace, &config).run();
-        let fed_config = config.clone().with_regions(1, FederationPolicy::Predictive);
-        let out = FederationEngine::new(&trace, &fed_config).run();
-        assert_eq!(digest(&out), digest(&reference));
-        assert_eq!(out.rejections, reference.rejections);
-        assert_eq!(out.admission, reference.admission);
-        assert_eq!(out.region_stats, reference.region_stats);
+        config.telemetry.profile = true;
+        let reference = run_simulation(&trace, &config);
+        for fed in FederationPolicy::ALL {
+            let fed_config = config.clone().with_regions(1, fed);
+            let out = run_simulation(&trace, &fed_config);
+            assert_eq!(digest(&out), digest(&reference), "via {fed}");
+            assert_eq!(out.rejections, reference.rejections);
+            assert_eq!(out.admission, reference.admission);
+            assert_eq!(out.region_stats, reference.region_stats);
+            assert_eq!(work(&out), work(&reference), "via {fed}");
+        }
         assert!(
             reference.admission.rejected > 0,
             "the scenario must actually exercise admission: {:?}",
             reference.admission
         );
+        assert!(work(&reference).is_some(), "profiling must report work");
     }
 
     #[test]
@@ -1168,11 +1182,11 @@ mod steady_runs {
                     steady_pace: rt.monitor.steady_pace,
                 })
                 .collect();
-            let work = cluster::total_work(engine.shards());
+            let work = hierarchy::total_work(engine.shards());
             assert!(engine.step(), "the run ended before the interruption");
             let sh = &engine.shards()[0];
             if let Some(i) = at(&before, sh) {
-                let after = cluster::total_work(engine.shards());
+                let after = hierarchy::total_work(engine.shards());
                 let seen = Interruption {
                     open_before: before[i as usize].open,
                     open_after: sh.instances[i as usize].steady.is_open(),
@@ -1537,7 +1551,7 @@ mod steady_runs {
             row.predicted_future_kv_bytes,
             rt.monitor.predicted_blocks * sh.geometry.block_bytes()
         );
-        let work = cluster::total_work(engine.shards());
+        let work = hierarchy::total_work(engine.shards());
         assert!(work.runs_kept > 0, "{work:?}");
         let out = engine.run();
         assert_eq!(out.records.len(), 7);

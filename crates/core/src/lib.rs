@@ -11,8 +11,8 @@
 //!   PCIe preemption, phase detection and fabric migration — organized as
 //!   a cluster of shards: `SimConfig::shards` partitions the instances
 //!   into scheduling domains behind a `pascal_sched::RouterPolicy`, with
-//!   cross-shard escape migration over the two-tier
-//!   `pascal_cluster::Topology` interconnect and per-domain
+//!   cross-shard escape migration over the slower inter-shard
+//!   interconnect and per-domain
 //!   `ShardStats` rows in [`SimOutput`]. One shard (the default)
 //!   reproduces the paper's single-pool engine byte-for-byte. Each shard
 //!   is decomposed into lifecycle / migration / admission / stats

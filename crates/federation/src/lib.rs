@@ -10,20 +10,21 @@
 //! * [`RegionSpec`] / [`FederationSpec`] — the deployment description: how
 //!   many regions, how each region partitions its instance pool into
 //!   shards, and which [`WanLink`] connects them;
-//! * [`WanLink`] / [`WanTopology`] — the WAN tier: named link presets
-//!   (`metro` … `transoceanic`), all strictly more expensive than the
-//!   inter-shard interconnect, plus per-region full-duplex port contention
-//!   (the same serialization model as the intra-region fabric, one level
-//!   up). Because the migration cost/benefit veto prices transfers at the
-//!   link, the WAN tier *naturally* forbids frivolous cross-region moves;
+//! * [`WanLink`] — the WAN tier: named link presets (`metro` …
+//!   `transoceanic`), all strictly more expensive than the inter-shard
+//!   interconnect. The engine runs them through per-region full-duplex
+//!   ports (the same serialization model as the intra-region fabric, one
+//!   level up); because the migration cost/benefit veto prices transfers
+//!   at the link, the WAN tier *naturally* forbids frivolous cross-region
+//!   moves;
 //! * [`FederationPolicy`] — the region router: every arrival carries an
 //!   `origin_region` tag, and `static` serves it at home, `nearest` fails
 //!   over to the closest healthy region, `predictive` is Algorithm 1
 //!   lifted one more level — smallest current-plus-predicted KV footprint
 //!   over per-region aggregate [`PoolSnapshot`]s.
 //!
-//! The engine driver that ties these to the serving simulation lives in
-//! `pascal-core::engine` (the `federation` module); this crate holds the
+//! The engine that ties these to the serving simulation lives in
+//! `pascal-core::engine` (the `hierarchy` module); this crate holds the
 //! pure, engine-independent vocabulary so policies and topologies are
 //! testable in isolation.
 //!
@@ -52,4 +53,4 @@ mod wan;
 
 pub use policy::{ring_distance, FederationPolicy};
 pub use region::{spill_order, FederationSpec, RegionSpec};
-pub use wan::{WanLink, WanTopology};
+pub use wan::WanLink;

@@ -1,18 +1,17 @@
-//! The WAN tier: named cross-region links and their contention state.
+//! The WAN tier: named cross-region links.
 //!
 //! Cross-region KV transfers ride links an order of magnitude slower (and
 //! dozens of milliseconds farther) than the intra-region interconnect.
-//! [`WanLink`] names four distance classes; [`WanTopology`] gives every
-//! region one full-duplex WAN port and serializes concurrent transfers on
-//! the shared endpoints — the same contention model as the instance fabric
-//! and the inter-shard interconnect, applied one level up. The migration
-//! cost/benefit veto prices candidate moves at
-//! [`WanTopology::cross_transfer_time`], so the tier's expense is what
-//! keeps cross-region migration an act of last resort.
+//! [`WanLink`] names four distance classes. The engine gives every region
+//! one full-duplex WAN port over the class's link (a
+//! [`Fabric`](pascal_cluster::Fabric) of one port per region), which
+//! serializes concurrent transfers on shared endpoints — the same
+//! contention model as the instance fabric and the inter-shard
+//! interconnect, applied one level up. The migration cost/benefit veto
+//! prices candidate moves at the link, so the tier's expense is what keeps
+//! cross-region migration an act of last resort.
 
-use pascal_cluster::Fabric;
 use pascal_model::LinkSpec;
-use pascal_sim::{SimDuration, SimTime};
 
 /// A named WAN distance class connecting the federation's regions.
 ///
@@ -97,91 +96,6 @@ impl std::fmt::Display for WanLink {
     }
 }
 
-/// The federation's WAN tier: one full-duplex port per region over a
-/// [`WanLink`], with FIFO serialization on shared endpoints.
-///
-/// # Examples
-///
-/// ```
-/// use pascal_federation::{WanLink, WanTopology};
-/// use pascal_sim::SimTime;
-///
-/// let mut wan = WanTopology::new(3, WanLink::Metro);
-/// let (s1, f1) = wan.cross_migrate(SimTime::ZERO, 0, 2, 1 << 20);
-/// let (s2, _) = wan.cross_migrate(SimTime::ZERO, 1, 2, 1 << 20);
-/// assert_eq!(s1, SimTime::ZERO);
-/// assert_eq!(s2, f1, "shared ingress serializes");
-/// ```
-#[derive(Clone, Debug)]
-pub struct WanTopology {
-    wan: WanLink,
-    ports: Fabric,
-}
-
-impl WanTopology {
-    /// A WAN tier connecting `regions` regions over `wan`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `regions` is zero.
-    #[must_use]
-    pub fn new(regions: usize, wan: WanLink) -> Self {
-        assert!(regions > 0, "a federation needs at least one region");
-        WanTopology {
-            wan,
-            ports: Fabric::new(regions, wan.link()),
-        }
-    }
-
-    /// Number of regions on the WAN tier.
-    #[must_use]
-    pub fn num_regions(&self) -> usize {
-        self.ports.len()
-    }
-
-    /// The WAN distance class.
-    #[must_use]
-    pub fn wan(&self) -> WanLink {
-        self.wan
-    }
-
-    /// Queueing-free service time of a cross-region transfer — the figure
-    /// the migration cost/benefit veto prices a candidate move at.
-    #[must_use]
-    pub fn cross_transfer_time(&self, bytes: u64) -> SimDuration {
-        self.wan.link().transfer_time(bytes)
-    }
-
-    /// When `region`'s WAN port next goes fully idle (the later of its
-    /// egress and ingress horizons) — the telemetry gauge behind the
-    /// per-region WAN occupancy series.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `region` is out of range.
-    #[must_use]
-    pub fn port_busy_until(&self, region: usize) -> SimTime {
-        self.ports.busy_until(region)
-    }
-
-    /// Schedules a cross-region KV migration of `bytes` submitted at `now`,
-    /// holding the source region's WAN egress and the destination's
-    /// ingress; returns `(start, finish)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `from == to` or either index is out of range.
-    pub fn cross_migrate(
-        &mut self,
-        now: SimTime,
-        from: usize,
-        to: usize,
-        bytes: u64,
-    ) -> (SimTime, SimTime) {
-        self.ports.migrate(now, from, to, bytes)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -205,7 +119,14 @@ mod tests {
         // The hierarchy invariant: fabric < interconnect < every WAN class.
         // Without it the cost/benefit veto would stop being monotone in
         // distance and a "cheap" WAN hop could undercut a local move.
+        let fabric = LinkSpec::fabric_100gbps();
         let interconnect = LinkSpec::interconnect_25gbps();
+        for bytes in [0u64, 1 << 20, 1 << 30] {
+            assert!(
+                interconnect.transfer_time(bytes) > fabric.transfer_time(bytes),
+                "the interconnect must be pricier than the fabric at {bytes} bytes"
+            );
+        }
         for wan in WanLink::ALL {
             for bytes in [0u64, 1 << 20, 1 << 30] {
                 assert!(
@@ -227,35 +148,5 @@ mod tests {
             times.windows(2).all(|w| w[0] < w[1]),
             "transfer times must grow with distance: {times:?}"
         );
-    }
-
-    #[test]
-    fn topology_contends_on_shared_ports_and_not_on_disjoint_pairs() {
-        let mut wan = WanTopology::new(4, WanLink::Regional);
-        assert_eq!(wan.num_regions(), 4);
-        assert_eq!(wan.wan(), WanLink::Regional);
-        let bytes = 1 << 30;
-        let (_, f1) = wan.cross_migrate(SimTime::ZERO, 0, 1, bytes);
-        let (s2, _) = wan.cross_migrate(SimTime::ZERO, 2, 3, bytes);
-        assert_eq!(s2, SimTime::ZERO, "disjoint region pairs run concurrently");
-        let (s3, _) = wan.cross_migrate(SimTime::ZERO, 0, 2, bytes);
-        assert_eq!(s3, f1, "region 0's egress serializes");
-        assert_eq!(
-            wan.cross_transfer_time(bytes),
-            WanLink::Regional.link().transfer_time(bytes)
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one region")]
-    fn zero_regions_rejected() {
-        let _ = WanTopology::new(0, WanLink::Metro);
-    }
-
-    #[test]
-    #[should_panic(expected = "must change instance")]
-    fn same_region_wan_transfer_rejected() {
-        let mut wan = WanTopology::new(2, WanLink::Metro);
-        let _ = wan.cross_migrate(SimTime::ZERO, 1, 1, 10);
     }
 }

@@ -15,9 +15,9 @@
 //!
 //! Above the per-shard policies sits the cluster boundary:
 //! [`RouterPolicy`] pins every arrival to one scheduling domain (shard)
-//! before the shard's Algorithm 1 runs, and
-//! [`cross_shard_escape_target`] lifts Algorithm 2 to shard granularity
-//! for requests whose home shard has saturated.
+//! before the shard's Algorithm 1 runs, and [`escape_target`] lifts
+//! Algorithm 2 to shard (and region) granularity for requests whose home
+//! shard has saturated.
 //!
 //! # Examples
 //!
@@ -58,7 +58,5 @@ mod router;
 mod spec;
 
 pub use policy::{MigrationCost, MigrationDecision, PascalConfig, PriorityKey, SchedPolicy};
-pub use router::{
-    best_escape_shard, cross_region_escape_target, cross_shard_escape_target, RouterPolicy,
-};
+pub use router::{best_escape_shard, escape_target, RouterPolicy};
 pub use spec::PolicyKind;

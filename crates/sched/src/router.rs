@@ -134,39 +134,25 @@ impl std::fmt::Display for RouterPolicy {
     }
 }
 
-/// Algorithm 2 lifted to shard granularity: the escape target for a
-/// request whose home shard has no SLO-healthy instance left. Among the
-/// *other* shards that still have one, pick the fewest high-priority
-/// reasoning requests, ties by predicted KV footprint, then shard id.
-/// `None` when every sibling shard is as saturated as home — the request
-/// stays, exactly as Algorithm 2 keeps a request home when migration
-/// cannot help.
+/// Algorithm 2 lifted above the instance: the escape target for a request
+/// whose home pool — a shard, or a whole region — has no SLO-healthy
+/// instance left. `pools` holds one aggregate snapshot per sibling at the
+/// escape's tier (the shards of the home region, or the regions), with
+/// `from` the home pool. Among the *other* pools that still have a healthy
+/// instance, pick the fewest high-priority reasoning requests, ties by
+/// predicted KV footprint, then index. `None` when every other pool is as
+/// saturated as home — the request stays, exactly as Algorithm 2 keeps a
+/// request home when migration cannot help (paying a pricier link to land
+/// in an equally saturated pool helps nobody).
 #[must_use]
-pub fn cross_shard_escape_target(pools: &[PoolSnapshot], from: usize) -> Option<usize> {
-    best_escape_pool(pools.iter().enumerate().filter(|(shard, _)| *shard != from))
-}
-
-/// Algorithm 2 lifted one level further, to *region* granularity: the
-/// escape target for a request whose whole home region is saturated (no
-/// sibling shard could take it). Ranks the other regions' aggregate pool
-/// snapshots by the same key the cross-shard ranking uses — fewest
-/// high-priority reasoning requests, ties by predicted KV footprint, then
-/// region id. `None` when no remote region has an SLO-healthy instance:
-/// paying the WAN toll to land in an equally saturated region helps nobody.
-#[must_use]
-pub fn cross_region_escape_target(pools: &[PoolSnapshot], from: usize) -> Option<usize> {
-    best_escape_pool(
-        pools
-            .iter()
-            .enumerate()
-            .filter(|(region, _)| *region != from),
-    )
+pub fn escape_target(pools: &[PoolSnapshot], from: usize) -> Option<usize> {
+    best_escape_pool(pools.iter().enumerate().filter(|(pool, _)| *pool != from))
 }
 
 /// The landing-side half of an escape: the best pool (shard) *within* an
 /// already-chosen destination group — e.g. which shard of the destination
-/// region receives a cross-region escape. Same ranking as the escape
-/// targets, with no exclusion.
+/// region receives a cross-region escape. Same ranking as
+/// [`escape_target`], with no exclusion.
 #[must_use]
 pub fn best_escape_shard(pools: &[PoolSnapshot]) -> Option<usize> {
     best_escape_pool(pools.iter().enumerate())
@@ -279,34 +265,25 @@ mod tests {
 
     #[test]
     fn escape_target_prefers_least_reasoning_among_healthy_siblings() {
-        let pools = vec![
+        // The same ranking at both tiers: sibling shards of one region, or
+        // the regions of a federation.
+        let shards = vec![
             pool(0, 0, 0, 9), // home: saturated
             pool(2, 800, 0, 3),
             pool(2, 100, 0, 5),
             pool(0, 0, 0, 0), // unhealthy sibling: excluded
         ];
-        assert_eq!(cross_shard_escape_target(&pools, 0), Some(1));
-        // Ties on reasoning count fall through to predicted footprint.
-        let tied = vec![pool(0, 0, 0, 9), pool(1, 800, 0, 3), pool(1, 100, 0, 3)];
-        assert_eq!(cross_shard_escape_target(&tied, 0), Some(2));
-    }
-
-    #[test]
-    fn region_escape_target_mirrors_the_shard_ranking_one_level_up() {
-        // Region-granularity Algorithm 2: fewest reasoning requests among
-        // healthy remote regions, ties by predicted footprint, then id.
+        assert_eq!(escape_target(&shards, 0), Some(1));
         let regions = vec![
             pool(0, 0, 0, 9), // home: saturated
             pool(4, 900, 0, 5),
             pool(4, 100, 0, 2),
             pool(0, 0, 0, 0), // unhealthy remote: excluded
         ];
-        assert_eq!(cross_region_escape_target(&regions, 0), Some(2));
-        let saturated = vec![pool(0, 0, 0, 1), pool(0, 0, 0, 1)];
-        assert_eq!(cross_region_escape_target(&saturated, 0), None);
-        // The home region never qualifies as its own escape.
-        let only_home = vec![pool(2, 0, 0, 1), pool(0, 0, 0, 1)];
-        assert_eq!(cross_region_escape_target(&only_home, 0), None);
+        assert_eq!(escape_target(&regions, 0), Some(2));
+        // Ties on reasoning count fall through to predicted footprint.
+        let tied = vec![pool(0, 0, 0, 9), pool(1, 800, 0, 3), pool(1, 100, 0, 3)];
+        assert_eq!(escape_target(&tied, 0), Some(2));
     }
 
     #[test]
@@ -320,9 +297,9 @@ mod tests {
     #[test]
     fn escape_returns_none_when_no_sibling_is_healthy() {
         let pools = vec![pool(0, 0, 0, 1), pool(0, 0, 0, 1)];
-        assert_eq!(cross_shard_escape_target(&pools, 0), None);
-        // The home shard itself never qualifies as its own escape.
+        assert_eq!(escape_target(&pools, 0), None);
+        // The home pool itself never qualifies as its own escape.
         let only_home_healthy = vec![pool(2, 0, 0, 1), pool(0, 0, 0, 1)];
-        assert_eq!(cross_shard_escape_target(&only_home_healthy, 0), None);
+        assert_eq!(escape_target(&only_home_healthy, 0), None);
     }
 }
