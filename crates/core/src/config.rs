@@ -18,7 +18,6 @@ use crate::fleet::FleetSpec;
 
 /// How much HBM is available for KV cache on each instance.
 #[derive(Clone, Copy, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum KvCapacityMode {
     /// Unbounded — the oracle configuration of Fig. 2(a)/Fig. 4.
     Unlimited,
@@ -332,7 +331,6 @@ pub fn estimate_capacity_rps(config: &SimConfig, mix: &DatasetMix) -> f64 {
 /// The three arrival-rate regimes of Fig. 9–12, as utilization fractions of
 /// [`estimate_capacity_rps`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum RateLevel {
     /// ~70% of estimated capacity: memory pressure is rare.
     Low,

@@ -12,7 +12,6 @@ use crate::tail::percentile;
 
 /// One predicted-vs-actual pair, captured when a request arrived.
 #[derive(Clone, Copy, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PredictionSample {
     /// The request the prediction was made for.
     pub id: RequestId,
@@ -45,7 +44,6 @@ impl PredictionSample {
 
 /// Error quantiles of a predictor over one run.
 #[derive(Clone, Copy, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CalibrationReport {
     /// Total samples (requests served under the predictor).
     pub samples: usize,

@@ -10,7 +10,6 @@ use pascal_workload::RequestId;
 
 /// Outcome tally of the migration controller over one run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MigrationOutcomes {
     /// Phase transitions at which a migration decision was evaluated.
     pub considered: u64,
@@ -146,7 +145,6 @@ impl MigrationOutcomes {
 /// to the fleet and what the engine did in response. All-zero for any run
 /// without a fleet-event schedule.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FleetOutcomes {
     /// Health transitions applied to instances (joins + drains + fails,
     /// including per-instance expansions of shard/region events).
@@ -208,7 +206,6 @@ impl FleetOutcomes {
 
 /// Admission-control tally over one run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AdmissionCounters {
     /// Arrivals admitted into the cluster.
     pub admitted: u64,
@@ -245,7 +242,6 @@ impl AdmissionCounters {
 ///
 /// A single-shard run emits exactly one row covering the whole pool.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ShardStats {
     /// Shard index.
     pub shard: u32,
@@ -277,7 +273,6 @@ pub struct ShardStats {
 ///
 /// A single-region run emits exactly one row covering the whole cluster.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RegionStats {
     /// Region index.
     pub region: u32,
@@ -310,7 +305,6 @@ pub struct RegionStats {
 
 /// One arrival the admission controller turned away.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AdmissionRecord {
     /// The rejected request.
     pub id: RequestId,

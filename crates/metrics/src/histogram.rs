@@ -15,7 +15,6 @@
 /// assert_eq!(h.bin_count(3), 2);
 /// ```
 #[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Histogram {
     bin_width: f64,
     counts: Vec<u64>,

@@ -30,7 +30,6 @@ use crate::record::RequestRecord;
 /// assert!(eval.target_ttfat.is_none());
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct QoeParams {
     /// Target time-per-output-token (the user's reading pace).
     pub target_tpot: SimDuration,
@@ -94,7 +93,6 @@ impl QoeParams {
 /// assert!(curve.qoe(SimTime::ZERO) < 1.0);
 /// ```
 #[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct StallCurve {
     tpot: SimDuration,
     len: u32,

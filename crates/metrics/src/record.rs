@@ -14,7 +14,6 @@ use crate::qoe::StallCurve;
 
 /// One KV-cache migration performed at a phase boundary (§IV-B).
 #[derive(Clone, Copy, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MigrationRecord {
     /// Source instance index.
     pub from_instance: u32,
@@ -58,7 +57,6 @@ impl MigrationRecord {
 
 /// Complete measurement record of one served request.
 #[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RequestRecord {
     /// The request as specified in the trace.
     pub spec: RequestSpec,

@@ -77,7 +77,6 @@ pub fn throughput_tokens_per_s(records: &[RequestRecord]) -> f64 {
 
 /// Mean / median / tail summary of a latency population (seconds).
 #[derive(Clone, Copy, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LatencySummary {
     /// Number of samples.
     pub count: usize,
@@ -116,7 +115,6 @@ impl LatencySummary {
 /// vs. waiting before first execution (blocked) vs. suspended afterwards
 /// (preempted) — the stacked bars of Fig. 4 and Fig. 5(a).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PhaseBreakdown {
     /// Samples aggregated.
     pub count: usize,

@@ -43,7 +43,6 @@ pub fn percentile(sorted: &[f64], p: f64) -> f64 {
 
 /// Which statistic the adaptive rule picked for a bin.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum TailStat {
     /// Maximum (bins with fewer than 10 samples).
     Max,
@@ -68,7 +67,6 @@ impl std::fmt::Display for TailStat {
 
 /// Tail statistic of one reasoning-length bin.
 #[derive(Clone, Copy, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BinTail {
     /// Inclusive lower edge of the bin (tokens).
     pub bin_lo: u32,

@@ -17,7 +17,6 @@
 /// assert!(gpu.hbm_bytes > 90_000_000_000);
 /// ```
 #[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct GpuSpec {
     /// Marketing name of the device.
     pub name: String,

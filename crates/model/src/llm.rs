@@ -18,7 +18,6 @@
 /// assert_eq!(llm.kv_bytes_per_token(), 262_144);
 /// ```
 #[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LlmSpec {
     /// Human-readable model name.
     pub name: String,

@@ -17,7 +17,6 @@
 /// assert_eq!(geo.blocks_for_tokens(17), 2);
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct KvGeometry {
     /// Tokens per block (vLLM default: 16).
     pub block_tokens: u32,

@@ -21,7 +21,6 @@ use pascal_sim::SimDuration;
 /// assert!((30.0..60.0).contains(&t.as_millis_f64()));
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LinkSpec {
     /// Achievable bandwidth in bytes/second.
     pub bandwidth: f64,

@@ -23,7 +23,6 @@ const NANOS_PER_SEC: f64 = 1e9;
 /// assert_eq!(t.as_secs_f64(), 1.5);
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SimTime(u64);
 
 /// A span of simulated time, in nanoseconds.
@@ -37,7 +36,6 @@ pub struct SimTime(u64);
 /// assert_eq!(d.as_secs_f64(), 0.12);
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SimDuration(u64);
 
 impl SimTime {

@@ -22,7 +22,6 @@ use pascal_sim::{SimDuration, SimRng, SimTime};
 /// assert!((span / 999.0 - 0.5).abs() < 0.05);
 /// ```
 #[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ArrivalProcess {
     /// Memoryless arrivals at `rate` requests/second.
     Poisson {

@@ -26,7 +26,6 @@ use crate::dist::TokenDist;
 /// assert!((arena.answering.mean() - 824.02).abs() < 1.0);
 /// ```
 #[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DatasetProfile {
     /// Dataset name as used in the paper's figures.
     pub name: String,

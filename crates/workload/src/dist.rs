@@ -21,7 +21,6 @@ use pascal_sim::{log_normal_mu_for_mean, SimRng};
 /// assert!((16..=6000).contains(&draw));
 /// ```
 #[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum TokenDist {
     /// Always the same count.
     Fixed(u32),

@@ -10,7 +10,6 @@ use pascal_sim::SimTime;
 
 /// Unique identifier of a request within one simulation.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RequestId(pub u64);
 
 impl std::fmt::Display for RequestId {
@@ -21,7 +20,6 @@ impl std::fmt::Display for RequestId {
 
 /// The two decoding phases of a reasoning-based LLM request.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Phase {
     /// Prefill plus hidden chain-of-thought decoding; latency here is TTFT.
     Reasoning,
@@ -61,7 +59,6 @@ impl std::fmt::Display for Phase {
 /// assert_eq!(req.decode_steps(), 767); // prefill emits the first token
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RequestSpec {
     /// Trace-unique id.
     pub id: RequestId,
