@@ -51,8 +51,9 @@ pub struct SimConfig {
     /// (and never consulted) when `shards` is 1.
     pub router: RouterPolicy,
     /// Number of geographic regions the cluster federates across. `1` (the
-    /// default) is the PR 4 cluster engine, byte-for-byte; above one, each
-    /// region runs its own cluster-of-shards and arrivals are routed by
+    /// default) has nothing between regions to route, spill or price, so
+    /// it runs byte-for-byte like an unfederated cluster; above one, each
+    /// region holds `shards` shards and arrivals are routed by
     /// [`SimConfig::fed_router`] from their `origin_region` tags.
     pub regions: usize,
     /// Cross-region routing discipline at the federation boundary.

@@ -213,7 +213,7 @@ impl<'a> Shard<'a> {
 
     /// Planned leave: queued members rebalance off first (they have no KV
     /// to move), then resident KV escapes through the priced migration
-    /// paths — the cross-shard/region outbox when the cluster has one,
+    /// paths — the cross-shard/region outbox when the run has one,
     /// an intra-shard move (same cost/benefit veto) otherwise. Non-PASCAL
     /// policies have no migration machinery: their residents finish in
     /// place, exactly as they would under saturation.
@@ -241,7 +241,7 @@ impl<'a> Shard<'a> {
         }
         if self.cross_escape_enabled {
             // Same outbox, staleness checks, pricing and conservation
-            // counters as a saturation escape; drained by the cluster
+            // counters as a saturation escape; resolved by the engine
             // right after this transition is applied.
             for handle in residents {
                 let id = self.states[handle].spec.id;

@@ -359,10 +359,10 @@ impl<'a> Engine<'a> {
     }
 
     /// Region `r`'s shard router: the global id of the shard an arrival
-    /// goes to and that shard's monitor sweep at `now`, in the shard's
-    /// scratch buffer (the caller hands it back). A load-aware router
+    /// goes to and that shard's monitor sweep at `now`, which the caller
+    /// hands to the shard's scratch buffer when done. A load-aware router
     /// sweeps every shard of the region and keeps the chosen one's rows;
-    /// otherwise only the chosen shard is swept.
+    /// otherwise only the chosen shard is swept, into its scratch buffer.
     fn route_in_region(&mut self, r: usize, now: SimTime) -> (usize, Vec<InstanceStats>) {
         let shards = self.region_shards(r);
         let router = self.config.router;
@@ -507,7 +507,7 @@ impl<'a> Engine<'a> {
                 .map(|to| (dest, to))
         });
         let Some((dest, to_local)) = landing else {
-            return self.abort_escape(tier, from, candidate, now);
+            return self.refuse_escape(tier, from, candidate, now, false);
         };
 
         // The cost/benefit test at the tier's (higher) price. A veto only
@@ -532,15 +532,7 @@ impl<'a> Engine<'a> {
                 })
         };
         if cost.is_some_and(|c| c.vetoes()) {
-            *self.tally(from, tier).vetoed += 1;
-            self.trace_escape(
-                from,
-                &candidate,
-                now,
-                TraceEventKind::MigrationVetoed { tier },
-            );
-            self.escape_fallback(from, candidate, now, true);
-            return None;
+            return self.refuse_escape(tier, from, candidate, now, true);
         }
 
         // Adaptive reservation on the destination (the race-free Fig. 7
@@ -554,7 +546,7 @@ impl<'a> Engine<'a> {
         {
             self.shards[dest].migration_ctl.reserve(id, needed);
         } else if policy.adaptive_migration() {
-            return self.abort_escape(tier, from, candidate, now);
+            return self.refuse_escape(tier, from, candidate, now, false);
         }
 
         let (link, from_port, to_port) = self.escape_link(tier, from, dest);
@@ -644,23 +636,27 @@ impl<'a> Engine<'a> {
         sh.emit_trace(now, Some(instance), Some(candidate.req), kind);
     }
 
-    /// No landing instance qualified (or its reservation failed): counts
-    /// and traces the abort, then falls back.
-    fn abort_escape(
+    /// A considered escape that will not launch — vetoed by the cost test,
+    /// or aborted because no landing instance qualified (or its
+    /// reservation failed): counts and traces it, then falls back.
+    fn refuse_escape(
         &mut self,
         tier: EscapeTier,
         from: usize,
         candidate: EscapeCandidate,
         now: SimTime,
+        vetoed: bool,
     ) -> Option<EscapeCandidate> {
-        *self.tally(from, tier).aborted += 1;
-        self.trace_escape(
-            from,
-            &candidate,
-            now,
-            TraceEventKind::MigrationAborted { tier },
-        );
-        self.escape_fallback(from, candidate, now, false);
+        let tally = self.tally(from, tier);
+        let kind = if vetoed {
+            *tally.vetoed += 1;
+            TraceEventKind::MigrationVetoed { tier }
+        } else {
+            *tally.aborted += 1;
+            TraceEventKind::MigrationAborted { tier }
+        };
+        self.trace_escape(from, &candidate, now, kind);
+        self.escape_fallback(from, candidate, now, vetoed);
         None
     }
 
@@ -695,8 +691,8 @@ impl<'a> Engine<'a> {
     /// An escape cleared its link: free the source side, hand the request
     /// state to shard `to`, land the KV on `to_local`. A cross-shard
     /// landing reschedules the source before the destination, a
-    /// cross-region one the destination first — each tier's order since
-    /// it was introduced.
+    /// cross-region one the destination first; when both shards act at
+    /// the landing instant, that order is the order of their trace events.
     fn land_escape(&mut self, from: usize, req: ReqHandle, to: usize, to_local: u32, now: SimTime) {
         let cross_region = self.region_of(from) != self.region_of(to);
         let (mut st, from_local) = self.shards[from].depart_migrated(req);

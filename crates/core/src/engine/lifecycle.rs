@@ -104,9 +104,9 @@ impl Shard<'_> {
 
     /// Ends the in-flight iteration on `instance`: closes the batch and
     /// emits one token per member (firing phase transitions and
-    /// completions). The caller — the cluster dispatcher — follows up with
-    /// [`Shard::try_schedule`] after it has drained any cross-shard
-    /// escapes the transitions queued, so an escaping request cannot be
+    /// completions). The caller — the engine's event handler — follows up
+    /// with [`Shard::try_schedule`] after it has resolved any escapes the
+    /// transitions queued, so an escaping request cannot be
     /// relaunched underneath its own migration decision.
     pub(super) fn finish_iteration(&mut self, instance: u32, now: SimTime) {
         self.count_work(|w| w.full_path_iterations += 1);

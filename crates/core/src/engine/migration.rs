@@ -135,7 +135,7 @@ impl Shard<'_> {
         // A saturated shard — every instance SLO-unhealthy (Algorithm 2
         // runs on its all-unhealthy fallback), or no instance able to hold
         // this request's KV right now (the memory pressure behind the
-        // Fig. 7 override) — escalates the decision to the cluster: the
+        // Fig. 7 override) — escalates the decision to the engine: the
         // request becomes a cross-shard escape candidate, re-evaluated at
         // shard granularity over the slower interconnect once this
         // iteration's transitions have all landed. A `MigrateTo` inside a
@@ -152,7 +152,7 @@ impl Shard<'_> {
         // A *draining* instance is filtered out of the monitor sweep, so
         // the policy's decision (which expects its own row) cannot run:
         // the transition becomes a drain escape instead — cross-shard when
-        // the cluster has that path, an intra-shard move (same cost/benefit
+        // the run has that path, an intra-shard move (same cost/benefit
         // veto) otherwise. Down instances never emit tokens, so only
         // `Draining` reaches this. The `considered` tally above already
         // counted this decision.

@@ -15,8 +15,8 @@
 //!
 //! Hot-path consumers (arrival placement, phase transitions) sweep into a
 //! reused buffer via [`Shard::collect_stats_into`]; the allocating
-//! [`Shard::collect_stats`] remains for the cluster-level paths that need
-//! an owned snapshot.
+//! [`Shard::collect_stats`] remains for the engine's routing and escape
+//! paths that need an owned snapshot.
 
 use pascal_cluster::InstanceStats;
 use pascal_sched::SchedPolicy;

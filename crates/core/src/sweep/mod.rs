@@ -81,8 +81,8 @@ pub struct ScenarioSpec {
     pub shards: usize,
     /// Cross-shard routing discipline (only meaningful when `shards > 1`).
     pub router: RouterPolicy,
-    /// Geographic regions the cluster federates across (`1` = the PR 4
-    /// cluster engine). Must divide `instances`.
+    /// Geographic regions the cluster federates across (`1` = an
+    /// unfederated cluster). Must divide `instances`.
     pub regions: usize,
     /// Cross-region routing discipline (only meaningful when
     /// `regions > 1`).
