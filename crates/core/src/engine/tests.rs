@@ -826,8 +826,8 @@ mod federation {
     }
 
     /// The same contract under active controllers: predictive admission
-    /// (whose probe/commit path must tally identically, and which must not
-    /// try to spill at one region) and the cost/benefit migration veto.
+    /// (whose probe/commit path must tally identically) and the
+    /// cost/benefit migration veto.
     #[test]
     fn one_region_matches_the_cluster_engine_under_controllers() {
         let trace = geo_trace(120, 10.0, 31, 1);
