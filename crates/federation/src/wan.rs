@@ -99,6 +99,8 @@ impl std::fmt::Display for WanLink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pascal_cluster::Fabric;
+    use pascal_sim::SimTime;
 
     #[test]
     fn keys_round_trip_and_errors_list_valid_values() {
@@ -148,5 +150,19 @@ mod tests {
             times.windows(2).all(|w| w[0] < w[1]),
             "transfer times must grow with distance: {times:?}"
         );
+    }
+
+    #[test]
+    fn topology_contends_on_shared_ports_and_not_on_disjoint_pairs() {
+        // The WAN tier as the engine builds it: one full-duplex port per
+        // region over the class's link.
+        let mut wan = Fabric::new(4, WanLink::Regional.link());
+        let bytes = 1 << 30;
+        let (s1, f1) = wan.migrate(SimTime::ZERO, 0, 1, bytes);
+        assert_eq!(f1, s1 + WanLink::Regional.link().transfer_time(bytes));
+        let (s2, _) = wan.migrate(SimTime::ZERO, 2, 3, bytes);
+        assert_eq!(s2, SimTime::ZERO, "disjoint region pairs run concurrently");
+        let (s3, _) = wan.migrate(SimTime::ZERO, 0, 2, bytes);
+        assert_eq!(s3, f1, "region 0's egress serializes");
     }
 }

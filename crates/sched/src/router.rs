@@ -265,15 +265,23 @@ mod tests {
 
     #[test]
     fn escape_target_prefers_least_reasoning_among_healthy_siblings() {
-        // The same ranking at both tiers: sibling shards of one region, or
-        // the regions of a federation.
-        let shards = vec![
+        let pools = vec![
             pool(0, 0, 0, 9), // home: saturated
             pool(2, 800, 0, 3),
             pool(2, 100, 0, 5),
             pool(0, 0, 0, 0), // unhealthy sibling: excluded
         ];
-        assert_eq!(escape_target(&shards, 0), Some(1));
+        assert_eq!(escape_target(&pools, 0), Some(1));
+        // Ties on reasoning count fall through to predicted footprint.
+        let tied = vec![pool(0, 0, 0, 9), pool(1, 800, 0, 3), pool(1, 100, 0, 3)];
+        assert_eq!(escape_target(&tied, 0), Some(2));
+    }
+
+    #[test]
+    fn region_escape_target_mirrors_the_shard_ranking_one_level_up() {
+        // Region-granularity Algorithm 2: the same ranking over region
+        // aggregates — fewest reasoning requests among healthy remote
+        // regions, ties by predicted footprint, then id.
         let regions = vec![
             pool(0, 0, 0, 9), // home: saturated
             pool(4, 900, 0, 5),
@@ -281,9 +289,11 @@ mod tests {
             pool(0, 0, 0, 0), // unhealthy remote: excluded
         ];
         assert_eq!(escape_target(&regions, 0), Some(2));
-        // Ties on reasoning count fall through to predicted footprint.
-        let tied = vec![pool(0, 0, 0, 9), pool(1, 800, 0, 3), pool(1, 100, 0, 3)];
-        assert_eq!(escape_target(&tied, 0), Some(2));
+        let saturated = vec![pool(0, 0, 0, 1), pool(0, 0, 0, 1)];
+        assert_eq!(escape_target(&saturated, 0), None);
+        // The home region never qualifies as its own escape.
+        let only_home = vec![pool(2, 0, 0, 1), pool(0, 0, 0, 1)];
+        assert_eq!(escape_target(&only_home, 0), None);
     }
 
     #[test]
