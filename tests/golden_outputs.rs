@@ -4,16 +4,18 @@
 //! scratch-buffer scheduling) are only safe because every output
 //! byte is pinned. These tests run the CLI end-to-end at committed seeds —
 //! a single-instance run, a sharded run, a federated run, an FCFS run,
-//! two runs that escape across shards and regions, and the full
+//! two runs that escape across shards and regions, a one-shard run that
+//! drains instances, a NonAdaptive sharded run, and the full
 //! ci+sharded+federated sweep grid — and require stdout, stderr,
 //! per-request CSVs, `sweep.json` and `sweep.csv` to match the fixtures
-//! under `tests/golden/` byte for byte (the escape runs' CSVs and traces
-//! by digest).
+//! under `tests/golden/` byte for byte (the CSVs and traces of the
+//! `escape_cases()` runs by digest).
 //!
 //! If a change legitimately alters scheduling behaviour, regenerate the
 //! fixtures (the commands are the `run_cases()` and `escape_cases()`
-//! tables below, executed from an empty directory) in the same PR and say
-//! so in the PR description.
+//! tables below, executed from a directory holding only `drain.fleet`
+//! with `DRAIN_SCHEDULE`'s contents) in the same PR and say so in the PR
+//! description.
 //! A diff here that you did *not* expect means the change broke the
 //! determinism contract, not the fixture.
 
@@ -168,13 +170,19 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     })
 }
 
-/// Runs that migrate across shards and regions: (name, CLI arguments,
-/// FNV-1a-64 digests of the per-request CSV and of the JSONL trace). The
-/// CSV (~250 KB) and the trace (~2 MB) are pinned by digest; stdout and
-/// stderr by fixture. `run_escape_sharded` considers 133 cross-shard
-/// escapes (27 launched, 39 vetoed, 67 aborted, 131 fallbacks);
-/// `run_escape_federated` 54 cross-shard and 77 cross-region escapes
-/// through a region outage.
+/// Runs that migrate across shards and regions, off draining instances
+/// and without reservations: (name, CLI arguments, FNV-1a-64 digests of
+/// the per-request CSV and of the JSONL trace). The CSV (~250 KB) and the
+/// trace (~2.5 MB) are pinned by digest; stdout and stderr by fixture.
+/// `run_escape_sharded` considers 133 cross-shard escapes (27 launched,
+/// 39 vetoed, 67 aborted, 131 fallbacks); `run_escape_federated` 54
+/// cross-shard and 77 cross-region escapes through a region outage.
+/// `run_drain_single` drains two instances of a one-shard run
+/// ([`DRAIN_SCHEDULE`]): its drains consider 58 intra-shard moves at drain
+/// start and 24 at phase boundaries on draining instances, and 89
+/// requests strand. `run_nonadaptive_sharded` launches 1,604 intra-shard
+/// and 204 cross-shard moves without a reservation, 588 of which land in
+/// the destination's CPU pool.
 fn escape_cases() -> Vec<(&'static str, Vec<&'static str>, u64, u64)> {
     vec![
         (
@@ -239,12 +247,71 @@ fn escape_cases() -> Vec<(&'static str, Vec<&'static str>, u64, u64)> {
             0x492d_078b_be9c_68df,
             0x1adf_3777_6885_fd9b,
         ),
+        (
+            "run_drain_single",
+            vec![
+                "run",
+                "--dataset",
+                "mixed",
+                "--predictor",
+                "quantile",
+                "--migration-benefit",
+                "4",
+                "--instances",
+                "8",
+                "--rate",
+                "high",
+                "--count",
+                "2000",
+                "--seed",
+                "7",
+                "--fleet-events",
+                "drain.fleet",
+                "--csv",
+                "run_drain_single.csv",
+                "--trace-out",
+                "run_drain_single.jsonl",
+            ],
+            0x5992_ea27_ff5d_0aeb,
+            0x62cc_7b15_5397_3581,
+        ),
+        (
+            "run_nonadaptive_sharded",
+            vec![
+                "run",
+                "--dataset",
+                "mixed",
+                "--policy",
+                "pascal-nonadaptive",
+                "--instances",
+                "8",
+                "--shards",
+                "2",
+                "--rate",
+                "high",
+                "--count",
+                "2000",
+                "--seed",
+                "7",
+                "--csv",
+                "run_nonadaptive_sharded.csv",
+                "--trace-out",
+                "run_nonadaptive_sharded.jsonl",
+            ],
+            0xf1f0_2d5a_b1ae_3320,
+            0x0a57_b79b_e458_961b,
+        ),
     ]
 }
+
+/// The fleet schedule `run_drain_single` reads from `drain.fleet` in its
+/// working directory: two drains, a fail-stop and a rejoin.
+const DRAIN_SCHEDULE: &str = "40.0 drain 1\n80.0 drain 2\n120.0 fail 3\n160.0 join 1\n";
 
 #[test]
 fn escape_runs_are_byte_identical_to_fixtures() {
     let dir = scratch_dir("escapes");
+    fs::write(dir.join("drain.fleet"), DRAIN_SCHEDULE).expect("fleet schedule written");
     for (name, args, csv_digest, trace_digest) in escape_cases() {
         let out = Command::new(env!("CARGO_BIN_EXE_pascal-cli"))
             .args(&args)
