@@ -35,13 +35,14 @@
 //! a parked standby instance (after the configured lead time) or drains
 //! the highest-id scaler-managed one back into the pool.
 
-use pascal_cluster::{KvLocation, ReqHandle};
+use pascal_cluster::{InstanceStats, KvLocation, ReqHandle};
 use pascal_sim::SimTime;
-use pascal_telemetry::TraceEventKind;
+use pascal_telemetry::{EscapeTier, TraceEventKind};
 
 use crate::fleet::{AutoscalePolicy, HealthState};
 
-use super::{EscapeCandidate, Event, Shard};
+use super::migration::Verdict;
+use super::{Event, Shard};
 
 /// Autoscaler runtime state of one shard.
 pub(crate) struct AutoscalerRt {
@@ -214,9 +215,9 @@ impl<'a> Shard<'a> {
     /// Planned leave: queued members rebalance off first (they have no KV
     /// to move), then resident KV escapes through the priced migration
     /// paths — the cross-shard/region outbox when the run has one,
-    /// an intra-shard move (same cost/benefit veto) otherwise. Non-PASCAL
-    /// policies have no migration machinery: their residents finish in
-    /// place, exactly as they would under saturation.
+    /// the intra-shard drain move otherwise. Non-PASCAL policies have no
+    /// migration machinery: their residents finish in place, exactly as
+    /// they would under saturation.
     fn begin_drain_migrate(&mut self, instance: u32, now: SimTime) {
         let mut waiting = Vec::new();
         let mut residents = Vec::new();
@@ -239,67 +240,49 @@ impl<'a> Shard<'a> {
         if !migration_on {
             return;
         }
-        if self.cross_escape_enabled {
-            // Same outbox, staleness checks, pricing and conservation
-            // counters as a saturation escape; resolved by the engine
-            // right after this transition is applied.
-            for handle in residents {
-                let id = self.states[handle].spec.id;
-                self.cross_escape_outbox.push(EscapeCandidate {
-                    req: id,
-                    handle,
-                    intra_fallback: None,
-                });
-            }
-        } else {
-            for handle in residents {
-                self.drain_migrate_intra(handle, now);
+        for handle in residents {
+            if self.cross_escape_enabled {
+                // Same outbox, staleness checks, pricing and conservation
+                // counters as a saturation escape; resolved by the engine
+                // right after this transition is applied.
+                self.queue_escape(handle, None);
+            } else {
+                let predicted_remaining = self.predicted_remaining_tokens(handle);
+                self.tally_move(EscapeTier::Intra, Verdict::Considered, handle, now);
+                self.drain_move(handle, predicted_remaining, None, now);
             }
         }
     }
 
-    /// One intra-shard drain escape: Algorithm 2's landing ranking over
-    /// the healthy survivors, gated by the same cost/benefit veto a
-    /// saturation escape faces.
-    fn drain_migrate_intra(&mut self, handle: ReqHandle, now: SimTime) {
-        let (id, from, needed) = {
-            let st = &self.states[handle];
-            (
-                st.spec.id,
-                st.instance,
-                self.geometry.blocks_for_tokens(st.tokens_needed_next()),
-            )
-        };
-        let predicted_remaining = self.predicted_remaining_tokens(handle);
-        let global = Some(self.global_instance(from));
-        self.migration_ctl.outcomes.considered += 1;
-        self.emit_trace(
-            now,
-            global,
-            Some(id),
-            TraceEventKind::MigrationConsidered {
-                tier: pascal_telemetry::EscapeTier::Intra,
-            },
-        );
-        let cost = self.migration_cost(handle, predicted_remaining);
+    /// One intra-shard move off a draining instance: the cost/benefit veto
+    /// on the shard's fabric, then Algorithm 2's landing ranking over the
+    /// healthy survivors — on `swept` when the caller already swept the
+    /// shard, else on a sweep taken only once the veto passed.
+    pub(super) fn drain_move(
+        &mut self,
+        handle: ReqHandle,
+        predicted_remaining: Option<f64>,
+        swept: Option<&[InstanceStats]>,
+        now: SimTime,
+    ) {
+        let cost = self.transfer_cost(self.fabric.link(), handle, predicted_remaining);
         if cost.is_some_and(|c| c.vetoes()) {
-            self.migration_ctl.outcomes.vetoed_by_cost += 1;
-            self.emit_trace(
-                now,
-                global,
-                Some(id),
-                TraceEventKind::MigrationVetoed {
-                    tier: pascal_telemetry::EscapeTier::Intra,
-                },
-            );
-            return;
+            return self.tally_move(EscapeTier::Intra, Verdict::Vetoed, handle, now);
         }
-        let mut stats = std::mem::take(&mut self.scratch.stats);
-        self.collect_stats_into(now, &mut stats);
-        let dest = self.policy.cross_shard_instance(needed, &stats);
-        self.scratch.stats = stats;
+        let needed = self
+            .geometry
+            .blocks_for_tokens(self.states[handle].tokens_needed_next());
+        let dest = if let Some(stats) = swept {
+            self.policy.cross_shard_instance(needed, stats)
+        } else {
+            let mut stats = std::mem::take(&mut self.scratch.stats);
+            self.collect_stats_into(now, &mut stats);
+            let dest = self.policy.cross_shard_instance(needed, &stats);
+            self.scratch.stats = stats;
+            dest
+        };
         if let Some(dest) = dest {
-            self.start_migration(handle, dest, predicted_remaining, now);
+            self.migrate_intra(handle, dest, predicted_remaining, now);
         }
     }
 

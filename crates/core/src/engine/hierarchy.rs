@@ -15,8 +15,8 @@
 //! produced, and shard events tie-break by shard id, then schedule order
 //! (the [`EventQueue`](pascal_sim::EventQueue)'s `(time, shard, sequence)`
 //! contract) — so a one-shard run replays the pre-sharding engine byte for
-//! byte. Three mechanisms sit above the shards, each written once for both
-//! tiers:
+//! byte. Above the shards sit two mechanisms, each written once for both
+//! upper tiers, and the landing, written once for all three:
 //!
 //! * **arrival routing** ([`Engine::arrive`]): the federation policy picks
 //!   the region (every arrival carries an `origin_region` tag), the
@@ -30,21 +30,22 @@
 //!   the instance relaunches, every candidate tries the shard tier — a
 //!   sibling shard over the region's interconnect — and the ones whose
 //!   region has no healthy sibling then try the region tier — a remote
-//!   region over the WAN. Destination ranking
-//!   ([`escape_target`]), landing instance (the destination shard's own
-//!   Algorithm 2 ranking), the predictive cost/benefit veto priced on the
-//!   tier's link, reservation and launch are one code path; every failure
-//!   executes the candidate's deferred intra-shard move;
-//! * **landing** ([`Engine::land_escape`]): one queue event carries the
+//!   region over the WAN. Destination ranking ([`escape_target`]) and
+//!   landing instance (the destination shard's own Algorithm 2 ranking)
+//!   are the escape's own; the cost/benefit veto priced on the tier's
+//!   link, the tally, the reservation and the launch are the migration
+//!   path an intra-shard move takes ([`migration`](super::migration)).
+//!   Every failure executes the candidate's deferred intra-shard move;
+//! * **landing** ([`Engine::land_migration`]): one queue event carries the
 //!   destination's global shard id, and the tier follows from whether that
-//!   shard is in the source's region.
+//!   shard is the source, in the source's region, or in another.
 
 use std::ops::Range;
 
 use pascal_cluster::{Fabric, InstanceStats, KvLocation, PoolSnapshot, ReqHandle};
 use pascal_federation::{spill_order, FederationSpec};
-use pascal_metrics::{AdmissionCounters, MigrationOutcomes, MigrationRecord, RegionStats};
-use pascal_sched::{best_escape_shard, escape_target, MigrationCost, RouterPolicy, SchedPolicy};
+use pascal_metrics::{AdmissionCounters, MigrationOutcomes, RegionStats};
+use pascal_sched::{best_escape_shard, escape_target, RouterPolicy, SchedPolicy};
 use pascal_sim::SimTime;
 use pascal_telemetry::{
     EscapeTier, ProfiledEvent, SeriesRow, SeriesScope, TelemetryHandle, TraceEventKind,
@@ -57,8 +58,9 @@ use crate::fleet::HealthState;
 
 use super::admission::AdmissionProbe;
 use super::driver::{Clock, Next};
+use super::migration::Verdict;
 use super::steady::Step;
-use super::{context_kv_bytes, EscapeCandidate, Event, Shard, SimOutput};
+use super::{context_kv_bytes, tier_between, EscapeCandidate, Event, Shard, SimOutput};
 
 /// One region: the interconnect between its shards, its shard router's
 /// cursor, and the arrival tallies of the federation boundary.
@@ -72,38 +74,6 @@ struct Region {
     nonlocal_arrivals: u64,
     spill_in: u64,
     spill_out: u64,
-}
-
-/// One tier's escape counters in a [`MigrationOutcomes`] — the one place
-/// the `cross_shard_*` and `cross_region_*` field families are told apart.
-struct TierTally<'o> {
-    considered: &'o mut u64,
-    vetoed: &'o mut u64,
-    aborted: &'o mut u64,
-    launched: &'o mut u64,
-    bytes_moved: &'o mut u64,
-}
-
-impl<'o> TierTally<'o> {
-    fn of(o: &'o mut MigrationOutcomes, tier: EscapeTier) -> Self {
-        match tier {
-            EscapeTier::CrossShard => TierTally {
-                considered: &mut o.cross_shard_considered,
-                vetoed: &mut o.cross_shard_vetoed_by_cost,
-                aborted: &mut o.cross_shard_aborted,
-                launched: &mut o.cross_shard_launched,
-                bytes_moved: &mut o.cross_shard_bytes_moved,
-            },
-            EscapeTier::CrossRegion => TierTally {
-                considered: &mut o.cross_region_considered,
-                vetoed: &mut o.cross_region_vetoed_by_cost,
-                aborted: &mut o.cross_region_aborted,
-                launched: &mut o.cross_region_launched,
-                bytes_moved: &mut o.cross_region_bytes_moved,
-            },
-            EscapeTier::Intra => unreachable!("an escape leaves its shard"),
-        }
-    }
 }
 
 /// The run: its clock, every shard, one record per region, and the WAN.
@@ -273,14 +243,11 @@ impl<'a> Engine<'a> {
             Event::AutoscaleTick => self.shards[s].autoscale_tick(now),
             Event::OffloadDone { req } => return self.shards[s].on_offload_done(req, now),
             Event::ReloadDone { req } => return self.shards[s].on_reload_done(req, now),
-            Event::MigrationDone { req, to } => {
-                return self.shards[s].on_migration_done(req, to, now);
-            }
-            Event::EscapeDone {
+            Event::MigrationDone {
                 req,
                 to_shard,
                 to_instance,
-            } => return self.land_escape(s, req, to_shard as usize, to_instance, now),
+            } => return self.land_migration(s, req, to_shard as usize, to_instance, now),
         };
         self.resolve_escapes(s, now);
         if let Some(instance) = relaunch {
@@ -472,13 +439,7 @@ impl<'a> Engine<'a> {
             self.escape_fallback(from, candidate, now, false);
             return None;
         };
-        *self.tally(from, tier).considered += 1;
-        self.trace_escape(
-            from,
-            &candidate,
-            now,
-            TraceEventKind::MigrationConsidered { tier },
-        );
+        self.shards[from].tally_move(tier, Verdict::Considered, handle, now);
 
         let (needed, bytes, predicted_remaining) = {
             let sh = &self.shards[from];
@@ -507,91 +468,30 @@ impl<'a> Engine<'a> {
                 .map(|to| (dest, to))
         });
         let Some((dest, to_local)) = landing else {
-            return self.refuse_escape(tier, from, candidate, now, false);
+            return self.refuse_escape(tier, from, candidate, now, Verdict::Aborted);
         };
 
         // The cost/benefit test at the tier's (higher) price. A veto only
         // rules out the expensive tier: the deferred intra-shard move
         // (which passed the cheaper intra-priced test at the transition)
         // still executes.
-        let transfer_time = self
-            .escape_link(tier, from, dest)
-            .0
-            .link()
-            .transfer_time(bytes);
-        let cost = {
-            let sh = &self.shards[from];
-            sh.migration_ctl
-                .predictive()
-                .filter(|_| sh.predictor.is_some())
-                .map(|p| MigrationCost {
-                    transfer_time,
-                    predicted_remaining_service: predicted_remaining
-                        .map(|tokens| self.config.target_tpot.mul_f64(tokens)),
-                    min_benefit_ratio: p.min_benefit_ratio,
-                })
-        };
+        let link = self.escape_link(tier, from, dest).0.link();
+        let cost = self.shards[from].transfer_cost(link, handle, predicted_remaining);
         if cost.is_some_and(|c| c.vetoes()) {
-            return self.refuse_escape(tier, from, candidate, now, true);
+            return self.refuse_escape(tier, from, candidate, now, Verdict::Vetoed);
         }
-
-        // Adaptive reservation on the destination (the race-free Fig. 7
-        // form), recorded in the destination shard's ledger so landing
-        // consumes it from the shard that holds the blocks. NonAdaptive
-        // launches blindly and may land in the destination's CPU pool.
-        if self.shards[dest].instances[to_local as usize]
-            .inst
-            .gpu
-            .try_alloc(needed)
-        {
-            self.shards[dest].migration_ctl.reserve(id, needed);
-        } else if policy.adaptive_migration() {
-            return self.refuse_escape(tier, from, candidate, now, false);
+        if !self.shards[dest].reserve_landing(id, to_local, needed) {
+            return self.refuse_escape(tier, from, candidate, now, Verdict::Aborted);
         }
-
         let (link, from_port, to_port) = self.escape_link(tier, from, dest);
         let (_, finish) = link.migrate(now, from_port, to_port, bytes);
-        let to_global = self.shards[dest].global_instance(to_local);
-        self.trace_escape(
-            from,
-            &candidate,
-            now,
-            TraceEventKind::MigrationLaunched {
-                tier,
-                to_shard: dest as u32,
-                to_instance: to_global,
-                bytes,
-            },
-        );
-        let sh = &mut self.shards[from];
-        sh.set_kv_location(handle, KvLocation::Migrating);
-        let st = &mut sh.states[handle];
-        st.resident_since = None;
-        let from_local = st.instance;
-        let held = st.held_gpu_blocks;
-        st.migration = Some(MigrationRecord {
-            from_instance: sh.offset + from_local,
-            to_instance: to_global,
-            started: now,
-            finished: finish,
-            bytes,
-            stall: None,
-            predicted_remaining_tokens: predicted_remaining,
-            actual_remaining_tokens: st.spec.output_tokens() - st.tokens_generated,
-        });
-        sh.instances[from_local as usize].dying_blocks += held;
-        sh.migration_ctl.outcomes.launched += 1;
-        sh.migration_ctl.outcomes.bytes_moved += bytes;
-        let tally = TierTally::of(&mut sh.migration_ctl.outcomes, tier);
-        *tally.launched += 1;
-        *tally.bytes_moved += bytes;
-        sh.queue.schedule(
+        self.shards[from].launch_migration(
+            handle,
+            dest as u32,
+            to_local,
             finish,
-            Event::EscapeDone {
-                req: handle,
-                to_shard: dest as u32,
-                to_instance: to_local,
-            },
+            predicted_remaining,
+            now,
         );
         None
     }
@@ -617,25 +517,6 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Shard `from`'s escape counters at `tier`.
-    fn tally(&mut self, from: usize, tier: EscapeTier) -> TierTally<'_> {
-        TierTally::of(&mut self.shards[from].migration_ctl.outcomes, tier)
-    }
-
-    /// Emits an escape decision's trace event at the request's instance on
-    /// the source shard.
-    fn trace_escape(
-        &self,
-        from: usize,
-        candidate: &EscapeCandidate,
-        now: SimTime,
-        kind: TraceEventKind,
-    ) {
-        let sh = &self.shards[from];
-        let instance = sh.global_instance(sh.states[candidate.handle].instance);
-        sh.emit_trace(now, Some(instance), Some(candidate.req), kind);
-    }
-
     /// A considered escape that will not launch — vetoed by the cost test,
     /// or aborted because no landing instance qualified (or its
     /// reservation failed): counts and traces it, then falls back.
@@ -645,18 +526,10 @@ impl<'a> Engine<'a> {
         from: usize,
         candidate: EscapeCandidate,
         now: SimTime,
-        vetoed: bool,
+        verdict: Verdict,
     ) -> Option<EscapeCandidate> {
-        let tally = self.tally(from, tier);
-        let kind = if vetoed {
-            *tally.vetoed += 1;
-            TraceEventKind::MigrationVetoed { tier }
-        } else {
-            *tally.aborted += 1;
-            TraceEventKind::MigrationAborted { tier }
-        };
-        self.trace_escape(from, &candidate, now, kind);
-        self.escape_fallback(from, candidate, now, vetoed);
+        self.shards[from].tally_move(tier, verdict, candidate.handle, now);
+        self.escape_fallback(from, candidate, now, verdict == Verdict::Vetoed);
         None
     }
 
@@ -685,44 +558,69 @@ impl<'a> Engine<'a> {
             Some(candidate.req),
             TraceEventKind::EscapeFallback { after_veto },
         );
-        sh.launch_deferred_migration(candidate.handle, dest, now);
+        // The decision was made at the transition; only the launch was
+        // deferred, so the predictor's remaining-service view is re-read.
+        let predicted_remaining = sh.predicted_remaining_tokens(candidate.handle);
+        sh.migrate_intra(candidate.handle, dest, predicted_remaining, now);
     }
 
-    /// An escape cleared its link: free the source side, hand the request
-    /// state to shard `to`, land the KV on `to_local`. A cross-shard
-    /// landing reschedules the source before the destination, a
-    /// cross-region one the destination first; when both shards act at
+    /// A migration cleared its link — the source shard's fabric, its
+    /// region's interconnect or the WAN: the source `from` frees the KV it
+    /// sent and hands the request to local instance `to_local` of shard
+    /// `to` (within a shard the member moves; across shards its state
+    /// changes slabs), where the KV lands. The source reschedules before
+    /// the destination, except after a cross-region move; when both act at
     /// the landing instant, that order is the order of their trace events.
-    fn land_escape(&mut self, from: usize, req: ReqHandle, to: usize, to_local: u32, now: SimTime) {
-        let cross_region = self.region_of(from) != self.region_of(to);
-        let (mut st, from_local) = self.shards[from].depart_migrated(req);
-        let sh = &mut self.shards[to];
-        st.instances_visited.push(sh.global_instance(to_local));
-        let landed = sh.states.insert(st);
-        sh.add_member(landed, to_local);
-        if cross_region {
-            sh.cross_region_in += 1;
+    fn land_migration(
+        &mut self,
+        from: usize,
+        req: ReqHandle,
+        to: usize,
+        to_local: u32,
+        now: SimTime,
+    ) {
+        let tier = tier_between(from as u32, to as u32, self.config.shards as u32);
+        let src = &mut self.shards[from];
+        let st = &mut src.states[req];
+        assert_eq!(st.kv_location, KvLocation::Migrating);
+        let (from_local, held) = (st.instance, std::mem::take(&mut st.held_gpu_blocks));
+        let rt = &mut src.instances[from_local as usize];
+        rt.inst.gpu.free(held);
+        rt.dying_blocks -= held;
+        let landed = if tier == EscapeTier::Intra {
+            let global = src.global_instance(to_local);
+            src.states[req].instances_visited.push(global);
+            src.move_member(req, to_local);
+            req
         } else {
-            sh.cross_shard_in += 1;
-        }
-        // The landing tail — reservation consume / allocate / CPU-pool
-        // fallback — is the same mechanism as an intra-shard migration,
-        // applied on the destination shard (whose ledger holds the
-        // reservation made at launch).
-        sh.land_migration(landed, to_local, now);
+            src.remove_member(req);
+            let mut st = src.states.remove(req);
+            let sh = &mut self.shards[to];
+            st.instances_visited.push(sh.global_instance(to_local));
+            let landed = sh.states.insert(st);
+            sh.add_member(landed, to_local);
+            if tier == EscapeTier::CrossShard {
+                sh.cross_shard_in += 1;
+            } else {
+                sh.cross_region_in += 1;
+            }
+            landed
+        };
+        let sh = &mut self.shards[to];
+        sh.land_kv(landed, to_local, now);
         // A destination that fail-stopped while the transfer was in flight
         // strands the request — after the landing's normal accounting, so
         // the pool books stay auditable through the outage.
         if sh.health[to_local as usize] == HealthState::Down {
             sh.strand_request(landed, now);
         }
-        if cross_region {
+        if tier == EscapeTier::CrossRegion {
             sh.try_schedule(to_local, now);
         }
         // The source just lost a member; a draining source may now be empty.
         self.shards[from].check_drain_complete(from_local, now);
         self.shards[from].try_schedule(from_local, now);
-        if !cross_region {
+        if tier != EscapeTier::CrossRegion {
             self.shards[to].try_schedule(to_local, now);
         }
     }

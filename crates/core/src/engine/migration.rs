@@ -1,23 +1,40 @@
-//! The migration controller: phase-boundary KV-cache migration (§IV-B).
+//! Phase-boundary KV-cache migration (§IV-B) and the one path every move
+//! takes, at every tier.
 //!
-//! Owns everything that happens after a request finishes its reasoning
-//! phase: the Algorithm 2 decision (delegated to the policy), the
-//! *predictive cost/benefit test* that weighs the physical KV transfer cost
-//! (from `pascal-model`'s link model) against the predicted remaining
-//! service of the request (from `pascal-predict`), destination block
-//! reservation, the transfer itself, and the landing. Every decision is
-//! tallied in [`MigrationOutcomes`]; launched transfers additionally record
-//! the predicted-vs-actual remaining service at decision time so the cost
+//! A request's KV moves when it finishes its reasoning phase (the
+//! Algorithm 2 decision, delegated to the policy) or leaves a draining
+//! instance: within its shard over the shard's fabric, or — when the shard
+//! is saturated — to a sibling shard over the region's interconnect or to
+//! a remote region over the WAN (the engine's escapes, decided in
+//! [`hierarchy`](super::hierarchy)). Whatever the tier, a move takes one
+//! path:
+//!
+//! * the *predictive cost/benefit test* weighs the KV transfer time on the
+//!   tier's link (from `pascal-model`) against the request's predicted
+//!   remaining service (from `pascal-predict`): [`Shard::transfer_cost`];
+//! * the destination reserves the KV blocks ([`Shard::reserve_landing`]);
+//! * the source launches, handed the finish time on the tier's link
+//!   ([`Shard::launch_migration`]), scheduling one
+//!   [`Event::MigrationDone`] that names the destination's global shard;
+//! * the engine lands it
+//!   ([`Engine::land_migration`](super::hierarchy::Engine::land_migration)),
+//!   and the destination consumes the reservation ([`Shard::land_kv`]).
+//!
+//! A decision that does not launch — considered, vetoed or aborted — is
+//! counted in its tier's [`MigrationOutcomes`] fields and traced by
+//! [`Shard::tally_move`]; launched transfers additionally record the
+//! predicted-vs-actual remaining service at decision time so the cost
 //! model's calibration is measurable after the run.
 
-use pascal_cluster::{KvLocation, ReqHandle, RequestState};
+use pascal_cluster::{KvLocation, ReqHandle};
 use pascal_metrics::{MigrationOutcomes, MigrationRecord};
+use pascal_model::LinkSpec;
 use pascal_sched::{MigrationCost, MigrationDecision};
 use pascal_sim::SimTime;
 use pascal_telemetry::{EscapeTier, TraceEventKind};
 use pascal_workload::{Phase, RequestId};
 
-use super::{context_kv_bytes, EscapeCandidate, Event, Shard};
+use super::{context_kv_bytes, tier_between, EscapeCandidate, Event, Shard};
 
 /// Cost/benefit configuration of predictive migration.
 ///
@@ -47,9 +64,9 @@ impl Default for PredictiveMigration {
 pub(crate) struct MigrationController {
     predictive: Option<PredictiveMigration>,
     /// GPU blocks pre-reserved on a migration destination, keyed by the
-    /// migrating request. Cross-shard escapes reserve in the *destination*
-    /// shard's ledger, so landing always consumes from the shard that
-    /// holds the blocks. A plain vector: at most a handful of transfers
+    /// migrating request. A move reserves in the *destination* shard's
+    /// ledger, so landing always consumes from the shard that holds the
+    /// blocks. A plain vector: at most a handful of transfers
     /// are ever in flight per shard, and the in-flight request has no
     /// handle on the destination yet, so the id is the only stable key.
     pub(super) reservations: Vec<(RequestId, u64)>,
@@ -92,19 +109,69 @@ impl MigrationController {
     }
 }
 
+/// One tier's counters in a [`MigrationOutcomes`]: the intra-shard ones
+/// or the `cross_shard_*` / `cross_region_*` family — the one place the
+/// three are told apart.
+struct TierTally<'o> {
+    considered: &'o mut u64,
+    vetoed: &'o mut u64,
+    aborted: &'o mut u64,
+    launched: &'o mut u64,
+    bytes_moved: &'o mut u64,
+}
+
+impl<'o> TierTally<'o> {
+    fn of(o: &'o mut MigrationOutcomes, tier: EscapeTier) -> Self {
+        match tier {
+            EscapeTier::Intra => TierTally {
+                considered: &mut o.considered,
+                vetoed: &mut o.vetoed_by_cost,
+                aborted: &mut o.aborted_no_reservation,
+                launched: &mut o.launched,
+                bytes_moved: &mut o.bytes_moved,
+            },
+            EscapeTier::CrossShard => TierTally {
+                considered: &mut o.cross_shard_considered,
+                vetoed: &mut o.cross_shard_vetoed_by_cost,
+                aborted: &mut o.cross_shard_aborted,
+                launched: &mut o.cross_shard_launched,
+                bytes_moved: &mut o.cross_shard_bytes_moved,
+            },
+            EscapeTier::CrossRegion => TierTally {
+                considered: &mut o.cross_region_considered,
+                vetoed: &mut o.cross_region_vetoed_by_cost,
+                aborted: &mut o.cross_region_aborted,
+                launched: &mut o.cross_region_launched,
+                bytes_moved: &mut o.cross_region_bytes_moved,
+            },
+        }
+    }
+}
+
+/// A move decision that did not launch, as [`Shard::tally_move`] counts
+/// and traces it.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(super) enum Verdict {
+    /// Evaluated at the tier.
+    Considered,
+    /// Vetoed by the cost/benefit test priced on the tier's link.
+    Vetoed,
+    /// No destination instance qualified, or its reservation failed.
+    Aborted,
+}
+
 impl Shard<'_> {
     /// A request just produced its boundary token: flip it into the
     /// answering phase and let the controller decide whether its KV moves.
     pub(super) fn on_phase_transition(&mut self, handle: ReqHandle, now: SimTime) {
-        let id = {
+        {
             let st = &mut self.states[handle];
             st.phase = Phase::Answering;
             if self.policy.resets_quanta_at_transition() {
                 st.quanta_used = 0;
                 st.tokens_in_quantum = 0;
             }
-            st.spec.id
-        };
+        }
         // The phase flip (and, for PASCAL, the quanta reset) changed this
         // request's priority key — and its instance's phase counts, before
         // the sweep below reads them.
@@ -122,16 +189,7 @@ impl Shard<'_> {
         let predicted_remaining = self.predicted_remaining_tokens(handle);
         let mut stats = std::mem::take(&mut self.scratch.stats);
         self.collect_stats_into(now, &mut stats);
-        let cost = self.migration_cost(handle, predicted_remaining);
-        self.migration_ctl.outcomes.considered += 1;
-        self.emit_trace(
-            now,
-            Some(self.global_instance(current)),
-            Some(id),
-            TraceEventKind::MigrationConsidered {
-                tier: EscapeTier::Intra,
-            },
-        );
+        self.tally_move(EscapeTier::Intra, Verdict::Considered, handle, now);
         // A saturated shard — every instance SLO-unhealthy (Algorithm 2
         // runs on its all-unhealthy fallback), or no instance able to hold
         // this request's KV right now (the memory pressure behind the
@@ -143,42 +201,25 @@ impl Shard<'_> {
         // saturated instances, so it defers too — keeping its destination
         // as the intra-shard fallback in case no sibling shard can take
         // the request.
-        let can_escape = self.cross_escape_enabled
-            && matches!(
-                self.policy,
-                pascal_sched::SchedPolicy::Pascal(c) if c.migration_enabled
-            );
+        let can_escape = self.cross_escape_enabled;
         let all_unhealthy = !stats.iter().any(|s| s.slo_ok);
         // A *draining* instance is filtered out of the monitor sweep, so
         // the policy's decision (which expects its own row) cannot run:
         // the transition becomes a drain escape instead — cross-shard when
-        // the run has that path, an intra-shard move (same cost/benefit
-        // veto) otherwise. Down instances never emit tokens, so only
-        // `Draining` reaches this. The `considered` tally above already
-        // counted this decision.
+        // the run has that path, the intra-shard drain move on this sweep
+        // otherwise. Down instances never emit tokens, so only `Draining`
+        // reaches this. The `considered` tally above already counted this
+        // decision.
         if self.health[current as usize] != crate::fleet::HealthState::Healthy {
             if can_escape {
-                self.cross_escape_outbox.push(EscapeCandidate {
-                    req: id,
-                    handle,
-                    intra_fallback: None,
-                });
-            } else if cost.is_some_and(|c| c.vetoes()) {
-                self.migration_ctl.outcomes.vetoed_by_cost += 1;
-                self.emit_trace(
-                    now,
-                    Some(self.global_instance(current)),
-                    Some(id),
-                    TraceEventKind::MigrationVetoed {
-                        tier: EscapeTier::Intra,
-                    },
-                );
-            } else if let Some(dest) = self.policy.cross_shard_instance(needed_blocks, &stats) {
-                self.start_migration(handle, dest, predicted_remaining, now);
+                self.queue_escape(handle, None);
+            } else {
+                self.drain_move(handle, predicted_remaining, Some(&stats), now);
             }
             self.scratch.stats = stats;
             return;
         }
+        let cost = self.transfer_cost(self.fabric.link(), handle, predicted_remaining);
         match self
             .policy
             .predictive_migration_decision(current, needed_blocks, &stats, cost)
@@ -187,56 +228,67 @@ impl Shard<'_> {
                 let saturated =
                     all_unhealthy || !stats.iter().any(|s| s.fits_blocks(needed_blocks));
                 if can_escape && saturated {
-                    self.cross_escape_outbox.push(EscapeCandidate {
-                        req: id,
-                        handle,
-                        intra_fallback: None,
-                    });
+                    self.queue_escape(handle, None);
                 }
             }
+            // The cheaper intra-shard move already failed the cost test;
+            // the pricier links cannot pass it either.
             MigrationDecision::VetoedByCost(_) => {
-                // The cheaper intra-shard move already failed the cost
-                // test; the pricier interconnect cannot pass it either.
-                self.migration_ctl.outcomes.vetoed_by_cost += 1;
-                self.emit_trace(
-                    now,
-                    Some(self.global_instance(current)),
-                    Some(id),
-                    TraceEventKind::MigrationVetoed {
-                        tier: EscapeTier::Intra,
-                    },
-                );
+                self.tally_move(EscapeTier::Intra, Verdict::Vetoed, handle, now);
             }
             MigrationDecision::MigrateTo(dest) if can_escape && all_unhealthy => {
-                self.cross_escape_outbox.push(EscapeCandidate {
-                    req: id,
-                    handle,
-                    intra_fallback: Some(dest),
-                });
+                self.queue_escape(handle, Some(dest));
             }
             MigrationDecision::MigrateTo(dest) => {
-                self.start_migration(handle, dest, predicted_remaining, now);
+                self.migrate_intra(handle, dest, predicted_remaining, now);
             }
         }
         self.scratch.stats = stats;
     }
 
-    /// Executes a deferred intra-shard migration — the fallback when a
-    /// cross-shard escape found no sibling shard to land on. The decision
-    /// (`dest`) was made at the phase transition; only the launch was
-    /// deferred, so the controller re-derives the predictor's
-    /// remaining-service view and launches as usual.
-    pub(super) fn launch_deferred_migration(&mut self, handle: ReqHandle, dest: u32, now: SimTime) {
-        let predicted_remaining = self.predicted_remaining_tokens(handle);
-        self.start_migration(handle, dest, predicted_remaining, now);
+    /// Queues `handle` for the engine's escape path, resolved right after
+    /// the triggering event; `intra_fallback` is the intra-shard move to
+    /// execute if no other shard takes the request.
+    pub(super) fn queue_escape(&mut self, handle: ReqHandle, intra_fallback: Option<u32>) {
+        let req = self.states[handle].spec.id;
+        self.cross_escape_outbox.push(EscapeCandidate {
+            req,
+            handle,
+            intra_fallback,
+        });
     }
 
-    /// Cost/benefit inputs for `handle`'s migration decision, or `None`
+    /// Counts and traces one `tier` decision about `handle` that did not
+    /// launch, at the request's instance on this (its source) shard.
+    pub(super) fn tally_move(
+        &mut self,
+        tier: EscapeTier,
+        verdict: Verdict,
+        handle: ReqHandle,
+        now: SimTime,
+    ) {
+        let tally = TierTally::of(&mut self.migration_ctl.outcomes, tier);
+        let (count, kind) = match verdict {
+            Verdict::Considered => (
+                tally.considered,
+                TraceEventKind::MigrationConsidered { tier },
+            ),
+            Verdict::Vetoed => (tally.vetoed, TraceEventKind::MigrationVetoed { tier }),
+            Verdict::Aborted => (tally.aborted, TraceEventKind::MigrationAborted { tier }),
+        };
+        *count += 1;
+        let st = &self.states[handle];
+        let instance = self.global_instance(st.instance);
+        self.emit_trace(now, Some(instance), Some(st.spec.id), kind);
+    }
+
+    /// Cost/benefit inputs for moving `handle`'s KV over `link`, or `None`
     /// when the predictive controller is off (or no predictor is
     /// configured) — which makes the decision exactly the reactive
     /// Algorithm 2.
-    pub(super) fn migration_cost(
+    pub(super) fn transfer_cost(
         &self,
+        link: LinkSpec,
         handle: ReqHandle,
         predicted_remaining: Option<f64>,
     ) -> Option<MigrationCost> {
@@ -244,81 +296,97 @@ impl Shard<'_> {
         self.predictor.as_ref()?;
         let bytes = context_kv_bytes(&self.geometry, &self.states[handle]);
         Some(MigrationCost {
-            transfer_time: self.config.fabric.transfer_time(bytes),
+            transfer_time: link.transfer_time(bytes),
             predicted_remaining_service: predicted_remaining
                 .map(|tokens| self.config.target_tpot.mul_f64(tokens)),
             min_benefit_ratio: predictive.min_benefit_ratio,
         })
     }
 
-    pub(super) fn start_migration(
+    /// An intra-shard move of `handle`'s KV to local instance `dest` over
+    /// this shard's fabric: the destination's reservation, then the launch.
+    pub(super) fn migrate_intra(
         &mut self,
         handle: ReqHandle,
         dest: u32,
         predicted_remaining: Option<f64>,
         now: SimTime,
     ) {
-        // Under the adaptive policy the destination's KV blocks are reserved
-        // up front; if that fails the request stays home (the race-free form
-        // of the Fig. 7 override). NonAdaptive migrates blindly and may land
-        // in the destination's CPU pool.
-        let id = self.states[handle].spec.id;
-        let needed = self
-            .geometry
-            .blocks_for_tokens(self.states[handle].tokens_needed_next());
-        if self.instances[dest as usize].inst.gpu.try_alloc(needed) {
-            self.migration_ctl.reserve(id, needed);
-        } else if self.policy.adaptive_migration() {
-            self.migration_ctl.outcomes.aborted_no_reservation += 1;
-            let from = self.states[handle].instance;
-            self.emit_trace(
-                now,
-                Some(self.global_instance(from)),
-                Some(id),
-                TraceEventKind::MigrationAborted {
-                    tier: EscapeTier::Intra,
-                },
-            );
-            return;
+        let st = &self.states[handle];
+        let (id, from) = (st.spec.id, st.instance);
+        let needed = self.geometry.blocks_for_tokens(st.tokens_needed_next());
+        let bytes = context_kv_bytes(&self.geometry, st);
+        if !self.reserve_landing(id, dest, needed) {
+            return self.tally_move(EscapeTier::Intra, Verdict::Aborted, handle, now);
         }
-        let (from, held, bytes) = {
-            let st = &mut self.states[handle];
-            debug_assert_eq!(st.kv_location, KvLocation::Gpu);
-            st.resident_since = None;
-            (
-                st.instance,
-                st.held_gpu_blocks,
-                context_kv_bytes(&self.geometry, st),
-            )
-        };
-        self.set_kv_location(handle, KvLocation::Migrating);
-        self.instances[from as usize].dying_blocks += held;
         let (_, finish) = self
             .fabric
             .migrate(now, from as usize, dest as usize, bytes);
-        {
-            let st = &mut self.states[handle];
-            st.migration = Some(MigrationRecord {
-                from_instance: self.offset + from,
-                to_instance: self.offset + dest,
-                started: now,
-                finished: finish,
-                bytes,
-                stall: None,
-                predicted_remaining_tokens: predicted_remaining,
-                actual_remaining_tokens: st.spec.output_tokens() - st.tokens_generated,
-            });
+        self.launch_migration(handle, self.id, dest, finish, predicted_remaining, now);
+    }
+
+    /// The destination side of a launch: reserves `needed` GPU blocks on
+    /// local instance `to` for request `id` in this shard's ledger — the
+    /// race-free form of the Fig. 7 override. Returns whether the move may
+    /// launch: reserved, or blind under NonAdaptive, whose KV may then
+    /// land in the destination's CPU pool.
+    pub(super) fn reserve_landing(&mut self, id: RequestId, to: u32, needed: u64) -> bool {
+        if self.instances[to as usize].inst.gpu.try_alloc(needed) {
+            self.migration_ctl.reserve(id, needed);
+            return true;
         }
-        self.migration_ctl.outcomes.launched += 1;
-        self.migration_ctl.outcomes.bytes_moved += bytes;
+        !self.policy.adaptive_migration()
+    }
+
+    /// The source side of every launch: `handle`'s KV leaves for local
+    /// instance `to_instance` of global shard `to_shard` (this shard for
+    /// an intra-shard move) over the tier's link, which the caller booked
+    /// to clear at `finish`. The source keeps the GPU blocks, counted
+    /// dying, until the landing frees them.
+    pub(super) fn launch_migration(
+        &mut self,
+        handle: ReqHandle,
+        to_shard: u32,
+        to_instance: u32,
+        finish: SimTime,
+        predicted_remaining: Option<f64>,
+        now: SimTime,
+    ) {
+        let tier = tier_between(self.id, to_shard, self.config.shards as u32);
+        // Shards are equal-sized, so global instance ids run shard-major.
+        let to_global = to_shard * self.instances.len() as u32 + to_instance;
+        self.set_kv_location(handle, KvLocation::Migrating);
+        let st = &mut self.states[handle];
+        st.resident_since = None;
+        let (id, from) = (st.spec.id, st.instance);
+        let bytes = context_kv_bytes(&self.geometry, st);
+        st.migration = Some(MigrationRecord {
+            from_instance: self.offset + from,
+            to_instance: to_global,
+            started: now,
+            finished: finish,
+            bytes,
+            stall: None,
+            predicted_remaining_tokens: predicted_remaining,
+            actual_remaining_tokens: st.spec.output_tokens() - st.tokens_generated,
+        });
+        self.instances[from as usize].dying_blocks += st.held_gpu_blocks;
+        let outcomes = &mut self.migration_ctl.outcomes;
+        outcomes.launched += 1;
+        outcomes.bytes_moved += bytes;
+        if tier != EscapeTier::Intra {
+            let tally = TierTally::of(outcomes, tier);
+            *tally.launched += 1;
+            *tally.bytes_moved += bytes;
+        }
         self.emit_trace(
             now,
             Some(self.offset + from),
             Some(id),
             TraceEventKind::MigrationLaunched {
-                tier: EscapeTier::Intra,
-                to_shard: self.id,
-                to_instance: self.offset + dest,
+                tier,
+                to_shard,
+                to_instance: to_global,
                 bytes,
             },
         );
@@ -326,46 +394,20 @@ impl Shard<'_> {
             finish,
             Event::MigrationDone {
                 req: handle,
-                to: dest,
+                to_shard,
+                to_instance,
             },
         );
     }
 
-    pub(super) fn on_migration_done(&mut self, handle: ReqHandle, to: u32, now: SimTime) {
-        let (from, gpu_blocks) = {
-            let st = &mut self.states[handle];
-            assert_eq!(st.kv_location, KvLocation::Migrating);
-            let blocks = st.held_gpu_blocks;
-            st.held_gpu_blocks = 0;
-            (st.instance, blocks)
-        };
-        self.instances[from as usize].inst.gpu.free(gpu_blocks);
-        self.instances[from as usize].dying_blocks -= gpu_blocks;
-        let global = self.global_instance(to);
-        self.states[handle].instances_visited.push(global);
-        self.move_member(handle, to);
-        self.land_migration(handle, to, now);
-        // A destination that fail-stopped mid-transfer strands the request
-        // after the landing's normal accounting (pool conservation holds);
-        // the source losing a member may complete its drain.
-        if self.health[to as usize] == crate::fleet::HealthState::Down {
-            self.strand_request(handle, now);
-        }
-        self.check_drain_complete(from, now);
-        self.try_schedule(from, now);
-        self.try_schedule(to, now);
-    }
-
-    /// Lands a migrated KV cache on `instance` of this shard — the shared
-    /// tail of intra- and cross-shard transfers. Consumes the reservation
-    /// made at launch time if one exists; otherwise tries to allocate on
-    /// arrival; otherwise the KV falls into the destination's CPU pool and
-    /// the request must wait for a reload — the stall the adaptive
-    /// migration policy exists to avoid (Fig. 7, Fig. 15). The request
-    /// must already be a member of `instance` with its state in this
-    /// shard's slab; leaving `Migrating` files it among the destination's
-    /// candidates.
-    pub(super) fn land_migration(&mut self, handle: ReqHandle, instance: u32, now: SimTime) {
+    /// The destination side of every landing: `handle`, already a member
+    /// of local instance `instance` with its state in this shard's slab,
+    /// takes the blocks reserved at launch if there are any; otherwise
+    /// allocates on arrival; otherwise its KV falls into the destination's
+    /// CPU pool and the request must wait for a reload — the stall the
+    /// adaptive migration policy exists to avoid (Fig. 7, Fig. 15).
+    /// Leaving `Migrating` files it among the destination's candidates.
+    pub(super) fn land_kv(&mut self, handle: ReqHandle, instance: u32, now: SimTime) {
         let id = self.states[handle].spec.id;
         let needed = self
             .geometry
@@ -406,22 +448,6 @@ impl Shard<'_> {
             Some(id),
             TraceEventKind::MigrationLanded { in_cpu },
         );
-    }
-
-    /// The source side of a cross-shard or cross-region landing: frees the
-    /// migrated request's GPU blocks, unfiles it and takes its state out of
-    /// this shard's slab. Returns the state (holding no blocks) and the
-    /// instance it left.
-    pub(super) fn depart_migrated(&mut self, handle: ReqHandle) -> (RequestState, u32) {
-        self.remove_member(handle);
-        let mut st = self.states.remove(handle);
-        assert_eq!(st.kv_location, KvLocation::Migrating);
-        let rt = &mut self.instances[st.instance as usize];
-        rt.inst.gpu.free(st.held_gpu_blocks);
-        rt.dying_blocks -= st.held_gpu_blocks;
-        st.held_gpu_blocks = 0;
-        let from = st.instance;
-        (st, from)
     }
 
     /// First execution after a migration landed: stamp the stall (landing →

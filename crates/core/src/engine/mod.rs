@@ -19,7 +19,7 @@
 //!    migration for PASCAL), completions free memory.
 //!
 //! Instance-level placement (Algorithm 1 / smallest-footprint) happens at
-//! arrival events; KV migrations ride the intra-shard fabric with
+//! arrival events; KV migrations ride the shard's fabric with
 //! ingress/egress contention (§V-C).
 //!
 //! The [`Engine`](hierarchy) drives every shard of every region under
@@ -32,7 +32,7 @@
 //! run is the same code with nothing between regions to do. Above the
 //! shards sit the mechanisms of the two upper tiers, each written once
 //! and parameterised by the tier
-//! ([`EscapeTier`](pascal_telemetry::EscapeTier)):
+//! ([`EscapeTier`]):
 //!
 //! * the **arrival router**: the federation policy
 //!   (`pascal_federation::FederationPolicy`) picks the region, the shard
@@ -49,6 +49,12 @@
 //!   predictive cost/benefit veto prices the move on that tier's link;
 //!   every failure falls back to the deferred intra-shard move.
 //!
+//! A KV move at any of the three tiers — within a shard, across shards,
+//! across regions — then takes one migration path: one cost over the
+//! tier's link, one tally of what was considered, vetoed or aborted, a
+//! destination-side reservation, one source-side launch, one
+//! [`Event::MigrationDone`] and one landing.
+//!
 //! The per-shard components live one per submodule:
 //!
 //! * [`lifecycle`](self) — the per-request state machine: arrival →
@@ -56,9 +62,11 @@
 //!   offload/reload preemption transitions and per-iteration residency
 //!   planning;
 //! * [`migration`](self) — the [`MigrationController`](migration): phase-
-//!   boundary Algorithm 2 decisions, the predictive cost/benefit veto
-//!   (KV transfer cost vs predicted remaining service), transfer launch
-//!   and landing;
+//!   boundary Algorithm 2 decisions and the one migration path of all
+//!   three tiers — the predictive cost/benefit veto (KV transfer cost on
+//!   the tier's link vs predicted remaining service), the tier-keyed
+//!   tally, the destination's reservation, the source's launch and the
+//!   destination's side of the landing;
 //! * [`admission`](self) — the [`AdmissionController`](admission):
 //!   predictive SLO admission control that rejects arrivals at predicted
 //!   shard KV overload instead of letting the pacers starve;
@@ -72,8 +80,8 @@
 //! * [`stats`](self) — the instance-monitor sweep producing the
 //!   [`InstanceStats`] snapshots Algorithms 1 and 2 consume;
 //! * [`hierarchy`](self) — the engine: the event loop over every shard,
-//!   the arrival router, and the escape path and its landing at both
-//!   tiers;
+//!   the arrival router, the escape decisions at both upper tiers, and
+//!   the landing of every migration;
 //! * [`driver`](self) — the run's clock: the future-event list and the
 //!   arrival cursor.
 //!
@@ -93,8 +101,8 @@ use pascal_predict::{LengthEstimate, LengthPredictor, PredictorKind};
 use pascal_sched::{PriorityKey, SchedPolicy};
 use pascal_sim::SimTime;
 use pascal_telemetry::{
-    ProfiledEvent, SeriesSink, SloAlertRecord, SloBurnTracker, TelemetryHandle, TelemetryOut,
-    TraceEvent, TraceEventKind, WorkCounters,
+    EscapeTier, ProfiledEvent, SeriesSink, SloAlertRecord, SloBurnTracker, TelemetryHandle,
+    TelemetryOut, TraceEvent, TraceEventKind, WorkCounters,
 };
 use pascal_workload::{RequestId, RequestSpec, Trace};
 
@@ -142,13 +150,12 @@ pub(super) enum Event {
     OffloadDone { req: ReqHandle },
     /// A reload finished; KV is GPU-resident again.
     ReloadDone { req: ReqHandle },
-    /// An intra-shard phase-boundary migration landed on its destination.
-    MigrationDone { req: ReqHandle, to: u32 },
-    /// An escape cleared its link (the region's interconnect, or the WAN
-    /// when `to_shard` is in another region); the engine hands the request
-    /// from this shard to global shard `to_shard`. Scheduled by the source
+    /// A migration cleared its link — this shard's fabric when `to_shard`
+    /// is this shard, the region's interconnect, or the WAN when
+    /// `to_shard` is in another region — and lands on local instance
+    /// `to_instance` of global shard `to_shard`. Scheduled by the source
     /// shard so the source frees its KV exactly at landing time.
-    EscapeDone {
+    MigrationDone {
         req: ReqHandle,
         to_shard: u32,
         to_instance: u32,
@@ -164,23 +171,34 @@ pub(super) enum Event {
 
 impl Event {
     /// The hot-path profiler's class for this event, scheduled by global
-    /// shard `shard` in a run of `shards_per_region` shards per region: an
-    /// escape landing is classed by its tier.
+    /// shard `shard` in a run of `shards_per_region` shards per region: a
+    /// migration landing is classed by its tier.
     pub(super) fn profiled(&self, shard: u32, shards_per_region: u32) -> ProfiledEvent {
         match self {
             Event::IterationDone { .. } => ProfiledEvent::IterationDone,
             Event::OffloadDone { .. } => ProfiledEvent::OffloadDone,
             Event::ReloadDone { .. } => ProfiledEvent::ReloadDone,
-            Event::MigrationDone { .. } => ProfiledEvent::MigrationDone,
-            Event::EscapeDone { to_shard, .. } => {
-                if to_shard / shards_per_region == shard / shards_per_region {
-                    ProfiledEvent::CrossShardDone
-                } else {
-                    ProfiledEvent::CrossRegionDone
+            Event::MigrationDone { to_shard, .. } => {
+                match tier_between(shard, *to_shard, shards_per_region) {
+                    EscapeTier::Intra => ProfiledEvent::MigrationDone,
+                    EscapeTier::CrossShard => ProfiledEvent::CrossShardDone,
+                    EscapeTier::CrossRegion => ProfiledEvent::CrossRegionDone,
                 }
             }
             Event::FleetTransition { .. } | Event::AutoscaleTick => ProfiledEvent::Fleet,
         }
+    }
+}
+
+/// The tier a move from global shard `from` to global shard `to` crosses,
+/// in a run of `shards_per_region` shards per region.
+pub(super) fn tier_between(from: u32, to: u32, shards_per_region: u32) -> EscapeTier {
+    if from == to {
+        EscapeTier::Intra
+    } else if from / shards_per_region == to / shards_per_region {
+        EscapeTier::CrossShard
+    } else {
+        EscapeTier::CrossRegion
     }
 }
 
@@ -369,9 +387,10 @@ pub(super) struct Shard<'a> {
     /// Global id of this shard's first instance; instance indices inside
     /// the shard are local, records carry `offset + local`.
     pub(super) offset: u32,
-    /// Whether saturated phase transitions may escape this shard — to
-    /// sibling shards, or to remote regions even when the shard is its
-    /// region's only one.
+    /// Whether saturated phase transitions and drains escape this shard —
+    /// to sibling shards, or to remote regions even when the shard is its
+    /// region's only one: PASCAL with migration on, in a run with more
+    /// than one shard.
     pub(super) cross_escape_enabled: bool,
     pub(super) trace: &'a Trace,
     pub(super) config: &'a SimConfig,
@@ -504,7 +523,8 @@ impl<'a> Shard<'a> {
         let mut shard = Shard {
             id,
             offset: id * instances as u32,
-            cross_escape_enabled: config.shards > 1 || config.regions > 1,
+            cross_escape_enabled: (config.shards > 1 || config.regions > 1)
+                && matches!(config.policy, SchedPolicy::Pascal(c) if c.migration_enabled),
             trace: clock.trace(),
             config,
             policy: config.policy,
