@@ -159,21 +159,18 @@ impl<'a> Engine<'a> {
         r * self.config.shards..(r + 1) * self.config.shards
     }
 
-    /// One aggregate pool snapshot per shard of `shards` — the view the
-    /// shard router and the shard-tier escape ranking consume.
-    fn shard_pools(&self, shards: Range<usize>, now: SimTime) -> Vec<PoolSnapshot> {
+    /// The monitor sweep of each shard in `shards`, in order.
+    fn sweep(&self, shards: Range<usize>, now: SimTime) -> Vec<Vec<InstanceStats>> {
         self.shards[shards]
             .iter()
-            .map(|sh| PoolSnapshot::aggregate(&sh.collect_stats(now)))
+            .map(|sh| sh.collect_stats(now))
             .collect()
     }
 
     /// One aggregate pool snapshot per region — the view the federation
-    /// router, the spill ranking and the region-tier escape consume.
+    /// router and the spill ranking consume.
     fn region_pools(&self, now: SimTime) -> Vec<PoolSnapshot> {
-        (0..self.regions.len())
-            .map(|r| PoolSnapshot::merge(&self.shard_pools(self.region_shards(r), now)))
-            .collect()
+        region_pools_of(&self.sweep(0..self.shards.len(), now), self.config.shards)
     }
 
     pub(crate) fn run(mut self) -> SimOutput {
@@ -333,21 +330,13 @@ impl<'a> Engine<'a> {
     fn route_in_region(&mut self, r: usize, now: SimTime) -> (usize, Vec<InstanceStats>) {
         let shards = self.region_shards(r);
         let router = self.config.router;
-        let cursor = &mut self.regions[r].router_cursor;
         let s = if shards.len() == 1 {
             shards.start
         } else if !router.needs_pool_state() {
-            shards.start + RouterPolicy::rotate(shards.len(), cursor)
+            shards.start + RouterPolicy::rotate(shards.len(), &mut self.regions[r].router_cursor)
         } else {
-            let mut swept: Vec<Vec<InstanceStats>> = self.shards[shards.clone()]
-                .iter()
-                .map(|sh| sh.collect_stats(now))
-                .collect();
-            let pools: Vec<PoolSnapshot> = swept
-                .iter()
-                .map(|stats| PoolSnapshot::aggregate(stats))
-                .collect();
-            let local = router.route(&pools, cursor);
+            let mut swept = self.sweep(shards.clone(), now);
+            let local = router.route(&pools_of(&swept), &mut self.regions[r].router_cursor);
             return (shards.start + local, swept.swap_remove(local));
         };
         let mut stats = std::mem::take(&mut self.shards[s].scratch.stats);
@@ -419,18 +408,24 @@ impl<'a> Engine<'a> {
         }
 
         // The destination: a sibling shard by the home region's ranking,
-        // or a remote region by the regions' ranking.
+        // or a remote region by the regions' ranking. `swept` holds the
+        // monitor rows of every shard ranked, from global shard `first`
+        // on: nothing changes between reads at one instant, so the landing
+        // shard and instance are ranked on the same rows.
         let home = self.region_of(from);
-        let target = if tier == EscapeTier::CrossShard {
+        let (first, swept, target) = if tier == EscapeTier::CrossShard {
             let siblings = self.region_shards(home);
             // A region's only shard has no sibling to rank.
             if siblings.len() == 1 {
                 return Some(candidate);
             }
-            let pools = self.shard_pools(siblings.clone(), now);
-            escape_target(&pools, from - siblings.start).map(|d| siblings.start + d)
+            let swept = self.sweep(siblings.clone(), now);
+            let target = escape_target(&pools_of(&swept), from - siblings.start);
+            (siblings.start, swept, target.map(|d| siblings.start + d))
         } else {
-            escape_target(&self.region_pools(now), home)
+            let swept = self.sweep(0..self.shards.len(), now);
+            let target = escape_target(&region_pools_of(&swept, self.config.shards), home);
+            (0, swept, target)
         };
         let Some(target) = target else {
             if tier == EscapeTier::CrossShard && self.regions.len() > 1 {
@@ -458,13 +453,12 @@ impl<'a> Engine<'a> {
             Some(target)
         } else {
             let shards = self.region_shards(target);
-            best_escape_shard(&self.shard_pools(shards.clone(), now)).map(|d| shards.start + d)
+            best_escape_shard(&pools_of(&swept[shards.clone()])).map(|d| shards.start + d)
         };
         let policy = self.shards[from].policy;
         let landing = dest.and_then(|dest| {
-            let stats = self.shards[dest].collect_stats(now);
             policy
-                .cross_shard_instance(needed, &stats)
+                .cross_shard_instance(needed, &swept[dest - first])
                 .map(|to| (dest, to))
         });
         let Some((dest, to_local)) = landing else {
@@ -725,6 +719,24 @@ impl<'a> Engine<'a> {
             admission,
         }
     }
+}
+
+/// One aggregate pool snapshot per swept shard — the view the shard router
+/// and the escape rankings consume.
+fn pools_of(swept: &[Vec<InstanceStats>]) -> Vec<PoolSnapshot> {
+    swept
+        .iter()
+        .map(|stats| PoolSnapshot::aggregate(stats))
+        .collect()
+}
+
+/// One aggregate pool snapshot per region of a sweep of every shard,
+/// `per_region` shards to a region.
+fn region_pools_of(swept: &[Vec<InstanceStats>], per_region: usize) -> Vec<PoolSnapshot> {
+    swept
+        .chunks(per_region)
+        .map(|region| PoolSnapshot::merge(&pools_of(region)))
+        .collect()
 }
 
 /// Panics unless every single request's worst-case KV footprint fits one
