@@ -120,16 +120,18 @@ impl AdmissionController {
         }
     }
 
-    /// Signed byte headroom left under the budget at the given pool
-    /// projection — negative once the pool is overcommitted. `None` when
-    /// admission is off or memory is unbounded (nothing to run out of).
-    fn headroom_bytes(&self, pool: &PoolSnapshot) -> Option<i64> {
+    /// Signed byte headroom left under the budget at a pool projection of
+    /// `predicted_kv_bytes` (current plus predicted-future KV) — negative
+    /// once the pool is overcommitted. `None` when admission is off or
+    /// memory is unbounded (nothing to run out of). The series sampler's
+    /// gauge; purely observational.
+    pub(super) fn headroom_bytes(&self, predicted_kv_bytes: u64) -> Option<i64> {
         let AdmissionMode::Predictive { max_utilization } = self.mode else {
             return None;
         };
         let budget = self.budget_bytes?;
         let limit = (budget as f64 * max_utilization) as u64;
-        Some(limit as i64 - pool.predicted_kv_bytes as i64)
+        Some(limit as i64 - predicted_kv_bytes as i64)
     }
 }
 
@@ -147,19 +149,6 @@ impl Shard<'_> {
         let pool = PoolSnapshot::aggregate(stats);
         let incoming = self.predicted_final_kv_bytes(spec);
         self.admission_ctl.probe(&pool, incoming)
-    }
-
-    /// Admission budget headroom against a monitor snapshot — the series
-    /// sampler's gauge. Purely observational.
-    pub(super) fn admission_headroom(
-        &self,
-        stats: &[pascal_cluster::InstanceStats],
-    ) -> Option<i64> {
-        if !self.admission_ctl.enabled() {
-            return None;
-        }
-        let pool = PoolSnapshot::aggregate(stats);
-        self.admission_ctl.headroom_bytes(&pool)
     }
 
     /// Tallies an admission.

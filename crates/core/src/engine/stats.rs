@@ -161,7 +161,10 @@ impl Shard<'_> {
 
     /// One telemetry gauge sample of this shard at `at` — queue pressure,
     /// phase mix, KV occupancy, admission headroom and predictor accuracy
-    /// so far. Read-only: sampling must not perturb the simulation.
+    /// so far. Read-only: sampling must not perturb the simulation, nor
+    /// count as engine work. The KV gauges sum the healthy instances'
+    /// monitor aggregates directly — what a sweep's rows would report,
+    /// without its SLO check, pacer rescans or work tally.
     pub(super) fn series_row(&self, at: SimTime) -> SeriesRow {
         let mut queue_depth = 0u64;
         let mut reasoning = 0u64;
@@ -175,7 +178,18 @@ impl Shard<'_> {
                 Phase::Answering => answering += 1,
             }
         }
-        let stats = self.collect_stats(at);
+        let (mut kv_used_bytes, mut predicted_kv_bytes) = (0u64, 0u64);
+        for (rt, _) in self
+            .instances
+            .iter()
+            .zip(&self.health)
+            .filter(|&(_, &h)| h == crate::fleet::HealthState::Healthy)
+        {
+            let used = rt.inst.kv_footprint_bytes();
+            let growth = rt.monitor.predicted_blocks * self.geometry.block_bytes();
+            kv_used_bytes += used;
+            predicted_kv_bytes = predicted_kv_bytes.saturating_add(used.saturating_add(growth));
+        }
         let (abs_err, err_n) = self.prediction_abs_error();
         SeriesRow {
             t: at,
@@ -186,13 +200,13 @@ impl Shard<'_> {
             active: self.states.len() as u64,
             reasoning,
             answering,
-            kv_used_bytes: stats.iter().map(|s| s.kv_footprint_bytes).sum(),
+            kv_used_bytes,
             // 0 encodes unbounded (oracle) memory.
             kv_capacity_bytes: self
                 .config
                 .kv_capacity_bytes()
                 .map_or(0, |c| c * self.instances.len() as u64),
-            admission_headroom_bytes: self.admission_headroom(&stats),
+            admission_headroom_bytes: self.admission_ctl.headroom_bytes(predicted_kv_bytes),
             predictor_mean_abs_error: (err_n > 0).then(|| abs_err / err_n as f64),
             wan_busy_s: None,
             slo_burn: self.slo_tracker.as_ref().and_then(|t| t.burn_gauge(at)),

@@ -3,7 +3,9 @@
 //! deterministic output — the printed run tables on stdout and the
 //! per-request CSV — byte-identical to a run that never had the flags.
 //! Telemetry only ever appends to side buffers; the profiler writes to
-//! stderr only.
+//! stderr only. Sampling the gauge series is not engine work either:
+//! `run --profile`'s exact work counters read the same with and without
+//! `--series-out`.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -100,6 +102,53 @@ fn full_telemetry_leaves_deterministic_outputs_byte_identical() {
     );
 
     for f in [&csv_off, &csv_on, &trace, &series] {
+        let _ = std::fs::remove_file(f);
+    }
+}
+
+/// The `work (exact)` line of a `--profile` report, without its
+/// host-dependent ns-per-token figure.
+fn work_line(stderr: &[u8]) -> String {
+    let text = String::from_utf8_lossy(stderr);
+    let line = text
+        .lines()
+        .find(|l| l.contains("work (exact):"))
+        .unwrap_or_else(|| panic!("--profile must print a work line, got:\n{text}"));
+    let (counts, per_token) = line.rsplit_once(", ").expect("comma-separated counters");
+    assert!(per_token.ends_with("ns per token"), "{line}");
+    counts.to_owned()
+}
+
+#[test]
+fn series_sampling_leaves_the_work_ledger_untouched() {
+    let csv_off = tmp("ledger-off.csv");
+    let csv_on = tmp("ledger-on.csv");
+    let series = tmp("ledger-series.csv");
+    let off = run_cell(&["--profile"], &csv_off);
+    let on = run_cell(
+        &[
+            "--profile",
+            "--series-out",
+            series.to_str().expect("utf8 path"),
+            "--series-interval",
+            "1",
+        ],
+        &csv_on,
+    );
+    assert!(
+        std::fs::read_to_string(&series)
+            .expect("series written")
+            .lines()
+            .count()
+            > 100,
+        "the sampled run must write many gauge rows"
+    );
+    assert_eq!(
+        work_line(&off.stderr),
+        work_line(&on.stderr),
+        "sampling the gauge series must not count as engine work"
+    );
+    for f in [&csv_off, &csv_on, &series] {
         let _ = std::fs::remove_file(f);
     }
 }
