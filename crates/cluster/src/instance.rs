@@ -1,7 +1,7 @@
 //! Serving instances and the monitor snapshot the instance-level scheduler
 //! consumes.
 //!
-//! An *instance* is "the unit of execution [that] manages a replica of the
+//! An *instance* is "the unit of execution \[that\] manages a replica of the
 //! model weights" (§IV): one GPU with its KV pool, a PCIe channel for
 //! offload/reload, and a membership set of requests. The [`InstanceStats`]
 //! snapshot carries exactly the quantities Algorithms 1 and 2 read:

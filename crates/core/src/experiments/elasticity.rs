@@ -125,8 +125,8 @@ pub fn run(params: ElasticityParams) -> Vec<ElasticityRow> {
 #[derive(Clone, Debug, PartialEq)]
 pub struct LeadTimeRow {
     /// Provisioning lead time: how long a scale-up takes to deliver
-    /// capacity after the autoscaler decides ([`AutoscalePolicy::lead`]
-    /// (crate::fleet::AutoscalePolicy::lead)).
+    /// capacity after the autoscaler decides
+    /// ([`AutoscalePolicy::lead`](crate::fleet::AutoscalePolicy::lead)).
     pub lead_s: f64,
     /// The cell's aggregate metrics (over completed requests).
     pub metrics: SweepCellMetrics,

@@ -51,8 +51,9 @@ pub struct SweepGrid {
     pub fed_routers: Vec<FederationPolicy>,
     /// Fleet-event presets (`None` = static fleet).
     pub fleets: Vec<Option<FleetPreset>>,
-    /// Base seed; per-cell trace seeds are derived from it (see
-    /// [`derive_trace_seed`]).
+    /// Base seed; per-cell trace seeds are derived from it and the
+    /// trace-defining axes only, so cells that differ in policy,
+    /// predictor or controllers share a trace.
     pub base_seed: u64,
 }
 

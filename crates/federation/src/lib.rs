@@ -21,7 +21,8 @@
 //!   `origin_region` tag, and `static` serves it at home, `nearest` fails
 //!   over to the closest healthy region, `predictive` is Algorithm 1
 //!   lifted one more level — smallest current-plus-predicted KV footprint
-//!   over per-region aggregate [`PoolSnapshot`]s.
+//!   over per-region aggregate
+//!   [`PoolSnapshot`](pascal_cluster::PoolSnapshot)s.
 //!
 //! The engine that ties these to the serving simulation lives in
 //! `pascal-core::engine` (the `hierarchy` module); this crate holds the

@@ -4,7 +4,7 @@
 //! instance pool sizing (the engine gives each region its own two-tier
 //! topology and folds its event clock under the one global clock). A
 //! [`FederationSpec`] is the whole deployment: the regions plus the
-//! [`WanLink`](crate::WanLink) class connecting them.
+//! [`WanLink`] class connecting them.
 //!
 //! [`spill_order`] is the admission side of region awareness: when a
 //! region's SLO budget would reject an arrival, the federation tries the

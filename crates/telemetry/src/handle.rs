@@ -167,8 +167,8 @@ impl TelemetryHandle {
     }
 
     /// Starts timing one event-loop event; `None` when profiling is off
-    /// or this event falls outside the 1-in-[`PROFILE_SAMPLE_EVERY`]
-    /// timing sample (the event is still *counted* by
+    /// or this event falls outside the 1-in-`PROFILE_SAMPLE_EVERY` timing
+    /// sample (the event is still *counted* by
     /// [`TelemetryHandle::profile_record`]).
     #[inline]
     #[must_use]
