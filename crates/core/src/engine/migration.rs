@@ -355,6 +355,7 @@ impl Shard<'_> {
         let tier = tier_between(self.id, to_shard, self.config.shards as u32);
         // Shards are equal-sized, so global instance ids run shard-major.
         let to_global = to_shard * self.instances.len() as u32 + to_instance;
+        debug_assert_eq!(self.states[handle].kv_location, KvLocation::Gpu);
         self.set_kv_location(handle, KvLocation::Migrating);
         let st = &mut self.states[handle];
         st.resident_since = None;
