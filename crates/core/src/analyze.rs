@@ -9,6 +9,9 @@
 //! the trace text — deterministic output for a deterministic trace, no
 //! engine state, no filesystem.
 
+use std::collections::HashMap;
+
+use pascal_sim::SimTime;
 use pascal_telemetry::anatomy::{
     aggregate, worst_requests, AnatomyOutcome, AnatomyReport, Blame, RequestAnatomy,
     BLAME_COMPONENT_NAMES,
@@ -64,9 +67,14 @@ fn field_tier(obj: &JsonValue, line: usize) -> Result<EscapeTier, String> {
 ///
 /// # Errors
 ///
-/// Returns a message naming the first malformed line.
+/// Returns a message naming the first malformed line, including a line
+/// that puts a request earlier than one of its previous events.
 pub fn parse_trace_jsonl(text: &str) -> Result<Vec<TraceEvent>, String> {
     let mut events = Vec::new();
+    // Each open request's latest event time. An arrival opens a request
+    // afresh and its last event closes it, as in `reconstruct`, so
+    // captures concatenated one after another still load.
+    let mut latest: HashMap<u64, SimTime> = HashMap::new();
     for (i, raw) in text.lines().enumerate() {
         let line = i + 1;
         if raw.trim().is_empty() {
@@ -135,8 +143,8 @@ pub fn parse_trace_jsonl(text: &str) -> Result<Vec<TraceEvent>, String> {
             },
             other => return Err(format!("trace line {line}: unknown event '{other}'")),
         };
-        events.push(TraceEvent {
-            at: pascal_sim::SimTime::from_nanos(field_u64(&obj, "t_ns", line)?),
+        let event = TraceEvent {
+            at: SimTime::from_nanos(field_u64(&obj, "t_ns", line)?),
             region: field_u32(&obj, "region", line)?,
             shard: field_u32(&obj, "shard", line)?,
             instance: match obj.get("instance") {
@@ -157,7 +165,32 @@ pub fn parse_trace_jsonl(text: &str) -> Result<Vec<TraceEvent>, String> {
                 None => None,
             },
             kind,
-        });
+        };
+        // `reconstruct` replays a request's segments in time order.
+        if let Some(request) = event.request {
+            if matches!(event.kind, TraceEventKind::Arrival) {
+                latest.insert(request, event.at);
+            } else if let Some(last) = latest.get_mut(&request) {
+                if event.at < *last {
+                    return Err(format!(
+                        "trace line {line}: request {request} at t_ns {} is earlier \
+                         than its event at t_ns {}",
+                        event.at.as_nanos(),
+                        last.as_nanos()
+                    ));
+                }
+                *last = event.at;
+            }
+            if matches!(
+                event.kind,
+                TraceEventKind::Completed { .. }
+                    | TraceEventKind::RequestStranded
+                    | TraceEventKind::AdmissionRejected { .. }
+            ) {
+                latest.remove(&request);
+            }
+        }
+        events.push(event);
     }
     Ok(events)
 }
@@ -232,7 +265,7 @@ pub fn anatomy_to_json(report: &AnatomyReport) -> String {
             outcome_key(r.outcome),
             r.spilled,
             r.arrival.as_nanos(),
-            opt_u64(r.first_answer.map(pascal_sim::SimTime::as_nanos)),
+            opt_u64(r.first_answer.map(SimTime::as_nanos)),
             r.end.as_nanos(),
             r.e2e_ns(),
             opt_u64(r.ttft_ns()),
@@ -422,6 +455,10 @@ mod tests {
         let text = events_to_jsonl(&events);
         let back = parse_trace_jsonl(&text).expect("parses");
         assert_eq!(back, events);
+        // A second capture of the same request ids starts earlier than the
+        // first one ended: each arrival opens its request afresh.
+        let twice = parse_trace_jsonl(&text.repeat(2)).expect("concatenated captures parse");
+        assert_eq!(twice.len(), 2 * events.len());
     }
 
     #[test]
@@ -437,6 +474,14 @@ mod tests {
         )
         .expect_err("unknown tier");
         assert!(err.contains("unknown migration tier 'warp'"), "{err}");
+        // A request going back in time would underflow its open segment.
+        let mut events = sample_events();
+        events.swap(1, 2);
+        let err = parse_trace_jsonl(&events_to_jsonl(&events)).expect_err("time travel");
+        assert!(
+            err.contains("trace line 3: request 7 at t_ns 400 is earlier"),
+            "{err}"
+        );
     }
 
     #[test]

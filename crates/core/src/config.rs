@@ -13,7 +13,7 @@ use pascal_sim::SimDuration;
 use pascal_telemetry::TelemetryConfig;
 use pascal_workload::DatasetMix;
 
-use crate::engine::{AdmissionMode, PredictiveMigration};
+use crate::engine::{AdmissionMode, InstanceRt, PredictiveMigration, Shard};
 use crate::fleet::FleetSpec;
 
 /// How much HBM is available for KV cache on each instance.
@@ -89,7 +89,9 @@ pub struct SimConfig {
     /// scheduler).
     pub predictor: Option<PredictorKind>,
     /// Predictive migration cost/benefit test (`None` = the paper's
-    /// reactive Algorithm 2). Requires a `predictor` to have any effect.
+    /// reactive Algorithm 2). Needs a predictor with absolute length
+    /// estimates and a policy that migrates; [`SimConfig::validate`]
+    /// refuses it otherwise.
     pub predictive_migration: Option<PredictiveMigration>,
     /// Admission-control mode (default [`AdmissionMode::Disabled`]: every
     /// arrival is admitted, as in the paper).
@@ -246,48 +248,95 @@ impl SimConfig {
         }
     }
 
-    /// Validates structural parameters.
+    /// Checks that this deployment can run: the one place a deployment is
+    /// judged, whether it comes from `pascal-cli run`, a sweep cell or a
+    /// library caller (the engine panics with this message).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on zero-sized fields, including a zero series-sampling
-    /// interval (the sampler would never advance).
-    pub fn validate(&self) {
-        assert!(self.num_instances > 0, "need at least one instance");
-        assert!(
-            u32::try_from(self.num_instances).is_ok(),
-            "{} instances exceed the 32-bit instance id space",
-            self.num_instances
-        );
-        assert!(self.shards > 0, "need at least one shard");
-        assert!(self.regions > 0, "need at least one region");
-        assert!(
-            self.num_instances % self.shards == 0,
-            "{} instances do not split evenly into {} shards",
-            self.num_instances,
-            self.shards
-        );
-        assert!(
-            self.num_instances % (self.regions * self.shards) == 0,
-            "{} instances do not split evenly into {} regions of {} shards",
-            self.num_instances,
-            self.regions,
-            self.shards
-        );
-        assert!(self.max_batch > 0, "max_batch must be non-zero");
-        assert!(self.block_tokens > 0, "block_tokens must be non-zero");
-        assert!(
-            self.prefill_token_budget > 0,
-            "prefill budget must be non-zero"
-        );
-        assert!(
-            self.telemetry.series_interval != Some(SimDuration::ZERO),
-            "series interval must be non-zero"
-        );
-        if let Some(fleet) = &self.fleet {
-            if let Err(e) = fleet.validate(self.regions, self.shards, self.num_instances) {
-                panic!("{e}");
+    /// Names the first rule broken: a zero size; more instances than
+    /// 32-bit ids can name; regions × shards not dividing the instances;
+    /// engine tables the host cannot hold; a migration benefit that is not
+    /// a finite non-negative ratio, or that nothing would act on (it needs
+    /// a predictor with absolute length estimates and a policy that
+    /// migrates: `pascal` or `pascal-nonadaptive`); a zero series
+    /// interval; or a fleet schedule naming ids outside the topology.
+    pub fn validate(&self) -> Result<(), String> {
+        for (name, size) in [
+            ("instances", self.num_instances),
+            ("shards", self.shards),
+            ("regions", self.regions),
+            ("max_batch", self.max_batch as usize),
+            ("block_tokens", self.block_tokens as usize),
+            ("prefill_token_budget", self.prefill_token_budget as usize),
+        ] {
+            if size == 0 {
+                return Err(format!("{name} must be positive"));
             }
+        }
+        // Instance ids are 32-bit: a larger fleet would give two instances
+        // the same id.
+        if u32::try_from(self.num_instances).is_err() {
+            return Err(format!(
+                "{} instances: at most {} (ids are 32-bit)",
+                self.num_instances,
+                u32::MAX
+            ));
+        }
+        // A product past `usize::MAX` cannot divide the instance count either.
+        let domains = self
+            .regions
+            .checked_mul(self.shards)
+            .filter(|d| self.num_instances % d == 0)
+            .ok_or_else(|| {
+                format!(
+                    "{} region(s) x {} shard(s) does not divide {} instances evenly",
+                    self.regions, self.shards, self.num_instances
+                )
+            })?;
+        // The engine builds one row per instance and per shard up front: a
+        // size the allocator refuses is an error here, not an abort there.
+        if Vec::<InstanceRt>::new()
+            .try_reserve_exact(self.num_instances)
+            .and_then(|()| Vec::<Shard<'_>>::new().try_reserve_exact(domains))
+            .is_err()
+        {
+            return Err(format!(
+                "a deployment of {} instances in {domains} shard(s) does not fit in memory",
+                self.num_instances
+            ));
+        }
+        if let Some(PredictiveMigration { min_benefit_ratio }) = self.predictive_migration {
+            if !(min_benefit_ratio.is_finite() && min_benefit_ratio >= 0.0) {
+                return Err(format!(
+                    "migration benefit must be a non-negative number, got {min_benefit_ratio}"
+                ));
+            }
+            match self.predictor {
+                None => return Err("migration benefit needs a length predictor".to_owned()),
+                // The cost test prices absolute remaining lengths, which the
+                // rank predictor never estimates: it could never fire.
+                Some(PredictorKind::PairwiseRank) => {
+                    return Err("migration benefit needs absolute length estimates; \
+                         the rank predictor only orders requests"
+                        .to_owned());
+                }
+                Some(_) => {}
+            }
+            if !matches!(self.policy, SchedPolicy::Pascal(c) if c.migration_enabled) {
+                return Err(format!(
+                    "migration benefit needs a policy that migrates \
+                     (pascal or pascal-nonadaptive), not {}",
+                    self.policy.name()
+                ));
+            }
+        }
+        if self.telemetry.series_interval == Some(SimDuration::ZERO) {
+            return Err("series interval must be non-zero".to_owned());
+        }
+        match &self.fleet {
+            Some(fleet) => fleet.validate(self.regions, self.shards, self.num_instances),
+            None => Ok(()),
         }
     }
 }
@@ -401,12 +450,13 @@ impl std::fmt::Display for RateLevel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pascal_sched::PolicyKind;
     use pascal_workload::DatasetProfile;
 
     #[test]
     fn characterization_config_is_single_instance() {
         let c = SimConfig::characterization(SchedPolicy::Fcfs, KvCapacityMode::Unlimited);
-        c.validate();
+        assert_eq!(c.validate(), Ok(()));
         assert_eq!(c.num_instances, 1);
         assert_eq!(c.kv_capacity_bytes(), None);
     }
@@ -414,7 +464,7 @@ mod tests {
     #[test]
     fn evaluation_cluster_has_eight_instances() {
         let c = SimConfig::evaluation_cluster(SchedPolicy::Fcfs);
-        c.validate();
+        assert_eq!(c.validate(), Ok(()));
         assert_eq!(c.num_instances, 8);
         assert!(c.kv_capacity_bytes().unwrap() > 10_000_000_000);
     }
@@ -455,18 +505,19 @@ mod tests {
     fn with_shards_partitions_the_cluster() {
         let c = SimConfig::evaluation_cluster(SchedPolicy::Fcfs)
             .with_shards(4, RouterPolicy::Predictive);
-        c.validate();
+        assert_eq!(c.validate(), Ok(()));
         assert_eq!(c.shards, 4);
         assert_eq!(c.router, RouterPolicy::Predictive);
         assert_eq!(c.num_instances, 8, "aggregate capacity is unchanged");
     }
 
     #[test]
-    #[should_panic(expected = "do not split evenly")]
     fn uneven_shard_partition_rejected() {
-        SimConfig::evaluation_cluster(SchedPolicy::Fcfs)
+        let err = SimConfig::evaluation_cluster(SchedPolicy::Fcfs)
             .with_shards(3, RouterPolicy::RoundRobin)
-            .validate();
+            .validate()
+            .expect_err("3 shards do not split 8 instances");
+        assert!(err.contains("does not divide 8 instances"), "{err}");
     }
 
     #[test]
@@ -474,7 +525,7 @@ mod tests {
         let c = SimConfig::evaluation_cluster(SchedPolicy::Fcfs)
             .with_shards(2, RouterPolicy::LeastLoaded)
             .with_regions(2, FederationPolicy::Predictive);
-        c.validate();
+        assert_eq!(c.validate(), Ok(()));
         assert_eq!(c.regions, 2);
         assert_eq!(c.fed_router, FederationPolicy::Predictive);
         assert_eq!(c.wan, WanLink::Continental, "continental WAN by default");
@@ -482,14 +533,15 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "regions of")]
     fn uneven_region_partition_rejected() {
         // 8 instances split into 4 shards fine, but not into 4 regions of
         // 4 shards each (16 scheduling domains).
-        SimConfig::evaluation_cluster(SchedPolicy::Fcfs)
+        let err = SimConfig::evaluation_cluster(SchedPolicy::Fcfs)
             .with_shards(4, RouterPolicy::RoundRobin)
             .with_regions(4, FederationPolicy::Static)
-            .validate();
+            .validate()
+            .expect_err("16 domains do not split 8 instances");
+        assert!(err.contains("4 region(s) x 4 shard(s)"), "{err}");
     }
 
     #[test]
@@ -505,11 +557,65 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "series interval must be non-zero")]
     fn zero_series_interval_rejected() {
         let mut c = SimConfig::evaluation_cluster(SchedPolicy::Fcfs);
         c.telemetry.series_interval = Some(SimDuration::ZERO);
-        c.validate();
+        assert_eq!(
+            c.validate(),
+            Err("series interval must be non-zero".to_owned())
+        );
+    }
+
+    #[test]
+    fn migration_benefit_needs_estimates_and_a_migrating_policy() {
+        let deployment = |kind: PolicyKind, predictor| {
+            let mut c = SimConfig::evaluation_cluster(kind.build()).with_predictive_migration(4.0);
+            c.predictor = predictor;
+            c.validate()
+        };
+        let quantile = Some(PredictorKind::Quantile);
+        for kind in [PolicyKind::Pascal, PolicyKind::PascalNonAdaptive] {
+            assert_eq!(deployment(kind, quantile), Ok(()), "{kind}");
+        }
+        // A policy that never migrates would only tally vetoes for moves
+        // it can never make.
+        for kind in [
+            PolicyKind::Fcfs,
+            PolicyKind::RoundRobin,
+            PolicyKind::PascalNoMigration,
+        ] {
+            let err = deployment(kind, quantile).expect_err("refused");
+            assert!(
+                err.contains("needs a policy that migrates"),
+                "{kind}: {err}"
+            );
+        }
+        let err = deployment(PolicyKind::Pascal, None).expect_err("no predictor");
+        assert!(err.contains("needs a length predictor"), "{err}");
+        let err = deployment(PolicyKind::Pascal, Some(PredictorKind::PairwiseRank))
+            .expect_err("rank only orders");
+        assert!(err.contains("absolute length estimates"), "{err}");
+        for ratio in [-1.0, f64::NAN, f64::INFINITY] {
+            let mut c = SimConfig::evaluation_cluster(PolicyKind::Pascal.build())
+                .with_predictor(PredictorKind::Oracle)
+                .with_predictive_migration(ratio);
+            assert!(c
+                .validate()
+                .expect_err("bad ratio")
+                .contains("non-negative"));
+            c.predictive_migration = None;
+            assert_eq!(c.validate(), Ok(()));
+        }
+    }
+
+    #[test]
+    fn zero_sizes_and_the_id_space_are_rejected() {
+        let mut c = SimConfig::evaluation_cluster(SchedPolicy::Fcfs);
+        c.num_instances = 0;
+        assert_eq!(c.validate(), Err("instances must be positive".to_owned()));
+        c.num_instances = u32::MAX as usize + 1;
+        let err = c.validate().expect_err("past the id space");
+        assert!(err.contains("ids are 32-bit"), "{err}");
     }
 
     #[test]

@@ -102,7 +102,9 @@ impl<'a> Engine<'a> {
         config: &'a SimConfig,
         telemetry: TelemetryHandle,
     ) -> Self {
-        config.validate();
+        if let Err(e) = config.validate() {
+            panic!("{e}");
+        }
         validate_trace_fits(trace, config);
 
         // The even partition itself (and its divisibility rule) lives in

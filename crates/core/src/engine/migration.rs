@@ -38,13 +38,14 @@ use super::{context_kv_bytes, tier_between, EscapeCandidate, Event, Shard};
 
 /// Cost/benefit configuration of predictive migration.
 ///
-/// When set on `SimConfig` (and a length predictor is active), the
-/// controller vetoes Algorithm 2 migrations whose predicted remaining
-/// service — remaining tokens at the pacing target — is below
-/// `min_benefit_ratio` transfer-times. Unset, migration is exactly the
-/// paper's reactive Algorithm 2. Rank-only predictors produce no absolute
-/// estimates, so under them the test never fires and migration stays
-/// reactive (the CLI rejects that combination outright).
+/// When set on `SimConfig`, the controller vetoes Algorithm 2 migrations
+/// whose predicted remaining service — remaining tokens at the pacing
+/// target — is below `min_benefit_ratio` transfer-times. Unset, migration
+/// is exactly the paper's reactive Algorithm 2. The test prices absolute
+/// length estimates and only a migrating policy consults it, so
+/// [`SimConfig::validate`](crate::SimConfig::validate) refuses it with no
+/// predictor or a rank-only one, and under `fcfs`, `rr` and
+/// `pascal-nomigration`.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PredictiveMigration {
     /// How many transfer-times of predicted remaining service a migration
@@ -75,13 +76,6 @@ pub(crate) struct MigrationController {
 
 impl MigrationController {
     pub(super) fn new(predictive: Option<PredictiveMigration>) -> Self {
-        if let Some(p) = predictive {
-            assert!(
-                p.min_benefit_ratio.is_finite() && p.min_benefit_ratio >= 0.0,
-                "migration min_benefit_ratio must be a non-negative finite number, got {}",
-                p.min_benefit_ratio
-            );
-        }
         MigrationController {
             predictive,
             reservations: Vec::new(),

@@ -294,9 +294,9 @@ pub(super) fn context_kv_bytes(geometry: &KvGeometry, st: &RequestState) -> u64 
 ///
 /// # Panics
 ///
-/// Panics if the configuration is invalid, or if any single request's final
-/// KV footprint exceeds one instance's KV capacity (such a request could
-/// never be scheduled).
+/// Panics with [`SimConfig::validate`]'s message if the configuration is
+/// invalid, or if any single request's final KV footprint exceeds one
+/// instance's KV capacity (such a request could never be scheduled).
 #[must_use]
 pub fn run_simulation(trace: &Trace, config: &SimConfig) -> SimOutput {
     run_reporting_to(trace, config, TelemetryHandle::new(&config.telemetry))
@@ -332,50 +332,6 @@ pub fn run_simulation_with_series(
         .take_series_sink()
         .expect("a series-sampling handle keeps its sink");
     (out, sink)
-}
-
-/// A deployment whose per-instance or per-shard tables do not fit in
-/// memory.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct DeploymentTooLarge {
-    /// The requested number of instances.
-    pub instances: usize,
-    /// The requested number of shards, over all regions.
-    pub shards: usize,
-}
-
-impl std::fmt::Display for DeploymentTooLarge {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "a deployment of {} instances in {} shard(s) does not fit in memory",
-            self.instances, self.shards
-        )
-    }
-}
-
-impl std::error::Error for DeploymentTooLarge {}
-
-/// Checks that `config`'s deployment fits in memory by reserving the
-/// engine's per-instance and per-shard tables, then releasing them — the
-/// engine's counterpart of [`Trace::check_capacity`]. A size whose table
-/// overflows the address space, or that the allocator refuses, is an
-/// error rather than a panic or an abort.
-///
-/// # Errors
-///
-/// [`DeploymentTooLarge`] when either reservation fails.
-pub fn check_deployment_capacity(config: &SimConfig) -> Result<(), DeploymentTooLarge> {
-    let shards = config.regions.saturating_mul(config.shards);
-    let mut instances: Vec<InstanceRt> = Vec::new();
-    let mut domains: Vec<Shard<'_>> = Vec::new();
-    instances
-        .try_reserve_exact(config.num_instances)
-        .and_then(|()| domains.try_reserve_exact(shards))
-        .map_err(|_| DeploymentTooLarge {
-            instances: config.num_instances,
-            shards,
-        })
 }
 
 /// One scheduling domain: an instance pool with its own controllers and

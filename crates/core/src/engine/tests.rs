@@ -163,16 +163,14 @@ fn drain_audit_catches_leaked_kv_blocks() {
 #[test]
 fn deployment_capacity_refuses_tables_no_host_can_hold() {
     let mut config = oracle(SchedPolicy::Fcfs);
-    assert_eq!(check_deployment_capacity(&config), Ok(()));
-    // usize::MAX instance rows overflow the address space on any host.
-    config.num_instances = usize::MAX;
-    assert_eq!(
-        check_deployment_capacity(&config),
-        Err(DeploymentTooLarge {
-            instances: usize::MAX,
-            shards: 1
-        })
-    );
+    assert_eq!(config.validate(), Ok(()));
+    // The whole 32-bit id space, one shard per instance: ~9 TB of rows,
+    // which an allocator refuses on any host with less memory and swap
+    // (Linux's default overcommit heuristic refuses a larger reservation).
+    config.num_instances = u32::MAX as usize;
+    config.shards = u32::MAX as usize;
+    let err = config.validate().expect_err("tables too large");
+    assert!(err.contains("does not fit in memory"), "{err}");
 }
 
 #[test]

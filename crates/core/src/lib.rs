@@ -69,8 +69,7 @@ pub mod sweep;
 pub use analyze::{anatomy_to_csv, anatomy_to_json, anatomy_waterfall, parse_trace_jsonl};
 pub use config::{estimate_capacity_rps, KvCapacityMode, RateLevel, SimConfig};
 pub use engine::{
-    check_deployment_capacity, run_simulation, run_simulation_with_series, AdmissionMode,
-    DeploymentTooLarge, PredictiveMigration, SimOutput,
+    run_simulation, run_simulation_with_series, AdmissionMode, PredictiveMigration, SimOutput,
 };
 pub use fleet::{FleetPreset, FleetSpec};
 pub use pascal_federation::{FederationPolicy, WanLink};

@@ -205,71 +205,15 @@ impl ScenarioSpec {
         label
     }
 
-    /// Checks cross-field coherence — the same rules the CLI enforces.
+    /// Checks the cell can run: a positive request count, then
+    /// [`SimConfig::validate`] on its deployment — the rules `pascal-cli
+    /// run` applies.
     ///
     /// # Errors
     ///
-    /// Returns a human-readable reason when the combination cannot work:
-    /// the migration cost test needs absolute length estimates (Oracle or
-    /// EMA predictor) and a policy that migrates at all.
+    /// Returns the cell's label and the first rule its deployment breaks.
     pub fn validate(&self) -> Result<(), String> {
-        if self.count == 0 {
-            return Err("count must be positive".to_owned());
-        }
-        if self.instances == 0 {
-            return Err("instances must be positive".to_owned());
-        }
-        if self.shards == 0 {
-            return Err("shards must be positive".to_owned());
-        }
-        if self.regions == 0 {
-            return Err("regions must be positive".to_owned());
-        }
-        if self.instances % self.shards != 0 {
-            return Err(format!(
-                "{}: {} instances do not split evenly into {} shards",
-                self.label(),
-                self.instances,
-                self.shards
-            ));
-        }
-        if self.instances % (self.regions * self.shards) != 0 {
-            return Err(format!(
-                "{}: {} instances do not split evenly into {} regions of {} shards",
-                self.label(),
-                self.instances,
-                self.regions,
-                self.shards
-            ));
-        }
-        if self.migration_benefit.is_some() {
-            match self.predictor {
-                None => {
-                    return Err(format!(
-                        "{}: migration benefit needs a length predictor",
-                        self.label()
-                    ));
-                }
-                Some(PredictorKind::PairwiseRank) => {
-                    return Err(format!(
-                        "{}: migration benefit needs absolute length estimates \
-                         (rank only orders requests)",
-                        self.label()
-                    ));
-                }
-                Some(_) => {}
-            }
-            if !matches!(
-                self.policy,
-                PolicyKind::Pascal | PolicyKind::PascalNonAdaptive
-            ) {
-                return Err(format!(
-                    "{}: migration benefit requires a migrating policy",
-                    self.label()
-                ));
-            }
-        }
-        Ok(())
+        self.checked_config().map(drop)
     }
 
     /// The deployment this cell describes.
@@ -279,7 +223,13 @@ impl ScenarioSpec {
     /// Panics if the spec is invalid (see [`ScenarioSpec::validate`]).
     #[must_use]
     pub fn config(&self) -> SimConfig {
-        self.validate().expect("coherent scenario spec");
+        self.checked_config().expect("coherent scenario spec")
+    }
+
+    fn checked_config(&self) -> Result<SimConfig, String> {
+        if self.count == 0 {
+            return Err(format!("{}: count must be positive", self.label()));
+        }
         let mut config = SimConfig::evaluation_cluster(self.policy.build());
         config.num_instances = self.instances;
         config.shards = self.shards;
@@ -291,6 +241,10 @@ impl ScenarioSpec {
         if let Some(ratio) = self.migration_benefit {
             config = config.with_predictive_migration(ratio);
         }
+        let label = |e| format!("{}: {e}", self.label());
+        // The fleet-free topology first: `FleetPreset::spec` divides by
+        // regions × shards.
+        config.validate().map_err(label)?;
         if let Some(preset) = self.fleet {
             // Anchor the schedule to the cell's expected load window: at
             // `count` requests arriving at `rate_rps`, the arrival horizon
@@ -298,8 +252,9 @@ impl ScenarioSpec {
             // mid-run rather than after the trace drains.
             let horizon_s = self.count as f64 / self.rate_rps();
             config.fleet = Some(preset.spec(horizon_s, self.regions, self.shards, self.instances));
+            config.validate().map_err(label)?;
         }
-        config
+        Ok(config)
     }
 
     /// The concrete arrival rate of this cell, in requests per second.

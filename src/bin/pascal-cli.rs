@@ -8,16 +8,18 @@
 //! pascal-cli capacity --dataset mixed
 //! ```
 
+use std::fmt::Display;
 use std::process::ExitCode;
+use std::str::FromStr;
 
 use pascal::core::report::{records_csv, render_table};
 use pascal::core::sweep::gate::{compare, GateTolerances};
 use pascal::core::sweep::SweepThroughput;
 use pascal::core::{
-    anatomy_to_csv, anatomy_to_json, anatomy_waterfall, check_deployment_capacity,
-    estimate_capacity_rps, events_to_chrome, events_to_jsonl, parse_trace_jsonl, run_simulation,
-    run_simulation_with_series, AdmissionMode, FleetPreset, FleetSpec, RateLevel, SeriesSink,
-    SeriesWriter, SimConfig, SweepGrid, SweepReport, SweepRunner, TelemetryConfig, TraceFormat,
+    anatomy_to_csv, anatomy_to_json, anatomy_waterfall, estimate_capacity_rps, events_to_chrome,
+    events_to_jsonl, parse_trace_jsonl, run_simulation, run_simulation_with_series, AdmissionMode,
+    FleetPreset, FleetSpec, RateLevel, SeriesSink, SeriesWriter, SimConfig, SweepGrid, SweepReport,
+    SweepRunner, TelemetryConfig, TraceFormat,
 };
 use pascal::federation::{FederationPolicy, WanLink};
 use pascal::metrics::{
@@ -56,7 +58,8 @@ OPTIONS (run):
   --migration-benefit <RATIO>                       cost/benefit migration
           enables the predictive migration controller: veto Algorithm 2
           migrations whose predicted remaining service is below RATIO
-          transfer-times (needs --predictor).
+          transfer-times (needs a --predictor with absolute estimates and
+          --policy pascal or pascal-nonadaptive).
   --rate    <low|medium|high|REQ_PER_S>             arrival rate   [high]
   --count   <N>                                     requests       [1000]
   --seed    <N>                                     RNG seed       [42]
@@ -185,7 +188,11 @@ OPTIONS (analyze):
   --out    <DIR>        also write anatomy.json, anatomy.csv and
           waterfall.txt into DIR (created if missing)
 
-Unknown values for any option exit with status 2.
+OPTIONS (capacity):
+  --dataset <alpaca|arena|math500|gpqa|lcb|mixed|reasoning-heavy>  [alpaca]
+  --instances <N>                                   cluster size   [8]
+
+Unknown flags, and unknown values for any option, exit with status 2.
 ";
 
 /// A CLI failure: bad invocation (exit 2, prints usage) or a runtime
@@ -211,62 +218,6 @@ fn policy(name: &str) -> Result<SchedPolicy, String> {
     PolicyKind::parse(name).map(PolicyKind::build)
 }
 
-/// Parsed `run` options.
-#[derive(Debug)]
-struct RunOpts {
-    dataset: String,
-    policy: String,
-    predictor: String,
-    admission: String,
-    migration_benefit: Option<f64>,
-    rate: String,
-    count: usize,
-    seed: u64,
-    instances: usize,
-    shards: usize,
-    router: String,
-    regions: usize,
-    fed_router: String,
-    wan: String,
-    fleet_events: Option<String>,
-    alerts: Option<String>,
-    csv: Option<String>,
-    trace_out: Option<String>,
-    trace_format: TraceFormat,
-    series_out: Option<String>,
-    series_interval: Option<f64>,
-    profile: bool,
-}
-
-impl Default for RunOpts {
-    fn default() -> Self {
-        RunOpts {
-            dataset: "alpaca".to_owned(),
-            policy: "pascal".to_owned(),
-            predictor: "none".to_owned(),
-            admission: "none".to_owned(),
-            migration_benefit: None,
-            rate: "high".to_owned(),
-            count: 1000,
-            seed: 42,
-            instances: 8,
-            shards: 1,
-            router: "rr".to_owned(),
-            regions: 1,
-            fed_router: "static".to_owned(),
-            wan: "continental".to_owned(),
-            fleet_events: None,
-            alerts: None,
-            csv: None,
-            trace_out: None,
-            trace_format: TraceFormat::Jsonl,
-            series_out: None,
-            series_interval: None,
-            profile: false,
-        }
-    }
-}
-
 fn predictor(name: &str) -> Result<Option<PredictorKind>, String> {
     match name {
         "none" => Ok(None),
@@ -286,103 +237,135 @@ fn admission(name: &str) -> Result<AdmissionMode, String> {
     }
 }
 
-fn parse_opts(args: &[String]) -> Result<RunOpts, String> {
-    let mut opts = RunOpts::default();
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = || {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match flag.as_str() {
-            "--dataset" => opts.dataset = value()?,
-            "--policy" => opts.policy = value()?,
-            "--predictor" => opts.predictor = value()?,
-            "--admission" => opts.admission = value()?,
-            "--migration-benefit" => {
-                let ratio: f64 = value()?
-                    .parse()
-                    .map_err(|e| format!("--migration-benefit: {e}"))?;
-                if !(ratio.is_finite() && ratio >= 0.0) {
-                    return Err(format!(
-                        "--migration-benefit must be a non-negative number, got {ratio}"
-                    ));
-                }
-                opts.migration_benefit = Some(ratio);
-            }
-            "--rate" => opts.rate = value()?,
-            "--count" => {
-                opts.count = value()?.parse().map_err(|e| format!("--count: {e}"))?;
-            }
-            "--seed" => opts.seed = value()?.parse().map_err(|e| format!("--seed: {e}"))?,
-            "--instances" => {
-                let instances: usize = value()?.parse().map_err(|e| format!("--instances: {e}"))?;
-                if instances == 0 {
-                    return Err("--instances must be positive".to_owned());
-                }
-                // Instance ids are 32-bit: a larger fleet would give two
-                // instances the same id.
-                if u32::try_from(instances).is_err() {
-                    return Err(format!(
-                        "--instances {instances}: at most {} instances (ids are 32-bit)",
-                        u32::MAX
-                    ));
-                }
-                opts.instances = instances;
-            }
-            "--shards" => {
-                let shards: usize = value()?.parse().map_err(|e| format!("--shards: {e}"))?;
-                if shards == 0 {
-                    return Err("--shards must be positive".to_owned());
-                }
-                opts.shards = shards;
-            }
-            "--router" => opts.router = value()?,
-            "--regions" => {
-                let regions: usize = value()?.parse().map_err(|e| format!("--regions: {e}"))?;
-                if regions == 0 {
-                    return Err("--regions must be positive".to_owned());
-                }
-                opts.regions = regions;
-            }
-            "--fed-router" => opts.fed_router = value()?,
-            "--wan" => opts.wan = value()?,
-            "--fleet-events" => opts.fleet_events = Some(value()?),
-            "--alerts" => opts.alerts = Some(value()?),
-            "--csv" => opts.csv = Some(value()?),
-            "--trace-out" => opts.trace_out = Some(value()?),
-            "--trace-format" => {
-                let raw = value()?;
-                opts.trace_format = TraceFormat::parse(&raw).ok_or_else(|| {
-                    let keys: Vec<&str> = TraceFormat::ALL.iter().map(|f| f.key()).collect();
-                    format!("unknown trace format '{raw}' (valid: {})", keys.join(", "))
-                })?;
-            }
-            "--series-out" => opts.series_out = Some(value()?),
-            "--series-interval" => {
-                let secs: f64 = value()?
-                    .parse()
-                    .map_err(|e| format!("--series-interval: {e}"))?;
-                if !(secs.is_finite() && secs > 0.0) {
-                    return Err(format!(
-                        "--series-interval must be a positive number of sim seconds, got {secs}"
-                    ));
-                }
-                // Sim time is kept in whole nanoseconds; a period that
-                // rounds to zero would never advance the sampler.
-                if SimDuration::from_secs_f64(secs) == SimDuration::ZERO {
-                    return Err(format!(
-                        "--series-interval must be at least 1 ns of sim time, got {secs}"
-                    ));
-                }
-                opts.series_interval = Some(secs);
-            }
-            "--profile" => opts.profile = true,
-            other => return Err(format!("unknown flag '{other}'")),
+/// A command's flags in USAGE order, each with its default: `None`
+/// leaves the flag unset unless it is given. [`SWITCHES`] take no value.
+type Flags = &'static [(&'static str, Option<&'static str>)];
+
+const RUN_FLAGS: Flags = &[
+    ("--dataset", Some("alpaca")),
+    ("--policy", Some("pascal")),
+    ("--predictor", Some("none")),
+    ("--admission", Some("none")),
+    ("--migration-benefit", None),
+    ("--rate", Some("high")),
+    ("--count", Some("1000")),
+    ("--seed", Some("42")),
+    ("--instances", Some("8")),
+    ("--shards", Some("1")),
+    ("--router", Some("rr")),
+    ("--regions", Some("1")),
+    ("--fed-router", Some("static")),
+    ("--wan", Some("continental")),
+    ("--fleet-events", None),
+    ("--csv", None),
+    ("--trace-out", None),
+    ("--trace-format", Some("jsonl")),
+    ("--series-out", None),
+    ("--series-interval", None),
+    ("--alerts", None),
+    ("--profile", None),
+];
+
+const SWEEP_FLAGS: Flags = &[
+    ("--grid", Some("ci")),
+    ("--threads", Some("0")),
+    ("--count", None),
+    ("--seed", None),
+    ("--out", None),
+    ("--baseline", None),
+    ("--ttft-tol", Some("0.10")),
+    ("--ttft-abs-tol", Some("0.5")),
+    ("--slo-tol", Some("0.02")),
+    ("--tput-tol", Some("0.20")),
+    ("--profile", None),
+    ("--blame", None),
+];
+
+const ANALYZE_FLAGS: Flags = &[
+    ("--trace", None),
+    ("--format", Some("json")),
+    ("--top", Some("5")),
+    ("--out", None),
+];
+
+const CAPACITY_FLAGS: Flags = &[("--dataset", Some("alpaca")), ("--instances", Some("8"))];
+
+/// The flags that take no value.
+const SWITCHES: [&str; 2] = ["--profile", "--blame"];
+
+/// One command's arguments, read against its flag table.
+struct Args<'a> {
+    flags: Flags,
+    /// Each flag given, in order, with its value (empty for a switch).
+    given: Vec<(&'static str, &'a str)>,
+}
+
+impl<'a> Args<'a> {
+    /// Reads `args`, refusing a flag outside `flags` or one without its
+    /// value.
+    fn read(flags: Flags, args: &'a [String]) -> Result<Self, String> {
+        let mut given = Vec::new();
+        let mut it = args.iter();
+        while let Some(arg) = it.next() {
+            let &(flag, _) = flags
+                .iter()
+                .find(|(f, _)| f == arg)
+                .ok_or_else(|| format!("unknown flag '{arg}'"))?;
+            let value = if SWITCHES.contains(&flag) {
+                ""
+            } else {
+                it.next().ok_or_else(|| format!("{flag} needs a value"))?
+            };
+            given.push((flag, value));
+        }
+        Ok(Args { flags, given })
+    }
+
+    /// The flag's value: the last one given, else its default.
+    fn opt(&self, flag: &str) -> Option<&'a str> {
+        let &(_, default) = self
+            .flags
+            .iter()
+            .find(|(f, _)| *f == flag)
+            .expect("a flag of this command's table");
+        let given = self.given.iter().rev().find(|(f, _)| *f == flag);
+        given.map(|&(_, value)| value).or(default)
+    }
+
+    /// The value of a flag with a default.
+    fn get(&self, flag: &str) -> &'a str {
+        self.opt(flag).expect("the flag has a default")
+    }
+
+    /// Whether a switch is given.
+    fn on(&self, flag: &str) -> bool {
+        self.given.iter().any(|(f, _)| *f == flag)
+    }
+
+    /// The flag's value as a number, if it has a value.
+    fn opt_num<T: FromStr>(&self, flag: &str) -> Result<Option<T>, String>
+    where
+        T::Err: Display,
+    {
+        let parse = |v: &str| v.parse().map_err(|e| format!("{flag}: {e}"));
+        self.opt(flag).map(parse).transpose()
+    }
+
+    /// The number a flag with a default holds.
+    fn num<T: FromStr>(&self, flag: &str) -> Result<T, String>
+    where
+        T::Err: Display,
+    {
+        Ok(self.opt_num(flag)?.expect("the flag has a default"))
+    }
+
+    /// A count that must be positive.
+    fn positive(&self, flag: &str) -> Result<usize, String> {
+        match self.num(flag)? {
+            0 => Err(format!("{flag} must be positive")),
+            n => Ok(n),
         }
     }
-    Ok(opts)
 }
 
 fn resolve_rate(rate: &str, config: &SimConfig, mix: &DatasetMix) -> Result<f64, String> {
@@ -398,59 +381,78 @@ fn resolve_rate(rate: &str, config: &SimConfig, mix: &DatasetMix) -> Result<f64,
     }
 }
 
+/// A `--series-interval` in sim seconds: positive, and at least the 1 ns
+/// sim time is kept in (a period that rounds to zero would never advance
+/// the sampler).
+fn series_interval(secs: f64) -> Result<SimDuration, String> {
+    if !(secs.is_finite() && secs > 0.0) {
+        return Err(format!(
+            "--series-interval must be a positive number of sim seconds, got {secs}"
+        ));
+    }
+    let period = SimDuration::from_secs_f64(secs);
+    if period == SimDuration::ZERO {
+        return Err(format!(
+            "--series-interval must be at least 1 ns of sim time, got {secs}"
+        ));
+    }
+    Ok(period)
+}
+
+/// A `--fleet-events` or `--alerts` value: a readable file is parsed by
+/// `parse`; anything else must name a preset, which `preset` resolves.
+fn file_or_preset<T>(
+    flag: &str,
+    src: &str,
+    parse: fn(&str) -> Result<T, String>,
+    preset: impl FnOnce(&str) -> Result<T, String>,
+) -> Result<T, CliError> {
+    if std::path::Path::new(src).is_file() {
+        let text = std::fs::read_to_string(src)
+            .map_err(|e| CliError::Runtime(format!("reading {src}: {e}")))?;
+        parse(&text).map_err(|e| CliError::Usage(format!("{flag} {src}: {e}")))
+    } else {
+        preset(src)
+            .map_err(|e| CliError::Usage(format!("{flag} '{src}': not a readable file, and {e}")))
+    }
+}
+
 fn cmd_run(args: &[String]) -> Result<(), CliError> {
-    let opts = parse_opts(args)?;
-    let mix = dataset(&opts.dataset)?;
-    let policy = policy(&opts.policy)?;
+    let args = Args::read(RUN_FLAGS, args)?;
+    // Every flag's own value is read before any rule between flags is
+    // checked, so a bad value is the error reported.
+    let mix = dataset(args.get("--dataset"))?;
+    let policy = policy(args.get("--policy"))?;
     let mut config = SimConfig::evaluation_cluster(policy);
-    config.num_instances = opts.instances;
-    config.shards = opts.shards;
-    config.router = RouterPolicy::parse(&opts.router)?;
-    config.regions = opts.regions;
-    config.fed_router = FederationPolicy::parse(&opts.fed_router)?;
-    config.wan = WanLink::parse(&opts.wan)?;
-    if opts.instances % opts.shards != 0 {
-        return Err(CliError::Usage(format!(
-            "--shards {} does not divide --instances {} evenly",
-            opts.shards, opts.instances
-        )));
+    config.predictor = predictor(args.get("--predictor"))?;
+    config.admission = admission(args.get("--admission"))?;
+    if let Some(ratio) = args.opt_num("--migration-benefit")? {
+        config = config.with_predictive_migration(ratio);
     }
-    // A product past `usize::MAX` cannot divide the instance count either.
-    let domains = opts.regions.checked_mul(opts.shards);
-    if domains.is_none_or(|d| opts.instances % d != 0) {
-        return Err(CliError::Usage(format!(
-            "--regions {} x --shards {} does not divide --instances {} evenly",
-            opts.regions, opts.shards, opts.instances
-        )));
-    }
-    check_deployment_capacity(&config)
-        .map_err(|e| CliError::Usage(format!("--instances {}: {e}", opts.instances)))?;
-    config.predictor = predictor(&opts.predictor)?;
-    config.admission = admission(&opts.admission)?;
-    if let Some(ratio) = opts.migration_benefit {
-        match config.predictor {
-            None => {
-                return Err(CliError::Usage(
-                    "--migration-benefit needs a length predictor (--predictor)".to_owned(),
-                ));
-            }
-            // The rank predictor never produces absolute estimates, so the
-            // cost test could never fire — reject rather than mislabel the
-            // run as cost-aware.
-            Some(PredictorKind::PairwiseRank) => {
-                return Err(CliError::Usage(
-                    "--migration-benefit needs absolute length estimates; \
-                     the rank predictor only orders requests (use oracle or ema)"
-                        .to_owned(),
-                ));
-            }
-            Some(_) => config = config.with_predictive_migration(ratio),
-        }
-    }
-    // Telemetry: tracing follows --trace-out, sampling follows the
+    let count: usize = args.num("--count")?;
+    let seed: u64 = args.num("--seed")?;
+    config.num_instances = args.positive("--instances")?;
+    config.shards = args.positive("--shards")?;
+    config.router = RouterPolicy::parse(args.get("--router"))?;
+    config.regions = args.positive("--regions")?;
+    config.fed_router = FederationPolicy::parse(args.get("--fed-router"))?;
+    config.wan = WanLink::parse(args.get("--wan"))?;
+    let trace_format = args.get("--trace-format");
+    let trace_format = TraceFormat::parse(trace_format).ok_or_else(|| {
+        let keys: Vec<&str> = TraceFormat::ALL.iter().map(|f| f.key()).collect();
+        format!(
+            "unknown trace format '{trace_format}' (valid: {})",
+            keys.join(", ")
+        )
+    })?;
+    let series_interval = args
+        .opt_num("--series-interval")?
+        .map(series_interval)
+        .transpose()?;
+    // Tracing follows --trace-out, sampling follows the
     // --series-out/--series-interval pair (each is useless alone, so a
     // lone half is a usage error rather than silently discarded work).
-    match (&opts.series_out, opts.series_interval) {
+    match (args.opt("--series-out"), series_interval) {
         (Some(_), None) => {
             return Err(CliError::Usage(
                 "--series-out needs --series-interval".to_owned(),
@@ -464,75 +466,60 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
         _ => {}
     }
     config.telemetry = TelemetryConfig {
-        trace: opts.trace_out.is_some(),
-        series_interval: opts.series_interval.map(SimDuration::from_secs_f64),
-        profile: opts.profile,
+        trace: args.opt("--trace-out").is_some(),
+        series_interval,
+        profile: args.on("--profile"),
     };
-    let rate = resolve_rate(&opts.rate, &config, &mix)?;
+    // The fleet-free deployment first: the rate and the fleet presets are
+    // derived from its topology.
+    config.validate()?;
+    let rate = resolve_rate(args.get("--rate"), &config, &mix)?;
 
-    // Fleet elasticity: a path is an explicit event schedule, anything
-    // else must name a preset (resolved against the run's horizon and
-    // topology). Either way every referenced id is validated up front so
-    // a typo exits 2 here instead of panicking mid-simulation.
-    if let Some(src) = &opts.fleet_events {
-        let spec = if std::path::Path::new(src).is_file() {
-            let text = std::fs::read_to_string(src)
-                .map_err(|e| CliError::Runtime(format!("reading {src}: {e}")))?;
-            FleetSpec::parse(&text)
-                .map_err(|e| CliError::Usage(format!("--fleet-events {src}: {e}")))?
-        } else {
-            let preset = FleetPreset::parse(src).map_err(|e| {
-                CliError::Usage(format!(
-                    "--fleet-events '{src}': not a readable file, and {e}"
-                ))
-            })?;
-            preset.spec(
-                opts.count as f64 / rate,
-                opts.regions,
-                opts.shards,
-                opts.instances,
-            )
-        };
-        spec.validate(opts.regions, opts.shards, opts.instances)
-            .map_err(|e| CliError::Usage(format!("--fleet-events: {e}")))?;
-        if !spec.is_empty() {
-            eprintln!(
-                "fleet schedule: {} events, {} standby, autoscaler {}",
-                spec.events.len(),
-                spec.standby.len(),
-                if spec.autoscale.is_some() {
-                    "on"
-                } else {
-                    "off"
-                }
-            );
-        }
-        config.fleet = Some(spec);
+    // Fleet elasticity and SLO burn-rate alerting: a path is an explicit
+    // event schedule or rule file, anything else must name a preset,
+    // scaled to the run's horizon (and the fleet's to its topology).
+    // Alerting is observation only — the run's deterministic outputs never
+    // change — so it rides on whatever else the run does.
+    let horizon_s = count as f64 / rate;
+    if let Some(src) = args.opt("--fleet-events") {
+        let (regions, shards, instances) = (config.regions, config.shards, config.num_instances);
+        config.fleet = Some(file_or_preset(
+            "--fleet-events",
+            src,
+            FleetSpec::parse,
+            |name| FleetPreset::parse(name).map(|p| p.spec(horizon_s, regions, shards, instances)),
+        )?);
     }
-
-    // SLO burn-rate alerting: a path is an explicit rule file, anything
-    // else must name a preset (scaled to the run's horizon, like the
-    // fleet presets). Observation only — the run's deterministic outputs
-    // never change — so it rides on whatever else the run does.
-    if let Some(src) = &opts.alerts {
-        let spec = if std::path::Path::new(src).is_file() {
-            let text = std::fs::read_to_string(src)
-                .map_err(|e| CliError::Runtime(format!("reading {src}: {e}")))?;
-            SloAlertSpec::parse(&text)
-                .map_err(|e| CliError::Usage(format!("--alerts {src}: {e}")))?
-        } else {
-            let preset = SloAlertPreset::parse(src).map_err(|e| {
-                CliError::Usage(format!("--alerts '{src}': not a readable file, and {e}"))
-            })?;
-            preset.spec(opts.count as f64 / rate)
-        };
+    if let Some(src) = args.opt("--alerts") {
+        config.alerts = Some(file_or_preset(
+            "--alerts",
+            src,
+            SloAlertSpec::parse,
+            |name| SloAlertPreset::parse(name).map(|p| p.spec(horizon_s)),
+        )?);
+    }
+    // Every id the fleet schedule names must exist, so a typo exits 2
+    // here instead of panicking mid-simulation.
+    config.validate()?;
+    if let Some(spec) = config.fleet.as_ref().filter(|spec| !spec.is_empty()) {
+        eprintln!(
+            "fleet schedule: {} events, {} standby, autoscaler {}",
+            spec.events.len(),
+            spec.standby.len(),
+            if spec.autoscale.is_some() {
+                "on"
+            } else {
+                "off"
+            }
+        );
+    }
+    if let Some(spec) = &config.alerts {
         eprintln!(
             "slo alerting: {} rule(s), error budget {:.3}, min {} samples",
             spec.rules.len(),
             spec.budget,
             spec.min_samples
         );
-        config.alerts = Some(spec);
     }
 
     // Predictions only steer PASCAL; under the baselines the predictor is
@@ -543,42 +530,40 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
         }
         _ => policy.name().to_owned(),
     };
-    if opts.regions > 1 {
-        eprintln!(
-            "simulating {} {} requests at {rate:.2} req/s on {} instances \
-             ({} regions x {} shards, {} federation over {} WAN, {} router) \
-             under {policy_label} …",
-            opts.count,
-            opts.dataset,
-            opts.instances,
-            opts.regions,
-            opts.shards,
-            opts.fed_router,
-            opts.wan,
-            opts.router,
-        );
-    } else if opts.shards > 1 {
-        eprintln!(
-            "simulating {} {} requests at {rate:.2} req/s on {} instances \
-             ({} shards, {} router) under {policy_label} …",
-            opts.count, opts.dataset, opts.instances, opts.shards, opts.router,
-        );
+    let topology = if config.regions > 1 {
+        format!(
+            " ({} regions x {} shards, {} federation over {} WAN, {} router)",
+            config.regions,
+            config.shards,
+            args.get("--fed-router"),
+            args.get("--wan"),
+            args.get("--router"),
+        )
+    } else if config.shards > 1 {
+        format!(
+            " ({} shards, {} router)",
+            config.shards,
+            args.get("--router")
+        )
     } else {
-        eprintln!(
-            "simulating {} {} requests at {rate:.2} req/s on {} instances under {policy_label} …",
-            opts.count, opts.dataset, opts.instances,
-        );
-    }
+        String::new()
+    };
+    eprintln!(
+        "simulating {count} {} requests at {rate:.2} req/s on {} instances{topology} \
+         under {policy_label} …",
+        args.get("--dataset"),
+        config.num_instances,
+    );
     let trace = TraceBuilder::new(mix)
         .arrivals(ArrivalProcess::poisson(rate))
-        .count(opts.count)
-        .seed(opts.seed)
-        .regions(opts.regions)
+        .count(count)
+        .seed(seed)
+        .regions(config.regions)
         .try_build()
-        .map_err(|e| CliError::Usage(format!("--count {}: {e}", opts.count)))?;
+        .map_err(|e| CliError::Usage(format!("--count {count}: {e}")))?;
     // Gauge rows stream to --series-out as they are sampled: a fine
     // interval over a long horizon would not fit in memory.
-    let (out, series) = match &opts.series_out {
+    let (out, series) = match args.opt("--series-out") {
         Some(path) => {
             let file = std::fs::File::create(path)
                 .map_err(|e| CliError::Runtime(format!("writing {path}: {e}")))?;
@@ -628,7 +613,7 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
             format!("{:.1}s", out.makespan.as_secs_f64()),
         ],
     ];
-    if opts.migration_benefit.is_some() {
+    if config.predictive_migration.is_some() {
         rows.push(vec![
             "migrations vetoed by cost".to_owned(),
             out.migration_outcomes.vetoed_by_cost.to_string(),
@@ -644,7 +629,7 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
             ),
         ]);
     }
-    if opts.shards > 1 {
+    if config.shards > 1 {
         rows.push(vec![
             "cross-shard migrations".to_owned(),
             format!(
@@ -655,7 +640,7 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
             ),
         ]);
     }
-    if opts.regions > 1 {
+    if config.regions > 1 {
         rows.push(vec![
             "cross-region migrations".to_owned(),
             format!(
@@ -721,7 +706,7 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
     }
     println!("{}", render_table(&["metric", "value"], &rows));
 
-    if opts.shards > 1 {
+    if config.shards > 1 {
         let shard_rows: Vec<Vec<String>> = out
             .shard_stats
             .iter()
@@ -756,7 +741,7 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
         );
     }
 
-    if opts.regions > 1 {
+    if config.regions > 1 {
         let region_rows: Vec<Vec<String>> = out
             .region_stats
             .iter()
@@ -795,17 +780,17 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
         );
     }
 
-    if let Some(path) = opts.csv {
-        std::fs::write(&path, records_csv(&out.records))
+    if let Some(path) = args.opt("--csv") {
+        std::fs::write(path, records_csv(&out.records))
             .map_err(|e| CliError::Runtime(format!("writing {path}: {e}")))?;
         eprintln!("wrote per-request CSV to {path}");
     }
 
     // Telemetry artifacts. The buffers exist exactly when the matching
     // flag enabled the stream, so the expects document invariants.
-    if let Some(path) = &opts.trace_out {
+    if let Some(path) = args.opt("--trace-out") {
         let telemetry = out.telemetry.as_ref().expect("tracing was enabled");
-        let text = match opts.trace_format {
+        let text = match trace_format {
             TraceFormat::Jsonl => events_to_jsonl(&telemetry.events),
             TraceFormat::Chrome => events_to_chrome(&telemetry.events),
         };
@@ -814,7 +799,7 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
         eprintln!(
             "wrote {} trace events ({}) to {path}",
             telemetry.events.len(),
-            opts.trace_format.key()
+            trace_format.key()
         );
     }
     if let Some((path, sink)) = series {
@@ -823,7 +808,7 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
             .map_err(|e| CliError::Runtime(format!("writing {path}: {e}")))?;
         eprintln!("wrote {rows} gauge samples to {path}");
     }
-    if opts.profile {
+    if config.telemetry.profile {
         let profile = out
             .telemetry
             .as_ref()
@@ -840,7 +825,7 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
     }
     // Deterministic alert summary (sim-time quantities only, ordered by
     // (time, shard, rule)) — byte-identical across hosts and thread counts.
-    if opts.alerts.is_some() {
+    if config.alerts.is_some() {
         if out.alerts.is_empty() {
             eprintln!("slo alerts: none fired");
         } else {
@@ -860,88 +845,14 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Parsed `sweep` options.
-struct SweepOpts {
-    grid: String,
-    threads: usize,
-    count: Option<usize>,
-    seed: Option<u64>,
-    out: Option<String>,
-    baseline: Option<String>,
-    ttft_tol: f64,
-    ttft_abs_tol: f64,
-    slo_tol: f64,
-    tput_tol: f64,
-    profile: bool,
-    blame: bool,
-}
-
-impl Default for SweepOpts {
-    fn default() -> Self {
-        let tol = GateTolerances::default();
-        SweepOpts {
-            grid: "ci".to_owned(),
-            threads: 0,
-            count: None,
-            seed: None,
-            out: None,
-            baseline: None,
-            ttft_tol: tol.ttft_p99_rel,
-            ttft_abs_tol: tol.ttft_p99_abs_s,
-            slo_tol: tol.slo_rate_abs,
-            tput_tol: tol.throughput_rel,
-            profile: false,
-            blame: false,
-        }
+/// A gate tolerance: a finite, non-negative number.
+fn tolerance(args: &Args, flag: &str) -> Result<f64, String> {
+    let v: f64 = args.num(flag)?;
+    if v.is_finite() && v >= 0.0 {
+        Ok(v)
+    } else {
+        Err(format!("{flag} must be a non-negative number, got {v}"))
     }
-}
-
-fn parse_sweep_opts(args: &[String]) -> Result<SweepOpts, String> {
-    let mut opts = SweepOpts::default();
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = || {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        let tolerance = |raw: String, flag: &str| -> Result<f64, String> {
-            let v: f64 = raw.parse().map_err(|e| format!("{flag}: {e}"))?;
-            if v.is_finite() && v >= 0.0 {
-                Ok(v)
-            } else {
-                Err(format!("{flag} must be a non-negative number, got {v}"))
-            }
-        };
-        match flag.as_str() {
-            "--grid" => opts.grid = value()?,
-            "--threads" => {
-                opts.threads = value()?.parse().map_err(|e| format!("--threads: {e}"))?;
-            }
-            "--count" => {
-                let count: usize = value()?.parse().map_err(|e| format!("--count: {e}"))?;
-                if count == 0 {
-                    return Err("--count must be positive".to_owned());
-                }
-                // Sweep cells build their traces later, on worker threads.
-                Trace::check_capacity(count).map_err(|e| format!("--count {count}: {e}"))?;
-                opts.count = Some(count);
-            }
-            "--seed" => {
-                opts.seed = Some(value()?.parse().map_err(|e| format!("--seed: {e}"))?);
-            }
-            "--out" => opts.out = Some(value()?),
-            "--baseline" => opts.baseline = Some(value()?),
-            "--ttft-tol" => opts.ttft_tol = tolerance(value()?, "--ttft-tol")?,
-            "--ttft-abs-tol" => opts.ttft_abs_tol = tolerance(value()?, "--ttft-abs-tol")?,
-            "--slo-tol" => opts.slo_tol = tolerance(value()?, "--slo-tol")?,
-            "--tput-tol" => opts.tput_tol = tolerance(value()?, "--tput-tol")?,
-            "--profile" => opts.profile = true,
-            "--blame" => opts.blame = true,
-            other => return Err(format!("unknown flag '{other}'")),
-        }
-    }
-    Ok(opts)
 }
 
 /// Formats an optional seconds value for the sweep tables.
@@ -964,11 +875,11 @@ fn aggregate_profile_line(t: &SweepThroughput, work: &WorkCounters) -> String {
 }
 
 fn cmd_sweep(args: &[String]) -> Result<(), CliError> {
-    let opts = parse_sweep_opts(args)?;
+    let args = Args::read(SWEEP_FLAGS, args)?;
     // `--grid a,b` merges several presets into one report (unique labels
     // enforced by the runner) — the CI gate sweeps `ci,sharded` this way.
-    let names: Vec<&str> = opts
-        .grid
+    let grid_names = args.get("--grid");
+    let names: Vec<&str> = grid_names
         .split(',')
         .filter(|name| !name.is_empty())
         .collect();
@@ -981,6 +892,22 @@ fn cmd_sweep(args: &[String]) -> Result<(), CliError> {
         .into_iter()
         .map(SweepGrid::preset)
         .collect::<Result<Vec<SweepGrid>, String>>()?;
+    let threads: usize = args.num("--threads")?;
+    let count: Option<usize> = args.opt_num("--count")?;
+    if let Some(count) = count {
+        if count == 0 {
+            return Err(CliError::Usage("--count must be positive".to_owned()));
+        }
+        // Sweep cells build their traces later, on worker threads.
+        Trace::check_capacity(count).map_err(|e| format!("--count {count}: {e}"))?;
+    }
+    let seed: Option<u64> = args.opt_num("--seed")?;
+    let tolerances = GateTolerances {
+        ttft_p99_rel: tolerance(&args, "--ttft-tol")?,
+        ttft_p99_abs_s: tolerance(&args, "--ttft-abs-tol")?,
+        slo_rate_abs: tolerance(&args, "--slo-tol")?,
+        throughput_rel: tolerance(&args, "--tput-tol")?,
+    };
     // Merged reports need globally unique cell labels (the gate matches by
     // label) — catch collisions (e.g. `--grid ci,ci` or `--grid main,ci`,
     // whose cells overlap) as a usage error rather than a runner panic.
@@ -995,25 +922,24 @@ fn cmd_sweep(args: &[String]) -> Result<(), CliError> {
             return Err(CliError::Usage(format!(
                 "--grid '{}' produces the cell '{}' more than once — \
                  merged presets must have disjoint cells",
-                opts.grid, dup[0]
+                grid_names, dup[0]
             )));
         }
     }
     for grid in &mut grids {
-        if let Some(count) = opts.count {
+        if let Some(count) = count {
             grid.count = count;
         }
-        if let Some(seed) = opts.seed {
+        if let Some(seed) = seed {
             grid.base_seed = seed;
         }
     }
-    let runner = SweepRunner::new(opts.threads)
-        .with_profile(opts.profile)
-        .with_blame(opts.blame);
+    let runner = SweepRunner::new(threads)
+        .with_profile(args.on("--profile"))
+        .with_blame(args.on("--blame"));
     let cells: usize = grids.iter().map(|g| g.expand().len()).sum();
     eprintln!(
-        "sweeping grid '{}': {cells} cells × {} requests on {} threads …",
-        opts.grid,
+        "sweeping grid '{grid_names}': {cells} cells × {} requests on {} threads …",
         grids
             .iter()
             .map(|g| g.count.to_string())
@@ -1028,7 +954,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), CliError> {
         "swept {cells} cells in {elapsed:.2}s ({} threads)",
         runner.threads()
     );
-    if opts.profile {
+    if args.on("--profile") {
         // Per-cell engine speed, to stderr only; the aggregate also lands
         // in the report's schema-4 throughput block (the single
         // host-dependent field sweep.json can carry — every cell stays
@@ -1083,7 +1009,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), CliError> {
         )
     );
 
-    if let Some(dir) = &opts.out {
+    if let Some(dir) = args.opt("--out") {
         let dir = std::path::Path::new(dir);
         std::fs::create_dir_all(dir)
             .map_err(|e| CliError::Runtime(format!("creating {}: {e}", dir.display())))?;
@@ -1098,17 +1024,11 @@ fn cmd_sweep(args: &[String]) -> Result<(), CliError> {
         }
     }
 
-    if let Some(path) = &opts.baseline {
+    if let Some(path) = args.opt("--baseline") {
         let text = std::fs::read_to_string(path)
             .map_err(|e| CliError::Runtime(format!("reading baseline {path}: {e}")))?;
         let baseline = SweepReport::from_json(&text)
             .map_err(|e| CliError::Runtime(format!("parsing baseline {path}: {e}")))?;
-        let tolerances = GateTolerances {
-            ttft_p99_rel: opts.ttft_tol,
-            ttft_p99_abs_s: opts.ttft_abs_tol,
-            slo_rate_abs: opts.slo_tol,
-            throughput_rel: opts.tput_tol,
-        };
         let gate = compare(&baseline, &report, &tolerances);
         let fmt = |x: Option<f64>| x.map_or_else(|| "-".to_owned(), |v| format!("{v:.4}"));
         let diff_rows: Vec<Vec<String>> = gate
@@ -1149,59 +1069,22 @@ fn cmd_sweep(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Parsed `analyze` options.
-#[derive(Debug)]
-struct AnalyzeOpts {
-    trace: Option<String>,
-    out: Option<String>,
-    format: String,
-    top: usize,
-}
-
 const ANALYZE_FORMATS: [&str; 3] = ["json", "csv", "waterfall"];
 
-fn parse_analyze_opts(args: &[String]) -> Result<AnalyzeOpts, String> {
-    let mut opts = AnalyzeOpts {
-        trace: None,
-        out: None,
-        format: "json".to_owned(),
-        top: 5,
-    };
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = || {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match flag.as_str() {
-            "--trace" => opts.trace = Some(value()?),
-            "--out" => opts.out = Some(value()?),
-            "--format" => {
-                let raw = value()?;
-                if !ANALYZE_FORMATS.contains(&raw.as_str()) {
-                    return Err(format!(
-                        "unknown analyze format '{raw}' (valid: {})",
-                        ANALYZE_FORMATS.join(", ")
-                    ));
-                }
-                opts.format = raw;
-            }
-            "--top" => {
-                opts.top = value()?.parse().map_err(|e| format!("--top: {e}"))?;
-            }
-            other => return Err(format!("unknown flag '{other}'")),
-        }
-    }
-    Ok(opts)
-}
-
 fn cmd_analyze(args: &[String]) -> Result<(), CliError> {
-    let opts = parse_analyze_opts(args)?;
-    let path = opts
-        .trace
+    let args = Args::read(ANALYZE_FLAGS, args)?;
+    let format = args.get("--format");
+    if !ANALYZE_FORMATS.contains(&format) {
+        return Err(CliError::Usage(format!(
+            "unknown analyze format '{format}' (valid: {})",
+            ANALYZE_FORMATS.join(", ")
+        )));
+    }
+    let top: usize = args.num("--top")?;
+    let path = args
+        .opt("--trace")
         .ok_or_else(|| CliError::Usage("analyze needs --trace <jsonl>".to_owned()))?;
-    let text = std::fs::read_to_string(&path)
+    let text = std::fs::read_to_string(path)
         .map_err(|e| CliError::Runtime(format!("reading {path}: {e}")))?;
     // A malformed trace is a bad input file, not a bad invocation: exit 1.
     let events =
@@ -1214,20 +1097,20 @@ fn cmd_analyze(args: &[String]) -> Result<(), CliError> {
         report.rejected,
         report.unterminated
     );
-    match opts.format.as_str() {
+    match format {
         "json" => print!("{}", anatomy_to_json(&report)),
         "csv" => print!("{}", anatomy_to_csv(&report)),
-        "waterfall" => print!("{}", anatomy_waterfall(&report, opts.top)),
-        other => unreachable!("format '{other}' was validated at parse time"),
+        "waterfall" => print!("{}", anatomy_waterfall(&report, top)),
+        other => unreachable!("format '{other}' was checked on reading the flags"),
     }
-    if let Some(dir) = &opts.out {
+    if let Some(dir) = args.opt("--out") {
         let dir = std::path::Path::new(dir);
         std::fs::create_dir_all(dir)
             .map_err(|e| CliError::Runtime(format!("creating {}: {e}", dir.display())))?;
         for (name, contents) in [
             ("anatomy.json", anatomy_to_json(&report)),
             ("anatomy.csv", anatomy_to_csv(&report)),
-            ("waterfall.txt", anatomy_waterfall(&report, opts.top)),
+            ("waterfall.txt", anatomy_waterfall(&report, top)),
         ] {
             let file = dir.join(name);
             std::fs::write(&file, contents)
@@ -1239,14 +1122,16 @@ fn cmd_analyze(args: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_capacity(args: &[String]) -> Result<(), CliError> {
-    let opts = parse_opts(args)?;
-    let mix = dataset(&opts.dataset)?;
+    let args = Args::read(CAPACITY_FLAGS, args)?;
+    let name = args.get("--dataset");
+    let mix = dataset(name)?;
     let mut config = SimConfig::evaluation_cluster(SchedPolicy::Fcfs);
-    config.num_instances = opts.instances;
+    config.num_instances = args.positive("--instances")?;
+    config.validate()?;
     let capacity = estimate_capacity_rps(&config, &mix);
     println!(
-        "estimated capacity for '{}' on {} instances: {capacity:.2} req/s",
-        opts.dataset, opts.instances
+        "estimated capacity for '{name}' on {} instances: {capacity:.2} req/s",
+        config.num_instances
     );
     for level in RateLevel::ALL {
         println!(
@@ -1291,39 +1176,54 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
-    fn strs(xs: &[&str]) -> Vec<String> {
-        xs.iter().map(|s| (*s).to_owned()).collect()
+    /// Reads `args` against `flags`; the argument vector lives for the test.
+    fn read(flags: Flags, args: &[&str]) -> Result<Args<'static>, String> {
+        let args: Vec<String> = args.iter().map(|s| (*s).to_owned()).collect();
+        Args::read(flags, args.leak())
     }
 
     #[test]
     fn parses_full_flag_set() {
-        let opts = parse_opts(&strs(&[
-            "--dataset",
-            "arena",
-            "--policy",
-            "rr",
-            "--rate",
-            "12.5",
-            "--count",
-            "50",
-            "--seed",
-            "7",
-            "--instances",
-            "4",
-            "--csv",
-            "/tmp/x.csv",
-        ]))
+        let args = read(
+            RUN_FLAGS,
+            &[
+                "--dataset",
+                "arena",
+                "--policy",
+                "rr",
+                "--rate",
+                "12.5",
+                "--count",
+                "50",
+                "--seed",
+                "7",
+                "--instances",
+                "4",
+                "--csv",
+                "/tmp/x.csv",
+            ],
+        )
         .expect("valid flags");
-        assert_eq!(opts.dataset, "arena");
-        assert_eq!(opts.policy, "rr");
-        assert_eq!(opts.count, 50);
-        assert_eq!(opts.instances, 4);
-        assert_eq!(opts.csv.as_deref(), Some("/tmp/x.csv"));
+        assert_eq!(args.get("--dataset"), "arena");
+        assert_eq!(args.get("--policy"), "rr");
+        assert_eq!(args.num::<usize>("--count"), Ok(50));
+        assert_eq!(args.positive("--instances"), Ok(4));
+        assert_eq!(args.opt("--csv"), Some("/tmp/x.csv"));
+        // The last of a repeated flag wins; unset flags read their default.
+        let args = read(RUN_FLAGS, &["--seed", "1", "--seed", "9"]).expect("valid");
+        assert_eq!(args.num::<u64>("--seed"), Ok(9));
+        assert_eq!(args.get("--rate"), "high");
+        assert_eq!(args.opt("--csv"), None);
     }
 
     #[test]
     fn rejects_unknown_flags_and_datasets() {
-        assert!(parse_opts(&strs(&["--bogus", "1"])).is_err());
+        let err = read(RUN_FLAGS, &["--bogus", "1"]).err();
+        assert_eq!(err.as_deref(), Some("unknown flag '--bogus'"));
+        let err = read(RUN_FLAGS, &["--dataset"]).err();
+        assert_eq!(err.as_deref(), Some("--dataset needs a value"));
+        // `capacity` reads only its own two flags.
+        assert!(read(CAPACITY_FLAGS, &["--policy", "fcfs"]).is_err());
         assert!(dataset("nope").is_err());
         assert!(policy("nope").is_err());
     }
@@ -1346,12 +1246,14 @@ mod tests {
 
     #[test]
     fn shard_flags_parse_and_validate() {
-        let opts = parse_opts(&strs(&["--shards", "4", "--router", "least"])).expect("valid");
-        assert_eq!(opts.shards, 4);
-        assert_eq!(opts.router, "least");
+        let args = read(RUN_FLAGS, &["--shards", "4", "--router", "least"]).expect("valid");
+        assert_eq!(args.positive("--shards"), Ok(4));
+        assert_eq!(args.get("--router"), "least");
         // Usage errors: zero shards, non-numeric shards.
-        assert!(parse_opts(&strs(&["--shards", "0"])).is_err());
-        assert!(parse_opts(&strs(&["--shards", "many"])).is_err());
+        for bad in ["0", "many"] {
+            let args = read(RUN_FLAGS, &["--shards", bad]).expect("reads");
+            assert!(args.positive("--shards").is_err(), "{bad}");
+        }
         // Unknown routers are rejected with the valid values listed.
         let err = RouterPolicy::parse("hash").expect_err("unknown router");
         assert!(err.contains("valid: rr, least, predictive"), "got: {err}");
@@ -1372,34 +1274,32 @@ mod tests {
             err.contains("valid: none, oracle, ema, rank, quantile"),
             "error must list the valid values, got: {err}"
         );
-        let opts = parse_opts(&strs(&["--predictor", "oracle"])).expect("valid");
-        assert_eq!(opts.predictor, "oracle");
-    }
-
-    #[test]
-    fn usage_lists_predictor_and_admission_values() {
-        for needle in ["none|oracle|ema|rank|quantile", "none|predictive", "[none]"] {
-            assert!(USAGE.contains(needle), "usage missing {needle}");
-        }
+        let args = read(RUN_FLAGS, &["--predictor", "oracle"]).expect("valid");
+        assert_eq!(args.get("--predictor"), "oracle");
     }
 
     #[test]
     fn federation_flags_parse_and_validate() {
-        let opts = parse_opts(&strs(&[
-            "--regions",
-            "2",
-            "--fed-router",
-            "nearest",
-            "--wan",
-            "metro",
-        ]))
+        let args = read(
+            RUN_FLAGS,
+            &[
+                "--regions",
+                "2",
+                "--fed-router",
+                "nearest",
+                "--wan",
+                "metro",
+            ],
+        )
         .expect("valid");
-        assert_eq!(opts.regions, 2);
-        assert_eq!(opts.fed_router, "nearest");
-        assert_eq!(opts.wan, "metro");
+        assert_eq!(args.positive("--regions"), Ok(2));
+        assert_eq!(args.get("--fed-router"), "nearest");
+        assert_eq!(args.get("--wan"), "metro");
         // Usage errors: zero or non-numeric regions.
-        assert!(parse_opts(&strs(&["--regions", "0"])).is_err());
-        assert!(parse_opts(&strs(&["--regions", "everywhere"])).is_err());
+        for bad in ["0", "everywhere"] {
+            let args = read(RUN_FLAGS, &["--regions", bad]).expect("reads");
+            assert!(args.positive("--regions").is_err(), "{bad}");
+        }
         // Unknown federation routers / WAN classes list the valid values.
         let err = FederationPolicy::parse("anycast").expect_err("unknown router");
         assert!(err.contains("valid: static, nearest, predictive"), "{err}");
@@ -1418,9 +1318,10 @@ mod tests {
 
     #[test]
     fn fleet_events_flag_parses_and_usage_lists_it() {
-        let opts = parse_opts(&strs(&["--fleet-events", "outage"])).expect("valid");
-        assert_eq!(opts.fleet_events.as_deref(), Some("outage"));
-        assert_eq!(parse_opts(&[]).expect("empty").fleet_events, None);
+        let args = read(RUN_FLAGS, &["--fleet-events", "outage"]).expect("valid");
+        assert_eq!(args.opt("--fleet-events"), Some("outage"));
+        let args = read(RUN_FLAGS, &[]).expect("empty");
+        assert_eq!(args.opt("--fleet-events"), None);
         // Non-file values must resolve as presets with the list in the error.
         let err = FleetPreset::parse("meteor").expect_err("unknown preset");
         assert!(err.contains("valid: outage, flash-crowd, diurnal"), "{err}");
@@ -1435,180 +1336,178 @@ mod tests {
         assert_eq!(admission("predictive"), Ok(AdmissionMode::predictive()));
         let err = admission("strict").expect_err("unknown mode");
         assert!(err.contains("valid: none, predictive"), "got: {err}");
-        let opts = parse_opts(&strs(&["--admission", "predictive"])).expect("valid");
-        assert_eq!(opts.admission, "predictive");
+        let args = read(RUN_FLAGS, &["--admission", "predictive"]).expect("valid");
+        assert_eq!(args.get("--admission"), "predictive");
     }
 
     #[test]
     fn migration_benefit_flag_parses_and_validates() {
-        let opts = parse_opts(&strs(&["--migration-benefit", "2.5"])).expect("valid");
-        assert_eq!(opts.migration_benefit, Some(2.5));
-        assert!(parse_opts(&strs(&["--migration-benefit", "-1"])).is_err());
-        assert!(parse_opts(&strs(&["--migration-benefit", "inf"])).is_err());
-        assert!(parse_opts(&strs(&["--migration-benefit", "many"])).is_err());
+        let ratio = |value| {
+            let args = read(RUN_FLAGS, &["--migration-benefit", value]).expect("reads");
+            args.opt_num::<f64>("--migration-benefit")
+        };
+        assert_eq!(ratio("2.5"), Ok(Some(2.5)));
+        assert!(ratio("many").is_err());
+        // A ratio that parses is judged with the deployment.
+        for bad in ["-1", "inf"] {
+            let bad = ratio(bad).expect("parses").expect("given");
+            let config = SimConfig::evaluation_cluster(policy("pascal").expect("policy"))
+                .with_predictor(PredictorKind::Oracle)
+                .with_predictive_migration(bad);
+            assert!(config.validate().is_err(), "{bad}");
+        }
     }
 
     #[test]
     fn sweep_opts_parse_and_validate() {
-        let opts = parse_sweep_opts(&strs(&[
-            "--grid",
-            "main",
-            "--threads",
-            "4",
-            "--count",
-            "200",
-            "--seed",
-            "9",
-            "--out",
-            "/tmp/sweep-out",
-            "--baseline",
-            "BENCH_BASELINE.json",
-            "--ttft-tol",
-            "0.2",
-            "--slo-tol",
-            "0.05",
-        ]))
+        let args = read(
+            SWEEP_FLAGS,
+            &[
+                "--grid",
+                "main",
+                "--threads",
+                "4",
+                "--count",
+                "200",
+                "--seed",
+                "9",
+                "--out",
+                "/tmp/sweep-out",
+                "--baseline",
+                "BENCH_BASELINE.json",
+                "--ttft-tol",
+                "0.2",
+                "--slo-tol",
+                "0.05",
+            ],
+        )
         .expect("valid flags");
-        assert_eq!(opts.grid, "main");
-        assert_eq!(opts.threads, 4);
-        assert_eq!(opts.count, Some(200));
-        assert_eq!(opts.seed, Some(9));
-        assert_eq!(opts.out.as_deref(), Some("/tmp/sweep-out"));
-        assert_eq!(opts.baseline.as_deref(), Some("BENCH_BASELINE.json"));
-        assert!((opts.ttft_tol - 0.2).abs() < 1e-12);
-        assert!((opts.slo_tol - 0.05).abs() < 1e-12);
+        assert_eq!(args.get("--grid"), "main");
+        assert_eq!(args.num::<usize>("--threads"), Ok(4));
+        assert_eq!(args.opt_num::<usize>("--count"), Ok(Some(200)));
+        assert_eq!(args.opt_num::<u64>("--seed"), Ok(Some(9)));
+        assert_eq!(args.opt("--out"), Some("/tmp/sweep-out"));
+        assert_eq!(args.opt("--baseline"), Some("BENCH_BASELINE.json"));
+        assert_eq!(tolerance(&args, "--ttft-tol"), Ok(0.2));
+        assert_eq!(tolerance(&args, "--slo-tol"), Ok(0.05));
 
-        assert!(parse_sweep_opts(&strs(&["--count", "0"])).is_err());
-        assert!(parse_sweep_opts(&strs(&["--ttft-tol", "-1"])).is_err());
-        assert!(parse_sweep_opts(&strs(&["--ttft-abs-tol", "inf"])).is_err());
-        assert!(parse_sweep_opts(&strs(&["--bogus", "1"])).is_err());
+        for (flag, bad) in [("--ttft-tol", "-1"), ("--ttft-abs-tol", "inf")] {
+            let args = read(SWEEP_FLAGS, &[flag, bad]).expect("reads");
+            assert!(tolerance(&args, flag).is_err(), "{flag} {bad}");
+        }
+        assert!(read(SWEEP_FLAGS, &["--bogus", "1"]).is_err());
     }
 
     #[test]
     fn sweep_defaults_match_gate_defaults() {
-        let opts = parse_sweep_opts(&[]).expect("empty is valid");
+        let args = read(SWEEP_FLAGS, &[]).expect("empty is valid");
         let tol = GateTolerances::default();
-        assert_eq!(opts.grid, "ci");
-        assert_eq!(opts.threads, 0);
-        assert!((opts.ttft_tol - tol.ttft_p99_rel).abs() < 1e-12);
-        assert!((opts.ttft_abs_tol - tol.ttft_p99_abs_s).abs() < 1e-12);
-        assert!((opts.slo_tol - tol.slo_rate_abs).abs() < 1e-12);
-    }
-
-    #[test]
-    fn usage_lists_sweep_grid_presets() {
-        for needle in [
-            "main|predictive|migration|ci|sharded|federated",
-            "--baseline",
-            "--threads",
-            "--shards",
-            "--regions",
-            "rr|least|predictive",
-            "static|nearest|predictive",
-            "metro|regional|continental|transoceanic",
+        assert_eq!(args.get("--grid"), "ci");
+        assert_eq!(args.num::<usize>("--threads"), Ok(0));
+        for (flag, default) in [
+            ("--ttft-tol", tol.ttft_p99_rel),
+            ("--ttft-abs-tol", tol.ttft_p99_abs_s),
+            ("--slo-tol", tol.slo_rate_abs),
+            ("--tput-tol", tol.throughput_rel),
         ] {
-            assert!(USAGE.contains(needle), "usage missing {needle}");
+            assert_eq!(tolerance(&args, flag), Ok(default), "{flag}");
         }
     }
 
     #[test]
     fn telemetry_flags_parse_and_validate() {
-        let opts = parse_opts(&strs(&[
-            "--trace-out",
-            "/tmp/t.jsonl",
-            "--trace-format",
-            "chrome",
-            "--series-out",
-            "/tmp/s.csv",
-            "--series-interval",
-            "2.5",
-            "--profile",
-        ]))
+        let args = read(
+            RUN_FLAGS,
+            &[
+                "--trace-out",
+                "/tmp/t.jsonl",
+                "--trace-format",
+                "chrome",
+                "--series-out",
+                "/tmp/s.csv",
+                "--series-interval",
+                "2.5",
+                "--profile",
+            ],
+        )
         .expect("valid");
-        assert_eq!(opts.trace_out.as_deref(), Some("/tmp/t.jsonl"));
-        assert_eq!(opts.trace_format, TraceFormat::Chrome);
-        assert_eq!(opts.series_out.as_deref(), Some("/tmp/s.csv"));
-        assert_eq!(opts.series_interval, Some(2.5));
-        assert!(opts.profile);
+        assert_eq!(args.opt("--trace-out"), Some("/tmp/t.jsonl"));
+        assert_eq!(
+            TraceFormat::parse(args.get("--trace-format")),
+            Some(TraceFormat::Chrome)
+        );
+        assert_eq!(args.opt("--series-out"), Some("/tmp/s.csv"));
+        assert_eq!(args.opt_num::<f64>("--series-interval"), Ok(Some(2.5)));
+        assert!(args.on("--profile"));
 
-        // Unknown formats list the valid values; bad intervals are usage
-        // errors whatever flavor of bad they are.
-        let err = parse_opts(&strs(&["--trace-format", "bogus"])).expect_err("unknown format");
-        assert!(err.contains("valid: jsonl, chrome"), "got: {err}");
-        for bad in ["0", "-1", "inf", "nan", "soon", "1e-10"] {
+        // Bad intervals are usage errors whatever flavor of bad they are.
+        let args = read(RUN_FLAGS, &["--series-interval", "soon"]).expect("reads");
+        assert!(args.opt_num::<f64>("--series-interval").is_err());
+        for bad in [0.0, -1.0, f64::INFINITY, f64::NAN, 1e-10] {
             assert!(
-                parse_opts(&strs(&["--series-interval", bad])).is_err(),
-                "interval '{bad}' must be rejected"
+                series_interval(bad).is_err(),
+                "interval {bad} must be rejected"
             );
         }
+        assert_eq!(series_interval(2.5), Ok(SimDuration::from_millis(2500)));
 
         // Everything defaults to off.
-        let opts = parse_opts(&[]).expect("empty is valid");
-        assert_eq!(opts.trace_out, None);
-        assert_eq!(opts.trace_format, TraceFormat::Jsonl);
-        assert_eq!(opts.series_out, None);
-        assert_eq!(opts.series_interval, None);
-        assert!(!opts.profile);
+        let args = read(RUN_FLAGS, &[]).expect("empty is valid");
+        assert_eq!(args.opt("--trace-out"), None);
+        assert_eq!(args.get("--trace-format"), TraceFormat::Jsonl.key());
+        assert_eq!(args.opt("--series-out"), None);
+        assert_eq!(args.opt("--series-interval"), None);
+        assert!(!args.on("--profile"));
     }
 
     #[test]
     fn sweep_profile_flag_parses() {
-        assert!(
-            parse_sweep_opts(&strs(&["--profile"]))
-                .expect("valid")
-                .profile
-        );
-        assert!(!parse_sweep_opts(&[]).expect("empty is valid").profile);
-    }
-
-    #[test]
-    fn usage_lists_telemetry_flags() {
-        for needle in [
-            "--trace-out",
-            "jsonl|chrome",
-            "--series-out",
-            "--series-interval",
-            "--profile",
-        ] {
-            assert!(USAGE.contains(needle), "usage missing {needle}");
-        }
+        let args = read(SWEEP_FLAGS, &["--profile"]).expect("valid");
+        assert!(args.on("--profile"));
+        assert!(!read(SWEEP_FLAGS, &[])
+            .expect("empty is valid")
+            .on("--profile"));
+        // A switch takes no value: what follows it is the next flag.
+        let err = read(SWEEP_FLAGS, &["--profile", "yes"]).err();
+        assert_eq!(err.as_deref(), Some("unknown flag 'yes'"));
     }
 
     #[test]
     fn analyze_opts_parse_and_validate() {
-        let opts = parse_analyze_opts(&strs(&[
-            "--trace",
-            "/tmp/t.jsonl",
-            "--format",
-            "waterfall",
-            "--top",
-            "3",
-            "--out",
-            "/tmp/anatomy",
-        ]))
+        let args = read(
+            ANALYZE_FLAGS,
+            &[
+                "--trace",
+                "/tmp/t.jsonl",
+                "--format",
+                "waterfall",
+                "--top",
+                "3",
+                "--out",
+                "/tmp/anatomy",
+            ],
+        )
         .expect("valid");
-        assert_eq!(opts.trace.as_deref(), Some("/tmp/t.jsonl"));
-        assert_eq!(opts.format, "waterfall");
-        assert_eq!(opts.top, 3);
-        assert_eq!(opts.out.as_deref(), Some("/tmp/anatomy"));
+        assert_eq!(args.opt("--trace"), Some("/tmp/t.jsonl"));
+        assert_eq!(args.get("--format"), "waterfall");
+        assert_eq!(args.num::<usize>("--top"), Ok(3));
+        assert_eq!(args.opt("--out"), Some("/tmp/anatomy"));
         // Defaults: machine-readable JSON, top-5 waterfall, no files.
-        let opts = parse_analyze_opts(&[]).expect("empty parses");
-        assert_eq!(opts.format, "json");
-        assert_eq!(opts.top, 5);
-        assert!(opts.trace.is_none());
-        // Unknown formats list the valid values; bad counts are usage
-        // errors.
-        let err = parse_analyze_opts(&strs(&["--format", "xml"])).expect_err("unknown format");
-        assert!(err.contains("valid: json, csv, waterfall"), "got: {err}");
-        assert!(parse_analyze_opts(&strs(&["--top", "many"])).is_err());
-        assert!(parse_analyze_opts(&strs(&["--bogus", "1"])).is_err());
+        let args = read(ANALYZE_FLAGS, &[]).expect("empty parses");
+        assert_eq!(args.get("--format"), "json");
+        assert_eq!(args.num::<usize>("--top"), Ok(5));
+        assert_eq!(args.opt("--trace"), None);
+        // Bad counts and unknown flags are usage errors.
+        let args = read(ANALYZE_FLAGS, &["--top", "many"]).expect("reads");
+        assert!(args.num::<usize>("--top").is_err());
+        assert!(read(ANALYZE_FLAGS, &["--bogus", "1"]).is_err());
     }
 
     #[test]
     fn alerts_flag_parses_and_usage_lists_it() {
-        let opts = parse_opts(&strs(&["--alerts", "paging"])).expect("valid");
-        assert_eq!(opts.alerts.as_deref(), Some("paging"));
-        assert_eq!(parse_opts(&[]).expect("empty").alerts, None);
+        let args = read(RUN_FLAGS, &["--alerts", "paging"]).expect("valid");
+        assert_eq!(args.opt("--alerts"), Some("paging"));
+        assert_eq!(read(RUN_FLAGS, &[]).expect("empty").opt("--alerts"), None);
         // Non-file values must resolve as presets with the list in the
         // error (the same file-else-preset contract as --fleet-events).
         let err = SloAlertPreset::parse("smoke-signal").expect_err("unknown preset");
@@ -1620,8 +1519,115 @@ mod tests {
 
     #[test]
     fn sweep_blame_flag_parses() {
-        assert!(parse_sweep_opts(&strs(&["--blame"])).expect("valid").blame);
-        assert!(!parse_sweep_opts(&[]).expect("empty is valid").blame);
+        assert!(read(SWEEP_FLAGS, &["--blame"])
+            .expect("valid")
+            .on("--blame"));
+        assert!(!read(SWEEP_FLAGS, &[])
+            .expect("empty is valid")
+            .on("--blame"));
+    }
+
+    /// USAGE's `OPTIONS (command)` section: each flag with the text of
+    /// its entry (the flag's line and the indented lines under it).
+    fn usage_entries(command: &str) -> Vec<(&'static str, String)> {
+        let header = format!("OPTIONS ({command}):\n");
+        let start = USAGE.find(&header).expect("a section per command") + header.len();
+        let section = USAGE[start..].split("\n\n").next().expect("section");
+        let mut entries: Vec<(&'static str, String)> = Vec::new();
+        for line in section.lines() {
+            match line.strip_prefix("  --") {
+                Some(rest) => {
+                    let flag = &line[2..4 + rest.find(' ').unwrap_or(rest.len())];
+                    entries.push((flag, format!("{line}\n")));
+                }
+                None => entries.last_mut().expect("an entry").1 += line,
+            }
+        }
+        entries
+    }
+
+    #[test]
+    fn usage_matches_the_flag_tables() {
+        let keys = |keys: &[&str]| keys.join("|");
+        // Each enumerated flag's `<a|b|…>` list: the keys its value parses
+        // as (`none` disables the predictor and admission control; a PATH
+        // or a numeric rate are read before the keys are tried).
+        let enumerated = [
+            ("--dataset", keys(&MixPreset::ALL.map(MixPreset::key))),
+            ("--policy", keys(&PolicyKind::ALL.map(PolicyKind::key))),
+            (
+                "--predictor",
+                format!("none|{}", keys(&PredictorKind::ALL.map(PredictorKind::key))),
+            ),
+            ("--admission", "none|predictive".to_owned()),
+            (
+                "--rate",
+                format!("{}|REQ_PER_S", keys(&RateLevel::ALL.map(RateLevel::key))),
+            ),
+            ("--router", keys(&RouterPolicy::ALL.map(RouterPolicy::key))),
+            (
+                "--fed-router",
+                keys(&FederationPolicy::ALL.map(FederationPolicy::key)),
+            ),
+            ("--wan", keys(&WanLink::ALL.map(WanLink::key))),
+            (
+                "--fleet-events",
+                format!("PATH|{}", keys(&FleetPreset::ALL.map(FleetPreset::key))),
+            ),
+            (
+                "--trace-format",
+                keys(&TraceFormat::ALL.map(TraceFormat::key)),
+            ),
+            (
+                "--alerts",
+                format!(
+                    "PATH|{}",
+                    keys(&SloAlertPreset::ALL.map(SloAlertPreset::key))
+                ),
+            ),
+            ("--grid", keys(&SweepGrid::PRESET_NAMES)),
+            ("--format", keys(&ANALYZE_FORMATS)),
+        ];
+        for (command, flags) in [
+            ("run", RUN_FLAGS),
+            ("sweep", SWEEP_FLAGS),
+            ("analyze", ANALYZE_FLAGS),
+            ("capacity", CAPACITY_FLAGS),
+        ] {
+            let entries = usage_entries(command);
+            let listed: Vec<&str> = entries.iter().map(|(flag, _)| *flag).collect();
+            let table: Vec<&str> = flags.iter().map(|(flag, _)| *flag).collect();
+            assert_eq!(listed, table, "OPTIONS ({command}) against its table");
+            for ((flag, default), (_, entry)) in flags.iter().zip(&entries) {
+                // The `[default]`, outside `code` spans; an unset flag may
+                // show `[off]`.
+                let plain: String = entry.split('`').step_by(2).collect();
+                let shown: Vec<&str> = plain
+                    .split('[')
+                    .skip(1)
+                    .filter_map(|s| Some(s.split_once(']')?.0))
+                    .collect();
+                match default {
+                    Some(default) => assert_eq!(shown, [*default], "{command} {flag}"),
+                    None => assert!(shown.is_empty() || shown == ["off"], "{command} {flag}"),
+                }
+                let line = entry.lines().next().expect("the flag's line");
+                let value = line
+                    .split_once('<')
+                    .and_then(|(_, rest)| Some(rest.split_once('>')?.0));
+                assert_eq!(value.is_none(), SWITCHES.contains(flag), "{command} {flag}");
+                let values = enumerated.iter().find(|(f, _)| f == flag);
+                match (value, values) {
+                    (Some(value), Some((_, values))) => {
+                        assert_eq!(value, values, "{command} {flag}");
+                    }
+                    (value, None) => {
+                        assert!(!value.is_some_and(|v| v.contains('|')), "{command} {flag}");
+                    }
+                    (None, Some(_)) => panic!("{command} {flag} lists no values"),
+                }
+            }
+        }
     }
 
     #[test]

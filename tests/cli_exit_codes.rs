@@ -106,6 +106,149 @@ fn predictor_and_admission_errors_exit_two_and_list_values() {
 }
 
 #[test]
+fn migration_benefit_needs_a_policy_that_migrates() {
+    // FCFS, RR and PASCAL(NoMigration) never migrate: a cost/benefit test
+    // under them would only count vetoes for moves none of them can make.
+    let dir = std::env::temp_dir().join(format!("pascal-cli-benefit-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let schedule = dir.join("drain.fleet");
+    std::fs::write(
+        &schedule,
+        "40.0 drain 1\n80.0 drain 2\n120.0 fail 3\n160.0 join 1\n",
+    )
+    .expect("write");
+    let run = |policy: &str| {
+        cli(&[
+            "run",
+            "--dataset",
+            "mixed",
+            "--policy",
+            policy,
+            "--predictor",
+            "quantile",
+            "--migration-benefit",
+            "4",
+            "--instances",
+            "8",
+            "--rate",
+            "high",
+            "--count",
+            "600",
+            "--seed",
+            "7",
+            "--fleet-events",
+            schedule.to_str().expect("UTF-8 temp path"),
+        ])
+    };
+    for policy in ["fcfs", "rr", "pascal-nomigration"] {
+        let out = run(policy);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{policy}: {stderr}");
+        assert!(
+            stderr.contains("migration benefit needs a policy that migrates"),
+            "{policy}: {stderr}"
+        );
+    }
+    let out = run("pascal-nonadaptive");
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
+
+#[test]
+fn capacity_refuses_flags_it_does_not_read() {
+    assert_usage_error(
+        &[
+            "capacity",
+            "--policy",
+            "nope",
+            "--router",
+            "hash",
+            "--wan",
+            "dialup",
+            "--shards",
+            "3",
+            "--rate",
+            "fast",
+            "--predictor",
+            "psychic",
+        ],
+        &["unknown flag '--policy'"],
+    );
+    assert_usage_error(
+        &["capacity", "--instances", "0"],
+        &["--instances must be positive"],
+    );
+}
+
+/// Every flag of every `OPTIONS (…)` section of `--help`, given without
+/// its value and with each of a set of hostile values, exits 0, 1 or 2:
+/// a usage error, a runtime error or a run — never a panic. `run` and
+/// `sweep` get a tiny workload so the values that do run finish at once.
+#[test]
+fn every_documented_flag_exits_zero_one_or_two() {
+    let help = cli(&["--help"]);
+    let help = String::from_utf8(help.stdout).expect("UTF-8 help");
+    let mut sections: Vec<(&str, Vec<&str>)> = Vec::new();
+    let mut in_section = false;
+    for line in help.lines() {
+        if let Some(command) = line
+            .strip_prefix("OPTIONS (")
+            .and_then(|rest| rest.strip_suffix("):"))
+        {
+            sections.push((command, Vec::new()));
+            in_section = true;
+        } else if line.is_empty() {
+            in_section = false;
+        } else if let Some(flag) = line.strip_prefix("  --").filter(|_| in_section) {
+            let flag = &line[2..4 + flag.find(' ').unwrap_or(flag.len())];
+            sections.last_mut().expect("a section").1.push(flag);
+        }
+    }
+    assert_eq!(sections.len(), 4, "{sections:?}");
+    assert!(
+        sections.iter().all(|(_, flags)| !flags.is_empty()),
+        "{sections:?}"
+    );
+    // Values that would parse as large valid counts are left out: a
+    // four-billion-request trace is a valid, if long, run.
+    let values = ["", "nope", "-1", "0", "nan", "inf", "18446744073709551616"];
+    let root = std::env::temp_dir().join(format!("pascal-cli-surface-{}", std::process::id()));
+    let mut failures = Vec::new();
+    for (command, flags) in &sections {
+        let workload: &[&str] = match *command {
+            "run" => &["--count", "3"],
+            "sweep" => &["--count", "1", "--threads", "1"],
+            _ => &[],
+        };
+        for flag in flags {
+            let dir = root.join(format!("{command}{flag}"));
+            std::fs::create_dir_all(&dir).expect("temp dir");
+            for value in std::iter::once(None).chain(values.map(Some)) {
+                let mut args = vec![*command];
+                args.extend_from_slice(workload);
+                args.push(flag);
+                args.extend(value);
+                let out = Command::new(env!("CARGO_BIN_EXE_pascal-cli"))
+                    .args(&args)
+                    .current_dir(&dir)
+                    .output()
+                    .expect("pascal-cli binary runs");
+                if !matches!(out.status.code(), Some(0..=2)) {
+                    failures.push(format!("{args:?} exited {:?}", out.status.code()));
+                }
+            }
+        }
+    }
+    std::fs::remove_dir_all(&root).ok();
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
+}
+
+#[test]
 fn shard_flag_errors_exit_two_and_list_values() {
     assert_usage_error(&["run", "--shards", "0"], &["must be positive"]);
     assert_usage_error(&["run", "--shards", "many"], &["--shards"]);
@@ -275,6 +418,19 @@ fn analyze_flag_errors_exit_codes() {
         String::from_utf8_lossy(&out.stderr).contains("line 1"),
         "parse errors must name the line"
     );
+    // A request that goes back in time is malformed too, not a panic.
+    let backwards = std::env::temp_dir().join("pascal_cli_backwards_trace.jsonl");
+    std::fs::write(
+        &backwards,
+        "{\"t_ns\":500,\"event\":\"arrival\",\"region\":0,\"shard\":0,\"request\":0}\n\
+         {\"t_ns\":100,\"event\":\"prefill_start\",\"region\":0,\"shard\":0,\"request\":0,\
+         \"queued_ns\":0}\n",
+    )
+    .expect("write");
+    let out = cli(&["analyze", "--trace", backwards.to_str().unwrap()]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(stderr.contains("trace line 2"), "{stderr}");
 }
 
 #[test]
