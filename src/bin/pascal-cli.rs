@@ -1279,6 +1279,13 @@ mod tests {
     }
 
     #[test]
+    fn usage_lists_predictor_and_admission_values() {
+        for needle in ["none|oracle|ema|rank|quantile", "none|predictive", "[none]"] {
+            assert!(USAGE.contains(needle), "usage missing {needle}");
+        }
+    }
+
+    #[test]
     fn federation_flags_parse_and_validate() {
         let args = read(
             RUN_FLAGS,
@@ -1415,6 +1422,22 @@ mod tests {
     }
 
     #[test]
+    fn usage_lists_sweep_grid_presets() {
+        for needle in [
+            "main|predictive|migration|ci|sharded|federated",
+            "--baseline",
+            "--threads",
+            "--shards",
+            "--regions",
+            "rr|least|predictive",
+            "static|nearest|predictive",
+            "metro|regional|continental|transoceanic",
+        ] {
+            assert!(USAGE.contains(needle), "usage missing {needle}");
+        }
+    }
+
+    #[test]
     fn telemetry_flags_parse_and_validate() {
         let args = read(
             RUN_FLAGS,
@@ -1470,6 +1493,19 @@ mod tests {
         // A switch takes no value: what follows it is the next flag.
         let err = read(SWEEP_FLAGS, &["--profile", "yes"]).err();
         assert_eq!(err.as_deref(), Some("unknown flag 'yes'"));
+    }
+
+    #[test]
+    fn usage_lists_telemetry_flags() {
+        for needle in [
+            "--trace-out",
+            "jsonl|chrome",
+            "--series-out",
+            "--series-interval",
+            "--profile",
+        ] {
+            assert!(USAGE.contains(needle), "usage missing {needle}");
+        }
     }
 
     #[test]
