@@ -254,12 +254,15 @@ impl HotPathProfiler {
                 ProfileRow {
                     name: kind.name(),
                     count: self.counts[kind.index()],
+                    sampled: h.count(),
                     mean_us: h.mean(),
                     p50_us: h.quantile(0.50),
                     p99_us: h.quantile(0.99),
                 }
             })
             .collect();
+        // A class without a timing sample has no estimate: it is left out
+        // rather than priced at zero.
         let handlers_s = rows
             .iter()
             .map(|r: &ProfileRow| r.mean_us * r.count as f64)
@@ -293,7 +296,11 @@ pub struct ProfileRow {
     pub name: &'static str,
     /// Events handled.
     pub count: u64,
-    /// Mean wall-clock handling time, microseconds.
+    /// Events whose handling time fell in the 1-in-N timing sample. With
+    /// none, the time fields below are 0 and mean nothing: the class was
+    /// counted but never timed.
+    pub sampled: u64,
+    /// Mean wall-clock handling time over the sampled events, microseconds.
     pub mean_us: f64,
     /// Median wall-clock handling time, microseconds.
     pub p50_us: f64,
@@ -334,8 +341,17 @@ impl ProfileReport {
             "  work (exact): {}\n",
             self.work.render(Some(self.wall_s))
         ));
+        let mut untimed = 0;
         for row in &self.rows {
             if row.count == 0 {
+                continue;
+            }
+            if row.sampled == 0 {
+                untimed += row.count;
+                out.push_str(&format!(
+                    "  {:<18} count {} (no timing sample)\n",
+                    row.name, row.count
+                ));
                 continue;
             }
             out.push_str(&format!(
@@ -345,7 +361,7 @@ impl ProfileReport {
         }
         let loop_s = self.event_loop_s();
         out.push_str(&format!(
-            "  {:<18} {:.3}s outside every handler ({:.1}% of wall; handlers {:.3}s)\n",
+            "  {:<18} {:.3}s outside every handler ({:.1}% of wall; handlers {:.3}s",
             "event loop",
             loop_s,
             if self.wall_s > 0.0 {
@@ -355,13 +371,18 @@ impl ProfileReport {
             },
             self.handlers_s
         ));
+        if untimed > 0 {
+            out.push_str(&format!(", without {untimed} untimed events"));
+        }
+        out.push_str(")\n");
         out
     }
 
     /// Wall-clock seconds outside every event handler — finding the next
     /// event, the driver loop, engine setup and teardown — so that the
     /// handlers plus this sum to the wall time. Zero when the sampled
-    /// handler estimate exceeds the wall time.
+    /// handler estimate exceeds the wall time. Events of a class with no
+    /// timing sample have no estimate, so their time falls in here too.
     #[must_use]
     pub fn event_loop_s(&self) -> f64 {
         (self.wall_s - self.handlers_s).max(0.0)
@@ -420,6 +441,44 @@ mod tests {
         assert!(report.render().contains(
             "event loop         0.500s outside every handler (25.0% of wall; handlers 1.500s)"
         ));
+    }
+
+    #[test]
+    fn a_class_counted_but_never_timed_prints_no_times() {
+        let mut p = HotPathProfiler::new();
+        p.record(ProfiledEvent::IterationDone, 2.0);
+        for _ in 0..24 {
+            p.count_only(ProfiledEvent::Fleet);
+        }
+        let report = p.report();
+        let fleet = report
+            .rows
+            .iter()
+            .find(|r| r.name == "fleet")
+            .expect("row exists");
+        assert_eq!((fleet.count, fleet.sampled), (24, 0));
+        let timed = report
+            .rows
+            .iter()
+            .find(|r| r.name == "iteration_done")
+            .expect("row exists");
+        assert_eq!((timed.count, timed.sampled), (1, 1));
+        let text = report.render();
+        assert!(
+            text.contains("  fleet              count 24 (no timing sample)\n"),
+            "{text}"
+        );
+        let line = text
+            .lines()
+            .find(|l| l.contains("fleet"))
+            .expect("fleet line");
+        assert!(!line.contains("mean"), "{line}");
+        assert!(text.contains(", without 24 untimed events)"), "{text}");
+        // The untimed class adds nothing to the handler estimate.
+        assert!(
+            (report.handlers_s - 2e-6).abs() < BIN_WIDTH_US * 1e-6,
+            "{report:?}"
+        );
     }
 
     #[test]
