@@ -14,13 +14,15 @@
 //! assembling its desired/batch sets in the shard's
 //! [`ScheduleScratch`](super::ScheduleScratch) buffers — so an iteration
 //! on this full path costs O(batch) and allocates nothing. A decode launch
-//! that may repeat unchanged opens a [steady run](super::steady), whose
-//! next iterations replay in O(1) without coming here. At a member's edge
-//! the run sends only that member's token through [`Shard::emit_token`]
+//! that may repeat unchanged — also one that left members out to wait for
+//! a reload or a grant — opens a [steady run](super::steady), whose next
+//! iterations replay in O(1) without coming here. At a member's edge the
+//! run sends only that member's token through [`Shard::emit_token`]
 //! (completion, the phase transition, the first answering token, the
 //! demotion), and [`Shard::try_schedule`] first lets the run relaunch
-//! itself ([`Shard::resume_run`]); only when the full path's launch would
-//! differ does the run close and the planner below run.
+//! itself ([`Shard::resume_run`]) or pause through a newcomer's prefill;
+//! only when the full path's launch would differ does the run close and
+//! the planner below run.
 
 use pascal_cluster::{KvLocation, ReqHandle, RequestState};
 use pascal_model::DecodeBatch;
@@ -331,8 +333,8 @@ impl Shard<'_> {
     /// Plans residency and, if possible, launches the next iteration. On a
     /// busy instance it only settles whether an open steady run survives
     /// the non-member changes the caller just made; after a steady run's
-    /// edge step it first lets the run relaunch itself
-    /// ([`Shard::resume_run`]).
+    /// edge step or a prefill it paused for, it first lets the run relaunch
+    /// itself or pause again ([`Shard::resume_run`]).
     pub(super) fn try_schedule(&mut self, instance: u32, now: SimTime) {
         let rt = &self.instances[instance as usize];
         if rt.inst.compute_busy {
@@ -521,18 +523,18 @@ impl Shard<'_> {
                 self.stamp_migration_resume(handle, now);
                 self.states[handle].begin_running(now);
             }
-            // The batch is the whole desired set and holds exactly the
-            // blocks it needs: its next iterations may replay in closed
-            // form.
-            let steady = scratch.decode.len() == scratch.desired.len() && !excess;
             let rt = &mut self.instances[instance as usize];
             std::mem::swap(&mut rt.current_batch, &mut scratch.decode);
             rt.current_kind = IterationKind::Decode;
             rt.inst.compute_busy = true;
             self.queue
                 .schedule(now + duration, Event::IterationDone { instance });
-            if steady {
-                self.open_steady_run(instance, now, duration, decode_context);
+            // The batch holds exactly the blocks it needs: its next
+            // iterations may replay in closed form, whether it is the whole
+            // desired set or left members out to wait for a reload or a
+            // grant.
+            if !excess {
+                self.open_steady_run(instance, now, duration, decode_context, &scratch.desired);
             }
         }
         self.scratch = scratch;

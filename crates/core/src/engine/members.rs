@@ -32,24 +32,32 @@
 //! run](super::steady) on the request's instance, if there is one:
 //!
 //! * a member of the run changed mid-iteration (a running request in the
-//!   in-flight batch) closes it first, catching every member up, so the
+//!   in-flight batch, or a member waiting through a prefill the run paused
+//!   for; not the prefill's own requests) closes it first, catching every
+//!   member up, so the
 //!   mutator never diffs against a state the run still owes tokens to. At
 //!   an iteration end the run itself takes each member whose edge is due —
 //!   completion, phase boundary, first answering token, demotion — out of
 //!   the batch, caught up alone, before its token runs the mutators: they
 //!   find it idle, like any non-member;
 //! * a GPU-resident non-member — a landing (migration, cross-shard or
-//!   cross-region transfer, reload) or a member taken out at an edge — is a
-//!   **joiner**: the run's next launch admits it when the full path would,
-//!   which the closing `try_schedule` decides. A joiner that stops being
-//!   resident (it completed, or migrated away) is dropped;
+//!   cross-region transfer, reload), a member taken out at an edge, or a
+//!   resident whose growth the pool refused at the run's opening launch —
+//!   is a **joiner**: the run's next launch admits it when the full path
+//!   would, which the closing `try_schedule` decides. A **newcomer** whose
+//!   prefill is still to run, sorting among the batch's keys, is a joiner
+//!   too: the run pauses through its prefill. A joiner that can no longer
+//!   join (it completed, or migrated away) is dropped;
+//! * a desired member whose reload is in flight is **pending**: launches
+//!   leave it out, and its landing makes it a joiner;
 //! * any other non-member is re-filed without touching the run's members.
 //!   If it now sorts among the batch's keys, the next launch would admit
 //!   it, so the run closes. Otherwise the batch stays a key-order prefix of
 //!   the candidates and only the first candidate outside the batch could
 //!   still enter — if the change freed budget or brought a new candidate.
 //!   The run is marked and settled by the `try_schedule` every such caller
-//!   ends with: it stays open while that candidate cannot fit;
+//!   ends with: it stays open while that candidate cannot fit, or while it
+//!   fits as a newcomer, which then joins;
 //! * a predictor refresh re-prices a run member's predicted growth in
 //!   place: growth never changes which batch the planner picks.
 //!
@@ -480,21 +488,24 @@ impl Shard<'_> {
     /// find it idle.) A non-member leaves the run open for
     /// [`Shard::check_run`].
     fn touch_run(&mut self, handle: ReqHandle) {
-        let st = &self.states[handle];
-        if st.running {
-            self.catch_up(st.instance);
+        if self.in_run(handle) {
+            self.catch_up(self.states[handle].instance);
         }
     }
 
     /// After a mutator re-filed `handle`, a non-member of the open steady
     /// run on its instance (if one is open):
     ///
+    /// * a pending reload still in flight stays pending; one that landed
+    ///   is a GPU resident below;
     /// * a GPU resident — a landing, or a member an edge step took out of
     ///   the batch — becomes (or stays) a **joiner** the next launch is to
-    ///   admit; a joiner that is no longer resident (it completed or
-    ///   migrated away) is dropped;
+    ///   admit; a joiner that is neither resident nor a newcomer (it
+    ///   completed or migrated away) is dropped;
     /// * a candidate keyed into the batch's key range would be admitted by
-    ///   the next launch, so the run closes;
+    ///   the next launch: a newcomer, whose prefill is still to run, joins
+    ///   (the run pauses through its prefill), and any other closes the
+    ///   run;
     /// * anything else may only let the first candidate outside the batch
     ///   fit.
     ///
@@ -502,14 +513,20 @@ impl Shard<'_> {
     /// closing `try_schedule` ([`Shard::recheck_run`], or
     /// [`Shard::resume_run`] after an edge step).
     fn check_run(&mut self, handle: ReqHandle) {
-        let instance = self.states[handle].instance;
+        let st = &self.states[handle];
+        let instance = st.instance;
         let rt = &mut self.instances[instance as usize];
         if !rt.steady.is_open() {
             return;
         }
         let m = &self.member_mon[handle.index()];
+        let newcomer = st.kv_location == KvLocation::None && st.needs_prefill();
+        if rt.steady.take_pending(handle) && st.kv_location == KvLocation::ReloadingToGpu {
+            rt.steady.add_pending(handle);
+            return;
+        }
         if rt.steady.is_joiner(handle) {
-            if !m.resident {
+            if !(m.resident || newcomer) {
                 rt.steady.remove_joiner(handle);
             }
             rt.steady.mark_dirty();
@@ -524,11 +541,15 @@ impl Shard<'_> {
             .current_batch
             .last()
             .and_then(|&h| self.member_mon[h.index()].key);
-        if m.key.is_some_and(|key| Some(key) < last) {
+        let in_range = m.key.is_some_and(|key| Some(key) < last);
+        if in_range && !newcomer {
             self.catch_up(instance);
-        } else {
-            rt.steady.mark_dirty();
+            return;
         }
+        if in_range {
+            rt.steady.add_joiner(handle);
+        }
+        rt.steady.mark_dirty();
     }
 
     /// Re-files `member` of an open steady run after its token at a kept
@@ -600,7 +621,7 @@ impl Shard<'_> {
                 let handle = self.estimates.groups[g].members[at];
                 let st = &self.states[handle];
                 let instance = st.instance as usize;
-                if st.running && self.instances[instance].steady.is_open() {
+                if self.in_run(handle) {
                     self.reprice_run_member(handle, total);
                     repriced += 1;
                     continue;

@@ -178,6 +178,14 @@ impl Shard<'_> {
                 Phase::Answering => answering += 1,
             }
         }
+        // A steady run waiting through a prefill keeps its members running
+        // in its books; on the full path they wait.
+        queue_depth += self
+            .instances
+            .iter()
+            .filter(|rt| rt.steady.is_open() && rt.steady.is_paused())
+            .map(|rt| rt.current_batch.len() as u64)
+            .sum::<u64>();
         let (mut kv_used_bytes, mut predicted_kv_bytes) = (0u64, 0u64);
         for (rt, _) in self
             .instances

@@ -7,9 +7,16 @@
 //! member, walk the candidates, admit, relaunch — still visits every
 //! member. A **steady run** skips those visits.
 //!
-//! When the full path launches a decode batch that is the instance's whole
-//! desired set, with no member holding more blocks than it needs, it opens
-//! a run. Each member is **filed** into the run at a run iteration, its
+//! When the full path launches a decode batch with no member holding more
+//! blocks than it needs, it opens a run over that batch — the instance's
+//! whole desired set, or a **partial** launch that left desired members out
+//! to wait: a member whose reload is in flight is **pending**, and every
+//! launch of the run leaves it out until it lands; a resident whose growth
+//! the pool refused (its blocks held by an offload this launch started) is
+//! a joiner, which the next launch admits if the pool then grants it all.
+//! A partial launch that left out anything else — a reload or a prefill
+//! the pool refused, which a later launch would start — opens no run.
+//! Each member is **filed** into the run at a run iteration, its
 //! **sync step** (0 at the opening launch), which keys everything the run
 //! keeps about it by quantities that stay fixed while it runs:
 //!
@@ -76,15 +83,47 @@
 //!   that leaves it outside the batch's key range, when at the run's next
 //!   iteration the first candidate outside the batch still cannot enter:
 //!   the batch is at `max_batch`, or its blocks plus the candidate's need
-//!   exceed `capacity − dying_blocks`.
+//!   exceed `capacity − dying_blocks`;
+//! * a **newcomer** — a request whose prefill is still to run — that the
+//!   next launch would admit (an arrival sorting into the batch's key
+//!   range, or a waiting candidate an offload, a departure or an edge
+//!   makes room for), when nobody would be evicted: it is a joiner, and at
+//!   the run's next iteration end, after the step's tokens and edges, the
+//!   launch the full path's planner would pick is its **prefill** — the
+//!   newcomers in key order, up to the prefill token budget. The run
+//!   **pauses** through it ([`Shard::pause_run`]): no step, no token, no
+//!   pace advance. The blocks the batch crosses into, the resident joiners'
+//!   growth and the prefills' blocks are all granted at that launch, where
+//!   the full path's admission pass grants them, or the run closes. At the
+//!   prefill's end each newcomer's first token closes through
+//!   [`Shard::emit_token`] ([`Shard::end_pause`]), and the next launch is
+//!   decided as after an edge step: another prefill, or the relaunch with
+//!   the newcomers joined at their key positions. Every member's first
+//!   token after a pause comes a prefill later than its last one; when an
+//!   answering member's pacer deadline falls before that step ends, the
+//!   step is the run's stall edge, and its end takes the full path.
+//!
+//! A kept launch must be the one the full path would make at the same
+//! instant: at most `max_batch` desired members (pending reloads
+//! counted), no resident left out (it would be evicted), every joiner and
+//! pending reload sorting before the first candidate outside, within
+//! `capacity − dying_blocks`, and the pool granting everything the launch
+//! grants at once — an all-or-nothing grant, so the key order in which the
+//! full path grants never decides who is refused.
 //!
 //! Anything else **closes** the run and catches up every member: a
-//! non-member that sorts into the batch's key range, a quantum end or edge
-//! that lets an outside candidate overtake or enter, a failed crossing
-//! allocation, the stall edge, a member edge on a draining instance or one
-//! whose Algorithm 2 sweep would read a pacer deadline already due, and a
-//! fleet transition. The closing iteration, and the next one, take the
-//! full path.
+//! non-member other than a newcomer that sorts into the batch's key range,
+//! a quantum end or edge that lets an outside candidate overtake or enter
+//! (other than a newcomer), a launch that would start a reload or
+//! materialize a warm request, a prefill that would evict a member, a
+//! grant the pool cannot make in full (a refused member's blocks still
+//! dying at the next launch), a failed crossing allocation, the stall
+//! edge, a member edge on a draining instance or one whose Algorithm 2
+//! sweep would read a pacer deadline already due, and a fleet transition.
+//! The closing iteration, and the next one, take the full path. A run
+//! closed while it waits through a prefill leaves its members idle with
+//! their latest token and granted blocks, and the prefill in flight as the
+//! instance's batch, as the full path would have.
 //!
 //! At an edge step the full path emits tokens in batch order, so a due
 //! member sees the members before it with this step's token and those
@@ -104,16 +143,20 @@
 //! batch position), and every steady step, kept touch, kept edge and join
 //! runs the planner's desired-prefix walk read-only, over the tokens the
 //! run owes each member, and asserts it yields the run's batch in order
-//! (and, at a step, its crossing count).
+//! (and, at a step, its crossing count). The walk counts pending reloads
+//! among the desired and, while the run waits through a prefill, gives the
+//! members no token and their granted blocks and each newcomer in the
+//! prefill its first token.
 
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 use std::ops::Bound;
 
-use pascal_cluster::ReqHandle;
+use pascal_cluster::{KvLocation, ReqHandle};
 use pascal_model::DecodeBatch;
 use pascal_sched::PriorityKey;
 use pascal_sim::{SimDuration, SimTime};
+use pascal_telemetry::TraceEventKind;
 use pascal_workload::Phase;
 
 use super::lifecycle::{close_token, TokenEdges};
@@ -166,9 +209,22 @@ pub(crate) struct SteadyRun {
     /// The last pacer filing's number: a member's filed number tells its
     /// current heap entry from ones it left behind.
     pace_filings: u32,
-    /// Resident non-members the run's next launch is to admit: landings,
-    /// and the members an edge step took out to handle their token.
+    /// Non-members the run's next launch is to admit: landings, the
+    /// members an edge step took out to handle their token, residents
+    /// whose growth the pool refused at the opening launch, and newcomers
+    /// that need their prefill first.
     joiners: Vec<Joiner>,
+    /// Desired non-members whose reload is in flight: every launch leaves
+    /// them out until the reload lands and they join.
+    pending: Vec<ReqHandle>,
+    /// While the run is paused: the prefill batch in flight, in launch
+    /// order. The members wait through it, their latest token closed and
+    /// the blocks of their next launch granted.
+    prefill: Vec<ReqHandle>,
+    /// Whether the blocks the batch crosses into at its next launch were
+    /// granted at a prefill launch (set at a pause, cleared at the
+    /// relaunch).
+    granted: bool,
     /// While an edge step handles a member whose phase boundary reads the
     /// instance monitor: its key. Members sorting before it already count
     /// this step's token.
@@ -201,12 +257,24 @@ struct Residue {
     drops: Vec<ReqHandle>,
 }
 
-/// A resident non-member the run's next launch admits.
+/// A non-member the run's next launch admits.
 #[derive(Clone, Copy)]
 struct Joiner {
     member: ReqHandle,
-    /// Whether an edge step took it out of the batch (else it landed).
+    /// Whether an edge step took it out of the batch (else it landed, was
+    /// refused its growth, or is a newcomer).
     left: bool,
+}
+
+/// What the full path would make of a run's next launch.
+enum Launch {
+    /// The run batch plus its joiners, granting this many blocks.
+    Admits(u64),
+    /// The first candidate outside enters it, a newcomer whose prefill
+    /// the launch would start.
+    Enters(ReqHandle),
+    /// Something else: the run closes.
+    Refused,
 }
 
 /// What [`Shard::steady_step`] made of an iteration end.
@@ -251,9 +319,45 @@ impl SteadyRun {
         });
     }
 
-    /// Drops a pending joiner that is no longer GPU-resident.
+    /// Drops a pending joiner that can no longer join.
     pub(super) fn remove_joiner(&mut self, handle: ReqHandle) {
         self.joiners.retain(|j| j.member != handle);
+    }
+
+    /// Takes `handle` off the members whose reload is in flight, returning
+    /// whether it was one.
+    pub(super) fn take_pending(&mut self, handle: ReqHandle) -> bool {
+        let at = self.pending.iter().position(|&h| h == handle);
+        if let Some(at) = at {
+            self.pending.swap_remove(at);
+        }
+        at.is_some()
+    }
+
+    /// Files a desired non-member whose reload is in flight.
+    pub(super) fn add_pending(&mut self, handle: ReqHandle) {
+        self.pending.push(handle);
+    }
+
+    /// Whether the run waits through a prefill launch.
+    pub(super) fn is_paused(&self) -> bool {
+        !self.prefill.is_empty()
+    }
+
+    /// Whether `handle` is in the prefill batch the run waits through: it
+    /// runs, but not as a member.
+    pub(super) fn is_prefilling(&self, handle: ReqHandle) -> bool {
+        self.prefill.contains(&handle)
+    }
+
+    /// The blocks the batch crosses into at the launch after iteration
+    /// `step`: none when a prefill launch already granted them.
+    fn batch_crossing(&self, step: u32, block_tokens: u64) -> u64 {
+        if self.granted {
+            0
+        } else {
+            self.residues[(u64::from(step) % block_tokens) as usize].crossings
+        }
     }
 
     /// Files `member`'s earliest event at `step` unless it falls at or past
@@ -338,18 +442,28 @@ fn remove_drop(drops: &mut Vec<ReqHandle>, member: ReqHandle) {
 }
 
 impl Shard<'_> {
-    /// Opens a steady run on `instance`, whose decode batch (the whole
-    /// desired set, holding exactly the blocks it needs) the full path just
-    /// launched at `now` for `duration` over `context` tokens — unless its
-    /// first token could stall a reader.
+    /// Opens a steady run on `instance`, whose decode batch (of the
+    /// `desired` set, holding exactly the blocks it needs) the full path
+    /// just launched at `now` for `duration` over `context` tokens —
+    /// unless its first token could stall a reader, or the launch left out
+    /// a desired member that cannot wait inside a run.
     pub(super) fn open_steady_run(
         &mut self,
         instance: u32,
         now: SimTime,
         duration: SimDuration,
         context: u64,
+        desired: &[(ReqHandle, u64)],
     ) {
         let i = instance as usize;
+        let partial = desired.len() > self.instances[i].current_batch.len();
+        if !partial {
+            let run = &mut self.instances[i].steady;
+            run.joiners.clear();
+            run.pending.clear();
+        } else if !self.file_left_out(instance, desired) {
+            return;
+        }
         let bt = self.geometry.block_tokens as usize;
         let next = now + duration;
         let run = &mut self.instances[i].steady;
@@ -364,7 +478,6 @@ impl Shard<'_> {
         marks.clear();
         pace.clear();
         run.pace_filings = 0;
-        run.joiners.clear();
         run.next_mark = u32::MAX;
         run.answering = 0;
         run.edge = u32::MAX;
@@ -401,6 +514,8 @@ impl Shard<'_> {
                         .move_pacer(&mut self.member_mon, handle, st.answers.on_pace_until());
                 }
             }
+            rt.steady.joiners.clear();
+            rt.steady.pending.clear();
             return;
         }
         debug_assert_eq!(rt.steady.context, context, "the run's context sum");
@@ -409,11 +524,49 @@ impl Shard<'_> {
         run.dirty = false;
         run.split = None;
         run.resuming = false;
+        run.granted = false;
         run.last = now;
         run.prev_last = now;
         #[cfg(debug_assertions)]
         run.step_times.clear();
         self.refresh_pace(instance);
+        if partial {
+            self.count_work(|w| w.partial_runs += 1);
+        }
+    }
+
+    /// Files the `desired` members the launch just made on `instance` left
+    /// out, for a run to open over the launched batch: a member whose
+    /// reload is in flight waits as pending, and a resident whose growth
+    /// the pool refused is a joiner, which the next launch admits once the
+    /// pool grants it. Returns `false`, filing nothing, when some other
+    /// member was left out (a reload or prefill the pool refused would
+    /// start at a later launch).
+    fn file_left_out(&mut self, instance: u32, desired: &[(ReqHandle, u64)]) -> bool {
+        let rt = &mut self.instances[instance as usize];
+        let run = &mut rt.steady;
+        run.joiners.clear();
+        run.pending.clear();
+        // The batch is a subsequence of the desired set, both in key order.
+        let mut launched = rt.current_batch.iter().peekable();
+        for &(handle, _) in desired {
+            if launched.next_if_eq(&&handle).is_some() {
+                continue;
+            }
+            match self.states[handle].kv_location {
+                KvLocation::ReloadingToGpu => run.pending.push(handle),
+                KvLocation::Gpu => run.joiners.push(Joiner {
+                    member: handle,
+                    left: false,
+                }),
+                _ => {
+                    run.joiners.clear();
+                    run.pending.clear();
+                    return false;
+                }
+            }
+        }
+        true
     }
 
     /// Files `member`, whose state is exact, into `instance`'s run at
@@ -567,7 +720,12 @@ impl Shard<'_> {
         let i = instance as usize;
         let run = &self.instances[i].steady;
         if !run.open || run.steps + 1 >= run.edge {
-            return Step::Full;
+            // A paused run's prefill ends here: no member's token is due.
+            return if run.open && run.is_paused() {
+                self.end_pause(instance, now)
+            } else {
+                Step::Full
+            };
         }
         debug_assert!(
             !run.dirty,
@@ -577,7 +735,12 @@ impl Shard<'_> {
         let bt = u64::from(self.geometry.block_tokens);
         let residue = &run.residues[(u64::from(step) % bt) as usize];
         let (crossing, drops) = (residue.crossings, residue.drops.len() as u64);
+        // The prefill batch a paused run waits through is among its
+        // joiners, so a pause's end takes this branch too.
         if run.next_mark == step || !run.joiners.is_empty() {
+            if run.is_paused() {
+                return self.end_pause(instance, now);
+            }
             let mut due = std::mem::take(&mut self.instances[i].steady.due);
             due.clear();
             if self.instances[i].steady.next_mark == step {
@@ -676,17 +839,20 @@ impl Shard<'_> {
 
     /// Settles a run a non-member change left to be checked — every
     /// caller that changes a non-member ends with `try_schedule` on its
-    /// instance, which lands here while the run's iteration is in flight.
-    /// The run stays open when its next launch would be its batch plus its
-    /// joiners in key order ([`Shard::launch_admits`]): the first candidate
-    /// outside still cannot enter, and it only grows from then on, so the
-    /// candidate stays out. Otherwise the run closes.
+    /// instance, which lands here while the run's iteration (or the
+    /// prefill it waits through) is in flight. The run stays open when its
+    /// next launch would be its batch plus its joiners in key order, its
+    /// reloads in flight left out ([`Shard::next_launch`]): the first
+    /// candidate outside still cannot enter, and it only grows from then
+    /// on, so the candidate stays out. Otherwise the run closes.
     pub(super) fn recheck_run(&mut self, instance: u32) {
         let rt = &self.instances[instance as usize];
         if !(rt.steady.open && rt.steady.dirty) {
             return;
         }
-        if self.launch_admits(instance, rt.steady.steps + 1).is_some() {
+        let bt = u64::from(self.geometry.block_tokens);
+        let crossing = rt.steady.batch_crossing(rt.steady.steps + 1, bt);
+        if self.next_launch(instance, crossing).is_some() {
             self.instances[instance as usize].steady.dirty = false;
             self.count_work(|w| w.runs_kept += 1);
             #[cfg(debug_assertions)]
@@ -696,59 +862,105 @@ impl Shard<'_> {
         }
     }
 
-    /// The blocks the launch after iteration `step` must grant when it
-    /// relaunches `instance`'s run batch plus its joiners, if that launch is
-    /// exactly what the full path's planner would pick: at most `max_batch`
-    /// members, no GPU resident left out (it would be evicted), no joiner
-    /// holding excess blocks, every joiner sorting before the first
-    /// candidate outside (so the launch is a key-order prefix of the
-    /// candidates), within `capacity − dying_blocks`, and that candidate
-    /// unable to enter — the batch is full or its blocks plus the
-    /// candidate's need exceed the budget.
-    fn launch_admits(&self, instance: u32, step: u32) -> Option<u64> {
+    /// [`Shard::launch_admits`] for `instance`'s next launch, whose batch
+    /// crosses into `batch_crossing` more blocks: a candidate outside that
+    /// would enter it with its prefill still to run is a newcomer, which
+    /// joins the run's joiners (the launch then pauses the run for its
+    /// prefill); any other closes the run. Returns the blocks a decode
+    /// launch would grant.
+    fn next_launch(&mut self, instance: u32, batch_crossing: u64) -> Option<u64> {
+        loop {
+            match self.launch_admits(instance, batch_crossing) {
+                Launch::Admits(grant) => return Some(grant),
+                Launch::Enters(newcomer) => self.instances[instance as usize]
+                    .steady
+                    .add_joiner(newcomer),
+                Launch::Refused => return None,
+            }
+        }
+    }
+
+    /// Whether the launch after the in-flight iteration (or prefill) on
+    /// `instance` relaunches its run batch plus its joiners, when the batch
+    /// crosses into `batch_crossing` more blocks, exactly as the full
+    /// path's planner would pick it: at most `max_batch` desired members
+    /// (the reloads in flight counted), no GPU resident left out (it would
+    /// be evicted), no joiner holding excess blocks, every joiner and
+    /// pending reload sorting before the first candidate outside (so the
+    /// launch is a key-order prefix of the candidates), within `capacity −
+    /// dying_blocks`, and that candidate unable to enter — the batch is
+    /// full or its blocks plus the candidate's need exceed the budget. A
+    /// joiner in the prefill in flight is priced with its prefill token.
+    fn launch_admits(&self, instance: u32, batch_crossing: u64) -> Launch {
         let rt = &self.instances[instance as usize];
         let run = &rt.steady;
         let max_batch = self.config.max_batch as usize;
-        let n = rt.current_batch.len() + run.joiners.len();
-        if n == 0 || n > max_batch || rt.residents.len() != n {
-            return None;
+        let n = rt.current_batch.len() + run.joiners.len() + run.pending.len();
+        if n == 0 || n > max_batch {
+            return Launch::Refused;
         }
         let outside = self.first_outside(instance);
-        let bt = u64::from(self.geometry.block_tokens);
-        let mut crossing = run.residues[(u64::from(step) % bt) as usize].crossings;
-        let mut held = run.held;
+        let sorts_out = |key: Option<PriorityKey>| {
+            outside.is_some_and(|(first, ..)| key.is_none_or(|k| k > first))
+        };
+        let mut grant = batch_crossing;
+        let mut needs = run.held + batch_crossing;
+        let mut residents = rt.current_batch.len();
         for joiner in &run.joiners {
             let st = &self.states[joiner.member];
-            let need = self.geometry.blocks_for_tokens(st.tokens_needed_next());
-            let key = self.member_mon[joiner.member.index()].key?;
-            if st.held_gpu_blocks > need || outside.is_some_and(|(first, _)| key > first) {
-                return None;
+            let tokens = st.tokens_needed_next() + u64::from(run.is_prefilling(joiner.member));
+            let need = self.geometry.blocks_for_tokens(tokens);
+            let key = self.member_mon[joiner.member.index()].key;
+            if key.is_none() || st.held_gpu_blocks > need || sorts_out(key) {
+                return Launch::Refused;
             }
-            crossing += need - st.held_gpu_blocks;
-            held += st.held_gpu_blocks;
+            grant += need - st.held_gpu_blocks;
+            needs += need;
+            residents += usize::from(st.kv_location == KvLocation::Gpu);
+        }
+        for &reload in &run.pending {
+            let st = &self.states[reload];
+            if sorts_out(self.member_mon[reload.index()].key) {
+                return Launch::Refused;
+            }
+            needs += self
+                .geometry
+                .blocks_for_tokens(st.tokens_needed_next())
+                .max(st.held_gpu_blocks);
+        }
+        if rt.residents.len() != residents {
+            return Launch::Refused;
         }
         let budget = rt
             .inst
             .gpu
             .capacity_blocks()
             .map(|c| c.saturating_sub(rt.dying_blocks));
-        if budget.is_some_and(|b| held + crossing > b) {
-            return None;
+        if budget.is_some_and(|b| needs > b) {
+            return Launch::Refused;
         }
         match (outside, budget) {
             (Some(_), _) if n >= max_batch => {}
-            (Some(_), None) => return None,
-            (Some((_, need)), Some(b)) if held + crossing + need <= b => return None,
-            _ => {}
+            (Some((_, need, _)), Some(b)) if needs + need > b => {}
+            (Some((_, _, candidate)), _) => {
+                let st = &self.states[candidate];
+                return if st.kv_location == KvLocation::None && st.needs_prefill() {
+                    Launch::Enters(candidate)
+                } else {
+                    Launch::Refused
+                };
+            }
+            (None, _) => {}
         }
-        Some(crossing)
+        Launch::Admits(grant)
     }
 
-    /// The first candidate outside `instance`'s run batch and its joiners,
-    /// with its key and block need: every other non-member sorts after it.
-    fn first_outside(&self, instance: u32) -> Option<(PriorityKey, u64)> {
+    /// The first candidate outside `instance`'s run batch, its joiners and
+    /// its reloads in flight, with its key, block need and handle: every
+    /// other such candidate sorts after it.
+    fn first_outside(&self, instance: u32) -> Option<(PriorityKey, u64, ReqHandle)> {
         let rt = &self.instances[instance as usize];
-        // Every non-member but the joiners sorts after the batch.
+        // Every other candidate sorts after the batch.
         let last = rt
             .current_batch
             .last()
@@ -756,14 +968,14 @@ impl Shard<'_> {
         let from = last.map_or(Bound::Unbounded, Bound::Excluded);
         rt.cands
             .range((from, Bound::Unbounded))
-            .find(|&(_, &h)| !rt.steady.is_joiner(h))
+            .find(|&(_, &h)| !rt.steady.is_joiner(h) && !rt.steady.pending.contains(&h))
             .map(|(&key, &handle)| {
                 let st = &self.states[handle];
                 let need = self
                     .geometry
                     .blocks_for_tokens(st.tokens_needed_next())
                     .max(st.held_gpu_blocks);
-                (key, need)
+                (key, need, handle)
             })
     }
 
@@ -775,7 +987,7 @@ impl Shard<'_> {
         if ends.peek().is_none() {
             return false;
         }
-        let Some((first_out, _)) = self.first_outside(instance) else {
+        let Some((first_out, ..)) = self.first_outside(instance) else {
             return false;
         };
         ends.any(|d| self.policy.key_after_quantum(&self.states[d.member]) > first_out)
@@ -1012,13 +1224,16 @@ impl Shard<'_> {
             .count() as u64
     }
 
-    /// Decides the next launch after an edge step, where the full path
-    /// calls `try_schedule`: the run survives when that launch would be its
-    /// remaining batch plus its joiners, in key order, and the pool grants
-    /// the step's crossings. The joiners then join: `begin_running`, the
-    /// migration resume stamp, and their residues, marks and pacer keys
-    /// filed at this step. Otherwise every member is caught up through the
-    /// step and the run closes. Returns whether it launched.
+    /// Decides the next launch after an edge step or a pause's prefill,
+    /// where the full path calls `try_schedule`. The run survives when that
+    /// launch would be its remaining batch plus its joiners, in key order,
+    /// its reloads in flight left out ([`Shard::next_launch`]), and the
+    /// pool grants the blocks it crosses into. When some joiners still need
+    /// their prefill, the launch is that prefill and the run pauses
+    /// ([`Shard::pause_run`]). Otherwise the joiners join: `begin_running`,
+    /// the migration resume stamp, and their residues, marks and pacer
+    /// keys filed at this step. Anything else catches every member up
+    /// through the step and closes the run. Returns whether it launched.
     pub(super) fn resume_run(&mut self, instance: u32, now: SimTime) -> bool {
         let i = instance as usize;
         #[cfg(debug_assertions)]
@@ -1026,18 +1241,34 @@ impl Shard<'_> {
         let run = &mut self.instances[i].steady;
         run.resuming = false;
         let step = run.steps;
-        let granted = self
-            .launch_admits(instance, step)
-            .filter(|&crossing| self.instances[i].inst.gpu.try_alloc(crossing));
-        let Some(_crossing) = granted else {
-            self.close_through(instance, now);
+        let batch_crossing = run.batch_crossing(step, u64::from(self.geometry.block_tokens));
+        let Some(grant) = self.next_launch(instance, batch_crossing) else {
+            self.close_through(instance);
+            self.count_work(|w| w.full_path_iterations += 1);
             return false;
         };
+        if self.instances[i].steady.joiners.iter().any(|j| {
+            let st = &self.states[j.member];
+            st.kv_location == KvLocation::None
+        }) {
+            return self.pause_run(instance, now, batch_crossing, grant);
+        }
+        if !self.instances[i].inst.gpu.try_alloc(grant) {
+            self.close_through(instance);
+            self.count_work(|w| w.full_path_iterations += 1);
+            return false;
+        }
         let run = &mut self.instances[i].steady;
-        let bt = u64::from(self.geometry.block_tokens);
-        run.held += run.residues[(u64::from(step) % bt) as usize].crossings;
+        run.held += batch_crossing;
         #[cfg(debug_assertions)]
-        self.assert_steady_plan(instance, Some(_crossing));
+        self.assert_steady_plan(instance, Some(grant));
+        // After a pause, the members' next token comes a prefill later
+        // than their last: it may find a reader's buffer empty.
+        let paused_pace = if self.instances[i].steady.granted {
+            self.instances[i].monitor.steady_pace
+        } else {
+            None
+        };
         let joiners = std::mem::take(&mut self.instances[i].steady.joiners);
         let tpot = self.config.target_tpot;
         for joiner in &joiners {
@@ -1075,13 +1306,16 @@ impl Shard<'_> {
         let stalls = joiners.iter().any(|j| {
             let st = &self.states[j.member];
             st.phase == Phase::Answering && st.answers.would_stall(next)
-        });
+        }) || paused_pace.is_some_and(|at| at < next);
         if stalls || (run.answering > 0 && duration > tpot) {
             run.edge = run.edge.min(step + 1);
         }
         run.dirty = false;
+        run.granted = false;
         let landed = joiners.iter().filter(|j| !j.left).count() as u64;
         let (edges, quanta) = (run.step_edges, run.step_quanta);
+        (run.step_edges, run.step_quanta) = (0, 0);
+        let partial = u64::from(!run.pending.is_empty());
         run.joiners = joiners;
         run.joiners.clear();
         rt.inst.compute_busy = true;
@@ -1101,41 +1335,192 @@ impl Shard<'_> {
             w.edges_kept += edges;
             w.joins += landed;
             w.runs_kept += quanta;
+            w.partial_runs += partial;
         });
         self.queue.schedule(next, Event::IterationDone { instance });
         true
     }
 
-    /// Closes `instance`'s run after an edge step it does not survive:
-    /// every member still in the batch is brought to where the full path's
-    /// `finish_iteration` would have left it — caught up to the previous
-    /// iteration in closed form, then its token at `now` closed through the
-    /// per-token code, holding the blocks of its latest launch — and its
-    /// pacer entry is filed back. The batch empties, as after the full
-    /// path; the joiners stay resident non-members for it to plan.
-    fn close_through(&mut self, instance: u32, now: SimTime) {
+    /// The launch [`Shard::resume_run`] decided is a prefill: the joiners
+    /// still to be prefilled, in key order, up to the prefill token budget
+    /// (the first always), as the full path's admission pass would take
+    /// them. The run **pauses** through it: no step, no token, no pace
+    /// advance. The pool grants, all at once, what the full path grants
+    /// at this launch — the blocks the batch crosses into (`batch_crossing`),
+    /// the resident joiners' growth and the prefills' blocks — or the run
+    /// closes. The resident joiners wait with it and join at the relaunch,
+    /// like the newcomers once their first token closes at the prefill's
+    /// end ([`Shard::end_pause`]). `grant` is what a decode launch would
+    /// grant, for the debug plan check. Returns whether it launched.
+    fn pause_run(&mut self, instance: u32, now: SimTime, batch_crossing: u64, _grant: u64) -> bool {
+        let i = instance as usize;
+        let mut prefill = std::mem::take(&mut self.instances[i].steady.prefill);
+        let mut prompts = std::mem::take(&mut self.scratch.prompts);
+        prompts.clear();
+        prefill.extend(
+            self.instances[i]
+                .steady
+                .joiners
+                .iter()
+                .map(|j| j.member)
+                .filter(|&h| self.states[h].kv_location == KvLocation::None),
+        );
+        prefill.sort_by_key(|&h| self.member_mon[h.index()].key);
+        let budget = u64::from(self.config.prefill_token_budget);
+        let mut tokens = 0;
+        let mut blocks = batch_crossing;
+        prefill.retain(|&h| {
+            let st = &self.states[h];
+            let prompt = u64::from(st.spec.prompt_tokens);
+            let admitted = prompts.is_empty() || tokens + prompt <= budget;
+            if admitted {
+                tokens += prompt;
+                prompts.push(st.spec.prompt_tokens);
+                blocks += self.geometry.blocks_for_tokens(st.tokens_needed_next());
+            }
+            admitted
+        });
+        for joiner in &self.instances[i].steady.joiners {
+            let st = &self.states[joiner.member];
+            if st.kv_location == KvLocation::Gpu {
+                blocks +=
+                    self.geometry.blocks_for_tokens(st.tokens_needed_next()) - st.held_gpu_blocks;
+            }
+        }
+        if !self.instances[i].inst.gpu.try_alloc(blocks) {
+            prefill.clear();
+            self.instances[i].steady.prefill = prefill;
+            self.scratch.prompts = prompts;
+            self.close_through(instance);
+            self.count_work(|w| w.full_path_iterations += 1);
+            return false;
+        }
+        self.instances[i].steady.held += batch_crossing;
+        #[cfg(debug_assertions)]
+        self.assert_steady_plan(instance, Some(_grant));
+        let run = &mut self.instances[i].steady;
+        run.granted = true;
+        for joiner in &run.joiners {
+            let st = &mut self.states[joiner.member];
+            if st.kv_location == KvLocation::Gpu {
+                st.held_gpu_blocks = self.geometry.blocks_for_tokens(st.tokens_needed_next());
+            }
+        }
+        // The full path's prefill launch. Residency is filed before the
+        // segment opens: a running request's filing would read as a touch
+        // of a run member.
+        for &handle in &prefill {
+            let st = &mut self.states[handle];
+            st.held_gpu_blocks = self.geometry.blocks_for_tokens(st.tokens_needed_next());
+            self.set_kv_location(handle, KvLocation::Gpu);
+            let st = &mut self.states[handle];
+            st.begin_running(now);
+            st.resident_since = Some(now);
+        }
+        let global = self.global_instance(instance);
+        for &handle in &prefill {
+            let st = &self.states[handle];
+            let queued_ns = now.saturating_since(st.spec.arrival).as_nanos();
+            self.emit_trace(
+                now,
+                Some(global),
+                Some(st.spec.id),
+                TraceEventKind::PrefillStart { queued_ns },
+            );
+        }
+        let duration = self.perf.prefill_time_batch(&prompts);
+        self.scratch.prompts = prompts;
+        let rt = &mut self.instances[i];
+        let run = &mut rt.steady;
+        run.prefill = prefill;
+        run.dirty = false;
+        let (edges, quanta) = (run.step_edges, run.step_quanta);
+        (run.step_edges, run.step_quanta) = (0, 0);
+        rt.inst.compute_busy = true;
+        rt.current_kind = IterationKind::Prefill;
+        self.count_work(|w| {
+            w.steady_iterations += 1;
+            w.prefill_pauses += 1;
+            w.edges_kept += edges;
+            w.runs_kept += quanta;
+        });
+        self.queue
+            .schedule(now + duration, Event::IterationDone { instance });
+        true
+    }
+
+    /// The prefill a paused run on `instance` waits through ended at `now`:
+    /// each newcomer's first token closes through the full path's
+    /// per-token code ([`Shard::emit_token`]), in launch order, and the
+    /// next launch is decided where the full path would, by
+    /// [`Shard::resume_run`]. Declines (the full path takes it) on an
+    /// instance that is no longer healthy.
+    fn end_pause(&mut self, instance: u32, now: SimTime) -> Step {
+        let i = instance as usize;
+        if self.health[i] != crate::fleet::HealthState::Healthy {
+            return Step::Full;
+        }
+        let mut batch = std::mem::take(&mut self.scratch.prefill);
+        batch.clear();
+        batch.extend_from_slice(&self.instances[i].steady.prefill);
+        let rt = &mut self.instances[i];
+        rt.inst.compute_busy = false;
+        // The members wait idle, as after `finish_iteration`: a change that
+        // reads them now catches them up through their latest token, and
+        // the prefill batch becomes the instance's batch.
+        rt.steady.resuming = true;
+        for &handle in &batch {
+            self.emit_token(handle, IterationKind::Prefill, now);
+        }
+        let rt = &mut self.instances[i];
+        if rt.steady.open {
+            rt.steady.prefill.clear();
+        } else {
+            rt.current_batch.clear();
+        }
+        let tokens = batch.len() as u64;
+        self.scratch.prefill = batch;
+        self.count_work(|w| w.tokens += tokens);
+        Step::Resuming
+    }
+
+    /// Closes `instance`'s run while it waits for its next launch — after
+    /// an edge step it does not survive, or through a prefill it waits
+    /// through: every member still in the batch is brought to where the
+    /// full path left it — caught up to the iteration before its latest in
+    /// closed form, then its latest token closed through the per-token code,
+    /// holding the blocks of its latest launch, or of its next one when a
+    /// prefill launch granted them — and its pacer entry is filed back. The
+    /// batch becomes the prefill in flight (empty after an edge step), as
+    /// after the full path; the joiners stay non-members for it to plan.
+    fn close_through(&mut self, instance: u32) {
         let i = instance as usize;
         let batch = std::mem::take(&mut self.instances[i].current_batch);
-        let (steps, prev_last) = {
+        let (steps, last, prev_last, granted) = {
             let run = &self.instances[i].steady;
-            (run.steps, run.prev_last)
+            (run.steps, run.last, run.prev_last, run.granted)
         };
         for &handle in &batch {
             let owed = steps - self.member_mon[handle.index()].sync;
             #[cfg(debug_assertions)]
-            let expected = self.replay_through(handle, now);
+            let expected = self.replay_through(handle, last);
             let st = &mut self.states[handle];
             if owed > 1 {
                 st.replay_steady(owed - 1, prev_last);
             }
-            let edges = close_token(st, IterationKind::Decode, now, &self.policy);
+            let edges = close_token(st, IterationKind::Decode, last, &self.policy);
             debug_assert_eq!(
                 edges,
                 TokenEdges::default(),
                 "{}: a plain run member reached an edge",
                 st.spec.id
             );
-            st.held_gpu_blocks = self.geometry.blocks_for_tokens(st.context_tokens());
+            let held = if granted {
+                st.tokens_needed_next()
+            } else {
+                st.context_tokens()
+            };
+            st.held_gpu_blocks = self.geometry.blocks_for_tokens(held);
             let m = &mut self.member_mon[handle.index()];
             m.growth = Growth::at(
                 m.predicted_total,
@@ -1153,18 +1538,18 @@ impl Shard<'_> {
             self.assert_caught_up(handle, &expected);
         }
         let closed = batch.len() as u64;
-        self.count_work(|w| {
-            w.members_caught_up += closed;
-            w.full_path_iterations += 1;
-        });
+        self.count_work(|w| w.members_caught_up += closed);
         let rt = &mut self.instances[i];
         rt.current_batch = batch;
         rt.current_batch.clear();
         rt.monitor.steady_pace = None;
         let run = &mut rt.steady;
+        std::mem::swap(&mut rt.current_batch, &mut run.prefill);
         run.open = false;
         run.resuming = false;
+        run.granted = false;
         run.joiners.clear();
+        run.pending.clear();
     }
 
     /// Re-prices `member`, a member of an open run, at a new predicted
@@ -1272,8 +1657,9 @@ impl Shard<'_> {
     /// Runs before anything reads the batch as a whole or changes a run
     /// member: the run's next full iteration, every mutator of a member,
     /// a non-member change the run cannot absorb, and a fleet transition.
-    /// A run waiting for its next launch after an edge step is caught up
-    /// through that step instead ([`Shard::close_through`]).
+    /// A run waiting for its next launch — after an edge step, or through a
+    /// prefill — is caught up through its latest token instead
+    /// ([`Shard::close_through`]).
     pub(super) fn catch_up(&mut self, instance: u32) {
         let i = instance as usize;
         let run = &self.instances[i].steady;
@@ -1286,8 +1672,13 @@ impl Shard<'_> {
             "instance {instance}: a run closed while an edge member was handled"
         );
         if run.resuming {
-            let now = run.last;
-            self.close_through(instance, now);
+            self.close_through(instance);
+            self.count_work(|w| w.full_path_iterations += 1);
+            return;
+        }
+        if run.is_paused() {
+            // The prefill goes on as the full path's iteration.
+            self.close_through(instance);
             return;
         }
         let batch = std::mem::take(&mut self.instances[i].current_batch);
@@ -1314,6 +1705,15 @@ impl Shard<'_> {
         rt.current_batch = batch;
         rt.steady.open = false;
         rt.steady.joiners.clear();
+        rt.steady.pending.clear();
+    }
+
+    /// Whether `handle` is a member of the open run on its instance: it
+    /// runs, and not in the prefill a paused run waits through.
+    pub(super) fn in_run(&self, handle: ReqHandle) -> bool {
+        let st = &self.states[handle];
+        let run = &self.instances[st.instance as usize].steady;
+        run.open && st.running && !run.is_prefilling(handle)
     }
 
     /// Tokens the open run on `handle`'s instance owes it: `steps − sync`
@@ -1321,11 +1721,10 @@ impl Shard<'_> {
     /// sorting after it, whose token the full path would emit after its
     /// own — and 0 otherwise.
     pub(super) fn run_owed(&self, handle: ReqHandle) -> u32 {
-        let st = &self.states[handle];
-        let run = &self.instances[st.instance as usize].steady;
-        if !(run.open && st.running) {
+        if !self.in_run(handle) {
             return 0;
         }
+        let run = &self.instances[self.states[handle].instance as usize].steady;
         let m = &self.member_mon[handle.index()];
         let ahead = run.split.is_some_and(|split| m.key < Some(split));
         run.steps - m.sync + u32::from(ahead)
@@ -1338,11 +1737,10 @@ impl Shard<'_> {
     /// rows read this.
     #[cfg(debug_assertions)]
     pub(super) fn reference_owed(&self, handle: ReqHandle) -> u32 {
-        let st = &self.states[handle];
-        let run = &self.instances[st.instance as usize].steady;
-        if !(run.open && st.running) {
+        if !self.in_run(handle) {
             return 0;
         }
+        let run = &self.instances[self.states[handle].instance as usize].steady;
         let m = &self.member_mon[handle.index()];
         let ahead = run.handling.is_some_and(|at| m.key < Some(at));
         run.steps - m.sync + u32::from(ahead)
@@ -1377,7 +1775,8 @@ impl Shard<'_> {
 
     /// The debug reference for [`Shard::close_through`]: the per-token
     /// replay up to the previous iteration, then the full path's token at
-    /// `now`, which leaves the member idle.
+    /// `now`, which leaves the member idle — holding its next launch's
+    /// blocks when a prefill launch granted them.
     #[cfg(debug_assertions)]
     fn replay_through(
         &self,
@@ -1391,6 +1790,11 @@ impl Shard<'_> {
         let edges = close_token(&mut st, IterationKind::Decode, now, &self.policy);
         assert_eq!(edges, TokenEdges::default());
         growth.on_token(st.tokens_generated, self.geometry.block_tokens);
+        if run.granted {
+            // The prefill launch the run waits through granted the next.
+            let need = self.geometry.blocks_for_tokens(st.tokens_needed_next());
+            st.held_gpu_blocks = st.held_gpu_blocks.max(need);
+        }
         (st, growth)
     }
 
@@ -1418,19 +1822,26 @@ impl Shard<'_> {
 
     /// Asserts that the planner, run read-only over the tokens the run
     /// owes each member, agrees with the run's next launch — its batch plus
-    /// its joiners, in key order. At a step (`crossing` known) it picks that
-    /// launch exactly and grants it `crossing` more blocks. At a kept touch
-    /// no candidate outside enters the run's next launch: the plan is that
+    /// its joiners, in key order, with its reloads in flight left out. At a
+    /// step or a relaunch (`crossing` known) it picks that desired set
+    /// exactly and grants it `crossing` more blocks. At a kept touch no
+    /// candidate outside enters the run's next launch: the plan is that
     /// launch or, when the batch itself outgrows the budget there (that
     /// step then fails its allocation and takes the full path), a prefix of
-    /// it.
+    /// it. While the run waits through a prefill its members gain no token
+    /// before the next launch and hold the blocks the prefill launch
+    /// granted; a request in that prefill counts its first token.
     #[cfg(debug_assertions)]
     fn assert_steady_plan(&self, instance: u32, crossing: Option<u64>) {
-        let ahead = u64::from(crossing.is_none());
+        let run = &self.instances[instance as usize].steady;
+        let ahead = u64::from(crossing.is_none() && !run.granted);
+        let granted = u64::from(run.granted);
         let view = |handle: ReqHandle, st: &pascal_cluster::RequestState| {
-            if st.running {
+            if run.is_prefilling(handle) {
+                (st.tokens_needed_next() + 1, st.held_gpu_blocks)
+            } else if st.running {
                 let next = st.tokens_needed_next() + u64::from(self.run_owed(handle)) + ahead;
-                (next, self.geometry.blocks_for_tokens(next - 1))
+                (next, self.geometry.blocks_for_tokens(next - 1 + granted))
             } else {
                 (st.tokens_needed_next(), st.held_gpu_blocks)
             }
@@ -1443,6 +1854,7 @@ impl Shard<'_> {
             .iter()
             .copied()
             .chain(rt.steady.joiners.iter().map(|j| j.member))
+            .chain(rt.steady.pending.iter().copied())
             .collect();
         launch.sort_by_key(|&h| self.member_mon[h.index()].key);
         let planned: Vec<ReqHandle> = desired.iter().map(|&(handle, _)| handle).collect();
@@ -1471,16 +1883,20 @@ impl Shard<'_> {
             "instance {instance}: steady crossings diverged from the planner's"
         );
         let held: u64 = desired.iter().map(|&(_, need)| need).sum();
-        let joining: u64 = rt
+        let waiting: u64 = rt
             .steady
             .joiners
             .iter()
-            .map(|j| view(j.member, &self.states[j.member]).0)
-            .map(|tokens| self.geometry.blocks_for_tokens(tokens))
+            .map(|j| j.member)
+            .chain(rt.steady.pending.iter().copied())
+            .map(|h| {
+                let (tokens, held) = view(h, &self.states[h]);
+                self.geometry.blocks_for_tokens(tokens).max(held)
+            })
             .sum();
         assert_eq!(
             held,
-            rt.steady.held + joining,
+            rt.steady.held + waiting,
             "instance {instance}: the run's held-block total diverged from the planner's"
         );
     }

@@ -1137,6 +1137,10 @@ mod steady_runs {
         open_before: bool,
         /// Whether it still has one just after.
         open_after: bool,
+        /// Whether its run waited through a prefill just before.
+        paused_before: bool,
+        /// Whether it waits through one just after.
+        paused_after: bool,
         /// Steady iterations replayed before that event.
         steady_before: u64,
         /// Members caught up by that event.
@@ -1149,11 +1153,17 @@ mod steady_runs {
         joins: u64,
         /// Iterations that took the full path.
         full_path: u64,
+        /// Prefill launches runs were kept across.
+        pauses: u64,
+        /// Decode launches runs opened or were kept over with a desired
+        /// member left out.
+        partial: u64,
     }
 
     /// An instance just before an event.
     struct Before {
         open: bool,
+        paused: bool,
         predicted_blocks: u64,
         batch: Vec<pascal_cluster::ReqHandle>,
         /// The earliest pacer deadline of its run's members.
@@ -1175,6 +1185,7 @@ mod steady_runs {
                 .iter()
                 .map(|rt| Before {
                     open: rt.steady.is_open(),
+                    paused: rt.steady.is_open() && rt.steady.is_paused(),
                     predicted_blocks: rt.monitor.predicted_blocks,
                     batch: rt.current_batch.clone(),
                     steady_pace: rt.monitor.steady_pace,
@@ -1185,15 +1196,20 @@ mod steady_runs {
             let sh = &engine.shards()[0];
             if let Some(i) = at(&before, sh) {
                 let after = hierarchy::total_work(engine.shards());
+                let run = &sh.instances[i as usize].steady;
                 let seen = Interruption {
                     open_before: before[i as usize].open,
-                    open_after: sh.instances[i as usize].steady.is_open(),
+                    open_after: run.is_open(),
+                    paused_before: before[i as usize].paused,
+                    paused_after: run.is_open() && run.is_paused(),
                     steady_before: work.steady_iterations,
                     caught_up: after.members_caught_up - work.members_caught_up,
                     kept: after.runs_kept - work.runs_kept,
                     edges_kept: after.edges_kept - work.edges_kept,
                     joins: after.joins - work.joins,
                     full_path: after.full_path_iterations - work.full_path_iterations,
+                    pauses: after.prefill_pauses - work.prefill_pauses,
+                    partial: after.partial_runs - work.partial_runs,
                 };
                 return (seen, engine.run());
             }
@@ -1255,9 +1271,11 @@ mod steady_runs {
 
     #[test]
     fn an_arrival_on_the_instance_closes_the_run() {
+        // A warm arrival needs no prefill: the next launch materializes it
+        // into the decode batch, which the run does not replay.
         let trace = Trace::from_requests(vec![
             RequestSpec::new(RequestId(0), SimTime::ZERO, 64, 3000, 0),
-            RequestSpec::new(RequestId(1), secs(10.0), 64, 100, 50),
+            RequestSpec::warm(RequestId(1), secs(10.0), 64, 150),
         ]);
         let (seen, out) = interrupt(&trace, &oracle(SchedPolicy::Fcfs), |sh| {
             (sh.routed_arrivals == 2).then_some(0)
@@ -1269,7 +1287,7 @@ mod steady_runs {
     #[test]
     fn a_touch_before_the_first_steady_step_owes_nothing() {
         // The launch after a second request's prefill opens a run in which
-        // the answering member's last token predates the launch; an
+        // the answering member's last token predates the launch; a warm
         // arrival 1 ms later catches the run up having replayed nothing,
         // which must leave that answer stream exactly as it was.
         let config = oracle(SchedPolicy::Fcfs);
@@ -1279,12 +1297,11 @@ mod steady_runs {
         ];
         let pair = run_simulation(&Trace::from_requests(requests.clone()), &config);
         let launch = pair.records[1].first_token;
-        requests.push(RequestSpec::new(
+        requests.push(RequestSpec::warm(
             RequestId(2),
             launch + SimDuration::from_millis(1),
             64,
             100,
-            0,
         ));
         let (seen, out) = interrupt(&Trace::from_requests(requests), &config, |sh| {
             (sh.routed_arrivals == 3).then_some(0)
@@ -1326,13 +1343,14 @@ mod steady_runs {
     }
 
     #[test]
-    fn an_offload_landing_closes_the_run_it_made_room_for() {
+    fn an_offload_landing_making_room_for_a_prefill_keeps_the_run() {
         // PASCAL over a pool of 9,016 tokens. An answering request (1)
         // runs until a reasoning one (0), sorting first, outgrows the pool
         // with it and evicts it. A short reasoning request (2) arrives
         // while the offload is in flight: it sorts after request 0 and
         // before the evictee, and fits only once the offload frees its
-        // blocks — so that landing must close request 0's run.
+        // blocks. At that landing it becomes a newcomer of request 0's
+        // run, which pauses through its prefill and takes it in.
         let geometry = oracle(SchedPolicy::Fcfs).geometry();
         let mut config = SimConfig::characterization(
             SchedPolicy::pascal(PascalConfig {
@@ -1369,11 +1387,25 @@ mod steady_runs {
         let (seen, out) = interrupt(&trace, &config, |sh| {
             member_where(sh, |st| st.kv_location == KvLocation::Cpu)
         });
-        assert_touched(&seen, "offload landing");
+        assert_kept(&seen, "offload landing");
+        assert_eq!(seen.caught_up, 0);
         assert_eq!(out.records.len(), 3);
         assert!(out.records[1].num_preemptions > 0);
         // Request 2 could not start before the offload freed the room.
         assert!(out.records[2].first_token > landed);
+        // Its prefill launch pauses the run, and it joins at the end.
+        let (seen, _) = interrupt(&trace, &config, |sh| {
+            member_where(sh, |st| st.spec.id == RequestId(2) && st.running)
+        });
+        assert!(seen.paused_after, "the run did not pause for the prefill");
+        assert_eq!((seen.pauses, seen.caught_up), (1, 0));
+        let (seen, _) = interrupt(&trace, &config, |sh| {
+            member_where(sh, |st| {
+                st.spec.id == RequestId(2) && st.running && st.tokens_generated == 1
+            })
+        });
+        assert!(seen.open_after && !seen.paused_after);
+        assert_eq!(seen.joins, 1, "the newcomer did not join");
         // The same arrival keeps the run while the offload holds the room.
         let (seen, _) = interrupt(&trace, &config, |sh| (sh.routed_arrivals == 3).then_some(0));
         assert_kept(&seen, "arrival during the offload");
@@ -1933,12 +1965,13 @@ mod steady_runs {
 
     #[test]
     fn a_completion_that_frees_room_for_a_waiting_candidate_closes_the_run() {
-        // Two requests fill the batch; request 2 waits. When request 1
-        // completes, request 2 fits, so the full path plans the launch.
+        // Two requests fill the batch; warm request 2 waits. When request 1
+        // completes, request 2 fits, so the full path plans the launch
+        // that materializes it.
         let trace = Trace::from_requests(vec![
             RequestSpec::new(RequestId(0), SimTime::ZERO, 64, 3000, 0),
             RequestSpec::new(RequestId(1), SimTime::ZERO, 64, 500, 0),
-            RequestSpec::new(RequestId(2), secs(0.5), 64, 3000, 0),
+            RequestSpec::warm(RequestId(2), secs(0.5), 64, 3000),
         ]);
         let mut config = oracle(SchedPolicy::Fcfs);
         config.max_batch = 2;
@@ -1946,7 +1979,8 @@ mod steady_runs {
             sh.records.first().map(|r| r.instances_visited[0])
         });
         assert_touched(&seen, "completion freeing room");
-        assert!(!seen.open_after, "the run survived a candidate that fits");
+        assert_eq!(seen.full_path, 1, "the run survived a candidate that fits");
+        assert_eq!(seen.edges_kept, 0);
         assert_eq!(seen.caught_up, 2, "the leaver, then the rest of the batch");
         assert_eq!(out.records.len(), 3);
     }
@@ -2117,5 +2151,365 @@ mod steady_runs {
         assert_eq!(seen.full_path, 1, "the boundary was handled inside the run");
         assert_eq!(seen.edges_kept, 0);
         assert_eq!(out.records.len(), 2);
+    }
+
+    /// The profile's work counters of a run of `trace` under `config`.
+    fn work_of(trace: &Trace, config: &SimConfig) -> pascal_telemetry::WorkCounters {
+        let mut config = config.clone();
+        config.telemetry.profile = true;
+        run_simulation(trace, &config)
+            .telemetry
+            .and_then(|t| t.profile)
+            .expect("profiling was on")
+            .work
+    }
+
+    /// FCFS over a pool of 9,016 tokens: request 0 (a 2,000-token prompt)
+    /// and request 1 (a long output) decode with request 2 (a 3,000-token
+    /// prompt) until their growth evicts request 2, the last in key order.
+    /// When request 0 completes, request 2 fits again: the launch starts
+    /// its reload and decodes request 1 alone — a partial launch.
+    fn reload_cell() -> (Trace, SimConfig) {
+        let geometry = oracle(SchedPolicy::Fcfs).geometry();
+        let trace = Trace::from_requests(vec![
+            RequestSpec::new(RequestId(0), SimTime::ZERO, 2000, 3000, 0),
+            RequestSpec::new(RequestId(1), secs(0.5), 64, 5000, 0),
+            RequestSpec::new(RequestId(2), secs(1.0), 3000, 3000, 0),
+        ]);
+        let config = SimConfig::characterization(
+            SchedPolicy::Fcfs,
+            KvCapacityMode::Bytes(geometry.bytes_for_tokens(9_016)),
+        );
+        (trace, config)
+    }
+
+    #[test]
+    fn a_reload_in_flight_at_launch_lands_and_joins() {
+        let (trace, config) = reload_cell();
+        // The run over request 1 waits for the reload, which lands and
+        // becomes a joiner without catching anybody up.
+        let (seen, out) = interrupt(&trace, &config, |sh| {
+            member_where(sh, |st| {
+                st.spec.id == RequestId(2)
+                    && st.kv_location == KvLocation::Gpu
+                    && st.num_preemptions > 0
+                    && !st.running
+            })
+        });
+        assert_kept(&seen, "reload landing");
+        assert_eq!(seen.caught_up, 0);
+        assert_eq!(out.records.len(), 3);
+        assert!(out.records[2].num_preemptions > 0);
+        // It joins at the run's next step.
+        let (seen, _) = interrupt(&trace, &config, |sh| {
+            member_where(sh, |st| {
+                st.spec.id == RequestId(2) && st.running && st.num_preemptions > 0
+            })
+        });
+        assert!(seen.open_after, "the run closed at the join");
+        assert_eq!((seen.joins, seen.full_path), (1, 0));
+        assert!(work_of(&trace, &config).partial_runs > 0);
+    }
+
+    #[test]
+    fn a_launch_that_starts_a_reload_closes_the_run() {
+        // Request 0's completion frees room for the evictee, whose reload
+        // only the full path starts: the run over requests 0 and 1 closes
+        // there, and the full path's partial launch opens the next run.
+        let (trace, config) = reload_cell();
+        let (seen, _) = interrupt(&trace, &config, |sh| {
+            sh.records.first().map(|r| r.instances_visited[0])
+        });
+        assert!(seen.open_before, "no run open at the completion");
+        assert_eq!(seen.full_path, 1, "the completion was kept inside the run");
+        assert_eq!(seen.edges_kept, 0);
+        assert!(seen.open_after, "the partial launch opened no run");
+        assert_eq!(seen.partial, 1);
+    }
+
+    /// FCFS over a pool of exactly 78 blocks: requests 0, 1 and 2 (prompts
+    /// of 88, 160 and 32 tokens) decode in lockstep, the last two crossing
+    /// into a new block at the same iterations. At 320 tokens the pool is
+    /// full and the three need two blocks more: request 2 is evicted, and
+    /// request 1's growth waits for the offload to free its blocks, while
+    /// request 0 decodes on alone.
+    fn refused_grant_cell() -> (Trace, SimConfig) {
+        let geometry = oracle(SchedPolicy::Fcfs).geometry();
+        let trace = Trace::from_requests(vec![
+            RequestSpec::new(RequestId(0), SimTime::ZERO, 88, 1000, 0),
+            RequestSpec::new(RequestId(1), SimTime::ZERO, 160, 1000, 0),
+            RequestSpec::new(RequestId(2), SimTime::ZERO, 32, 1000, 0),
+        ]);
+        let config = SimConfig::characterization(
+            SchedPolicy::Fcfs,
+            KvCapacityMode::Bytes(78 * geometry.block_bytes()),
+        );
+        (trace, config)
+    }
+
+    /// The instance where request 1 waits, GPU-resident, for its growth.
+    fn refused(sh: &Shard<'_>) -> Option<u32> {
+        member_where(sh, |st| {
+            st.spec.id == RequestId(1)
+                && !st.running
+                && st.kv_location == KvLocation::Gpu
+                && st.tokens_generated == 320
+        })
+    }
+
+    #[test]
+    fn a_refused_grant_joins_once_the_offload_lands() {
+        // The eviction's launch opens a run over request 0 with request 1
+        // waiting for its grant; the offload lands within the iteration,
+        // and request 1 joins at the next step.
+        let (trace, config) = refused_grant_cell();
+        let (seen, _) = interrupt(&trace, &config, refused);
+        assert!(seen.open_after, "no run opened over the partial launch");
+        assert_eq!(seen.partial, 1);
+        let (seen, out) = interrupt(&trace, &config, |sh| {
+            member_where(sh, |st| {
+                st.spec.id == RequestId(1) && st.running && st.tokens_generated == 320
+            })
+        });
+        assert!(seen.open_before && seen.open_after, "the run closed");
+        assert_eq!((seen.joins, seen.full_path), (1, 0));
+        assert!(out.records[2].num_preemptions > 0);
+        assert_eq!(out.records.len(), 3);
+    }
+
+    #[test]
+    fn a_refused_grant_still_waiting_at_the_next_launch_closes_the_run() {
+        // Over a link with a second of setup latency, the evictee's
+        // offload is still in flight at the next launch: the blocks request
+        // 1's growth needs are still dying, so no grant in key order admits
+        // it, and the run closes for the full path.
+        let (trace, mut config) = refused_grant_cell();
+        config.pcie = pascal_model::LinkSpec::new(config.pcie.bandwidth, 1.0);
+        let (seen, _) = interrupt(&trace, &config, refused);
+        assert!(seen.open_after, "no run opened over the partial launch");
+        // The full path's launch no longer fits request 1 and evicts it.
+        let (seen, out) = interrupt(&trace, &config, |sh| {
+            member_where(sh, |st| {
+                st.spec.id == RequestId(1) && st.kv_location == KvLocation::OffloadingToCpu
+            })
+        });
+        assert!(seen.open_before, "the run closed before the launch");
+        assert_eq!((seen.joins, seen.full_path), (0, 1));
+        assert!(out.records[1].num_preemptions > 0);
+        assert_eq!(out.records.len(), 3);
+    }
+
+    #[test]
+    fn a_paused_prefill_lets_the_newcomer_join() {
+        // Request 1's arrival keeps request 0's run; the next launch is its
+        // prefill, which the run waits through, and it joins at the end.
+        let trace = Trace::from_requests(vec![
+            RequestSpec::new(RequestId(0), SimTime::ZERO, 64, 3000, 0),
+            RequestSpec::new(RequestId(1), secs(10.0), 64, 100, 50),
+        ]);
+        let config = oracle(SchedPolicy::Fcfs);
+        let (seen, _) = interrupt(&trace, &config, |sh| (sh.routed_arrivals == 2).then_some(0));
+        assert_kept(&seen, "arrival");
+        assert_eq!(seen.caught_up, 0);
+        let (seen, _) = interrupt(&trace, &config, |sh| {
+            member_where(sh, |st| st.spec.id == RequestId(1) && st.running)
+        });
+        assert!(seen.paused_after, "the run did not pause");
+        assert_eq!((seen.pauses, seen.caught_up, seen.full_path), (1, 0, 0));
+        let (seen, out) = interrupt(&trace, &config, |sh| {
+            member_where(sh, |st| {
+                st.spec.id == RequestId(1) && st.running && st.tokens_generated == 1
+            })
+        });
+        assert!(seen.paused_before && seen.open_after && !seen.paused_after);
+        assert_eq!((seen.joins, seen.caught_up, seen.full_path), (1, 0, 0));
+        assert_eq!(out.records.len(), 2);
+        // Request 0's run is the only one the full path opened.
+        let work = work_of(&trace, &config);
+        assert_eq!(work.prefill_pauses, 1, "{work:?}");
+        assert!(work.full_path_iterations <= 3, "{work:?}");
+    }
+
+    #[test]
+    fn two_arrivals_share_one_paused_prefill() {
+        let trace = Trace::from_requests(vec![
+            RequestSpec::new(RequestId(0), SimTime::ZERO, 64, 3000, 0),
+            RequestSpec::new(RequestId(1), secs(10.0), 64, 100, 50),
+            RequestSpec::new(RequestId(2), secs(10.0), 500, 200, 0),
+        ]);
+        let config = oracle(SchedPolicy::Fcfs);
+        let (seen, out) = interrupt(&trace, &config, |sh| {
+            let both = sh
+                .states
+                .iter()
+                .filter(|(_, st)| st.spec.id != RequestId(0) && st.running)
+                .count()
+                == 2;
+            both.then_some(0)
+        });
+        assert!(seen.paused_after, "the run did not pause");
+        assert_eq!((seen.pauses, seen.full_path), (1, 0));
+        assert_eq!(out.records.len(), 3);
+        let work = work_of(&trace, &config);
+        assert_eq!((work.prefill_pauses, work.joins), (1, 2), "{work:?}");
+    }
+
+    /// A run over request 0 that pauses at 10 s for request 1's
+    /// 8,000-token prompt, and the prefill's duration.
+    fn long_prefill_cell() -> (Vec<RequestSpec>, SimConfig, SimDuration) {
+        let config = oracle(SchedPolicy::Fcfs);
+        let prefill = config.perf_model().prefill_time_batch(&[8000]);
+        let requests = vec![
+            RequestSpec::new(RequestId(0), SimTime::ZERO, 64, 3000, 0),
+            RequestSpec::new(RequestId(1), secs(10.0), 8000, 100, 0),
+        ];
+        (requests, config, prefill)
+    }
+
+    #[test]
+    fn an_arrival_during_a_pause_pauses_the_run_again() {
+        // Request 2 arrives during request 1's prefill: the run stays
+        // paused, and at the prefill's end the next launch is request 2's
+        // prefill, with request 1 waiting among the joiners.
+        let (mut requests, config, prefill) = long_prefill_cell();
+        let during = secs(10.0) + SimDuration::from_millis(50) + prefill / 2;
+        requests.push(RequestSpec::new(RequestId(2), during, 64, 100, 0));
+        let trace = Trace::from_requests(requests);
+        let (seen, _) = interrupt(&trace, &config, |sh| (sh.routed_arrivals == 3).then_some(0));
+        assert!(
+            seen.paused_before && seen.paused_after,
+            "no pause around the arrival"
+        );
+        assert_eq!((seen.kept, seen.caught_up), (1, 0));
+        let (seen, out) = interrupt(&trace, &config, |sh| {
+            member_where(sh, |st| st.spec.id == RequestId(2) && st.running)
+        });
+        assert!(seen.paused_before && seen.paused_after);
+        assert_eq!((seen.pauses, seen.full_path), (1, 0));
+        assert_eq!(out.records.len(), 3);
+        let work = work_of(&trace, &config);
+        assert_eq!((work.prefill_pauses, work.joins), (2, 2), "{work:?}");
+    }
+
+    #[test]
+    fn a_prefill_that_would_evict_a_member_closes_the_run() {
+        // PASCAL over a pool of 9,016 tokens: an answering request runs
+        // alone until a reasoning arrival, sorting first, needs more room
+        // than is left. Its prefill launch would evict the answering one,
+        // so the arrival closes the run.
+        let geometry = oracle(SchedPolicy::Fcfs).geometry();
+        let config = SimConfig::characterization(
+            SchedPolicy::pascal(PascalConfig::default()),
+            KvCapacityMode::Bytes(geometry.bytes_for_tokens(9_016)),
+        );
+        let trace = Trace::from_requests(vec![
+            RequestSpec::warm(RequestId(0), SimTime::ZERO, 4000, 3000),
+            RequestSpec::new(RequestId(1), secs(10.0), 6000, 100, 0),
+        ]);
+        let (seen, out) = interrupt(&trace, &config, |sh| (sh.routed_arrivals == 2).then_some(0));
+        assert_touched(&seen, "arrival");
+        assert!(!seen.open_after, "the run kept a member its prefill evicts");
+        assert!(out.records[0].num_preemptions > 0);
+    }
+
+    #[test]
+    fn a_prefill_behind_a_reader_whose_deadline_falls_before_the_resumed_step_closes_the_run() {
+        // Request 0 answers at a reading pace just above the decode step,
+        // so its buffer stays short. The run pauses through request 1's
+        // long prefill, and request 0's first token after it stalls: the
+        // relaunch makes that step the run's stall edge, and its end takes
+        // the full path, which records the stall.
+        let (mut requests, mut config, _) = long_prefill_cell();
+        requests[0] = RequestSpec::new(RequestId(0), SimTime::ZERO, 64, 10, 3000);
+        config.target_tpot = config.perf_model().decode_step_time(DecodeBatch {
+            num_seqs: 2,
+            total_context_tokens: 64 + 8000 + 2000,
+        });
+        let trace = Trace::from_requests(requests);
+        let (seen, out) = interrupt(&trace, &config, |sh| {
+            member_where(sh, |st| {
+                st.spec.id == RequestId(0) && !st.answers.stalls().is_empty()
+            })
+        });
+        assert!(seen.open_before, "no run open before the stall");
+        assert_eq!(
+            seen.full_path, 1,
+            "the stalling token replayed in closed form"
+        );
+        assert_eq!(out.records[0].answers.stalls().len(), 1);
+        assert_eq!(work_of(&trace, &config).prefill_pauses, 1);
+    }
+
+    #[test]
+    fn a_fail_stop_during_a_pause_strands_the_caught_up_batch() {
+        let (requests, mut config, prefill) = long_prefill_cell();
+        let fail = (secs(10.0) + SimDuration::from_millis(50) + prefill / 2).as_secs_f64();
+        config.fleet = Some(FleetSpec::parse(&format!("{fail} fail 0\n")).expect("valid spec"));
+        let trace = Trace::from_requests(requests);
+        let (seen, out) = interrupt(&trace, &config, |sh| {
+            (sh.health[0] == crate::fleet::HealthState::Down).then_some(0)
+        });
+        assert!(
+            seen.paused_before,
+            "the run was not paused at the fail-stop"
+        );
+        assert_eq!(seen.caught_up, 1);
+        assert!(!seen.open_after);
+        assert_eq!(out.fleet.stranded, 2);
+        assert!(out.records.is_empty());
+    }
+
+    #[test]
+    fn a_migration_landing_during_a_pause_joins_after_it() {
+        // PASCAL over two instances. Requests 1 and 2 (6,000-token
+        // prompts) reach their phase boundaries on instances 1 and 0;
+        // request 1 stays, and request 2 then migrates onto instance 1,
+        // whose KV transfer takes ≈0.13 s. An answering request (3) with a
+        // 4,000-token prompt arrives at instance 1 between the two
+        // boundaries: request 1's run pauses through its prefill, and the
+        // migration lands during the pause.
+        let mut config =
+            SimConfig::evaluation_cluster(SchedPolicy::pascal(PascalConfig::default()));
+        config.num_instances = 2;
+        let mut requests = vec![
+            RequestSpec::new(RequestId(0), SimTime::ZERO, 64, 5000, 0),
+            RequestSpec::new(RequestId(1), secs(1.0), 6000, 100, 300),
+            RequestSpec::new(RequestId(2), secs(1.0), 6000, 100, 300),
+        ];
+        config.telemetry.trace = true;
+        let events = run_simulation(&Trace::from_requests(requests.clone()), &config)
+            .telemetry
+            .expect("tracing was on")
+            .events;
+        let at = |id: u64, kind: fn(&TraceEventKind) -> bool| {
+            events
+                .iter()
+                .find(|e| e.request == Some(id) && kind(&e.kind))
+                .expect("both boundaries, and request 2's migration")
+                .at
+        };
+        let stays = at(1, |k| *k == TraceEventKind::PhaseTransition);
+        let moves = at(2, |k| matches!(k, TraceEventKind::MigrationLaunched { .. }));
+        assert!(stays < moves);
+        let between = SimTime::from_nanos((stays.as_nanos() + moves.as_nanos()) / 2);
+        requests.push(RequestSpec::new(RequestId(3), between, 4000, 0, 100));
+        config.telemetry.trace = false;
+        let trace = Trace::from_requests(requests);
+        let (seen, out) = interrupt_when(&trace, &config, |before, sh| {
+            let i = landed(sh)?;
+            before[i as usize].paused.then_some(i)
+        });
+        assert!(seen.paused_after, "the landing ended the pause");
+        // Kept on both sides: the source's run too.
+        assert_eq!((seen.kept, seen.caught_up), (2, 0));
+        assert_eq!(out.migration_outcomes.launched, 1);
+        // It joins at the prefill's end, with the newcomer.
+        let (seen, _) = interrupt(&trace, &config, |sh| {
+            member_where(sh, |st| {
+                st.spec.id == RequestId(3) && st.running && st.tokens_generated == 1
+            })
+        });
+        assert!(seen.paused_before && seen.open_after && !seen.paused_after);
+        assert_eq!((seen.joins, seen.full_path), (2, 0));
     }
 }

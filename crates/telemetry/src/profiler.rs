@@ -122,8 +122,19 @@ pub struct WorkCounters {
     /// Member edges (completion, phase boundary, first answering token,
     /// demotion crossing) handled inside a steady run that survived them.
     pub edges_kept: u64,
-    /// Landings (migrations, reloads) that joined an open steady run.
+    /// Requests that joined an open steady run without having left it at
+    /// an edge: landings (migrations, reloads), residents whose growth the
+    /// pool refused at the run's opening launch, and newcomers after their
+    /// prefill.
     pub joins: u64,
+    /// Prefill launches a steady run was kept across, paused: its members
+    /// wait without a step, a token or a pace advance, and the newcomers
+    /// join at the prefill's end.
+    pub prefill_pauses: u64,
+    /// Decode launches a steady run opened or was kept over that left a
+    /// desired member out: a reload in flight, or (at the opening launch)
+    /// a resident whose growth the pool refused.
+    pub partial_runs: u64,
     /// The most events the run's future-event list held pending at once —
     /// the population every queue operation pays for.
     pub peak_pending_events: u64,
@@ -145,6 +156,8 @@ impl WorkCounters {
         self.runs_kept += other.runs_kept;
         self.edges_kept += other.edges_kept;
         self.joins += other.joins;
+        self.prefill_pauses += other.prefill_pauses;
+        self.partial_runs += other.partial_runs;
         self.peak_pending_events = self.peak_pending_events.max(other.peak_pending_events);
     }
 
@@ -157,7 +170,7 @@ impl WorkCounters {
             "{} tokens, {} sched member scans, {} monitor rows, {} monitor member visits, \
              {} predictor estimates, {} steady iterations, {} members caught up, \
              {} full-path iterations, {} runs kept, {} edges kept, {} joins, \
-             {} peak pending events",
+             {} prefill pauses, {} partial runs, {} peak pending events",
             self.tokens,
             self.sched_member_scans,
             self.monitor_rows,
@@ -169,6 +182,8 @@ impl WorkCounters {
             self.runs_kept,
             self.edges_kept,
             self.joins,
+            self.prefill_pauses,
+            self.partial_runs,
             self.peak_pending_events
         );
         if let Some(ns) = wall_s.and_then(|w| self.ns_per_token(w)) {

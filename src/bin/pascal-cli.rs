@@ -1685,7 +1685,9 @@ mod tests {
             runs_kept: 18,
             edges_kept: 19,
             joins: 20,
-            peak_pending_events: 21,
+            prefill_pauses: 21,
+            partial_runs: 22,
+            peak_pending_events: 23,
         };
         let line = aggregate_profile_line(&t, &work);
         // Every figure must survive a whitespace-and-label round trip —
@@ -1699,7 +1701,7 @@ mod tests {
             nums,
             vec![
                 123_456.0, 1.5, 82_304.0, 3_000.0, 11.0, 12.0, 13.0, 14.0, 15.0, 16.0, 17.0, 18.0,
-                19.0, 20.0, 21.0, 500_000.0
+                19.0, 20.0, 21.0, 22.0, 23.0, 500_000.0
             ],
             "line: {line}"
         );

@@ -162,6 +162,10 @@ fn profile_work_counters_repeat_across_runs() {
     // Completions, phase boundaries and landings happen inside runs too.
     assert!(reference.edges_kept > 0, "{reference:?}");
     assert!(reference.joins > 0, "{reference:?}");
+    // Arrivals' prefills pause runs, and evictions' reloads and refused
+    // grants leave members out of the launches runs open or keep over.
+    assert!(reference.prefill_pauses > 0, "{reference:?}");
+    assert!(reference.partial_runs > 0, "{reference:?}");
     // Every busy instance keeps its iteration end pending on the queue.
     assert!(reference.peak_pending_events > 0, "{reference:?}");
     for rerun in 1..=2 {
