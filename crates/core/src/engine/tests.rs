@@ -2185,9 +2185,22 @@ mod steady_runs {
 
     #[test]
     fn a_reload_in_flight_at_launch_lands_and_joins() {
-        let (trace, config) = reload_cell();
-        // The run over request 1 waits for the reload, which lands and
+        // Over a link with half a second of setup latency, so that the
+        // reload stays in flight for many steps. The run over request 1
+        // replays them without the reloading member, which lands and
         // becomes a joiner without catching anybody up.
+        let (trace, mut config) = reload_cell();
+        config.pcie = pascal_model::LinkSpec::new(config.pcie.bandwidth, 0.5);
+        let (seen, _) = interrupt(&trace, &config, |sh| {
+            member_where(sh, |st| {
+                st.spec.id == RequestId(2) && st.kv_location == KvLocation::ReloadingToGpu
+            })
+        });
+        assert!(
+            seen.open_after && seen.partial == 1,
+            "no run over the partial launch"
+        );
+        let reloading = seen.steady_before;
         let (seen, out) = interrupt(&trace, &config, |sh| {
             member_where(sh, |st| {
                 st.spec.id == RequestId(2)
@@ -2198,6 +2211,10 @@ mod steady_runs {
         });
         assert_kept(&seen, "reload landing");
         assert_eq!(seen.caught_up, 0);
+        assert!(
+            seen.steady_before > reloading + 10,
+            "few steady steps while the reload was in flight"
+        );
         assert_eq!(out.records.len(), 3);
         assert!(out.records[2].num_preemptions > 0);
         // It joins at the run's next step.
@@ -2352,6 +2369,50 @@ mod steady_runs {
         assert_eq!(out.records.len(), 3);
         let work = work_of(&trace, &config);
         assert_eq!((work.prefill_pauses, work.joins), (1, 2), "{work:?}");
+    }
+
+    #[test]
+    fn newcomers_over_the_prefill_token_budget_take_two_pauses() {
+        // Two 5,000-token prompts arrive together: the prefill token budget
+        // (8,192) admits the first alone, so the run pauses twice, the
+        // second newcomer waiting through the first prefill as a joiner.
+        let trace = Trace::from_requests(vec![
+            RequestSpec::new(RequestId(0), SimTime::ZERO, 64, 3000, 0),
+            RequestSpec::new(RequestId(1), secs(10.0), 5000, 100, 0),
+            RequestSpec::new(RequestId(2), secs(10.0), 5000, 100, 0),
+        ]);
+        let config = oracle(SchedPolicy::Fcfs);
+        let (seen, _) = interrupt(&trace, &config, |sh| {
+            member_where(sh, |st| st.spec.id == RequestId(1) && st.running)
+        });
+        assert!(seen.paused_after, "the run did not pause");
+        let (seen, out) = interrupt(&trace, &config, |sh| {
+            member_where(sh, |st| st.spec.id == RequestId(2) && st.running)
+        });
+        assert!(seen.paused_before && seen.paused_after);
+        assert_eq!((seen.pauses, seen.joins, seen.full_path), (1, 0, 0));
+        assert!(out.records[2].first_token > out.records[1].first_token);
+        let work = work_of(&trace, &config);
+        assert_eq!((work.prefill_pauses, work.joins), (2, 2), "{work:?}");
+    }
+
+    #[test]
+    fn a_warm_arrival_sorting_into_the_batch_closes_the_run() {
+        // Round robin: request 0 has used up quanta, so a warm arrival (a
+        // fresh quantum) sorts before it. The next launch materializes the
+        // warm request into the decode batch, which no run replays.
+        let trace = Trace::from_requests(vec![
+            RequestSpec::new(RequestId(0), SimTime::ZERO, 64, 3000, 0),
+            RequestSpec::warm(RequestId(1), secs(10.0), 64, 200),
+        ]);
+        let (seen, out) = interrupt(
+            &trace,
+            &oracle(SchedPolicy::RoundRobin { quantum: 100 }),
+            |sh| (sh.routed_arrivals == 2).then_some(0),
+        );
+        assert_touched(&seen, "warm arrival");
+        assert!(!seen.open_after, "the run kept a warm request");
+        assert_eq!(out.records.len(), 2);
     }
 
     /// A run over request 0 that pauses at 10 s for request 1's
