@@ -34,8 +34,8 @@
 //! * a member of the run changed mid-iteration (a running request in the
 //!   in-flight batch, or a member waiting through a prefill the run paused
 //!   for; not the prefill's own requests) closes it first, catching every
-//!   member up, so the
-//!   mutator never diffs against a state the run still owes tokens to. At
+//!   member up, so the mutator never diffs against a state the run still
+//!   owes tokens to. At
 //!   an iteration end the run itself takes each member whose edge is due —
 //!   completion, phase boundary, first answering token, demotion — out of
 //!   the batch, caught up alone, before its token runs the mutators: they
@@ -496,8 +496,8 @@ impl Shard<'_> {
     /// After a mutator re-filed `handle`, a non-member of the open steady
     /// run on its instance (if one is open):
     ///
-    /// * a pending reload still in flight stays pending; one that landed
-    ///   is a GPU resident below;
+    /// * a pending reload is no longer pending: landed, it is a GPU
+    ///   resident below;
     /// * a GPU resident — a landing, or a member an edge step took out of
     ///   the batch — becomes (or stays) a **joiner** the next launch is to
     ///   admit; a joiner that is neither resident nor a newcomer (it
@@ -521,10 +521,9 @@ impl Shard<'_> {
         }
         let m = &self.member_mon[handle.index()];
         let newcomer = st.kv_location == KvLocation::None && st.needs_prefill();
-        if rt.steady.take_pending(handle) && st.kv_location == KvLocation::ReloadingToGpu {
-            rt.steady.add_pending(handle);
-            return;
-        }
+        // Launches left a pending reload out while it was in flight; from
+        // its landing on it is a non-member like any other.
+        rt.steady.take_pending(handle);
         if rt.steady.is_joiner(handle) {
             if !(m.resident || newcomer) {
                 rt.steady.remove_joiner(handle);

@@ -324,19 +324,9 @@ impl SteadyRun {
         self.joiners.retain(|j| j.member != handle);
     }
 
-    /// Takes `handle` off the members whose reload is in flight, returning
-    /// whether it was one.
-    pub(super) fn take_pending(&mut self, handle: ReqHandle) -> bool {
-        let at = self.pending.iter().position(|&h| h == handle);
-        if let Some(at) = at {
-            self.pending.swap_remove(at);
-        }
-        at.is_some()
-    }
-
-    /// Files a desired non-member whose reload is in flight.
-    pub(super) fn add_pending(&mut self, handle: ReqHandle) {
-        self.pending.push(handle);
+    /// Takes `handle` off the members whose reload is in flight.
+    pub(super) fn take_pending(&mut self, handle: ReqHandle) {
+        self.pending.retain(|&h| h != handle);
     }
 
     /// Whether the run waits through a prefill launch.
