@@ -149,7 +149,7 @@ impl<'a> Shard<'a> {
         }
         // A transition reads the instance's members: it touches any
         // steady run there.
-        self.catch_up(instance);
+        self.catch_up(instance, pascal_telemetry::FullPathCause::Fleet);
         self.health[i] = to;
         self.fleet.transitions += 1;
         let global = Some(self.global_instance(instance));

@@ -28,7 +28,7 @@ use pascal_cluster::{KvLocation, ReqHandle, RequestState};
 use pascal_model::DecodeBatch;
 use pascal_sched::SchedPolicy;
 use pascal_sim::SimTime;
-use pascal_telemetry::TraceEventKind;
+use pascal_telemetry::{FullPathCause, TraceEventKind};
 use pascal_workload::Phase;
 
 use super::{context_kv_bytes, Event, IterationKind, Shard};
@@ -111,8 +111,9 @@ impl Shard<'_> {
     /// transitions queued, so an escaping request cannot be
     /// relaunched underneath its own migration decision.
     pub(super) fn finish_iteration(&mut self, instance: u32, now: SimTime) {
-        self.count_work(|w| w.full_path_iterations += 1);
-        self.catch_up(instance);
+        let cause = self.instances[instance as usize].steady.cause();
+        self.count_full_path(cause);
+        self.catch_up(instance, cause);
         let kind = self.instances[instance as usize].current_kind;
         self.instances[instance as usize].inst.compute_busy = false;
 
@@ -514,6 +515,7 @@ impl Shard<'_> {
             rt.inst.compute_busy = true;
             self.queue
                 .schedule(now + duration, Event::IterationDone { instance });
+            self.no_run_at_launch(instance, FullPathCause::PrefillLaunch);
         } else if !scratch.decode.is_empty() {
             let duration = self.perf.decode_step_time(DecodeBatch {
                 num_seqs: scratch.decode.len() as u32,
@@ -533,7 +535,9 @@ impl Shard<'_> {
             // iterations may replay in closed form, whether it is the whole
             // desired set or left members out to wait for a reload or a
             // grant.
-            if !excess {
+            if excess {
+                self.no_run_at_launch(instance, FullPathCause::ExcessBlocks);
+            } else {
                 self.open_steady_run(instance, now, duration, decode_context, &scratch.desired);
             }
         }

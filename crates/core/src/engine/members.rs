@@ -70,6 +70,7 @@ use pascal_cluster::{KvLocation, ReqHandle};
 use pascal_predict::{EstimateScope, LengthEstimate, LengthPredictor};
 use pascal_sched::PriorityKey;
 use pascal_sim::SimTime;
+use pascal_telemetry::FullPathCause;
 use pascal_workload::{Phase, RequestSpec};
 
 use super::Shard;
@@ -489,7 +490,7 @@ impl Shard<'_> {
     /// [`Shard::check_run`].
     fn touch_run(&mut self, handle: ReqHandle) {
         if self.in_run(handle) {
-            self.catch_up(self.states[handle].instance);
+            self.catch_up(self.states[handle].instance, FullPathCause::ClosedAtTouch);
         }
     }
 
@@ -542,7 +543,7 @@ impl Shard<'_> {
             .and_then(|&h| self.member_mon[h.index()].key);
         let in_range = m.key.is_some_and(|key| Some(key) < last);
         if in_range && !newcomer {
-            self.catch_up(instance);
+            self.catch_up(instance, FullPathCause::ClosedAtTouch);
             return;
         }
         if in_range {

@@ -156,7 +156,7 @@ use pascal_cluster::{KvLocation, ReqHandle};
 use pascal_model::DecodeBatch;
 use pascal_sched::PriorityKey;
 use pascal_sim::{SimDuration, SimTime};
-use pascal_telemetry::TraceEventKind;
+use pascal_telemetry::{FullPathCause, TraceEventKind};
 use pascal_workload::Phase;
 
 use super::lifecycle::{close_token, TokenEdges};
@@ -246,6 +246,10 @@ pub(crate) struct SteadyRun {
     /// The end of every replayed iteration, for the debug replay.
     #[cfg(debug_assertions)]
     step_times: Vec<SimTime>,
+    /// Why the instance's next iteration end takes the full path, when
+    /// it does: its launch opened no run, or the run closed or refused
+    /// the step.
+    cause: FullPathCause,
 }
 
 /// One residue of the iteration count mod `block_tokens`: the members
@@ -304,6 +308,12 @@ impl SteadyRun {
     /// again whether the first candidate outside the batch can enter.
     pub(super) fn mark_dirty(&mut self) {
         self.dirty = true;
+    }
+
+    /// Why the instance's next iteration end takes the full path, when it
+    /// does.
+    pub(super) fn cause(&self) -> FullPathCause {
+        self.cause
     }
 
     /// Whether `handle` is a pending joiner.
@@ -432,6 +442,20 @@ fn remove_drop(drops: &mut Vec<ReqHandle>, member: ReqHandle) {
 }
 
 impl Shard<'_> {
+    /// Counts one full-path iteration, taken for `cause`.
+    pub(super) fn count_full_path(&self, cause: FullPathCause) {
+        self.count_work(|w| {
+            w.full_path_iterations += 1;
+            w.full_path_causes[cause.index()] += 1;
+        });
+    }
+
+    /// Records that the launch just made on `instance` opened no run, for
+    /// `cause`: its iteration end takes the full path.
+    pub(super) fn no_run_at_launch(&mut self, instance: u32, cause: FullPathCause) {
+        self.instances[instance as usize].steady.cause = cause;
+    }
+
     /// Opens a steady run on `instance`, whose decode batch (of the
     /// `desired` set, holding exactly the blocks it needs) the full path
     /// just launched at `now` for `duration` over `context` tokens —
@@ -452,6 +476,7 @@ impl Shard<'_> {
             run.joiners.clear();
             run.pending.clear();
         } else if !self.file_left_out(instance, desired) {
+            self.instances[i].steady.cause = FullPathCause::LeftOut;
             return;
         }
         let bt = self.geometry.block_tokens as usize;
@@ -506,6 +531,7 @@ impl Shard<'_> {
             }
             rt.steady.joiners.clear();
             rt.steady.pending.clear();
+            rt.steady.cause = FullPathCause::StallRisk;
             return;
         }
         debug_assert_eq!(rt.steady.context, context, "the run's context sum");
@@ -711,11 +737,13 @@ impl Shard<'_> {
         let run = &self.instances[i].steady;
         if !run.open || run.steps + 1 >= run.edge {
             // A paused run's prefill ends here: no member's token is due.
-            return if run.open && run.is_paused() {
-                self.end_pause(instance, now)
-            } else {
-                Step::Full
-            };
+            if run.open && run.is_paused() {
+                return self.end_pause(instance, now);
+            }
+            if run.open {
+                self.instances[i].steady.cause = FullPathCause::StallEdge;
+            }
+            return Step::Full;
         }
         debug_assert!(
             !run.dirty,
@@ -749,6 +777,7 @@ impl Shard<'_> {
                 return outcome;
             }
         } else if !self.instances[i].inst.gpu.try_alloc(crossing) {
+            self.instances[i].steady.cause = FullPathCause::RefusedCrossing;
             return Step::Full;
         }
         let tpot = self.config.target_tpot;
@@ -848,7 +877,7 @@ impl Shard<'_> {
             #[cfg(debug_assertions)]
             self.assert_steady_plan(instance, None);
         } else {
-            self.catch_up(instance);
+            self.catch_up(instance, FullPathCause::ClosedAtTouch);
         }
     }
 
@@ -995,11 +1024,21 @@ impl Shard<'_> {
         now: SimTime,
         due: &[Due],
     ) -> bool {
-        let kept = !self.overtaken(instance, due)
-            && self.instances[instance as usize]
-                .inst
-                .gpu
-                .try_alloc(crossing);
+        let refused = if self.overtaken(instance, due) {
+            Some(FullPathCause::OvertakenQuantum)
+        } else if !self.instances[instance as usize]
+            .inst
+            .gpu
+            .try_alloc(crossing)
+        {
+            Some(FullPathCause::RefusedCrossing)
+        } else {
+            None
+        };
+        if let Some(cause) = refused {
+            self.instances[instance as usize].steady.cause = cause;
+        }
+        let kept = refused.is_none();
         if kept {
             for d in due {
                 debug_assert!(!d.edge, "member edges take the edge step");
@@ -1082,6 +1121,7 @@ impl Shard<'_> {
     fn member_edges(&mut self, instance: u32, step: u32, now: SimTime, due: &[Due]) -> Step {
         let i = instance as usize;
         if self.health[i] != crate::fleet::HealthState::Healthy {
+            self.instances[i].steady.cause = FullPathCause::Fleet;
             return Step::Full;
         }
         let mut members = std::mem::take(&mut self.instances[i].steady.due_members);
@@ -1100,7 +1140,9 @@ impl Shard<'_> {
                 .steady_pace
                 .is_some_and(|at| at <= now)
         {
-            self.instances[i].steady.due_members = members;
+            let run = &mut self.instances[i].steady;
+            run.due_members = members;
+            run.cause = FullPathCause::StallEdge;
             return Step::Full;
         }
         let residue = (u64::from(step) % u64::from(self.geometry.block_tokens)) as usize;
@@ -1234,7 +1276,7 @@ impl Shard<'_> {
         let batch_crossing = run.batch_crossing(step, u64::from(self.geometry.block_tokens));
         let Some(grant) = self.next_launch(instance, batch_crossing) else {
             self.close_through(instance);
-            self.count_work(|w| w.full_path_iterations += 1);
+            self.count_full_path(FullPathCause::RefusedRelaunch);
             return false;
         };
         if self.instances[i].steady.joiners.iter().any(|j| {
@@ -1245,7 +1287,7 @@ impl Shard<'_> {
         }
         if !self.instances[i].inst.gpu.try_alloc(grant) {
             self.close_through(instance);
-            self.count_work(|w| w.full_path_iterations += 1);
+            self.count_full_path(FullPathCause::RefusedRelaunch);
             return false;
         }
         let run = &mut self.instances[i].steady;
@@ -1382,7 +1424,7 @@ impl Shard<'_> {
             self.instances[i].steady.prefill = prefill;
             self.scratch.prompts = prompts;
             self.close_through(instance);
-            self.count_work(|w| w.full_path_iterations += 1);
+            self.count_full_path(FullPathCause::RefusedRelaunch);
             return false;
         }
         self.instances[i].steady.held += batch_crossing;
@@ -1448,6 +1490,7 @@ impl Shard<'_> {
     fn end_pause(&mut self, instance: u32, now: SimTime) -> Step {
         let i = instance as usize;
         if self.health[i] != crate::fleet::HealthState::Healthy {
+            self.instances[i].steady.cause = FullPathCause::Fleet;
             return Step::Full;
         }
         let mut batch = std::mem::take(&mut self.scratch.prefill);
@@ -1650,9 +1693,9 @@ impl Shard<'_> {
     /// A run waiting for its next launch — after an edge step, or through a
     /// prefill — is caught up through its latest token instead
     /// ([`Shard::close_through`]).
-    pub(super) fn catch_up(&mut self, instance: u32) {
+    pub(super) fn catch_up(&mut self, instance: u32, cause: FullPathCause) {
         let i = instance as usize;
-        let run = &self.instances[i].steady;
+        let run = &mut self.instances[i].steady;
         if !run.open {
             return;
         }
@@ -1661,9 +1704,10 @@ impl Shard<'_> {
             run.handling.is_none(),
             "instance {instance}: a run closed while an edge member was handled"
         );
+        run.cause = cause;
         if run.resuming {
             self.close_through(instance);
-            self.count_work(|w| w.full_path_iterations += 1);
+            self.count_full_path(cause);
             return;
         }
         if run.is_paused() {

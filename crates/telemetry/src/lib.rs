@@ -82,7 +82,8 @@ pub use anatomy::{
 pub use event::{EscapeTier, TraceEvent, TraceEventKind};
 pub use handle::{SeriesSink, TelemetryConfig, TelemetryHandle, TelemetryOut};
 pub use profiler::{
-    peak_rss_bytes, HotPathProfiler, ProfileReport, ProfileRow, ProfiledEvent, WorkCounters,
+    peak_rss_bytes, FullPathCause, HotPathProfiler, ProfileReport, ProfileRow, ProfiledEvent,
+    WorkCounters,
 };
 pub use series::{series_to_csv, series_to_json, SeriesRow, SeriesScope, SeriesWriter};
 pub use sink::{events_to_chrome, events_to_jsonl, TraceFormat};

@@ -81,6 +81,80 @@ impl ProfiledEvent {
     }
 }
 
+/// Why an iteration took the engine's full path (counted per
+/// full-path iteration in [`WorkCounters::full_path_causes`], indexed by
+/// [`FullPathCause::index`]). The first four are iterations whose launch
+/// opened no steady run; the rest end or follow a run that did not
+/// survive.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum FullPathCause {
+    /// No run: the launch was a prefill.
+    #[default]
+    PrefillLaunch,
+    /// No run: the decode launch left out a desired member that cannot
+    /// wait inside a run.
+    LeftOut,
+    /// No run: a member's first token could stall a reader, or the step
+    /// was longer than the reading pace with a member answering.
+    StallRisk,
+    /// No run: a launched member held more blocks than it needs.
+    ExcessBlocks,
+    /// The run's stall edge, or a phase boundary whose Algorithm 2 sweep
+    /// would read a reader's pacer deadline already due.
+    StallEdge,
+    /// A steady step whose block crossings the pool refused.
+    RefusedCrossing,
+    /// A quantum end that a candidate outside the batch overtakes.
+    OvertakenQuantum,
+    /// An edge step or a pause whose next launch the run could not make.
+    RefusedRelaunch,
+    /// A run closed mid-iteration: a run member changed, or a non-member
+    /// change the run could not absorb.
+    ClosedAtTouch,
+    /// A run closed by a fleet transition, or an iteration end on a
+    /// draining or down instance.
+    Fleet,
+}
+
+impl FullPathCause {
+    /// Every cause, in report order.
+    pub const ALL: [FullPathCause; 10] = [
+        FullPathCause::PrefillLaunch,
+        FullPathCause::LeftOut,
+        FullPathCause::StallRisk,
+        FullPathCause::ExcessBlocks,
+        FullPathCause::StallEdge,
+        FullPathCause::RefusedCrossing,
+        FullPathCause::OvertakenQuantum,
+        FullPathCause::RefusedRelaunch,
+        FullPathCause::ClosedAtTouch,
+        FullPathCause::Fleet,
+    ];
+
+    /// Stable name used in the report line.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            FullPathCause::PrefillLaunch => "prefill launch",
+            FullPathCause::LeftOut => "member left out",
+            FullPathCause::StallRisk => "stall risk at opening",
+            FullPathCause::ExcessBlocks => "excess blocks",
+            FullPathCause::StallEdge => "stall edge",
+            FullPathCause::RefusedCrossing => "refused crossing",
+            FullPathCause::OvertakenQuantum => "overtaken quantum end",
+            FullPathCause::RefusedRelaunch => "refused relaunch",
+            FullPathCause::ClosedAtTouch => "closed at a touch",
+            FullPathCause::Fleet => "fleet transition",
+        }
+    }
+
+    /// Its slot in [`WorkCounters::full_path_causes`].
+    #[must_use]
+    pub fn index(self) -> usize {
+        self as usize
+    }
+}
+
 /// Deterministic work counts of one run: how many member states the
 /// engine's scheduling and monitor layers touched, how many predictor
 /// estimates they asked for, how many tokens that work produced, and how
@@ -115,6 +189,9 @@ pub struct WorkCounters {
     /// Iterations that took the full path: every batch member visited,
     /// the planner run, the next batch launched.
     pub full_path_iterations: u64,
+    /// `full_path_iterations` split by [`FullPathCause`]; the entries sum
+    /// to it.
+    pub full_path_causes: [u64; FullPathCause::ALL.len()],
     /// Touches and edges a steady run survived: a member's quantum end or
     /// growth reaching zero, a run member re-priced by a predictor
     /// refresh, and a non-member change that left the batch in place.
@@ -153,6 +230,9 @@ impl WorkCounters {
         self.steady_iterations += other.steady_iterations;
         self.members_caught_up += other.members_caught_up;
         self.full_path_iterations += other.full_path_iterations;
+        for (mine, theirs) in self.full_path_causes.iter_mut().zip(other.full_path_causes) {
+            *mine += theirs;
+        }
         self.runs_kept += other.runs_kept;
         self.edges_kept += other.edges_kept;
         self.joins += other.joins;
@@ -188,6 +268,28 @@ impl WorkCounters {
         );
         if let Some(ns) = wall_s.and_then(|w| self.ns_per_token(w)) {
             out.push_str(&format!(", {ns:.1} ns per token"));
+        }
+        out
+    }
+
+    /// The full-path iterations by cause as one stable line body: the
+    /// iterations whose launch opened no run first (with their split),
+    /// then every other cause.
+    #[must_use]
+    pub fn render_causes(&self) -> String {
+        let count = |cause: FullPathCause| self.full_path_causes[cause.index()];
+        let (no_run, after_run) = FullPathCause::ALL.split_at(4);
+        let split: Vec<String> = no_run
+            .iter()
+            .map(|&c| format!("{} {}", c.name(), count(c)))
+            .collect();
+        let mut out = format!(
+            "no run at the launch {} ({})",
+            no_run.iter().map(|&c| count(c)).sum::<u64>(),
+            split.join(", ")
+        );
+        for &cause in after_run {
+            out.push_str(&format!(", {} {}", cause.name(), count(cause)));
         }
         out
     }
@@ -356,6 +458,10 @@ impl ProfileReport {
             "  work (exact): {}\n",
             self.work.render(Some(self.wall_s))
         ));
+        out.push_str(&format!(
+            "  full-path causes (exact): {}\n",
+            self.work.render_causes()
+        ));
         let mut untimed = 0;
         for row in &self.rows {
             if row.count == 0 {
@@ -485,7 +591,7 @@ mod tests {
         );
         let line = text
             .lines()
-            .find(|l| l.contains("fleet"))
+            .find(|l| l.trim_start().starts_with("fleet"))
             .expect("fleet line");
         assert!(!line.contains("mean"), "{line}");
         assert!(text.contains(", without 24 untimed events)"), "{text}");
@@ -504,6 +610,27 @@ mod tests {
         assert!(text.contains("events/sec"));
         assert!(text.contains("arrival"));
         assert!(!text.contains("cross_region_done"));
+    }
+
+    #[test]
+    fn causes_render_in_report_order_with_the_no_run_split_first() {
+        let mut work = WorkCounters::default();
+        for (i, slot) in work.full_path_causes.iter_mut().enumerate() {
+            *slot = i as u64 + 1;
+        }
+        assert_eq!(
+            work.render_causes(),
+            "no run at the launch 10 (prefill launch 1, member left out 2, stall risk at \
+             opening 3, excess blocks 4), stall edge 5, refused crossing 6, overtaken quantum \
+             end 7, refused relaunch 8, closed at a touch 9, fleet transition 10"
+        );
+        let names: Vec<&str> = FullPathCause::ALL.iter().map(|c| c.name()).collect();
+        let indices: Vec<usize> = FullPathCause::ALL.iter().map(|c| c.index()).collect();
+        assert_eq!(indices, (0..FullPathCause::ALL.len()).collect::<Vec<_>>());
+        let mut distinct = names.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(distinct.len(), names.len());
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //! `tests/golden/work_ledger.txt`. A change that moves the engine's work
 //! re-pins the file on purpose, so its diff shows which counters moved.
 //! Tokens, monitor rows and peak pending events follow from the simulated
-//! behaviour and must not move while outputs stay byte-identical.
+//! behaviour and must not move while outputs stay byte-identical. The
+//! `full-path causes (exact):` line that follows the work line must split
+//! the full-path iterations exactly: its causes sum to the counter.
 
 use std::fs;
 use std::path::Path;
@@ -50,7 +52,45 @@ fn work_line(name: &str, args: &str) -> String {
         .rsplit_once(", ")
         .filter(|(_, tail)| tail.ends_with(" ns per token"))
         .map_or(line, |(counters, _)| counters);
+    let causes = stderr
+        .lines()
+        .find_map(|l| l.trim().strip_prefix("full-path causes (exact): "))
+        .unwrap_or_else(|| panic!("{name}: no full-path cause line in\n{stderr}"));
+    assert_eq!(
+        cause_sum(causes),
+        counter(counters, "full-path iterations"),
+        "{name}: the full-path causes do not sum to the counter: {causes}"
+    );
     format!("{name}: {counters}")
+}
+
+/// The value printed before ` {label}` in a `value label, …` line.
+fn counter(line: &str, label: &str) -> u64 {
+    line.split(", ")
+        .find_map(|field| field.strip_suffix(&format!(" {label}")))
+        .and_then(|value| value.parse().ok())
+        .unwrap_or_else(|| panic!("no `{label}` in {line}"))
+}
+
+/// The sum of the cause line's counts: the no-run total, whose split in
+/// parentheses must add up to it, plus every other cause.
+fn cause_sum(line: &str) -> u64 {
+    let (head, rest) = line.split_once(" (").expect("the no-run split");
+    let (split, others) = rest.split_once("), ").expect("the causes after the split");
+    let last = |field: &str| -> u64 {
+        field
+            .rsplit(' ')
+            .next()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or_else(|| panic!("no count in `{field}`"))
+    };
+    let no_run = last(head);
+    assert_eq!(
+        split.split(", ").map(last).sum::<u64>(),
+        no_run,
+        "the no-run split does not add up: {line}"
+    );
+    no_run + others.split(", ").map(last).sum::<u64>()
 }
 
 #[test]
