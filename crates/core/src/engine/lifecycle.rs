@@ -12,26 +12,28 @@
 //! filed through the [member mutators](super::members), and the scheduling
 //! pass reads the instance's ordered candidate index and resident set,
 //! assembling its desired/batch sets in the shard's
-//! [`ScheduleScratch`](super::ScheduleScratch) buffers — so an iteration
+//! [`ScheduleScratch`] buffers — so an iteration
 //! on this full path costs O(batch) and allocates nothing. A decode launch
 //! that may repeat unchanged — also one that left members out to wait for
-//! a reload or a grant — opens a [steady run](super::steady), whose next
-//! iterations replay in O(1) without coming here. At a member's edge the
-//! run sends only that member's token through [`Shard::emit_token`]
-//! (completion, the phase transition, the first answering token, the
-//! demotion), and [`Shard::try_schedule`] first lets the run relaunch
-//! itself ([`Shard::resume_run`]) or pause through a newcomer's prefill;
-//! only when the full path's launch would differ does the run close and
-//! the planner below run.
+//! a reload, a grant or a prefill — opens a [steady run](super::steady),
+//! whose next iterations replay in O(1) without coming here. At a member's
+//! edge the run sends only that member's token through
+//! [`Shard::emit_token`] (completion, the phase transition, the first
+//! answering token, the demotion), and [`Shard::try_schedule`] first lets
+//! the run decide its next launch ([`Shard::resume_run`]): it relaunches
+//! itself or pauses through a newcomer's prefill in O(1), or plans any
+//! other launch with the planner's steps below, [`Shard::desired_prefix`],
+//! [`Shard::evict_undesired`] and [`Shard::admit_desired`], over its
+//! members' owed tokens.
 
 use pascal_cluster::{KvLocation, ReqHandle, RequestState};
 use pascal_model::DecodeBatch;
 use pascal_sched::SchedPolicy;
-use pascal_sim::SimTime;
+use pascal_sim::{SimDuration, SimTime};
 use pascal_telemetry::{FullPathCause, TraceEventKind};
 use pascal_workload::Phase;
 
-use super::{context_kv_bytes, Event, IterationKind, Shard};
+use super::{context_kv_bytes, Event, IterationKind, ScheduleScratch, Shard};
 
 impl Shard<'_> {
     // ----- arrival + token/phase machinery --------------------------------
@@ -334,8 +336,8 @@ impl Shard<'_> {
     /// Plans residency and, if possible, launches the next iteration. On a
     /// busy instance it only settles whether an open steady run survives
     /// the non-member changes the caller just made; after a steady run's
-    /// edge step or a prefill it paused for, it first lets the run relaunch
-    /// itself or pause again ([`Shard::resume_run`]).
+    /// edge step or a prefill it paused for, the run plans its own next
+    /// launch ([`Shard::resume_run`]).
     pub(super) fn try_schedule(&mut self, instance: u32, now: SimTime) {
         let rt = &self.instances[instance as usize];
         if rt.inst.compute_busy {
@@ -361,154 +363,17 @@ impl Shard<'_> {
             |_, st| (st.tokens_needed_next(), st.held_gpu_blocks),
             &mut scratch.desired,
         );
-
-        // 2. Preempt GPU residents that fell out of the desired set. Every
-        //    resident is a candidate and the desired set is a key-order
-        //    prefix, so a resident is desired exactly when its key does
-        //    not sort after the last desired key. When the desired set
-        //    already holds every resident there is no evictee, so most
-        //    iterations skip the resident scan. Offloads launch in
-        //    ascending request-id order.
-        scratch.evictees.clear();
-        let i = instance as usize;
-        if self.instances[i].residents.len() > desired_residents {
-            let filed_key = |handle: ReqHandle| {
-                self.member_mon[handle.index()]
-                    .key
-                    .expect("desired members and residents are candidates")
-            };
-            let last_desired = scratch.desired.last().map(|&(handle, _)| filed_key(handle));
-            let residents = &self.instances[i].residents;
-            for (_, handle) in residents.iter() {
-                if last_desired.is_none_or(|last| filed_key(handle) > last) {
-                    scratch.evictees.push(handle);
-                }
-            }
-            let scanned = residents.len() as u64;
-            self.count_work(|w| w.sched_member_scans += scanned);
-            #[cfg(debug_assertions)]
-            self.assert_evictees(instance, &scratch.desired, &scratch.evictees);
-            for &handle in &scratch.evictees {
-                self.start_offload(handle, now);
-            }
-        }
-
-        // 3. Admit the desired set: grow residents, start reloads,
-        //    materialize warm requests, and collect prefill candidates.
-        //    The desired entries carry their block needs from step 1, and
-        //    batch aggregates (decode context, prefill prompt lengths)
-        //    accumulate here so the launch step re-reads nothing.
-        scratch.prefill.clear();
-        scratch.decode.clear();
-        scratch.prompts.clear();
-        let mut prefill_tokens: u64 = 0;
-        let mut decode_context: u64 = 0;
-
-        for &(handle, target_blocks) in &scratch.desired {
-            let (location, needs_prefill, warm, held, prompt, context) = {
-                let st = &self.states[handle];
-                (
-                    st.kv_location,
-                    st.needs_prefill(),
-                    st.spec.warm_start,
-                    st.held_gpu_blocks,
-                    st.spec.prompt_tokens,
-                    st.context_tokens(),
-                )
-            };
-            match location {
-                KvLocation::Gpu => {
-                    let runnable = if held >= target_blocks {
-                        true
-                    } else {
-                        let delta = target_blocks - held;
-                        if self.instances[instance as usize].inst.gpu.try_alloc(delta) {
-                            self.states[handle].held_gpu_blocks = target_blocks;
-                            true
-                        } else {
-                            false // waits for in-flight offloads to free memory
-                        }
-                    };
-                    if runnable {
-                        decode_context += context;
-                        scratch.decode.push(handle);
-                    }
-                }
-                KvLocation::Cpu
-                    // Reload: GPU blocks reserved up front, PCIe serialized.
-                    if self.instances[instance as usize].inst.gpu.try_alloc(target_blocks) => {
-                        let bytes = {
-                            let st = &mut self.states[handle];
-                            st.held_gpu_blocks = target_blocks;
-                            context_kv_bytes(&self.geometry, st)
-                        };
-                        self.set_kv_location(handle, KvLocation::ReloadingToGpu);
-                        let (_, finish) = self.instances[instance as usize]
-                            .inst
-                            .pcie
-                            .enqueue(now, bytes);
-                        self.queue
-                            .schedule(finish, Event::ReloadDone { req: handle });
-                    }
-                KvLocation::None if warm
-                    // Fig. 5 setup: the KV already exists logically; it
-                    // materializes without prefill compute once admitted.
-                    && self.instances[instance as usize].inst.gpu.try_alloc(target_blocks) => {
-                        let st = &mut self.states[handle];
-                        st.held_gpu_blocks = target_blocks;
-                        st.resident_since = Some(now);
-                        st.prefilled = true;
-                        self.set_kv_location(handle, KvLocation::Gpu);
-                        decode_context += context;
-                        scratch.decode.push(handle);
-                    }
-                KvLocation::None if needs_prefill => {
-                    // A lone oversized prompt may exceed the budget; always
-                    // admit at least one prefill so it cannot starve.
-                    let within_budget = scratch.prefill.is_empty()
-                        || prefill_tokens + u64::from(prompt)
-                            <= u64::from(self.config.prefill_token_budget);
-                    if within_budget
-                        && self.instances[instance as usize].inst.gpu.try_alloc(target_blocks)
-                    {
-                        self.states[handle].held_gpu_blocks = target_blocks;
-                        prefill_tokens += u64::from(prompt);
-                        scratch.prompts.push(prompt);
-                        scratch.prefill.push(handle);
-                    }
-                }
-                _ => {} // reloading / none-but-impossible: wait
-            }
-        }
+        // 2. Preempt GPU residents that fell out of the desired set.
+        self.evict_undesired(instance, desired_residents, now, &mut scratch);
+        // 3. Admit the desired set.
+        let decode_context = self.admit_desired(instance, now, &mut scratch);
 
         // 4. Launch: prefill takes priority (vLLM 0.6.1 semantics), else a
         //    decode step over every runnable resident. The launched batch
         //    is swapped into the instance (its drained predecessor's
         //    capacity swaps back into the scratch) — no allocation.
         if !scratch.prefill.is_empty() {
-            let duration = self.perf.prefill_time_batch(&scratch.prompts);
-            for &handle in &scratch.prefill {
-                let st = &mut self.states[handle];
-                st.begin_running(now);
-                // KV becomes resident as the prefill pass runs.
-                st.resident_since = Some(now);
-                self.set_kv_location(handle, KvLocation::Gpu);
-            }
-            let global = self.global_instance(instance);
-            for &handle in &scratch.prefill {
-                let st = &self.states[handle];
-                let id = st.spec.id;
-                // Queue wait as observed at this launch: arrival to first
-                // prefill compute. Saturating because a spilled arrival may
-                // land on its serving region after its origin timestamp.
-                let queued_ns = now.saturating_since(st.spec.arrival).as_nanos();
-                self.emit_trace(
-                    now,
-                    Some(global),
-                    Some(id),
-                    TraceEventKind::PrefillStart { queued_ns },
-                );
-            }
+            let duration = self.start_prefill(instance, now, &scratch.prefill, &scratch.prompts);
             let rt = &mut self.instances[instance as usize];
             std::mem::swap(&mut rt.current_batch, &mut scratch.prefill);
             rt.current_kind = IterationKind::Prefill;
@@ -532,9 +397,8 @@ impl Shard<'_> {
             self.queue
                 .schedule(now + duration, Event::IterationDone { instance });
             // The batch holds exactly the blocks it needs: its next
-            // iterations may replay in closed form, whether it is the whole
-            // desired set or left members out to wait for a reload or a
-            // grant.
+            // iterations may replay in closed form, whatever desired
+            // members it left out.
             if excess {
                 self.no_run_at_launch(instance, FullPathCause::ExcessBlocks);
             } else {
@@ -542,6 +406,187 @@ impl Shard<'_> {
             }
         }
         self.scratch = scratch;
+    }
+
+    /// Step 2 of a scheduling pass: offloads the GPU residents that fell
+    /// out of `scratch.desired`, of which `desired_residents` are
+    /// resident, in ascending request-id order. Every resident is a
+    /// candidate and the desired set is a key-order prefix, so a resident
+    /// is desired exactly when its key does not sort after the last
+    /// desired key; when the desired set already holds every resident
+    /// there is no evictee, and the resident scan is skipped. A member of
+    /// an open steady run on the instance (planning its own launch) first
+    /// leaves the run through its latest token ([`Shard::leave_run`]).
+    pub(super) fn evict_undesired(
+        &mut self,
+        instance: u32,
+        desired_residents: usize,
+        now: SimTime,
+        scratch: &mut ScheduleScratch,
+    ) {
+        scratch.evictees.clear();
+        let i = instance as usize;
+        if self.instances[i].residents.len() <= desired_residents {
+            return;
+        }
+        let filed_key = |handle: ReqHandle| {
+            self.member_mon[handle.index()]
+                .key
+                .expect("desired members and residents are candidates")
+        };
+        let last_desired = scratch.desired.last().map(|&(handle, _)| filed_key(handle));
+        let residents = &self.instances[i].residents;
+        for (_, handle) in residents.iter() {
+            if last_desired.is_none_or(|last| filed_key(handle) > last) {
+                scratch.evictees.push(handle);
+            }
+        }
+        let scanned = residents.len() as u64;
+        self.count_work(|w| w.sched_member_scans += scanned);
+        #[cfg(debug_assertions)]
+        self.assert_evictees(instance, &scratch.desired, &scratch.evictees);
+        let run_open = self.instances[i].steady.is_open();
+        for &handle in &scratch.evictees {
+            if run_open && self.in_run(handle) {
+                self.leave_run(instance, handle);
+            }
+            self.start_offload(handle, now);
+        }
+    }
+
+    /// Step 3 of a scheduling pass: admits `scratch.desired` in key order —
+    /// grows residents, starts reloads, materializes warm requests and
+    /// collects the prefill candidates within the prefill token budget
+    /// (`scratch.prefill`, their prompts in `scratch.prompts`) and the
+    /// runnable residents (`scratch.decode`). The desired entries carry
+    /// their block needs from step 1. Returns the decode batch's context.
+    ///
+    /// A member of an open steady run on the instance is read through the
+    /// tokens the run owes it ([`Shard::planned_need`]); its grant goes to
+    /// the run's block total, and a member the pool refuses its growth
+    /// leaves the run through its latest token ([`Shard::leave_run`]) to
+    /// wait like any resident.
+    pub(super) fn admit_desired(
+        &mut self,
+        instance: u32,
+        now: SimTime,
+        scratch: &mut ScheduleScratch,
+    ) -> u64 {
+        let i = instance as usize;
+        scratch.prefill.clear();
+        scratch.decode.clear();
+        scratch.prompts.clear();
+        let run_open = self.instances[i].steady.is_open();
+        let mut prefill_tokens: u64 = 0;
+        let mut decode_context: u64 = 0;
+
+        for &(handle, target_blocks) in &scratch.desired {
+            let st = &self.states[handle];
+            let member = run_open && self.in_run(handle);
+            let (location, needs_prefill, warm, prompt) = (
+                st.kv_location,
+                st.needs_prefill(),
+                st.spec.warm_start,
+                st.spec.prompt_tokens,
+            );
+            match location {
+                KvLocation::Gpu => {
+                    let (_, held, context) = self.planned_need(handle, st);
+                    let runnable = held >= target_blocks
+                        || self.instances[i].inst.gpu.try_alloc(target_blocks - held);
+                    if runnable {
+                        if member {
+                            self.instances[i].steady.grow(target_blocks.max(held) - held);
+                        } else {
+                            self.states[handle].held_gpu_blocks = target_blocks.max(held);
+                        }
+                        decode_context += context;
+                        scratch.decode.push(handle);
+                    } else if member {
+                        // Waits for in-flight offloads to free memory.
+                        self.leave_run(instance, handle);
+                    }
+                }
+                KvLocation::Cpu
+                    // Reload: GPU blocks reserved up front, PCIe serialized.
+                    if self.instances[i].inst.gpu.try_alloc(target_blocks) => {
+                        let bytes = {
+                            let st = &mut self.states[handle];
+                            st.held_gpu_blocks = target_blocks;
+                            context_kv_bytes(&self.geometry, st)
+                        };
+                        self.set_kv_location(handle, KvLocation::ReloadingToGpu);
+                        let (_, finish) = self.instances[i].inst.pcie.enqueue(now, bytes);
+                        self.queue
+                            .schedule(finish, Event::ReloadDone { req: handle });
+                    }
+                KvLocation::None if warm
+                    // Fig. 5 setup: the KV already exists logically; it
+                    // materializes without prefill compute once admitted.
+                    && self.instances[i].inst.gpu.try_alloc(target_blocks) => {
+                        let st = &mut self.states[handle];
+                        st.held_gpu_blocks = target_blocks;
+                        st.resident_since = Some(now);
+                        st.prefilled = true;
+                        decode_context += st.context_tokens();
+                        self.set_kv_location(handle, KvLocation::Gpu);
+                        scratch.decode.push(handle);
+                    }
+                KvLocation::None if needs_prefill => {
+                    // A lone oversized prompt may exceed the budget; always
+                    // admit at least one prefill so it cannot starve.
+                    let within_budget = scratch.prefill.is_empty()
+                        || prefill_tokens + u64::from(prompt)
+                            <= u64::from(self.config.prefill_token_budget);
+                    if within_budget && self.instances[i].inst.gpu.try_alloc(target_blocks) {
+                        self.states[handle].held_gpu_blocks = target_blocks;
+                        prefill_tokens += u64::from(prompt);
+                        scratch.prompts.push(prompt);
+                        scratch.prefill.push(handle);
+                    }
+                }
+                _ => {} // reloading / none-but-impossible: wait
+            }
+        }
+        decode_context
+    }
+
+    /// The full path's prefill launch of `prefill` (admitted, its blocks
+    /// held, `prompts` its prompt lengths) on `instance` at `now`: the KV
+    /// becomes resident as the pass runs, each request's segment opens and
+    /// its queue wait is traced. Residency is filed before the segment
+    /// opens, so the filing of a request in a prefill a steady run waits
+    /// through never reads as a touch of a run member. Returns the
+    /// prefill's duration; the caller launches it.
+    pub(super) fn start_prefill(
+        &mut self,
+        instance: u32,
+        now: SimTime,
+        prefill: &[ReqHandle],
+        prompts: &[u32],
+    ) -> SimDuration {
+        for &handle in prefill {
+            self.set_kv_location(handle, KvLocation::Gpu);
+            let st = &mut self.states[handle];
+            st.begin_running(now);
+            st.resident_since = Some(now);
+        }
+        let global = self.global_instance(instance);
+        for &handle in prefill {
+            let st = &self.states[handle];
+            let id = st.spec.id;
+            // Queue wait as observed at this launch: arrival to first
+            // prefill compute. Saturating because a spilled arrival may
+            // land on its serving region after its origin timestamp.
+            let queued_ns = now.saturating_since(st.spec.arrival).as_nanos();
+            self.emit_trace(
+                now,
+                Some(global),
+                Some(id),
+                TraceEventKind::PrefillStart { queued_ns },
+            );
+        }
+        self.perf.prefill_time_batch(prompts)
     }
 
     /// Step 1 of a scheduling pass: the longest prefix of `instance`'s

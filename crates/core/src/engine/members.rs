@@ -52,12 +52,14 @@
 //!   leave it out, and its landing makes it a joiner;
 //! * any other non-member is re-filed without touching the run's members.
 //!   If it now sorts among the batch's keys, the next launch would admit
-//!   it, so the run closes. Otherwise the batch stays a key-order prefix of
-//!   the candidates and only the first candidate outside the batch could
-//!   still enter — if the change freed budget or brought a new candidate.
-//!   The run is marked and settled by the `try_schedule` every such caller
-//!   ends with: it stays open while that candidate cannot fit, or while it
-//!   fits as a newcomer, which then joins;
+//!   it, which only the planner does: the run's next iteration end is an
+//!   edge step after which it plans that launch. Otherwise the batch stays
+//!   a key-order prefix of the candidates and only the first candidate
+//!   outside the batch could still enter — if the change freed budget or
+//!   brought a new candidate. The run is marked and settled by the
+//!   `try_schedule` every such caller ends with: its next launch stays the
+//!   O(1) relaunch while that candidate cannot fit, or while it fits as a
+//!   newcomer, which then joins; otherwise the run plans it;
 //! * a predictor refresh re-prices a run member's predicted growth in
 //!   place: growth never changes which batch the planner picks.
 //!
@@ -505,8 +507,8 @@ impl Shard<'_> {
     ///   completed or migrated away) is dropped;
     /// * a candidate keyed into the batch's key range would be admitted by
     ///   the next launch: a newcomer, whose prefill is still to run, joins
-    ///   (the run pauses through its prefill), and any other closes the
-    ///   run;
+    ///   (the run pauses through its prefill), and any other leaves that
+    ///   launch to the run's planner;
     /// * anything else may only let the first candidate outside the batch
     ///   fit.
     ///
@@ -542,12 +544,10 @@ impl Shard<'_> {
             .last()
             .and_then(|&h| self.member_mon[h.index()].key);
         let in_range = m.key.is_some_and(|key| Some(key) < last);
-        if in_range && !newcomer {
-            self.catch_up(instance, FullPathCause::ClosedAtTouch);
-            return;
-        }
-        if in_range {
+        if in_range && newcomer {
             rt.steady.add_joiner(handle);
+        } else if in_range {
+            rt.steady.needs_replan();
         }
         rt.steady.mark_dirty();
     }

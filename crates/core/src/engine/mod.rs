@@ -453,6 +453,8 @@ pub(super) struct ScheduleScratch {
     pub(super) decode: Vec<ReqHandle>,
     /// Prompt lengths of the prefill batch.
     pub(super) prompts: Vec<u32>,
+    /// Non-members a steady run's planned launch admits into its batch.
+    pub(super) joining: Vec<steady::Joiner>,
     /// Monitor-sweep buffer for in-shard stats consumers.
     pub(super) stats: Vec<InstanceStats>,
 }

@@ -12,10 +12,10 @@
 //! whole desired set, or a **partial** launch that left desired members out
 //! to wait: a member whose reload is in flight is **pending**, and every
 //! launch of the run leaves it out until it lands; a resident whose growth
-//! the pool refused (its blocks held by an offload this launch started) is
-//! a joiner, which the next launch admits if the pool then grants it all.
-//! A partial launch that left out anything else — a reload or a prefill
-//! the pool refused, which a later launch would start — opens no run.
+//! the pool refused (its blocks held by an offload this launch started), or
+//! a newcomer whose prefill it refused, is a joiner, which a later launch
+//! admits once the pool grants it; a reload or warm request the pool
+//! refused leaves the run's next launch to the planner (below).
 //! Each member is **filed** into the run at a run iteration, its
 //! **sync step** (0 at the opening launch), which keys everything the run
 //! keeps about it by quantities that stay fixed while it runs:
@@ -34,8 +34,8 @@
 //!   the run's earliest deadline is the least key plus `steps · tpot`;
 //! * the batch's context sum and the blocks it holds.
 //!
-//! The run itself ends only at its **stall edge**: a token that could stall
-//! a reader (the first one when it would, or any after a step longer than
+//! The run ends at its **stall edge**: a token that could stall a reader
+//! (the first one when it would, or any after a step longer than
 //! `target_tpot` while a member answers). The full path handles it.
 //!
 //! Every later `IterationDone` of the run with no mark due is a **steady
@@ -101,28 +101,35 @@
 //!   the newcomers joined at their key positions. Every member's first
 //!   token after a pause comes a prefill later than its last one; when an
 //!   answering member's pacer deadline falls before that step ends, the
-//!   step is the run's stall edge, and its end takes the full path.
+//!   step is the run's stall edge, and its end takes the full path;
+//! * any other **launch** the full path's planner would make. An O(1)
+//!   check ([`Shard::launch_admits`]) keeps the relaunch of the batch plus
+//!   its joiners, or their prefill, when it is that launch: at most
+//!   `max_batch` desired members (pending reloads counted), no resident
+//!   left out (it would be evicted), every joiner and pending reload
+//!   sorting before the first candidate outside, within `capacity −
+//!   dying_blocks`, and the pool granting everything the launch grants at
+//!   once. Where it refuses — a quantum end or an edge that lets an outside
+//!   candidate overtake or enter, a non-member sorting into the batch's key
+//!   range that is no newcomer, a reload or warm request to start, an
+//!   eviction, a grant the pool cannot make in full, a refused crossing —
+//!   the step is an **edge step**, with no member edge if none is due, and
+//!   the run **plans** its next launch ([`Shard::replan_run`]) with the
+//!   full path's planner over its state read through each member's owed
+//!   tokens: the evictees leave the run through their latest token and
+//!   are offloaded in ascending request id, a member the pool refuses its
+//!   growth leaves to wait as a joiner, reloads start and their requests
+//!   are pending, and the run goes on over the decode batch launched — or
+//!   pauses through the prefill launched, whoever it evicted.
 //!
-//! A kept launch must be the one the full path would make at the same
-//! instant: at most `max_batch` desired members (pending reloads
-//! counted), no resident left out (it would be evicted), every joiner and
-//! pending reload sorting before the first candidate outside, within
-//! `capacity − dying_blocks`, and the pool granting everything the launch
-//! grants at once — an all-or-nothing grant, so the key order in which the
-//! full path grants never decides who is refused.
-//!
-//! Anything else **closes** the run and catches up every member: a
-//! non-member other than a newcomer that sorts into the batch's key range,
-//! a quantum end or edge that lets an outside candidate overtake or enter
-//! (other than a newcomer), a launch that would start a reload or
-//! materialize a warm request, a prefill that would evict a member, a
-//! grant the pool cannot make in full (a refused member's blocks still
-//! dying at the next launch), a failed crossing allocation, the stall
-//! edge, a member edge on a draining instance or one whose Algorithm 2
-//! sweep would read a pacer deadline already due, and a fleet transition.
-//! The closing iteration, and the next one, take the full path. A run
-//! closed while it waits through a prefill leaves its members idle with
-//! their latest token and granted blocks, and the prefill in flight as the
+//! A run **closes**, catching up every member, only at its stall edge, at
+//! a member edge whose Algorithm 2 sweep would read a pacer deadline of the
+//! run already due, on a draining or down instance, at a fleet transition
+//! (which touches every member), when a planned launch leaves no member to
+//! replay or a desired non-member holds more blocks than it needs. The
+//! closing iteration, and the next one, take the full path. A run closed
+//! while it waits through a prefill leaves its members idle with their
+//! latest token and granted blocks, and the prefill in flight as the
 //! instance's batch, as the full path would have.
 //!
 //! At an edge step the full path emits tokens in batch order, so a due
@@ -146,7 +153,10 @@
 //! (and, at a step, its crossing count). The walk counts pending reloads
 //! among the desired and, while the run waits through a prefill, gives the
 //! members no token and their granted blocks and each newcomer in the
-//! prefill its first token.
+//! prefill its first token. A planned launch is checked the same way, and
+//! its batch's block and context totals against each member's owed
+//! tokens; the members it evicts or refuses are replayed token by token
+//! like any other catch-up.
 
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
@@ -156,12 +166,12 @@ use pascal_cluster::{KvLocation, ReqHandle};
 use pascal_model::DecodeBatch;
 use pascal_sched::PriorityKey;
 use pascal_sim::{SimDuration, SimTime};
-use pascal_telemetry::{FullPathCause, TraceEventKind};
+use pascal_telemetry::FullPathCause;
 use pascal_workload::Phase;
 
 use super::lifecycle::{close_token, TokenEdges};
 use super::members::{Growth, MemberMon};
-use super::{Event, IterationKind, Shard};
+use super::{Event, IterationKind, ScheduleScratch, Shard};
 
 /// An instance's steady run. Kept (closed) between runs so its residue
 /// table's, heaps' and lists' allocations are reused: the run state is
@@ -217,6 +227,13 @@ pub(crate) struct SteadyRun {
     /// Desired non-members whose reload is in flight: every launch leaves
     /// them out until the reload lands and they join.
     pending: Vec<ReqHandle>,
+    /// Whether the run's next launch is one only the full path's planner
+    /// can make ([`Shard::replan_run`]): a desired non-member the pool
+    /// refused its reload or warm materialization, a non-member sorting
+    /// into the batch's key range that is no newcomer, or a candidate
+    /// outside that would enter and is none. The run's next iteration end
+    /// is an edge step.
+    replan: bool,
     /// While the run is paused: the prefill batch in flight, in launch
     /// order. The members wait through it, their latest token closed and
     /// the blocks of their next launch granted.
@@ -263,7 +280,7 @@ struct Residue {
 
 /// A non-member the run's next launch admits.
 #[derive(Clone, Copy)]
-struct Joiner {
+pub(crate) struct Joiner {
     member: ReqHandle,
     /// Whether an edge step took it out of the batch (else it landed, was
     /// refused its growth, or is a newcomer).
@@ -316,6 +333,12 @@ impl SteadyRun {
         self.cause
     }
 
+    /// Iterations replayed since the launch that opened the run.
+    #[cfg(test)]
+    pub(super) fn steps(&self) -> u32 {
+        self.steps
+    }
+
     /// Whether `handle` is a pending joiner.
     pub(super) fn is_joiner(&self, handle: ReqHandle) -> bool {
         self.joiners.iter().any(|j| j.member == handle)
@@ -332,6 +355,31 @@ impl SteadyRun {
     /// Drops a pending joiner that can no longer join.
     pub(super) fn remove_joiner(&mut self, handle: ReqHandle) {
         self.joiners.retain(|j| j.member != handle);
+    }
+
+    /// Records that the run's next launch is one only the full path's
+    /// planner can make.
+    pub(super) fn needs_replan(&mut self) {
+        self.replan = true;
+    }
+
+    /// Grants the batch `blocks` more, for a member the planner grew.
+    pub(super) fn grow(&mut self, blocks: u64) {
+        self.held += blocks;
+    }
+
+    /// Whether `handle` waits as a joiner an edge step took out of the
+    /// batch.
+    fn left_at_edge(&self, handle: ReqHandle) -> bool {
+        self.joiners.iter().any(|j| j.member == handle && j.left)
+    }
+
+    /// Forgets the members the run was waiting for (at its close, or at
+    /// an opening launch that left nobody out).
+    fn clear_waiting(&mut self) {
+        self.joiners.clear();
+        self.pending.clear();
+        self.replan = false;
     }
 
     /// Takes `handle` off the members whose reload is in flight.
@@ -459,8 +507,9 @@ impl Shard<'_> {
     /// Opens a steady run on `instance`, whose decode batch (of the
     /// `desired` set, holding exactly the blocks it needs) the full path
     /// just launched at `now` for `duration` over `context` tokens —
-    /// unless its first token could stall a reader, or the launch left out
-    /// a desired member that cannot wait inside a run.
+    /// unless its first token could stall a reader. The desired members
+    /// the launch left out wait for the run's next launches
+    /// ([`Shard::file_left_out`]).
     pub(super) fn open_steady_run(
         &mut self,
         instance: u32,
@@ -471,13 +520,9 @@ impl Shard<'_> {
     ) {
         let i = instance as usize;
         let partial = desired.len() > self.instances[i].current_batch.len();
-        if !partial {
-            let run = &mut self.instances[i].steady;
-            run.joiners.clear();
-            run.pending.clear();
-        } else if !self.file_left_out(instance, desired) {
-            self.instances[i].steady.cause = FullPathCause::LeftOut;
-            return;
+        self.instances[i].steady.clear_waiting();
+        if partial {
+            self.file_left_out(instance, desired);
         }
         let bt = self.geometry.block_tokens as usize;
         let next = now + duration;
@@ -529,8 +574,7 @@ impl Shard<'_> {
                         .move_pacer(&mut self.member_mon, handle, st.answers.on_pace_until());
                 }
             }
-            rt.steady.joiners.clear();
-            rt.steady.pending.clear();
+            rt.steady.clear_waiting();
             rt.steady.cause = FullPathCause::StallRisk;
             return;
         }
@@ -552,37 +596,58 @@ impl Shard<'_> {
     }
 
     /// Files the `desired` members the launch just made on `instance` left
-    /// out, for a run to open over the launched batch: a member whose
-    /// reload is in flight waits as pending, and a resident whose growth
-    /// the pool refused is a joiner, which the next launch admits once the
-    /// pool grants it. Returns `false`, filing nothing, when some other
-    /// member was left out (a reload or prefill the pool refused would
-    /// start at a later launch).
-    fn file_left_out(&mut self, instance: u32, desired: &[(ReqHandle, u64)]) -> bool {
-        let rt = &mut self.instances[instance as usize];
-        let run = &mut rt.steady;
-        run.joiners.clear();
-        run.pending.clear();
-        // The batch is a subsequence of the desired set, both in key order.
-        let mut launched = rt.current_batch.iter().peekable();
+    /// out, for a run to go on over the launched batch (the members of
+    /// the run, and not the requests in a prefill it waits through): a
+    /// member whose reload is in flight waits as pending, and a resident
+    /// whose growth the pool refused, or a newcomer whose prefill it
+    /// refused or left for a later launch, as a joiner, which a later
+    /// launch admits once the pool grants it. A reload or warm request the
+    /// pool refused leaves the next launch to the planner. The joiners
+    /// still waiting keep their place; every other one is dropped.
+    fn file_left_out(&mut self, instance: u32, desired: &[(ReqHandle, u64)]) {
+        let last = desired
+            .last()
+            .and_then(|&(handle, _)| self.member_mon[handle.index()].key);
+        let (states, member_mon) = (&self.states, &self.member_mon);
+        let SteadyRun {
+            joiners,
+            pending,
+            prefill,
+            replan,
+            ..
+        } = &mut self.instances[instance as usize].steady;
+        let prefill: &Vec<ReqHandle> = prefill;
+        let launched = |handle: ReqHandle| states[handle].running && !prefill.contains(&handle);
+        let waits = |handle: ReqHandle| {
+            let st = &states[handle];
+            st.kv_location == KvLocation::Gpu
+                || (st.kv_location == KvLocation::None && st.needs_prefill())
+        };
+        // A candidate is desired exactly when keyed no later than the last
+        // desired key: the desired set is a key-order prefix.
+        joiners.retain(|j| {
+            let key = member_mon[j.member.index()].key;
+            key.is_some() && key <= last && !launched(j.member) && waits(j.member)
+        });
+        pending.clear();
+        *replan = false;
         for &(handle, _) in desired {
-            if launched.next_if_eq(&&handle).is_some() {
+            if launched(handle) {
                 continue;
             }
-            match self.states[handle].kv_location {
-                KvLocation::ReloadingToGpu => run.pending.push(handle),
-                KvLocation::Gpu => run.joiners.push(Joiner {
-                    member: handle,
-                    left: false,
-                }),
-                _ => {
-                    run.joiners.clear();
-                    run.pending.clear();
-                    return false;
+            match states[handle].kv_location {
+                KvLocation::ReloadingToGpu => pending.push(handle),
+                _ if waits(handle) => {
+                    if !joiners.iter().any(|j| j.member == handle) {
+                        joiners.push(Joiner {
+                            member: handle,
+                            left: false,
+                        });
+                    }
                 }
+                _ => *replan = true,
             }
         }
-        true
     }
 
     /// Files `member`, whose state is exact, into `instance`'s run at
@@ -658,13 +723,30 @@ impl Shard<'_> {
     }
 
     /// Takes `member`, caught up alone to the run's latest iteration, out
-    /// of `instance`'s run: its context, held blocks, crossing and drop
-    /// residues, marks, pacer key and batch place. Its pacer entry goes
-    /// back into the instance's list; it stays running for the caller to
-    /// close its token.
+    /// of `instance`'s run ([`Shard::unfile_run_member`]); it stays
+    /// running for the caller to close its token.
     fn detach_run_member(&mut self, instance: u32, member: ReqHandle) {
         self.sync_run_member(instance, member);
         self.count_work(|w| w.members_caught_up += 1);
+        self.unfile_run_member(instance, member);
+    }
+
+    /// Takes `member` out of `instance`'s run while the run plans its next
+    /// launch, as the full path finds it there: caught up through its
+    /// latest token ([`Shard::close_member`]), then unfiled. The planner
+    /// calls this for an evictee, before its offload, and for a member the
+    /// pool refuses its growth, which then waits like any resident.
+    pub(super) fn leave_run(&mut self, instance: u32, member: ReqHandle) {
+        self.close_member(instance, member);
+        self.count_work(|w| w.members_caught_up += 1);
+        self.unfile_run_member(instance, member);
+    }
+
+    /// Takes `member`, whose state the caller brought up to the run's
+    /// latest iteration, out of `instance`'s run: its context, held blocks,
+    /// crossing and drop residues, marks, pacer key and batch place. Its
+    /// pacer entry goes back into the instance's list.
+    fn unfile_run_member(&mut self, instance: u32, member: ReqHandle) {
         let bt = u64::from(self.geometry.block_tokens);
         let st = &self.states[member];
         let rt = &mut self.instances[instance as usize];
@@ -728,18 +810,21 @@ impl Shard<'_> {
     /// Replays the iteration that just ended on `instance` in closed form,
     /// when it belongs to an open steady run before the run's stall edge,
     /// no member whose quantum ends there is overtaken by the first
-    /// candidate outside the batch, and the pool can grant the blocks its
-    /// members cross into; or handles the member edges and joins due there
-    /// inside the run. A step it refuses closes the run before anything
-    /// reads it, so the marks taken off its heap are not put back.
+    /// candidate outside the batch, the pool can grant the blocks its
+    /// members cross into and nothing waits for the next launch; or handles
+    /// the step inside the run as an edge step ([`Shard::member_edges`]):
+    /// the member edges and joins due there, and a refused crossing or
+    /// overtaken quantum end, after which the run plans its own next
+    /// launch. A step it refuses closes the run before anything reads it,
+    /// so the marks taken off its heap are not put back.
     pub(super) fn steady_step(&mut self, instance: u32, now: SimTime) -> Step {
         let i = instance as usize;
         let run = &self.instances[i].steady;
+        // A paused run's prefill ends here: no member's token is due.
+        if run.open && run.is_paused() {
+            return self.end_pause(instance, now);
+        }
         if !run.open || run.steps + 1 >= run.edge {
-            // A paused run's prefill ends here: no member's token is due.
-            if run.open && run.is_paused() {
-                return self.end_pause(instance, now);
-            }
             if run.open {
                 self.instances[i].steady.cause = FullPathCause::StallEdge;
             }
@@ -753,32 +838,28 @@ impl Shard<'_> {
         let bt = u64::from(self.geometry.block_tokens);
         let residue = &run.residues[(u64::from(step) % bt) as usize];
         let (crossing, drops) = (residue.crossings, residue.drops.len() as u64);
-        // The prefill batch a paused run waits through is among its
-        // joiners, so a pause's end takes this branch too.
-        if run.next_mark == step || !run.joiners.is_empty() {
-            if run.is_paused() {
-                return self.end_pause(instance, now);
-            }
+        if run.next_mark == step || !run.joiners.is_empty() || run.replan {
             let mut due = std::mem::take(&mut self.instances[i].steady.due);
             due.clear();
             if self.instances[i].steady.next_mark == step {
                 self.take_due(instance, step, &mut due);
             }
-            let edges = !self.instances[i].steady.joiners.is_empty() || due.iter().any(|d| d.edge);
+            let run = &self.instances[i].steady;
+            let edges = !run.joiners.is_empty() || run.replan || due.iter().any(|d| d.edge);
             let outcome = if edges {
-                self.member_edges(instance, step, now, &due)
-            } else if self.settle_quanta(instance, step, crossing, now, &due) {
-                Step::Replayed
+                self.member_edges(instance, step, now, &due, FullPathCause::Fleet)
             } else {
-                Step::Full
+                match self.settle_quanta(instance, step, crossing, now, &due) {
+                    None => Step::Replayed,
+                    Some(refused) => self.member_edges(instance, step, now, &due, refused),
+                }
             };
             self.instances[i].steady.due = due;
             if !matches!(outcome, Step::Replayed) {
                 return outcome;
             }
         } else if !self.instances[i].inst.gpu.try_alloc(crossing) {
-            self.instances[i].steady.cause = FullPathCause::RefusedCrossing;
-            return Step::Full;
+            return self.member_edges(instance, step, now, &[], FullPathCause::RefusedCrossing);
         }
         let tpot = self.config.target_tpot;
         let rt = &mut self.instances[i];
@@ -859,11 +940,12 @@ impl Shard<'_> {
     /// Settles a run a non-member change left to be checked — every
     /// caller that changes a non-member ends with `try_schedule` on its
     /// instance, which lands here while the run's iteration (or the
-    /// prefill it waits through) is in flight. The run stays open when its
-    /// next launch would be its batch plus its joiners in key order, its
-    /// reloads in flight left out ([`Shard::next_launch`]): the first
+    /// prefill it waits through) is in flight. The run stays open. When its
+    /// next launch would still be its batch plus its joiners in key order,
+    /// its reloads in flight left out ([`Shard::next_launch`]), the first
     /// candidate outside still cannot enter, and it only grows from then
-    /// on, so the candidate stays out. Otherwise the run closes.
+    /// on, so the candidate stays out. Otherwise the run's next iteration
+    /// end is an edge step, after which it plans its launch.
     pub(super) fn recheck_run(&mut self, instance: u32) {
         let rt = &self.instances[instance as usize];
         if !(rt.steady.open && rt.steady.dirty) {
@@ -871,13 +953,15 @@ impl Shard<'_> {
         }
         let bt = u64::from(self.geometry.block_tokens);
         let crossing = rt.steady.batch_crossing(rt.steady.steps + 1, bt);
-        if self.next_launch(instance, crossing).is_some() {
-            self.instances[instance as usize].steady.dirty = false;
-            self.count_work(|w| w.runs_kept += 1);
-            #[cfg(debug_assertions)]
+        if self.next_launch(instance, crossing).is_none() {
+            self.instances[instance as usize].steady.replan = true;
+        }
+        let run = &mut self.instances[instance as usize].steady;
+        run.dirty = false;
+        self.count_work(|w| w.runs_kept += 1);
+        #[cfg(debug_assertions)]
+        if !self.instances[instance as usize].steady.replan {
             self.assert_steady_plan(instance, None);
-        } else {
-            self.catch_up(instance, FullPathCause::ClosedAtTouch);
         }
     }
 
@@ -915,7 +999,7 @@ impl Shard<'_> {
         let run = &rt.steady;
         let max_batch = self.config.max_batch as usize;
         let n = rt.current_batch.len() + run.joiners.len() + run.pending.len();
-        if n == 0 || n > max_batch {
+        if run.replan || n == 0 || n > max_batch {
             return Launch::Refused;
         }
         let outside = self.first_outside(instance);
@@ -1015,7 +1099,7 @@ impl Shard<'_> {
     /// The marked form of a steady step with only quantum ends and
     /// retirements due: keeps the step when no member whose quantum ends
     /// there is overtaken and the pool grants the `crossing` blocks,
-    /// settling everything due.
+    /// settling everything due. Returns why it refused the step, if it did.
     fn settle_quanta(
         &mut self,
         instance: u32,
@@ -1023,36 +1107,29 @@ impl Shard<'_> {
         crossing: u64,
         now: SimTime,
         due: &[Due],
-    ) -> bool {
-        let refused = if self.overtaken(instance, due) {
-            Some(FullPathCause::OvertakenQuantum)
-        } else if !self.instances[instance as usize]
+    ) -> Option<FullPathCause> {
+        if self.overtaken(instance, due) {
+            return Some(FullPathCause::OvertakenQuantum);
+        }
+        if !self.instances[instance as usize]
             .inst
             .gpu
             .try_alloc(crossing)
         {
-            Some(FullPathCause::RefusedCrossing)
-        } else {
-            None
-        };
-        if let Some(cause) = refused {
-            self.instances[instance as usize].steady.cause = cause;
+            return Some(FullPathCause::RefusedCrossing);
         }
-        let kept = refused.is_none();
-        if kept {
-            for d in due {
-                debug_assert!(!d.edge, "member edges take the edge step");
-                if d.retire {
-                    self.settle_retire(instance, d.member, step);
-                }
-                if d.quantum_end {
-                    self.settle_quantum_end(instance, d.member, step, now);
-                }
-                self.push_next_event(instance, d.member);
-                self.count_work(|w| w.runs_kept += 1);
+        for d in due {
+            debug_assert!(!d.edge, "member edges take the edge step");
+            if d.retire {
+                self.settle_retire(instance, d.member, step);
             }
+            if d.quantum_end {
+                self.settle_quantum_end(instance, d.member, step, now);
+            }
+            self.push_next_event(instance, d.member);
+            self.count_work(|w| w.runs_kept += 1);
         }
-        kept
+        None
     }
 
     /// `member`'s predicted growth reached zero at `step`: its drop residue
@@ -1114,14 +1191,24 @@ impl Shard<'_> {
     /// token through the full path's per-token code while the others keep
     /// lagging; then the step closes for everyone and the instance waits,
     /// idle like after the full path's `finish_iteration`, for
-    /// [`Shard::resume_run`]. Declines (the full path takes the step) on a
-    /// draining or down instance, and when a phase boundary's Algorithm 2
-    /// sweep would read a pacer deadline of the run already due at `now`,
-    /// whose `t_i` would then depend on batch order.
-    fn member_edges(&mut self, instance: u32, step: u32, now: SimTime, due: &[Due]) -> Step {
+    /// [`Shard::resume_run`]. A step with nothing due but a launch to plan
+    /// (a refused crossing, an overtaken quantum end, members waiting) is
+    /// an edge step with no member edge. Declines (the full path takes the
+    /// step, counted under `declined`) on a draining or down instance, and
+    /// when a phase boundary's Algorithm 2 sweep would read a pacer deadline
+    /// of the run already due at `now`, whose `t_i` would then depend on
+    /// batch order.
+    fn member_edges(
+        &mut self,
+        instance: u32,
+        step: u32,
+        now: SimTime,
+        due: &[Due],
+        declined: FullPathCause,
+    ) -> Step {
         let i = instance as usize;
         if self.health[i] != crate::fleet::HealthState::Healthy {
-            self.instances[i].steady.cause = FullPathCause::Fleet;
+            self.instances[i].steady.cause = declined;
             return Step::Full;
         }
         let mut members = std::mem::take(&mut self.instances[i].steady.due_members);
@@ -1257,15 +1344,15 @@ impl Shard<'_> {
     }
 
     /// Decides the next launch after an edge step or a pause's prefill,
-    /// where the full path calls `try_schedule`. The run survives when that
-    /// launch would be its remaining batch plus its joiners, in key order,
-    /// its reloads in flight left out ([`Shard::next_launch`]), and the
-    /// pool grants the blocks it crosses into. When some joiners still need
-    /// their prefill, the launch is that prefill and the run pauses
-    /// ([`Shard::pause_run`]). Otherwise the joiners join: `begin_running`,
-    /// the migration resume stamp, and their residues, marks and pacer
-    /// keys filed at this step. Anything else catches every member up
-    /// through the step and closes the run. Returns whether it launched.
+    /// where the full path calls `try_schedule`. When that launch would be
+    /// the run's remaining batch plus its joiners, in key order, its
+    /// reloads in flight left out ([`Shard::next_launch`]), and the pool
+    /// grants everything it grants at once, the joiners join
+    /// ([`Shard::relaunch_run`]), or, when some still need their prefill,
+    /// the run pauses through it ([`Shard::pause_run`]). Otherwise the run
+    /// plans the launch with the full path's planner ([`Shard::replan_run`]).
+    /// Returns whether the launch was decided; `false` when the run closed
+    /// for the full path's planner to decide it.
     pub(super) fn resume_run(&mut self, instance: u32, now: SimTime) -> bool {
         let i = instance as usize;
         #[cfg(debug_assertions)]
@@ -1274,26 +1361,42 @@ impl Shard<'_> {
         run.resuming = false;
         let step = run.steps;
         let batch_crossing = run.batch_crossing(step, u64::from(self.geometry.block_tokens));
-        let Some(grant) = self.next_launch(instance, batch_crossing) else {
-            self.close_through(instance);
-            self.count_full_path(FullPathCause::RefusedRelaunch);
-            return false;
-        };
-        if self.instances[i].steady.joiners.iter().any(|j| {
-            let st = &self.states[j.member];
-            st.kv_location == KvLocation::None
-        }) {
-            return self.pause_run(instance, now, batch_crossing, grant);
+        if let Some(grant) = self.next_launch(instance, batch_crossing) {
+            let newcomers = self.instances[i]
+                .steady
+                .joiners
+                .iter()
+                .any(|j| self.states[j.member].kv_location == KvLocation::None);
+            if newcomers {
+                if self.pause_run(instance, now, batch_crossing, grant) {
+                    return true;
+                }
+            } else if self.instances[i].inst.gpu.try_alloc(grant) {
+                self.instances[i].steady.held += batch_crossing;
+                #[cfg(debug_assertions)]
+                self.assert_steady_plan(instance, Some(grant));
+                let joining = std::mem::take(&mut self.instances[i].steady.joiners);
+                self.relaunch_run(instance, now, &joining);
+                let run = &mut self.instances[i].steady;
+                run.joiners = joining;
+                run.joiners.clear();
+                let partial = u64::from(!run.pending.is_empty());
+                self.count_work(|w| w.partial_runs += partial);
+                return true;
+            }
         }
-        if !self.instances[i].inst.gpu.try_alloc(grant) {
-            self.close_through(instance);
-            self.count_full_path(FullPathCause::RefusedRelaunch);
-            return false;
-        }
-        let run = &mut self.instances[i].steady;
-        run.held += batch_crossing;
-        #[cfg(debug_assertions)]
-        self.assert_steady_plan(instance, Some(grant));
+        self.replan_run(instance, now)
+    }
+
+    /// Launches `instance`'s run batch at `now` with `joining` (waiting
+    /// non-members whose blocks the launch granted) joined: `begin_running`,
+    /// the migration resume stamp, and their residues, marks and pacer keys
+    /// filed at the run's step, each at its key position in the batch.
+    /// After a pause, or with a joiner whose first token could stall its
+    /// reader, the step is the run's stall edge.
+    fn relaunch_run(&mut self, instance: u32, now: SimTime, joining: &[Joiner]) {
+        let i = instance as usize;
+        let step = self.instances[i].steady.steps;
         // After a pause, the members' next token comes a prefill later
         // than their last: it may find a reader's buffer empty.
         let paused_pace = if self.instances[i].steady.granted {
@@ -1301,9 +1404,8 @@ impl Shard<'_> {
         } else {
             None
         };
-        let joiners = std::mem::take(&mut self.instances[i].steady.joiners);
         let tpot = self.config.target_tpot;
-        for joiner in &joiners {
+        for joiner in joining {
             let member = joiner.member;
             self.stamp_migration_resume(member, now);
             let st = &mut self.states[member];
@@ -1335,7 +1437,7 @@ impl Shard<'_> {
         });
         let next = now + duration;
         let run = &mut rt.steady;
-        let stalls = joiners.iter().any(|j| {
+        let stalls = joining.iter().any(|j| {
             let st = &self.states[j.member];
             st.phase == Phase::Answering && st.answers.would_stall(next)
         }) || paused_pace.is_some_and(|at| at < next);
@@ -1344,12 +1446,9 @@ impl Shard<'_> {
         }
         run.dirty = false;
         run.granted = false;
-        let landed = joiners.iter().filter(|j| !j.left).count() as u64;
+        let landed = joining.iter().filter(|j| !j.left).count() as u64;
         let (edges, quanta) = (run.step_edges, run.step_quanta);
         (run.step_edges, run.step_quanta) = (0, 0);
-        let partial = u64::from(!run.pending.is_empty());
-        run.joiners = joiners;
-        run.joiners.clear();
         rt.inst.compute_busy = true;
         rt.current_kind = IterationKind::Decode;
         #[cfg(debug_assertions)]
@@ -1367,10 +1466,142 @@ impl Shard<'_> {
             w.edges_kept += edges;
             w.joins += landed;
             w.runs_kept += quanta;
-            w.partial_runs += partial;
         });
         self.queue.schedule(next, Event::IterationDone { instance });
+    }
+
+    /// Plans the launch after an edge step or a pause that
+    /// [`Shard::resume_run`] could not make in O(1): steps 1–3 of the full
+    /// path's planner — [`Shard::desired_prefix`],
+    /// [`Shard::evict_undesired`] and [`Shard::admit_desired`] — over the
+    /// run's state read through each member's owed tokens
+    /// ([`Shard::planned_need`]), with their side effects in the full
+    /// path's order: the evictees leave the run through their latest token
+    /// and are offloaded in ascending request-id order, then, in key order,
+    /// a member refused its growth leaves the run to wait as a joiner, a
+    /// reload start makes its request pending, and the prefills and warm
+    /// requests are admitted. The run goes on over the launch: a prefill
+    /// pauses it, a decode launch relaunches it with the admitted
+    /// non-members joined. A launch with no member left (or none at all)
+    /// closes it. Declines, closing the run for the full path's planner, when
+    /// a desired non-member holds more blocks than it needs. Returns
+    /// whether it decided the launch.
+    fn replan_run(&mut self, instance: u32, now: SimTime) -> bool {
+        let i = instance as usize;
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let (desired_residents, excess) = self.desired_prefix(
+            instance,
+            |handle, st| {
+                let (next, held, _) = self.planned_need(handle, st);
+                (next, held)
+            },
+            &mut scratch.desired,
+        );
+        if excess {
+            self.scratch = scratch;
+            self.close_through(instance);
+            self.count_full_path(FullPathCause::RefusedRelaunch);
+            return false;
+        }
+        self.evict_undesired(instance, desired_residents, now, &mut scratch);
+        let decode_context = self.admit_desired(instance, now, &mut scratch);
+        if !scratch.prefill.is_empty() {
+            self.replan_prefill(instance, now, &mut scratch);
+        } else if scratch.decode.is_empty() {
+            // Nothing to launch, as on the full path: every member left.
+            self.close_through(instance);
+            self.count_full_path(FullPathCause::RefusedRelaunch);
+        } else {
+            let mut joining = std::mem::take(&mut scratch.joining);
+            joining.clear();
+            for &handle in &scratch.decode {
+                if !self.states[handle].running {
+                    let left = self.instances[i].steady.left_at_edge(handle);
+                    joining.push(Joiner {
+                        member: handle,
+                        left,
+                    });
+                }
+            }
+            self.relaunch_run(instance, now, &joining);
+            scratch.joining = joining;
+            debug_assert_eq!(
+                self.instances[i].steady.context, decode_context,
+                "the replanned batch's context"
+            );
+            debug_assert_eq!(self.instances[i].current_batch, scratch.decode);
+            self.file_left_out(instance, &scratch.desired);
+            let run = &self.instances[i].steady;
+            let partial = !(run.joiners.is_empty() && run.pending.is_empty() && !run.replan);
+            self.count_work(|w| w.partial_runs += u64::from(partial));
+            #[cfg(debug_assertions)]
+            self.assert_run_held(instance);
+        }
+        self.scratch = scratch;
         true
+    }
+
+    /// [`Shard::replan_run`]'s prefill launch (`scratch.prefill`): the run
+    /// pauses through it, its members holding the blocks the planner
+    /// granted them for their next launch and the desired non-members
+    /// waiting as joiners or pending; with no member left, the run closes
+    /// and the prefill is the full path's launch.
+    fn replan_prefill(&mut self, instance: u32, now: SimTime, scratch: &mut ScheduleScratch) {
+        let i = instance as usize;
+        let duration = self.start_prefill(instance, now, &scratch.prefill, &scratch.prompts);
+        let rt = &mut self.instances[i];
+        std::mem::swap(&mut rt.steady.prefill, &mut scratch.prefill);
+        if rt.current_batch.is_empty() {
+            self.close_through(instance);
+            self.count_full_path(FullPathCause::RefusedRelaunch);
+            self.no_run_at_launch(instance, FullPathCause::PrefillLaunch);
+        } else {
+            rt.steady.granted = true;
+            self.file_left_out(instance, &scratch.desired);
+            let run = &mut self.instances[i].steady;
+            run.dirty = false;
+            let (edges, quanta) = (run.step_edges, run.step_quanta);
+            (run.step_edges, run.step_quanta) = (0, 0);
+            self.count_work(|w| {
+                w.steady_iterations += 1;
+                w.prefill_pauses += 1;
+                w.edges_kept += edges;
+                w.runs_kept += quanta;
+            });
+            #[cfg(debug_assertions)]
+            self.assert_run_held(instance);
+        }
+        let rt = &mut self.instances[i];
+        rt.inst.compute_busy = true;
+        rt.current_kind = IterationKind::Prefill;
+        self.queue
+            .schedule(now + duration, Event::IterationDone { instance });
+    }
+
+    /// `handle`'s KV tokens needed at its next launch, the blocks it holds
+    /// and its context, as the full path's planner reads them: a member of
+    /// an open run on its instance through the tokens the run owes it,
+    /// holding the blocks of its latest launch (or of its next one, when a
+    /// prefill launch granted them); any other request as it stands.
+    pub(super) fn planned_need(
+        &self,
+        handle: ReqHandle,
+        st: &pascal_cluster::RequestState,
+    ) -> (u64, u64, u64) {
+        if !self.in_run(handle) {
+            return (
+                st.tokens_needed_next(),
+                st.held_gpu_blocks,
+                st.context_tokens(),
+            );
+        }
+        let run = &self.instances[st.instance as usize].steady;
+        let owed = u64::from(self.run_owed(handle));
+        let next = st.tokens_needed_next() + owed;
+        let held = self
+            .geometry
+            .blocks_for_tokens(next - 1 + u64::from(run.granted));
+        (next, held, st.context_tokens() + owed)
     }
 
     /// The launch [`Shard::resume_run`] decided is a prefill: the joiners
@@ -1379,11 +1610,12 @@ impl Shard<'_> {
     /// them. The run **pauses** through it: no step, no token, no pace
     /// advance. The pool grants, all at once, what the full path grants
     /// at this launch — the blocks the batch crosses into (`batch_crossing`),
-    /// the resident joiners' growth and the prefills' blocks — or the run
-    /// closes. The resident joiners wait with it and join at the relaunch,
-    /// like the newcomers once their first token closes at the prefill's
-    /// end ([`Shard::end_pause`]). `grant` is what a decode launch would
-    /// grant, for the debug plan check. Returns whether it launched.
+    /// the resident joiners' growth and the prefills' blocks — or the
+    /// launch is left to the planner. The resident joiners wait with it and
+    /// join at the relaunch, like the newcomers once their first token
+    /// closes at the prefill's end ([`Shard::end_pause`]). `grant` is what a
+    /// decode launch would grant, for the debug plan check. Returns whether
+    /// it launched.
     fn pause_run(&mut self, instance: u32, now: SimTime, batch_crossing: u64, _grant: u64) -> bool {
         let i = instance as usize;
         let mut prefill = std::mem::take(&mut self.instances[i].steady.prefill);
@@ -1423,8 +1655,6 @@ impl Shard<'_> {
             prefill.clear();
             self.instances[i].steady.prefill = prefill;
             self.scratch.prompts = prompts;
-            self.close_through(instance);
-            self.count_full_path(FullPathCause::RefusedRelaunch);
             return false;
         }
         self.instances[i].steady.held += batch_crossing;
@@ -1438,29 +1668,12 @@ impl Shard<'_> {
                 st.held_gpu_blocks = self.geometry.blocks_for_tokens(st.tokens_needed_next());
             }
         }
-        // The full path's prefill launch. Residency is filed before the
-        // segment opens: a running request's filing would read as a touch
-        // of a run member.
+        // The full path's prefill launch.
         for &handle in &prefill {
             let st = &mut self.states[handle];
             st.held_gpu_blocks = self.geometry.blocks_for_tokens(st.tokens_needed_next());
-            self.set_kv_location(handle, KvLocation::Gpu);
-            let st = &mut self.states[handle];
-            st.begin_running(now);
-            st.resident_since = Some(now);
         }
-        let global = self.global_instance(instance);
-        for &handle in &prefill {
-            let st = &self.states[handle];
-            let queued_ns = now.saturating_since(st.spec.arrival).as_nanos();
-            self.emit_trace(
-                now,
-                Some(global),
-                Some(st.spec.id),
-                TraceEventKind::PrefillStart { queued_ns },
-            );
-        }
-        let duration = self.perf.prefill_time_batch(&prompts);
+        let duration = self.start_prefill(instance, now, &prefill, &prompts);
         self.scratch.prompts = prompts;
         let rt = &mut self.instances[i];
         let run = &mut rt.steady;
@@ -1520,55 +1733,22 @@ impl Shard<'_> {
     /// Closes `instance`'s run while it waits for its next launch — after
     /// an edge step it does not survive, or through a prefill it waits
     /// through: every member still in the batch is brought to where the
-    /// full path left it — caught up to the iteration before its latest in
-    /// closed form, then its latest token closed through the per-token code,
-    /// holding the blocks of its latest launch, or of its next one when a
-    /// prefill launch granted them — and its pacer entry is filed back. The
-    /// batch becomes the prefill in flight (empty after an edge step), as
-    /// after the full path; the joiners stay non-members for it to plan.
+    /// full path left it ([`Shard::close_member`]) and its pacer entry is
+    /// filed back. The batch becomes the prefill in flight (empty after an
+    /// edge step), as after the full path; the joiners stay non-members for
+    /// it to plan.
     fn close_through(&mut self, instance: u32) {
         let i = instance as usize;
         let batch = std::mem::take(&mut self.instances[i].current_batch);
-        let (steps, last, prev_last, granted) = {
-            let run = &self.instances[i].steady;
-            (run.steps, run.last, run.prev_last, run.granted)
-        };
         for &handle in &batch {
-            let owed = steps - self.member_mon[handle.index()].sync;
-            #[cfg(debug_assertions)]
-            let expected = self.replay_through(handle, last);
-            let st = &mut self.states[handle];
-            if owed > 1 {
-                st.replay_steady(owed - 1, prev_last);
-            }
-            let edges = close_token(st, IterationKind::Decode, last, &self.policy);
-            debug_assert_eq!(
-                edges,
-                TokenEdges::default(),
-                "{}: a plain run member reached an edge",
-                st.spec.id
-            );
-            let held = if granted {
-                st.tokens_needed_next()
-            } else {
-                st.context_tokens()
-            };
-            st.held_gpu_blocks = self.geometry.blocks_for_tokens(held);
-            let m = &mut self.member_mon[handle.index()];
-            m.growth = Growth::at(
-                m.predicted_total,
-                st.tokens_generated,
-                self.geometry.block_tokens,
-            );
-            m.sync = steps;
+            self.close_member(instance, handle);
+            let st = &self.states[handle];
             if st.phase == Phase::Answering {
                 let deadline = st.answers.on_pace_until();
                 self.instances[i]
                     .monitor
                     .move_pacer(&mut self.member_mon, handle, deadline);
             }
-            #[cfg(debug_assertions)]
-            self.assert_caught_up(handle, &expected);
         }
         let closed = batch.len() as u64;
         self.count_work(|w| w.members_caught_up += closed);
@@ -1581,8 +1761,48 @@ impl Shard<'_> {
         run.open = false;
         run.resuming = false;
         run.granted = false;
-        run.joiners.clear();
-        run.pending.clear();
+        run.clear_waiting();
+    }
+
+    /// Brings `handle`, a member of `instance`'s run waiting for its next
+    /// launch, to where the full path left it: caught up to the iteration
+    /// before its latest in closed form, then its latest token closed
+    /// through the per-token code, holding the blocks of its latest
+    /// launch, or of its next one when a prefill launch granted them. Its
+    /// filing in the run is the caller's to undo.
+    fn close_member(&mut self, instance: u32, handle: ReqHandle) {
+        let run = &self.instances[instance as usize].steady;
+        let (steps, last, prev_last, granted) = (run.steps, run.last, run.prev_last, run.granted);
+        let owed = steps - self.member_mon[handle.index()].sync;
+        debug_assert!(owed > 0, "a waiting run member owes its latest token");
+        #[cfg(debug_assertions)]
+        let expected = self.replay_through(handle, last);
+        let st = &mut self.states[handle];
+        if owed > 1 {
+            st.replay_steady(owed - 1, prev_last);
+        }
+        let edges = close_token(st, IterationKind::Decode, last, &self.policy);
+        debug_assert_eq!(
+            edges,
+            TokenEdges::default(),
+            "{}: a plain run member reached an edge",
+            st.spec.id
+        );
+        let held = if granted {
+            st.tokens_needed_next()
+        } else {
+            st.context_tokens()
+        };
+        st.held_gpu_blocks = self.geometry.blocks_for_tokens(held);
+        let m = &mut self.member_mon[handle.index()];
+        m.growth = Growth::at(
+            m.predicted_total,
+            st.tokens_generated,
+            self.geometry.block_tokens,
+        );
+        m.sync = steps;
+        #[cfg(debug_assertions)]
+        self.assert_caught_up(handle, &expected);
     }
 
     /// Re-prices `member`, a member of an open run, at a new predicted
@@ -1641,7 +1861,7 @@ impl Shard<'_> {
         #[cfg(debug_assertions)]
         {
             let run = &self.instances[instance as usize].steady;
-            if !(run.dirty || run.resuming || run.handling.is_some()) {
+            if !(run.dirty || run.resuming || run.replan || run.handling.is_some()) {
                 self.assert_steady_plan(instance, None);
             }
         }
@@ -1738,8 +1958,7 @@ impl Shard<'_> {
         let rt = &mut self.instances[i];
         rt.current_batch = batch;
         rt.steady.open = false;
-        rt.steady.joiners.clear();
-        rt.steady.pending.clear();
+        rt.steady.clear_waiting();
     }
 
     /// Whether `handle` is a member of the open run on its instance: it
@@ -1852,6 +2071,31 @@ impl Shard<'_> {
             "{}: caught-up growth diverged from the per-token replay",
             st.spec.id
         );
+    }
+
+    /// Asserts that the run's block and context totals are those of its
+    /// batch just after a launch: each member holds, and counts the context
+    /// of, its state plus the tokens the run owes it.
+    #[cfg(debug_assertions)]
+    fn assert_run_held(&self, instance: u32) {
+        let rt = &self.instances[instance as usize];
+        let (mut held, mut context) = (0, 0);
+        for &handle in &rt.current_batch {
+            let st = &self.states[handle];
+            let owed = u64::from(rt.steady.steps - self.member_mon[handle.index()].sync);
+            held += self
+                .geometry
+                .blocks_for_tokens(st.tokens_needed_next() + owed);
+            context += st.context_tokens() + owed;
+        }
+        assert_eq!(
+            (held, context),
+            (rt.steady.held, rt.steady.context),
+            "instance {instance}: the planned run's held-block or context total"
+        );
+        if !rt.steady.replan {
+            self.assert_steady_plan(instance, None);
+        }
     }
 
     /// Asserts that the planner, run read-only over the tokens the run

@@ -1270,45 +1270,50 @@ mod steady_runs {
     }
 
     #[test]
-    fn an_arrival_on_the_instance_closes_the_run() {
+    fn a_warm_arrival_on_the_instance_joins_through_the_planner() {
         // A warm arrival needs no prefill: the next launch materializes it
-        // into the decode batch, which the run does not replay.
+        // into the decode batch, which only the planner does. The run
+        // survives the arrival, its next iteration end is an edge step,
+        // and the planner's launch takes the warm request in.
         let trace = Trace::from_requests(vec![
             RequestSpec::new(RequestId(0), SimTime::ZERO, 64, 3000, 0),
             RequestSpec::warm(RequestId(1), secs(10.0), 64, 150),
         ]);
-        let (seen, out) = interrupt(&trace, &oracle(SchedPolicy::Fcfs), |sh| {
-            (sh.routed_arrivals == 2).then_some(0)
+        let config = oracle(SchedPolicy::Fcfs);
+        let (seen, _) = interrupt(&trace, &config, |sh| (sh.routed_arrivals == 2).then_some(0));
+        assert_kept(&seen, "warm arrival");
+        assert_eq!(seen.caught_up, 0);
+        let (seen, out) = interrupt(&trace, &config, |sh| {
+            member_where(sh, |st| st.spec.id == RequestId(1) && st.running)
         });
-        assert_touched(&seen, "arrival");
+        assert!(seen.open_before && seen.open_after, "the run closed");
+        assert_eq!((seen.joins, seen.caught_up, seen.full_path), (1, 0, 0));
         assert_eq!(out.records.len(), 2);
     }
 
     #[test]
     fn a_touch_before_the_first_steady_step_owes_nothing() {
         // The launch after a second request's prefill opens a run in which
-        // the answering member's last token predates the launch; a warm
-        // arrival 1 ms later catches the run up having replayed nothing,
-        // which must leave that answer stream exactly as it was.
+        // the answering member's last token predates the launch; a drain
+        // of the instance 1 ms later catches the run up having replayed
+        // nothing, which must leave that answer stream exactly as it was.
         let config = oracle(SchedPolicy::Fcfs);
-        let mut requests = vec![
+        let requests = vec![
             RequestSpec::new(RequestId(0), SimTime::ZERO, 64, 100, 2000),
             RequestSpec::new(RequestId(1), secs(5.0), 64, 500, 0),
         ];
         let pair = run_simulation(&Trace::from_requests(requests.clone()), &config);
         let launch = pair.records[1].first_token;
-        requests.push(RequestSpec::warm(
-            RequestId(2),
-            launch + SimDuration::from_millis(1),
-            64,
-            100,
-        ));
+        let drain = (launch + SimDuration::from_millis(1)).as_secs_f64();
+        let mut config = config;
+        config.fleet = Some(FleetSpec::parse(&format!("{drain} drain 0\n")).expect("valid spec"));
         let (seen, out) = interrupt(&Trace::from_requests(requests), &config, |sh| {
-            (sh.routed_arrivals == 3).then_some(0)
+            (sh.health[0] == crate::fleet::HealthState::Draining).then_some(0)
         });
-        assert_touched(&seen, "arrival");
+        assert_touched(&seen, "drain");
         assert_eq!(seen.caught_up, 2);
-        assert_eq!(out.records.len(), 3);
+        assert_eq!(out.records.len(), 2);
+        assert_eq!(out.records[0].answers, pair.records[0].answers);
     }
 
     /// Two long requests outgrowing the pool under FCFS: the later one is
@@ -1340,6 +1345,116 @@ mod steady_runs {
         assert_kept(&seen, "offload landing");
         assert_eq!(seen.caught_up, 0);
         assert!(out.records[1].num_preemptions > 0);
+    }
+
+    #[test]
+    fn an_eviction_at_a_refused_crossing_keeps_the_run() {
+        // The step at which request 1's growth tips the pool over is one
+        // whose crossing the pool refuses: an edge step with no member
+        // edge, after which the run's planned launch offloads request 1 —
+        // caught up alone, through its latest token — and goes on over
+        // request 0.
+        let (trace, config) = eviction_cell();
+        let (seen, out) = interrupt(&trace, &config, |sh| {
+            member_where(sh, |st| st.kv_location == KvLocation::OffloadingToCpu)
+        });
+        assert!(seen.steady_before > 0 && seen.open_before && seen.open_after);
+        assert_eq!((seen.caught_up, seen.full_path, seen.edges_kept), (1, 0, 0));
+        assert!(out.records[1].num_preemptions > 0);
+        assert_eq!(out.records.len(), 2);
+    }
+
+    #[test]
+    fn offloads_go_on_pcie_before_reloads_in_id_order() {
+        // PASCAL on two memory-tight instances: find a launch a run planned
+        // inside itself that offloads members whose key order is not their
+        // id order and starts a reload. The transfers queue on the
+        // instance's PCIe link in the full path's order — the offloads in
+        // ascending request id, then the reload — which the traced run's
+        // transfer completions show.
+        let trace = pascal_workload::TraceBuilder::new(
+            pascal_workload::DatasetMix::arena_with_reasoning_heavy(),
+        )
+        .arrivals(pascal_workload::ArrivalProcess::poisson(14.0))
+        .count(160)
+        .seed(23)
+        .build();
+        let mut config =
+            SimConfig::evaluation_cluster(SchedPolicy::pascal(PascalConfig::default()));
+        config.num_instances = 2;
+        config.kv_capacity = KvCapacityMode::FractionOfPhysical(0.2);
+        let mut engine = Engine::new(&trace, &config);
+        // Each request's id with its eviction count: the number of its
+        // offload, and of the reload that follows it.
+        let (offloaded, reloaded) = loop {
+            let sh = &engine.shards()[0];
+            let before: Vec<(RequestId, KvLocation)> = sh
+                .states
+                .iter()
+                .map(|(_, st)| (st.spec.id, st.kv_location))
+                .collect();
+            let open: Vec<bool> = sh.instances.iter().map(|rt| rt.steady.is_open()).collect();
+            assert!(engine.step(), "no planned launch offloads and reloads");
+            let sh = &engine.shards()[0];
+            let was = |id: RequestId| before.iter().find(|(b, _)| *b == id).map(|&(_, at)| at);
+            let found = (0..sh.instances.len()).find_map(|i| {
+                if !(open[i] && sh.instances[i].steady.is_open()) {
+                    return None;
+                }
+                let moved =
+                    |from: KvLocation, to: KvLocation| -> Vec<&pascal_cluster::RequestState> {
+                        sh.states
+                            .iter()
+                            .map(|(_, st)| st)
+                            .filter(|st| st.instance as usize == i && st.kv_location == to)
+                            .filter(|st| was(st.spec.id) == Some(from))
+                            .collect()
+                    };
+                let counted = |st: &&pascal_cluster::RequestState| (st.spec.id, st.num_preemptions);
+                let mut offloaded = moved(KvLocation::Gpu, KvLocation::OffloadingToCpu);
+                let reloaded: Vec<_> = moved(KvLocation::Cpu, KvLocation::ReloadingToGpu)
+                    .iter()
+                    .map(counted)
+                    .collect();
+                offloaded.sort_by_key(|st| sh.policy.priority_key(st));
+                let key_order: Vec<_> = offloaded.iter().map(counted).collect();
+                let mut id_order = key_order.clone();
+                id_order.sort_unstable();
+                (offloaded.len() >= 2 && !reloaded.is_empty() && key_order != id_order)
+                    .then_some((id_order, reloaded))
+            });
+            if let Some(found) = found {
+                break found;
+            }
+        };
+        config.telemetry.trace = true;
+        let events = run_simulation(&trace, &config)
+            .telemetry
+            .expect("tracing was on")
+            .events;
+        let done = |(id, nth): (RequestId, u32), kind: TraceEventKind| {
+            events
+                .iter()
+                .filter(|e| e.request == Some(id.0) && e.kind == kind)
+                .nth(nth as usize - 1)
+                .expect("the transfer completes")
+                .at
+        };
+        let offloads: Vec<SimTime> = offloaded
+            .iter()
+            .map(|&transfer| done(transfer, TraceEventKind::OffloadDone))
+            .collect();
+        assert!(
+            offloads.windows(2).all(|w| w[0] < w[1]),
+            "offloads left the PCIe queue out of id order: {offloaded:?} at {offloads:?}"
+        );
+        let last = offloads.last().copied().expect("two offloads");
+        for &transfer in &reloaded {
+            assert!(
+                done(transfer, TraceEventKind::ReloadDone) > last,
+                "reload {transfer:?} queued ahead of the offloads"
+            );
+        }
     }
 
     #[test]
@@ -1436,15 +1551,15 @@ mod steady_runs {
     }
 
     #[test]
-    fn a_reload_landing_outside_a_full_batch_closes_the_run() {
+    fn a_reload_landing_outside_a_full_batch_is_evicted_inside_the_run() {
         // Round robin with room for one request. Request 0's quantum ends,
         // request 1 takes its place, and when request 1's quantum ends in
         // turn request 0 starts reloading its 8,000-token context. Request
         // 2 arrives during that reload and sorts first, so it runs alone,
         // steady, while request 0's KV crosses PCIe. The reload lands a
-        // GPU resident outside the full batch — one the next launch evicts
-        // — so the landing must close the run even though nothing can
-        // enter it.
+        // GPU resident outside the full batch — one the next launch evicts:
+        // the run survives the landing, and its next iteration end is an
+        // edge step whose planned launch offloads request 0 again.
         let mut config = oracle(SchedPolicy::RoundRobin { quantum: 100 });
         config.max_batch = 1;
         let pair = vec![
@@ -1477,7 +1592,8 @@ mod steady_runs {
             0,
         ));
         config.telemetry.trace = false;
-        let (seen, out) = interrupt(&Trace::from_requests(requests), &config, |sh| {
+        let trace = Trace::from_requests(requests);
+        let (seen, _) = interrupt(&trace, &config, |sh| {
             member_where(sh, |st| {
                 st.spec.id == RequestId(0)
                     && st.kv_location == KvLocation::Gpu
@@ -1485,7 +1601,17 @@ mod steady_runs {
                     && st.num_preemptions > 0
             })
         });
-        assert_touched(&seen, "reload landing outside a full batch");
+        assert_kept(&seen, "reload landing outside a full batch");
+        assert_eq!(seen.caught_up, 0);
+        let (seen, out) = interrupt(&trace, &config, |sh| {
+            member_where(sh, |st| {
+                st.spec.id == RequestId(0)
+                    && st.kv_location == KvLocation::OffloadingToCpu
+                    && st.num_preemptions > 1
+            })
+        });
+        assert!(seen.open_before && seen.open_after, "the run closed");
+        assert_eq!((seen.caught_up, seen.full_path), (0, 0));
         assert_eq!(out.records.len(), 3);
     }
 
@@ -1515,17 +1641,24 @@ mod steady_runs {
     }
 
     #[test]
-    fn a_migration_landing_closes_the_destination_run() {
+    fn a_migration_landing_on_a_full_batch_is_evicted_inside_the_run() {
         // The landing of `a_migration_landing_joins_the_destination_run`
-        // on an instance whose batch is full: the next launch would evict
-        // the landed request, so it cannot join and the run closes.
+        // on an instance whose batch is full: the next launch evicts the
+        // landed request, which the run's planner does at its next
+        // iteration end, the run going on over its batch.
         let (trace, mut config) = landing_cell();
         config.max_batch = 1;
         let (seen, out) = interrupt(&trace, &config, landed);
-        assert_touched(&seen, "migration landing");
-        assert!(!seen.open_after, "the run kept a resident it would evict");
-        assert_eq!(seen.joins, 0);
+        assert_kept(&seen, "migration landing");
+        assert_eq!((seen.joins, seen.caught_up), (0, 0));
         assert!(out.migration_outcomes.launched > 0);
+        let (seen, _) = interrupt(&trace, &config, |sh| {
+            member_where(sh, |st| {
+                st.instances_visited.len() > 1 && st.kv_location == KvLocation::OffloadingToCpu
+            })
+        });
+        assert!(seen.open_before && seen.open_after, "the run closed");
+        assert_eq!((seen.joins, seen.caught_up, seen.full_path), (0, 0, 0));
     }
 
     /// PASCAL with a dataset-scope predictor over two instances. A large
@@ -1692,15 +1825,26 @@ mod steady_runs {
     }
 
     #[test]
-    fn a_quantum_end_a_waiting_candidate_overtakes_closes_the_run() {
+    fn an_overtaken_quantum_end_evicts_its_member_inside_the_run() {
         // Only two requests fit the batch; when request 0's quantum ends,
         // its new key sorts after waiting request 2, which takes its place.
+        // The step is an edge step: request 0 leaves the run with its
+        // token, and the run's planned launch offloads it and starts
+        // request 2's prefill, which request 1 waits through.
         let (trace, config) = quantum_cell(2);
         let (seen, out) = interrupt(&trace, &config, |sh| {
             member_where(sh, |st| st.spec.id == RequestId(0) && st.quanta_used > 0)
         });
-        assert_touched(&seen, "overtaking quantum end");
+        assert!(
+            seen.open_before && seen.paused_after,
+            "the run did not pause"
+        );
+        assert_eq!((seen.caught_up, seen.full_path, seen.pauses), (1, 0, 1));
         assert_eq!(out.records.len(), 3);
+        assert!(
+            out.records[0].num_preemptions > 0,
+            "request 0 stayed resident"
+        );
     }
 
     #[test]
@@ -1895,10 +2039,12 @@ mod steady_runs {
     }
 
     #[test]
-    fn a_phase_boundary_overtaken_closes_the_run() {
+    fn a_phase_boundary_overtaken_evicts_its_member_inside_the_run() {
         // Only two requests fit the batch. Request 2 arrives while 0 and 1
         // run and waits, still reasoning; when request 1 starts answering it
-        // sorts behind request 2, which takes its place.
+        // sorts behind request 2, which takes its place: the run's planned
+        // launch offloads request 1 and starts request 2's prefill, which
+        // request 0 waits through.
         let (trace, mut config) = boundary_cell();
         let mut requests = trace.requests().to_vec();
         requests.push(RequestSpec::new(RequestId(2), secs(0.5), 64, 3000, 0));
@@ -1906,10 +2052,16 @@ mod steady_runs {
         let (seen, out) = interrupt(&Trace::from_requests(requests), &config, |sh| {
             member_where(sh, |st| st.phase == Phase::Answering)
         });
-        assert_touched(&seen, "overtaken phase boundary");
-        assert!(!seen.open_after, "the run survived an overtaking candidate");
-        assert_eq!(seen.edges_kept, 0);
+        assert!(
+            seen.open_before && seen.paused_after,
+            "the run did not pause"
+        );
+        assert_eq!((seen.edges_kept, seen.full_path, seen.pauses), (1, 0, 1));
         assert_eq!(out.records.len(), 3);
+        assert!(
+            out.records[1].num_preemptions > 0,
+            "request 1 stayed resident"
+        );
     }
 
     #[test]
@@ -1964,10 +2116,10 @@ mod steady_runs {
     }
 
     #[test]
-    fn a_completion_that_frees_room_for_a_waiting_candidate_closes_the_run() {
+    fn a_completion_that_frees_room_for_a_warm_candidate_keeps_the_run() {
         // Two requests fill the batch; warm request 2 waits. When request 1
-        // completes, request 2 fits, so the full path plans the launch
-        // that materializes it.
+        // completes, request 2 fits: the run plans the launch that
+        // materializes it, and it joins.
         let trace = Trace::from_requests(vec![
             RequestSpec::new(RequestId(0), SimTime::ZERO, 64, 3000, 0),
             RequestSpec::new(RequestId(1), SimTime::ZERO, 64, 500, 0),
@@ -1978,10 +2130,9 @@ mod steady_runs {
         let (seen, out) = interrupt(&trace, &config, |sh| {
             sh.records.first().map(|r| r.instances_visited[0])
         });
-        assert_touched(&seen, "completion freeing room");
-        assert_eq!(seen.full_path, 1, "the run survived a candidate that fits");
-        assert_eq!(seen.edges_kept, 0);
-        assert_eq!(seen.caught_up, 2, "the leaver, then the rest of the batch");
+        assert_edge_kept(&seen, "completion freeing room");
+        assert_eq!((seen.full_path, seen.joins), (0, 1));
+        assert_eq!(seen.caught_up, 1, "only the leaver");
         assert_eq!(out.records.len(), 3);
     }
 
@@ -2229,19 +2380,25 @@ mod steady_runs {
     }
 
     #[test]
-    fn a_launch_that_starts_a_reload_closes_the_run() {
-        // Request 0's completion frees room for the evictee, whose reload
-        // only the full path starts: the run over requests 0 and 1 closes
-        // there, and the full path's partial launch opens the next run.
+    fn a_reload_started_at_a_resumed_launch_joins_when_it_lands() {
+        // Request 0's completion frees room for the evictee: the run's
+        // planned launch after that edge step starts its reload and goes
+        // on over request 1, the reloading member pending, which joins at
+        // the run's first step after it lands.
         let (trace, config) = reload_cell();
         let (seen, _) = interrupt(&trace, &config, |sh| {
             sh.records.first().map(|r| r.instances_visited[0])
         });
-        assert!(seen.open_before, "no run open at the completion");
-        assert_eq!(seen.full_path, 1, "the completion was kept inside the run");
-        assert_eq!(seen.edges_kept, 0);
-        assert!(seen.open_after, "the partial launch opened no run");
-        assert_eq!(seen.partial, 1);
+        assert_edge_kept(&seen, "completion starting a reload");
+        assert_eq!((seen.full_path, seen.partial), (0, 1));
+        let (seen, out) = interrupt(&trace, &config, |sh| {
+            member_where(sh, |st| {
+                st.spec.id == RequestId(2) && st.running && st.num_preemptions > 0
+            })
+        });
+        assert!(seen.open_before && seen.open_after, "the run closed");
+        assert_eq!((seen.joins, seen.full_path), (1, 0));
+        assert_eq!(out.records.len(), 3);
     }
 
     /// FCFS over a pool of exactly 78 blocks: requests 0, 1 and 2 (prompts
@@ -2295,25 +2452,84 @@ mod steady_runs {
     }
 
     #[test]
-    fn a_refused_grant_still_waiting_at_the_next_launch_closes_the_run() {
+    fn a_refused_grant_still_waiting_at_the_next_launch_is_evicted_inside_the_run() {
         // Over a link with a second of setup latency, the evictee's
-        // offload is still in flight at the next launch: the blocks request
-        // 1's growth needs are still dying, so no grant in key order admits
-        // it, and the run closes for the full path.
+        // offload is still in flight at the next launch. Its blocks are
+        // still dying, so the budget no longer fits request 1 beside
+        // request 0: the launch the run plans evicts it, caught up alone
+        // through its latest token, and the run goes on over request 0.
         let (trace, mut config) = refused_grant_cell();
         config.pcie = pascal_model::LinkSpec::new(config.pcie.bandwidth, 1.0);
         let (seen, _) = interrupt(&trace, &config, refused);
         assert!(seen.open_after, "no run opened over the partial launch");
-        // The full path's launch no longer fits request 1 and evicts it.
         let (seen, out) = interrupt(&trace, &config, |sh| {
             member_where(sh, |st| {
                 st.spec.id == RequestId(1) && st.kv_location == KvLocation::OffloadingToCpu
             })
         });
-        assert!(seen.open_before, "the run closed before the launch");
-        assert_eq!((seen.joins, seen.full_path), (0, 1));
+        assert!(seen.open_before && seen.open_after, "the run closed");
+        assert_eq!((seen.joins, seen.caught_up, seen.full_path), (0, 0, 0));
         assert!(out.records[1].num_preemptions > 0);
         assert_eq!(out.records.len(), 3);
+    }
+
+    #[test]
+    fn a_member_refused_growth_over_several_launches_joins_when_the_offload_lands() {
+        // PASCAL on two memory-tight instances. A resident the pool refuses
+        // its growth at a launch that evicts waits for the offload to free
+        // the blocks; the next launch grants it unless it evicts again.
+        // Find one that the launches of an open run refuse at least twice
+        // in a row and that then joins that run.
+        let trace = pascal_workload::TraceBuilder::new(
+            pascal_workload::DatasetMix::arena_with_reasoning_heavy(),
+        )
+        .arrivals(pascal_workload::ArrivalProcess::poisson(14.0))
+        .count(300)
+        .seed(23)
+        .build();
+        let mut config =
+            SimConfig::evaluation_cluster(SchedPolicy::pascal(PascalConfig::default()));
+        config.num_instances = 2;
+        config.kv_capacity = KvCapacityMode::FractionOfPhysical(0.2);
+        let mut engine = Engine::new(&trace, &config);
+        // Each waiting resident never evicted, with the steps of its
+        // instance's open run it sat out.
+        let mut waited: Vec<(RequestId, u32)> = Vec::new();
+        loop {
+            let steps: Vec<u32> = engine.shards()[0]
+                .instances
+                .iter()
+                .map(|rt| rt.steady.steps())
+                .collect();
+            assert!(engine.step(), "no refused grant waited twice and joined");
+            let sh = &engine.shards()[0];
+            let stepped = |i: usize| {
+                let rt = &sh.instances[i];
+                rt.steady.is_open() && rt.steady.steps() != steps[i]
+            };
+            for (_, st) in sh.states.iter() {
+                let i = st.instance as usize;
+                if !stepped(i) || st.kv_location != KvLocation::Gpu || st.num_preemptions > 0 {
+                    continue;
+                }
+                let at = waited.iter().position(|(id, _)| *id == st.spec.id);
+                if st.running {
+                    if at.is_some_and(|at| waited[at].1 >= 2) {
+                        return;
+                    }
+                } else if st.tokens_generated > 0 {
+                    match at {
+                        Some(at) => waited[at].1 += 1,
+                        None => waited.push((st.spec.id, 1)),
+                    }
+                }
+            }
+            waited.retain(|&(id, _)| {
+                sh.states.iter().any(|(_, st)| {
+                    st.spec.id == id && st.kv_location == KvLocation::Gpu && !st.running
+                })
+            });
+        }
     }
 
     #[test]
@@ -2397,22 +2613,25 @@ mod steady_runs {
     }
 
     #[test]
-    fn a_warm_arrival_sorting_into_the_batch_closes_the_run() {
+    fn a_warm_arrival_sorting_into_the_batch_joins_through_the_planner() {
         // Round robin: request 0 has used up quanta, so a warm arrival (a
         // fresh quantum) sorts before it. The next launch materializes the
-        // warm request into the decode batch, which no run replays.
+        // warm request into the decode batch: the run survives the arrival,
+        // and its planned launch takes it in ahead of request 0.
         let trace = Trace::from_requests(vec![
             RequestSpec::new(RequestId(0), SimTime::ZERO, 64, 3000, 0),
             RequestSpec::warm(RequestId(1), secs(10.0), 64, 200),
         ]);
-        let (seen, out) = interrupt(
-            &trace,
-            &oracle(SchedPolicy::RoundRobin { quantum: 100 }),
-            |sh| (sh.routed_arrivals == 2).then_some(0),
-        );
-        assert_touched(&seen, "warm arrival");
-        assert!(!seen.open_after, "the run kept a warm request");
+        let config = oracle(SchedPolicy::RoundRobin { quantum: 100 });
+        let (seen, out) = interrupt(&trace, &config, |sh| (sh.routed_arrivals == 2).then_some(0));
+        assert_kept(&seen, "warm arrival");
+        assert_eq!(seen.caught_up, 0);
         assert_eq!(out.records.len(), 2);
+        let (seen, _) = interrupt(&trace, &config, |sh| {
+            member_where(sh, |st| st.spec.id == RequestId(1) && st.running)
+        });
+        assert!(seen.open_before && seen.open_after, "the run closed");
+        assert_eq!((seen.joins, seen.full_path), (1, 0));
     }
 
     /// A run over request 0 that pauses at 10 s for request 1's
@@ -2456,8 +2675,10 @@ mod steady_runs {
     fn a_prefill_that_would_evict_a_member_closes_the_run() {
         // PASCAL over a pool of 9,016 tokens: an answering request runs
         // alone until a reasoning arrival, sorting first, needs more room
-        // than is left. Its prefill launch would evict the answering one,
-        // so the arrival closes the run.
+        // than is left. The run survives the arrival, but the launch its
+        // planner makes at the next iteration end evicts the answering
+        // request, its only member: with nobody left to replay, the run
+        // closes there.
         let geometry = oracle(SchedPolicy::Fcfs).geometry();
         let config = SimConfig::characterization(
             SchedPolicy::pascal(PascalConfig::default()),
@@ -2467,10 +2688,55 @@ mod steady_runs {
             RequestSpec::warm(RequestId(0), SimTime::ZERO, 4000, 3000),
             RequestSpec::new(RequestId(1), secs(10.0), 6000, 100, 0),
         ]);
-        let (seen, out) = interrupt(&trace, &config, |sh| (sh.routed_arrivals == 2).then_some(0));
-        assert_touched(&seen, "arrival");
-        assert!(!seen.open_after, "the run kept a member its prefill evicts");
+        let (seen, _) = interrupt(&trace, &config, |sh| (sh.routed_arrivals == 2).then_some(0));
+        assert_kept(&seen, "arrival");
+        let (seen, out) = interrupt(&trace, &config, |sh| {
+            member_where(sh, |st| st.kv_location == KvLocation::OffloadingToCpu)
+        });
+        assert!(
+            seen.open_before && !seen.open_after,
+            "the run outlived its batch"
+        );
+        assert_eq!((seen.caught_up, seen.full_path), (1, 1));
         assert!(out.records[0].num_preemptions > 0);
+    }
+
+    #[test]
+    fn a_prefill_that_evicts_a_member_pauses_the_run() {
+        // PASCAL with room for two requests in a batch: answering requests
+        // 2 and 0 run until reasoning request 1 arrives and sorts first.
+        // The run survives the arrival; its planned launch at the next
+        // iteration end offloads request 0, which no longer fits the
+        // batch, and starts request 1's prefill, which request 2 waits
+        // through. Request 1 then joins.
+        let mut config = oracle(SchedPolicy::pascal(PascalConfig::default()));
+        config.max_batch = 2;
+        let trace = Trace::from_requests(vec![
+            RequestSpec::warm(RequestId(2), SimTime::ZERO, 64, 3000),
+            RequestSpec::warm(RequestId(0), secs(0.001), 64, 3000),
+            RequestSpec::new(RequestId(1), secs(10.0), 500, 100, 0),
+        ]);
+        let (seen, _) = interrupt(&trace, &config, |sh| (sh.routed_arrivals == 3).then_some(0));
+        assert_kept(&seen, "arrival");
+        let (seen, _) = interrupt(&trace, &config, |sh| {
+            member_where(sh, |st| st.kv_location == KvLocation::OffloadingToCpu)
+        });
+        assert!(
+            seen.open_before && seen.paused_after,
+            "the run did not pause"
+        );
+        assert_eq!((seen.caught_up, seen.full_path, seen.pauses), (1, 0, 1));
+        let (seen, out) = interrupt(&trace, &config, |sh| {
+            member_where(sh, |st| {
+                st.spec.id == RequestId(1) && st.running && st.tokens_generated == 1
+            })
+        });
+        assert!(seen.paused_before && seen.open_after && !seen.paused_after);
+        assert_eq!((seen.joins, seen.full_path), (1, 0));
+        assert!(out
+            .records
+            .iter()
+            .any(|r| r.spec.id == RequestId(0) && r.num_preemptions > 0));
     }
 
     #[test]
