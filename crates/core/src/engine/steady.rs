@@ -784,18 +784,26 @@ impl Shard<'_> {
     }
 
     /// Sets the monitor's view of the run's earliest pacer deadline from
-    /// its pacer keys, dropping the entries of members that left.
+    /// its pacer keys, dropping the entries of members that left. Those
+    /// under the earliest live key would pile up for as long as the run
+    /// lasts, so once they outnumber the answering members the whole heap
+    /// is rebuilt from the live entries (amortized O(1) per filing).
     fn refresh_pace(&mut self, instance: u32) {
         let tpot = i128::from(self.config.target_tpot.as_nanos());
+        let (states, member_mon) = (&self.states, &self.member_mon);
+        let filed = |entry: &PaceEntry| {
+            member_mon[entry.member.index()].pace_filing == entry.filing
+                && states
+                    .get(entry.member)
+                    .is_some_and(|st| st.instance == instance && st.running)
+        };
         let rt = &mut self.instances[instance as usize];
         let run = &mut rt.steady;
-        while let Some(&Reverse(entry)) = run.pace.peek() {
-            let filed = self.member_mon[entry.member.index()].pace_filing == entry.filing
-                && self
-                    .states
-                    .get(entry.member)
-                    .is_some_and(|st| st.instance == instance && st.running);
-            if filed {
+        if run.pace.len() > 2 * run.answering as usize + 16 {
+            run.pace.retain(|Reverse(entry)| filed(entry));
+        }
+        while let Some(Reverse(entry)) = run.pace.peek() {
+            if filed(entry) {
                 break;
             }
             run.pace.pop();
