@@ -784,10 +784,11 @@ impl Shard<'_> {
     }
 
     /// Sets the monitor's view of the run's earliest pacer deadline from
-    /// its pacer keys, dropping the entries of members that left. Those
-    /// under the earliest live key would pile up for as long as the run
-    /// lasts, so once they outnumber the answering members the whole heap
-    /// is rebuilt from the live entries (amortized O(1) per filing).
+    /// its pacer keys, dropping the entries of members that left. An entry
+    /// left behind with a later key than the earliest live one would stay
+    /// for as long as the run lasts, so once the entries outnumber twice
+    /// the answering members (plus 16) the heap is rebuilt from the live
+    /// ones (amortized O(1) per filing).
     fn refresh_pace(&mut self, instance: u32) {
         let tpot = i128::from(self.config.target_tpot.as_nanos());
         let (states, member_mon) = (&self.states, &self.member_mon);

@@ -83,7 +83,7 @@ impl ProfiledEvent {
 
 /// Why an iteration took the engine's full path (counted per
 /// full-path iteration in [`WorkCounters::full_path_causes`], indexed by
-/// [`FullPathCause::index`]). The first four are iterations whose launch
+/// [`FullPathCause::index`]). The first three are iterations whose launch
 /// opened no steady run; the rest end or follow a run that did not
 /// survive.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -91,9 +91,6 @@ pub enum FullPathCause {
     /// No run: the launch was a prefill.
     #[default]
     PrefillLaunch,
-    /// No run: the decode launch left out a desired member that cannot
-    /// wait inside a run.
-    LeftOut,
     /// No run: a member's first token could stall a reader, or the step
     /// was longer than the reading pace with a member answering.
     StallRisk,
@@ -102,14 +99,16 @@ pub enum FullPathCause {
     /// The run's stall edge, or a phase boundary whose Algorithm 2 sweep
     /// would read a reader's pacer deadline already due.
     StallEdge,
-    /// A steady step whose block crossings the pool refused.
+    /// A steady step whose block crossings the pool refused, on a
+    /// draining or down instance, where a run does not plan its launch.
     RefusedCrossing,
-    /// A quantum end that a candidate outside the batch overtakes.
+    /// A quantum end that a candidate outside the batch overtakes, on a
+    /// draining or down instance.
     OvertakenQuantum,
-    /// An edge step or a pause whose next launch the run could not make.
+    /// An edge step or a pause whose planned launch left no member to
+    /// replay, or met a non-member holding more blocks than it needs.
     RefusedRelaunch,
-    /// A run closed mid-iteration: a run member changed, or a non-member
-    /// change the run could not absorb.
+    /// A run closed mid-iteration by a change to one of its members.
     ClosedAtTouch,
     /// A run closed by a fleet transition, or an iteration end on a
     /// draining or down instance.
@@ -118,9 +117,8 @@ pub enum FullPathCause {
 
 impl FullPathCause {
     /// Every cause, in report order.
-    pub const ALL: [FullPathCause; 10] = [
+    pub const ALL: [FullPathCause; 9] = [
         FullPathCause::PrefillLaunch,
-        FullPathCause::LeftOut,
         FullPathCause::StallRisk,
         FullPathCause::ExcessBlocks,
         FullPathCause::StallEdge,
@@ -136,7 +134,6 @@ impl FullPathCause {
     pub fn name(self) -> &'static str {
         match self {
             FullPathCause::PrefillLaunch => "prefill launch",
-            FullPathCause::LeftOut => "member left out",
             FullPathCause::StallRisk => "stall risk at opening",
             FullPathCause::ExcessBlocks => "excess blocks",
             FullPathCause::StallEdge => "stall edge",
@@ -278,7 +275,7 @@ impl WorkCounters {
     #[must_use]
     pub fn render_causes(&self) -> String {
         let count = |cause: FullPathCause| self.full_path_causes[cause.index()];
-        let (no_run, after_run) = FullPathCause::ALL.split_at(4);
+        let (no_run, after_run) = FullPathCause::ALL.split_at(3);
         let split: Vec<String> = no_run
             .iter()
             .map(|&c| format!("{} {}", c.name(), count(c)))
@@ -620,9 +617,9 @@ mod tests {
         }
         assert_eq!(
             work.render_causes(),
-            "no run at the launch 10 (prefill launch 1, member left out 2, stall risk at \
-             opening 3, excess blocks 4), stall edge 5, refused crossing 6, overtaken quantum \
-             end 7, refused relaunch 8, closed at a touch 9, fleet transition 10"
+            "no run at the launch 6 (prefill launch 1, stall risk at opening 2, excess blocks \
+             3), stall edge 4, refused crossing 5, overtaken quantum end 6, refused relaunch 7, \
+             closed at a touch 8, fleet transition 9"
         );
         let names: Vec<&str> = FullPathCause::ALL.iter().map(|c| c.name()).collect();
         let indices: Vec<usize> = FullPathCause::ALL.iter().map(|c| c.index()).collect();

@@ -1682,7 +1682,7 @@ mod tests {
             steady_iterations: 15,
             members_caught_up: 16,
             full_path_iterations: 17,
-            full_path_causes: [17, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+            full_path_causes: [17, 0, 0, 0, 0, 0, 0, 0, 0],
             runs_kept: 18,
             edges_kept: 19,
             joins: 20,
