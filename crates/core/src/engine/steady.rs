@@ -1541,7 +1541,7 @@ impl Shard<'_> {
             debug_assert_eq!(self.instances[i].current_batch, scratch.decode);
             self.file_left_out(instance, &scratch.desired);
             let run = &self.instances[i].steady;
-            let partial = !(run.joiners.is_empty() && run.pending.is_empty() && !run.replan);
+            let partial = run.replan || !run.joiners.is_empty() || !run.pending.is_empty();
             self.count_work(|w| w.partial_runs += u64::from(partial));
             #[cfg(debug_assertions)]
             self.assert_run_held(instance);
@@ -1560,29 +1560,41 @@ impl Shard<'_> {
         let duration = self.start_prefill(instance, now, &scratch.prefill, &scratch.prompts);
         let rt = &mut self.instances[i];
         std::mem::swap(&mut rt.steady.prefill, &mut scratch.prefill);
-        if rt.current_batch.is_empty() {
-            self.close_through(instance);
-            self.count_full_path(FullPathCause::RefusedRelaunch);
-            self.no_run_at_launch(instance, FullPathCause::PrefillLaunch);
-        } else {
+        if !rt.current_batch.is_empty() {
             rt.steady.granted = true;
             self.file_left_out(instance, &scratch.desired);
-            let run = &mut self.instances[i].steady;
-            run.dirty = false;
-            let (edges, quanta) = (run.step_edges, run.step_quanta);
-            (run.step_edges, run.step_quanta) = (0, 0);
-            self.count_work(|w| {
-                w.steady_iterations += 1;
-                w.prefill_pauses += 1;
-                w.edges_kept += edges;
-                w.runs_kept += quanta;
-            });
+            self.launch_pause(instance, now, duration);
             #[cfg(debug_assertions)]
             self.assert_run_held(instance);
+            return;
         }
+        self.close_through(instance);
+        self.count_full_path(FullPathCause::RefusedRelaunch);
+        self.no_run_at_launch(instance, FullPathCause::PrefillLaunch);
         let rt = &mut self.instances[i];
         rt.inst.compute_busy = true;
         rt.current_kind = IterationKind::Prefill;
+        self.queue
+            .schedule(now + duration, Event::IterationDone { instance });
+    }
+
+    /// Launches the prefill `instance`'s run pauses through (in the run's
+    /// `prefill`, its blocks granted) at `now` for `duration`: the step's
+    /// kept edges and quantum ends are counted with the pause.
+    fn launch_pause(&mut self, instance: u32, now: SimTime, duration: SimDuration) {
+        let rt = &mut self.instances[instance as usize];
+        let run = &mut rt.steady;
+        run.dirty = false;
+        let (edges, quanta) = (run.step_edges, run.step_quanta);
+        (run.step_edges, run.step_quanta) = (0, 0);
+        rt.inst.compute_busy = true;
+        rt.current_kind = IterationKind::Prefill;
+        self.count_work(|w| {
+            w.steady_iterations += 1;
+            w.prefill_pauses += 1;
+            w.edges_kept += edges;
+            w.runs_kept += quanta;
+        });
         self.queue
             .schedule(now + duration, Event::IterationDone { instance });
     }
@@ -1684,22 +1696,8 @@ impl Shard<'_> {
         }
         let duration = self.start_prefill(instance, now, &prefill, &prompts);
         self.scratch.prompts = prompts;
-        let rt = &mut self.instances[i];
-        let run = &mut rt.steady;
-        run.prefill = prefill;
-        run.dirty = false;
-        let (edges, quanta) = (run.step_edges, run.step_quanta);
-        (run.step_edges, run.step_quanta) = (0, 0);
-        rt.inst.compute_busy = true;
-        rt.current_kind = IterationKind::Prefill;
-        self.count_work(|w| {
-            w.steady_iterations += 1;
-            w.prefill_pauses += 1;
-            w.edges_kept += edges;
-            w.runs_kept += quanta;
-        });
-        self.queue
-            .schedule(now + duration, Event::IterationDone { instance });
+        self.instances[i].steady.prefill = prefill;
+        self.launch_pause(instance, now, duration);
         true
     }
 
