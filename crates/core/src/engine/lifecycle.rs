@@ -358,13 +358,14 @@ impl Shard<'_> {
         self.assert_candidate_order(instance);
 
         // 1. Desired prefix of the candidate index under the block budget.
-        let (desired_residents, excess) = self.desired_prefix(
+        let prefix = self.desired_prefix(
             instance,
             |_, st| (st.tokens_needed_next(), st.held_gpu_blocks),
             &mut scratch.desired,
         );
+        self.count_work(|w| w.planner_member_visits += prefix.visited);
         // 2. Preempt GPU residents that fell out of the desired set.
-        self.evict_undesired(instance, desired_residents, now, &mut scratch);
+        self.evict_undesired(instance, prefix.residents, now, &mut scratch);
         // 3. Admit the desired set.
         let decode_context = self.admit_desired(instance, now, &mut scratch);
 
@@ -399,7 +400,7 @@ impl Shard<'_> {
             // The batch holds exactly the blocks it needs: its next
             // iterations may replay in closed form, whatever desired
             // members it left out.
-            if excess {
+            if prefix.excess {
                 self.no_run_at_launch(instance, FullPathCause::ExcessBlocks);
             } else {
                 self.open_steady_run(instance, now, duration, decode_context, &scratch.desired);
@@ -479,6 +480,8 @@ impl Shard<'_> {
         let run_open = self.instances[i].steady.is_open();
         let mut prefill_tokens: u64 = 0;
         let mut decode_context: u64 = 0;
+        let visited = scratch.desired.len() as u64;
+        self.count_work(|w| w.planner_member_visits += visited);
 
         for &(handle, target_blocks) in &scratch.desired {
             let st = &self.states[handle];
@@ -597,14 +600,13 @@ impl Shard<'_> {
     /// transfer launch and landing. `view` reads a member's KV tokens
     /// needed next and blocks held: its stored state in a scheduling pass,
     /// with the tokens a steady run still owes it in the run's debug check.
-    /// Returns how many desired members are GPU-resident and whether any
-    /// holds more blocks than it needs.
+    /// Counts nothing: its callers count the visits it reports.
     pub(super) fn desired_prefix(
         &self,
         instance: u32,
         view: impl Fn(ReqHandle, &RequestState) -> (u64, u64),
         desired: &mut Vec<(ReqHandle, u64)>,
-    ) -> (usize, bool) {
+    ) -> Prefix {
         let rt = &self.instances[instance as usize];
         let budget = rt
             .inst
@@ -613,12 +615,12 @@ impl Shard<'_> {
             .map(|c| c.saturating_sub(rt.dying_blocks));
         desired.clear();
         let mut acc: u64 = 0;
-        let mut residents = 0;
-        let mut excess = false;
+        let mut prefix = Prefix::default();
         for &handle in rt.cands.values() {
             if desired.len() >= self.config.max_batch as usize {
                 break;
             }
+            prefix.visited += 1;
             let st = &self.states[handle];
             let (tokens, held) = view(handle, st);
             let blocks = self.geometry.blocks_for_tokens(tokens);
@@ -627,13 +629,13 @@ impl Shard<'_> {
                 Some(b) if acc + need > b => break,
                 _ => {
                     acc += need;
-                    residents += usize::from(st.kv_location == KvLocation::Gpu);
-                    excess |= held > blocks;
+                    prefix.residents += usize::from(st.kv_location == KvLocation::Gpu);
+                    prefix.excess |= held > blocks;
                     desired.push((handle, need));
                 }
             }
         }
-        (residents, excess)
+        prefix
     }
 
     /// Debug reference for the candidate index: every schedulable member,
@@ -717,6 +719,17 @@ impl Shard<'_> {
         self.queue
             .schedule(finish, Event::OffloadDone { req: handle });
     }
+}
+
+/// What [`Shard::desired_prefix`] found besides the desired set.
+#[derive(Default)]
+pub(super) struct Prefix {
+    /// How many desired members are GPU-resident.
+    pub(super) residents: usize,
+    /// Whether a desired member holds more blocks than it needs.
+    pub(super) excess: bool,
+    /// The candidates whose need it read.
+    pub(super) visited: u64,
 }
 
 /// What one token did to a batch member besides counting it: the edges of

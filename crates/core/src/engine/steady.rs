@@ -605,6 +605,8 @@ impl Shard<'_> {
     /// pool refused leaves the next launch to the planner. The joiners
     /// still waiting keep their place; every other one is dropped.
     fn file_left_out(&mut self, instance: u32, desired: &[(ReqHandle, u64)]) {
+        let visited = desired.len() as u64;
+        self.count_work(|w| w.planner_member_visits += visited);
         let last = desired
             .last()
             .and_then(|&(handle, _)| self.member_mon[handle.index()].key);
@@ -1497,8 +1499,9 @@ impl Shard<'_> {
     /// whether it decided the launch.
     fn replan_run(&mut self, instance: u32, now: SimTime) -> bool {
         let i = instance as usize;
+        self.count_work(|w| w.planned_launches += 1);
         let mut scratch = std::mem::take(&mut self.scratch);
-        let (desired_residents, excess) = self.desired_prefix(
+        let prefix = self.desired_prefix(
             instance,
             |handle, st| {
                 let (next, held, _) = self.planned_need(handle, st);
@@ -1506,13 +1509,14 @@ impl Shard<'_> {
             },
             &mut scratch.desired,
         );
-        if excess {
+        self.count_work(|w| w.planner_member_visits += prefix.visited);
+        if prefix.excess {
             self.scratch = scratch;
             self.close_through(instance);
             self.count_full_path(FullPathCause::RefusedRelaunch);
             return false;
         }
-        self.evict_undesired(instance, desired_residents, now, &mut scratch);
+        self.evict_undesired(instance, prefix.residents, now, &mut scratch);
         let decode_context = self.admit_desired(instance, now, &mut scratch);
         if !scratch.prefill.is_empty() {
             self.replan_prefill(instance, now, &mut scratch);
@@ -2132,7 +2136,7 @@ impl Shard<'_> {
             }
         };
         let mut desired = Vec::new();
-        let (_, excess) = self.desired_prefix(instance, view, &mut desired);
+        let excess = self.desired_prefix(instance, view, &mut desired).excess;
         let rt = &self.instances[instance as usize];
         let mut launch: Vec<ReqHandle> = rt
             .current_batch

@@ -209,6 +209,13 @@ pub struct WorkCounters {
     /// desired member out: a reload in flight, or (at the opening launch)
     /// a resident whose growth the pool refused.
     pub partial_runs: u64,
+    /// Launches a steady run planned itself with the full path's planner
+    /// steps, where its O(1) relaunch check refused the next launch.
+    pub planned_launches: u64,
+    /// Candidates the planner visited: one per entry that the desired-set
+    /// walk, the admission pass and the filing of the members a launch
+    /// left out visit, on the full path and in planned launches.
+    pub planner_member_visits: u64,
     /// The most events the run's future-event list held pending at once —
     /// the population every queue operation pays for.
     pub peak_pending_events: u64,
@@ -235,6 +242,8 @@ impl WorkCounters {
         self.joins += other.joins;
         self.prefill_pauses += other.prefill_pauses;
         self.partial_runs += other.partial_runs;
+        self.planned_launches += other.planned_launches;
+        self.planner_member_visits += other.planner_member_visits;
         self.peak_pending_events = self.peak_pending_events.max(other.peak_pending_events);
     }
 
@@ -247,7 +256,8 @@ impl WorkCounters {
             "{} tokens, {} sched member scans, {} monitor rows, {} monitor member visits, \
              {} predictor estimates, {} steady iterations, {} members caught up, \
              {} full-path iterations, {} runs kept, {} edges kept, {} joins, \
-             {} prefill pauses, {} partial runs, {} peak pending events",
+             {} prefill pauses, {} partial runs, {} planned launches, \
+             {} planner member visits, {} peak pending events",
             self.tokens,
             self.sched_member_scans,
             self.monitor_rows,
@@ -261,6 +271,8 @@ impl WorkCounters {
             self.joins,
             self.prefill_pauses,
             self.partial_runs,
+            self.planned_launches,
+            self.planner_member_visits,
             self.peak_pending_events
         );
         if let Some(ns) = wall_s.and_then(|w| self.ns_per_token(w)) {
