@@ -53,10 +53,11 @@
 //! * any other non-member is re-filed without touching the run's members.
 //!   If it now sorts among the batch's keys, the next launch would admit
 //!   it, which only the planner does: the run's next iteration end is an
-//!   edge step after which it plans that launch. Otherwise the batch stays
-//!   a key-order prefix of the candidates and only the first candidate
-//!   outside the batch could still enter — if the change freed budget or
-//!   brought a new candidate. The run is marked and settled by the
+//!   edge step after which it plans that launch, walking the desired set
+//!   (the run no longer vouches for its key range). Otherwise the batch
+//!   stays a key-order prefix of the candidates and only the first
+//!   candidate outside the batch could still enter — if the change freed
+//!   budget or brought a new candidate. The run is marked and settled by the
 //!   `try_schedule` every such caller ends with: its next launch stays the
 //!   O(1) relaunch while that candidate cannot fit, or while it fits as a
 //!   newcomer, which then joins; otherwise the run plans it;
@@ -507,8 +508,9 @@ impl Shard<'_> {
     ///   completed or migrated away) is dropped;
     /// * a candidate keyed into the batch's key range would be admitted by
     ///   the next launch: a newcomer, whose prefill is still to run, joins
-    ///   (the run pauses through its prefill), and any other leaves that
-    ///   launch to the run's planner;
+    ///   (the run pauses through its prefill), and any other is a
+    ///   **stranger**, which leaves that launch to the run's planner walking
+    ///   the desired set;
     /// * anything else may only let the first candidate outside the batch
     ///   fit.
     ///
@@ -547,7 +549,7 @@ impl Shard<'_> {
         if in_range && newcomer {
             rt.steady.add_joiner(handle);
         } else if in_range {
-            rt.steady.needs_replan();
+            rt.steady.stranger_in_range();
         }
         rt.steady.mark_dirty();
     }

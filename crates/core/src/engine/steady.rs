@@ -114,13 +114,30 @@
 //!   range that is no newcomer, a reload or warm request to start, an
 //!   eviction, a grant the pool cannot make in full, a refused crossing —
 //!   the step is an **edge step**, with no member edge if none is due, and
-//!   the run **plans** its next launch ([`Shard::replan_run`]) with the
-//!   full path's planner over its state read through each member's owed
-//!   tokens: the evictees leave the run through their latest token and
-//!   are offloaded in ascending request id, a member the pool refuses its
-//!   growth leaves to wait as a joiner, reloads start and their requests
-//!   are pending, and the run goes on over the decode batch launched — or
-//!   pauses through the prefill launched, whoever it evicted.
+//!   the run **plans** its next launch ([`Shard::replan_run`]): the launch
+//!   the full path's planner would make over its state read through each
+//!   member's owed tokens, found without walking the batch. The batch's
+//!   need is the run's held blocks plus the step's crossings; the joiners
+//!   and pending reloads sorting among its keys add theirs, and the
+//!   candidates walked forward from the first one outside the batch enter
+//!   while the budget and `max_batch` allow — or, when the batch's keys
+//!   alone overshoot them, the cut is found walking back from the batch's
+//!   tail. The members past the cut are evicted: they leave the run
+//!   through their latest token and are offloaded in ascending request id.
+//!   The pool then grants, in key order, only the step's **crossers** (each
+//!   residue lists its crossing members) merged with the desired
+//!   non-members: a member refused its growth leaves to wait as a joiner,
+//!   reloads start and their requests are pending, prefills and warm
+//!   requests are admitted, and the run goes on over the decode batch
+//!   launched — or pauses through the prefill launched, whoever it
+//!   evicted. Where the run cannot vouch for its key range — a
+//!   **stranger**, a candidate none of its members, joiners and pending
+//!   reloads, may sort among the batch's keys (a non-member that changed
+//!   there, or a reload or warm request the latest launch refused), or a
+//!   GPU resident is none of its members and joiners — the launch walks
+//!   the desired set with the full path's planner steps instead
+//!   ([`Shard::desired_prefix`], [`Shard::evict_undesired`],
+//!   [`Shard::admit_desired`]), a counted planner fallback.
 //!
 //! A run **closes**, catching up every member, only at its stall edge, at
 //! a member edge whose Algorithm 2 sweep would read a pacer deadline of the
@@ -153,10 +170,14 @@
 //! (and, at a step, its crossing count). The walk counts pending reloads
 //! among the desired and, while the run waits through a prefill, gives the
 //! members no token and their granted blocks and each newcomer in the
-//! prefill its first token. A planned launch is checked the same way, and
-//! its batch's block and context totals against each member's owed
-//! tokens; the members it evicts or refuses are replayed token by token
-//! like any other catch-up.
+//! prefill its first token. Every launch the run plans without the walk is
+//! checked against the walk's result, computed read-only before the launch
+//! acts: the desired set with each candidate's need, the evictees, every
+//! grant and refusal in key order (the members refused their growth, the
+//! reloads started, the prefill), and the batch it launches, in order.
+//! Every planned launch's batch is checked for its block and context
+//! totals against each member's owed tokens, and the members it evicts or
+//! refuses are replayed token by token like any other catch-up.
 
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
@@ -169,7 +190,9 @@ use pascal_sim::{SimDuration, SimTime};
 use pascal_telemetry::FullPathCause;
 use pascal_workload::Phase;
 
-use super::lifecycle::{close_token, TokenEdges};
+#[cfg(debug_assertions)]
+use super::lifecycle::Admission;
+use super::lifecycle::{close_token, Admitting, Prefix, TokenEdges};
 use super::members::{Growth, MemberMon};
 use super::{Event, IterationKind, ScheduleScratch, Shard};
 
@@ -234,6 +257,12 @@ pub(crate) struct SteadyRun {
     /// outside that would enter and is none. The run's next iteration end
     /// is an edge step.
     replan: bool,
+    /// Whether a candidate sorting among the batch's keys may be none of
+    /// its members, joiners and pending reloads (one that changed since the
+    /// latest launch, or a reload or warm request that launch refused): the
+    /// run cannot vouch for its key range, and its next planned launch
+    /// walks the desired set ([`Shard::replan_run`]).
+    stranger: bool,
     /// While the run is paused: the prefill batch in flight, in launch
     /// order. The members wait through it, their latest token closed and
     /// the blocks of their next launch granted.
@@ -270,11 +299,12 @@ pub(crate) struct SteadyRun {
 }
 
 /// One residue of the iteration count mod `block_tokens`: the members
-/// whose block need grows by one at that iteration's launch, and the
-/// members whose predicted growth drops a block at its token.
+/// whose block need grows by one at that iteration's launch (its
+/// **crossers**), and the members whose predicted growth drops a block at
+/// its token.
 #[derive(Default)]
 struct Residue {
-    crossings: u64,
+    crossers: Vec<ReqHandle>,
     drops: Vec<ReqHandle>,
 }
 
@@ -296,6 +326,49 @@ enum Launch {
     Enters(ReqHandle),
     /// Something else: the run closes.
     Refused,
+}
+
+/// Where [`Shard::cut_launch`] cut a planned launch: the desired set is
+/// the run batch's members keyed up to `last` and the desired non-members
+/// it listed.
+struct Cut {
+    /// The last desired key.
+    last: Option<PriorityKey>,
+    /// Whether a desired non-member holds more blocks than it needs.
+    excess: bool,
+}
+
+/// How a planned launch found its desired set.
+enum Planned {
+    /// Cut without walking the batch.
+    Cut(Cut),
+    /// Walked by [`Shard::desired_prefix`]: the run could not vouch for
+    /// its key range.
+    Walked(Prefix),
+}
+
+/// The launch the full path's planner walk would make where a steady run
+/// plans its own ([`Shard::walk_plan`], debug builds).
+#[cfg(debug_assertions)]
+#[derive(Default)]
+struct WalkedPlan {
+    /// The desired set with each candidate's need, in key order.
+    desired: Vec<(ReqHandle, u64)>,
+    /// Whether a desired candidate holds more blocks than it needs.
+    excess: bool,
+    /// The GPU residents outside it, in ascending request id.
+    evictees: Vec<ReqHandle>,
+    /// Each desired candidate's admission, in key order, but for the run
+    /// members that run without a grant.
+    admitted: Vec<(ReqHandle, Admission)>,
+    /// The prefill batch.
+    prefill: Vec<ReqHandle>,
+    /// The runnable desired candidates in key order, and the run members
+    /// among them.
+    decode: Vec<ReqHandle>,
+    members: Vec<ReqHandle>,
+    /// The decode batch's context.
+    context: u64,
 }
 
 /// What [`Shard::steady_step`] made of an iteration end.
@@ -357,10 +430,13 @@ impl SteadyRun {
         self.joiners.retain(|j| j.member != handle);
     }
 
-    /// Records that the run's next launch is one only the full path's
-    /// planner can make.
-    pub(super) fn needs_replan(&mut self) {
+    /// Records that a candidate none of the run's members, joiners and
+    /// pending reloads sorts among the batch's keys: the run's next launch
+    /// is one only the full path's planner can make, walking the desired
+    /// set.
+    pub(super) fn stranger_in_range(&mut self) {
         self.replan = true;
+        self.stranger = true;
     }
 
     /// Grants the batch `blocks` more, for a member the planner grew.
@@ -380,6 +456,7 @@ impl SteadyRun {
         self.joiners.clear();
         self.pending.clear();
         self.replan = false;
+        self.stranger = false;
     }
 
     /// Takes `handle` off the members whose reload is in flight.
@@ -404,7 +481,9 @@ impl SteadyRun {
         if self.granted {
             0
         } else {
-            self.residues[(u64::from(step) % block_tokens) as usize].crossings
+            self.residues[(u64::from(step) % block_tokens) as usize]
+                .crossers
+                .len() as u64
         }
     }
 
@@ -480,13 +559,14 @@ impl PartialOrd for PaceEntry {
     }
 }
 
-/// Removes `member` from a residue's drop list.
-fn remove_drop(drops: &mut Vec<ReqHandle>, member: ReqHandle) {
-    let at = drops
+/// Removes `member` from one of a residue's lists: its crossers, or the
+/// drops of a member with predicted growth.
+fn unlist(list: &mut Vec<ReqHandle>, member: ReqHandle) {
+    let at = list
         .iter()
         .position(|&h| h == member)
-        .expect("a member with predicted growth is in its drop residue");
-    drops.swap_remove(at);
+        .expect("a run member is listed in its residues");
+    list.swap_remove(at);
 }
 
 impl Shard<'_> {
@@ -522,13 +602,16 @@ impl Shard<'_> {
         let partial = desired.len() > self.instances[i].current_batch.len();
         self.instances[i].steady.clear_waiting();
         if partial {
-            self.file_left_out(instance, desired);
+            let last = desired
+                .last()
+                .and_then(|&(handle, _)| self.member_mon[handle.index()].key);
+            self.file_left_out(instance, last, desired.iter().map(|&(handle, _)| handle));
         }
         let bt = self.geometry.block_tokens as usize;
         let next = now + duration;
         let run = &mut self.instances[i].steady;
         for residue in &mut run.residues {
-            residue.crossings = 0;
+            residue.crossers.clear();
             residue.drops.clear();
         }
         run.residues.resize_with(bt, Residue::default);
@@ -595,29 +678,39 @@ impl Shard<'_> {
         }
     }
 
-    /// Files the `desired` members the launch just made on `instance` left
+    /// Files the desired members the launch just made on `instance` left
     /// out, for a run to go on over the launched batch (the members of
     /// the run, and not the requests in a prefill it waits through): a
     /// member whose reload is in flight waits as pending, and a resident
     /// whose growth the pool refused, or a newcomer whose prefill it
     /// refused or left for a later launch, as a joiner, which a later
     /// launch admits once the pool grants it. A reload or warm request the
-    /// pool refused leaves the next launch to the planner. The joiners
-    /// still waiting keep their place; every other one is dropped.
-    fn file_left_out(&mut self, instance: u32, desired: &[(ReqHandle, u64)]) {
-        let visited = desired.len() as u64;
-        self.count_work(|w| w.planner_member_visits += visited);
-        let last = desired
-            .last()
-            .and_then(|&(handle, _)| self.member_mon[handle.index()].key);
+    /// pool refused leaves the next launch to the planner, and when it
+    /// sorts among the batch's keys the run cannot vouch for them. The
+    /// joiners still waiting keep their place; every other one is dropped.
+    /// `desired` lists, in key order, every desired candidate the launch
+    /// did not launch (launched ones are skipped), and `last` is the last
+    /// desired key.
+    fn file_left_out(
+        &mut self,
+        instance: u32,
+        last: Option<PriorityKey>,
+        desired: impl IntoIterator<Item = ReqHandle>,
+    ) {
         let (states, member_mon) = (&self.states, &self.member_mon);
+        let rt = &mut self.instances[instance as usize];
+        let batch_last = rt
+            .current_batch
+            .last()
+            .and_then(|&h| member_mon[h.index()].key);
         let SteadyRun {
             joiners,
             pending,
             prefill,
             replan,
+            stranger,
             ..
-        } = &mut self.instances[instance as usize].steady;
+        } = &mut rt.steady;
         let prefill: &Vec<ReqHandle> = prefill;
         let launched = |handle: ReqHandle| states[handle].running && !prefill.contains(&handle);
         let waits = |handle: ReqHandle| {
@@ -633,7 +726,10 @@ impl Shard<'_> {
         });
         pending.clear();
         *replan = false;
-        for &(handle, _) in desired {
+        *stranger = false;
+        let mut visited = 0;
+        for handle in desired {
+            visited += 1;
             if launched(handle) {
                 continue;
             }
@@ -647,9 +743,13 @@ impl Shard<'_> {
                         });
                     }
                 }
-                _ => *replan = true,
+                _ => {
+                    *replan = true;
+                    *stranger |= member_mon[handle.index()].key < batch_last;
+                }
             }
         }
+        self.count_work(|w| w.planner_member_visits += visited);
     }
 
     /// Files `member`, whose state is exact, into `instance`'s run at
@@ -676,7 +776,9 @@ impl Shard<'_> {
         run.held += st.held_gpu_blocks;
         // The need `blocks_for_tokens(context + 1)` grows at the iteration
         // whose token brings the context to a multiple of `block_tokens`.
-        run.residues[((s + bt - context % bt) % bt) as usize].crossings += 1;
+        run.residues[((s + bt - context % bt) % bt) as usize]
+            .crossers
+            .push(member);
         m.sync = sync;
         m.edge = sync.saturating_add(hard_edge(st, self.policy.demotion_threshold_tokens()));
         let quantum_end = sync.saturating_add(
@@ -757,10 +859,13 @@ impl Shard<'_> {
         let s = u64::from(m.sync);
         run.context -= st.context_tokens();
         run.held -= st.held_gpu_blocks;
-        run.residues[((s + bt - st.context_tokens() % bt) % bt) as usize].crossings -= 1;
+        unlist(
+            &mut run.residues[((s + bt - st.context_tokens() % bt) % bt) as usize].crossers,
+            member,
+        );
         if m.growth.blocks > 0 {
             let first_drop = m.growth.drop_at - u64::from(st.tokens_generated);
-            remove_drop(
+            unlist(
                 &mut run.residues[((s + first_drop) % bt) as usize].drops,
                 member,
             );
@@ -848,7 +953,7 @@ impl Shard<'_> {
         let step = run.steps + 1;
         let bt = u64::from(self.geometry.block_tokens);
         let residue = &run.residues[(u64::from(step) % bt) as usize];
-        let (crossing, drops) = (residue.crossings, residue.drops.len() as u64);
+        let (crossing, drops) = (residue.crossers.len() as u64, residue.drops.len() as u64);
         if run.next_mark == step || !run.joiners.is_empty() || run.replan {
             let mut due = std::mem::take(&mut self.instances[i].steady.due);
             due.clear();
@@ -1151,7 +1256,7 @@ impl Shard<'_> {
             return; // re-priced since
         }
         m.retire = u32::MAX;
-        remove_drop(
+        unlist(
             &mut self.instances[instance as usize].steady.residues
                 [(u64::from(step) % u64::from(self.geometry.block_tokens)) as usize]
                 .drops,
@@ -1482,91 +1587,340 @@ impl Shard<'_> {
     }
 
     /// Plans the launch after an edge step or a pause that
-    /// [`Shard::resume_run`] could not make in O(1): steps 1–3 of the full
-    /// path's planner — [`Shard::desired_prefix`],
-    /// [`Shard::evict_undesired`] and [`Shard::admit_desired`] — over the
-    /// run's state read through each member's owed tokens
+    /// [`Shard::resume_run`] could not make in O(1): the launch steps 1–3 of
+    /// the full path's planner — [`Shard::desired_prefix`],
+    /// [`Shard::evict_undesired`] and [`Shard::admit_desired`] — would make
+    /// over the run's state read through each member's owed tokens
     /// ([`Shard::planned_need`]), with their side effects in the full
     /// path's order: the evictees leave the run through their latest token
     /// and are offloaded in ascending request-id order, then, in key order,
     /// a member refused its growth leaves the run to wait as a joiner, a
     /// reload start makes its request pending, and the prefills and warm
-    /// requests are admitted. The run goes on over the launch: a prefill
-    /// pauses it, a decode launch relaunches it with the admitted
-    /// non-members joined. A launch with no member left (or none at all)
-    /// closes it. Declines, closing the run for the full path's planner, when
-    /// a desired non-member holds more blocks than it needs. Returns
-    /// whether it decided the launch.
+    /// requests are admitted. It visits only the candidates whose fate
+    /// changes ([`Shard::cut_launch`], [`Shard::admit_planned`]); where the
+    /// run cannot vouch for its key range, it walks the desired set with
+    /// those steps instead (a planner fallback). The run goes on over the
+    /// launch: a prefill pauses it, a decode launch relaunches it with the
+    /// admitted non-members joined. A launch with no member left (or none
+    /// at all) closes it. Declines, closing the run for the full path's
+    /// planner, when a desired non-member holds more blocks than it needs.
+    /// Returns whether it decided the launch.
     fn replan_run(&mut self, instance: u32, now: SimTime) -> bool {
         let i = instance as usize;
         self.count_work(|w| w.planned_launches += 1);
         let mut scratch = std::mem::take(&mut self.scratch);
-        let prefix = self.desired_prefix(
-            instance,
-            |handle, st| {
-                let (next, held, _) = self.planned_need(handle, st);
-                (next, held)
-            },
-            &mut scratch.desired,
-        );
-        self.count_work(|w| w.planner_member_visits += prefix.visited);
-        if prefix.excess {
+        #[cfg(debug_assertions)]
+        let walked = self.walk_plan(instance);
+        let planned = match self.cut_launch(instance, &mut scratch) {
+            Some(cut) => Planned::Cut(cut),
+            None => {
+                self.count_work(|w| w.planner_fallbacks += 1);
+                let prefix = self.desired_prefix(
+                    instance,
+                    |handle, st| {
+                        let (next, held, _) = self.planned_need(handle, st);
+                        (next, held)
+                    },
+                    &mut scratch.desired,
+                );
+                self.count_work(|w| w.planner_member_visits += prefix.visited);
+                Planned::Walked(prefix)
+            }
+        };
+        let (excess, last) = match &planned {
+            Planned::Cut(cut) => (cut.excess, cut.last),
+            Planned::Walked(prefix) => (
+                prefix.excess,
+                scratch
+                    .desired
+                    .last()
+                    .and_then(|&(handle, _)| self.member_mon[handle.index()].key),
+            ),
+        };
+        #[cfg(debug_assertions)]
+        if let Planned::Cut(cut) = &planned {
+            self.assert_cut(instance, cut, &scratch.desired, &walked);
+        }
+        if excess {
             self.scratch = scratch;
             self.close_through(instance);
             self.count_full_path(FullPathCause::RefusedRelaunch);
             return false;
         }
-        self.evict_undesired(instance, prefix.residents, now, &mut scratch);
-        let decode_context = self.admit_desired(instance, now, &mut scratch);
+        match planned {
+            Planned::Cut(_) => {
+                self.offload_evictees(instance, now, &scratch.evictees);
+                self.admit_planned(instance, now, &mut scratch);
+                #[cfg(debug_assertions)]
+                assert_eq!(
+                    scratch.admitted, walked.admitted,
+                    "instance {instance}: a planned launch's grants diverged from the planner walk's"
+                );
+            }
+            Planned::Walked(prefix) => {
+                self.evict_undesired(instance, prefix.residents, now, &mut scratch);
+                self.admit_desired(instance, now, &mut scratch);
+            }
+        }
+        #[cfg(debug_assertions)]
+        {
+            assert_eq!(
+                scratch.evictees, walked.evictees,
+                "instance {instance}: a planned launch's evictees diverged from the planner walk's"
+            );
+            assert_eq!(
+                scratch.prefill, walked.prefill,
+                "instance {instance}: a planned launch's prefill diverged from the planner walk's"
+            );
+            assert_eq!(
+                self.instances[i].current_batch, walked.members,
+                "instance {instance}: the members a planned launch keeps diverged from the walk's"
+            );
+        }
         if !scratch.prefill.is_empty() {
-            self.replan_prefill(instance, now, &mut scratch);
-        } else if scratch.decode.is_empty() {
+            self.replan_prefill(instance, now, last, &mut scratch);
+            self.scratch = scratch;
+            return true;
+        }
+        let mut joining = std::mem::take(&mut scratch.joining);
+        joining.clear();
+        for &handle in &scratch.decode {
+            if !self.states[handle].running {
+                let left = self.instances[i].steady.left_at_edge(handle);
+                joining.push(Joiner {
+                    member: handle,
+                    left,
+                });
+            }
+        }
+        if self.instances[i].current_batch.is_empty() && joining.is_empty() {
             // Nothing to launch, as on the full path: every member left.
             self.close_through(instance);
             self.count_full_path(FullPathCause::RefusedRelaunch);
         } else {
-            let mut joining = std::mem::take(&mut scratch.joining);
-            joining.clear();
-            for &handle in &scratch.decode {
-                if !self.states[handle].running {
-                    let left = self.instances[i].steady.left_at_edge(handle);
-                    joining.push(Joiner {
-                        member: handle,
-                        left,
-                    });
-                }
-            }
             self.relaunch_run(instance, now, &joining);
-            scratch.joining = joining;
-            debug_assert_eq!(
-                self.instances[i].steady.context, decode_context,
-                "the replanned batch's context"
-            );
-            debug_assert_eq!(self.instances[i].current_batch, scratch.decode);
-            self.file_left_out(instance, &scratch.desired);
+            #[cfg(debug_assertions)]
+            {
+                let rt = &self.instances[i];
+                assert_eq!(
+                    rt.current_batch, walked.decode,
+                    "instance {instance}: a planned launch's batch diverged from the planner walk's"
+                );
+                assert_eq!(
+                    rt.steady.context, walked.context,
+                    "instance {instance}: the planned batch's context"
+                );
+            }
+            self.file_left_out(instance, last, scratch.admitted.iter().map(|&(h, _)| h));
             let run = &self.instances[i].steady;
             let partial = run.replan || !run.joiners.is_empty() || !run.pending.is_empty();
             self.count_work(|w| w.partial_runs += u64::from(partial));
             #[cfg(debug_assertions)]
             self.assert_run_held(instance);
         }
+        scratch.joining = joining;
         self.scratch = scratch;
         true
+    }
+
+    /// Step 1 of the launch `instance`'s run plans, without walking its
+    /// batch: the desired set — the longest key-order prefix of the
+    /// candidates within `capacity − dying_blocks` and `max_batch` — and the
+    /// GPU residents outside it (`scratch.evictees`, in ascending request
+    /// id). The batch's need at the launch is the run's `held` plus the
+    /// blocks it crosses into; to it come the joiners and pending reloads
+    /// sorting among the batch's keys and then, walked forward from the
+    /// first candidate outside the batch, the candidates that enter. Only
+    /// when the batch's keys alone overshoot the budget or `max_batch` is
+    /// the cut found by walking back from the batch's tail, each member
+    /// passed an evictee. `scratch.desired` gets the desired non-members
+    /// with their needs, in key order; every member before the cut is
+    /// desired too. Returns `None` where the run cannot vouch for its key
+    /// range: a stranger may sort among the batch's keys, or a GPU resident
+    /// is none of its members and joiners.
+    fn cut_launch(&self, instance: u32, scratch: &mut ScheduleScratch) -> Option<Cut> {
+        let rt = &self.instances[instance as usize];
+        let run = &rt.steady;
+        if run.stranger {
+            return None;
+        }
+        let key = |handle: ReqHandle| self.member_mon[handle.index()].key;
+        let need_of = |st: &pascal_cluster::RequestState| {
+            self.geometry
+                .blocks_for_tokens(st.tokens_needed_next())
+                .max(st.held_gpu_blocks)
+        };
+        let batch = &rt.current_batch;
+        let batch_last = batch.last().and_then(|&h| key(h));
+        let budget = rt
+            .inst
+            .gpu
+            .capacity_blocks()
+            .map(|c| c.saturating_sub(rt.dying_blocks));
+        let max_batch = self.config.max_batch as usize;
+        let over = |blocks: u64, n: usize| n > max_batch || budget.is_some_and(|b| blocks > b);
+        scratch.desired.clear();
+        scratch.evictees.clear();
+        let mut visited = 0;
+        let mut residents = batch.len();
+        let mut blocks =
+            run.held + run.batch_crossing(run.steps, u64::from(self.geometry.block_tokens));
+        for handle in run
+            .joiners
+            .iter()
+            .map(|j| j.member)
+            .chain(run.pending.iter().copied())
+        {
+            visited += 1;
+            let st = &self.states[handle];
+            let k = key(handle)?;
+            if st.kv_location == KvLocation::Gpu {
+                residents += 1;
+                // Evicted unless desired (filtered once the cut is known).
+                scratch.evictees.push(handle);
+            }
+            if batch_last.is_some_and(|last| k < last) {
+                let need = need_of(st);
+                blocks += need;
+                scratch.desired.push((handle, need));
+            }
+        }
+        if rt.residents.len() != residents {
+            self.count_work(|w| w.planner_member_visits += visited);
+            return None;
+        }
+        scratch
+            .desired
+            .sort_unstable_by_key(|&(handle, _)| key(handle));
+        let mut kept = batch.len();
+        let mut others = scratch.desired.len();
+        if over(blocks, kept + others) {
+            // The cut falls among the batch's keys.
+            while over(blocks, kept + others) {
+                visited += 1;
+                let member = kept.checked_sub(1).map(|at| batch[at]);
+                let other = others.checked_sub(1).map(|at| scratch.desired[at]);
+                let member_last = match (member, other) {
+                    (Some(m), Some((o, _))) => key(m) > key(o),
+                    (m, _) => m.is_some(),
+                };
+                if let (true, Some(m)) = (member_last, member) {
+                    let (next, ..) = self.planned_need(m, &self.states[m]);
+                    blocks -= self.geometry.blocks_for_tokens(next);
+                    kept -= 1;
+                    scratch.evictees.push(m);
+                } else {
+                    let (_, need) = other.expect("an empty launch fits");
+                    blocks -= need;
+                    others -= 1;
+                }
+            }
+            scratch.desired.truncate(others);
+        } else {
+            // Every candidate among the batch's keys is desired.
+            let from = batch_last.map_or(Bound::Unbounded, Bound::Excluded);
+            for (_, &handle) in rt.cands.range((from, Bound::Unbounded)) {
+                if kept + scratch.desired.len() >= max_batch {
+                    break;
+                }
+                visited += 1;
+                let need = need_of(&self.states[handle]);
+                if budget.is_some_and(|b| blocks + need > b) {
+                    break;
+                }
+                blocks += need;
+                scratch.desired.push((handle, need));
+            }
+        }
+        let last = kept
+            .checked_sub(1)
+            .and_then(|at| key(batch[at]))
+            .max(scratch.desired.last().and_then(|&(h, _)| key(h)));
+        scratch.evictees.retain(|&h| key(h) > last);
+        scratch
+            .evictees
+            .sort_unstable_by_key(|&h| self.states[h].spec.id);
+        let excess = scratch.desired.iter().any(|&(handle, _)| {
+            let st = &self.states[handle];
+            st.held_gpu_blocks > self.geometry.blocks_for_tokens(st.tokens_needed_next())
+        });
+        self.count_work(|w| w.planner_member_visits += visited);
+        Some(Cut { last, excess })
+    }
+
+    /// Step 3 of a launch [`Shard::cut_launch`] cut ([`Shard::admit_entry`]
+    /// in key order), visiting only the desired candidates whose admission
+    /// does anything: this step's crossers still in the batch, each needing
+    /// one block more, merged with the desired non-members
+    /// (`scratch.desired`). Every other member already holds what it needs
+    /// and runs without a grant. Lists each candidate it visits, with its
+    /// admission, in `scratch.admitted`.
+    fn admit_planned(&mut self, instance: u32, now: SimTime, scratch: &mut ScheduleScratch) {
+        scratch.prefill.clear();
+        scratch.decode.clear();
+        scratch.prompts.clear();
+        scratch.admitted.clear();
+        scratch.crossers.clear();
+        let run = &self.instances[instance as usize].steady;
+        if !run.granted {
+            let residue = (u64::from(run.steps) % u64::from(self.geometry.block_tokens)) as usize;
+            scratch
+                .crossers
+                .extend_from_slice(&run.residues[residue].crossers);
+        }
+        let member_mon = &self.member_mon;
+        scratch
+            .crossers
+            .sort_unstable_by_key(|&h| member_mon[h.index()].key);
+        let mut totals = Admitting::default();
+        let (mut c, mut d) = (0, 0);
+        loop {
+            let crosser = scratch.crossers.get(c).copied();
+            let other = scratch.desired.get(d).copied();
+            let key = |handle: ReqHandle| self.member_mon[handle.index()].key;
+            let (handle, target) = match (crosser, other) {
+                (Some(m), Some((o, need))) if key(o) < key(m) => {
+                    d += 1;
+                    (o, need)
+                }
+                (Some(m), _) => {
+                    c += 1;
+                    let (next, held, _) = self.planned_need(m, &self.states[m]);
+                    (m, self.geometry.blocks_for_tokens(next).max(held))
+                }
+                (None, Some(entry)) => {
+                    d += 1;
+                    entry
+                }
+                (None, None) => break,
+            };
+            let admission = self.admit_entry(instance, handle, target, now, &mut totals, scratch);
+            scratch.admitted.push((handle, admission));
+        }
+        let visited = (c + d) as u64;
+        self.count_work(|w| w.planner_member_visits += visited);
     }
 
     /// [`Shard::replan_run`]'s prefill launch (`scratch.prefill`): the run
     /// pauses through it, its members holding the blocks the planner
     /// granted them for their next launch and the desired non-members
-    /// waiting as joiners or pending; with no member left, the run closes
+    /// waiting as joiners or pending (`scratch.admitted` lists them, and
+    /// `last` is the last desired key); with no member left, the run closes
     /// and the prefill is the full path's launch.
-    fn replan_prefill(&mut self, instance: u32, now: SimTime, scratch: &mut ScheduleScratch) {
+    fn replan_prefill(
+        &mut self,
+        instance: u32,
+        now: SimTime,
+        last: Option<PriorityKey>,
+        scratch: &mut ScheduleScratch,
+    ) {
         let i = instance as usize;
         let duration = self.start_prefill(instance, now, &scratch.prefill, &scratch.prompts);
         let rt = &mut self.instances[i];
         std::mem::swap(&mut rt.steady.prefill, &mut scratch.prefill);
         if !rt.current_batch.is_empty() {
             rt.steady.granted = true;
-            self.file_left_out(instance, &scratch.desired);
+            self.file_left_out(instance, last, scratch.admitted.iter().map(|&(h, _)| h));
             self.launch_pause(instance, now, duration);
             #[cfg(debug_assertions)]
             self.assert_run_held(instance);
@@ -1853,7 +2207,7 @@ impl Shard<'_> {
                 (u64::from(m.retire) == at).then_some((at % bt) as usize)
             };
             if let Some(r) = listed {
-                remove_drop(&mut run.residues[r].drops, member);
+                unlist(&mut run.residues[r].drops, member);
             }
             m.retire = u32::MAX;
             if let (true, Some(total)) = (new.blocks > 0, total) {
@@ -2107,6 +2461,128 @@ impl Shard<'_> {
         if !rt.steady.replan {
             self.assert_steady_plan(instance, None);
         }
+    }
+
+    /// The debug reference for a launch the run on `instance` plans: what
+    /// the full path's planner walk — [`Shard::desired_prefix`],
+    /// [`Shard::evict_undesired`] and [`Shard::admit_desired`] over the
+    /// members' owed tokens — would pick, computed read-only (the pool's
+    /// grants on a copy of its free blocks) before the launch acts.
+    #[cfg(debug_assertions)]
+    fn walk_plan(&self, instance: u32) -> WalkedPlan {
+        let rt = &self.instances[instance as usize];
+        let key = |handle: ReqHandle| self.member_mon[handle.index()].key;
+        let mut plan = WalkedPlan::default();
+        plan.excess = self
+            .desired_prefix(
+                instance,
+                |handle, st| {
+                    let (next, held, _) = self.planned_need(handle, st);
+                    (next, held)
+                },
+                &mut plan.desired,
+            )
+            .excess;
+        let last = plan.desired.last().and_then(|&(handle, _)| key(handle));
+        plan.evictees = rt
+            .residents
+            .iter()
+            .map(|(_, handle)| handle)
+            .filter(|&handle| key(handle) > last)
+            .collect();
+        let mut free = rt.inst.gpu.free_blocks();
+        let mut grant = |blocks: u64| match &mut free {
+            None => true,
+            Some(f) if *f >= blocks => {
+                *f -= blocks;
+                true
+            }
+            Some(_) => false,
+        };
+        let mut prefill_tokens = 0;
+        for &(handle, target) in &plan.desired {
+            let st = &self.states[handle];
+            let member = self.in_run(handle);
+            let admission = match st.kv_location {
+                KvLocation::Gpu => {
+                    let (_, held, context) = self.planned_need(handle, st);
+                    let runs_as_is = held >= target;
+                    if runs_as_is || grant(target - held) {
+                        plan.decode.push(handle);
+                        plan.context += context;
+                        if member {
+                            plan.members.push(handle);
+                            if runs_as_is {
+                                continue;
+                            }
+                        }
+                        Admission::Decode
+                    } else if member {
+                        Admission::Refused
+                    } else {
+                        Admission::Waits
+                    }
+                }
+                KvLocation::Cpu if grant(target) => Admission::Reload,
+                KvLocation::None if st.spec.warm_start && grant(target) => {
+                    plan.decode.push(handle);
+                    plan.context += st.context_tokens();
+                    Admission::Decode
+                }
+                KvLocation::None if st.needs_prefill() => {
+                    let prompt = u64::from(st.spec.prompt_tokens);
+                    let within_budget = plan.prefill.is_empty()
+                        || prefill_tokens + prompt <= u64::from(self.config.prefill_token_budget);
+                    if within_budget && grant(target) {
+                        prefill_tokens += prompt;
+                        plan.prefill.push(handle);
+                        Admission::Prefill
+                    } else {
+                        Admission::Waits
+                    }
+                }
+                _ => Admission::Waits,
+            };
+            plan.admitted.push((handle, admission));
+        }
+        plan
+    }
+
+    /// Asserts that [`Shard::cut_launch`]'s desired set — the batch's
+    /// members up to its cut plus the desired non-members it listed, with
+    /// their needs — is the planner walk's, and so is its excess flag.
+    #[cfg(debug_assertions)]
+    fn assert_cut(
+        &self,
+        instance: u32,
+        cut: &Cut,
+        desired: &[(ReqHandle, u64)],
+        walked: &WalkedPlan,
+    ) {
+        let key = |handle: ReqHandle| self.member_mon[handle.index()].key;
+        let mut planned: Vec<(ReqHandle, u64)> = self.instances[instance as usize]
+            .current_batch
+            .iter()
+            .filter(|&&handle| key(handle) <= cut.last)
+            .map(|&handle| {
+                let (next, held, _) = self.planned_need(handle, &self.states[handle]);
+                (handle, self.geometry.blocks_for_tokens(next).max(held))
+            })
+            .chain(desired.iter().copied())
+            .collect();
+        planned.sort_by_key(|&(handle, _)| key(handle));
+        assert_eq!(
+            planned, walked.desired,
+            "instance {instance}: a planned launch's desired set diverged from the planner walk's"
+        );
+        assert_eq!(
+            (cut.last, cut.excess),
+            (
+                walked.desired.last().and_then(|&(handle, _)| key(handle)),
+                walked.excess
+            ),
+            "instance {instance}: a planned launch's cut diverged from the planner walk's"
+        );
     }
 
     /// Asserts that the planner, run read-only over the tokens the run

@@ -1158,6 +1158,10 @@ mod steady_runs {
         /// Decode launches runs opened or were kept over with a desired
         /// member left out.
         partial: u64,
+        /// Launches runs planned themselves.
+        planned: u64,
+        /// Planned launches that walked the desired set.
+        fallbacks: u64,
     }
 
     /// An instance just before an event.
@@ -1210,6 +1214,8 @@ mod steady_runs {
                     full_path: after.full_path_iterations - work.full_path_iterations,
                     pauses: after.prefill_pauses - work.prefill_pauses,
                     partial: after.partial_runs - work.partial_runs,
+                    planned: after.planned_launches - work.planned_launches,
+                    fallbacks: after.planner_fallbacks - work.planner_fallbacks,
                 };
                 return (seen, engine.run());
             }
@@ -2838,5 +2844,213 @@ mod steady_runs {
         });
         assert!(seen.paused_before && seen.open_after && !seen.paused_after);
         assert_eq!((seen.joins, seen.full_path), (2, 0));
+    }
+
+    #[test]
+    fn a_max_batch_cut_inside_a_planned_launch_evicts_the_batch_tail() {
+        // Round robin with room for two: requests 0 and 1 decode in
+        // lockstep and have used up quanta when request 2 arrives with a
+        // fresh one, sorting first. Its prefill would make three desired
+        // members, so the run plans the launch: cut at `max_batch` walking
+        // back from the batch's tail, it evicts request 1 — caught up alone,
+        // through its latest token — and pauses over request 0 through
+        // request 2's prefill.
+        let trace = Trace::from_requests(vec![
+            RequestSpec::new(RequestId(0), SimTime::ZERO, 64, 3000, 0),
+            RequestSpec::new(RequestId(1), SimTime::ZERO, 64, 3000, 0),
+            RequestSpec::new(RequestId(2), secs(10.0), 64, 200, 0),
+        ]);
+        let mut config = oracle(SchedPolicy::RoundRobin { quantum: 100 });
+        config.max_batch = 2;
+        let (seen, out) = interrupt(&trace, &config, |sh| {
+            let evicted = sh
+                .states
+                .iter()
+                .find(|(_, st)| st.kv_location == KvLocation::OffloadingToCpu)?;
+            assert_eq!(
+                evicted.1.spec.id,
+                RequestId(1),
+                "an evictee other than the batch's tail"
+            );
+            Some(evicted.1.instance)
+        });
+        assert!(
+            seen.open_before && seen.paused_after,
+            "the run did not pause"
+        );
+        assert_eq!(
+            (seen.planned, seen.fallbacks, seen.caught_up, seen.full_path),
+            (1, 0, 1, 0)
+        );
+        assert_eq!(out.records.len(), 3);
+    }
+
+    #[test]
+    fn a_prefill_between_two_crossers_refuses_the_later_one() {
+        // Round robin on two memory-tight instances: find a launch a run
+        // planned without walking its batch in which a newcomer's prefill
+        // sorts between two members whose need crosses into a new block at
+        // that launch, and the pool, short of what the launch grants,
+        // grants the first crossing and the prefill and refuses the later
+        // member its block. Grants go in key order, members and non-members
+        // alike. (A reload sorting among the batch's keys is no joiner: that
+        // launch walks the desired set.)
+        let trace = pascal_workload::TraceBuilder::new(
+            pascal_workload::DatasetMix::arena_with_reasoning_heavy(),
+        )
+        .arrivals(pascal_workload::ArrivalProcess::poisson(14.0))
+        .count(300)
+        .seed(23)
+        .build();
+        let mut config = SimConfig::evaluation_cluster(SchedPolicy::RoundRobin { quantum: 100 });
+        config.num_instances = 2;
+        config.kv_capacity = KvCapacityMode::FractionOfPhysical(0.2);
+        let mut engine = Engine::new(&trace, &config);
+        loop {
+            let work = hierarchy::total_work(engine.shards());
+            assert!(
+                engine.step(),
+                "no planned launch granted a prefill between two crossers"
+            );
+            let after = hierarchy::total_work(engine.shards());
+            if after.planned_launches != work.planned_launches + 1
+                || after.planner_fallbacks != work.planner_fallbacks
+            {
+                continue;
+            }
+            let sh = &engine.shards()[0];
+            let admitted = &sh.scratch.admitted;
+            let at = |admission: lifecycle::Admission| {
+                admitted.iter().position(|&(_, a)| a == admission)
+            };
+            let (Some(prefill), Some(refused)) = (
+                at(lifecycle::Admission::Prefill),
+                at(lifecycle::Admission::Refused),
+            ) else {
+                continue;
+            };
+            // A member granted its crossing runs on through the prefill.
+            let granted = admitted[..prefill].iter().any(|&(handle, a)| {
+                a == lifecycle::Admission::Decode
+                    && sh.states.get(handle).is_some_and(|st| st.running)
+            });
+            if granted && prefill < refused {
+                break;
+            }
+        }
+    }
+
+    #[test]
+    fn evictees_of_a_planned_cut_go_offloaded_in_id_order() {
+        // PASCAL on one instance with room for four. Requests 0 and 2 are
+        // answering, request 1 still reasons with quanta used, and request
+        // 3, a fresh arrival, has joined the run when requests 4–6 arrive,
+        // sorting after request 3 and before the rest. The launch the run
+        // plans cuts at `max_batch` walking back from the batch's tail and
+        // evicts requests 1, 0 and 2 (key order) — offloaded in ascending
+        // request id, as the full path does, which the PCIe link's
+        // completions show — and pauses over request 3.
+        let mut config = oracle(SchedPolicy::pascal(PascalConfig {
+            quantum: 100,
+            ..PascalConfig::default()
+        }));
+        config.max_batch = 4;
+        let mut requests = vec![
+            RequestSpec::new(RequestId(0), SimTime::ZERO, 64, 100, 3000),
+            RequestSpec::new(RequestId(1), secs(0.1), 64, 4000, 0),
+            RequestSpec::new(RequestId(2), secs(0.2), 64, 100, 3000),
+            RequestSpec::new(RequestId(3), secs(9.9), 64, 3000, 0),
+        ];
+        for id in 4..7 {
+            requests.push(RequestSpec::new(RequestId(id), secs(10.0), 64, 200, 0));
+        }
+        let trace = Trace::from_requests(requests);
+        let mut engine = Engine::new(&trace, &config);
+        let keys = loop {
+            let sh = &engine.shards()[0];
+            let keys: Vec<(PriorityKey, u64)> = sh
+                .states
+                .iter()
+                .map(|(_, st)| (sh.policy.priority_key(st), st.spec.id.0))
+                .collect();
+            let work = hierarchy::total_work(engine.shards());
+            assert!(engine.step(), "no planned launch evicted three members");
+            let sh = &engine.shards()[0];
+            let after = hierarchy::total_work(engine.shards());
+            let evicted = sh
+                .states
+                .iter()
+                .filter(|(_, st)| st.kv_location == KvLocation::OffloadingToCpu)
+                .count();
+            if evicted == 3 {
+                assert_eq!(after.planned_launches - work.planned_launches, 1);
+                assert_eq!(after.planner_fallbacks, work.planner_fallbacks);
+                assert!(sh.instances[0].steady.is_paused(), "the run did not pause");
+                break keys;
+            }
+        };
+        let mut order: Vec<(PriorityKey, u64)> =
+            keys.into_iter().filter(|&(_, id)| id < 3).collect();
+        order.sort_unstable();
+        let key_order: Vec<u64> = order.iter().map(|&(_, id)| id).collect();
+        assert_eq!(key_order, [1, 0, 2], "the cell's key order moved");
+        config.telemetry.trace = true;
+        let events = run_simulation(&trace, &config)
+            .telemetry
+            .expect("tracing was on")
+            .events;
+        let landed: Vec<u64> = events
+            .iter()
+            .filter(|e| e.kind == TraceEventKind::OffloadDone)
+            .filter_map(|e| e.request)
+            .take(3)
+            .collect();
+        assert_eq!(
+            landed,
+            [0, 1, 2],
+            "offloads left the PCIe link out of id order"
+        );
+    }
+
+    #[test]
+    fn a_stranger_among_the_batch_keys_takes_the_planner_walk() {
+        // Round robin: a warm arrival with a fresh quantum sorts before
+        // request 0, which has used up quanta. Needing no prefill, it is no
+        // newcomer: neither a joiner nor pending, the run cannot vouch for
+        // its key range, and the launch it plans walks the desired set — a
+        // counted fallback — taking the warm request in.
+        let trace = Trace::from_requests(vec![
+            RequestSpec::new(RequestId(0), SimTime::ZERO, 64, 3000, 0),
+            RequestSpec::warm(RequestId(1), secs(10.0), 64, 200),
+        ]);
+        let config = oracle(SchedPolicy::RoundRobin { quantum: 100 });
+        let (seen, out) = interrupt(&trace, &config, |sh| {
+            member_where(sh, |st| st.spec.id == RequestId(1) && st.running)
+        });
+        assert!(seen.open_before && seen.open_after, "the run closed");
+        assert_eq!(
+            (seen.planned, seen.fallbacks, seen.joins, seen.full_path),
+            (1, 1, 1, 0)
+        );
+        assert_eq!(out.records.len(), 2);
+    }
+
+    #[test]
+    fn a_cut_past_the_batch_starts_the_first_outside_reload() {
+        // Request 0's completion frees room for the evictee, request 2, the
+        // first candidate outside the remaining batch: the launch the run
+        // plans walks forward past the batch without walking it, starts
+        // request 2's reload and goes on over request 1.
+        let (trace, config) = reload_cell();
+        let (seen, out) = interrupt(&trace, &config, |sh| {
+            member_where(sh, |st| st.kv_location == KvLocation::ReloadingToGpu)
+        });
+        assert!(seen.open_before && seen.open_after, "the run closed");
+        assert_eq!(
+            (seen.planned, seen.fallbacks, seen.partial, seen.full_path),
+            (1, 0, 1, 0)
+        );
+        assert_eq!(out.records.len(), 3);
+        assert!(out.records[2].num_preemptions > 0);
     }
 }

@@ -216,6 +216,11 @@ pub struct WorkCounters {
     /// walk, the admission pass and the filing of the members a launch
     /// left out visit, on the full path and in planned launches.
     pub planner_member_visits: u64,
+    /// Planned launches whose run could not vouch for its key range (a
+    /// candidate that is none of its members, joiners and pending reloads
+    /// may sort among the batch's keys, or a GPU resident is none of its
+    /// members and joiners), so that the planner walked the desired set.
+    pub planner_fallbacks: u64,
     /// The most events the run's future-event list held pending at once —
     /// the population every queue operation pays for.
     pub peak_pending_events: u64,
@@ -244,6 +249,7 @@ impl WorkCounters {
         self.partial_runs += other.partial_runs;
         self.planned_launches += other.planned_launches;
         self.planner_member_visits += other.planner_member_visits;
+        self.planner_fallbacks += other.planner_fallbacks;
         self.peak_pending_events = self.peak_pending_events.max(other.peak_pending_events);
     }
 
@@ -257,7 +263,7 @@ impl WorkCounters {
              {} predictor estimates, {} steady iterations, {} members caught up, \
              {} full-path iterations, {} runs kept, {} edges kept, {} joins, \
              {} prefill pauses, {} partial runs, {} planned launches, \
-             {} planner member visits, {} peak pending events",
+             {} planner member visits, {} planner fallbacks, {} peak pending events",
             self.tokens,
             self.sched_member_scans,
             self.monitor_rows,
@@ -273,6 +279,7 @@ impl WorkCounters {
             self.partial_runs,
             self.planned_launches,
             self.planner_member_visits,
+            self.planner_fallbacks,
             self.peak_pending_events
         );
         if let Some(ns) = wall_s.and_then(|w| self.ns_per_token(w)) {

@@ -1690,7 +1690,8 @@ mod tests {
             partial_runs: 22,
             planned_launches: 23,
             planner_member_visits: 24,
-            peak_pending_events: 25,
+            planner_fallbacks: 25,
+            peak_pending_events: 26,
         };
         let line = aggregate_profile_line(&t, &work);
         // Every figure must survive a whitespace-and-label round trip —
@@ -1704,7 +1705,7 @@ mod tests {
             nums,
             vec![
                 123_456.0, 1.5, 82_304.0, 3_000.0, 11.0, 12.0, 13.0, 14.0, 15.0, 16.0, 17.0, 18.0,
-                19.0, 20.0, 21.0, 22.0, 23.0, 24.0, 25.0, 500_000.0
+                19.0, 20.0, 21.0, 22.0, 23.0, 24.0, 25.0, 26.0, 500_000.0
             ],
             "line: {line}"
         );
