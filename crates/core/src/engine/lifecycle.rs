@@ -25,8 +25,8 @@
 //! other launch as the planner's steps below, [`Shard::desired_prefix`],
 //! [`Shard::evict_undesired`] and [`Shard::admit_desired`], would over its
 //! members' owed tokens, visiting only the candidates whose fate changes
-//! (the evictees through [`Shard::offload_evictees`], each grant through
-//! [`Shard::admit_entry`]).
+//! (its evictees offloaded through [`Shard::offload_evictees`], its grants
+//! made by [`Shard::admit_desired`] over just those candidates).
 
 use pascal_cluster::{KvLocation, ReqHandle, RequestState};
 use pascal_model::DecodeBatch;
@@ -464,131 +464,115 @@ impl Shard<'_> {
         }
     }
 
-    /// Step 3 of a scheduling pass: admits `scratch.desired` in key order
-    /// ([`Shard::admit_entry`]) — grows residents, starts reloads,
-    /// materializes warm requests and collects the prefill candidates within
-    /// the prefill token budget (`scratch.prefill`, their prompts in
-    /// `scratch.prompts`) and the runnable residents (`scratch.decode`), and
-    /// lists each entry's admission in `scratch.admitted`. The desired
-    /// entries carry their block needs from step 1. Returns the decode
-    /// batch's context.
+    /// Step 3 of a scheduling pass: admits `scratch.desired` in key order —
+    /// grows residents, starts reloads, materializes warm requests and
+    /// collects the prefill candidates within the prefill token budget
+    /// (`scratch.prefill`, their prompts in `scratch.prompts`) and the
+    /// runnable residents (`scratch.decode`) — and lists each entry's
+    /// [`Admission`] in `scratch.admitted`. The desired entries carry their
+    /// block needs from step 1. Returns the decode batch's context.
+    ///
+    /// A member of an open steady run on the instance is read through the
+    /// tokens the run owes it ([`Shard::planned_need`]); its grant goes to
+    /// the run's block total, and a member the pool refuses its growth
+    /// leaves the run through its latest token ([`Shard::leave_run`]) to
+    /// wait like any resident.
     pub(super) fn admit_desired(
         &mut self,
         instance: u32,
         now: SimTime,
         scratch: &mut ScheduleScratch,
     ) -> u64 {
+        let i = instance as usize;
         scratch.prefill.clear();
         scratch.decode.clear();
         scratch.prompts.clear();
         scratch.admitted.clear();
+        let run_open = self.instances[i].steady.is_open();
+        let mut prefill_tokens: u64 = 0;
+        let mut decode_context: u64 = 0;
         let visited = scratch.desired.len() as u64;
         self.count_work(|w| w.planner_member_visits += visited);
-        let mut totals = Admitting::default();
-        for at in 0..scratch.desired.len() {
-            let (handle, target_blocks) = scratch.desired[at];
-            let admission =
-                self.admit_entry(instance, handle, target_blocks, now, &mut totals, scratch);
-            scratch.admitted.push((handle, admission));
-        }
-        totals.decode_context
-    }
 
-    /// Admits `handle`, a desired candidate needing `target_blocks` at the
-    /// launch being planned, after every desired candidate sorting before
-    /// it: a resident runs (grown if it must be), a CPU-resident one starts
-    /// its reload, a warm request materializes and a newcomer joins the
-    /// prefill within its token budget — each only if the pool grants its
-    /// blocks. A member of an open steady run on the instance is read
-    /// through the tokens the run owes it ([`Shard::planned_need`]); its
-    /// grant goes to the run's block total, and a member the pool refuses
-    /// its growth leaves the run through its latest token
-    /// ([`Shard::leave_run`]) to wait like any resident.
-    pub(super) fn admit_entry(
-        &mut self,
-        instance: u32,
-        handle: ReqHandle,
-        target_blocks: u64,
-        now: SimTime,
-        totals: &mut Admitting,
-        scratch: &mut ScheduleScratch,
-    ) -> Admission {
-        let i = instance as usize;
-        let st = &self.states[handle];
-        let member = self.in_run(handle);
-        let (location, needs_prefill, warm, prompt) = (
-            st.kv_location,
-            st.needs_prefill(),
-            st.spec.warm_start,
-            st.spec.prompt_tokens,
-        );
-        match location {
-            KvLocation::Gpu => {
-                let (_, held, context) = self.planned_need(handle, st);
-                let runnable = held >= target_blocks
-                    || self.instances[i].inst.gpu.try_alloc(target_blocks - held);
-                if runnable {
-                    if member {
-                        self.instances[i].steady.grow(target_blocks.max(held) - held);
+        for &(handle, target_blocks) in &scratch.desired {
+            let st = &self.states[handle];
+            let member = run_open && self.in_run(handle);
+            let (location, needs_prefill, warm, prompt) = (
+                st.kv_location,
+                st.needs_prefill(),
+                st.spec.warm_start,
+                st.spec.prompt_tokens,
+            );
+            let admission = match location {
+                KvLocation::Gpu => {
+                    let (_, held, context) = self.planned_need(handle, st);
+                    let runnable = held >= target_blocks
+                        || self.instances[i].inst.gpu.try_alloc(target_blocks - held);
+                    if runnable {
+                        if member {
+                            self.instances[i].steady.grow(target_blocks.max(held) - held);
+                        } else {
+                            self.states[handle].held_gpu_blocks = target_blocks.max(held);
+                        }
+                        decode_context += context;
+                        scratch.decode.push(handle);
+                        Admission::Decode
+                    } else if member {
+                        // Waits for in-flight offloads to free memory.
+                        self.leave_run(instance, handle);
+                        Admission::Refused
                     } else {
-                        self.states[handle].held_gpu_blocks = target_blocks.max(held);
+                        Admission::Waits
                     }
-                    totals.decode_context += context;
-                    scratch.decode.push(handle);
-                    Admission::Decode
-                } else if member {
-                    // Waits for in-flight offloads to free memory.
-                    self.leave_run(instance, handle);
-                    Admission::Refused
-                } else {
-                    Admission::Waits
                 }
-            }
-            KvLocation::Cpu
-                // Reload: GPU blocks reserved up front, PCIe serialized.
-                if self.instances[i].inst.gpu.try_alloc(target_blocks) => {
-                    let bytes = {
+                KvLocation::Cpu
+                    // Reload: GPU blocks reserved up front, PCIe serialized.
+                    if self.instances[i].inst.gpu.try_alloc(target_blocks) => {
+                        let bytes = {
+                            let st = &mut self.states[handle];
+                            st.held_gpu_blocks = target_blocks;
+                            context_kv_bytes(&self.geometry, st)
+                        };
+                        self.set_kv_location(handle, KvLocation::ReloadingToGpu);
+                        let (_, finish) = self.instances[i].inst.pcie.enqueue(now, bytes);
+                        self.queue
+                            .schedule(finish, Event::ReloadDone { req: handle });
+                        Admission::Reload
+                    }
+                KvLocation::None if warm
+                    // Fig. 5 setup: the KV already exists logically; it
+                    // materializes without prefill compute once admitted.
+                    && self.instances[i].inst.gpu.try_alloc(target_blocks) => {
                         let st = &mut self.states[handle];
                         st.held_gpu_blocks = target_blocks;
-                        context_kv_bytes(&self.geometry, st)
-                    };
-                    self.set_kv_location(handle, KvLocation::ReloadingToGpu);
-                    let (_, finish) = self.instances[i].inst.pcie.enqueue(now, bytes);
-                    self.queue
-                        .schedule(finish, Event::ReloadDone { req: handle });
-                    Admission::Reload
+                        st.resident_since = Some(now);
+                        st.prefilled = true;
+                        decode_context += st.context_tokens();
+                        self.set_kv_location(handle, KvLocation::Gpu);
+                        scratch.decode.push(handle);
+                        Admission::Decode
+                    }
+                KvLocation::None if needs_prefill => {
+                    // A lone oversized prompt may exceed the budget; always
+                    // admit at least one prefill so it cannot starve.
+                    let within_budget = scratch.prefill.is_empty()
+                        || prefill_tokens + u64::from(prompt)
+                            <= u64::from(self.config.prefill_token_budget);
+                    if within_budget && self.instances[i].inst.gpu.try_alloc(target_blocks) {
+                        self.states[handle].held_gpu_blocks = target_blocks;
+                        prefill_tokens += u64::from(prompt);
+                        scratch.prompts.push(prompt);
+                        scratch.prefill.push(handle);
+                        Admission::Prefill
+                    } else {
+                        Admission::Waits
+                    }
                 }
-            KvLocation::None if warm
-                // Fig. 5 setup: the KV already exists logically; it
-                // materializes without prefill compute once admitted.
-                && self.instances[i].inst.gpu.try_alloc(target_blocks) => {
-                    let st = &mut self.states[handle];
-                    st.held_gpu_blocks = target_blocks;
-                    st.resident_since = Some(now);
-                    st.prefilled = true;
-                    totals.decode_context += st.context_tokens();
-                    self.set_kv_location(handle, KvLocation::Gpu);
-                    scratch.decode.push(handle);
-                    Admission::Decode
-                }
-            KvLocation::None if needs_prefill => {
-                // A lone oversized prompt may exceed the budget; always
-                // admit at least one prefill so it cannot starve.
-                let within_budget = scratch.prefill.is_empty()
-                    || totals.prefill_tokens + u64::from(prompt)
-                        <= u64::from(self.config.prefill_token_budget);
-                if within_budget && self.instances[i].inst.gpu.try_alloc(target_blocks) {
-                    self.states[handle].held_gpu_blocks = target_blocks;
-                    totals.prefill_tokens += u64::from(prompt);
-                    scratch.prompts.push(prompt);
-                    scratch.prefill.push(handle);
-                    Admission::Prefill
-                } else {
-                    Admission::Waits
-                }
-            }
-            _ => Admission::Waits, // reloading / none-but-impossible: wait
+                _ => Admission::Waits, // reloading / none-but-impossible: wait
+            };
+            scratch.admitted.push((handle, admission));
         }
+        decode_context
     }
 
     /// The full path's prefill launch of `prefill` (admitted, its blocks
@@ -784,15 +768,6 @@ pub(crate) enum Admission {
     /// Left to wait: a reload in flight, or a grant, reload, warm request
     /// or prefill the pool or the prefill token budget refused.
     Waits,
-}
-
-/// The admission pass's running totals.
-#[derive(Default)]
-pub(super) struct Admitting {
-    /// Prompt tokens of the prefill batch.
-    prefill_tokens: u64,
-    /// Context tokens of the decode batch.
-    decode_context: u64,
 }
 
 /// What one token did to a batch member besides counting it: the edges of

@@ -57,10 +57,10 @@
 //!   (the run no longer vouches for its key range). Otherwise the batch
 //!   stays a key-order prefix of the candidates and only the first
 //!   candidate outside the batch could still enter — if the change freed
-//!   budget or brought a new candidate. The run is marked and settled by the
-//!   `try_schedule` every such caller ends with: its next launch stays the
-//!   O(1) relaunch while that candidate cannot fit, or while it fits as a
-//!   newcomer, which then joins; otherwise the run plans it;
+//!   budget or brought a new candidate. The run is marked and settled by
+//!   the `try_schedule` every such caller ends with: its next launch stays
+//!   the O(1) relaunch while that candidate cannot fit, or while it fits as
+//!   a newcomer, which then joins; otherwise the run plans it;
 //! * a predictor refresh re-prices a run member's predicted growth in
 //!   place: growth never changes which batch the planner picks.
 //!

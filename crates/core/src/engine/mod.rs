@@ -456,8 +456,6 @@ pub(super) struct ScheduleScratch {
     /// Each candidate an admission pass visited, in key order, with what it
     /// made of it.
     pub(super) admitted: Vec<(ReqHandle, lifecycle::Admission)>,
-    /// A steady run's crossers at the launch it plans, in key order.
-    pub(super) crossers: Vec<ReqHandle>,
     /// Non-members a steady run's planned launch admits into its batch.
     pub(super) joining: Vec<steady::Joiner>,
     /// Monitor-sweep buffer for in-shard stats consumers.

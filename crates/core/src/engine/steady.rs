@@ -192,7 +192,7 @@ use pascal_workload::Phase;
 
 #[cfg(debug_assertions)]
 use super::lifecycle::Admission;
-use super::lifecycle::{close_token, Admitting, Prefix, TokenEdges};
+use super::lifecycle::{close_token, Prefix, TokenEdges};
 use super::members::{Growth, MemberMon};
 use super::{Event, IterationKind, ScheduleScratch, Shard};
 
@@ -1737,7 +1737,8 @@ impl Shard<'_> {
     /// with their needs, in key order; every member before the cut is
     /// desired too. Returns `None` where the run cannot vouch for its key
     /// range: a stranger may sort among the batch's keys, or a GPU resident
-    /// is none of its members and joiners.
+    /// is none of its members and joiners (or, defensively, a joiner or
+    /// pending reload is no candidate).
     fn cut_launch(&self, instance: u32, scratch: &mut ScheduleScratch) -> Option<Cut> {
         let rt = &self.instances[instance as usize];
         let run = &rt.steady;
@@ -1848,57 +1849,26 @@ impl Shard<'_> {
         Some(Cut { last, excess })
     }
 
-    /// Step 3 of a launch [`Shard::cut_launch`] cut ([`Shard::admit_entry`]
-    /// in key order), visiting only the desired candidates whose admission
-    /// does anything: this step's crossers still in the batch, each needing
-    /// one block more, merged with the desired non-members
-    /// (`scratch.desired`). Every other member already holds what it needs
-    /// and runs without a grant. Lists each candidate it visits, with its
-    /// admission, in `scratch.admitted`.
+    /// Step 3 of a launch [`Shard::cut_launch`] cut: [`Shard::admit_desired`]
+    /// over only the desired candidates whose admission does anything —
+    /// the desired non-members (`scratch.desired`) and the step's crossers
+    /// still in the batch, each needing one block more, in key order. Every
+    /// other member already holds what it needs and runs without a grant.
     fn admit_planned(&mut self, instance: u32, now: SimTime, scratch: &mut ScheduleScratch) {
-        scratch.prefill.clear();
-        scratch.decode.clear();
-        scratch.prompts.clear();
-        scratch.admitted.clear();
-        scratch.crossers.clear();
         let run = &self.instances[instance as usize].steady;
         if !run.granted {
             let residue = (u64::from(run.steps) % u64::from(self.geometry.block_tokens)) as usize;
-            scratch
-                .crossers
-                .extend_from_slice(&run.residues[residue].crossers);
+            for &member in &run.residues[residue].crossers {
+                let (next, held, _) = self.planned_need(member, &self.states[member]);
+                let need = self.geometry.blocks_for_tokens(next).max(held);
+                scratch.desired.push((member, need));
+            }
         }
         let member_mon = &self.member_mon;
         scratch
-            .crossers
-            .sort_unstable_by_key(|&h| member_mon[h.index()].key);
-        let mut totals = Admitting::default();
-        let (mut c, mut d) = (0, 0);
-        loop {
-            let crosser = scratch.crossers.get(c).copied();
-            let other = scratch.desired.get(d).copied();
-            let key = |handle: ReqHandle| self.member_mon[handle.index()].key;
-            let (handle, target) = match (crosser, other) {
-                (Some(m), Some((o, need))) if key(o) < key(m) => {
-                    d += 1;
-                    (o, need)
-                }
-                (Some(m), _) => {
-                    c += 1;
-                    let (next, held, _) = self.planned_need(m, &self.states[m]);
-                    (m, self.geometry.blocks_for_tokens(next).max(held))
-                }
-                (None, Some(entry)) => {
-                    d += 1;
-                    entry
-                }
-                (None, None) => break,
-            };
-            let admission = self.admit_entry(instance, handle, target, now, &mut totals, scratch);
-            scratch.admitted.push((handle, admission));
-        }
-        let visited = (c + d) as u64;
-        self.count_work(|w| w.planner_member_visits += visited);
+            .desired
+            .sort_unstable_by_key(|&(handle, _)| member_mon[handle.index()].key);
+        self.admit_desired(instance, now, scratch);
     }
 
     /// [`Shard::replan_run`]'s prefill launch (`scratch.prefill`): the run
